@@ -86,12 +86,11 @@ type Options struct {
 	// default, negative disables. Rescue scenarios set it small so a
 	// stranded replica finds a fresh snapshot quickly.
 	SnapshotInterval int
-	// SnapChunkRecords / SnapMonolithicRecords / SnapChunkServeBudget
-	// shape chunked snapshot transfer (node.Config); 0 = defaults.
-	// Scenarios force the chunked path with SnapMonolithicRecords = -1.
+	// SnapChunkRecords / SnapMonolithicRecords shape chunked snapshot
+	// transfer (node.Config); 0 = defaults. Scenarios force the chunked
+	// path with SnapMonolithicRecords = -1.
 	SnapChunkRecords      int
 	SnapMonolithicRecords int
-	SnapChunkServeBudget  int
 	// Headless lists replica indices to leave without a node: their
 	// SimNetwork endpoints are free for a wire-level Byzantine driver
 	// (see the equivocating-proposer scenario). Replica 0 must stay
@@ -177,7 +176,6 @@ func New(opt Options) (*Harness, error) {
 		SnapshotInterval:      opt.SnapshotInterval,
 		SnapChunkRecords:      opt.SnapChunkRecords,
 		SnapMonolithicRecords: opt.SnapMonolithicRecords,
-		SnapChunkServeBudget:  opt.SnapChunkServeBudget,
 		CommitLogCap:          1 << 20,
 		Headless:              opt.Headless,
 		GatewayClients:        opt.GatewayClients,

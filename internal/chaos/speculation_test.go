@@ -3,8 +3,9 @@
 // wrong. An equivocating proposer plus partition pulses make the
 // anchor chain diverge from the straight-line prediction — certified
 // leader vertices whose support arrives too late are skipped by the
-// chain walk, so replicas that predicted them must roll back and
-// re-execute cold. The scenario asserts both that the rollbacks
+// chain walk, so replicas that predicted them must discard their
+// predictions and run the wave at commit time. The scenario asserts
+// both that the rollbacks
 // actually happened (spec_misses > 0: the fault schedule exercised
 // the miss path, not just the happy path) and that they were
 // invisible (conservation, commit-prefix agreement, bit-identical
@@ -96,8 +97,8 @@ func TestScenarioSpeculationUnderReorg(t *testing.T) {
 
 // TestScenarioSpeculationDisabledEscapeHatch runs the same faulty
 // committee with speculation disabled (the -spec=false escape hatch):
-// behaviour must be the pre-speculation cold path, with zero spec
-// counters and the same invariants.
+// every wave runs at commit time — through the same run and install
+// functions — with zero spec counters and the same invariants.
 func TestScenarioSpeculationDisabledEscapeHatch(t *testing.T) {
 	h := newHarness(t, Options{N: 4, Seed: 131, SpecExecDepth: -1})
 	h.Run([]Event{

@@ -43,12 +43,11 @@ type Config struct {
 	Executors  int
 	Validators int
 	BatchSize  int
-	// BatchSizeCap / BatchLatencyTarget tune the adaptive batch
-	// controller (node.Config); zero selects the node defaults.
-	BatchSizeCap       int
-	BatchLatencyTarget time.Duration
-	K                  int
-	KPrime             int
+	// BatchSizeCap bounds the adaptive batch controller
+	// (node.Config); zero selects the node default.
+	BatchSizeCap int
+	K            int
+	KPrime       int
 	// TickInterval paces node housekeeping (default 25ms).
 	TickInterval time.Duration
 	// Seed feeds key generation and the workload.
@@ -67,11 +66,10 @@ type Config struct {
 	// committed leader rounds (node.Config.SnapshotInterval): 0 =
 	// default, negative disables mid-epoch captures.
 	SnapshotInterval int
-	// SnapChunkRecords / SnapMonolithicRecords / SnapChunkServeBudget
-	// shape chunked snapshot transfer (see node.Config); 0 = defaults.
+	// SnapChunkRecords / SnapMonolithicRecords shape chunked snapshot
+	// transfer (see node.Config); 0 = defaults.
 	SnapChunkRecords      int
 	SnapMonolithicRecords int
-	SnapChunkServeBudget  int
 	// MinRoundInterval throttles each node's round advancement
 	// (node.Config.MinRoundInterval); 0 = default 1ms.
 	MinRoundInterval time.Duration
@@ -236,7 +234,6 @@ func New(cfg Config) (*Cluster, error) {
 			Executors: cfg.Executors, Validators: cfg.Validators,
 			BatchSize: cfg.BatchSize, K: cfg.K, KPrime: cfg.KPrime,
 			BatchSizeCap:          cfg.BatchSizeCap,
-			BatchLatencyTarget:    cfg.BatchLatencyTarget,
 			TickInterval:          cfg.TickInterval,
 			MinRoundInterval:      cfg.MinRoundInterval,
 			SpecExecDepth:         cfg.SpecExecDepth,
@@ -247,7 +244,6 @@ func New(cfg Config) (*Cluster, error) {
 			SnapshotInterval:      cfg.SnapshotInterval,
 			SnapChunkRecords:      cfg.SnapChunkRecords,
 			SnapMonolithicRecords: cfg.SnapMonolithicRecords,
-			SnapChunkServeBudget:  cfg.SnapChunkServeBudget,
 			NonceWindow:           cfg.NonceWindow,
 			LegacyDedupWindow:     cfg.LegacyDedupWindow,
 			SessionIdleEpochs:     cfg.SessionIdleEpochs,

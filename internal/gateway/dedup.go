@@ -144,17 +144,22 @@ func (d *Dedup) Admit(tx *types.Transaction) Admission {
 		}
 		return AdmitNew
 	}
-	w := d.clients[tx.Client]
+	return d.clients[tx.Client].admit(tx.Nonce, d.window)
+}
+
+// admit classifies one nonce against a session's window; a nil window
+// is a session never marked (floor 0, nothing resolved).
+func (w *nonceWindow) admit(nonce, window uint64) Admission {
 	var floor uint64
 	if w != nil {
 		floor = w.floor
 	}
 	switch {
-	case tx.Nonce <= floor:
+	case nonce <= floor:
 		return AdmitResolved
-	case tx.Nonce > floor+d.window:
+	case nonce > floor+window:
 		return AdmitFuture
-	case w != nil && w.getBit(tx.Nonce, d.window):
+	case w != nil && w.getBit(nonce, window):
 		return AdmitResolved
 	default:
 		return AdmitNew

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"thunderbolt/internal/types"
@@ -331,5 +332,56 @@ func TestDedupExpireIdleSparesActiveHoledSession(t *testing.T) {
 	dropped := d.ExpireIdle(2)
 	if len(dropped) != 1 || dropped[0] != 1 {
 		t.Fatalf("quiet holed session not expired: dropped %v", dropped)
+	}
+}
+
+// TestScratchMatchesDedup is the scratch view's whole contract: after
+// any sequence of marks, Scratch.Resolved answers exactly as a real
+// Dedup that took the same marks — floor advance, forced eviction and
+// legacy-ring eviction included — and the Dedup underneath is untouched.
+func TestScratchMatchesDedup(t *testing.T) {
+	const window, legacyCap = 64, 4
+	encode := func(d *Dedup) string {
+		e := types.NewEncoder()
+		d.EncodeState(e)
+		return string(e.Sum())
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// The universe is small enough that sessions collide, nonces jump
+		// past the window, and the legacy ring wraps several times.
+		draw := func() *types.Transaction {
+			if rng.Intn(3) == 0 {
+				return ltx(fmt.Sprintf("legacy-%d", rng.Intn(12)))
+			}
+			nonce := uint64(1 + rng.Intn(40))
+			if rng.Intn(8) == 0 {
+				nonce += uint64(rng.Intn(400))
+			}
+			return stx(uint64(1+rng.Intn(3)), nonce)
+		}
+		base, mirror := NewDedup(window, legacyCap), NewDedup(window, legacyCap)
+		for i := 0; i < 60; i++ {
+			tx := draw()
+			base.Mark(tx)
+			mirror.Mark(tx)
+		}
+		frozen := encode(base)
+		view := base.Scratch()
+		for i := 0; i < 200; i++ {
+			tx := draw()
+			view.Mark(tx)
+			mirror.Mark(tx)
+			for j := 0; j < 20; j++ {
+				probe := draw()
+				if got, want := view.Resolved(probe), mirror.Resolved(probe); got != want {
+					t.Fatalf("seed %d step %d: Resolved(client %d nonce %d %q) = %v, a Dedup with the same marks says %v",
+						seed, i, probe.Client, probe.Nonce, probe.Args[0], got, want)
+				}
+			}
+		}
+		if encode(base) != frozen {
+			t.Fatalf("seed %d: marking the view changed the Dedup", seed)
+		}
 	}
 }

@@ -1,5 +1,10 @@
 package node
 
+// batchLatencyTargetTicks is the own-block commit latency target, in
+// housekeeping ticks: a block that takes longer from proposal to commit
+// counts as latency pressure.
+const batchLatencyTargetTicks = 4
+
 // batchController adapts the proposer's per-block batch size to
 // offered load, in the B^ε-tree spirit of amortizing per-item cost by
 // batching harder exactly when the buffer is deep: while the ingress

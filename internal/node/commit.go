@@ -29,22 +29,26 @@ func (n *Node) processCommits() {
 	}
 }
 
-// drainExec executes queued commit waves in order. If a wave pushes
-// the epoch's committed Shift count to 2f+1, the node transitions to
-// a new DAG immediately and discards any later queued waves of the
-// old epoch (resetEpochState clears execQ; the paper's "ending round"
-// semantics). Between waves the inbox is re-drained — messages that
-// arrived during a long execution are handled (and may append further
-// waves) before the next wave runs.
+// drainExec runs and installs queued commit waves in order. If a wave
+// pushes the epoch's committed Shift count to 2f+1, the node
+// transitions to a new DAG immediately and discards any later queued
+// waves of the old epoch (resetEpochState clears execQ; the paper's
+// "ending round" semantics). Between waves the inbox is re-drained —
+// messages that arrived during a long execution are handled (and may
+// append further waves) before the next wave runs.
 func (n *Node) drainExec() {
 	for i := 0; i < len(n.execQ); i++ {
 		it := n.execQ[i]
 		n.execQ[i] = execItem{} // release the vertex references
-		// Speculation fast path: if this wave was predicted, executed
-		// ahead of commit, and the prediction held, install the
-		// precomputed results instead of executing on the critical path.
-		if !n.trySpecInstall(it.wave, it.committedAt) {
-			n.executeWave(it.wave, it.committedAt)
+		// Run once, install once: the result is the confirmed
+		// prediction's if there is one, otherwise the wave runs now.
+		res, hit := n.waveResultFor(it.wave)
+		n.installWave(it.wave, res, it.committedAt)
+		if hit {
+			n.popSpec()
+			n.nm.specHits.Add(1)
+			// a = vertices installed, b = coalesced store writes.
+			n.trace(metrics.EvSpecConfirm, it.wave.Leader.Round(), uint64(len(it.wave.Vertices)), uint64(len(res.writes.recs)))
 		}
 		if len(n.committedShift) >= crypto.QuorumSize(n.n) {
 			n.reconfigure()
@@ -67,24 +71,191 @@ func (n *Node) drainExec() {
 	n.nm.execQueueDepth.Set(0)
 }
 
-// executeWave applies one commit wave: validated single-shard preplay
-// results first (rules G1/P2), then consensus-ordered cross-shard
-// transactions (OE model), all deterministically.
-func (n *Node) executeWave(w tusk.CommitWave, committedAt time.Time) {
+// waveWrites is a wave's coalesced write set: the last value written
+// per key, keys in first-write order. While the wave runs it is the
+// layer reads fall through before the base; afterwards it is the one
+// batch install applies, and — for a wave run ahead of its commit — the
+// overlay later predictions read through.
+type waveWrites struct {
+	idx  map[types.Key]int
+	recs []types.RWRecord
+}
+
+func (ws *waveWrites) get(k types.Key) (types.Value, bool) {
+	if i, ok := ws.idx[k]; ok {
+		return ws.recs[i].Value, true
+	}
+	return nil, false
+}
+
+func (ws *waveWrites) fold(writes []types.RWRecord) {
+	if ws.idx == nil && len(writes) > 0 {
+		ws.idx = make(map[types.Key]int, len(writes))
+	}
+	for _, w := range writes {
+		if i, ok := ws.idx[w.Key]; ok {
+			ws.recs[i].Value = w.Value
+			continue
+		}
+		ws.idx[w.Key] = len(ws.recs)
+		ws.recs = append(ws.recs, w)
+	}
+}
+
+// waveResult is what running a wave decided: every outcome in commit
+// order plus the coalesced writes. installWave replays it onto the
+// node; nothing else does.
+type waveResult struct {
+	outcomes []waveOutcome
+	writes   waveWrites
+	// txs counts executed transactions — the unit of wasted work a
+	// discarded prediction reports.
+	txs int
+}
+
+// eachResolved calls f, in commit order, for every transaction the wave
+// resolves: committed, or failed deterministically. These are the
+// identities installing the result marks.
+func (r *waveResult) eachResolved(f func(tx *types.Transaction, committed bool)) {
+	for i := range r.outcomes {
+		switch o := &r.outcomes[i]; {
+		case o.tx != nil:
+			f(o.tx, o.ok)
+		case o.ok:
+			for _, tx := range o.b.SingleTxs {
+				f(tx, true)
+			}
+		}
+	}
+}
+
+// waveOutcome is one step of a wave's commit order. With tx nil it
+// covers b.SingleTxs as one preplayed batch: validated (ok) or
+// discarded wholesale (§4). Otherwise it is one transaction executed in
+// consensus order: committed (ok) or failed deterministically.
+type waveOutcome struct {
+	b     *types.Block
+	tx    *types.Transaction
+	ok    bool
+	cross bool // tx was carried in b.CrossTxs
+}
+
+// runWave decides one commit wave: validated single-shard preplay
+// results first (rules G1/P2), then its cross-shard transactions in
+// consensus order (OE model) — or, in ModeSerial, every transaction one
+// by one in commit order (the Tusk baseline: no preplay, no parallel
+// validation). It is the only encoding of those rules, and a pure
+// function of the wave, the dedup view and the base reader: it marks
+// only the view, writes only its result, and reads nothing of the node
+// beyond Registry, Validators and Mode. Whether the wave runs at commit
+// time against committed state or ahead of its commit against
+// predicted state is the caller's choice of dedup and base.
+func (c *Config) runWave(w tusk.CommitWave, dedup *gateway.Scratch, base validate.BaseReader) *waveResult {
+	res := &waveResult{}
+	read := func(k types.Key) types.Value {
+		if v, ok := res.writes.get(k); ok {
+			return v
+		}
+		return base(k)
+	}
+	type orderedTx struct {
+		tx    *types.Transaction
+		b     *types.Block
+		cross bool
+	}
+	// execOrdered executes transactions in the given order, each seeing
+	// its predecessors' writes. A transaction the view already resolves
+	// — committed in an earlier wave, by an earlier block of this one, or
+	// earlier in this very list (a second inclusion of one identity) — is
+	// dropped. Marking ahead of execution is exact because success and
+	// deterministic failure both resolve the identity.
+	execOrdered := func(items []orderedTx, workers int) {
+		live := items[:0]
+		txs := make([]*types.Transaction, 0, len(items))
+		for _, it := range items {
+			if dedup.Resolved(it.tx) {
+				continue
+			}
+			dedup.Mark(it.tx)
+			live = append(live, it)
+			txs = append(txs, it.tx)
+		}
+		if len(txs) == 0 {
+			return
+		}
+		res.txs += len(txs)
+		for i, out := range validate.ExecuteCrossOrdered(c.Registry, read, txs, workers) {
+			res.outcomes = append(res.outcomes, waveOutcome{b: live[i].b, tx: out.Tx, ok: out.Err == nil, cross: live[i].cross})
+			res.writes.fold(out.Writes)
+		}
+	}
+	var cross []orderedTx
+	for _, v := range w.Vertices {
+		b := v.Block
+		if b.Kind != types.NormalBlock {
+			continue // Shift and Skip blocks carry nothing to execute
+		}
+		if c.Mode == ModeSerial {
+			for _, tx := range b.SingleTxs {
+				execOrdered([]orderedTx{{tx: tx, b: b}}, 1)
+			}
+			for _, tx := range b.CrossTxs {
+				execOrdered([]orderedTx{{tx: tx, b: b, cross: true}}, 1)
+			}
+			continue
+		}
+		if len(b.SingleTxs) > 0 {
+			ok := false
+			if !staleBlock(b, dedup) {
+				res.txs += len(b.SingleTxs)
+				if r, err := validate.ValidateBatch(c.Registry, read, b.SingleTxs, b.Results, c.Validators); err == nil {
+					ok = true
+					res.writes.fold(r.Writes)
+					for _, tx := range b.SingleTxs {
+						dedup.Mark(tx)
+					}
+				}
+			}
+			res.outcomes = append(res.outcomes, waveOutcome{b: b, ok: ok})
+		}
+		for _, tx := range b.CrossTxs {
+			cross = append(cross, orderedTx{tx: tx, b: b, cross: true})
+		}
+	}
+	// Cross-shard transactions run after every single-shard result of
+	// the wave (rule G1), parallelized over disjoint shard sets (§5.2).
+	// Filtering here rather than at collection also drops a promoted
+	// copy carried by an early vertex whose original committed through
+	// a later vertex's single-shard block.
+	execOrdered(cross, c.Validators)
+	return res
+}
+
+// staleBlock reports whether a block's single-shard batch must be
+// discarded before validation: it carries another shard's transaction
+// (a Byzantine proposer), one the view already resolves (a resubmission
+// raced a reconfiguration), or the same transaction twice.
+func staleBlock(b *types.Block, dedup *gateway.Scratch) bool {
+	inBlock := make(map[types.Digest]bool, len(b.SingleTxs))
+	for _, tx := range b.SingleTxs {
+		id := tx.ID()
+		if len(tx.Shards) != 1 || tx.Shards[0] != b.Shard || dedup.Resolved(tx) || inBlock[id] {
+			return true
+		}
+		inBlock[id] = true
+	}
+	return false
+}
+
+// installWave applies a wave's result — the only place a wave touches
+// the store, the WAL, the dedup state, clients and counters. The whole
+// wave lands as one store apply carrying one note with every identity
+// it resolves (so a crash leaves a wave applied or not, never half),
+// then the bookkeeping replays in commit order.
+func (n *Node) installWave(w tusk.CommitWave, res *waveResult, committedAt time.Time) {
 	now := time.Now()
 	// a = vertices in the wave.
 	n.trace(metrics.EvCommit, w.Leader.Round(), uint64(len(w.Vertices)), 0)
-	type crossItem struct {
-		tx       *types.Transaction
-		round    types.Round
-		proposer types.ReplicaID
-	}
-	var crossTxs []crossItem
-	// inWave dedups cross-shard transactions included by more than one
-	// block of this wave (client retransmission to a rotated proposer,
-	// or a fast-forward re-proposal racing the abandoned block): the
-	// applied filter below only catches duplicates across waves.
-	inWave := make(map[types.Digest]bool)
 	n.commitCtx = CommitEntry{Epoch: n.epoch, Wave: w.Leader.Round()}
 	for _, v := range w.Vertices {
 		b := v.Block
@@ -96,107 +267,98 @@ func (n *Node) executeWave(w tusk.CommitWave, committedAt time.Time) {
 			n.nm.stageProposeCertify.Observe(b.Stamps.Certified.Sub(b.Stamps.Seen))
 			n.nm.stageCertifyCommit.Observe(committedAt.Sub(b.Stamps.Certified))
 		}
-		switch b.Kind {
-		case types.ShiftBlock:
+		if b.Kind == types.ShiftBlock {
 			n.committedShift[b.Proposer] = true
-			continue
-		case types.SkipBlock:
-			continue
 		}
-		if n.cfg.Mode == ModeSerial {
-			n.executeSerial(b, now)
-			continue
+		// No copy of a cross-shard transaction in this wave may keep
+		// wedging the preplay-recovery tracker, executed or dropped.
+		for _, tx := range b.CrossTxs {
+			delete(n.pendingCross, tx.ID())
 		}
-		// Single-shard preplay results: validate in parallel against
-		// the declared read/write sets, then apply (paper §4). The
-		// block must carry only its own shard's transactions; anything
-		// else is a Byzantine proposer and the block is discarded.
-		if len(b.SingleTxs) > 0 {
-			if !n.validateAndApply(b, now) {
-				n.nm.validationFailures.Add(1)
-				// A proposer whose own block was discarded (typically a
-				// cross-shard transaction raced its preplay — the hazard
-				// rules P3/P4 bound but cannot fully eliminate under
-				// eager preplay) rolls back its speculative overlay and
-				// requeues the transactions for a fresh preplay.
-				if b.Proposer == n.cfg.ID {
-					n.dropOwnBlock(b.Round)
-					// The overlay rolled back: values the next preplay
-					// should see no longer match the carried tips.
-					n.preplayer.invalidate()
-					for _, tx := range b.SingleTxs {
-						if !n.dedup.Resolved(tx) {
-							n.txQueue = append(n.txQueue, tx)
-						}
+	}
+
+	// The note precedes the marks it describes (durable.go's discipline).
+	note := n.newMarkNote()
+	if note != nil {
+		res.eachResolved(func(tx *types.Transaction, committed bool) {
+			if committed {
+				note.commit(tx)
+			} else {
+				note.fail(tx)
+			}
+		})
+	}
+	if len(res.writes.recs) > 0 {
+		n.applyCommit(res.writes.recs, note.bytes())
+	} else {
+		n.noteOnly(note.bytes())
+	}
+
+	ordered := false
+	for i := range res.outcomes {
+		o := &res.outcomes[i]
+		b := o.b
+		n.commitCtx.Round = b.Round
+		n.commitCtx.Proposer = b.Proposer
+		n.commitCtx.Cross = o.cross
+		switch {
+		case o.tx != nil:
+			ordered = true
+			if !o.ok {
+				// Deterministic failure: every replica drops it, and marks
+				// it so dedup state stays identical.
+				n.dedup.Mark(o.tx)
+				continue
+			}
+			n.markCommitted(o.tx, now)
+			if o.cross {
+				n.nm.committedCross.Add(1)
+			} else {
+				n.nm.committedSingle.Add(1)
+			}
+		case o.ok:
+			for _, tx := range b.SingleTxs {
+				n.markCommitted(tx, now)
+			}
+			n.nm.committedSingle.Add(uint64(len(b.SingleTxs)))
+			if b.Proposer != n.cfg.ID {
+				// A foreign block's writes change state the preplayer's
+				// carried tips never saw.
+				n.preplayer.invalidate()
+				continue
+			}
+			// Our own block: its preplay writes moved from the own-writes
+			// overlay to the store, value-identical through preplayRead,
+			// so the carried tips stay valid. Feed the adaptive batch its
+			// propose→commit latency (see batchController).
+			n.dropOwnBlock(b.Round)
+			lat := now.Sub(time.Unix(0, b.ProposedUnixNano))
+			n.batch.ObserveLatency(lat > batchLatencyTargetTicks*n.cfg.TickInterval)
+		default:
+			n.nm.validationFailures.Add(1)
+			// A proposer whose own block was discarded (typically a
+			// cross-shard transaction raced its preplay — the hazard rules
+			// P3/P4 bound but cannot fully eliminate under eager preplay)
+			// rolls back its own-writes overlay and requeues the
+			// transactions for a fresh preplay.
+			if b.Proposer == n.cfg.ID {
+				n.dropOwnBlock(b.Round)
+				n.preplayer.invalidate()
+				for _, tx := range b.SingleTxs {
+					if !n.dedup.Resolved(tx) {
+						n.txQueue = append(n.txQueue, tx)
 					}
 				}
 			}
 		}
-		for _, tx := range b.CrossTxs {
-			id := tx.ID()
-			if n.dedup.Resolved(tx) || inWave[id] {
-				// Duplicate inclusion (client retransmission races):
-				// executed once already; make sure it cannot wedge the
-				// preplay-recovery tracker.
-				delete(n.pendingCross, id)
-				continue
-			}
-			inWave[id] = true
-			crossTxs = append(crossTxs, crossItem{tx: tx, round: b.Round, proposer: b.Proposer})
-		}
 	}
-	// Cross-shard transactions execute after the wave's single-shard
-	// results (rule G1), in consensus order, parallelized over
-	// disjoint shard sets (§5.2); crossTxs is always empty in
-	// ModeSerial (serial blocks short-circuit above). Re-filter
-	// against applied first: a promoted copy collected from an early
-	// vertex may have committed through a single-shard block of a
-	// later vertex in this same wave, and executing it again would
-	// poison the accumulated overlay that downstream cross
-	// transactions read.
-	live := crossTxs[:0]
-	for _, it := range crossTxs {
-		if !n.dedup.Resolved(it.tx) {
-			live = append(live, it)
-		} else {
-			delete(n.pendingCross, it.tx.ID())
-		}
-	}
-	crossTxs = live
-	if len(crossTxs) > 0 {
-		txs := make([]*types.Transaction, len(crossTxs))
-		for i, it := range crossTxs {
-			txs[i] = it.tx
-		}
-		outs := validate.ExecuteCrossOrdered(n.cfg.Registry, n.baseReader, txs, n.cfg.Validators)
-		for i, out := range outs {
-			id := out.Tx.ID()
-			delete(n.pendingCross, id)
-			if out.Err != nil {
-				// Deterministic failure: every replica drops it (a
-				// deterministic mark, so dedup state stays identical;
-				// on a durable backend the mark is journaled so a
-				// restart rebuilds the same dedup evolution).
-				note := n.newMarkNote()
-				note.fail(out.Tx)
-				n.noteOnly(note.bytes())
-				n.dedup.Mark(out.Tx)
-				continue
-			}
-			note := n.newMarkNote()
-			note.commit(out.Tx)
-			n.applyCommit(out.Writes, note.bytes())
-			n.commitCtx.Round = crossTxs[i].round
-			n.commitCtx.Proposer = crossTxs[i].proposer
-			n.commitCtx.Cross = true
-			n.markCommitted(out.Tx, now)
-			n.nm.committedCross.Add(1)
-		}
-		// Cross-shard writes land outside the preplay stream; the next
+	if ordered {
+		// Ordered writes land outside the preplay stream; the next
 		// preplay must re-read through the base.
 		n.preplayer.invalidate()
 	}
-	// The wave's commit→execute leg: queue wait plus this execution.
+	// The wave's commit→execute leg: queue wait plus run (or the
+	// confirmation of an earlier run) plus this install.
 	n.nm.stageCommitExecute.Observe(time.Since(committedAt))
 	if n.cfg.OnCommitWave != nil {
 		n.cfg.OnCommitWave(n.epoch, w.Leader.Round(), now)
@@ -207,86 +369,6 @@ func (n *Node) executeWave(w tusk.CommitWave, committedAt time.Time) {
 func (n *Node) baseRead(k types.Key) types.Value {
 	v, _ := n.cfg.Store.Get(k)
 	return v
-}
-
-// validateAndApply checks a block's preplay results and applies the
-// delta. Returns false if the block is invalid (it is then discarded
-// wholesale, as in §4).
-func (n *Node) validateAndApply(b *types.Block, now time.Time) bool {
-	inBlock := make(map[types.Digest]bool, len(b.SingleTxs))
-	for _, tx := range b.SingleTxs {
-		if len(tx.Shards) != 1 || tx.Shards[0] != b.Shard {
-			return false // foreign-shard transaction smuggled in
-		}
-		id := tx.ID()
-		if n.dedup.Resolved(tx) || inBlock[id] {
-			// Duplicate commit attempt (resubmission raced a
-			// reconfiguration, or a duplicate smuggled into one
-			// block): the whole block is stale.
-			return false
-		}
-		inBlock[id] = true
-	}
-	res, err := validate.ValidateBatch(n.cfg.Registry, n.baseReader, b.SingleTxs, b.Results, n.cfg.Validators)
-	if err != nil {
-		return false
-	}
-	note := n.newMarkNote()
-	for _, tx := range b.SingleTxs {
-		note.commit(tx)
-	}
-	n.applyCommit(res.Writes, note.bytes())
-	n.commitCtx.Round = b.Round
-	n.commitCtx.Proposer = b.Proposer
-	n.commitCtx.Cross = false
-	for _, tx := range b.SingleTxs {
-		n.markCommitted(tx, now)
-	}
-	n.nm.committedSingle.Add(uint64(len(b.SingleTxs)))
-	// If this was our own block, its preplay writes are now durable:
-	// shrink the speculative overlay to the remaining pending blocks.
-	// The move from overlay to store is value-identical through the
-	// speculative reader, so the preplayer's carried tips stay valid.
-	// A foreign block's writes, by contrast, change state the carry
-	// never saw.
-	if b.Proposer == n.cfg.ID {
-		n.dropOwnBlock(b.Round)
-		// Adaptive batch feedback: this block's propose→commit latency
-		// against the target. Over-target commits shrink the batch back
-		// toward the floor (see batchController).
-		lat := now.Sub(time.Unix(0, b.ProposedUnixNano))
-		n.batch.ObserveLatency(lat > n.cfg.BatchLatencyTarget)
-	} else {
-		n.preplayer.invalidate()
-	}
-	return true
-}
-
-// executeSerial is the Tusk baseline: run the block's transactions
-// one by one in commit order (no preplay, no parallel validation).
-func (n *Node) executeSerial(b *types.Block, now time.Time) {
-	all := make([]*types.Transaction, 0, len(b.SingleTxs)+len(b.CrossTxs))
-	all = append(all, b.SingleTxs...)
-	all = append(all, b.CrossTxs...)
-	n.commitCtx.Round = b.Round
-	n.commitCtx.Proposer = b.Proposer
-	for _, tx := range all {
-		if n.dedup.Resolved(tx) {
-			continue
-		}
-		n.commitCtx.Cross = tx.IsCross()
-		outs := validate.ExecuteCrossOrdered(n.cfg.Registry, n.baseReader, []*types.Transaction{tx}, 1)
-		note := n.newMarkNote()
-		if outs[0].Err != nil {
-			note.fail(tx)
-			n.noteOnly(note.bytes())
-			n.dedup.Mark(tx)
-			continue
-		}
-		note.commit(tx)
-		n.applyCommit(outs[0].Writes, note.bytes())
-		n.markCommitted(tx, now)
-	}
 }
 
 func (n *Node) markCommitted(tx *types.Transaction, now time.Time) {
@@ -306,7 +388,7 @@ func (n *Node) markCommitted(tx *types.Transaction, now time.Time) {
 }
 
 // dropOwnBlock removes a committed (or abandoned) own block from the
-// pending list and rebuilds the speculative overlay from what remains.
+// pending list and rebuilds the own-writes overlay from what remains.
 func (n *Node) dropOwnBlock(round types.Round) {
 	keep := n.ownBlocks[:0]
 	for _, ob := range n.ownBlocks {
@@ -315,10 +397,10 @@ func (n *Node) dropOwnBlock(round types.Round) {
 		}
 	}
 	n.ownBlocks = keep
-	n.spec = make(map[types.Key]types.Value, len(n.spec))
+	n.ownWrites = make(map[types.Key]types.Value, len(n.ownWrites))
 	for _, ob := range n.ownBlocks {
 		for _, w := range ob.writes {
-			n.spec[w.Key] = w.Value
+			n.ownWrites[w.Key] = w.Value
 		}
 	}
 }

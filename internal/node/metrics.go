@@ -40,9 +40,10 @@ const (
 	mQueueLen           = "queue_len"
 	mBatchSize          = "batch_size"
 
-	// Speculative-execution counters: hits install precomputed results
-	// at commit time, misses fall back to cold execution, wasted counts
-	// the speculatively executed transactions a rollback discarded.
+	// Speculative-execution counters: hits install a result computed
+	// ahead of the commit, misses discard the queued predictions and run
+	// the wave at commit time, wasted counts the speculatively executed
+	// transactions those discards threw away.
 	mSpecHits      = "spec_hits"
 	mSpecMisses    = "spec_misses"
 	mSpecWastedTxs = "spec_wasted_txs"

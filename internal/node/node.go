@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"thunderbolt/internal/ce"
 	"thunderbolt/internal/contract"
 	"thunderbolt/internal/crypto"
 	"thunderbolt/internal/dag"
@@ -87,16 +86,12 @@ type Config struct {
 	// BatchSize caps transactions per block (default 500). It is the
 	// adaptive batch controller's floor: under sustained ingress
 	// backlog the proposer grows its batch toward BatchSizeCap and
-	// shrinks back here when commit latency misses the target
-	// (batchctl.go), so throughput tracks offered load.
+	// shrinks back here when its own blocks take more than four ticks
+	// to commit (batchctl.go), so throughput tracks offered load.
 	BatchSize int
 	// BatchSizeCap bounds adaptive batch growth. 0 selects
 	// 4×BatchSize; negative disables adaptation (fixed BatchSize).
 	BatchSizeCap int
-	// BatchLatencyTarget is the own-block commit latency above which
-	// the adaptive batch shrinks (latency pressure). 0 selects
-	// 4×TickInterval.
-	BatchLatencyTarget time.Duration
 
 	// K triggers a Shift vote when a proposer has been silent for K
 	// rounds (0 disables). KPrime forces a Shift vote every KPrime
@@ -171,12 +166,6 @@ type Config struct {
 	// manifest plus chunk stream. 0 selects the default (8192);
 	// negative forces the chunked path for every size (tests).
 	SnapMonolithicRecords int
-	// SnapChunkServeBudget caps how many MsgSnapChunk replies this
-	// replica sends per housekeeping tick, so a rescue in progress
-	// cannot starve its own round traffic. Requests over budget are
-	// dropped; the requester times out and rotates to another server.
-	// 0 selects the default (64).
-	SnapChunkServeBudget int
 
 	// RecoverySyncRounds caps how many missing rounds a recovering
 	// replica bulk-requests per housekeeping tick (MsgRoundReq batch).
@@ -190,15 +179,16 @@ type Config struct {
 	// from the anchor chain and executed ahead of the Tusk commit
 	// (spec.go), filling the certify→commit wait with execution work
 	// that a matching commit installs in O(writes). 0 selects the
-	// default (4); negative disables speculation. Ignored in
-	// ModeSerial (serial blocks are executed only at commit).
+	// default (2); negative disables speculation — every wave then runs
+	// at commit time, through the same code. Ignored in ModeSerial
+	// (serial blocks run only at commit).
 	SpecExecDepth int
-	// SpecVerify re-derives every speculative hit cold at install
-	// time — same wave, committed store, live dedup — and demotes the
-	// hit to a miss unless the outcomes are bit-identical. The
-	// runtime differential check behind the speculation contract;
-	// chaos scenarios enable it, production keeps it off (it spends
-	// the exact execution the hit saved).
+	// SpecVerify re-runs every speculative hit at commit time — same
+	// wave, committed store, committed dedup — and demotes the hit to a
+	// miss unless the outcomes are bit-identical. The runtime
+	// differential check behind the speculation contract; chaos
+	// scenarios enable it, production keeps it off (it spends the exact
+	// execution the hit saved).
 	SpecVerify bool
 
 	// TickInterval paces housekeeping (block re-requests); default 25ms.
@@ -245,9 +235,6 @@ func (c Config) withDefaults() Config {
 	if c.BatchSizeCap > 0 && c.BatchSizeCap < c.BatchSize {
 		c.BatchSizeCap = c.BatchSize
 	}
-	if c.BatchLatencyTarget <= 0 {
-		c.BatchLatencyTarget = 4 * c.TickInterval
-	}
 	if c.MinRoundInterval <= 0 {
 		c.MinRoundInterval = time.Millisecond
 	}
@@ -285,9 +272,6 @@ func (c Config) withDefaults() Config {
 	if c.SnapMonolithicRecords == 0 {
 		c.SnapMonolithicRecords = defaultMonolithicRecords
 	}
-	if c.SnapChunkServeBudget <= 0 {
-		c.SnapChunkServeBudget = defaultChunkServeBudget
-	}
 	return c
 }
 
@@ -319,10 +303,13 @@ const (
 	// one MsgSnapshot (two default-size chunks); beyond it the rescue
 	// streams chunks so no single message scales with state size.
 	defaultMonolithicRecords = 8192
-	// defaultChunkServeBudget bounds chunk replies per housekeeping
-	// tick (~64 × 4096 records ≈ a quarter-million records per tick
-	// per server at the default chunk size).
-	defaultChunkServeBudget = 64
+	// chunkServeBudget caps how many MsgSnapChunk replies this replica
+	// sends per housekeeping tick (~64 × 4096 records ≈ a
+	// quarter-million records per tick per server at the default chunk
+	// size), so a rescue in progress cannot starve its own round
+	// traffic. Requests over budget are dropped; the requester times
+	// out and rotates to another server.
+	chunkServeBudget = 64
 	// defaultSpecExecDepth is the speculative-execution pipeline
 	// depth: up to this many predicted commit waves executed ahead of
 	// the Tusk commit. Two covers the certify→commit wait at LAN
@@ -501,21 +488,16 @@ type Node struct {
 	execQ []execItem
 
 	// Speculative execution (spec.go): specQ holds commit waves
-	// predicted from the anchor chain in predicted commit order,
-	// executed ahead of the Tusk commit during the certify→commit
-	// wait; specOverlay layers their write sets over the committed
-	// tip; specResolved claims the transaction identities pending
-	// spec waves resolved (the dedup view later spec waves execute
-	// under); specVerts claims their vertex digests (the committed
-	// filter stacked predictions linearize against). specDepth caps
-	// the queue (Config.SpecExecDepth; 0 = speculation off).
-	specDepth    int
-	specQ        []specWave
-	specOverlay  *ce.SpecOverlay
-	specResolved map[types.Digest]bool
-	specVerts    map[types.Digest]bool
-	// specReader and specClaimFn are bound once like baseReader.
-	specReader  validate.BaseReader
+	// predicted from the anchor chain in predicted commit order, run
+	// ahead of the Tusk commit during the certify→commit wait — each
+	// entry's result doubles as the state layer later entries run on;
+	// specVerts claims their vertex digests (the committed filter
+	// stacked predictions linearize against). specDepth caps the queue
+	// (Config.SpecExecDepth; 0 = speculation off).
+	specDepth int
+	specQ     []specWave
+	specVerts map[types.Digest]bool
+	// specClaimFn is bound once like baseReader.
 	specClaimFn func(types.Digest) bool
 
 	// baseReader is n.baseRead bound once: the commit path passes it to
@@ -573,7 +555,7 @@ type Node struct {
 	// instead of being swallowed forever.
 	seen      map[types.Digest]time.Time
 	preplayer preplayer
-	spec      map[types.Key]types.Value // own uncommitted preplay writes
+	ownWrites map[types.Key]types.Value // own uncommitted preplay writes
 	ownBlocks []ownBlock                // uncommitted own normal blocks
 	// pendingCross holds cross-shard transactions observed in the DAG,
 	// not yet executed, that touch this node's shard (drives rules
@@ -591,6 +573,9 @@ type Node struct {
 	// so honest replicas at equal commit positions hold bit-identical
 	// state (which is what lets snapshots carry it verbatim).
 	dedup *gateway.Dedup
+	// scratch is the dedup view waves run under (commit.go's runWave):
+	// reset before each run, so one arena serves every wave.
+	scratch *gateway.Scratch
 	// durable is non-nil when Config.Store persists a recovery
 	// sidecar (storage.Recoverable): the commit path then annotates
 	// every apply with the dedup mutations it performs (durable.go).
@@ -602,7 +587,7 @@ type Node struct {
 	// clog is the ordered commit sequence (see Config.CommitLogCap);
 	// clogStart counts entries dropped from the head. commitCtx holds
 	// the wave/block provenance stamped onto entries (event-loop-owned,
-	// set by executeWave).
+	// set by installWave).
 	clogMu    sync.Mutex
 	clog      []CommitEntry
 	clogStart uint64
@@ -656,13 +641,13 @@ func New(cfg Config) (*Node, error) {
 		done:     make(chan struct{}),
 	}
 	n.baseReader = n.baseRead
-	n.specReader = n.specBaseRead
 	n.specClaimFn = n.specVertClaimed
 	if cfg.SpecExecDepth > 0 && cfg.Mode != ModeSerial {
 		n.specDepth = cfg.SpecExecDepth
 	}
 	n.nm = newNodeMetrics(cfg.ID)
 	n.dedup = gateway.NewDedup(cfg.NonceWindow, cfg.LegacyDedupWindow)
+	n.scratch = n.dedup.Scratch()
 	startEpoch := types.Epoch(0)
 	if rec, ok := cfg.Store.(storage.Recoverable); ok {
 		n.durable = rec
@@ -686,7 +671,7 @@ func New(cfg Config) (*Node, error) {
 		n.voted[k] = d
 	}
 	n.recoveredVotes = nil
-	n.chunkBudget = cfg.SnapChunkServeBudget
+	n.chunkBudget = chunkServeBudget
 	n.outDirect = make([][]outMsg, cfg.N)
 	n.batch = newBatchController(cfg.BatchSize, cfg.BatchSizeCap)
 	n.txClients = make(map[types.Digest]clientSub)
@@ -707,7 +692,7 @@ func New(cfg Config) (*Node, error) {
 // resetEpochState initializes per-epoch protocol state.
 func (n *Node) resetEpochState(epoch types.Epoch) {
 	if n.preplayer != nil { // nil during construction
-		n.preplayer.invalidate() // spec overlay resets; carried tips are stale
+		n.preplayer.invalidate() // own-writes overlay resets; carried tips are stale
 	}
 	n.epoch = epoch
 	n.dagStore = dag.NewStore(epoch, n.n)
@@ -723,7 +708,7 @@ func (n *Node) resetEpochState(epoch types.Epoch) {
 	n.collectorRound = make(map[types.Round]types.Digest)
 	n.voted = make(map[voteKey]types.Digest)
 	n.lastSeen = make(map[types.ReplicaID]types.Round)
-	n.spec = make(map[types.Key]types.Value)
+	n.ownWrites = make(map[types.Key]types.Value)
 	n.ownBlocks = nil
 	n.pendingCross = make(map[types.Digest]*types.Transaction)
 	n.shiftSent = false
@@ -1017,11 +1002,10 @@ func (n *Node) run() {
 		// re-draining the inbox between waves so vote and certificate
 		// handling for newer rounds is never blocked behind execution
 		// of older ones. Then spend the certify→commit wait: predict
-		// and speculatively execute certified waves the commit rule
-		// has not released yet (drainSpec), so the next commit can
-		// install precomputed results instead of executing on the
-		// critical path. One coalesced flush per pass sends everything
-		// the pass produced.
+		// and run certified waves the commit rule has not released yet
+		// (drainSpec), so the next commit can install a result that
+		// already exists instead of running on the critical path. One
+		// coalesced flush per pass sends everything the pass produced.
 		n.drainExec()
 		n.drainSpec()
 		n.flushOutbox()
@@ -1143,7 +1127,7 @@ func (n *Node) housekeeping() {
 	n.maybeRequestSnapshot(stalled)
 	// Chunked rescue bookkeeping: replenish the per-tick serve budget
 	// and drive the fetch state machine (timeouts, peer rotation).
-	n.chunkBudget = n.cfg.SnapChunkServeBudget
+	n.chunkBudget = chunkServeBudget
 	n.pumpChunkFetch()
 	for id, tx := range n.pendingCross {
 		if n.dedup.Resolved(tx) {
@@ -1632,9 +1616,9 @@ func (n *Node) fastForward(hi types.Round) {
 			n.requeueOwnBlock(b, queued)
 		}
 	}
-	// The speculative overlay describes abandoned blocks; drop it.
+	// The own-writes overlay describes abandoned blocks; drop it.
 	n.ownBlocks = nil
-	n.spec = make(map[types.Key]types.Value)
+	n.ownWrites = make(map[types.Key]types.Value)
 	n.preplayer.invalidate()
 	n.lastBlock = nil
 	n.nextRound = hi + 1

@@ -17,12 +17,13 @@ import (
 // preplayer abstracts the preplay engine so Thunderbolt (CE) and
 // Thunderbolt-OCC share the proposer pipeline.
 type preplayer interface {
-	// preplay executes txs against the given speculative reader and
-	// returns the CE-shaped batch result.
+	// preplay executes txs against the given preplay reader (committed
+	// store under this proposer's own uncommitted writes) and returns
+	// the CE-shaped batch result.
 	preplay(read func(types.Key) types.Value, txs []*types.Transaction) *ce.BatchResult
 	// invalidate drops any state the engine carries between
-	// consecutive preplays. Call it whenever the speculative view or
-	// the committed store changed other than by folding in the
+	// consecutive preplays. Call it whenever the preplay view or the
+	// committed store changed other than by folding in the
 	// engine's own last batch: foreign-block commits, cross-shard
 	// commits, overlay rollbacks, epoch transitions.
 	invalidate()
@@ -43,8 +44,8 @@ func (n *Node) newPreplayer() preplayer {
 // cePreplayer drives the CE through a session so the dependency-graph
 // arena is recycled round over round and each preplay's committed tips
 // become the next one's cached base values: fillBlock folds the same
-// write sets into n.spec, so consecutive preplays see the carried tips
-// verbatim until an invalidate site fires.
+// write sets into n.ownWrites, so consecutive preplays see the carried
+// tips verbatim until an invalidate site fires.
 type cePreplayer struct{ sess *ce.Session }
 
 func (p *cePreplayer) preplay(read func(types.Key) types.Value, txs []*types.Transaction) *ce.BatchResult {
@@ -55,37 +56,37 @@ func (p *cePreplayer) invalidate() { p.sess.Invalidate() }
 
 // occPreplayer adapts the OCC baseline to the proposer pipeline (the
 // paper's Thunderbolt-OCC configuration): OCC validates against a
-// lazily materialized versioned view over the speculative reader.
+// lazily materialized versioned view over the preplay reader.
 type occPreplayer struct{ exec *occ.OCC }
 
 func (p *occPreplayer) preplay(read func(types.Key) types.Value, txs []*types.Transaction) *ce.BatchResult {
-	return p.exec.ExecuteBatch(newSpecVersioned(read), txs)
+	return p.exec.ExecuteBatch(newPreplayVersioned(read), txs)
 }
 
 func (p *occPreplayer) invalidate() {} // OCC builds its view per preplay
 
-// specVersioned implements occ.VersionedStore over a read-through
+// preplayVersioned implements occ.VersionedStore over a read-through
 // base. Keys written during the batch carry real versions; untouched
 // keys read from the base at version 0 (the base is immutable for the
 // duration of one preplay, so version 0 is stable).
-type specVersioned struct {
+type preplayVersioned struct {
 	read func(types.Key) types.Value
 
 	mu   sync.Mutex
-	data map[types.Key]specEntry
+	data map[types.Key]versionedEntry
 	seq  uint64
 }
 
-type specEntry struct {
+type versionedEntry struct {
 	val types.Value
 	ver uint64
 }
 
-func newSpecVersioned(read func(types.Key) types.Value) *specVersioned {
-	return &specVersioned{read: read, data: make(map[types.Key]specEntry)}
+func newPreplayVersioned(read func(types.Key) types.Value) *preplayVersioned {
+	return &preplayVersioned{read: read, data: make(map[types.Key]versionedEntry)}
 }
 
-func (s *specVersioned) GetVersioned(k types.Key) (types.Value, uint64, bool) {
+func (s *preplayVersioned) GetVersioned(k types.Key) (types.Value, uint64, bool) {
 	s.mu.Lock()
 	e, ok := s.data[k]
 	s.mu.Unlock()
@@ -96,18 +97,18 @@ func (s *specVersioned) GetVersioned(k types.Key) (types.Value, uint64, bool) {
 	return v, 0, v != nil
 }
 
-func (s *specVersioned) Version(k types.Key) uint64 {
+func (s *preplayVersioned) Version(k types.Key) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.data[k].ver
 }
 
-func (s *specVersioned) Apply(writes []types.RWRecord) uint64 {
+func (s *preplayVersioned) Apply(writes []types.RWRecord) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
 	for _, w := range writes {
-		s.data[w.Key] = specEntry{val: w.Value.Clone(), ver: s.seq}
+		s.data[w.Key] = versionedEntry{val: w.Value.Clone(), ver: s.seq}
 	}
 	return s.seq
 }
@@ -265,16 +266,16 @@ func (n *Node) fillBlock(blk *types.Block, r types.Round) {
 	if len(singles) == 0 {
 		return
 	}
-	res := n.preplayer.preplay(n.specRead, singles)
+	res := n.preplayer.preplay(n.preplayRead, singles)
 	blk.SingleTxs = res.Schedule
 	blk.Results = res.Results
 	n.nm.reexecutions.Add(uint64(res.Reexecutions))
-	// Fold the preplay outcome into the speculative view so the next
+	// Fold the preplay outcome into the own-writes overlay so the next
 	// round's batch builds on it.
 	var writes []types.RWRecord
 	for i := range res.Results {
 		for _, w := range res.Results[i].WriteSet {
-			n.spec[w.Key] = w.Value
+			n.ownWrites[w.Key] = w.Value
 			writes = append(writes, w)
 		}
 	}
@@ -309,10 +310,10 @@ func (n *Node) missingLeader(r types.Round) bool {
 	return !ok
 }
 
-// specRead is the speculative state: committed store overlaid with
-// this proposer's own uncommitted preplay writes.
-func (n *Node) specRead(k types.Key) types.Value {
-	if v, ok := n.spec[k]; ok {
+// preplayRead is the state preplay runs on: committed store overlaid
+// with this proposer's own uncommitted preplay writes.
+func (n *Node) preplayRead(k types.Key) types.Value {
+	if v, ok := n.ownWrites[k]; ok {
 		return v
 	}
 	v, _ := n.cfg.Store.Get(k)

@@ -28,8 +28,8 @@ import (
 //     re-downloads its delta, not the ledger).
 //
 // The serving side is one map lookup per request, bounded per tick by
-// Config.SnapChunkServeBudget so a rescue cannot starve the server's
-// own round traffic.
+// chunkServeBudget so a rescue cannot starve the server's own round
+// traffic.
 
 const (
 	// chunkFetchWindow is the number of chunk requests kept in flight.

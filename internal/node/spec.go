@@ -3,12 +3,10 @@ package node
 import (
 	"time"
 
-	"thunderbolt/internal/ce"
 	"thunderbolt/internal/dag"
 	"thunderbolt/internal/metrics"
 	"thunderbolt/internal/tusk"
 	"thunderbolt/internal/types"
-	"thunderbolt/internal/validate"
 )
 
 // Speculative execution of certified blocks (the certify→commit
@@ -16,11 +14,10 @@ import (
 // of its latency waiting for the Tusk commit rule to release blocks
 // that are already certified — execution itself is a rounding error.
 // This file fills that wait: the node predicts the next commit waves
-// from the anchor chain (tusk.PredictWave), executes them immediately
-// in a speculative session layered over the committed tip, and at
-// commit time installs the precomputed results in O(writes) when the
-// prediction matched — or discards everything and falls back to the
-// cold path (executeWave) when it did not.
+// from the anchor chain (tusk.PredictWave) and runs them right away
+// with runWave — the same function a wave runs through at commit time —
+// so that when the commit rule releases a wave whose prediction held,
+// drainExec hands installWave a result that already exists.
 //
 // The contract:
 //
@@ -30,108 +27,42 @@ import (
 //     commits. Linearize is stable once a vertex is in the store, so
 //     a prediction only misses when the anchor-chain walk reorders
 //     leaders (skipped or late-arriving leaders, equivocation fallout).
-//   - execute: the wave runs through the same ValidateBatch /
-//     ExecuteCrossOrdered code as the cold path, reading through
-//     specOverlay (pending speculative writes) over the committed
-//     store, under a dedup view extended with identities earlier
-//     predictions resolved. Nothing escapes: no store writes, no dedup
-//     marks, no client acks.
-//   - confirm: at commit, the canonical wave must match the predicted
-//     wave vertex-for-vertex AND every speculatively resolved identity
-//     must still be unresolved (specStillFresh). Then the wave's write
-//     sets land as one coalesced Store apply and the bookkeeping
-//     (dedup marks, commit log, acks, metrics) replays in cold order.
-//   - rollback: any mismatch flushes the entire prediction queue and
-//     rolls the overlay back — an O(live-entries) reset — and the
-//     canonical wave executes cold. Speculative state lives only in
-//     this file's structures, so a rollback cannot leak by
-//     construction.
+//   - run: runWave against predicted state — reads fall through the
+//     write sets of the earlier queued predictions to the committed
+//     store, and the dedup view is the committed dedup with those
+//     predictions' resolutions marked on a scratch copy. Nothing
+//     escapes: the result sits in the queue, and only installWave
+//     touches the store, the dedup, or a client.
+//   - confirm: at commit, the canonical wave must match the oldest
+//     prediction vertex-for-vertex. Then its result is installed as is.
+//   - miss: any mismatch discards the entire prediction queue — results
+//     are plain values, so there is nothing to undo — and the canonical
+//     wave runs at commit time instead.
 //
-// Why a miss must flush everything: predictions execute against the
+// Why a miss must flush everything: predictions run against the
 // committed tip plus earlier predictions. Once the canonical order
 // diverges — even for one wave — the store evolves differently than
-// every queued prediction assumed, and validation outcomes computed
-// on the stale view are unusable. Flushing restores the invariant
-// that the store only ever mutates through installed predictions or
-// cold execution after a flush, which is what makes the speculative
-// read view at execution time value-identical to the committed store
-// at install time on the all-hit path.
+// every queued prediction assumed. Flushing restores the invariant that
+// store and dedup only ever change by installing the oldest prediction
+// or by a commit-time run after a flush (epoch transitions and snapshot
+// installs reset the queue too), which is what makes the predicted
+// state a run saw identical to the committed state at its install.
 
-// specWave is one predicted commit wave and, once executed, its
-// precomputed outcome.
+// specWave is one predicted commit wave and, once run, its result.
 type specWave struct {
-	wave        tusk.CommitWave
-	overlayWave uint64 // SpecOverlay wave id of this wave's writes
-	executed    bool
-	res         specResult
+	wave tusk.CommitWave
+	res  *waveResult // nil until run
 }
 
-// specResult is everything installSpec needs to replay a wave's
-// effects without re-executing it, and everything specStillFresh
-// needs to decide the results are still valid.
-type specResult struct {
-	blocks []specBlock
-	cross  []specCross
-	// skipResolved holds cross-shard copies skipped because the
-	// transaction was already resolved in the speculative dedup view;
-	// install re-checks they are resolved for real.
-	skipResolved []*types.Transaction
-	// txs counts speculatively executed transactions — the unit of
-	// wasted work a rollback reports.
-	txs int
-}
-
-// specBlock is the speculative outcome of one single-shard block:
-// validated ok with its write delta, or discarded (stale/invalid).
-type specBlock struct {
-	b      *types.Block
-	ok     bool
-	writes []types.RWRecord
-}
-
-// specCross is the speculative outcome of one cross-shard transaction
-// in consensus order.
-type specCross struct {
-	tx       *types.Transaction
-	round    types.Round
-	proposer types.ReplicaID
-	failed   bool // deterministic execution failure
-	writes   []types.RWRecord
-}
-
-// resetSpec discards all speculative state — queued predictions,
-// overlay writes, claimed identities. Called from resetEpochState:
-// predictions bind to one epoch's DAG and die with it.
+// resetSpec discards all speculative state. Called from
+// resetEpochState: predictions bind to one epoch's DAG and die with it.
 func (n *Node) resetSpec() {
-	if n.specOverlay == nil {
-		n.specOverlay = ce.NewSpecOverlay()
-		n.specResolved = make(map[types.Digest]bool)
-		n.specVerts = make(map[types.Digest]bool)
-		return
-	}
-	for i := range n.specQ {
-		n.specQ[i] = specWave{} // release vertex references
-	}
+	clear(n.specQ) // release vertex references
 	n.specQ = n.specQ[:0]
-	n.specOverlay.Rollback()
-	clear(n.specResolved)
-	clear(n.specVerts)
-}
-
-// specBaseRead reads through pending speculative writes first, then
-// committed state — the base reader speculative execution runs under.
-func (n *Node) specBaseRead(k types.Key) types.Value {
-	if v, ok := n.specOverlay.Get(k); ok {
-		return v
+	if n.specVerts == nil {
+		n.specVerts = make(map[types.Digest]bool)
 	}
-	return n.baseRead(k)
-}
-
-// specResolvedView extends the committed dedup view with identities
-// resolved by earlier queued predictions — the dedup a stacked
-// prediction must execute under to compose like consecutive commits.
-func (n *Node) specResolvedView(tx *types.Transaction) bool {
-	return n.dedup.Resolved(tx) || n.specResolved[tx.ID()]
+	clear(n.specVerts)
 }
 
 // specVertClaimed reports whether a vertex is claimed by a queued
@@ -175,201 +106,109 @@ func (n *Node) maybeQueueSpec() {
 }
 
 // drainSpec is the run loop's idle work: after every committed wave
-// has executed (drainExec precedes it, so execQ is empty and the
-// store sits at the committed tip), predict the next waves and
-// execute any prediction that has not run yet.
+// has been installed (drainExec precedes it, so execQ is empty and the
+// store sits at the committed tip), predict the next waves and run any
+// prediction that has not run yet.
 func (n *Node) drainSpec() {
 	if n.specDepth <= 0 {
 		return
 	}
 	n.maybeQueueSpec()
 	for i := range n.specQ {
-		if !n.specQ[i].executed {
-			n.execSpecWave(&n.specQ[i])
+		if n.specQ[i].res == nil {
+			n.runPrediction(i)
 		}
 	}
 }
 
-// execSpecWave runs one predicted wave through the cold execution
-// pipeline against the speculative view, folding its writes into the
-// overlay and claiming the identities it resolved.
-func (n *Node) execSpecWave(sw *specWave) {
-	w := sw.wave
+// runPrediction runs the i-th queued prediction on the state its
+// predecessors leave behind: their write sets layered newest-first over
+// the committed store, their resolutions marked on a scratch dedup.
+// Predictions run in queue order, so every predecessor has a result.
+func (n *Node) runPrediction(i int) {
+	sw := &n.specQ[i]
 	// a = vertices in the predicted wave.
-	n.trace(metrics.EvSpecStart, w.Leader.Round(), uint64(len(w.Vertices)), 0)
-	sw.overlayWave = n.specOverlay.BeginWave()
-	wave := sw.overlayWave
-	fold := func(k types.Key, v types.Value) { n.specOverlay.Set(k, v, wave) }
-	sw.res = n.runSpecWave(w, n.specResolvedView, n.specReader, fold)
-	sw.executed = true
-	done := time.Now()
-	for i := range sw.res.blocks {
-		sb := &sw.res.blocks[i]
-		if !sb.ok {
-			continue
-		}
-		for _, tx := range sb.b.SingleTxs {
-			n.specResolved[tx.ID()] = true
+	n.trace(metrics.EvSpecStart, sw.wave.Leader.Round(), uint64(len(sw.wave.Vertices)), 0)
+	earlier := n.specQ[:i]
+	dedup := n.scratch.Reset()
+	for j := range earlier {
+		earlier[j].res.eachResolved(func(tx *types.Transaction, _ bool) { dedup.Mark(tx) })
+	}
+	base := n.baseReader
+	if i > 0 {
+		base = func(k types.Key) types.Value {
+			for j := len(earlier) - 1; j >= 0; j-- {
+				if v, ok := earlier[j].res.writes.get(k); ok {
+					return v
+				}
+			}
+			return n.baseRead(k)
 		}
 	}
-	for i := range sw.res.cross {
-		// Failed cross transactions resolve too (deterministic mark).
-		n.specResolved[sw.res.cross[i].tx.ID()] = true
-	}
+	sw.res = n.cfg.runWave(sw.wave, dedup, base)
 	// The reclaimed slice of the certify→commit wait: certification to
 	// speculative-results-ready, per block (same stamp discipline as
-	// the cold stage histograms).
-	for _, v := range w.Vertices {
+	// installWave's stage histograms).
+	done := time.Now()
+	for _, v := range sw.wave.Vertices {
 		if !v.Block.Stamps.Certified.IsZero() {
 			n.nm.stageCertifySpecDone.Observe(done.Sub(v.Block.Stamps.Certified))
 		}
 	}
 }
 
-// runSpecWave executes one wave exactly as executeWave would — same
-// staleness rules, same within-wave dedup visibility, same cross
-// collection and ordering — but records outcomes instead of applying
-// them. It is shared by the speculative run (read = overlay view,
-// resolved = speculative dedup) and the SpecVerify cold re-derivation
-// (read = committed store, resolved = committed dedup): both must be
-// pure functions of those two inputs for the differential check to
-// mean anything.
-func (n *Node) runSpecWave(w tusk.CommitWave, resolved func(*types.Transaction) bool, read validate.BaseReader, fold func(types.Key, types.Value)) specResult {
-	var res specResult
-	type crossItem struct {
-		tx       *types.Transaction
-		round    types.Round
-		proposer types.ReplicaID
-	}
-	var crossTxs []crossItem
-	inWave := make(map[types.Digest]bool)
-	// local mirrors the cold path's within-wave dedup visibility: an
-	// applied block's marks are visible to later vertices of the same
-	// wave immediately.
-	local := make(map[types.Digest]bool)
-	for _, v := range w.Vertices {
-		b := v.Block
-		switch b.Kind {
-		case types.ShiftBlock, types.SkipBlock:
-			// No execution; install handles the Shift bookkeeping.
-			continue
-		}
-		if len(b.SingleTxs) > 0 {
-			sb := specBlock{b: b}
-			if !specBlockStale(b, resolved, local) {
-				if r, err := validate.ValidateBatch(n.cfg.Registry, read, b.SingleTxs, b.Results, n.cfg.Validators); err == nil {
-					sb.ok = true
-					sb.writes = r.Writes
-					for _, wr := range r.Writes {
-						fold(wr.Key, wr.Value)
-					}
-					for _, tx := range b.SingleTxs {
-						local[tx.ID()] = true
-					}
-				}
-				res.txs += len(b.SingleTxs)
-			}
-			res.blocks = append(res.blocks, sb)
-		}
-		for _, tx := range b.CrossTxs {
-			id := tx.ID()
-			if resolved(tx) {
-				// Resolved before this wave in the speculative view;
-				// install re-checks the assumption against real dedup.
-				res.skipResolved = append(res.skipResolved, tx)
-				continue
-			}
-			if local[id] || inWave[id] {
-				// Committed by an earlier block of this wave, or a
-				// duplicate inclusion — resolved within the wave either
-				// way, so no install-time recheck is needed.
-				continue
-			}
-			inWave[id] = true
-			crossTxs = append(crossTxs, crossItem{tx: tx, round: b.Round, proposer: b.Proposer})
+// waveResultFor decides the wave the commit rule just released: the
+// oldest prediction's result when the prediction held (hit), otherwise
+// a run right now against the committed store and dedup — after
+// flushing every prediction if the canonical order diverged. Either way
+// the caller installs what it returns.
+func (n *Node) waveResultFor(w tusk.CommitWave) (res *waveResult, hit bool) {
+	var predicted *waveResult
+	if len(n.specQ) > 0 {
+		sw := &n.specQ[0]
+		switch {
+		case sw.wave.Leader != w.Leader || !sameVertices(sw.wave.Vertices, w.Vertices):
+			// The anchor chain routed a different wave here than predicted
+			// (late leader, skipped leader, or a divergent linearization).
+			// Every queued prediction built on the wrong order.
+			n.specMiss(w)
+		case sw.res == nil:
+			// Predicted but never run — not a misprediction, and nothing
+			// queued behind it has run either.
+			n.popSpec()
+		case !n.specStillFresh(sw.res):
+			n.specMiss(w)
+		case !n.cfg.SpecVerify:
+			return sw.res, true
+		default:
+			predicted = sw.res
 		}
 	}
-	// Same re-filter as the cold path: a copy collected from an early
-	// vertex may have committed through a single-shard block of a
-	// later vertex in this wave.
-	live := crossTxs[:0]
-	for _, it := range crossTxs {
-		if !local[it.tx.ID()] {
-			live = append(live, it)
-		}
+	res = n.cfg.runWave(w, n.scratch.Reset(), n.baseReader)
+	if predicted == nil {
+		return res, false
 	}
-	crossTxs = live
-	if len(crossTxs) > 0 {
-		txs := make([]*types.Transaction, len(crossTxs))
-		for i, it := range crossTxs {
-			txs[i] = it.tx
-		}
-		outs := validate.ExecuteCrossOrdered(n.cfg.Registry, read, txs, n.cfg.Validators)
-		for i, out := range outs {
-			sc := specCross{tx: out.Tx, round: crossTxs[i].round, proposer: crossTxs[i].proposer}
-			if out.Err != nil {
-				sc.failed = true
-			} else {
-				sc.writes = out.Writes
-				for _, wr := range out.Writes {
-					fold(wr.Key, wr.Value)
-				}
-			}
-			res.cross = append(res.cross, sc)
-			res.txs++
-		}
+	// SpecVerify: on the hit path the predicted state is value-identical
+	// to the committed state, so any difference is a speculation bug,
+	// not a legitimate reorder.
+	if !res.equal(predicted) {
+		n.specMiss(w)
+		return res, false
 	}
-	return res
+	return res, true
 }
 
-// specBlockStale applies validateAndApply's precheck without side
-// effects: foreign-shard smuggling, resolved identities, duplicate
-// inclusion within the block.
-func specBlockStale(b *types.Block, resolved func(*types.Transaction) bool, local map[types.Digest]bool) bool {
-	inBlock := make(map[types.Digest]bool, len(b.SingleTxs))
-	for _, tx := range b.SingleTxs {
-		if len(tx.Shards) != 1 || tx.Shards[0] != b.Shard {
-			return true
-		}
-		id := tx.ID()
-		if resolved(tx) || local[id] || inBlock[id] {
-			return true
-		}
-		inBlock[id] = true
-	}
-	return false
-}
-
-// trySpecInstall is drainExec's fast path: if the canonical wave
-// matches the oldest prediction and the precomputed results are still
-// valid, install them and skip cold execution. Returns false when the
-// wave must execute cold — after flushing all predictions if the
-// canonical order diverged from the predicted order.
-func (n *Node) trySpecInstall(w tusk.CommitWave, committedAt time.Time) bool {
-	if len(n.specQ) == 0 {
-		return false
-	}
-	sw := &n.specQ[0]
-	if sw.wave.Leader != w.Leader || !sameVertices(sw.wave.Vertices, w.Vertices) {
-		// The anchor chain routed a different wave here than predicted
-		// (late leader, skipped leader, or a divergent linearization).
-		// Every queued prediction built on the wrong order; flush.
-		n.specMiss(w)
-		return false
-	}
-	if !sw.executed {
-		// Predicted but never reached execution; nothing precomputed.
-		// Not a misprediction — drop the entry and execute cold.
-		n.popSpec()
-		return false
-	}
-	if !n.specStillFresh(sw) || (n.cfg.SpecVerify && !n.specVerifyWave(sw)) {
-		n.specMiss(w)
-		return false
-	}
-	n.installSpec(sw, committedAt)
-	n.popSpec()
-	return true
+// specStillFresh is the guard behind the flush invariant: everything a
+// prediction resolved must still be unresolved when it is installed. It
+// holds by construction; if a future change mutates the dedup behind
+// the queue's back, the prediction becomes a miss instead of a double
+// commit.
+func (n *Node) specStillFresh(res *waveResult) bool {
+	fresh := true
+	res.eachResolved(func(tx *types.Transaction, _ bool) {
+		fresh = fresh && !n.dedup.Resolved(tx)
+	})
+	return fresh
 }
 
 // sameVertices compares predicted and canonical linearizations by
@@ -387,86 +226,19 @@ func sameVertices(a, b []*dag.Vertex) bool {
 	return true
 }
 
-// specStillFresh re-checks the prediction's dedup assumptions against
-// the real dedup at install time: everything it executed must still
-// be unresolved, everything it skipped as resolved must actually be
-// resolved. Catches the one hazard vertex identity cannot — a
-// different transaction with the same session identity (client,
-// nonce) committing in between, which shifts nonce floors under the
-// prediction.
-func (n *Node) specStillFresh(sw *specWave) bool {
-	for i := range sw.res.blocks {
-		sb := &sw.res.blocks[i]
-		if !sb.ok {
-			continue
-		}
-		for _, tx := range sb.b.SingleTxs {
-			if n.dedup.Resolved(tx) {
-				return false
-			}
-		}
-	}
-	for i := range sw.res.cross {
-		if n.dedup.Resolved(sw.res.cross[i].tx) {
-			return false
-		}
-	}
-	for _, tx := range sw.res.skipResolved {
-		if !n.dedup.Resolved(tx) {
-			return false
-		}
-	}
-	return true
-}
-
-// specVerifyWave is the runtime differential check (Config.SpecVerify):
-// re-derive the wave cold — committed store, committed dedup — and
-// demand the speculative outcome is bit-identical. On the hit path the
-// speculative read view is value-identical to the committed store, so
-// any divergence is a speculation bug, not a legitimate reorder.
-func (n *Node) specVerifyWave(sw *specWave) bool {
-	shadow := make(map[types.Key]types.Value)
-	read := func(k types.Key) types.Value {
-		if v, ok := shadow[k]; ok {
-			return v
-		}
-		return n.baseRead(k)
-	}
-	fold := func(k types.Key, v types.Value) { shadow[k] = v }
-	cold := n.runSpecWave(sw.wave, n.dedup.Resolved, read, fold)
-	return specResultsEqual(&sw.res, &cold)
-}
-
-func specResultsEqual(a, b *specResult) bool {
-	if len(a.blocks) != len(b.blocks) || len(a.cross) != len(b.cross) || len(a.skipResolved) != len(b.skipResolved) {
+// equal reports whether two runs of one wave decided the same thing:
+// the same outcomes in the same order and the same coalesced writes.
+func (a *waveResult) equal(b *waveResult) bool {
+	if len(a.outcomes) != len(b.outcomes) || len(a.writes.recs) != len(b.writes.recs) {
 		return false
 	}
-	for i := range a.blocks {
-		x, y := &a.blocks[i], &b.blocks[i]
-		if x.b != y.b || x.ok != y.ok || !writesEqual(x.writes, y.writes) {
+	for i, x := range a.outcomes {
+		if x != b.outcomes[i] {
 			return false
 		}
 	}
-	for i := range a.cross {
-		x, y := &a.cross[i], &b.cross[i]
-		if x.tx != y.tx || x.failed != y.failed || !writesEqual(x.writes, y.writes) {
-			return false
-		}
-	}
-	for i := range a.skipResolved {
-		if a.skipResolved[i] != b.skipResolved[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func writesEqual(a, b []types.RWRecord) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Key != b[i].Key || !a[i].Value.Equal(b[i].Value) {
+	for i, x := range a.writes.recs {
+		if y := b.writes.recs[i]; x.Key != y.Key || !x.Value.Equal(y.Value) {
 			return false
 		}
 	}
@@ -474,185 +246,28 @@ func writesEqual(a, b []types.RWRecord) bool {
 }
 
 // specMiss discards every queued prediction: the canonical order
-// diverged, so all speculative state — built on the predicted order —
-// is invalid. The overlay rolls back in O(live entries); nothing else
-// holds speculative data, so nothing else needs undoing.
+// diverged, so all of them — built on the predicted order — are
+// invalid.
 func (n *Node) specMiss(w tusk.CommitWave) {
 	var wasted uint64
 	for i := range n.specQ {
-		if n.specQ[i].executed {
-			wasted += uint64(n.specQ[i].res.txs)
+		if res := n.specQ[i].res; res != nil {
+			wasted += uint64(res.txs)
 		}
 	}
 	n.nm.specMisses.Add(uint64(len(n.specQ)))
 	n.nm.specWastedTxs.Add(wasted)
 	// a = flushed predictions, b = wasted speculative transactions.
 	n.trace(metrics.EvSpecRollback, w.Leader.Round(), uint64(len(n.specQ)), wasted)
-	for i := range n.specQ {
-		n.specQ[i] = specWave{}
-	}
-	n.specQ = n.specQ[:0]
-	n.specOverlay.Rollback()
-	clear(n.specResolved)
-	clear(n.specVerts)
+	n.resetSpec()
 }
 
 // popSpec retires the oldest prediction (installed, or superseded
-// unexecuted), releasing its claims so future predictions and GC see
-// only live speculative state.
+// before it ran), releasing its vertex claims.
 func (n *Node) popSpec() {
-	sw := &n.specQ[0]
-	for _, v := range sw.wave.Vertices {
+	for _, v := range n.specQ[0].wave.Vertices {
 		delete(n.specVerts, v.Cert.Digest())
-	}
-	for i := range sw.res.blocks {
-		sb := &sw.res.blocks[i]
-		if !sb.ok {
-			continue
-		}
-		for _, tx := range sb.b.SingleTxs {
-			delete(n.specResolved, tx.ID())
-		}
-	}
-	for i := range sw.res.cross {
-		delete(n.specResolved, sw.res.cross[i].tx.ID())
 	}
 	n.specQ[0] = specWave{}
 	n.specQ = n.specQ[1:]
-}
-
-// installSpec commits a confirmed prediction: one coalesced store
-// apply for the wave's write sets, then the cold path's bookkeeping
-// (dedup marks, commit log, acks, block feedback, metrics) replayed
-// in cold order. Coalescing is sound because the per-key last write
-// of the wave is what cold execution leaves in the store, and the
-// merged WAL note carries the same resolved identities the cold
-// path's per-commit notes would — dedup marks across distinct
-// identities commute, so recovery replays to the same state.
-func (n *Node) installSpec(sw *specWave, committedAt time.Time) {
-	w := sw.wave
-	now := time.Now()
-	// a = vertices in the wave (same event the cold path records —
-	// downstream consumers see an identical commit trace on hits).
-	n.trace(metrics.EvCommit, w.Leader.Round(), uint64(len(w.Vertices)), 0)
-	n.commitCtx = CommitEntry{Epoch: n.epoch, Wave: w.Leader.Round()}
-	for _, v := range w.Vertices {
-		b := v.Block
-		if !b.Stamps.Seen.IsZero() && !b.Stamps.Certified.IsZero() {
-			n.nm.stageProposeCertify.Observe(b.Stamps.Certified.Sub(b.Stamps.Seen))
-			n.nm.stageCertifyCommit.Observe(committedAt.Sub(b.Stamps.Certified))
-		}
-		if b.Kind == types.ShiftBlock {
-			n.committedShift[b.Proposer] = true
-		}
-	}
-
-	// One apply for the whole wave: last writer per key, keys in first
-	// appearance order, with a single merged note.
-	note := n.newMarkNote()
-	var order []types.Key
-	merged := make(map[types.Key]types.Value)
-	addWrites := func(ws []types.RWRecord) {
-		for _, wr := range ws {
-			if _, ok := merged[wr.Key]; !ok {
-				order = append(order, wr.Key)
-			}
-			merged[wr.Key] = wr.Value
-		}
-	}
-	for i := range sw.res.blocks {
-		sb := &sw.res.blocks[i]
-		if !sb.ok {
-			continue
-		}
-		for _, tx := range sb.b.SingleTxs {
-			note.commit(tx)
-		}
-		addWrites(sb.writes)
-	}
-	for i := range sw.res.cross {
-		sc := &sw.res.cross[i]
-		if sc.failed {
-			note.fail(sc.tx)
-			continue
-		}
-		note.commit(sc.tx)
-		addWrites(sc.writes)
-	}
-	if len(order) > 0 {
-		writes := make([]types.RWRecord, len(order))
-		for i, k := range order {
-			writes[i] = types.RWRecord{Key: k, Value: merged[k]}
-		}
-		n.applyCommit(writes, note.bytes())
-	} else {
-		n.noteOnly(note.bytes())
-	}
-
-	// Bookkeeping in cold order: blocks in wave order, then cross.
-	for i := range sw.res.blocks {
-		sb := &sw.res.blocks[i]
-		b := sb.b
-		if !sb.ok {
-			n.nm.validationFailures.Add(1)
-			if b.Proposer == n.cfg.ID {
-				n.dropOwnBlock(b.Round)
-				n.preplayer.invalidate()
-				for _, tx := range b.SingleTxs {
-					if !n.dedup.Resolved(tx) {
-						n.txQueue = append(n.txQueue, tx)
-					}
-				}
-			}
-			continue
-		}
-		n.commitCtx.Round = b.Round
-		n.commitCtx.Proposer = b.Proposer
-		n.commitCtx.Cross = false
-		for _, tx := range b.SingleTxs {
-			n.markCommitted(tx, now)
-		}
-		n.nm.committedSingle.Add(uint64(len(b.SingleTxs)))
-		if b.Proposer == n.cfg.ID {
-			n.dropOwnBlock(b.Round)
-			lat := now.Sub(time.Unix(0, b.ProposedUnixNano))
-			n.batch.ObserveLatency(lat > n.cfg.BatchLatencyTarget)
-		} else {
-			n.preplayer.invalidate()
-		}
-	}
-	for i := range sw.res.cross {
-		sc := &sw.res.cross[i]
-		delete(n.pendingCross, sc.tx.ID())
-		if sc.failed {
-			n.dedup.Mark(sc.tx)
-			continue
-		}
-		n.commitCtx.Round = sc.round
-		n.commitCtx.Proposer = sc.proposer
-		n.commitCtx.Cross = true
-		n.markCommitted(sc.tx, now)
-		n.nm.committedCross.Add(1)
-	}
-	if len(sw.res.cross) > 0 {
-		n.preplayer.invalidate()
-	}
-	// Copies that never reached execution (duplicates, already
-	// resolved) must not wedge the preplay-recovery tracker.
-	for _, v := range w.Vertices {
-		for _, tx := range v.Block.CrossTxs {
-			delete(n.pendingCross, tx.ID())
-		}
-	}
-
-	n.specOverlay.Confirm(sw.overlayWave)
-	n.nm.specHits.Add(1)
-	// Commit→results-installed: on hits this is map bookkeeping plus
-	// one store apply — the latency the speculation reclaims.
-	n.nm.stageCommitExecute.Observe(time.Since(committedAt))
-	// a = vertices installed, b = coalesced store writes.
-	n.trace(metrics.EvSpecConfirm, w.Leader.Round(), uint64(len(w.Vertices)), uint64(len(order)))
-	if n.cfg.OnCommitWave != nil {
-		n.cfg.OnCommitWave(n.epoch, w.Leader.Round(), now)
-	}
 }

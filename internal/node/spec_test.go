@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"thunderbolt/internal/cluster"
+	"thunderbolt/internal/contract"
 	"thunderbolt/internal/types"
 	"thunderbolt/internal/workload"
 )
@@ -24,11 +25,12 @@ func speculationStats(c *cluster.Cluster) (hits, misses, wasted uint64) {
 // TestSpeculationDifferentialAgainstColdExecution is the differential
 // check behind the speculation contract: the same workload driven
 // through a speculating cluster (with SpecVerify re-deriving every hit
-// cold at install time) and through a cold-only cluster must leave
-// bit-identical final state. SpecVerify demotes any hit whose
-// precomputed outcome differs from the cold re-derivation to a miss,
-// so hits > 0 with zero validation failures means every installed wave
-// was proven equal to cold execution, not just assumed.
+// at commit time) and through a cluster that runs every wave at commit
+// time (speculation off — same code, no predictions) must leave
+// bit-identical final state. SpecVerify demotes any hit whose result
+// differs from the commit-time re-run to a miss, so hits > 0 means
+// every installed prediction was proven equal to a commit-time run,
+// not just assumed.
 func TestSpeculationDifferentialAgainstColdExecution(t *testing.T) {
 	spec := fastCluster(t, cluster.Config{Seed: 41, SpecVerify: true})
 	cold := fastCluster(t, cluster.Config{Seed: 41, SpecExecDepth: -1})
@@ -77,8 +79,8 @@ func TestSpeculationDifferentialAgainstColdExecution(t *testing.T) {
 	}
 	// Validation failures are NOT asserted zero here: the mixed
 	// workload can race a cross-shard commit against a preplay (the
-	// P3/P4 hazard), which discards a block on the cold path and the
-	// speculative path alike. The state identity above is the real
+	// P3/P4 hazard), which discards a block whether the wave runs at
+	// commit time or ahead of it. The state identity above is the real
 	// differential claim.
 }
 
@@ -104,5 +106,90 @@ func TestSpeculationSurvivesReconfiguration(t *testing.T) {
 	}
 	if hits, _, _ := speculationStats(c); hits == 0 {
 		t.Fatal("no spec hits across reconfigurations")
+	}
+}
+
+// TestSpeculationSameSessionIdentityRace is the cluster-level variant of
+// the within-wave dedup regression (wave_test.go): pairs of distinct
+// transactions carrying one (client, nonce) are submitted at the same
+// moment to two different shard proposers, so both usually land in one
+// wave. Dedup's rule lets exactly one of each pair commit. Before the
+// run/install unification a replica that hit its prediction committed
+// both while one that missed committed one. Which of a pair wins is a
+// timing matter, so the speculating and the non-speculating cluster are
+// compared on what is well defined: every replica of each cluster ends
+// bit-identical, each pair applied exactly once on both, and the two
+// clusters hold the same total balance.
+func TestSpeculationSameSessionIdentityRace(t *testing.T) {
+	const pairs, amount = 30, 5
+	deposit := func(nonce uint64, shard types.ShardID, account int) *types.Transaction {
+		return &types.Transaction{
+			Client: 77, Nonce: nonce, Kind: types.SingleShard, Shards: []types.ShardID{shard},
+			Contract: workload.ContractDepositChecking,
+			Args:     [][]byte{[]byte(workload.AccountName(account)), contract.EncodeInt64(amount)},
+		}
+	}
+	checking := func(c *cluster.Cluster, replica, account int) int64 {
+		v, _ := c.Node(replica).Store().Get(workload.CheckingKey(workload.AccountName(account)))
+		x, err := contract.DecodeInt64(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	var totals []int64
+	for _, cfg := range []cluster.Config{
+		{Seed: 43, SpecVerify: true},
+		{Seed: 43, SpecExecDepth: -1},
+	} {
+		c := fastCluster(t, cfg)
+		before := checking(c, 0, 0)
+		// IDs are taken before submission: the digest cache is
+		// unsynchronized and the proposer owns the transaction afterwards.
+		type pair struct{ a, b types.Digest }
+		var ps []pair
+		for p := 0; p < pairs; p++ {
+			a, b := deposit(uint64(p+1), 0, 2*p), deposit(uint64(p+1), 1, 2*p+1)
+			ps = append(ps, pair{a.ID(), b.ID()})
+			if err := c.Submit(a); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Submit(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deadline := time.Now().Add(20 * time.Second)
+		for _, p := range ps {
+			for !c.Committed(p.a) && !c.Committed(p.b) {
+				if time.Now().After(deadline) {
+					t.Fatalf("SpecExecDepth=%d: a pair never committed", cfg.SpecExecDepth)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+		if err := c.WaitCommitCountsEqual(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WaitConverged(10 * time.Second); err != nil {
+			t.Fatalf("SpecExecDepth=%d: replicas diverged: %v", cfg.SpecExecDepth, err)
+		}
+		for i, p := range ps {
+			if c.Committed(p.a) && c.Committed(p.b) {
+				t.Fatalf("SpecExecDepth=%d: both transactions of pair %d committed", cfg.SpecExecDepth, i)
+			}
+			for r := 0; r < c.N(); r++ {
+				if got := checking(c, r, 2*i) + checking(c, r, 2*i+1); got != 2*before+amount {
+					t.Fatalf("SpecExecDepth=%d: replica %d applied pair %d %d times", cfg.SpecExecDepth, r, i, (got-2*before)/amount)
+				}
+			}
+		}
+		total, err := workload.TotalBalance(c.Node(0).Store(), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		totals = append(totals, total)
+	}
+	if totals[0] != totals[1] {
+		t.Fatalf("total balance: speculating cluster %d, commit-time cluster %d", totals[0], totals[1])
 	}
 }
