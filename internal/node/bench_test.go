@@ -10,6 +10,7 @@ import (
 	"thunderbolt/internal/storage"
 	"thunderbolt/internal/transport"
 	"thunderbolt/internal/types"
+	"thunderbolt/internal/workload"
 )
 
 // nullTransport swallows all traffic; benchmarks drive node internals
@@ -129,5 +130,66 @@ func BenchmarkMaybeAdvanceIdle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.maybeAdvance()
+	}
+}
+
+// BenchmarkCapture200k prices one snapshot capture over a 100k-account
+// ledger (200k records, 49 chunks) by how much of it was written since
+// the previous capture: cold has no previous capture; allDirty
+// overwrites one record in every chunk; 1pctDirty overwrites 2 000
+// records in 1 % of the key range (one chunk); clean writes nothing —
+// its cost is the ordered walk alone, and its allocations must stay
+// O(chunks) (CI gates it below 1 000 allocs/op).
+func BenchmarkCapture200k(b *testing.B) {
+	const accounts = 100_000
+	committee := dagtest.NewCommittee(4)
+	for _, bc := range []struct {
+		name  string
+		dirty func(keys []types.Key) []types.Key
+	}{
+		{"cold", nil},
+		{"allDirty", func(keys []types.Key) (out []types.Key) {
+			for i := 0; i < len(keys); i += types.DefaultChunkRecords {
+				out = append(out, keys[i])
+			}
+			return out
+		}},
+		{"1pctDirty", func(keys []types.Key) []types.Key { return keys[10_000:12_000] }},
+		{"clean", func([]types.Key) []types.Key { return nil }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			st := storage.New()
+			workload.InitAccounts(st, accounts, 100, 100)
+			n, err := New(Config{
+				ID: 0, N: committee.N,
+				Transport: &nullTransport{id: 0},
+				Signer:    committee.Signers[0], Verifier: committee.Ver,
+				Registry: contract.NewRegistry(), Store: st,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var writes []types.RWRecord
+			if bc.dirty != nil {
+				for _, k := range bc.dirty(st.Keys()) {
+					writes = append(writes, types.RWRecord{Key: k, Value: contract.EncodeInt64(7)})
+				}
+				n.capture(n.epoch)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bc.dirty == nil {
+					n.lastSnap = nil // nothing to reuse
+				} else {
+					st.Apply(writes)
+				}
+				n.capture(n.epoch)
+			}
+			b.StopTimer()
+			if got := n.lastSnap.RecordCount; got != 2*accounts {
+				b.Fatalf("captured %d records, want %d", got, 2*accounts)
+			}
+		})
 	}
 }

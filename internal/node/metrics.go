@@ -36,6 +36,9 @@ const (
 	mSnapChunksFetched  = "snap_chunks_fetched"
 	mSnapChunksSkipped  = "snap_chunks_skipped"
 	mSnapChunkRetries   = "snap_chunk_retries"
+	mSnapChunksEncoded  = "snap_chunks_encoded" // chunks a capture encoded and hashed
+	mSnapChunksReused   = "snap_chunks_reused"  // chunks a capture shared with the one before
+	mSnapCaptureNs      = "snap_capture_ns"     // histogram: one capture, walk to manifest
 	mPendingCross       = "pending_cross"
 	mQueueLen           = "queue_len"
 	mBatchSize          = "batch_size"
@@ -87,6 +90,8 @@ type nodeMetrics struct {
 	snapChunksFetched  *metrics.Counter
 	snapChunksSkipped  *metrics.Counter
 	snapChunkRetries   *metrics.Counter
+	snapChunksEncoded  *metrics.Counter
+	snapChunksReused   *metrics.Counter
 	specHits           *metrics.Counter
 	specMisses         *metrics.Counter
 	specWastedTxs      *metrics.Counter
@@ -107,6 +112,7 @@ type nodeMetrics struct {
 	stageCertifySpecDone *metrics.Histogram
 	stageCommitExecute   *metrics.Histogram
 	stageSubmitAck       *metrics.Histogram
+	snapCapture          *metrics.Histogram
 }
 
 func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
@@ -137,6 +143,8 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		snapChunksFetched:  reg.Counter(mSnapChunksFetched),
 		snapChunksSkipped:  reg.Counter(mSnapChunksSkipped),
 		snapChunkRetries:   reg.Counter(mSnapChunkRetries),
+		snapChunksEncoded:  reg.Counter(mSnapChunksEncoded),
+		snapChunksReused:   reg.Counter(mSnapChunksReused),
 		specHits:           reg.Counter(mSpecHits),
 		specMisses:         reg.Counter(mSpecMisses),
 		specWastedTxs:      reg.Counter(mSpecWastedTxs),
@@ -156,6 +164,7 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		stageCertifySpecDone: reg.Histogram(metrics.StageCertifySpecDone),
 		stageCommitExecute:   reg.Histogram(metrics.StageCommitExecute),
 		stageSubmitAck:       reg.Histogram(metrics.StageSubmitAck),
+		snapCapture:          reg.Histogram(mSnapCaptureNs),
 	}
 	for class := 0; class < numSendClasses; class++ {
 		m.sendErrors[class] = reg.Counter("send_errors_" + sendClassName[class])

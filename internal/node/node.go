@@ -519,7 +519,10 @@ type Node struct {
 	// lastSnap is this node's most recent capture (epoch transition or
 	// mid-epoch boundary); it outlives per-epoch state so the node can
 	// serve stragglers from any earlier position. snapChunks holds its
-	// encoded chunk payloads for MsgSnapChunk serving. lastSnapMsg and
+	// encoded chunk payloads for MsgSnapChunk serving, and snapCut the
+	// store sequence number they were cut at — what lets the next
+	// capture share the chunks nothing has written to since (0 when
+	// they were installed from peers, not cut here). lastSnapMsg and
 	// lastManifestMsg cache the signed wire payloads, built once on
 	// first serve (the snapshot is immutable, so every serve after
 	// that is a plain Send). snapFrom holds the latest snapshot
@@ -533,6 +536,7 @@ type Node struct {
 	// allowance, and fetch is the in-progress chunked rescue, if any.
 	lastSnap        *types.Snapshot
 	snapChunks      [][]byte
+	snapCut         uint64
 	lastSnapMsg     []byte
 	lastManifestMsg []byte
 	snapFrom        map[types.ReplicaID]*types.Snapshot

@@ -29,7 +29,10 @@ import (
 //     per-chunk digests, and a snapshot digest over the manifest
 //     (header + Merkle-folded chunk digests + dedup state) — never
 //     over the raw records, so manifest and monolithic forms share
-//     one digest and one signature.
+//     one digest and one signature. It is incremental: one ordered
+//     walk of the store, and only the chunks holding a record written
+//     since the previous capture are encoded and hashed again; the
+//     rest are shared with that capture.
 //   - Detect: a replica whose round advancement has stalled while f+1
 //     peers present future-epoch evidence — or that stays wedged for
 //     several request periods with no such evidence (mid-epoch
@@ -85,19 +88,30 @@ func (n *Node) maybeCaptureMidEpoch(leaderRound types.Round) {
 	n.lastSnapAt = leaderRound
 	n.capture(n.epoch)
 	n.nm.midEpochCaptures.Add(1)
-	n.trace(metrics.EvSnapCapture, leaderRound, 0, 0)
 }
 
 // capture builds the snapshot at the current committed position,
 // tagged with snapEpoch: the next epoch for transition captures, the
 // current epoch for mid-epoch captures (Epoch == PrevEpoch is what
-// marks a snapshot as mid-epoch to its installer). One streaming pass
-// produces the chunk payloads, their digests, and — when the ledger
-// is small enough for the monolithic path — the retained records.
+// marks a snapshot as mid-epoch to its installer). One ordered walk of
+// the store produces the chunk payloads, their digests, and — when the
+// ledger is small enough for the monolithic path — the retained
+// records. Chunks untouched since the previous capture (every record's
+// version at or below snapCut) are that capture's chunks, by
+// reference; what a capture produces does not depend on what it could
+// reuse, so replicas with different histories stay bit-identical.
 func (n *Node) capture(snapEpoch types.Epoch) {
-	cb := types.NewChunkBuilder(n.cfg.SnapChunkRecords, n.cfg.SnapMonolithicRecords)
-	n.cfg.Store.Ascend(func(r types.RWRecord) bool {
-		cb.Add(r.Key, r.Value)
+	start := time.Now()
+	keep := n.cfg.SnapMonolithicRecords
+	if n.cfg.Store.Len() > keep {
+		keep = -1 // already past the monolithic path: retain no records
+	}
+	cb := types.NewChunkBuilder(n.cfg.SnapChunkRecords, keep)
+	if n.lastSnap != nil {
+		cb.Reuse(n.snapChunks, n.lastSnap.ChunkDigests, n.snapCut)
+	}
+	cut := n.cfg.Store.AscendVersioned(func(r types.RWRecord, ver uint64) bool {
+		cb.AddVersioned(r.Key, r.Value, ver)
 		return true
 	})
 	chunks, digests, records, count := cb.Finish()
@@ -106,7 +120,7 @@ func (n *Node) capture(snapEpoch types.Epoch) {
 		N:            uint32(n.n),
 		PrevEpoch:    n.epoch,
 		EndRound:     n.committer.LastLeaderRound(),
-		Commits:      n.Stats().CommittedTxs,
+		Commits:      n.nm.committedTxs.Value(),
 		ChunkSize:    uint32(n.cfg.SnapChunkRecords),
 		RecordCount:  uint64(count),
 		ChunkDigests: digests,
@@ -124,8 +138,17 @@ func (n *Node) capture(snapEpoch types.Epoch) {
 	}
 	n.lastSnap = snap
 	n.snapChunks = chunks
+	n.snapCut = cut
 	n.lastSnapMsg = nil // rebuilt on first serve
 	n.lastManifestMsg = nil
+
+	reused := uint64(cb.Reused())
+	encoded := uint64(len(chunks)) - reused
+	n.nm.snapChunksEncoded.Add(encoded)
+	n.nm.snapChunksReused.Add(reused)
+	n.nm.snapCapture.Observe(time.Since(start))
+	// a = chunks encoded, b = chunks shared with the previous capture.
+	n.trace(metrics.EvSnapCapture, snap.EndRound, encoded, reused)
 }
 
 // noteFutureEpoch records evidence that a peer has moved past this
@@ -393,6 +416,7 @@ func (n *Node) installSnapshot(snap *types.Snapshot, writes []types.RWRecord, ch
 	// draw on (re-signed with this replica's own key on first serve).
 	n.lastSnap = snap
 	n.snapChunks = chunks
+	n.snapCut = 0 // peers cut these chunks: the next capture reuses none
 	n.lastSnapMsg = nil
 	n.lastManifestMsg = nil
 	if crossEpoch {

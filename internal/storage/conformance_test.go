@@ -252,3 +252,174 @@ func TestConformanceWALReplayIdentity(t *testing.T) {
 		})
 	}
 }
+
+// TestConformanceOrderedIndex interleaves batches that insert new keys
+// (before, between and after the existing ones) with batches that only
+// overwrite, walking between them: every walk form must list exactly
+// the keys applied so far, strictly ascending, with current values and
+// install versions — whether or not the ordered index had to be
+// re-derived for that walk.
+func TestConformanceOrderedIndex(t *testing.T) {
+	eachBackend(t, 0, func(t *testing.T, b Backend) {
+		want := map[types.Key]types.RWRecord{}
+		vers := map[types.Key]uint64{}
+		apply := func(recs ...types.RWRecord) {
+			seq := b.Apply(recs)
+			for _, r := range recs {
+				want[r.Key] = r
+				vers[r.Key] = seq
+			}
+		}
+		check := func(step string) {
+			t.Helper()
+			dump, keys := b.Dump(), b.Keys()
+			var walked []types.RWRecord
+			seq := b.AscendVersioned(func(r types.RWRecord, ver uint64) bool {
+				if ver != vers[r.Key] {
+					t.Fatalf("%s: %s walked at version %d, installed at %d", step, r.Key, ver, vers[r.Key])
+				}
+				walked = append(walked, types.RWRecord{Key: r.Key, Value: r.Value.Clone()})
+				return true
+			})
+			if seq != b.Seq() {
+				t.Fatalf("%s: walk reported seq %d, backend is at %d", step, seq, b.Seq())
+			}
+			if len(dump) != len(want) || len(keys) != len(want) || len(walked) != len(want) {
+				t.Fatalf("%s: dump/keys/walk list %d/%d/%d records, want %d", step, len(dump), len(keys), len(walked), len(want))
+			}
+			for i, r := range dump {
+				if i > 0 && dump[i-1].Key >= r.Key {
+					t.Fatalf("%s: not strictly ascending at %d: %s >= %s", step, i, dump[i-1].Key, r.Key)
+				}
+				if keys[i] != r.Key || walked[i].Key != r.Key || !walked[i].Value.Equal(r.Value) {
+					t.Fatalf("%s: dump, keys and walk disagree at %d", step, i)
+				}
+				if !r.Value.Equal(want[r.Key].Value) {
+					t.Fatalf("%s: %s = %q want %q", step, r.Key, r.Value, want[r.Key].Value)
+				}
+			}
+		}
+		check("empty")
+		apply(rec("m", "1"), rec("d", "1"), rec("t", "1"))
+		check("seeded")
+		apply(rec("d", "2"), rec("t", "2")) // overwrites only: index stays valid
+		check("overwritten")
+		apply(rec("a", "1"))                               // before the first key
+		apply(rec("g", "1"), rec("m", "3"), rec("p", "1")) // in the middle, around an overwrite
+		apply(rec("z", "1"))                               // after the last key
+		check("inserted")
+		apply(rec("a", "2"), rec("z", "2"), rec("b", "1"), rec("y", "1"))
+		check("mixed")
+	})
+}
+
+// TestConformanceKeysCallerOwned: the slice Keys returns is the
+// caller's — scribbling over it must not disturb later walks.
+func TestConformanceKeysCallerOwned(t *testing.T) {
+	eachBackend(t, 0, func(t *testing.T, b Backend) {
+		b.Apply([]types.RWRecord{rec("a", "1"), rec("b", "2"), rec("c", "3")})
+		keys := b.Keys()
+		for i := range keys {
+			keys[i] = "zzz"
+		}
+		keys = append(keys[:1], "junk")
+		again := b.Keys()
+		if len(again) != 3 || again[0] != "a" || again[1] != "b" || again[2] != "c" {
+			t.Fatalf("mutating a Keys result changed the backend's keys: %v", again)
+		}
+		var walked []types.Key
+		b.Ascend(func(r types.RWRecord) bool { walked = append(walked, r.Key); return true })
+		if len(walked) != 3 || walked[0] != "a" || walked[2] != "c" {
+			t.Fatalf("mutating a Keys result changed the walk: %v", walked)
+		}
+	})
+}
+
+// TestConformanceAscendEarlyStop: a walk stops at the record whose
+// callback returns false, wherever that is, and the backend stays
+// usable (the walk's lock is released).
+func TestConformanceAscendEarlyStop(t *testing.T) {
+	eachBackend(t, 0, func(t *testing.T, b Backend) {
+		for i := 0; i < 10; i++ {
+			b.Set(types.Key(fmt.Sprintf("k%d", i)), types.Value("v"))
+		}
+		for _, stopAt := range []int{1, 4, 10} {
+			visits := 0
+			b.Ascend(func(types.RWRecord) bool { visits++; return visits < stopAt })
+			if visits != stopAt {
+				t.Fatalf("Ascend made %d visits, want stop after %d", visits, stopAt)
+			}
+			visits = 0
+			b.AscendVersioned(func(types.RWRecord, uint64) bool { visits++; return visits < stopAt })
+			if visits != stopAt {
+				t.Fatalf("AscendVersioned made %d visits, want stop after %d", visits, stopAt)
+			}
+		}
+		b.Set("after", types.Value("v")) // would deadlock if a stopped walk kept its lock
+		if b.Len() != 11 {
+			t.Fatalf("len %d after write following stopped walks, want 11", b.Len())
+		}
+	})
+}
+
+// TestConformanceAscendAtomicBatches: a walk sees every Apply batch
+// entirely or not at all. A writer keeps stamping one generation
+// number onto a fixed key set (and inserting one new key per batch, so
+// walks also race index re-derivation); a walk that ever sees two
+// generations among the fixed keys has torn a batch.
+func TestConformanceAscendAtomicBatches(t *testing.T) {
+	eachBackend(t, 0, func(t *testing.T, b Backend) {
+		const fixed, generations = 64, 300
+		batch := func(gen int) []types.RWRecord {
+			recs := make([]types.RWRecord, 0, fixed+1)
+			for i := 0; i < fixed; i++ {
+				recs = append(recs, rec(fmt.Sprintf("f%03d", i), fmt.Sprint(gen)))
+			}
+			return append(recs, rec(fmt.Sprintf("n%05d", gen), "x"))
+		}
+		b.Apply(batch(0))
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for gen := 1; gen <= generations; gen++ {
+				b.Apply(batch(gen))
+			}
+		}()
+		for walking := true; walking; {
+			select {
+			case <-done:
+				walking = false // one last walk over the final state
+			default:
+			}
+			var gen string
+			var seen, extra int
+			var maxVer uint64
+			seq := b.AscendVersioned(func(r types.RWRecord, ver uint64) bool {
+				maxVer = max(maxVer, ver)
+				if r.Key[0] != 'f' {
+					extra++
+					return true
+				}
+				if seen++; seen == 1 {
+					gen = string(r.Value)
+				} else if string(r.Value) != gen {
+					t.Errorf("walk tore a batch: %s is generation %s, earlier keys %s", r.Key, r.Value, gen)
+					return false
+				}
+				return true
+			})
+			if seen != fixed && !t.Failed() {
+				t.Fatalf("walk saw %d of the %d fixed keys", seen, fixed)
+			}
+			// Generation g is batch g+1: the walk's sequence number, its
+			// newest version and its inserted-key count all name it.
+			if want := fmt.Sprint(seq - 1); !t.Failed() && (gen != want || maxVer != seq || extra != int(seq)) {
+				t.Fatalf("walk at seq %d saw generation %s, newest version %d, %d inserted keys", seq, gen, maxVer, extra)
+			}
+			if t.Failed() {
+				<-done
+				return
+			}
+		}
+	})
+}

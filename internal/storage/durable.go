@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -158,8 +157,9 @@ func (d *Durable) recover() error {
 	if ck != nil {
 		d.mem.mu.Lock()
 		d.mem.seq = ck.seq
-		for k, e := range ck.data {
-			d.mem.data[k] = e
+		d.mem.reserveLocked(len(ck.recs))
+		for _, r := range ck.recs {
+			d.mem.putLocked(r.key, r.val, r.ver)
 		}
 		d.mem.mu.Unlock()
 		d.recMeta = ck.meta
@@ -377,15 +377,20 @@ func (d *Durable) checkpointLocked() {
 	if d.metaFn != nil {
 		meta = d.metaFn()
 	}
-	d.mem.mu.RLock()
-	seq := d.mem.seq
-	dump := make([]ckptEntry, 0, len(d.mem.data))
-	for k, e := range d.mem.data {
-		dump = append(dump, ckptEntry{key: k, val: e.val, ver: e.ver})
-	}
-	d.mem.mu.RUnlock()
-	sort.Slice(dump, func(i, j int) bool { return dump[i].key < dump[j].key })
-	if err := writeCheckpoint(d.dir, seq, dump, meta, !d.opts.NoSync); err != nil {
+	// Every write to mem goes through this backend under d.mu, which
+	// the caller holds: the sequence and key count read here are the
+	// ones the walk below sees.
+	e := types.NewEncoder()
+	e.U64(d.mem.Seq())
+	e.U64(uint64(d.mem.Len()))
+	d.mem.AscendVersioned(func(r types.RWRecord, ver uint64) bool {
+		e.Str(string(r.Key))
+		e.Bytes(r.Value)
+		e.U64(ver)
+		return true
+	})
+	e.Bytes(meta)
+	if err := writeCheckpoint(d.dir, e.Sum(), !d.opts.NoSync); err != nil {
 		d.err = err
 		return
 	}
@@ -500,4 +505,7 @@ func (d *Durable) Len() int                            { return d.mem.Len() }
 func (d *Durable) Snapshot() map[types.Key]types.Value { return d.mem.Snapshot() }
 func (d *Durable) Dump() []types.RWRecord              { return d.mem.Dump() }
 func (d *Durable) Ascend(fn func(types.RWRecord) bool) { d.mem.Ascend(fn) }
-func (d *Durable) Keys() []types.Key                   { return d.mem.Keys() }
+func (d *Durable) AscendVersioned(fn func(types.RWRecord, uint64) bool) uint64 {
+	return d.mem.AscendVersioned(fn)
+}
+func (d *Durable) Keys() []types.Key { return d.mem.Keys() }

@@ -17,7 +17,8 @@
 package storage
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"thunderbolt/internal/types"
@@ -66,7 +67,15 @@ type Backend interface {
 	// materializing it, stopping early when fn returns false. The
 	// record passed to fn must not be retained or mutated.
 	Ascend(fn func(types.RWRecord) bool)
-	// Keys returns every key, sorted, for deterministic iteration.
+	// AscendVersioned is Ascend with each record's install version,
+	// and returns the commit sequence number of the state it walked.
+	// The whole walk sees one state — no Apply lands between its first
+	// and last record — so a record changed after an earlier walk
+	// exactly when its version exceeds that walk's sequence number. fn
+	// runs under the backend's read lock and must not write to it.
+	AscendVersioned(fn func(r types.RWRecord, ver uint64) bool) uint64
+	// Keys returns every key, sorted, for deterministic iteration. The
+	// slice is the caller's.
 	Keys() []types.Key
 	// Sync forces any buffered commits durable (group-commit flush);
 	// a no-op for non-durable backends.
@@ -76,17 +85,30 @@ type Backend interface {
 	Close() error
 }
 
-type entry struct {
+// record is one key's current state.
+type record struct {
+	key types.Key
 	val types.Value
 	ver uint64
 }
 
 // Store is the in-memory Backend: a thread-safe versioned key/value
 // store. The zero value is not usable; call New.
+//
+// Records live in one slab, recs, in insertion order; a slot never
+// moves, so an overwrite is one index lookup and an in-place store.
+// order lists the slots in ascending key order — the ordered index
+// every full-state walk (Ascend, Keys, Dump, the durable checkpoint)
+// follows without sorting. Overwrites leave it valid; only a batch
+// that inserts new keys outdates it, which shows as order covering
+// fewer slots than recs, and the next walk merges the new slots in
+// (reindexLocked). Keys are never deleted.
 type Store struct {
-	mu   sync.RWMutex
-	data map[types.Key]entry
-	seq  uint64
+	mu    sync.RWMutex
+	index map[types.Key]uint32 // key → slot in recs; made by the first batch
+	recs  []record
+	order []uint32
+	seq   uint64
 
 	logMu sync.Mutex
 	log   []CommitRecord
@@ -108,16 +130,14 @@ func New() *Store { return NewWithLog(0) }
 // NewWithLog returns an empty store retaining the last keep commit
 // records (keep <= 0 disables retention).
 func NewWithLog(keep int) *Store {
-	return &Store{data: make(map[types.Key]entry), keepLog: keep}
+	return &Store{keepLog: keep}
 }
 
 // Get returns the current value under k and whether the key exists.
 // The returned value must not be mutated.
 func (s *Store) Get(k types.Key) (types.Value, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.data[k]
-	return e.val, ok
+	v, _, ok := s.GetVersioned(k)
+	return v, ok
 }
 
 // GetVersioned returns the value under k together with the commit
@@ -125,15 +145,18 @@ func (s *Store) Get(k types.Key) (types.Value, bool) {
 func (s *Store) GetVersioned(k types.Key) (types.Value, uint64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.data[k]
-	return e.val, e.ver, ok
+	i, ok := s.index[k]
+	if !ok {
+		return nil, 0, false
+	}
+	r := &s.recs[i]
+	return r.val, r.ver, true
 }
 
 // Version returns the install version of k (0 if absent).
 func (s *Store) Version(k types.Key) uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.data[k].ver
+	_, ver, _ := s.GetVersioned(k)
+	return ver
 }
 
 // Seq returns the sequence number of the latest commit.
@@ -160,8 +183,9 @@ func (s *Store) Apply(writes []types.RWRecord) uint64 {
 	s.mu.Lock()
 	s.seq++
 	seq := s.seq
+	s.reserveLocked(len(writes))
 	for _, w := range writes {
-		s.data[w.Key] = entry{val: w.Value, ver: seq}
+		s.putLocked(w.Key, w.Value, seq)
 	}
 	s.mu.Unlock()
 
@@ -182,11 +206,73 @@ func (s *Store) ApplyNote(writes []types.RWRecord, _ []byte) uint64 {
 func (s *Store) applyAt(seq uint64, writes []types.RWRecord) {
 	s.mu.Lock()
 	s.seq = seq
+	s.reserveLocked(len(writes))
 	for _, w := range writes {
-		s.data[w.Key] = entry{val: w.Value.Clone(), ver: seq}
+		s.putLocked(w.Key, w.Value.Clone(), seq)
 	}
 	s.mu.Unlock()
 	s.retain(seq, writes)
+}
+
+// reserveLocked sizes the index and the slab for the first batch an
+// empty store receives: workload seeding and checkpoint recovery
+// install the whole ledger at once, and growing by doubling from
+// empty re-hashes and re-copies it several times over.
+func (s *Store) reserveLocked(n int) {
+	if s.index == nil {
+		s.index = make(map[types.Key]uint32, n)
+		s.recs = make([]record, 0, n)
+	}
+}
+
+// putLocked installs one value at version ver.
+func (s *Store) putLocked(k types.Key, v types.Value, ver uint64) {
+	if i, ok := s.index[k]; ok {
+		r := &s.recs[i]
+		r.val, r.ver = v, ver
+		return
+	}
+	s.index[k] = uint32(len(s.recs))
+	s.recs = append(s.recs, record{key: k, val: v, ver: ver})
+}
+
+// rlockOrdered takes the read lock with order covering every slot,
+// first merging in (under the write lock) any slots inserted since
+// the last walk.
+func (s *Store) rlockOrdered() {
+	s.mu.RLock()
+	for len(s.order) != len(s.recs) {
+		s.mu.RUnlock()
+		s.mu.Lock()
+		s.reindexLocked()
+		s.mu.Unlock()
+		s.mu.RLock()
+	}
+}
+
+// reindexLocked extends order over the slots appended since it was
+// last complete: the new slots are sorted by key and merged into the
+// old order, O(n + m log m) for m new keys among n.
+func (s *Store) reindexLocked() {
+	byKey := func(a, b uint32) int { return cmp.Compare(s.recs[a].key, s.recs[b].key) }
+	old := s.order
+	fresh := make([]uint32, 0, len(s.recs)-len(old))
+	for i := len(old); i < len(s.recs); i++ {
+		fresh = append(fresh, uint32(i))
+	}
+	slices.SortFunc(fresh, byKey)
+	merged := make([]uint32, 0, len(s.recs))
+	i, j := 0, 0
+	for i < len(old) && j < len(fresh) {
+		if byKey(old[i], fresh[j]) < 0 {
+			merged = append(merged, old[i])
+			i++
+		} else {
+			merged = append(merged, fresh[j])
+			j++
+		}
+	}
+	s.order = append(append(merged, old[i:]...), fresh[j:]...)
 }
 
 // retain appends one record to the bounded commit log.
@@ -214,7 +300,7 @@ func (s *Store) Log() []CommitRecord {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.data)
+	return len(s.recs)
 }
 
 // Snapshot returns an immutable copy of the current state, suitable
@@ -222,51 +308,58 @@ func (s *Store) Len() int {
 func (s *Store) Snapshot() map[types.Key]types.Value {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[types.Key]types.Value, len(s.data))
-	for k, e := range s.data {
-		out[k] = e.val.Clone()
+	out := make(map[types.Key]types.Value, len(s.recs))
+	for i := range s.recs {
+		out[s.recs[i].key] = s.recs[i].val.Clone()
 	}
 	return out
+}
+
+// AscendVersioned streams the state in ascending key order with each
+// record's install version, under one read lock, and returns the
+// commit sequence number of the state it walked. The record handed to
+// fn aliases the store's value; fn must not retain or mutate it, and
+// must not write to the store.
+func (s *Store) AscendVersioned(fn func(r types.RWRecord, ver uint64) bool) uint64 {
+	s.rlockOrdered()
+	defer s.mu.RUnlock()
+	for _, slot := range s.order {
+		r := &s.recs[slot]
+		if !fn(types.RWRecord{Key: r.key, Value: r.val}, r.ver) {
+			break
+		}
+	}
+	return s.seq
+}
+
+// Ascend streams the state in ascending key order: AscendVersioned
+// without the versions.
+func (s *Store) Ascend(fn func(types.RWRecord) bool) {
+	s.AscendVersioned(func(r types.RWRecord, _ uint64) bool { return fn(r) })
 }
 
 // Dump returns the full state as records in ascending key order — the
 // canonical ledger form state snapshots carry. Values are cloned.
 func (s *Store) Dump() []types.RWRecord {
-	s.mu.RLock()
-	out := make([]types.RWRecord, 0, len(s.data))
-	for k, e := range s.data {
-		out = append(out, types.RWRecord{Key: k, Value: e.val.Clone()})
+	s.rlockOrdered()
+	defer s.mu.RUnlock()
+	out := make([]types.RWRecord, len(s.order))
+	for i, slot := range s.order {
+		r := &s.recs[slot]
+		out[i] = types.RWRecord{Key: r.key, Value: r.val.Clone()}
 	}
-	s.mu.RUnlock()
-	types.SortLedger(out)
 	return out
 }
 
-// Ascend streams the state in ascending key order. The record handed
-// to fn aliases the store's value; fn must not retain or mutate it.
-func (s *Store) Ascend(fn func(types.RWRecord) bool) {
-	for _, k := range s.Keys() {
-		s.mu.RLock()
-		e, ok := s.data[k]
-		s.mu.RUnlock()
-		if !ok {
-			continue
-		}
-		if !fn(types.RWRecord{Key: k, Value: e.val}) {
-			return
-		}
-	}
-}
-
-// Keys returns every key, sorted, for deterministic iteration.
+// Keys returns every key, sorted, for deterministic iteration. The
+// slice is a fresh copy the caller owns.
 func (s *Store) Keys() []types.Key {
-	s.mu.RLock()
-	ks := make([]types.Key, 0, len(s.data))
-	for k := range s.data {
-		ks = append(ks, k)
+	s.rlockOrdered()
+	defer s.mu.RUnlock()
+	ks := make([]types.Key, len(s.order))
+	for i, slot := range s.order {
+		ks[i] = s.recs[slot].key
 	}
-	s.mu.RUnlock()
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 	return ks
 }
 

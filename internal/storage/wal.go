@@ -148,29 +148,21 @@ func decodeRecordPayload(b []byte) (walRecord, error) {
 	return rec, d.Finish()
 }
 
-// checkpoint is a decoded checkpoint file.
+// checkpoint is a decoded checkpoint file; recs are in file order
+// (ascending by key).
 type checkpoint struct {
 	seq  uint64
-	data map[types.Key]entry
+	recs []record
 	meta []byte
 }
 
-// writeCheckpoint atomically installs a checkpoint for the given
-// state: write to a temp file, fsync, rename over the live name,
+// writeCheckpoint atomically installs a checkpoint with the given
+// payload: write to a temp file, fsync, rename over the live name,
 // fsync the directory. A crash at any point leaves either the old or
 // the new checkpoint intact, never a torn one (the CRC frame rejects
 // a torn temp file that was never renamed).
-func writeCheckpoint(dir string, seq uint64, dump []ckptEntry, meta []byte, sync bool) error {
-	e := types.NewEncoder()
-	e.U64(seq)
-	e.U64(uint64(len(dump)))
-	for _, ce := range dump {
-		e.Str(string(ce.key))
-		e.Bytes(ce.val)
-		e.U64(ce.ver)
-	}
-	e.Bytes(meta)
-	buf := appendFrame([]byte(ckptMagic), e.Sum())
+func writeCheckpoint(dir string, payload []byte, sync bool) error {
+	buf := appendFrame([]byte(ckptMagic), payload)
 
 	tmp := filepath.Join(dir, ckptTmp)
 	f, err := os.Create(tmp)
@@ -197,12 +189,6 @@ func writeCheckpoint(dir string, seq uint64, dump []ckptEntry, meta []byte, sync
 		return syncDir(dir)
 	}
 	return nil
-}
-
-type ckptEntry struct {
-	key types.Key
-	val types.Value
-	ver uint64
 }
 
 // readCheckpoint loads the checkpoint; nil when none exists. A
@@ -232,15 +218,16 @@ func readCheckpoint(dir string) (*checkpoint, error) {
 		return corrupt("bad frame")
 	}
 	d := types.NewSharedDecoder(payload)
-	ck := &checkpoint{seq: d.U64(), data: make(map[types.Key]entry)}
+	ck := &checkpoint{seq: d.U64()}
 	n := d.U64()
 	if d.Err() == nil && n > uint64(len(payload)) {
 		return corrupt("implausible key count")
 	}
+	ck.recs = make([]record, 0, n)
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		k := types.Key(d.Str())
 		v := types.Value(d.Bytes())
-		ck.data[k] = entry{val: v, ver: d.U64()}
+		ck.recs = append(ck.recs, record{key: k, val: v, ver: d.U64()})
 	}
 	// The meta sidecar must not alias b (the whole checkpoint buffer
 	// would stay pinned for the backend's lifetime).

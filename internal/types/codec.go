@@ -335,10 +335,6 @@ func encodeRecords(e *Encoder, recs []RWRecord) {
 	}
 }
 
-func decodeRecords(d *Decoder) []RWRecord {
-	return decodeRecordsArena(d, nil)
-}
-
 // decodeRecordsArena decodes one record list, appending into *arena
 // when provided so a whole block's results share one backing array
 // (regrowth strands earlier sublists on the old array, which stays
@@ -366,6 +362,24 @@ func decodeRecordsArena(d *Decoder, arena *[]RWRecord) []RWRecord {
 	if arena != nil {
 		*arena = recs
 		return recs[start:len(recs):len(recs)]
+	}
+	return recs
+}
+
+// decodeLedger decodes a record list that carries a snapshot's ledger
+// (a chunk, or a monolithic body). Unlike a block's read/write sets,
+// such a stream names every key of the state exactly once, so there
+// is nothing for the intern table to share — and interning it would
+// let a 200k-key cold stream fill the never-evicting table ahead of
+// the keys that blocks repeat. Keys are private copies.
+func decodeLedger(d *Decoder) []RWRecord {
+	n := d.U32()
+	if d.Err() != nil {
+		return nil
+	}
+	recs := make([]RWRecord, 0, min(int(n), 1024))
+	for i := uint32(0); i < n && d.Err() == nil; i++ {
+		recs = append(recs, RWRecord{Key: Key(d.Str()), Value: d.Bytes()})
 	}
 	return recs
 }

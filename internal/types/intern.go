@@ -18,7 +18,11 @@ import (
 // once full, misses fall back to a private copy. That bound (64k
 // entries × ≤64 bytes) caps the memory an adversarial key stream can
 // pin at ~4 MiB while keeping the common case — a stable hot key set
-// — allocation-free after warmup.
+// — allocation-free after warmup. Because nothing is ever evicted,
+// whatever fills the table first owns it: streams that name every key
+// of a large state once (snapshot chunks, ledger bodies) decode
+// without interning (decodeLedger), so they cannot fill it ahead of
+// the keys that blocks repeat.
 
 const (
 	// maxInternLen bounds the byte length of interned strings; longer
@@ -32,10 +36,15 @@ const (
 // the hot key set has warmed up — is one atomic pointer load plus a
 // plain map index, which the compiler performs without materializing
 // string(b) and without any lock. Misses insert under a mutex into a
-// small pending map that is merged into a fresh frozen map every
-// internMergeBatch inserts, so warmup costs O(n²/batch) copies total
-// (milliseconds for realistic key sets) and the read path never sees
-// a map being written.
+// pending map no reader sees; once the pending work — inserts plus
+// repeat lookups of pending keys — has grown to the size of the
+// frozen map (internMergeBatch at least), the frozen entries are
+// copied into the pending map and it is published as the new frozen
+// map. A merge thus copies at most as many entries as slow-path
+// operations preceded it: filling the table is amortised O(1) per new
+// key (a 64k-key warmup copies about 64k entries in all), and the
+// read path never sees a map being written. Until its merge, a
+// pending key's lookups cost the mutex and one allocation each.
 var (
 	internFrozen   atomic.Pointer[map[string]string]
 	internMu       sync.Mutex
@@ -43,10 +52,10 @@ var (
 	internWarmHits int
 )
 
-// internMergeBatch is how many pending inserts — or repeat lookups of
-// pending keys — accumulate before the frozen map is rebuilt. The
-// second trigger promotes a hot tail that would otherwise sit below
-// the insert threshold forever, paying the mutex path per lookup.
+func init() { internFrozen.Store(&map[string]string{}) }
+
+// internMergeBatch is the smallest amount of pending work that
+// triggers a merge, so a near-empty table does not re-merge per key.
 const internMergeBatch = 64
 
 // Intern returns the canonical string for b, copying at most once per
@@ -56,58 +65,51 @@ func Intern(b []byte) string {
 	if len(b) == 0 || len(b) > maxInternLen {
 		return string(b)
 	}
-	frozen := internFrozen.Load()
-	if frozen != nil {
-		if s, ok := (*frozen)[string(b)]; ok { // compiler-optimized: no allocation
-			return s
-		}
+	frozen := *internFrozen.Load()
+	if s, ok := frozen[string(b)]; ok { // compiler-optimized: no allocation
+		return s
 	}
 	s := string(b)
+	if len(frozen) >= maxInternEntries {
+		// Full, and a full table is all frozen (see below): the private
+		// copy is the answer, with no lock to take.
+		return s
+	}
 	internMu.Lock()
 	defer internMu.Unlock()
 	if cur, ok := internWarm[s]; ok {
 		internWarmHits++
-		if internWarmHits >= internMergeBatch {
-			internMergeLocked()
-		}
+		internMergeIfDueLocked()
 		return cur
 	}
-	// Re-read under the lock: a concurrent merge may have promoted it.
-	if cur := internFrozen.Load(); cur != frozen {
-		if v, ok := (*cur)[s]; ok {
-			return v
-		}
+	// Re-read under the lock: a concurrent merge may have promoted s or
+	// filled the table.
+	frozen = *internFrozen.Load()
+	if cur, ok := frozen[s]; ok {
+		return cur
 	}
-	frozen = internFrozen.Load()
-	total := len(internWarm)
-	if frozen != nil {
-		total += len(*frozen)
-	}
-	if total >= maxInternEntries {
+	if len(frozen) >= maxInternEntries {
 		return s
 	}
 	internWarm[s] = s
-	if len(internWarm) >= internMergeBatch {
-		internMergeLocked()
-	}
+	internMergeIfDueLocked()
 	return s
 }
 
-// internMergeLocked rebuilds the frozen map from frozen ∪ warm.
-// Callers hold internMu.
-func internMergeLocked() {
-	frozen := internFrozen.Load()
-	total := len(internWarm)
-	if frozen != nil {
-		total += len(*frozen)
+// internMergeIfDueLocked publishes frozen ∪ warm as the new frozen map
+// once the pending work has caught up with the frozen map's size, or
+// the table has reached its bound (so that a full table is entirely
+// frozen and Intern can tell without the lock). No reader has ever
+// seen the warm map, so it becomes the new frozen map in place: the
+// merge inserts only the old frozen entries. Callers hold internMu.
+func internMergeIfDueLocked() {
+	frozen := *internFrozen.Load()
+	if len(internWarm)+internWarmHits < max(internMergeBatch, len(frozen)) &&
+		len(frozen)+len(internWarm) < maxInternEntries {
+		return
 	}
-	merged := make(map[string]string, total)
-	if frozen != nil {
-		for k, v := range *frozen {
-			merged[k] = v
-		}
-	}
-	for k, v := range internWarm {
+	merged := internWarm
+	for k, v := range frozen {
 		merged[k] = v
 	}
 	internFrozen.Store(&merged)

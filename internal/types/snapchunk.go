@@ -1,6 +1,11 @@
 package types
 
-import "fmt"
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+)
 
 // DefaultChunkRecords is the default number of ledger records per
 // snapshot chunk. At ~50 bytes per account cell this puts a chunk in
@@ -9,21 +14,17 @@ import "fmt"
 // re-request.
 const DefaultChunkRecords = 4096
 
-// EncodeChunk returns the canonical encoding of one snapshot chunk: a
-// count-prefixed run of ledger records in ascending key order. The
-// chunk digest is HashBytes of exactly these bytes, so a chunk
-// verifies against its manifest entry without any surrounding context.
-func EncodeChunk(recs []RWRecord) []byte {
-	e := GetEncoder()
-	defer PutEncoder(e)
-	encodeRecords(e, recs)
-	return e.Detach()
-}
+// A snapshot chunk's canonical encoding is a count-prefixed run of
+// ledger records in ascending key order (u32 count, then key and value
+// per record, each length-prefixed) — ChunkBuilder cuts it. The chunk
+// digest is HashBytes of exactly these bytes, so a chunk verifies
+// against its manifest entry without any surrounding context.
 
-// DecodeChunk decodes a chunk payload produced by EncodeChunk.
+// DecodeChunk decodes one chunk payload. Keys are private copies, not
+// interned (see decodeLedger).
 func DecodeChunk(b []byte) ([]RWRecord, error) {
 	d := NewDecoder(b)
-	recs := decodeRecords(d)
+	recs := decodeLedger(d)
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
@@ -59,22 +60,42 @@ func MerkleFold(ds []Digest) Digest {
 
 // ChunkBuilder turns a key-ordered record stream into fixed-size
 // encoded chunks plus their digests, one chunk in memory at a time —
-// capture never materializes the full ledger for large states. Values
-// are cloned on Add, so the stream may alias storage internals.
+// capture never materializes the full ledger for large states. Add
+// copies a record straight into the chunk encoding and keeps no
+// reference to it, so the stream may alias storage internals.
 //
 // When keepLimit ≥ 0 the builder additionally retains the decoded
-// records until the stream exceeds that many, then drops them: the
-// caller learns for free whether the ledger is small enough for the
-// monolithic snapshot path, and gets the records if so.
+// records (values cloned) until the stream exceeds that many, then
+// drops them: the caller learns for free whether the ledger is small
+// enough for the monolithic snapshot path, and gets the records if so.
+//
+// A builder armed with Reuse is incremental: a chunk none of whose
+// records changed since the previous pass is taken from that pass by
+// reference instead of being allocated and hashed again. The result
+// is the same either way — a pass with nothing to reuse is the
+// from-scratch pass.
 type ChunkBuilder struct {
 	size    int
 	keep    bool
 	limit   int
-	buf     []RWRecord
 	records []RWRecord
 	chunks  [][]byte
 	digests []Digest
 	count   int
+
+	// The chunk being cut: its encoding so far, how many records that
+	// holds, the length of its head (count and first key), and whether
+	// any of its records is newer than the previous pass.
+	enc   Encoder
+	n     int
+	head  int
+	dirty bool
+
+	// The previous pass over the same store (Reuse).
+	prevChunks  [][]byte
+	prevDigests []Digest
+	since       uint64
+	reused      int
 }
 
 // NewChunkBuilder returns a builder cutting chunks of size records.
@@ -86,34 +107,78 @@ func NewChunkBuilder(size, keepLimit int) *ChunkBuilder {
 	return &ChunkBuilder{size: size, keep: keepLimit >= 0, limit: keepLimit}
 }
 
+// Reuse arms the builder with the product of a previous pass: chunks
+// and their digests cut from one atomic ordered walk of the same store
+// at commit sequence since. The store must never delete keys, and the
+// stream must then be fed through AddVersioned from one atomic walk of
+// it. since == 0 leaves nothing to reuse.
+func (b *ChunkBuilder) Reuse(chunks [][]byte, digests []Digest, since uint64) {
+	b.prevChunks, b.prevDigests, b.since = chunks, digests, since
+}
+
 // Add appends one record to the stream. Keys must arrive in strictly
 // ascending order (the builder trusts its caller; honest captures
 // stream from a sorted index).
-func (b *ChunkBuilder) Add(k Key, v Value) {
-	b.buf = append(b.buf, RWRecord{Key: k, Value: v.Clone()})
+func (b *ChunkBuilder) Add(k Key, v Value) { b.AddVersioned(k, v, math.MaxUint64) }
+
+// AddVersioned is Add for a record installed at commit sequence ver,
+// which is what decides whether its chunk can be reused.
+func (b *ChunkBuilder) AddVersioned(k Key, v Value, ver uint64) {
+	if b.n == 0 {
+		b.enc.U32(0) // the record count, known when the chunk is cut
+		b.head = 4 + 4 + len(k)
+	}
+	b.enc.Str(string(k))
+	b.enc.Bytes(v)
+	b.n++
 	b.count++
+	if ver > b.since {
+		b.dirty = true
+	}
 	if b.keep {
 		if b.count > b.limit {
 			b.keep = false
 			b.records = nil
 		} else {
-			b.records = append(b.records, b.buf[len(b.buf)-1])
+			b.records = append(b.records, RWRecord{Key: k, Value: v.Clone()})
 		}
 	}
-	if len(b.buf) == b.size {
+	if b.n == b.size {
 		b.flush()
 	}
 }
 
+// flush cuts the chunk being encoded. It is the previous pass's chunk
+// of the same index, byte for byte, when none of its records is newer
+// than that pass and both share a head — the same record count and
+// first key: unchanged records were all part of the previous walk; no
+// key between two of them can have existed then, or (keys are never
+// deleted) it would still sit between them now; so they are the run
+// of that many consecutive records the previous chunk started at the
+// same key. Inserted keys shift every later boundary, and the head
+// check then fails for the chunks behind them.
 func (b *ChunkBuilder) flush() {
-	if len(b.buf) == 0 {
+	if b.n == 0 {
 		return
 	}
-	enc := EncodeChunk(b.buf)
-	b.chunks = append(b.chunks, enc)
-	b.digests = append(b.digests, HashBytes(enc))
-	b.buf = b.buf[:0]
+	enc := b.enc.Sum()
+	binary.BigEndian.PutUint32(enc, uint32(b.n))
+	i := len(b.chunks)
+	if !b.dirty && i < len(b.prevChunks) && bytes.HasPrefix(b.prevChunks[i], enc[:b.head]) {
+		b.chunks = append(b.chunks, b.prevChunks[i])
+		b.digests = append(b.digests, b.prevDigests[i])
+		b.reused++
+	} else {
+		b.chunks = append(b.chunks, b.enc.Detach())
+		b.digests = append(b.digests, HashBytes(enc))
+	}
+	b.enc.buf = b.enc.buf[:0]
+	b.n, b.dirty = 0, false
 }
+
+// Reused returns how many of the chunks cut so far were taken from the
+// previous pass instead of being encoded.
+func (b *ChunkBuilder) Reused() int { return b.reused }
 
 // Finish flushes the tail chunk and returns the encoded chunks, their
 // digests, the retained records (nil when the stream exceeded

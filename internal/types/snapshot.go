@@ -282,7 +282,7 @@ func (s *Snapshot) UnmarshalBinary(b []byte) error {
 	for i := uint32(0); i < na && d.Err() == nil; i++ {
 		s.Applied = append(s.Applied, d.Digest())
 	}
-	s.Ledger = decodeRecords(d)
+	s.Ledger = decodeLedger(d)
 	if len(s.Ledger) == 0 {
 		s.Ledger = nil
 	}

@@ -234,15 +234,16 @@ func RegisterSmallBank(reg *contract.Registry) {
 }
 
 // InitAccounts seeds n accounts with the given starting balances in
-// both checking and savings.
+// both checking and savings, as one batch in ascending key order
+// (every checking key sorts before every savings key): the store's
+// ordered index then finds the batch already sorted instead of
+// sorting 2n keys on its first walk.
 func InitAccounts(store storage.Backend, n int, checking, savings int64) {
-	recs := make([]types.RWRecord, 0, 2*n)
+	recs := make([]types.RWRecord, 2*n)
 	for i := 0; i < n; i++ {
 		name := AccountName(i)
-		recs = append(recs,
-			types.RWRecord{Key: CheckingKey(name), Value: contract.EncodeInt64(checking)},
-			types.RWRecord{Key: SavingsKey(name), Value: contract.EncodeInt64(savings)},
-		)
+		recs[i] = types.RWRecord{Key: CheckingKey(name), Value: contract.EncodeInt64(checking)}
+		recs[n+i] = types.RWRecord{Key: SavingsKey(name), Value: contract.EncodeInt64(savings)}
 	}
 	store.Apply(recs)
 }
