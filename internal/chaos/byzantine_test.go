@@ -16,7 +16,6 @@
 package chaos
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,173 +26,40 @@ import (
 	"thunderbolt/internal/types"
 )
 
-// equivocator speaks the replica wire protocol from a headless
-// endpoint, proposing two conflicting blocks per round. It assembles
-// certificates from real votes (plus its own signature), serves block
-// requests for both variants, and never votes for anyone else — a
+// newEquivocator scripts replica id as a proposer that emits two
+// conflicting blocks per round, each to its own part of the committee,
+// and votes for both — to everyone. It never votes for anyone else: a
 // worst-case proposer that is live enough to keep getting certified.
-type equivocator struct {
-	tr       transport.Transport
-	self     types.ReplicaID
-	n        int
-	signer   crypto.Signer
-	verifier crypto.Verifier
-
-	mu         sync.Mutex
-	blocks     map[types.Digest]*types.Block
-	collectors map[types.Digest]*crypto.QuorumCollector
-	certs      map[types.Round]map[types.Digest]bool // cert digests seen per round
-	proposed   map[types.Round]bool
-
-	pairs       atomic.Uint64 // equivocating block pairs emitted
-	certsFormed atomic.Uint64 // own certificates assembled
-}
-
-func newEquivocator(t *testing.T, h *Harness, id types.ReplicaID) *equivocator {
-	t.Helper()
-	// The cluster derives committee keys from its seed; rebuilding the
-	// same committee hands the driver replica id's real signing key —
-	// an insider, not an outsider.
-	signers, verifier, err := crypto.InsecureScheme{}.Committee(h.Cluster().N(), h.Seed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &equivocator{
-		tr:   h.Net().Endpoint(id),
-		self: id, n: h.Cluster().N(),
-		signer: signers[id], verifier: verifier,
-		blocks:     make(map[types.Digest]*types.Block),
-		collectors: make(map[types.Digest]*crypto.QuorumCollector),
-		certs:      make(map[types.Round]map[types.Digest]bool),
-		proposed:   make(map[types.Round]bool),
-	}
-	e.tr.SetHandler(e.handle)
-	return e
-}
-
-// start emits the first equivocating pair (round 1 needs no parents).
-func (e *equivocator) start() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.propose(1, nil)
-}
-
-// handle runs on SimNetwork delivery goroutines.
-func (e *equivocator) handle(from types.ReplicaID, mt transport.MsgType, payload []byte) {
-	switch mt {
-	case node.MsgVote:
-		// MsgVote wire format (see node/messages.go): epoch u64,
-		// round u64, proposer u32, block digest, signature bytes.
-		d := types.NewDecoder(payload)
-		_ = d.U64() // epoch
-		_ = d.U64() // round
-		_ = d.U32() // proposer
-		dig := d.Digest()
-		sig := d.Bytes()
-		if d.Finish() != nil {
-			return
-		}
-		e.addVote(from, dig, sig)
-	case node.MsgCert:
-		var c types.Certificate
-		if c.UnmarshalBinary(payload) != nil {
-			return
-		}
-		e.noteCert(&c)
-	case node.MsgBlockReq:
-		// MsgBlockReq wire format: the block digest.
-		d := types.NewDecoder(payload)
-		dig := d.Digest()
-		if d.Finish() != nil {
-			return
-		}
-		e.mu.Lock()
-		b := e.blocks[dig]
-		e.mu.Unlock()
-		if b != nil {
-			bs, _ := b.MarshalBinary()
-			_ = e.tr.Send(from, node.MsgBlock, bs)
-		}
-	}
-}
-
-func (e *equivocator) addVote(from types.ReplicaID, dig types.Digest, sig []byte) {
-	e.mu.Lock()
-	col := e.collectors[dig]
-	var (
-		cert *types.Certificate
-		err  error
-	)
-	if col != nil {
-		cert, err = col.Add(from, sig)
-	}
-	e.mu.Unlock()
-	if err != nil || cert == nil {
-		return
-	}
-	e.certsFormed.Add(1)
-	cs, _ := cert.MarshalBinary()
-	_ = e.tr.Broadcast(node.MsgCert, cs)
-	e.noteCert(cert)
-}
-
-// noteCert records one certificate and, once a round holds a quorum of
-// certificates, proposes the next round's equivocating pair.
-func (e *equivocator) noteCert(c *types.Certificate) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	rm := e.certs[c.Round]
-	if rm == nil {
-		rm = make(map[types.Digest]bool)
-		e.certs[c.Round] = rm
-	}
-	rm[c.Digest()] = true
-	if len(rm) >= crypto.QuorumSize(e.n) && !e.proposed[c.Round+1] {
-		parents := make([]types.Digest, 0, len(rm))
-		for d := range rm {
-			parents = append(parents, d)
-		}
-		types.SortDigests(parents)
-		e.propose(c.Round+1, parents)
-	}
-}
-
-// propose builds two distinct blocks for one slot and splits the
-// committee between them. Callers hold e.mu.
-func (e *equivocator) propose(r types.Round, parents []types.Digest) {
-	e.proposed[r] = true
-	now := time.Now().UnixNano()
-	pair := make([]*types.Block, 2)
-	for i := range pair {
-		pair[i] = &types.Block{
-			Epoch: 0, Round: r, Proposer: e.self,
-			Shard: node.MyShard(e.self, 0, e.n),
-			Kind:  types.NormalBlock, Parents: parents,
+// Whichever of the pair the larger part voted for gathers 2f+1 votes on
+// every honest replica, including the ones that were sent — and voted
+// for — the other: those certify a block they never saw and fetch it
+// from the driver, which serves both variants.
+func newEquivocator(t *testing.T, h *Harness, id types.ReplicaID) *wireDriver {
+	w := newWireDriver(t, h, id)
+	w.build = func(r types.Round, parents []types.Digest) []proposal {
+		pair := make([]proposal, 2)
+		for i := range pair {
+			pair[i].block = w.emptyBlock(r, parents)
 			// Distinct timestamps make the pair distinct blocks with
 			// distinct digests — a real double proposal.
-			ProposedUnixNano: now + int64(i),
+			pair[i].block.ProposedUnixNano += int64(i)
 		}
-		d := pair[i].Digest()
-		e.blocks[d] = pair[i]
-		col := crypto.NewQuorumCollector(e.n, e.verifier, d, 0, r, e.self)
-		_, _ = col.Add(e.self, e.signer.Sign(d))
-		e.collectors[d] = col
+		// Alternate the split so every honest replica sees both variants
+		// over time.
+		for p := 0; p < w.n; p++ {
+			id := types.ReplicaID(p)
+			if id == w.self {
+				continue
+			}
+			i := 0
+			if (int(r)+p)%3 == 0 {
+				i = 1
+			}
+			pair[i].to = append(pair[i].to, id)
+		}
+		return pair
 	}
-	e.pairs.Add(1)
-	// Alternate the split so every honest replica sees both variants
-	// over time.
-	for p := 0; p < e.n; p++ {
-		id := types.ReplicaID(p)
-		if id == e.self {
-			continue
-		}
-		b := pair[0]
-		if (int(r)+p)%3 == 0 {
-			b = pair[1]
-		}
-		bs, _ := b.MarshalBinary()
-		_ = e.tr.Send(id, node.MsgBlock, bs)
-	}
+	return w
 }
 
 // TestScenarioByzantineEquivocatingProposer runs a 4-committee where
@@ -224,9 +90,9 @@ func TestScenarioByzantineEquivocatingProposer(t *testing.T) {
 	check(t, h.CheckSafety(honest...))
 	check(t, h.CheckConservation(honest...))
 
-	if byz.pairs.Load() == 0 || byz.certsFormed.Load() == 0 {
-		t.Fatalf("equivocator inactive: %d pairs, %d certs — scenario exercised nothing",
-			byz.pairs.Load(), byz.certsFormed.Load())
+	if byz.slotsOpened.Load() == 0 || byz.ownCerts.Load() == 0 {
+		t.Fatalf("equivocator inactive: %d pairs, %d certified — scenario exercised nothing",
+			byz.slotsOpened.Load(), byz.ownCerts.Load())
 	}
 	// At most one block per equivocated slot, and the same one
 	// everywhere: collect the byzantine proposer's certified digest
@@ -253,6 +119,12 @@ func TestScenarioByzantineEquivocatingProposer(t *testing.T) {
 	}
 	if byzVertices == 0 {
 		t.Error("no equivocated block ever certified — the anti-equivocation guard was not stressed")
+	}
+	// Every round one honest replica is sent (and votes for) the variant
+	// that loses; it certifies the winner from the others' votes and must
+	// then fetch the block it never saw.
+	if byz.blocksServed.Load() == 0 {
+		t.Error("no replica ever fetched the variant it was not sent — certificate-before-block was not exercised")
 	}
 }
 

@@ -197,7 +197,17 @@ func TestScenarioGatewayTCPClient(t *testing.T) {
 		Accounts: tcpTestAccounts, Shards: n, Seed: 14, Client: 2,
 	})
 	// Pick a single-shard transaction whose epoch-0 owner is alive but
-	// wrong now (shard 0 rotated away from replica 0 at epoch 1).
+	// wrong now: shard 0, served by replica 0 only in epochs ≡ 0 mod n.
+	// With replica 2 dead the K-rule keeps rotating the committee (an
+	// epoch every few tens of milliseconds), so submit early in an epoch
+	// ≡ 1 — three rotations before replica 0 serves shard 0 again.
+	deadline := time.Now().Add(10 * time.Second)
+	for c.nodes[0].Stats().Epoch%n != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("committee stopped rotating at epoch %d", c.nodes[0].Stats().Epoch)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	tx3 := gen2.NextForShard(0)
 	res3, err := gw2.SubmitWait(tx3, 30*time.Second)
 	if err != nil {

@@ -111,8 +111,9 @@ func TestScenarioGCSplitBrainStall(t *testing.T) {
 
 // TestGCPendingStatePlateaus is the memory bound: under sustained
 // load with a 64-round horizon, the per-epoch maps (DAG vertices,
-// pending blocks, vote slots, committed flags) must plateau at the
-// horizon instead of growing with the round count. The run spans
+// pending blocks, vote slots, vote collectors and the early votes they
+// hold, committed flags) must plateau at the horizon instead of
+// growing with the round count. The run spans
 // many multiples of the horizon, so unbounded growth would overshoot
 // the asserted ceiling several-fold.
 func TestGCPendingStatePlateaus(t *testing.T) {
@@ -128,7 +129,7 @@ func TestGCPendingStatePlateaus(t *testing.T) {
 	const n = 4
 	maxRounds := uint64(3*horizon + 32)
 	deadline := time.Now().Add(load(6 * time.Second))
-	var checked int
+	var checked, maxCollectors int
 	for time.Now().Before(deadline) {
 		time.Sleep(250 * time.Millisecond)
 		for i := 0; i < n; i++ {
@@ -157,6 +158,16 @@ func TestGCPendingStatePlateaus(t *testing.T) {
 			if u := uint64(dv.CommittedFlags); u > n*maxRounds {
 				t.Fatalf("replica %d: %d committed flags — not plateauing", i, dv.CommittedFlags)
 			}
+			// A collector lives from a slot's first vote to its vertex
+			// landing: in a healthy committee a round or two of them, and
+			// at most one per retained slot however the run goes.
+			if u := uint64(dv.Collectors); u > n*maxRounds {
+				t.Fatalf("replica %d: %d vote collectors — not plateauing", i, dv.Collectors)
+			}
+			if dv.EarlyVotes > n*dv.Collectors {
+				t.Fatalf("replica %d: %d early votes in %d collectors — more than one per voter per slot", i, dv.EarlyVotes, dv.Collectors)
+			}
+			maxCollectors = max(maxCollectors, dv.Collectors)
 			if lag := dv.HighestRound - dv.GCFloor; uint64(lag) > maxRounds {
 				t.Fatalf("replica %d: retained span %d rounds exceeds %d", i, lag, maxRounds)
 			}
@@ -168,6 +179,12 @@ func TestGCPendingStatePlateaus(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("GC floor never advanced during the run — no plateau samples taken")
+	}
+	// Fault-free, every slot certifies within a round trip of its first
+	// vote: collectors that outlive that are leaking, whatever the
+	// horizon would still allow.
+	if maxCollectors > 8*n {
+		t.Fatalf("%d vote collectors live at once in a fault-free run — landed slots are not releasing theirs", maxCollectors)
 	}
 	// The run must have covered enough rounds that unbounded growth
 	// would have tripped the ceiling.

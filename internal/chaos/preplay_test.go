@@ -17,9 +17,7 @@ import (
 	"time"
 
 	"thunderbolt/internal/contract"
-	"thunderbolt/internal/crypto"
 	"thunderbolt/internal/node"
-	"thunderbolt/internal/transport"
 	"thunderbolt/internal/types"
 	"thunderbolt/internal/workload"
 )
@@ -28,157 +26,27 @@ import (
 // install. Conservation would shatter if a single replica applied it.
 const forgedBalance = int64(1_000_000_000)
 
-// resultForger drives one committee slot at the wire level: a
+// resultForger scripts one committee slot at the wire level: a
 // protocol-conformant proposer (it even votes for peers, unlike the
 // withholder) whose every normal block carries one real transaction
 // with a forged TxResult.
 type resultForger struct {
-	tr       transport.Transport
-	self     types.ReplicaID
-	n        int
-	signer   crypto.Signer
-	verifier crypto.Verifier
-
-	mu         chan struct{} // 1-token mutex (keeps the struct copyable in tests)
-	blocks     map[types.Digest]*types.Block
-	collectors map[types.Digest]*crypto.QuorumCollector
-	certs      map[types.Round]map[types.Digest]bool
-	proposed   map[types.Round]bool
-	nonce      uint64
-
-	forged      atomic.Uint64 // forged blocks proposed
-	certified   atomic.Uint64 // certificates formed for forged blocks
-	votesServed atomic.Uint64 // votes this Byzantine node cast for peers
+	*wireDriver
+	nonce  uint64        // under wireDriver.mu (build runs there)
+	forged atomic.Uint64 // forged blocks proposed
 }
 
 func newResultForger(t *testing.T, h *Harness, id types.ReplicaID) *resultForger {
-	t.Helper()
-	signers, verifier, err := crypto.InsecureScheme{}.Committee(h.Cluster().N(), h.Seed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &resultForger{
-		tr:   h.Net().Endpoint(id),
-		self: id, n: h.Cluster().N(),
-		signer: signers[id], verifier: verifier,
-		mu:         make(chan struct{}, 1),
-		blocks:     make(map[types.Digest]*types.Block),
-		collectors: make(map[types.Digest]*crypto.QuorumCollector),
-		certs:      make(map[types.Round]map[types.Digest]bool),
-		proposed:   make(map[types.Round]bool),
-	}
-	f.mu <- struct{}{}
-	f.tr.SetHandler(f.handle)
+	f := &resultForger{wireDriver: newWireDriver(t, h, id)}
+	f.onPeerBlock = f.vote
+	f.build = f.forge
 	return f
 }
 
-func (f *resultForger) lock()   { <-f.mu }
-func (f *resultForger) unlock() { f.mu <- struct{}{} }
-
-func (f *resultForger) start() {
-	f.lock()
-	defer f.unlock()
-	f.propose(1, nil)
-}
-
-func (f *resultForger) handle(from types.ReplicaID, mt transport.MsgType, payload []byte) {
-	switch mt {
-	case node.MsgBlock:
-		// Vote for the peer's proposal: this Byzantine node is a model
-		// citizen everywhere except its own results.
-		var b types.Block
-		if b.UnmarshalBinary(payload) != nil {
-			return
-		}
-		if from != b.Proposer || b.Proposer == f.self {
-			return
-		}
-		d := b.Digest()
-		e := types.NewEncoder()
-		e.U64(uint64(b.Epoch))
-		e.U64(uint64(b.Round))
-		e.U32(uint32(b.Proposer))
-		e.Digest(d)
-		e.Bytes(f.signer.Sign(d))
-		_ = f.tr.Send(b.Proposer, node.MsgVote, e.Sum())
-		f.votesServed.Add(1)
-	case node.MsgVote:
-		d := types.NewDecoder(payload)
-		_ = d.U64() // epoch
-		_ = d.U64() // round
-		_ = d.U32() // proposer
-		dig := d.Digest()
-		sig := d.Bytes()
-		if d.Finish() != nil {
-			return
-		}
-		f.addVote(from, dig, sig)
-	case node.MsgCert:
-		var c types.Certificate
-		if c.UnmarshalBinary(payload) != nil {
-			return
-		}
-		f.noteCert(&c)
-	case node.MsgBlockReq:
-		d := types.NewDecoder(payload)
-		dig := d.Digest()
-		if d.Finish() != nil {
-			return
-		}
-		f.lock()
-		b := f.blocks[dig]
-		f.unlock()
-		if b != nil {
-			bs, _ := b.MarshalBinary()
-			_ = f.tr.Send(from, node.MsgBlock, bs)
-		}
-	}
-}
-
-func (f *resultForger) addVote(from types.ReplicaID, dig types.Digest, sig []byte) {
-	f.lock()
-	col := f.collectors[dig]
-	var (
-		cert *types.Certificate
-		err  error
-	)
-	if col != nil {
-		cert, err = col.Add(from, sig)
-	}
-	f.unlock()
-	if err != nil || cert == nil {
-		return
-	}
-	f.certified.Add(1)
-	cs, _ := cert.MarshalBinary()
-	_ = f.tr.Broadcast(node.MsgCert, cs)
-	f.noteCert(cert)
-}
-
-func (f *resultForger) noteCert(c *types.Certificate) {
-	f.lock()
-	defer f.unlock()
-	rm := f.certs[c.Round]
-	if rm == nil {
-		rm = make(map[types.Digest]bool)
-		f.certs[c.Round] = rm
-	}
-	rm[c.Digest()] = true
-	if len(rm) >= crypto.QuorumSize(f.n) && !f.proposed[c.Round+1] {
-		parents := make([]types.Digest, 0, len(rm))
-		for d := range rm {
-			parents = append(parents, d)
-		}
-		types.SortDigests(parents)
-		f.propose(c.Round+1, parents)
-	}
-}
-
-// propose emits one block for the slot carrying a real deposit whose
+// forge builds one block for the slot carrying a real deposit whose
 // TxResult lies: the declared write set installs forgedBalance
-// instead of what re-execution produces. Callers hold the lock.
-func (f *resultForger) propose(r types.Round, parents []types.Digest) {
-	f.proposed[r] = true
+// instead of what re-execution produces.
+func (f *resultForger) forge(r types.Round, parents []types.Digest) []proposal {
 	shard := node.MyShard(f.self, 0, f.n)
 	b := &types.Block{
 		Epoch: 0, Round: r, Proposer: f.self,
@@ -201,17 +69,7 @@ func (f *resultForger) propose(r types.Round, parents []types.Digest) {
 		b.Results = []types.TxResult{res}
 		f.forged.Add(1)
 	}
-	d := b.Digest()
-	f.blocks[d] = b
-	col := crypto.NewQuorumCollector(f.n, f.verifier, d, 0, r, f.self)
-	_, _ = col.Add(f.self, f.signer.Sign(d))
-	f.collectors[d] = col
-	bs, _ := b.MarshalBinary()
-	for p := 0; p < f.n; p++ {
-		if id := types.ReplicaID(p); id != f.self {
-			_ = f.tr.Send(id, node.MsgBlock, bs)
-		}
-	}
+	return []proposal{{block: b}}
 }
 
 // forgedShardTx builds a deposit on an account owned by the given
@@ -262,7 +120,7 @@ func TestScenarioByzantineForgedPreplayResults(t *testing.T) {
 	if byz.forged.Load() == 0 {
 		t.Fatal("forger proposed no forged blocks — nothing was tested")
 	}
-	if byz.certified.Load() == 0 {
+	if byz.ownCerts.Load() == 0 {
 		t.Fatal("no forged block certified: availability voting should not validate results")
 	}
 	// Every honest replica must have rejected forged blocks, and the

@@ -4,7 +4,8 @@
 // hold at n=16": crash faults well inside the f=5 bound, an
 // aggressive GC horizon so committed-wave pruning runs continuously,
 // and the usual safety/liveness epilogue — plus the pruning plateau
-// assertion at committee scale.
+// assertion at committee scale, and the frames-per-pass bound that
+// keeps broadcast votes affordable there.
 //
 // TestScenarioFuzzSmoke is the randomized driver: a short run whose
 // fault schedule is itself drawn from the master seed, so every CI run
@@ -47,13 +48,35 @@ func TestScenarioLargeCommitteeCrashes(t *testing.T) {
 		{Name: "heal all", AfterPrev: 300 * time.Millisecond,
 			Do: []Fault{HealAllFault{}}},
 	})
-	rep := h.RunLoadAsync(LoadOptions{
+	done := h.RunLoadAsync(LoadOptions{
 		Duration: load(3 * time.Second), Clients: 8,
 		Workload: workloadCfg(0.3, 0.1),
-	}).Wait()
+	})
+	// Broadcast votes make a round O(n³) messages cluster-wide (n slots
+	// × n voters × n−1 receivers), but every message one replica
+	// produces in one event-loop pass leaves in one MsgBatch frame per
+	// peer: a pass may send at most n−1 frames, whatever it carries.
+	var flushes, maxFrames int64
+	for deadline := time.Now().Add(load(3 * time.Second)); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		for i := 0; i < n; i++ {
+			frames := h.Cluster().Node(i).Metrics().Snapshot().Gauges["outbox_flush_frames"]
+			if frames > n-1 {
+				t.Fatalf("replica %d flushed %d frames in one pass, want at most n-1 = %d", i, frames, n-1)
+			}
+			if frames > 0 {
+				flushes++
+			}
+			maxFrames = max(maxFrames, frames)
+		}
+	}
+	rep := done.Wait()
 	if rep.Committed == 0 {
 		t.Fatal("no transactions committed at n=16 under crash faults")
 	}
+	if flushes == 0 {
+		t.Fatal("no outbox flush ever sampled")
+	}
+	t.Logf("outbox: largest sampled flush %d frames (n-1 = %d)", maxFrames, n-1)
 	h.WaitSchedule()
 	quiesceAndCheckAll(t, h)
 	// The pruning plateau is only provable once the committed frontier

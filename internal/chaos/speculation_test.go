@@ -90,8 +90,8 @@ func TestScenarioSpeculationUnderReorg(t *testing.T) {
 	if misses == 0 {
 		t.Error("no speculative misses — the reorg schedule never forced a rollback")
 	}
-	if byz.pairs.Load() == 0 {
-		t.Fatalf("equivocator inactive: %d pairs — scenario exercised nothing", byz.pairs.Load())
+	if byz.slotsOpened.Load() == 0 {
+		t.Fatalf("equivocator inactive: %d pairs — scenario exercised nothing", byz.slotsOpened.Load())
 	}
 }
 

@@ -9,163 +9,23 @@
 package chaos
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"thunderbolt/internal/crypto"
 	"thunderbolt/internal/node"
-	"thunderbolt/internal/transport"
 	"thunderbolt/internal/types"
 )
 
-// withholder drives one committee slot at the wire level from a
-// headless endpoint: valid empty proposals each round, certificates
-// assembled from real votes, block requests served — and not one
-// MsgVote ever sent to a peer.
-type withholder struct {
-	tr       transport.Transport
-	self     types.ReplicaID
-	n        int
-	signer   crypto.Signer
-	verifier crypto.Verifier
-
-	mu         sync.Mutex
-	blocks     map[types.Digest]*types.Block
-	collectors map[types.Digest]*crypto.QuorumCollector
-	certs      map[types.Round]map[types.Digest]bool
-	proposed   map[types.Round]bool
-
-	votesReceived atomic.Uint64 // honest votes for the withholder's blocks
-	votesWithheld atomic.Uint64 // peer proposals it refused to vote for
-	certsFormed   atomic.Uint64
-}
-
-func newWithholder(t *testing.T, h *Harness, id types.ReplicaID) *withholder {
-	t.Helper()
-	signers, verifier, err := crypto.InsecureScheme{}.Committee(h.Cluster().N(), h.Seed())
-	if err != nil {
-		t.Fatal(err)
+// newWithholder scripts replica id as a proposer of valid empty blocks
+// that counts the committee's votes like anyone — and puts not one
+// MsgVote on the wire, not even for its own blocks.
+func newWithholder(t *testing.T, h *Harness, id types.ReplicaID) *wireDriver {
+	w := newWireDriver(t, h, id)
+	w.withholdOwn = true
+	w.build = func(r types.Round, parents []types.Digest) []proposal {
+		return []proposal{{block: w.emptyBlock(r, parents)}}
 	}
-	w := &withholder{
-		tr:   h.Net().Endpoint(id),
-		self: id, n: h.Cluster().N(),
-		signer: signers[id], verifier: verifier,
-		blocks:     make(map[types.Digest]*types.Block),
-		collectors: make(map[types.Digest]*crypto.QuorumCollector),
-		certs:      make(map[types.Round]map[types.Digest]bool),
-		proposed:   make(map[types.Round]bool),
-	}
-	w.tr.SetHandler(w.handle)
 	return w
-}
-
-func (w *withholder) start() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.propose(1, nil)
-}
-
-func (w *withholder) handle(from types.ReplicaID, mt transport.MsgType, payload []byte) {
-	switch mt {
-	case node.MsgBlock:
-		// A peer's proposal asking for a vote: this is exactly the
-		// message the withholder stays silent on.
-		w.votesWithheld.Add(1)
-	case node.MsgVote:
-		d := types.NewDecoder(payload)
-		_ = d.U64() // epoch
-		_ = d.U64() // round
-		_ = d.U32() // proposer
-		dig := d.Digest()
-		sig := d.Bytes()
-		if d.Finish() != nil {
-			return
-		}
-		w.votesReceived.Add(1)
-		w.addVote(from, dig, sig)
-	case node.MsgCert:
-		var c types.Certificate
-		if c.UnmarshalBinary(payload) != nil {
-			return
-		}
-		w.noteCert(&c)
-	case node.MsgBlockReq:
-		d := types.NewDecoder(payload)
-		dig := d.Digest()
-		if d.Finish() != nil {
-			return
-		}
-		w.mu.Lock()
-		b := w.blocks[dig]
-		w.mu.Unlock()
-		if b != nil {
-			bs, _ := b.MarshalBinary()
-			_ = w.tr.Send(from, node.MsgBlock, bs)
-		}
-	}
-}
-
-func (w *withholder) addVote(from types.ReplicaID, dig types.Digest, sig []byte) {
-	w.mu.Lock()
-	col := w.collectors[dig]
-	var (
-		cert *types.Certificate
-		err  error
-	)
-	if col != nil {
-		cert, err = col.Add(from, sig)
-	}
-	w.mu.Unlock()
-	if err != nil || cert == nil {
-		return
-	}
-	w.certsFormed.Add(1)
-	cs, _ := cert.MarshalBinary()
-	_ = w.tr.Broadcast(node.MsgCert, cs)
-	w.noteCert(cert)
-}
-
-func (w *withholder) noteCert(c *types.Certificate) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	rm := w.certs[c.Round]
-	if rm == nil {
-		rm = make(map[types.Digest]bool)
-		w.certs[c.Round] = rm
-	}
-	rm[c.Digest()] = true
-	if len(rm) >= crypto.QuorumSize(w.n) && !w.proposed[c.Round+1] {
-		parents := make([]types.Digest, 0, len(rm))
-		for d := range rm {
-			parents = append(parents, d)
-		}
-		types.SortDigests(parents)
-		w.propose(c.Round+1, parents)
-	}
-}
-
-// propose emits one valid empty block for the slot. Callers hold w.mu.
-func (w *withholder) propose(r types.Round, parents []types.Digest) {
-	w.proposed[r] = true
-	b := &types.Block{
-		Epoch: 0, Round: r, Proposer: w.self,
-		Shard: node.MyShard(w.self, 0, w.n),
-		Kind:  types.NormalBlock, Parents: parents,
-		ProposedUnixNano: time.Now().UnixNano(),
-	}
-	d := b.Digest()
-	w.blocks[d] = b
-	col := crypto.NewQuorumCollector(w.n, w.verifier, d, 0, r, w.self)
-	_, _ = col.Add(w.self, w.signer.Sign(d))
-	w.collectors[d] = col
-	bs, _ := b.MarshalBinary()
-	for p := 0; p < w.n; p++ {
-		if id := types.ReplicaID(p); id != w.self {
-			_ = w.tr.Send(id, node.MsgBlock, bs)
-		}
-	}
 }
 
 // TestScenarioByzantineVoteWithholding runs a 4-committee where
@@ -195,12 +55,15 @@ func TestScenarioByzantineVoteWithholding(t *testing.T) {
 	check(t, h.CheckSafety(honest...))
 	check(t, h.CheckConservation(honest...))
 
-	if byz.votesWithheld.Load() == 0 {
+	if byz.peerBlocks.Load() == 0 {
 		t.Fatal("withholder saw no proposals — nothing was withheld")
 	}
-	if byz.votesReceived.Load() == 0 || byz.certsFormed.Load() == 0 {
-		t.Fatalf("withholder not live: %d votes in, %d certs — silence was indistinguishable from a crash",
-			byz.votesReceived.Load(), byz.certsFormed.Load())
+	if byz.peerVotes.Load() != 0 {
+		t.Fatalf("withholder cast %d votes", byz.peerVotes.Load())
+	}
+	if byz.ownVotes.Load() == 0 || byz.ownCerts.Load() == 0 {
+		t.Fatalf("withholder not live: %d votes in, %d certified — silence was indistinguishable from a crash",
+			byz.ownVotes.Load(), byz.ownCerts.Load())
 	}
 	// The withholder's slot must appear in honest DAGs (live) while
 	// every honest replica kept proposing past it (unstalled).

@@ -266,13 +266,16 @@ type sigKey struct {
 }
 
 // CachingVerifier wraps a Verifier with a bounded FIFO memo of
-// successfully verified signatures. The DAG layer verifies the same
-// signature twice per own block: once as an incoming vote
-// (QuorumCollector) and again when validating the certificate it just
-// assembled from those votes. The memo collapses the second pass to
-// map lookups, halving a proposer's per-round asymmetric-crypto cost.
-// Only successes are cached, so a forged signature is never admitted
-// by a stale entry. Safe for concurrent use.
+// signatures known to be valid: those it verified, and those its owner
+// produced and recorded with Remember. A replica certifies vertices
+// from individually verified votes and never re-verifies what it
+// assembled, so in steady state the memo sees no traffic; it serves the
+// certificates that still arrive whole — recovery replies to
+// MsgCertReq/MsgRoundReq — where it keeps the replica from ever paying
+// an asymmetric verification for its own signature, and makes a
+// certificate served twice cost map lookups the second time. Only valid
+// signatures enter, so a forged one is never admitted by a stale entry.
+// Safe for concurrent use.
 type CachingVerifier struct {
 	inner Verifier
 	cap   int
@@ -324,6 +327,12 @@ func (c *CachingVerifier) remember(k sigKey) {
 	c.seen[k] = struct{}{}
 }
 
+// Remember records sig as replica r's valid signature over d without
+// verifying it — for signatures the caller produced itself.
+func (c *CachingVerifier) Remember(r types.ReplicaID, d types.Digest, sig []byte) {
+	c.remember(c.key(r, d, sig))
+}
+
 // Verify implements Verifier.
 func (c *CachingVerifier) Verify(r types.ReplicaID, d types.Digest, sig []byte) bool {
 	k := c.key(r, d, sig)
@@ -342,10 +351,10 @@ func (c *CachingVerifier) Verify(r types.ReplicaID, d types.Digest, sig []byte) 
 // batch path.
 func (c *CachingVerifier) VerifyBatch(signers []types.ReplicaID, d types.Digest, sigs [][]byte) []bool {
 	out := make([]bool, len(signers))
-	// Miss bookkeeping runs out of a pooled scratch: certificates from
-	// other proposers are all-miss (only a proposer's own votes are in
-	// the memo), so this path runs for most certificates a replica
-	// receives and the result slice must be its only allocation.
+	// Miss bookkeeping runs out of a pooled scratch: a recovery
+	// certificate is mostly misses (only this replica's own signature
+	// and earlier replies are in the memo), so the result slice must be
+	// this path's only allocation.
 	sc := batchScratchPool.Get().(*batchScratch)
 	missIdx, missKeys := sc.idx[:0], sc.keys[:0]
 	for i := range signers {

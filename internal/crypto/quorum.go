@@ -21,8 +21,11 @@ func QuorumSize(n int) int {
 func FaultBound(n int) int { return (n - 1) / 3 }
 
 // QuorumCollector accumulates signatures over one block digest until a
-// 2f+1 quorum forms, then emits a certificate. It is not safe for
-// concurrent use; the DAG core serializes access.
+// 2f+1 quorum forms, then emits a certificate, verifying every vote it
+// is handed. Fixtures, wire-level test drivers and the benchmark build
+// certificates with it; a replica collects per (round, proposer) slot
+// instead (node/votes.go), because votes reach it before it knows which
+// digest the slot will certify. Not safe for concurrent use.
 type QuorumCollector struct {
 	n        int
 	block    types.Digest

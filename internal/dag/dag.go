@@ -125,7 +125,11 @@ func (s *Store) Add(v *Vertex) error {
 		// late arrival here is dead weight (see PruneBelow).
 		return fmt.Errorf("dag: round %d below GC floor %d", b.Round, s.floor)
 	}
-	if v.Cert.BlockDigest != b.Digest() {
+	// The slot fields of a certificate are not what its signatures
+	// cover — those sign the block digest — so a certificate naming
+	// another slot than its block's would file one block under a second
+	// identity (certificate digests hash the slot).
+	if c := v.Cert; c.BlockDigest != b.Digest() || c.Epoch != b.Epoch || c.Round != b.Round || c.Proposer != b.Proposer {
 		return fmt.Errorf("dag: certificate does not cover block")
 	}
 	if existing, ok := s.rounds[b.Round][b.Proposer]; ok {

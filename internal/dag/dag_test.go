@@ -58,6 +58,23 @@ func TestAddRejectsWrongEpochAndBadCert(t *testing.T) {
 	if err := st.Add(v); err == nil {
 		t.Fatal("mismatched certificate accepted")
 	}
+	// Valid signatures over the right block, filed under another slot:
+	// the signatures cover the block digest, not the slot fields beside
+	// it, so only this check keeps one block from a second identity.
+	for _, relabel := range []func(*types.Certificate){
+		func(c *types.Certificate) { c.Round = 2 },
+		func(c *types.Certificate) { c.Proposer = 1 },
+		func(c *types.Certificate) { c.Epoch = 2 },
+	} {
+		cert := *c.Certify(blk2)
+		relabel(&cert)
+		if err := st.Add(&dag.Vertex{Block: blk2, Cert: &cert}); err == nil {
+			t.Fatalf("certificate for slot (e%d r%d p%d) accepted for a block of (e1 r1 p0)", cert.Epoch, cert.Round, cert.Proposer)
+		}
+	}
+	if err := st.Add(c.Vertex(blk2)); err != nil {
+		t.Fatalf("matching certificate rejected: %v", err)
+	}
 }
 
 func TestAddRequiresParents(t *testing.T) {

@@ -103,8 +103,8 @@ func BenchmarkFastForward(b *testing.B) {
 					d := lb.Digest()
 					delete(n.pendingBlocks, d)
 					delete(n.pendingRounds, lb.Round)
-					delete(n.collectors, d)
-					delete(n.collectorRound, lb.Round)
+					n.releaseSlot(voteKey{round: lb.Round, proposer: lb.Proposer})
+					delete(n.voted, voteKey{round: lb.Round, proposer: lb.Proposer})
 					delete(n.ownPending, lb.Round)
 					n.lastBlock = nil
 				}

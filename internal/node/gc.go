@@ -8,8 +8,8 @@ import (
 // Committed-wave garbage collection (ROADMAP "DAG/memory pruning").
 //
 // Within an epoch the hot-path maps — the DAG store, pendingBlocks,
-// voted, collectors, certWait, round-request bookkeeping — previously
-// grew with every round proposed. After each commit wave the node now
+// voted, the per-slot vote collectors, certWait, round-request
+// bookkeeping — previously grew with every round proposed. After each commit wave the node now
 // prunes everything below a retention floor derived from its own
 // committed frontier:
 //
@@ -80,12 +80,10 @@ func (n *Node) maybeGC() {
 			}
 			delete(n.pendingRounds, r)
 		}
-		if d, ok := n.collectorRound[r]; ok {
-			delete(n.collectors, d)
-			delete(n.collectorRound, r)
-		}
 		for p := 0; p < n.n; p++ {
-			delete(n.voted, voteKey{round: r, proposer: types.ReplicaID(p)})
+			k := voteKey{round: r, proposer: types.ReplicaID(p)}
+			delete(n.voted, k)
+			n.releaseSlot(k)
 		}
 		delete(n.roundReqAt, r)
 	}

@@ -13,13 +13,17 @@ const (
 	// MsgBlock broadcasts a proposed block (also used as the response
 	// to MsgBlockReq).
 	MsgBlock transport.MsgType = iota + 1
-	// MsgVote carries one replica's signature over a block digest back
-	// to its proposer.
+	// MsgVote carries one replica's signature over a block digest to
+	// the whole committee: every replica certifies the block from the
+	// votes it counts (votes.go). A repeat vote, answering a proposer's
+	// stall rebroadcast, goes to that proposer alone.
 	MsgVote
-	// MsgCert broadcasts an assembled 2f+1 certificate.
+	// MsgCert carries an assembled 2f+1 certificate. Recovery only —
+	// the reply to MsgCertReq/MsgRoundReq — never steady-state traffic.
 	MsgCert
 	// MsgBlockReq asks a peer for the block with a given digest (sent
-	// when a certificate arrives before its block).
+	// when a certificate — assembled from votes or received — precedes
+	// its block).
 	MsgBlockReq
 	// MsgTx submits a client transaction to a shard proposer.
 	MsgTx
@@ -32,8 +36,9 @@ const (
 	// MsgRoundReq asks a peer for every certified vertex it holds at
 	// one round of the current epoch (block + certificate each).
 	// Broadcast by a node whose round advancement has stalled: lost
-	// certificate broadcasts otherwise leave no trace to re-request —
-	// no orphan references them — and can wedge the whole committee.
+	// votes otherwise leave no trace to re-request — no orphan
+	// references the vertex they would have certified — and can wedge
+	// the whole committee.
 	MsgRoundReq
 	// MsgSnapshotReq asks peers for their latest epoch-transition
 	// state snapshot. Broadcast by a replica whose catch-up requests
@@ -81,9 +86,9 @@ const (
 	// MsgBatch is a coalesced multi-message frame: every protocol
 	// message one node queued for one peer during a single event-loop
 	// pass, concatenated into one envelope over the existing framing.
-	// A round's worth of traffic (block + certificate + recovery
-	// replies) costs O(1) sends per peer instead of O(messages); the
-	// receiver unpacks and dispatches each sub-message in order.
+	// A round's worth of traffic (block + votes + recovery replies)
+	// costs O(1) sends per peer instead of O(messages); the receiver
+	// unpacks and dispatches each sub-message in order.
 	MsgBatch
 )
 

@@ -51,6 +51,16 @@ const (
 	mSpecMisses    = "spec_misses"
 	mSpecWastedTxs = "spec_wasted_txs"
 
+	// Certification and round pacing (votes.go, pacing.go).
+	mLeaderWaits        = "leader_waits"         // proposals held for a leader's certificate
+	mLeaderWaitTimeouts = "leader_wait_timeouts" // holds that ended at their bound
+	mLeaderWaitNs       = "leader_wait_ns"       // histogram: how long a hold lasted
+	mVotesEarly         = "votes_early"          // votes counted before their block arrived
+	mVotesDroppedLate   = "votes_dropped_late"   // votes for a slot already decided
+	mStallRebroadcasts  = "stall_rebroadcasts"   // own block re-sent after a stall
+	mRoundPulls         = "round_pulls"          // MsgRoundReq broadcasts
+	mCertLatencyEst     = "cert_latency_est_ns"  // gauge: own propose→certified estimate
+
 	// Pipeline-depth gauges: how much work each stage of the pipelined
 	// commit path is holding right now.
 	mRoundsInFlight    = "rounds_in_flight"    // proposed rounds past the last committed leader round
@@ -95,6 +105,12 @@ type nodeMetrics struct {
 	specHits           *metrics.Counter
 	specMisses         *metrics.Counter
 	specWastedTxs      *metrics.Counter
+	leaderWaits        *metrics.Counter
+	leaderWaitTimeouts *metrics.Counter
+	votesEarly         *metrics.Counter
+	votesDroppedLate   *metrics.Counter
+	stallRebroadcasts  *metrics.Counter
+	roundPulls         *metrics.Counter
 	sendErrors         [numSendClasses]*metrics.Counter
 
 	epoch             *metrics.Gauge
@@ -106,6 +122,7 @@ type nodeMetrics struct {
 	execQueueDepth    *metrics.Gauge
 	outboxFlushBytes  *metrics.Gauge
 	outboxFlushFrames *metrics.Gauge
+	certLatencyEst    *metrics.Gauge
 
 	stageProposeCertify  *metrics.Histogram
 	stageCertifyCommit   *metrics.Histogram
@@ -113,6 +130,7 @@ type nodeMetrics struct {
 	stageCommitExecute   *metrics.Histogram
 	stageSubmitAck       *metrics.Histogram
 	snapCapture          *metrics.Histogram
+	leaderWaitNs         *metrics.Histogram
 }
 
 func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
@@ -148,6 +166,12 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		specHits:           reg.Counter(mSpecHits),
 		specMisses:         reg.Counter(mSpecMisses),
 		specWastedTxs:      reg.Counter(mSpecWastedTxs),
+		leaderWaits:        reg.Counter(mLeaderWaits),
+		leaderWaitTimeouts: reg.Counter(mLeaderWaitTimeouts),
+		votesEarly:         reg.Counter(mVotesEarly),
+		votesDroppedLate:   reg.Counter(mVotesDroppedLate),
+		stallRebroadcasts:  reg.Counter(mStallRebroadcasts),
+		roundPulls:         reg.Counter(mRoundPulls),
 
 		epoch:             reg.Gauge(mEpoch),
 		round:             reg.Gauge(mRound),
@@ -158,6 +182,7 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		execQueueDepth:    reg.Gauge(mExecQueueDepth),
 		outboxFlushBytes:  reg.Gauge(mOutboxFlushBytes),
 		outboxFlushFrames: reg.Gauge(mOutboxFlushFrames),
+		certLatencyEst:    reg.Gauge(mCertLatencyEst),
 
 		stageProposeCertify:  reg.Histogram(metrics.StageProposeCertify),
 		stageCertifyCommit:   reg.Histogram(metrics.StageCertifyCommit),
@@ -165,6 +190,7 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		stageCommitExecute:   reg.Histogram(metrics.StageCommitExecute),
 		stageSubmitAck:       reg.Histogram(metrics.StageSubmitAck),
 		snapCapture:          reg.Histogram(mSnapCaptureNs),
+		leaderWaitNs:         reg.Histogram(mLeaderWaitNs),
 	}
 	for class := 0; class < numSendClasses; class++ {
 		m.sendErrors[class] = reg.Counter("send_errors_" + sendClassName[class])

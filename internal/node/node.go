@@ -14,6 +14,7 @@ package node
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -191,11 +192,21 @@ type Config struct {
 	// execution the hit saved).
 	SpecVerify bool
 
-	// TickInterval paces housekeeping (block re-requests); default 25ms.
+	// TickInterval paces housekeeping (block re-requests, recovery
+	// retries); default 25ms. Twice this is the floor of the stall
+	// threshold — how long without progress before a replica
+	// rebroadcasts its block and pulls the previous round. The
+	// threshold itself follows the replica's measured certification
+	// latency (four times it, see pacing.go), so slow links raise it
+	// without retuning; the floor only keeps it from dropping below the
+	// housekeeping cadence on fast ones.
 	TickInterval time.Duration
 	// MinRoundInterval throttles round advancement (a batch timer):
-	// a node proposes at most one block per interval, preventing
-	// empty rounds from spinning the network. Default 1ms.
+	// an idle node proposes at most one block per interval, preventing
+	// empty rounds from spinning the network. Default 1ms. It is also
+	// the floor under the leader hold: a proposal waits for a leader
+	// whose block has arrived for at most twice the measured
+	// certification latency, and never less than this.
 	MinRoundInterval time.Duration
 
 	// OnCommitTx, if set, fires for every committed transaction.
@@ -284,7 +295,9 @@ const (
 	// safety argument (see dag.Store.PruneBelow) needs the horizon to
 	// sit well above the fast-forward gap, so that any vertex old
 	// enough to prune is also too old to ever join committed history.
-	minGCHorizon = 4 * fastForwardGap
+	// Ten gaps (40 rounds) is that margin; the snapshot re-entry base
+	// (snapshot.go) retains the same span.
+	minGCHorizon = 10 * fastForwardGap
 	// defaultRecoverySyncRounds is the per-tick round-pull batch,
 	// chosen from a WAN-latency SimNetwork sweep (README
 	// "Performance"): reconvergence after a 6s crash halves from
@@ -399,10 +412,12 @@ type Node struct {
 	n   int
 	f   int
 
-	// verifier wraps cfg.Verifier with the verified-signature memo so
-	// votes checked at quorum assembly are not re-verified when the
-	// resulting certificate is validated.
-	verifier crypto.Verifier
+	// memoVerifier checks the certificates that arrive whole (recovery
+	// replies): cfg.Verifier behind a memo that holds every signature
+	// this replica produced, so its own vote inside a certificate is
+	// never verified. Votes are checked one by one against cfg.Verifier
+	// as they are counted (votes.go).
+	memoVerifier *crypto.CachingVerifier
 
 	// inbox is an unbounded queue so the transport delivery goroutine
 	// never blocks on a busy event loop (bounded queues here can close
@@ -447,13 +462,14 @@ type Node struct {
 	certWait      map[types.Digest]*types.Certificate // certs waiting for blocks
 	orphans       []*dag.Vertex                       // vertices waiting for parents
 	orphanSet     map[types.Digest]bool               // orphan membership by cert digest
-	collectors    map[types.Digest]*crypto.QuorumCollector
-	// collectorRound maps a round to the collector digest of the block
-	// this node proposed there (one proposal per round), for GC.
-	collectorRound map[types.Round]types.Digest
-	voted          map[voteKey]types.Digest
-	lastSeen       map[types.ReplicaID]types.Round // latest round proposed per replica
-	futureMsgs     []inboundMsg                    // messages from future epochs
+	// slots holds the vote collector of every (round, proposer) slot
+	// that has received a vote and is not certified in the local DAG
+	// yet (votes.go); slotFree recycles them.
+	slots      map[voteKey]*slotVotes
+	slotFree   []*slotVotes
+	voted      map[voteKey]types.Digest
+	lastSeen   map[types.ReplicaID]types.Round // latest round proposed per replica
+	futureMsgs []inboundMsg                    // messages from future epochs
 	// parentReq tracks in-flight MsgCertReq recoveries of missing
 	// parent vertices (by certificate digest) with their request time,
 	// so each missing parent is asked for at most once per tick.
@@ -471,6 +487,21 @@ type Node struct {
 	lastBlock      *types.Block
 	lastBlockRaw   []byte
 	lastBlockVotes int
+
+	// certLatency is this replica's running estimate (EWMA, 1/8 per
+	// sample) of how long its own blocks take from proposal to landing
+	// certified in the local DAG — two message delays plus queueing. It
+	// scales the two waits that used to be LAN constants: how long a
+	// proposal is held for a leader (leaderWaitBound) and how long
+	// without progress counts as a stall (stallAfter). Zero until the
+	// first own block certifies.
+	certLatency time.Duration
+	// leaderWait is the hold maybeAdvance is applying, if any: the
+	// leader round this replica would leave, when the hold began, and
+	// whether its bound already expired. leaderTimer wakes the loop at
+	// the bound.
+	leaderWait  leaderWait
+	leaderTimer *time.Timer
 
 	// --- outbound coalescing (outbox.go) ---
 	outBcast  []outMsg
@@ -635,15 +666,17 @@ func New(cfg Config) (*Node, error) {
 		return nil, errors.New("node: committee size must be positive")
 	}
 	n := &Node{
-		cfg:      cfg,
-		n:        cfg.N,
-		f:        crypto.FaultBound(cfg.N),
-		verifier: crypto.NewCachingVerifier(cfg.Verifier, 0),
-		inboxSig: make(chan struct{}, 1),
-		txCh:     make(chan *types.Transaction, 16384),
-		inspCh:   make(chan func(*Node)),
-		done:     make(chan struct{}),
+		cfg:          cfg,
+		n:            cfg.N,
+		f:            crypto.FaultBound(cfg.N),
+		memoVerifier: crypto.NewCachingVerifier(cfg.Verifier, 0),
+		inboxSig:     make(chan struct{}, 1),
+		txCh:         make(chan *types.Transaction, 16384),
+		inspCh:       make(chan func(*Node)),
+		done:         make(chan struct{}),
 	}
+	n.leaderTimer = time.NewTimer(time.Hour)
+	n.leaderTimer.Stop()
 	n.baseReader = n.baseRead
 	n.specClaimFn = n.specVertClaimed
 	if cfg.SpecExecDepth > 0 && cfg.Mode != ModeSerial {
@@ -708,8 +741,10 @@ func (n *Node) resetEpochState(epoch types.Epoch) {
 	n.certWait = make(map[types.Digest]*types.Certificate)
 	n.orphans = nil
 	n.orphanSet = make(map[types.Digest]bool)
-	n.collectors = make(map[types.Digest]*crypto.QuorumCollector)
-	n.collectorRound = make(map[types.Round]types.Digest)
+	for k := range n.slots {
+		n.releaseSlot(k)
+	}
+	n.slots = make(map[voteKey]*slotVotes)
 	n.voted = make(map[voteKey]types.Digest)
 	n.lastSeen = make(map[types.ReplicaID]types.Round)
 	n.ownWrites = make(map[types.Key]types.Value)
@@ -723,6 +758,7 @@ func (n *Node) resetEpochState(epoch types.Epoch) {
 	n.lastBlock = nil
 	n.lastBlockRaw = nil
 	n.lastBlockVotes = 0
+	n.leaderWait = leaderWait{}
 	n.execQ = nil // waves of a dying epoch never execute
 	n.resetSpec() // predictions bind to the dying epoch's DAG
 	n.loadedRound = 0
@@ -854,7 +890,8 @@ func (n *Node) Inspect(f func(*DebugView)) error {
 			HighestRound:   n.dagStore.HighestRound(),
 			Orphans:        len(n.orphans),
 			CertWait:       len(n.certWait),
-			Collectors:     len(n.collectors),
+			Collectors:     len(n.slots),
+			EarlyVotes:     n.earlyVotes(),
 			LastBlockRound: lastBlockRound,
 			FutureMsgs:     len(n.futureMsgs),
 			GCFloor:        n.dagStore.Floor(),
@@ -915,7 +952,12 @@ type DebugView struct {
 	HighestRound   types.Round
 	Orphans        int
 	CertWait       int
+	// Collectors counts the live per-slot vote collectors (slots voted
+	// on but not yet certified here); EarlyVotes the votes they hold
+	// for blocks this replica has not received. Both are bounded by the
+	// vote window and reclaimed at the GC floor.
 	Collectors     int
+	EarlyVotes     int
 	LastBlockRound types.Round
 	FutureMsgs     int
 	// GC observability: the retention floor, and the sizes of the
@@ -969,6 +1011,7 @@ func (n *Node) run() {
 	defer tick.Stop()
 	pace := time.NewTicker(n.cfg.MinRoundInterval)
 	defer pace.Stop()
+	defer n.leaderTimer.Stop()
 	n.propose()
 	n.flushOutbox()
 	for {
@@ -996,6 +1039,8 @@ func (n *Node) run() {
 			f(n)
 		case <-pace.C:
 			n.maybeAdvance()
+		case <-n.leaderTimer.C:
+			n.maybeAdvance() // a leader hold reached its bound
 		case <-tick.C:
 			n.housekeeping()
 		case <-n.done:
@@ -1091,24 +1136,37 @@ func (n *Node) housekeeping() {
 	}
 	// A proposal lost to a crash or partition wedges this node: it
 	// cannot advance past a round missing its own certificate
-	// (maybeAdvance). Rebroadcast until the vertex lands; peers revote
-	// the same digest idempotently. Gated on certification state, not
-	// just the stall timer: while the vote collector is still making
-	// progress the proposal evidently reached peers, and re-sending it
-	// every tick is pure wire noise — only a stall with a frozen vote
-	// count re-sends (the cached proposal bytes, no re-marshal).
-	stalled := time.Since(n.lastProgress) >= 2*n.cfg.TickInterval
+	// (maybeAdvance). Rebroadcast until the vertex lands — the block and
+	// this replica's vote for it, as at proposal; peers that already
+	// voted repeat their vote to this replica alone. Gated on
+	// certification state, not just the stall timer: while the vote
+	// count is still rising the proposal evidently reached peers, and
+	// re-sending it every tick is pure wire noise — only a stall with a
+	// frozen vote count re-sends (the cached proposal bytes, no
+	// re-marshal). The stall threshold follows the measured
+	// certification latency (stallAfter), so a healthy committee on slow
+	// links is not mistaken for a wedged one.
+	stalled := time.Since(n.lastProgress) >= n.stallAfter()
 	if b := n.lastBlock; b != nil {
 		if _, ok := n.dagStore.Get(b.Round, n.cfg.ID); !ok {
+			k := voteKey{round: b.Round, proposer: n.cfg.ID}
 			votes := 0
-			if col, ok := n.collectors[b.Digest()]; ok {
-				votes = col.Count()
+			if s, ok := n.slots[k]; ok {
+				votes = s.n
 			}
 			if stalled && votes <= n.lastBlockVotes {
 				if n.lastBlockRaw == nil {
 					n.lastBlockRaw = mustMarshal(b)
 				}
+				n.nm.stallRebroadcasts.Add(1)
 				n.queueBcast(MsgBlock, n.lastBlockRaw)
+				// The vote goes again only if it is the slot's journaled
+				// one: a replica restarted into a round it had already
+				// proposed holds a vote for the earlier block, and signs
+				// nothing for this one.
+				if v, ok := n.repeatVote(b, k, b.Digest()); ok {
+					n.queueBcast(MsgVote, v.marshal())
+				}
 			}
 			n.lastBlockVotes = votes
 		} else {
@@ -1117,10 +1175,21 @@ func (n *Node) housekeeping() {
 			n.lastBlockVotes = 0
 		}
 	}
-	// Lost certificate broadcasts leave no orphan to trigger recovery;
-	// if advancement has stalled, pull the previous round from peers.
+	// Votes lost on the way here leave no orphan to trigger recovery;
+	// if advancement has stalled, pull the previous round from peers,
+	// who answer with the certificates they assembled.
 	if stalled && n.nextRound > 1 {
 		n.pullRound(n.nextRound - 1)
+	}
+	// Further behind than the vote window — f+1 proposers, so at least
+	// one honest one, have been seen proposing past it — this replica
+	// dropped the votes for the rounds in between and can only catch up
+	// from certificates: pull the gap, bounded like the orphan backfill
+	// above.
+	if hi, at := n.dagStore.HighestRound(), n.committeeRound(); at > hi+voteWindow {
+		for r := hi + 1; r < at && r <= hi+types.Round(n.cfg.RecoverySyncRounds); r++ {
+			n.pullRound(r)
+		}
 	}
 	// A stall plus f+1 peers seen in a future epoch means the committee
 	// transitioned without us: in-epoch catch-up can never answer, so
@@ -1241,6 +1310,23 @@ func (n *Node) handle(m inboundMsg) {
 	}
 }
 
+// committeeRound is the highest round that f+1 peers have been seen
+// proposing at or beyond — one of them honest, so the round before it
+// holds a certificate quorum somewhere.
+func (n *Node) committeeRound() types.Round {
+	seen := make([]types.Round, 0, n.n)
+	for p, r := range n.lastSeen {
+		if p != n.cfg.ID {
+			seen = append(seen, r)
+		}
+	}
+	if len(seen) <= n.f {
+		return 0
+	}
+	slices.Sort(seen)
+	return seen[len(seen)-1-n.f]
+}
+
 // pullRound broadcasts a MsgRoundReq for one round unless a request
 // is already in flight (re-asked after four ticks, covering a
 // round-trip on slow links, so recovery traffic doesn't multiply by
@@ -1250,6 +1336,7 @@ func (n *Node) pullRound(r types.Round) {
 		return
 	}
 	n.roundReqAt[r] = time.Now()
+	n.nm.roundPulls.Add(1)
 	n.queueBcast(MsgRoundReq, (&roundReq{Epoch: n.epoch, Round: r}).marshal())
 }
 
@@ -1345,20 +1432,15 @@ func (n *Node) handleBlock(from types.ReplicaID, b *types.Block, raw []byte) {
 	// signature leaves this replica, so a crash+restart cannot be
 	// induced into signing a conflicting digest for an already-voted
 	// slot (two certificates for one slot would let commit sequences
-	// diverge across replicas).
+	// diverge across replicas). The first vote goes to the whole
+	// committee — every replica certifies from votes. A repeat of the
+	// block is its proposer saying it still lacks the quorum (stall
+	// rebroadcast), so the same vote goes again, to the proposer alone.
 	if from == b.Proposer {
 		k := voteKey{round: b.Round, proposer: b.Proposer}
-		if prev, ok := n.voted[k]; !ok || prev == d {
-			if !ok {
-				n.noteOnly(voteNote(b.Epoch, k, d))
-			}
-			n.voted[k] = d
-			v := &vote{
-				Epoch: b.Epoch, Round: b.Round, Proposer: b.Proposer,
-				BlockDigest: d, Sig: n.cfg.Signer.Sign(d),
-			}
-			// a = proposer the vote is for.
-			n.trace(metrics.EvVote, b.Round, uint64(b.Proposer), 0)
+		if _, ok := n.voted[k]; !ok {
+			n.castVote(b, k, d)
+		} else if v, ok := n.repeatVote(b, k, d); ok {
 			n.queueTo(b.Proposer, MsgVote, v.marshal())
 		}
 	}
@@ -1369,45 +1451,13 @@ func (n *Node) handleBlock(from types.ReplicaID, b *types.Block, raw []byte) {
 	}
 }
 
-func (n *Node) handleVote(from types.ReplicaID, v *vote, raw []byte) {
-	if v.Epoch > n.epoch {
-		// A peer already transitioned to the next DAG; keep its vote
-		// (the received bytes, no re-encode) for replay after our own
-		// transition.
-		n.noteFutureEpoch(from, v.Epoch)
-		n.futureMsgs = append(n.futureMsgs, inboundMsg{from: from, mt: MsgVote, payload: raw})
-		return
-	}
-	if v.Epoch < n.epoch || v.Proposer != n.cfg.ID {
-		return
-	}
-	col, ok := n.collectors[v.BlockDigest]
-	if !ok {
-		return
-	}
-	cert, err := col.Add(from, v.Sig)
-	if err != nil || cert == nil {
-		return
-	}
-	delete(n.collectors, v.BlockDigest)
-	// Place the certificate locally before the (lossy) broadcast.
-	// Relying on loopback delivery here once wedged whole committees:
-	// a certificate completed while this node was network-crashed was
-	// dropped on every link including self, and with the collector
-	// already deleted it could never re-form from revotes.
-	n.handleCert(n.cfg.ID, cert, nil)
-	n.queueBcast(MsgCert, mustMarshal(cert))
-}
-
-// handleCert processes one certificate. raw is the received payload
-// (nil when the certificate was assembled locally); parked future-epoch
-// certificates keep those bytes instead of re-encoding.
+// handleCert processes a certificate received whole: a recovery reply
+// (MsgCertReq, MsgRoundReq), never steady-state traffic — replicas
+// certify from votes. raw is the received payload; a parked
+// future-epoch certificate keeps those bytes.
 func (n *Node) handleCert(from types.ReplicaID, c *types.Certificate, raw []byte) {
 	if c.Epoch > n.epoch {
 		n.noteFutureEpoch(from, c.Epoch)
-		if raw == nil {
-			raw = mustMarshal(c)
-		}
 		n.futureMsgs = append(n.futureMsgs, inboundMsg{from: from, mt: MsgCert, payload: raw})
 		return
 	}
@@ -1417,16 +1467,10 @@ func (n *Node) handleCert(from types.ReplicaID, c *types.Certificate, raw []byte
 	if _, ok := n.dagStore.ByCert(c.Digest()); ok {
 		return // already placed
 	}
-	if err := crypto.VerifyCertificate(c, n.n, n.verifier); err != nil {
+	if err := crypto.VerifyCertificate(c, n.n, n.memoVerifier); err != nil {
 		return
 	}
-	b, ok := n.pendingBlocks[c.BlockDigest]
-	if !ok {
-		n.certWait[c.BlockDigest] = c
-		n.queueTo(from, MsgBlockReq, (&blockReq{BlockDigest: c.BlockDigest}).marshal())
-		return
-	}
-	n.addVertex(&dag.Vertex{Block: b, Cert: c})
+	n.placeCert(c, from)
 }
 
 func (n *Node) handleBlockReq(from types.ReplicaID, r *blockReq) {
@@ -1524,8 +1568,23 @@ func (n *Node) onVertexAdded(v *dag.Vertex) {
 	if v.Block.Stamps.Certified.IsZero() {
 		v.Block.Stamps.Certified = n.lastProgress
 	}
-	// a = proposer whose vertex was certified.
-	n.trace(metrics.EvCert, v.Round(), uint64(v.Proposer()), 0)
+	// The slot is decided: retire its vote collector. One that
+	// assembled a certificate means this vertex was certified here,
+	// from votes, rather than received certified.
+	k := voteKey{round: v.Round(), proposer: v.Proposer()}
+	var local uint64
+	if s, ok := n.slots[k]; ok {
+		if s.done {
+			local = 1
+		}
+		n.releaseSlot(k)
+	}
+	// a = proposer whose vertex was certified, b = 1 when the
+	// certificate was assembled locally.
+	n.trace(metrics.EvCert, v.Round(), uint64(v.Proposer()), local)
+	if v.Proposer() == n.cfg.ID {
+		n.observeCertLatency(v.Block)
+	}
 	if v.Round() > n.lastSeen[v.Proposer()] {
 		n.lastSeen[v.Proposer()] = v.Round()
 	}
@@ -1568,7 +1627,13 @@ func (n *Node) maybeAdvance() {
 				return
 			}
 		}
-		return // frontier known but not yet quorate locally; backfill continues
+		// Frontier known but not quorate here. It may never be without
+		// this replica: with f others down, the frontier's next quorum
+		// is waiting for this replica's block, so standing still until
+		// it forms deadlocks the committee (a replica four rounds behind
+		// two peers whose third was just crashed). Keep advancing round
+		// by round; the jump happens if and when a quorate round
+		// appears.
 	}
 	prev := n.nextRound - 1
 	if n.dagStore.CountAtRound(prev) < crypto.QuorumSize(n.n) {
@@ -1576,6 +1641,9 @@ func (n *Node) maybeAdvance() {
 	}
 	if _, ok := n.dagStore.Get(prev, n.cfg.ID); !ok {
 		return // wait for our own certificate
+	}
+	if n.holdForLeader(prev) {
+		return
 	}
 	// Adaptive round pacing: while the committee carries traffic —
 	// transactions queued here, cross-shard work pending, or recent
@@ -1593,9 +1661,16 @@ func (n *Node) maybeAdvance() {
 
 // fastForwardGap is how many certified rounds past this node's last
 // proposal the DAG must be before the node abandons its position and
-// rejoins at the frontier. Normal jitter skews nodes by a round or
-// two; only real outages produce gaps this large.
-const fastForwardGap = 10
+// rejoins at the frontier. Jitter skews nodes by a round or two. A
+// node further behind than that does not catch up by proposing: each
+// of its rounds costs the same two message delays as the frontier's,
+// and the frontier references only its own previous round, so nothing
+// the straggler proposes back there is linked — or committed — until
+// it is level again. Rejoining costs re-proposing the transactions of
+// those unlinked blocks; staying costs every transaction it carries
+// the whole episode (on two cores, where replicas drift apart, a gap
+// of 10 left 8 % of commits over 10 ms against 3.5 % at 4).
+const fastForwardGap = 4
 
 // fastForward abandons every uncommitted own block (their rounds will
 // never be referenced), requeues their transactions, and re-proposes

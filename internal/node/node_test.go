@@ -262,3 +262,57 @@ func TestVMContractsThroughCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// recoveryCounters sums the stall-recovery counters over the replicas.
+func recoveryCounters(c *cluster.Cluster, replicas ...int) (rebroadcasts, pulls uint64) {
+	for _, i := range replicas {
+		s := c.Node(i).Metrics().Snapshot()
+		rebroadcasts += s.Counters["stall_rebroadcasts"]
+		pulls += s.Counters["round_pulls"]
+	}
+	return
+}
+
+// TestWANCommitteeSendsNoRecoveryTraffic: the stall threshold follows
+// the measured certification latency, so a fault-free committee on
+// 30–50 ms links — where one healthy round outlasts the two ticks that
+// used to mean "stalled" — never rebroadcasts a block or pulls a round,
+// while a replica whose peers really went silent still does both within
+// a few latencies.
+func TestWANCommitteeSendsNoRecoveryTraffic(t *testing.T) {
+	c, err := cluster.New(cluster.Config{
+		N: 4, Seed: 9, Accounts: 64, BatchSize: 64, Executors: 4, Validators: 4,
+		Latency: transport.WANModel(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	gen := workload.NewGenerator(workload.Config{
+		Accounts: 64, Shards: 4, Theta: 0.7, ReadRatio: 0.3, Seed: 9, Client: 1,
+	})
+	deadline := time.Now().Add(3 * time.Second)
+	for time.Now().Before(deadline) {
+		submitBatch(t, c, gen.Batch(8))
+	}
+	if rb, pulls := recoveryCounters(c, 0, 1, 2, 3); rb != 0 || pulls != 0 {
+		t.Fatalf("healthy WAN committee sent recovery traffic: %d stall rebroadcasts, %d round pulls", rb, pulls)
+	}
+	est := time.Duration(c.Node(0).Metrics().Snapshot().Gauges["cert_latency_est_ns"])
+	if est < 60*time.Millisecond || est > 200*time.Millisecond {
+		t.Fatalf("certification latency estimate %v on 30-50 ms links, want about two one-way delays", est)
+	}
+	// Replica 0's peers go silent for real.
+	c.Network().Isolate(0)
+	defer c.Network().HealAll()
+	for deadline := time.Now().Add(10 * est); ; time.Sleep(10 * time.Millisecond) {
+		rb, pulls := recoveryCounters(c, 0)
+		if rb > 0 && pulls > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("isolated replica: %d stall rebroadcasts, %d round pulls within %v (estimate %v)", rb, pulls, 10*est, est)
+		}
+	}
+}

@@ -13,11 +13,11 @@ import (
 // peer instead of O(messages). Payloads are marshaled exactly once at
 // queue time, never per destination.
 //
-// Self-delivery is handled inline by the call sites (a proposer votes
-// for its own block directly, a completed certificate is placed
-// before its broadcast), so the flush skips this node — the old
-// loopback sends paid a full marshal/clone/decode cycle per round for
-// state the node already held.
+// Self-delivery is handled inline by the call sites (a replica counts
+// its own vote in its own collector as it broadcasts it), so the flush
+// skips this node — the old loopback sends paid a full
+// marshal/clone/decode cycle per round for state the node already
+// held.
 
 // outMsg is one queued wire message.
 type outMsg struct {

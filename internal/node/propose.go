@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"thunderbolt/internal/ce"
-	"thunderbolt/internal/crypto"
 	"thunderbolt/internal/depgraph"
 	"thunderbolt/internal/gateway"
 	"thunderbolt/internal/metrics"
@@ -151,40 +150,27 @@ func (n *Node) propose() {
 	n.nm.roundsInFlight.Set(int64(r) - int64(n.committer.LastLeaderRound()))
 	// a = single-shard txs carried, b = cross-shard txs carried.
 	n.trace(metrics.EvPropose, r, uint64(len(blk.SingleTxs)), uint64(len(blk.CrossTxs)))
-	// Register the quorum collector before broadcasting so even the
-	// self-vote lands in it. Keep the block (and its encoding — one
-	// marshal serves the broadcast and any housekeeping rebroadcast):
-	// self-delivery is lossy under injected faults, and housekeeping
-	// re-sends lastBlockRaw until the certificate lands.
+	// Keep the block (and its encoding — one marshal serves the
+	// broadcast and any housekeeping rebroadcast): delivery is lossy
+	// under injected faults, and housekeeping re-sends lastBlockRaw
+	// until the certificate lands.
 	d := blk.Digest()
-	col := crypto.NewQuorumCollector(n.n, n.verifier, d, blk.Epoch, blk.Round, blk.Proposer)
-	n.collectors[d] = col
-	n.collectorRound[r] = d
 	n.trackPendingBlock(blk)
 	n.ownPending[r] = d
 	n.lastBlock = blk
 	n.lastBlockRaw = mustMarshal(blk)
 	n.lastBlockVotes = 0
 	n.queueBcast(MsgBlock, n.lastBlockRaw)
-	// Vote for our own block inline. The outbox excludes self from
-	// broadcasts, so the old loopback path (Broadcast → own inbox →
-	// handleBlock → Send-to-self → handleVote) is gone; this is the
-	// same vote it would have produced, minus two marshal/decode
-	// round-trips per round. The anti-equivocation journal entry is
-	// written before the signature exists, exactly as handleBlock does
-	// for peer blocks.
+	// Vote for our own block inline — the outbox excludes self from
+	// broadcasts — and broadcast the vote behind the block: both leave
+	// in this pass's flush, one frame per peer, so every replica holds
+	// the proposer's vote when it casts its own. The anti-equivocation
+	// journal entry is written before the signature exists, exactly as
+	// handleBlock does for peer blocks. (In a committee of one the vote
+	// is the quorum and the vertex lands right here.)
 	k := voteKey{round: blk.Round, proposer: blk.Proposer}
-	if prev, ok := n.voted[k]; !ok || prev == d {
-		if !ok {
-			n.noteOnly(voteNote(blk.Epoch, k, d))
-		}
-		n.voted[k] = d
-		if cert, err := col.Add(n.cfg.ID, n.cfg.Signer.Sign(d)); err == nil && cert != nil {
-			// n=1 degenerate committee: the self-vote alone is a quorum.
-			delete(n.collectors, d)
-			n.handleCert(n.cfg.ID, cert, nil)
-			n.queueBcast(MsgCert, mustMarshal(cert))
-		}
+	if _, ok := n.voted[k]; !ok {
+		n.castVote(blk, k, d)
 	}
 }
 

@@ -315,7 +315,7 @@ func (n *Node) handleSnapshot(_ types.ReplicaID, payload []byte) {
 		int(snap.SessionIdleEpochs) != n.cfg.SessionIdleEpochs {
 		return
 	}
-	if !n.verifier.Verify(m.Signer, snap.Digest(), m.Sig) {
+	if !n.memoVerifier.Verify(m.Signer, snap.Digest(), m.Sig) {
 		return
 	}
 	// The signature covers the manifest; a monolithic body must
