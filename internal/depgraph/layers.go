@@ -1,10 +1,9 @@
 // Dependency-layer planning: when a batch's read/write footprints are
-// already known (a validator re-checking declared preplay results, or
-// an executor retrying transactions whose first attempt discovered
-// their sets), the conflict graph can be partitioned up front into
-// topologically-sorted conflict-free layers and each layer executed as
-// one wave — no per-transaction scheduling, no reachability queries,
-// no abort/retry churn (the soyart/depgraph layering idiom).
+// already known (an executor retrying transactions whose first attempt
+// discovered their sets), the conflict graph can be partitioned up
+// front into topologically-sorted conflict-free layers and each layer
+// executed as one wave — no per-transaction scheduling, no reachability
+// queries, no abort/retry churn (the soyart/depgraph layering idiom).
 package depgraph
 
 import (
@@ -33,8 +32,7 @@ type keyLevels struct {
 // transactions sharing a layer therefore never conflict, and every
 // dependency points to a strictly lower layer.
 // keyLevels entries live in the map by value — a pointer box per
-// touched key was one of the commit path's heaviest allocation sites
-// (every block validation plans layers over its whole footprint).
+// touched key was one of the planner's heaviest allocation sites.
 type layerBuilder struct {
 	levels  map[types.Key]keyLevels
 	layerOf []int
@@ -45,7 +43,7 @@ type layerBuilder struct {
 }
 
 // builderPool recycles layerBuilders (and their maps) across plans;
-// validation runs concurrently across replicas in one process.
+// proposers plan concurrently across replicas in one process.
 var builderPool = sync.Pool{New: func() any {
 	return &layerBuilder{levels: make(map[types.Key]keyLevels, 64)}
 }}
@@ -173,33 +171,6 @@ func Layers(accs []Access) [][]int {
 		}
 		for _, k := range a.Writes {
 			b.noteWrite(k, lvl)
-		}
-		b.seal()
-	}
-	out := b.layers()
-	b.release()
-	return out
-}
-
-// LayersOfResults plans conflict-free layers straight from declared
-// preplay results (the validator re-check path), without materializing
-// intermediate key slices.
-func LayersOfResults(results []types.TxResult) [][]int {
-	b := newLayerBuilder(len(results))
-	for i := range results {
-		r := &results[i]
-		for j := range r.ReadSet {
-			b.read(r.ReadSet[j].Key)
-		}
-		for j := range r.WriteSet {
-			b.write(r.WriteSet[j].Key)
-		}
-		lvl := b.cur
-		for j := range r.ReadSet {
-			b.noteRead(r.ReadSet[j].Key, lvl)
-		}
-		for j := range r.WriteSet {
-			b.noteWrite(r.WriteSet[j].Key, lvl)
 		}
 		b.seal()
 	}

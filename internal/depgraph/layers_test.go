@@ -96,43 +96,6 @@ func TestLayersProperties(t *testing.T) {
 	}
 }
 
-// TestLayersOfResultsAgrees: planning from declared TxResults must be
-// identical to planning from the equivalent Access slices.
-func TestLayersOfResultsAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(layersSeed(13)))
-	for trial := 0; trial < 20; trial++ {
-		n := rng.Intn(40)
-		accs := make([]Access, n)
-		results := make([]types.TxResult, n)
-		for i := range accs {
-			for j := 0; j < 1+rng.Intn(3); j++ {
-				k := types.Key(fmt.Sprintf("k%d", rng.Intn(8)))
-				if rng.Intn(2) == 0 {
-					accs[i].Reads = append(accs[i].Reads, k)
-					results[i].ReadSet = append(results[i].ReadSet, types.RWRecord{Key: k})
-				} else {
-					accs[i].Writes = append(accs[i].Writes, k)
-					results[i].WriteSet = append(results[i].WriteSet, types.RWRecord{Key: k})
-				}
-			}
-		}
-		a, b := Layers(accs), LayersOfResults(results)
-		if len(a) != len(b) {
-			t.Fatalf("trial %d: %d vs %d layers", trial, len(a), len(b))
-		}
-		for l := range a {
-			if len(a[l]) != len(b[l]) {
-				t.Fatalf("trial %d layer %d: %d vs %d members", trial, l, len(a[l]), len(b[l]))
-			}
-			for i := range a[l] {
-				if a[l][i] != b[l][i] {
-					t.Fatalf("trial %d layer %d: member %d differs", trial, l, i)
-				}
-			}
-		}
-	}
-}
-
 func TestLayersEmpty(t *testing.T) {
 	if l := Layers(nil); l != nil {
 		t.Fatalf("empty plan should be nil, got %v", l)

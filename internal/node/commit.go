@@ -184,9 +184,10 @@ func (c *Config) runWave(w tusk.CommitWave, dedup *gateway.Scratch, base validat
 			return
 		}
 		res.txs += len(txs)
-		for i, out := range validate.ExecuteCrossOrdered(c.Registry, read, txs, workers) {
+		// The executor folds each of its waves into res.writes, which is
+		// how the next wave's reads (through read) see it.
+		for i, out := range validate.ExecuteCrossOrdered(c.Registry, read, txs, workers, res.writes.fold) {
 			res.outcomes = append(res.outcomes, waveOutcome{b: live[i].b, tx: out.Tx, ok: out.Err == nil, cross: live[i].cross})
-			res.writes.fold(out.Writes)
 		}
 	}
 	var cross []orderedTx
@@ -208,7 +209,7 @@ func (c *Config) runWave(w tusk.CommitWave, dedup *gateway.Scratch, base validat
 			ok := false
 			if !staleBlock(b, dedup) {
 				res.txs += len(b.SingleTxs)
-				if r, err := validate.ValidateBatch(c.Registry, read, b.SingleTxs, b.Results, c.Validators); err == nil {
+				if r, err := validate.ValidateBlock(c.Registry, read, b, c.Validators); err == nil {
 					ok = true
 					res.writes.fold(r.Writes)
 					for _, tx := range b.SingleTxs {

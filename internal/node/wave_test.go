@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -493,6 +494,71 @@ func TestWaveRunOnceInstallOnce(t *testing.T) {
 				if !reflect.DeepEqual(got.notes, want.notes) {
 					t.Errorf("%s: WAL note stream differs from the commit-time leg", leg.name)
 				}
+			}
+		})
+	}
+}
+
+// TestWaveReplaysEachBlockOnce: replaying a block's transactions is a
+// function of the block, so however often its wave runs — predicted and
+// then missed, or predicted and then re-run by SpecVerify — every
+// contract executes once; the commit-time run only re-checks the
+// declared reads against committed state.
+func TestWaveReplaysEachBlockOnce(t *testing.T) {
+	committee := dagtest.NewCommittee(4)
+	for _, leg := range []struct {
+		name   string
+		verify bool // SpecVerify: a hit is re-run and compared
+		miss   bool // the commit rule releases the blocks in another wave
+	}{
+		{"missed prediction", false, true},
+		{"verified hit", true, false},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			wb := newWaveBuilder(t, committee)
+			a := wb.block(1, 1, true, []*types.Transaction{depositTx(1, 1, 1, 1, 5), depositTx(2, 1, 1, 5, 6)}, nil)
+			b := wb.block(1, 2, true, []*types.Transaction{depositTx(3, 1, 2, 2, 7)}, nil)
+			predicted := wb.wave(a, b)
+			committed := predicted
+			if leg.miss {
+				committed = wb.wave(b, a)
+			}
+
+			wn := newWaveNode(t, committee, ModeCE, leg.verify)
+			defer wn.st.Close()
+			n := wn.n
+			var execs atomic.Int64
+			counted := contract.NewRegistry()
+			for _, name := range n.cfg.Registry.Names() {
+				c, _ := n.cfg.Registry.Lookup(name)
+				counted.MustRegister(contract.Func{ContractName: name, Fn: func(st contract.State, args [][]byte) error {
+					execs.Add(1)
+					return c.Execute(st, args)
+				}})
+			}
+			n.cfg.Registry = counted
+
+			for _, v := range predicted.Vertices {
+				n.specVerts[v.Cert.Digest()] = true
+			}
+			n.specQ = append(n.specQ, specWave{wave: predicted})
+			n.runPrediction(0)
+			if got := execs.Load(); got != 3 {
+				t.Fatalf("prediction executed %d contracts for 3 transactions", got)
+			}
+			res, hit := n.waveResultFor(committed)
+			if hit == leg.miss {
+				t.Fatalf("hit = %v", hit)
+			}
+			n.installWave(committed, res, time.Now())
+			if got := execs.Load(); got != 3 {
+				t.Fatalf("running the wave again executed %d more contracts", got-3)
+			}
+			if st := n.Stats(); st.CommittedTxs != 3 || st.ValidationFailures != 0 {
+				t.Fatalf("committed %d, validation failures %d", st.CommittedTxs, st.ValidationFailures)
+			}
+			if x, y, z := checking(t, wn, 1), checking(t, wn, 5), checking(t, wn, 2); x != 105 || y != 106 || z != 107 {
+				t.Fatalf("accounts 1, 5, 2 = %d, %d, %d", x, y, z)
 			}
 		})
 	}

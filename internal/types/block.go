@@ -67,6 +67,14 @@ type Block struct {
 	// replicas hold independent stamps for the same block.
 	Stamps BlockStamps
 
+	// replay caches the verdict of replaying SingleTxs against the reads
+	// Results declares (validate.ValidateBlock) — a function of the
+	// block and the contract registry alone, so one replica computes it
+	// once however often it validates the block. Local state like
+	// Stamps: outside the codec and the digest, reset on decode.
+	replay     error
+	replayDone bool
+
 	// dig caches the content digest. Blocks are immutable once built
 	// (propose fills them before the first Digest call; decode resets
 	// the cache) and owned by one goroutine at a time, so the cache is
@@ -87,6 +95,15 @@ type BlockStamps struct {
 	Seen      time.Time
 	Certified time.Time
 }
+
+// ReplayVerdict returns the replay verdict recorded on this copy of the
+// block (nil = every transaction reproduced its declaration); known is
+// false while none has been recorded.
+func (b *Block) ReplayVerdict() (verdict error, known bool) { return b.replay, b.replayDone }
+
+// SetReplayVerdict records the replay verdict. Like the digest cache it
+// is unsynchronized: a block is owned by one goroutine at a time.
+func (b *Block) SetReplayVerdict(verdict error) { b.replay, b.replayDone = verdict, true }
 
 // Digest returns the canonical content address of the block, computed
 // once and cached (the node re-derives a proposal's digest on every
@@ -168,6 +185,7 @@ func (b *Block) UnmarshalBinaryOwned(data []byte) error {
 func (b *Block) unmarshalFrom(data []byte) error {
 	b.digOK = false
 	b.Stamps = BlockStamps{}
+	b.replay, b.replayDone = nil, false
 	d := NewSharedDecoder(data)
 	b.Epoch = Epoch(d.U64())
 	b.Round = Round(d.U64())

@@ -27,126 +27,125 @@ type CrossOutcome struct {
 // order and the aggregate write delta equals serial in-order
 // execution.
 //
-// overlay semantics: each transaction sees base state plus the writes
-// of every earlier transaction in the order.
-func ExecuteCrossOrdered(reg *contract.Registry, base BaseReader,
-	txs []*types.Transaction, workers int) []CrossOutcome {
+// Each transaction sees base plus the writes of every earlier wave, and
+// the caller keeps that sum: after a wave, fold receives each of its
+// transactions' writes — in input order, from the calling goroutine,
+// while no worker runs — and base must serve them from then on. Which
+// writes fold sees in which order depends on txs alone, never on
+// workers or the machine.
+func ExecuteCrossOrdered(reg *contract.Registry, base BaseReader, txs []*types.Transaction,
+	workers int, fold func(writes []types.RWRecord)) []CrossOutcome {
 	outcomes := make([]CrossOutcome, len(txs))
 	if len(txs) == 0 {
 		return outcomes
 	}
-	if workers <= 0 {
-		workers = 1
+	p := planPool.Get().(*wavePlan)
+	defer p.release()
+	p.plan(txs)
+
+	var wave []int // the running wave's transactions, as indices into txs
+	run := func(j int) {
+		i := wave[j]
+		st := crossStatePool.Get().(*crossState)
+		st.read = base
+		out := CrossOutcome{Tx: txs[i]}
+		if out.Err = vm.ExecuteTx(reg, st, txs[i]); out.Err == nil {
+			out.Writes = st.w.take()
+		} else {
+			st.w.reset()
+		}
+		outcomes[i] = out
+		st.read = nil
+		crossStatePool.Put(st)
 	}
-	// Greedy wave construction: a transaction joins the earliest wave
-	// after the last wave containing a shard it touches.
-	waveOf := make([]int, len(txs))
-	lastWave := make(map[types.ShardID]int)
-	maxWave := 0
-	for i, tx := range txs {
-		w := 0
-		for _, s := range tx.Shards {
-			if lw, ok := lastWave[s]; ok && lw+1 > w {
-				w = lw + 1
-			}
-		}
-		waveOf[i] = w
-		for _, s := range tx.Shards {
-			lastWave[s] = w
-		}
-		if w > maxWave {
-			maxWave = w
-		}
-	}
-	// accumulated holds the state delta applied so far (all earlier
-	// waves); within a wave, shard-disjoint transactions cannot
-	// conflict, so they read it concurrently.
-	accumulated := make(map[types.Key]types.Value)
-	readThrough := func(k types.Key) types.Value {
-		if v, ok := accumulated[k]; ok {
-			return v
-		}
-		return base(k)
-	}
-	for wave := 0; wave <= maxWave; wave++ {
-		var idxs []int
-		for i := range txs {
-			if waveOf[i] == wave {
-				idxs = append(idxs, i)
-			}
-		}
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for _, i := range idxs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				st := &crossState{read: readThrough}
-				err := vm.ExecuteTx(reg, st, txs[i])
-				if err != nil {
-					outcomes[i] = CrossOutcome{Tx: txs[i], Err: err}
-					return
-				}
-				outcomes[i] = CrossOutcome{Tx: txs[i], Writes: st.writeRecords()}
-			}(i)
-		}
-		wg.Wait()
-		// Fold the wave's writes into the accumulated delta in input
-		// order (same-wave transactions are shard-disjoint, so order
-		// among them cannot matter; input order keeps it canonical).
-		for _, i := range idxs {
-			for _, w := range outcomes[i].Writes {
-				accumulated[w.Key] = w.Value
+	for w := 0; w+1 < len(p.start); w++ {
+		wave = p.order[p.start[w]:p.start[w+1]]
+		each(workers, len(wave), run)
+		for _, i := range wave {
+			if len(outcomes[i].Writes) > 0 {
+				fold(outcomes[i].Writes)
 			}
 		}
 	}
 	return outcomes
 }
 
-// crossState executes one cross-shard transaction against a frozen
-// read-through view, buffering writes.
-type crossState struct {
-	read func(types.Key) types.Value
-
-	reads  map[types.Key]types.Value
-	writes map[types.Key]types.Value
-	wOrder []types.Key
+// wavePlan buckets a transaction list by wave, once: order lists the
+// transactions wave after wave (input order within a wave), and wave w
+// is order[start[w]:start[w+1]].
+type wavePlan struct {
+	waveOf   []int
+	lastWave map[types.ShardID]int
+	order    []int
+	start    []int
 }
 
-func (s *crossState) Read(k types.Key) (types.Value, error) {
-	if s.writes != nil {
-		if v, ok := s.writes[k]; ok {
-			return v.Clone(), nil
+var planPool = sync.Pool{New: func() any {
+	return &wavePlan{lastWave: make(map[types.ShardID]int)}
+}}
+
+func (p *wavePlan) release() {
+	clear(p.lastWave)
+	planPool.Put(p)
+}
+
+// plan builds waves greedily: a transaction joins the earliest wave
+// after the last wave containing a shard it touches.
+func (p *wavePlan) plan(txs []*types.Transaction) {
+	p.waveOf = p.waveOf[:0]
+	waves := 0
+	for _, tx := range txs {
+		w := 0
+		for _, s := range tx.Shards {
+			if lw, ok := p.lastWave[s]; ok && lw+1 > w {
+				w = lw + 1
+			}
+		}
+		for _, s := range tx.Shards {
+			p.lastWave[s] = w
+		}
+		p.waveOf = append(p.waveOf, w)
+		if w+1 > waves {
+			waves = w + 1
 		}
 	}
-	if s.reads == nil {
-		s.reads = make(map[types.Key]types.Value)
+	// Counting sort by wave: start first holds each wave's size, then
+	// its running offset, and ends as the wave boundaries.
+	p.start = append(p.start[:0], make([]int, waves+1)...)
+	for _, w := range p.waveOf {
+		p.start[w+1]++
 	}
-	if v, ok := s.reads[k]; ok {
-		return v.Clone(), nil
+	for w := 0; w < waves; w++ {
+		p.start[w+1] += p.start[w]
 	}
-	v := s.read(k).Clone()
-	s.reads[k] = v
-	return v, nil
+	p.order = append(p.order[:0], make([]int, len(txs))...)
+	for i, w := range p.waveOf {
+		p.order[p.start[w]] = i
+		p.start[w]++
+	}
+	copy(p.start[1:], p.start[:waves])
+	p.start[0] = 0
+}
+
+// crossState executes one cross-shard transaction against a view that
+// is frozen for the wave, buffering writes. The frozen view is what
+// makes reads repeatable, so it caches none; like replayState it clones
+// in neither direction.
+type crossState struct {
+	read BaseReader
+	w    writeBuf
+}
+
+var crossStatePool = sync.Pool{New: func() any { return new(crossState) }}
+
+func (s *crossState) Read(k types.Key) (types.Value, error) {
+	if i := s.w.find(k); i >= 0 {
+		return s.w.recs[i].Value, nil
+	}
+	return s.read(k), nil
 }
 
 func (s *crossState) Write(k types.Key, v types.Value) error {
-	if s.writes == nil {
-		s.writes = make(map[types.Key]types.Value)
-	}
-	if _, ok := s.writes[k]; !ok {
-		s.wOrder = append(s.wOrder, k)
-	}
-	s.writes[k] = v.Clone()
+	s.w.put(k, v)
 	return nil
-}
-
-func (s *crossState) writeRecords() []types.RWRecord {
-	out := make([]types.RWRecord, 0, len(s.wOrder))
-	for _, k := range s.wOrder {
-		out = append(out, types.RWRecord{Key: k, Value: s.writes[k]})
-	}
-	return out
 }

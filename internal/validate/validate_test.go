@@ -172,6 +172,32 @@ func TestValidateEmptyBatch(t *testing.T) {
 	}
 }
 
+// runCross drives ExecuteCrossOrdered the way node.runWave does: the
+// fold sink keeps the running delta, and base serves it ahead of the
+// store. It returns the outcomes and the delta in fold order.
+func runCross(reg *contract.Registry, st *storage.Store, txs []*types.Transaction, workers int) ([]CrossOutcome, []types.RWRecord) {
+	var delta []types.RWRecord
+	at := map[types.Key]int{}
+	base := func(k types.Key) types.Value {
+		if i, ok := at[k]; ok {
+			return delta[i].Value
+		}
+		v, _ := st.Get(k)
+		return v
+	}
+	fold := func(writes []types.RWRecord) {
+		for _, w := range writes {
+			if i, ok := at[w.Key]; ok {
+				delta[i].Value = w.Value
+				continue
+			}
+			at[w.Key] = len(delta)
+			delta = append(delta, w)
+		}
+	}
+	return ExecuteCrossOrdered(reg, base, txs, workers, fold), delta
+}
+
 func TestCrossOrderedMatchesSerial(t *testing.T) {
 	reg, st := setup(t, 12)
 	g := workload.NewGenerator(workload.Config{
@@ -184,7 +210,7 @@ func TestCrossOrderedMatchesSerial(t *testing.T) {
 			txs = append(txs, tx)
 		}
 	}
-	outs := ExecuteCrossOrdered(reg, baseOf(st), txs, 8)
+	outs, _ := runCross(reg, st, txs, 8)
 
 	// Serial oracle.
 	serial := storage.New()
@@ -231,7 +257,7 @@ func TestCrossOrderedConflictingSameShard(t *testing.T) {
 		}
 	}
 	txs := []*types.Transaction{mk(1, 10), mk(2, 20), mk(3, 30)}
-	outs := ExecuteCrossOrdered(reg, baseOf(st), txs, 4)
+	outs, _ := runCross(reg, st, txs, 4)
 	final := storage.New()
 	for k, v := range st.Snapshot() {
 		final.Set(k, v)
@@ -255,7 +281,7 @@ func TestCrossOrderedFailuresAreIsolated(t *testing.T) {
 			Contract: workload.ContractDepositChecking,
 			Args:     [][]byte{[]byte(workload.AccountName(0)), contract.EncodeInt64(5)}},
 	}
-	outs := ExecuteCrossOrdered(reg, baseOf(st), txs, 2)
+	outs, _ := runCross(reg, st, txs, 2)
 	if outs[0].Err == nil {
 		t.Fatal("bad contract should fail")
 	}
@@ -266,7 +292,7 @@ func TestCrossOrderedFailuresAreIsolated(t *testing.T) {
 
 func TestCrossOrderedEmpty(t *testing.T) {
 	reg, st := setup(t, 1)
-	if outs := ExecuteCrossOrdered(reg, baseOf(st), nil, 4); len(outs) != 0 {
+	if outs, _ := runCross(reg, st, nil, 4); len(outs) != 0 {
 		t.Fatal("empty input produced outcomes")
 	}
 }
