@@ -9,7 +9,14 @@
 //   - votes for unknown digests in live slots, where a replica has
 //     nothing to check the digest against yet;
 //   - votes for rounds far beyond the frontier;
-//   - other replicas' signatures replayed under its own id.
+//   - other replicas' bundles, signature and all, replayed under its
+//     own id;
+//   - bundles that are wrong as bundles: a bad signature, a good
+//     signature over a different entry list, more entries than a bundle
+//     may hold, two digests for one slot, one in-window entry padded
+//     with entries beyond the window;
+//   - junk stamped with the next epoch, which a replica cannot check
+//     yet and parks — per sender, bounded.
 //
 // None of it may cost safety (one digest per slot everywhere, equal
 // commit sequences, conserved balances) or liveness (the honest 2f+1
@@ -38,7 +45,9 @@ const byzVoterLatencyBudget = 100 * time.Millisecond
 
 type byzVoter struct {
 	*wireDriver
-	conflicting, unknown, future, replayed atomic.Uint64
+	conflicting, unknown, future, replayed         atomic.Uint64
+	badSig, otherList, overCap, twoDigests, padded atomic.Uint64
+	nextEpoch                                      atomic.Uint64
 }
 
 func newByzVoter(t *testing.T, h *Harness, id types.ReplicaID) *byzVoter {
@@ -47,8 +56,22 @@ func newByzVoter(t *testing.T, h *Harness, id types.ReplicaID) *byzVoter {
 		return []proposal{{block: v.emptyBlock(r, parents)}}
 	}
 	v.onPeerBlock = v.lieAbout
-	v.onPeerVote = v.replay
+	v.onPeerBundle = v.replay
 	return v
+}
+
+// fakeDigest is a digest no block has, distinct per tag.
+func fakeDigest(real types.Digest, tag string) types.Digest {
+	return types.HashBytes(append([]byte(tag), real[:]...))
+}
+
+// sendBundle delivers one bundle to one replica, signed by the driver
+// over the root of signed (nil: of the entries sent).
+func (v *byzVoter) sendBundle(to types.ReplicaID, epoch types.Epoch, entries, signed []bundleEntry) {
+	if signed == nil {
+		signed = entries
+	}
+	_ = v.tr.Send(to, node.MsgVote, bundleMsg(epoch, entries, v.signer.Sign(bundleRoot(signed))))
 }
 
 // send delivers one vote signed by the driver over dig to one replica.
@@ -59,7 +82,14 @@ func (v *byzVoter) send(to types.ReplicaID, b *types.Block, r types.Round, dig t
 // lieAbout answers a peer's proposal with every kind of bad vote.
 func (v *byzVoter) lieAbout(b *types.Block) {
 	real := b.Digest()
-	fake := types.HashBytes(append([]byte("not the block"), real[:]...))
+	fake := fakeDigest(real, "not the block")
+	const window = 10 // node's voteWindow
+	// A slot of the proposer's a few rounds on, still inside the window,
+	// that no other lie targets first: what is wrong about each bundle
+	// below is then all a replica has to reject it on.
+	at := func(off types.Round, tag string) bundleEntry {
+		return bundleEntry{b.Round + off, b.Proposer, fakeDigest(real, tag)}
+	}
 	for p := 0; p < v.n; p++ {
 		to := types.ReplicaID(p)
 		if to == v.self {
@@ -82,13 +112,40 @@ func (v *byzVoter) lieAbout(b *types.Block) {
 		// A vote far beyond any round the replica could be collecting.
 		v.send(to, b, b.Round+1000, fake)
 		v.future.Add(1)
+
+		// A bundle whose signature is not one.
+		_ = v.tr.Send(to, node.MsgVote, bundleMsg(b.Epoch, []bundleEntry{at(2, "a"), at(3, "a")}, []byte("not a signature")))
+		v.badSig.Add(1)
+		// A good signature, over another entry list.
+		v.sendBundle(to, b.Epoch, []bundleEntry{at(2, "b"), at(3, "b")}, []bundleEntry{at(2, "b"), at(3, "c")})
+		v.otherList.Add(1)
+		// One entry more than a bundle may hold, honestly signed.
+		var big []bundleEntry
+		for i := 0; i <= v.n*window; i++ {
+			big = append(big, bundleEntry{b.Round + 2 + types.Round(i%4), b.Proposer, fakeDigest(real, string(rune('A'+i)))})
+		}
+		v.sendBundle(to, b.Epoch, big, nil)
+		v.overCap.Add(1)
+		// Two digests for one slot in one bundle: the second must not
+		// count, beside the first or in its place.
+		v.sendBundle(to, b.Epoch, []bundleEntry{at(4, "d"), at(4, "e")}, nil)
+		v.twoDigests.Add(1)
+		// One in-window entry among entries beyond the window.
+		v.sendBundle(to, b.Epoch, []bundleEntry{at(2000, "f"), at(5, "f"), at(3000, "f")}, nil)
+		v.padded.Add(1)
+		// Junk stamped with the next epoch: unverifiable until the
+		// replica gets there, so it is parked — within a bound.
+		for i := 0; i < 3; i++ {
+			_ = v.tr.Send(to, node.MsgVote, bundleMsg(b.Epoch+1, []bundleEntry{at(types.Round(i), "g")}, []byte("junk")))
+			v.nextEpoch.Add(1)
+		}
 	}
 }
 
-// replay re-sends a peer's vote — its signature and all — as the
+// replay re-sends a peer's bundle — entries, signature and all — as the
 // driver's own.
-func (v *byzVoter) replay(from types.ReplicaID, epoch types.Epoch, r types.Round, proposer types.ReplicaID, dig types.Digest, sig []byte) {
-	_ = v.tr.Broadcast(node.MsgVote, voteMsg(epoch, r, proposer, dig, sig))
+func (v *byzVoter) replay(_ types.ReplicaID, payload []byte) {
+	_ = v.tr.Broadcast(node.MsgVote, payload)
 	v.replayed.Add(1)
 }
 
@@ -123,6 +180,11 @@ func TestScenarioByzantineVoter(t *testing.T) {
 				if max := v.Collectors * n; v.EarlyVotes > max {
 					t.Errorf("replica %d: %d early votes in %d collectors", i, v.EarlyVotes, v.Collectors)
 				}
+				// Only the voter stamps the next epoch: its parked junk
+				// stays within one sender's bound however much it sends.
+				if max := n * window; v.FutureMsgs > max {
+					t.Errorf("replica %d: %d messages parked for the next epoch (bound %d per sender)", i, v.FutureMsgs, max)
+				}
 			})
 			check(t, err)
 		}
@@ -140,8 +202,24 @@ func TestScenarioByzantineVoter(t *testing.T) {
 		t.Fatalf("Byzantine voter inactive: conflicting=%d unknown=%d future=%d replayed=%d",
 			byz.conflicting.Load(), byz.unknown.Load(), byz.future.Load(), byz.replayed.Load())
 	}
+	for name, c := range map[string]*atomic.Uint64{
+		"bad-signature": &byz.badSig, "other-list": &byz.otherList, "over-cap": &byz.overCap,
+		"two-digests": &byz.twoDigests, "padded": &byz.padded, "next-epoch": &byz.nextEpoch,
+	} {
+		if c.Load() == 0 {
+			t.Errorf("Byzantine voter sent no %s bundle", name)
+		}
+	}
 	if samples == 0 {
 		t.Fatal("vote-state bound never sampled")
+	}
+	// The flood outran the bound: a replica had to push parked junk out.
+	var pushedOut uint64
+	for _, i := range honest {
+		pushedOut += h.Cluster().Node(i).Metrics().Snapshot().Counters["future_msgs_dropped"]
+	}
+	if pushedOut == 0 {
+		t.Errorf("no replica dropped a parked next-epoch message (%d sent): the bound was never reached", byz.nextEpoch.Load())
 	}
 	if byz.ownCerts.Load() == 0 {
 		t.Error("the voter's own slot never certified — the scenario degenerated to a crash fault")

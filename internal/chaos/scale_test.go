@@ -52,10 +52,13 @@ func TestScenarioLargeCommitteeCrashes(t *testing.T) {
 		Duration: load(3 * time.Second), Clients: 8,
 		Workload: workloadCfg(0.3, 0.1),
 	})
-	// Broadcast votes make a round O(n³) messages cluster-wide (n slots
-	// × n voters × n−1 receivers), but every message one replica
-	// produces in one event-loop pass leaves in one MsgBatch frame per
-	// peer: a pass may send at most n−1 frames, whatever it carries.
+	// A vote per slot would make a round O(n³) messages cluster-wide (n
+	// slots × n voters × n−1 receivers). A replica sends one bundle per
+	// pass for every slot it voted in, so what it sends per round falls
+	// with the blocks a pass brings in (checked below, after the run) —
+	// and every message one replica produces in one event-loop pass
+	// leaves in one MsgBatch frame per peer: a pass may send at most n−1
+	// frames, whatever it carries.
 	var flushes, maxFrames int64
 	for deadline := time.Now().Add(load(3 * time.Second)); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
 		for i := 0; i < n; i++ {
@@ -79,6 +82,24 @@ func TestScenarioLargeCommitteeCrashes(t *testing.T) {
 	t.Logf("outbox: largest sampled flush %d frames (n-1 = %d)", maxFrames, n-1)
 	h.WaitSchedule()
 	quiesceAndCheckAll(t, h)
+	// Bundling engages at scale: with 16 blocks a round there are
+	// several to vote for in most passes. One vote message per slot
+	// would be n messages per replica per round, each one entry long.
+	var bundles, entries, rounds uint64
+	for i := 0; i < n; i++ {
+		c := h.Cluster().Node(i).Metrics().Snapshot().Counters
+		bundles += c["vote_sigs_signed"]
+		entries += c["vote_bundle_entries"]
+		rounds += c["rounds_proposed"]
+	}
+	t.Logf("votes: %d in %d bundles (%.2f per signature), %.2f vote messages per replica per round (one per slot: %d)",
+		entries, bundles, float64(entries)/float64(bundles), float64(bundles)/float64(rounds), n)
+	if 2*bundles > entries {
+		t.Errorf("%d votes left in %d bundles: fewer than 2 per signature at n=%d", entries, bundles, n)
+	}
+	if 4*bundles > 3*n*rounds {
+		t.Errorf("%d vote messages over %d proposed rounds: more than 3n/4 = %d per replica per round", bundles, rounds, 3*n/4)
+	}
 	// The pruning plateau is only provable once the committed frontier
 	// has crossed the horizon. On constrained hardware (race detector,
 	// single core) 16-way round production can be too slow to get

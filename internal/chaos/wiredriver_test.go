@@ -4,9 +4,11 @@
 // and leaves to each scenario what it proposes and whom it votes for.
 //
 // Like a replica it learns that a slot is certified by counting the
-// votes the committee broadcasts: one verifying collector per block
-// digest, and a round with 2f+1 certified slots lets it propose the
-// next. It broadcasts a vote for every block it proposes itself, so
+// votes the committee broadcasts — vote bundles, each checked once
+// against the root of its entries — in one collector per block digest,
+// and a round with 2f+1 certified slots lets it propose the next. Its
+// own votes are bundles of one. It broadcasts a vote for every block it
+// proposes itself, so
 // honest replicas find the proposer's vote where they expect it;
 // voting for peers is the scenario's choice. It serves MsgBlockReq for
 // its own blocks and answers no other recovery request — a replica
@@ -44,13 +46,14 @@ type wireDriver struct {
 	// build returns the block(s) for the driver's slot in round r. Set
 	// before start; runs under mu.
 	build func(r types.Round, parents []types.Digest) []proposal
-	// onPeerBlock and onPeerVote, when set, see every proposal received
-	// from its proposer and every vote a peer cast: where a scenario
-	// votes, honestly (vote) or otherwise. withholdOwn keeps even the
-	// votes for the driver's own blocks off the wire.
-	onPeerBlock func(b *types.Block)
-	onPeerVote  func(from types.ReplicaID, epoch types.Epoch, r types.Round, proposer types.ReplicaID, dig types.Digest, sig []byte)
-	withholdOwn bool
+	// onPeerBlock and onPeerBundle, when set, see every proposal
+	// received from its proposer and every vote bundle a peer sent (the
+	// wire payload): where a scenario votes, honestly (vote) or
+	// otherwise. withholdOwn keeps even the votes for the driver's own
+	// blocks off the wire.
+	onPeerBlock  func(b *types.Block)
+	onPeerBundle func(from types.ReplicaID, payload []byte)
+	withholdOwn  bool
 
 	mu       sync.Mutex
 	blocks   map[types.Digest]*types.Block            // own proposals
@@ -104,17 +107,51 @@ func (w *wireDriver) start() {
 	w.propose(1, nil)
 }
 
-// voteMsg encodes a MsgVote (see node/messages.go): epoch u64, round
-// u64, proposer u32, block digest, signature bytes.
-func voteMsg(epoch types.Epoch, r types.Round, proposer types.ReplicaID, d types.Digest, sig []byte) []byte {
+// bundleEntry is one vote of a bundle: a slot and the digest voted for.
+type bundleEntry struct {
+	round    types.Round
+	proposer types.ReplicaID
+	digest   types.Digest
+}
+
+// bundleMsg encodes a MsgVote (see node/messages.go): epoch u64, entry
+// count u32, per entry round u64, proposer u32 and block digest, then
+// the signature bytes.
+func bundleMsg(epoch types.Epoch, entries []bundleEntry, sig []byte) []byte {
 	e := types.NewEncoder()
 	e.U64(uint64(epoch))
-	e.U64(uint64(r))
-	e.U32(uint32(proposer))
-	e.Digest(d)
+	e.U32(uint32(len(entries)))
+	for _, en := range entries {
+		e.U64(uint64(en.round))
+		e.U32(uint32(en.proposer))
+		e.Digest(en.digest)
+	}
 	e.Bytes(sig)
 	return e.Sum()
 }
+
+// bundleRoot is what a bundle's signature signs: the Merkle root of the
+// entries' digests, in order — for one entry, its digest.
+func bundleRoot(entries []bundleEntry) types.Digest {
+	leaves := make([]types.Digest, len(entries))
+	for i, en := range entries {
+		leaves[i] = en.digest
+	}
+	var tree types.MerkleTree
+	return tree.Build(leaves)
+}
+
+// voteMsg encodes a vote for one slot: a bundle of one, sig over d.
+func voteMsg(epoch types.Epoch, r types.Round, proposer types.ReplicaID, d types.Digest, sig []byte) []byte {
+	return bundleMsg(epoch, []bundleEntry{{r, proposer, d}}, sig)
+}
+
+// checkedAtReceipt is the verifier behind the driver's collectors: a
+// bundle's signature is checked once, over its root, when the bundle
+// arrives, and its entries are then tallied as they are.
+type checkedAtReceipt struct{}
+
+func (checkedAtReceipt) Verify(types.ReplicaID, types.Digest, []byte) bool { return true }
 
 // handle runs on SimNetwork delivery goroutines.
 func (w *wireDriver) handle(from types.ReplicaID, mt transport.MsgType, payload []byte) {
@@ -146,16 +183,23 @@ func (w *wireDriver) handle(from types.ReplicaID, mt transport.MsgType, payload 
 	case node.MsgVote:
 		d := types.NewDecoder(payload)
 		epoch := types.Epoch(d.U64())
-		r := types.Round(d.U64())
-		proposer := types.ReplicaID(d.U32())
-		dig := d.Digest()
-		sig := d.Bytes()
-		if d.Finish() != nil {
+		count := d.U32()
+		if int(count) > len(payload)/44 {
 			return
 		}
-		w.count(from, epoch, r, proposer, dig, sig)
-		if w.onPeerVote != nil && from != w.self {
-			w.onPeerVote(from, epoch, r, proposer, dig, sig)
+		entries := make([]bundleEntry, count)
+		for i := range entries {
+			entries[i] = bundleEntry{types.Round(d.U64()), types.ReplicaID(d.U32()), d.Digest()}
+		}
+		sig := d.Bytes()
+		if d.Finish() != nil || count == 0 || !w.verifier.Verify(from, bundleRoot(entries), sig) {
+			return
+		}
+		for _, en := range entries {
+			w.count(from, epoch, en.round, en.proposer, en.digest, sig)
+		}
+		if w.onPeerBundle != nil && from != w.self {
+			w.onPeerBundle(from, payload)
 		}
 	case node.MsgBlockReq:
 		// MsgBlockReq wire format: the block digest.
@@ -185,14 +229,15 @@ func (w *wireDriver) vote(b *types.Block) {
 	w.count(w.self, b.Epoch, b.Round, b.Proposer, d, sig)
 }
 
-// count tallies one vote; the vote that completes a slot's quorum
-// records its certificate and may open the next round.
+// count tallies one vote whose signature the caller checked or made;
+// the vote that completes a slot's quorum records its certificate and
+// may open the next round.
 func (w *wireDriver) count(voter types.ReplicaID, epoch types.Epoch, r types.Round, proposer types.ReplicaID, dig types.Digest, sig []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	col := w.tally[dig]
 	if col == nil {
-		col = crypto.NewQuorumCollector(w.n, w.verifier, dig, epoch, r, proposer)
+		col = crypto.NewQuorumCollector(w.n, checkedAtReceipt{}, dig, epoch, r, proposer)
 		w.tally[dig] = col
 	}
 	before := col.Count()
@@ -236,7 +281,7 @@ func (w *wireDriver) propose(r types.Round, parents []types.Digest) {
 		d := b.Digest()
 		w.blocks[d] = b
 		sig := w.signer.Sign(d)
-		col := crypto.NewQuorumCollector(w.n, w.verifier, d, b.Epoch, r, w.self)
+		col := crypto.NewQuorumCollector(w.n, checkedAtReceipt{}, d, b.Epoch, r, w.self)
 		_, _ = col.Add(w.self, sig)
 		w.tally[d] = col
 		bs, _ := b.MarshalBinary()

@@ -268,14 +268,16 @@ type sigKey struct {
 // CachingVerifier wraps a Verifier with a bounded FIFO memo of
 // signatures known to be valid: those it verified, and those its owner
 // produced and recorded with Remember. A replica certifies vertices
-// from individually verified votes and never re-verifies what it
-// assembled, so in steady state the memo sees no traffic; it serves the
-// certificates that still arrive whole — recovery replies to
+// from vote bundles it verified as they arrived and never re-verifies
+// what it assembled, so in steady state the memo sees no traffic; it
+// serves the certificates that still arrive whole — recovery replies to
 // MsgCertReq/MsgRoundReq — where it keeps the replica from ever paying
 // an asymmetric verification for its own signature, and makes a
-// certificate served twice cost map lookups the second time. Only valid
-// signatures enter, so a forged one is never admitted by a stale entry.
-// Safe for concurrent use.
+// certificate served twice cost map lookups the second time. The key is
+// what was signed: a voter's one signature over a bundle root sits in
+// the certificate of every slot the bundle covered, and is verified for
+// the first of them only. Only valid signatures enter, so a forged one
+// is never admitted by a stale entry. Safe for concurrent use.
 type CachingVerifier struct {
 	inner Verifier
 	cap   int

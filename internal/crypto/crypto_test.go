@@ -298,3 +298,122 @@ func TestCachingVerifierEvictsAtCapacity(t *testing.T) {
 		t.Fatal("evicted signature no longer verifies")
 	}
 }
+
+// bundledCerts has every one of the first quorum replicas seal votes
+// for k slots into one bundle — one signature over the Merkle root of
+// the k block digests — and assembles, per slot, the certificate a
+// replica builds from such votes: each signer's bundle signature with
+// the slot's path.
+func bundledCerts(signers []Signer, n, k int) (certs []*types.Certificate, roots int) {
+	digests := make([]types.Digest, k)
+	for i := range digests {
+		digests[i] = types.HashBytes([]byte{byte(i), 'b', 'l', 'k'})
+		certs = append(certs, &types.Certificate{BlockDigest: digests[i], Round: 1, Proposer: types.ReplicaID(i % n)})
+	}
+	for id := 0; id < QuorumSize(n); id++ {
+		// Each signer bundles the slots in its own order: different
+		// trees, different roots, different paths for one slot.
+		order := append(append([]types.Digest(nil), digests[id%k:]...), digests[:id%k]...)
+		var tree types.MerkleTree
+		sig := signers[id].Sign(tree.Build(order))
+		roots++
+		for i := range order {
+			slot := (i + id%k) % k
+			certs[slot].Sigs = append(certs[slot].Sigs, types.Signature{
+				Signer: types.ReplicaID(id), Sig: sig, Path: tree.Path(i),
+			})
+		}
+	}
+	return certs, roots
+}
+
+// TestVerifyCertificateBundledVotes: certificates assembled from
+// bundled votes verify whole under both schemes — by a verifier that
+// saw none of the bundles — and a memo keyed by root charges one
+// verification per signer for all k slots its bundle covered.
+func TestVerifyCertificateBundledVotes(t *testing.T) {
+	for _, scheme := range []Scheme{Ed25519Scheme{}, InsecureScheme{}} {
+		for _, k := range []int{2, 3, 5, 8} {
+			signers, verifier, _ := scheme.Committee(4, 11)
+			certs, roots := bundledCerts(signers, 4, k)
+			calls := 0
+			cv := NewCachingVerifier(verifierFunc(func(r types.ReplicaID, d types.Digest, sig []byte) bool {
+				calls++
+				return verifier.Verify(r, d, sig)
+			}), 0)
+			for slot, c := range certs {
+				if len(c.Sigs[0].Path.Sibs) == 0 {
+					t.Fatalf("fixture: slot %d carries a plain signature", slot)
+				}
+				if err := VerifyCertificate(c, 4, verifier); err != nil {
+					t.Fatalf("%s k=%d slot %d: %v", scheme.Name(), k, slot, err)
+				}
+				if err := VerifyCertificate(c, 4, cv); err != nil {
+					t.Fatalf("%s k=%d slot %d (memo): %v", scheme.Name(), k, slot, err)
+				}
+			}
+			if calls != roots {
+				t.Fatalf("%s k=%d: %d verifications for %d certificates over %d bundle roots, want one per root", scheme.Name(), k, calls, len(certs), roots)
+			}
+		}
+	}
+}
+
+// TestVerifyCertificateRejectsBadPaths: a signature counts only along
+// the path it was sealed with, for the digest it was sealed over.
+func TestVerifyCertificateRejectsBadPaths(t *testing.T) {
+	signers, verifier, _ := InsecureScheme{}.Committee(4, 11)
+	fresh := func() *types.Certificate { c, _ := bundledCerts(signers, 4, 4); return c[1] }
+	if err := VerifyCertificate(fresh(), 4, verifier); err != nil {
+		t.Fatal(err)
+	}
+	for name, tamper := range map[string]func(c *types.Certificate){
+		"flipped sibling":   func(c *types.Certificate) { c.Sigs[0].Path.Sibs[0][3] ^= 1 },
+		"flipped direction": func(c *types.Certificate) { c.Sigs[1].Path.Right ^= 1 },
+		"path dropped":      func(c *types.Certificate) { c.Sigs[2].Path = types.MerklePath{} },
+		"path truncated":    func(c *types.Certificate) { c.Sigs[0].Path.Sibs = c.Sigs[0].Path.Sibs[:1] },
+		"other digest":      func(c *types.Certificate) { c.BlockDigest[0] ^= 1 },
+	} {
+		c := fresh()
+		for i := range c.Sigs { // the fixture's paths share a backing array
+			c.Sigs[i].Path.Sibs = append([]types.Digest(nil), c.Sigs[i].Path.Sibs...)
+		}
+		tamper(c)
+		if err := VerifyCertificate(c, 4, verifier); err == nil {
+			t.Fatalf("%s: certificate accepted", name)
+		}
+	}
+	// A bundle root offered as a block digest under the plain signature:
+	// the signature verifies over it, and that is all — what a replica
+	// then needs is a block hashing to the root (types/merkle.go's tag).
+	// Mixed certificates are fine: one plain vote, two bundled.
+	c := fresh()
+	c.Sigs[0] = types.Signature{Signer: 0, Sig: signers[0].Sign(c.BlockDigest)}
+	if err := VerifyCertificate(c, 4, verifier); err != nil {
+		t.Fatalf("certificate mixing plain and bundled signatures: %v", err)
+	}
+}
+
+// TestCollectorCertificateStillVerifies: a certificate a QuorumCollector
+// builds from signatures over the raw block digest — what fixtures, the
+// wire drivers and benchmark/layers.go's certify produce — is a
+// certificate of bundles of one, byte for byte what it always was.
+func TestCollectorCertificateStillVerifies(t *testing.T) {
+	for _, scheme := range []Scheme{Ed25519Scheme{}, InsecureScheme{}} {
+		signers, verifier, _ := scheme.Committee(4, 3)
+		d := types.HashBytes([]byte("layers"))
+		q := NewQuorumCollector(4, verifier, d, 0, 7, 0)
+		var cert *types.Certificate
+		for i := 0; cert == nil; i++ {
+			cert, _ = q.Add(types.ReplicaID(i), signers[i].Sign(d))
+		}
+		for _, s := range cert.Sigs {
+			if len(s.Path.Sibs) != 0 || !verifier.Verify(s.Signer, d, s.Sig) {
+				t.Fatalf("%s: collector signature is not a plain signature over the digest", scheme.Name())
+			}
+		}
+		if err := VerifyCertificate(cert, 4, NewCachingVerifier(verifier, 0)); err != nil {
+			t.Fatalf("%s: %v", scheme.Name(), err)
+		}
+	}
+}

@@ -22,10 +22,12 @@ func FaultBound(n int) int { return (n - 1) / 3 }
 
 // QuorumCollector accumulates signatures over one block digest until a
 // 2f+1 quorum forms, then emits a certificate, verifying every vote it
-// is handed. Fixtures, wire-level test drivers and the benchmark build
-// certificates with it; a replica collects per (round, proposer) slot
-// instead (node/votes.go), because votes reach it before it knows which
-// digest the slot will certify. Not safe for concurrent use.
+// is handed: plain signatures over the digest itself, which is what a
+// vote that travels alone carries. Fixtures, wire-level test drivers
+// and the benchmark build certificates with it; a replica collects per
+// (round, proposer) slot instead (node/votes.go), because votes reach
+// it bundled, and before it knows which digest the slot will certify.
+// Not safe for concurrent use.
 type QuorumCollector struct {
 	n        int
 	block    types.Digest
@@ -87,10 +89,16 @@ func (q *QuorumCollector) Add(r types.ReplicaID, sig []byte) (*types.Certificate
 func (q *QuorumCollector) Count() int { return len(q.sigs) }
 
 // VerifyCertificate checks that cert carries 2f+1 valid signatures
-// from distinct committee members over its block digest. Signatures
-// are checked through the verifier's batch path when it offers one
+// from distinct committee members vouching for its block digest. A
+// signature vouches through its path: it must verify over the root the
+// path leads to from the digest — the digest itself for an empty path
+// (a vote that travelled alone, and every certificate a QuorumCollector
+// builds), the voter's bundle root otherwise. Signatures over the
+// digest itself go through the verifier's batch path when it offers one
 // (BatchVerifier), which is where the ed25519 scheme parallelizes the
-// per-vertex quorum check.
+// per-vertex quorum check; one with a path is checked against its own
+// root, which a CachingVerifier remembers — the bundle's other slots
+// carry the same signature over the same root and cost it a lookup.
 func VerifyCertificate(cert *types.Certificate, n int, v Verifier) error {
 	if len(cert.Sigs) < QuorumSize(n) {
 		return fmt.Errorf("crypto: certificate has %d signatures, need %d", len(cert.Sigs), QuorumSize(n))
@@ -103,18 +111,26 @@ func VerifyCertificate(cert *types.Certificate, n int, v Verifier) error {
 		sc.seen = make(map[types.ReplicaID]bool, len(cert.Sigs))
 	}
 	signers, sigs := sc.signers[:0], sc.sigs[:0]
+	valid := 0
 	for _, s := range cert.Sigs {
 		if int(s.Signer) >= n || sc.seen[s.Signer] {
 			continue
 		}
 		sc.seen[s.Signer] = true
+		if len(s.Path.Sibs) > 0 {
+			if v.Verify(s.Signer, s.Path.Fold(cert.BlockDigest), s.Sig) {
+				valid++
+			}
+			continue
+		}
 		signers = append(signers, s.Signer)
 		sigs = append(sigs, s.Sig)
 	}
-	valid := 0
-	for _, ok := range verifyBatch(v, signers, cert.BlockDigest, sigs) {
-		if ok {
-			valid++
+	if len(signers) > 0 {
+		for _, ok := range verifyBatch(v, signers, cert.BlockDigest, sigs) {
+			if ok {
+				valid++
+			}
 		}
 	}
 	clear(sc.seen)

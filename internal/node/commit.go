@@ -478,10 +478,6 @@ func (n *Node) transition(newEpoch types.Epoch, reconfig bool) {
 		n.cfg.OnReconfig(n.epoch, time.Now())
 	}
 	// Replay messages that arrived early for the new epoch.
-	future := n.futureMsgs
-	n.futureMsgs = nil
 	n.propose()
-	for _, m := range future {
-		n.handle(m)
-	}
+	n.replayFuture()
 }

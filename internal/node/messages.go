@@ -13,10 +13,12 @@ const (
 	// MsgBlock broadcasts a proposed block (also used as the response
 	// to MsgBlockReq).
 	MsgBlock transport.MsgType = iota + 1
-	// MsgVote carries one replica's signature over a block digest to
-	// the whole committee: every replica certifies the block from the
-	// votes it counts (votes.go). A repeat vote, answering a proposer's
-	// stall rebroadcast, goes to that proposer alone.
+	// MsgVote carries one replica's vote bundle to the whole committee:
+	// every slot it voted for in one event-loop pass, under one
+	// signature over the Merkle root of the block digests (votes.go).
+	// Every replica certifies blocks from the votes it counts. A repeat
+	// vote, answering a proposer's stall rebroadcast, is a bundle of
+	// one and goes to that proposer alone.
 	MsgVote
 	// MsgCert carries an assembled 2f+1 certificate. Recovery only —
 	// the reply to MsgCertReq/MsgRoundReq — never steady-state traffic.
@@ -120,36 +122,61 @@ func forEachBatched(frame []byte, fn func(mt transport.MsgType, payload []byte))
 	return nil
 }
 
-// vote is the payload of MsgVote.
-type vote struct {
-	Epoch       types.Epoch
-	Round       types.Round
-	Proposer    types.ReplicaID
-	BlockDigest types.Digest
-	Sig         []byte
+// voteEntry is one vote of a bundle: the slot and the digest voted for.
+type voteEntry struct {
+	Round    types.Round
+	Proposer types.ReplicaID
+	Digest   types.Digest
 }
 
-func (v *vote) marshal() []byte {
+// voteEntryWire is an entry's encoded size.
+const voteEntryWire = 8 + 4 + 32
+
+// voteBundle is the payload of MsgVote: the votes one replica cast in
+// one pass, and its signature over the root of the Merkle tree whose
+// leaves are the entries' digests, in order (the digest itself for a
+// bundle of one). The digests cover their blocks' epoch, round and
+// proposer, so the slot fields only say where to count each vote.
+type voteBundle struct {
+	Epoch   types.Epoch
+	Entries []voteEntry
+	Sig     []byte
+}
+
+func (v *voteBundle) marshal() []byte {
 	e := types.GetEncoder()
 	defer types.PutEncoder(e)
 	e.U64(uint64(v.Epoch))
-	e.U64(uint64(v.Round))
-	e.U32(uint32(v.Proposer))
-	e.Digest(v.BlockDigest)
+	e.U32(uint32(len(v.Entries)))
+	for i := range v.Entries {
+		e.U64(uint64(v.Entries[i].Round))
+		e.U32(uint32(v.Entries[i].Proposer))
+		e.Digest(v.Entries[i].Digest)
+	}
 	e.Bytes(v.Sig)
 	return e.Detach()
 }
 
-// unmarshal decodes a vote. The signature aliases b: transport
-// payloads are freshly allocated per delivery and handed over, so the
-// shared decode saves the per-vote copy on the hottest small-message
-// path.
-func (v *vote) unmarshal(b []byte) error {
+// unmarshal decodes a bundle into v, reusing v.Entries' backing array
+// (the event loop decodes every bundle into one scratch value). The
+// signature aliases b: transport payloads are freshly allocated per
+// delivery and handed over, so the shared decode saves the per-vote
+// copy on the hottest small-message path.
+func (v *voteBundle) unmarshal(b []byte) error {
 	d := types.NewSharedDecoder(b)
 	v.Epoch = types.Epoch(d.U64())
-	v.Round = types.Round(d.U64())
-	v.Proposer = types.ReplicaID(d.U32())
-	v.BlockDigest = d.Digest()
+	count := int(d.U32())
+	v.Entries = v.Entries[:0]
+	if count > len(b)/voteEntryWire {
+		return fmt.Errorf("node: vote bundle claims %d entries in %d bytes", count, len(b))
+	}
+	for i := 0; i < count; i++ {
+		v.Entries = append(v.Entries, voteEntry{
+			Round:    types.Round(d.U64()),
+			Proposer: types.ReplicaID(d.U32()),
+			Digest:   d.Digest(),
+		})
+	}
 	v.Sig = d.Bytes()
 	return d.Finish()
 }

@@ -57,6 +57,10 @@ const (
 	mLeaderWaitNs       = "leader_wait_ns"       // histogram: how long a hold lasted
 	mVotesEarly         = "votes_early"          // votes counted before their block arrived
 	mVotesDroppedLate   = "votes_dropped_late"   // votes for a slot already decided
+	mVoteSigsSigned     = "vote_sigs_signed"     // vote signatures produced: one per bundle sealed
+	mVoteSigsVerified   = "vote_sigs_verified"   // vote signatures checked: at most one per bundle received
+	mVoteBundleEntries  = "vote_bundle_entries"  // votes that left under those signatures
+	mFutureMsgsDropped  = "future_msgs_dropped"  // next-epoch messages a sender's own later ones pushed out
 	mStallRebroadcasts  = "stall_rebroadcasts"   // own block re-sent after a stall
 	mRoundPulls         = "round_pulls"          // MsgRoundReq broadcasts
 	mCertLatencyEst     = "cert_latency_est_ns"  // gauge: own propose→certified estimate
@@ -109,6 +113,10 @@ type nodeMetrics struct {
 	leaderWaitTimeouts *metrics.Counter
 	votesEarly         *metrics.Counter
 	votesDroppedLate   *metrics.Counter
+	voteSigsSigned     *metrics.Counter
+	voteSigsVerified   *metrics.Counter
+	voteBundleEntries  *metrics.Counter
+	futureMsgsDropped  *metrics.Counter
 	stallRebroadcasts  *metrics.Counter
 	roundPulls         *metrics.Counter
 	sendErrors         [numSendClasses]*metrics.Counter
@@ -170,6 +178,10 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		leaderWaitTimeouts: reg.Counter(mLeaderWaitTimeouts),
 		votesEarly:         reg.Counter(mVotesEarly),
 		votesDroppedLate:   reg.Counter(mVotesDroppedLate),
+		voteSigsSigned:     reg.Counter(mVoteSigsSigned),
+		voteSigsVerified:   reg.Counter(mVoteSigsVerified),
+		voteBundleEntries:  reg.Counter(mVoteBundleEntries),
+		futureMsgsDropped:  reg.Counter(mFutureMsgsDropped),
 		stallRebroadcasts:  reg.Counter(mStallRebroadcasts),
 		roundPulls:         reg.Counter(mRoundPulls),
 

@@ -415,8 +415,8 @@ type Node struct {
 	// memoVerifier checks the certificates that arrive whole (recovery
 	// replies): cfg.Verifier behind a memo that holds every signature
 	// this replica produced, so its own vote inside a certificate is
-	// never verified. Votes are checked one by one against cfg.Verifier
-	// as they are counted (votes.go).
+	// never verified. Vote bundles are checked one by one against
+	// cfg.Verifier as they are counted (votes.go).
 	memoVerifier *crypto.CachingVerifier
 
 	// inbox is an unbounded queue so the transport delivery goroutine
@@ -465,11 +465,22 @@ type Node struct {
 	// slots holds the vote collector of every (round, proposer) slot
 	// that has received a vote and is not certified in the local DAG
 	// yet (votes.go); slotFree recycles them.
-	slots      map[voteKey]*slotVotes
-	slotFree   []*slotVotes
-	voted      map[voteKey]types.Digest
-	lastSeen   map[types.ReplicaID]types.Round // latest round proposed per replica
-	futureMsgs []inboundMsg                    // messages from future epochs
+	slots    map[voteKey]*slotVotes
+	slotFree []*slotVotes
+	voted    map[voteKey]types.Digest
+	// ballot holds the votes cast since the last seal, in casting order
+	// (ballotSpare is its double buffer); voteTree and leafBuf are the
+	// scratch a bundle's Merkle tree is built in, sealing or checking,
+	// and inVotes the one every received bundle decodes into.
+	ballot      []voteEntry
+	ballotSpare []voteEntry
+	voteTree    types.MerkleTree
+	leafBuf     []types.Digest
+	inVotes     voteBundle
+	lastSeen    map[types.ReplicaID]types.Round // latest round proposed per replica
+	// futureMsgs parks messages stamped with the next epoch until this
+	// replica's own transition, per sender and bounded (parkFuture).
+	futureMsgs [][]inboundMsg
 	// parentReq tracks in-flight MsgCertReq recoveries of missing
 	// parent vertices (by certificate digest) with their request time,
 	// so each missing parent is asked for at most once per tick.
@@ -710,6 +721,7 @@ func New(cfg Config) (*Node, error) {
 	n.recoveredVotes = nil
 	n.chunkBudget = chunkServeBudget
 	n.outDirect = make([][]outMsg, cfg.N)
+	n.futureMsgs = make([][]inboundMsg, cfg.N)
 	n.batch = newBatchController(cfg.BatchSize, cfg.BatchSizeCap)
 	n.txClients = make(map[types.Digest]clientSub)
 	n.seen = make(map[types.Digest]time.Time)
@@ -728,6 +740,9 @@ func New(cfg Config) (*Node, error) {
 
 // resetEpochState initializes per-epoch protocol state.
 func (n *Node) resetEpochState(epoch types.Epoch) {
+	// Votes already journaled for the dying epoch still leave, under its
+	// number: peers still in it may be waiting for them.
+	n.sealVotes(false)
 	if n.preplayer != nil { // nil during construction
 		n.preplayer.invalidate() // own-writes overlay resets; carried tips are stale
 	}
@@ -893,7 +908,7 @@ func (n *Node) Inspect(f func(*DebugView)) error {
 			Collectors:     len(n.slots),
 			EarlyVotes:     n.earlyVotes(),
 			LastBlockRound: lastBlockRound,
-			FutureMsgs:     len(n.futureMsgs),
+			FutureMsgs:     n.futureLen(),
 			GCFloor:        n.dagStore.Floor(),
 			DagVertices:    n.dagStore.Len(),
 			PendingBlocks:  len(n.pendingBlocks),
@@ -959,7 +974,9 @@ type DebugView struct {
 	Collectors     int
 	EarlyVotes     int
 	LastBlockRound types.Round
-	FutureMsgs     int
+	// FutureMsgs counts the messages parked for the next epoch, bounded
+	// per sender.
+	FutureMsgs int
 	// GC observability: the retention floor, and the sizes of the
 	// per-epoch maps committed-wave GC bounds (the long-run plateau
 	// tests sample these).
@@ -1046,18 +1063,22 @@ func (n *Node) run() {
 		case <-n.done:
 			return
 		}
-		// Pipeline tail: the handlers above advanced rounds and
-		// collected commit waves without executing them; execute now,
-		// re-draining the inbox between waves so vote and certificate
-		// handling for newer rounds is never blocked behind execution
-		// of older ones. Then spend the certify→commit wait: predict
-		// and run certified waves the commit rule has not released yet
+		// Pipeline tail. One coalesced flush sends everything the pass
+		// produced, its votes sealed into one bundle first — which
+		// counts this replica's own, and can certify a vertex and
+		// release a commit wave. The handlers above collected waves
+		// without executing them; execute now, re-draining the inbox
+		// between waves so vote and certificate handling for newer
+		// rounds is never blocked behind execution of older ones, and
+		// flush what that produced, until neither leaves work for the
+		// other. Then spend the certify→commit wait: predict and run
+		// certified waves the commit rule has not released yet
 		// (drainSpec), so the next commit can install a result that
-		// already exists instead of running on the critical path. One
-		// coalesced flush per pass sends everything the pass produced.
-		n.drainExec()
+		// already exists instead of running on the critical path.
+		for n.flushOutbox(); len(n.execQ) > 0; n.flushOutbox() {
+			n.drainExec()
+		}
 		n.drainSpec()
-		n.flushOutbox()
 	}
 }
 
@@ -1164,8 +1185,8 @@ func (n *Node) housekeeping() {
 				// one: a replica restarted into a round it had already
 				// proposed holds a vote for the earlier block, and signs
 				// nothing for this one.
-				if v, ok := n.repeatVote(b, k, b.Digest()); ok {
-					n.queueBcast(MsgVote, v.marshal())
+				if v, ok := n.repeatVote(k, b.Digest()); ok {
+					n.queueBcast(MsgVote, v)
 				}
 			}
 			n.lastBlockVotes = votes
@@ -1237,11 +1258,10 @@ func (n *Node) handle(m inboundMsg) {
 		}
 		n.handleBlock(m.from, &b, m.payload)
 	case MsgVote:
-		var v vote
-		if err := v.unmarshal(m.payload); err != nil {
+		if err := n.inVotes.unmarshal(m.payload); err != nil {
 			return
 		}
-		n.handleVote(m.from, &v, m.payload)
+		n.handleVote(m.from, &n.inVotes, m.payload)
 	case MsgCert:
 		var c types.Certificate
 		if err := c.UnmarshalBinaryOwned(m.payload); err != nil {
@@ -1401,18 +1421,57 @@ func (n *Node) requestMissingParents(v *dag.Vertex) {
 	}
 }
 
+// parkFuture keeps a message stamped with a later epoch — a peer
+// already transitioned to the next DAG — for replay after this
+// replica's own transition: the received bytes, no re-encode. Only what
+// that transition could use is kept: messages of the very next epoch,
+// from committee members, and per sender no more than maxBundle of
+// them, the oldest making room — nothing here is verified yet, so
+// without the bound one peer stamping junk with the next epoch would
+// grow this replica's heap until its transition. What is dropped is
+// recovered like any lost message (stall rebroadcast, round pulls).
+func (n *Node) parkFuture(from types.ReplicaID, epoch types.Epoch, mt transport.MsgType, raw []byte) {
+	n.noteFutureEpoch(from, epoch)
+	if epoch != n.epoch+1 || int(from) >= n.n || from == n.cfg.ID {
+		return
+	}
+	q := n.futureMsgs[from]
+	if len(q) >= n.maxBundle() {
+		copy(q, q[1:])
+		q = q[:len(q)-1]
+		n.nm.futureMsgsDropped.Add(1)
+	}
+	n.futureMsgs[from] = append(q, inboundMsg{from: from, mt: mt, payload: raw})
+}
+
+// replayFuture handles the messages parked for the epoch this replica
+// just entered.
+func (n *Node) replayFuture() {
+	for from, q := range n.futureMsgs {
+		n.futureMsgs[from] = nil // a replayed message may park again
+		for _, m := range q {
+			n.handle(m)
+		}
+	}
+}
+
+func (n *Node) futureLen() int {
+	c := 0
+	for _, q := range n.futureMsgs {
+		c += len(q)
+	}
+	return c
+}
+
 // handleBlock processes one block delivery. raw is the received wire
-// payload (nil when invoked without one, e.g. from tests): kept as-is
-// when the message must be parked for a future epoch, so the deferral
-// path never pays a re-encode (futureMsgs used to re-marshal every
-// parked message).
+// payload (nil when invoked without one, e.g. from tests), kept as-is
+// when the message is parked for the next epoch.
 func (n *Node) handleBlock(from types.ReplicaID, b *types.Block, raw []byte) {
 	if b.Epoch > n.epoch {
-		n.noteFutureEpoch(from, b.Epoch)
 		if raw == nil {
 			raw = mustMarshal(b)
 		}
-		n.futureMsgs = append(n.futureMsgs, inboundMsg{from: from, mt: MsgBlock, payload: raw})
+		n.parkFuture(from, b.Epoch, MsgBlock, raw)
 		return
 	}
 	if b.Epoch < n.epoch || int(b.Proposer) >= n.n {
@@ -1433,15 +1492,16 @@ func (n *Node) handleBlock(from types.ReplicaID, b *types.Block, raw []byte) {
 	// induced into signing a conflicting digest for an already-voted
 	// slot (two certificates for one slot would let commit sequences
 	// diverge across replicas). The first vote goes to the whole
-	// committee — every replica certifies from votes. A repeat of the
-	// block is its proposer saying it still lacks the quorum (stall
-	// rebroadcast), so the same vote goes again, to the proposer alone.
+	// committee, in the bundle this pass's flush seals — every replica
+	// certifies from votes. A repeat of the block is its proposer saying
+	// it still lacks the quorum (stall rebroadcast), so the same vote
+	// goes again, to the proposer alone.
 	if from == b.Proposer {
 		k := voteKey{round: b.Round, proposer: b.Proposer}
 		if _, ok := n.voted[k]; !ok {
 			n.castVote(b, k, d)
-		} else if v, ok := n.repeatVote(b, k, d); ok {
-			n.queueTo(b.Proposer, MsgVote, v.marshal())
+		} else if v, ok := n.repeatVote(k, d); ok {
+			n.queueTo(b.Proposer, MsgVote, v)
 		}
 	}
 	// A certificate may have arrived first.
@@ -1457,8 +1517,7 @@ func (n *Node) handleBlock(from types.ReplicaID, b *types.Block, raw []byte) {
 // future-epoch certificate keeps those bytes.
 func (n *Node) handleCert(from types.ReplicaID, c *types.Certificate, raw []byte) {
 	if c.Epoch > n.epoch {
-		n.noteFutureEpoch(from, c.Epoch)
-		n.futureMsgs = append(n.futureMsgs, inboundMsg{from: from, mt: MsgCert, payload: raw})
+		n.parkFuture(from, c.Epoch, MsgCert, raw)
 		return
 	}
 	if c.Epoch < n.epoch || c.Round < n.dagStore.Floor() {

@@ -14,8 +14,8 @@ import (
 // queue time, never per destination.
 //
 // Self-delivery is handled inline by the call sites (a replica counts
-// its own vote in its own collector as it broadcasts it), so the flush
-// skips this node — the old loopback sends paid a full
+// its own votes in its own collectors as it seals their bundle), so the
+// flush skips this node — the old loopback sends paid a full
 // marshal/clone/decode cycle per round for state the node already
 // held.
 
@@ -107,11 +107,13 @@ func (n *Node) sendNow(to types.ReplicaID, mt transport.MsgType, payload []byte)
 	n.noteSendErr(mt, n.cfg.Transport.Send(to, mt, payload))
 }
 
-// flushOutbox drains the queued traffic: per peer, a single message
-// goes out as itself and anything more folds into one MsgBatch frame.
-// The frame buffer is reused across flushes — both transports copy
-// the payload before returning.
+// flushOutbox seals the votes cast since the last flush into one
+// bundle (votes.go) and drains the queued traffic: per peer, a single
+// message goes out as itself and anything more folds into one MsgBatch
+// frame. The frame buffer is reused across flushes — both transports
+// copy the payload before returning.
 func (n *Node) flushOutbox() {
+	n.sealVotes(true)
 	direct := 0
 	for i := range n.outDirect {
 		direct += len(n.outDirect[i])

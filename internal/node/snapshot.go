@@ -521,10 +521,6 @@ func (n *Node) resumeMidEpoch(snap *types.Snapshot) {
 	// proposal at the base needs no parents (the store waives them
 	// there), and normal catch-up — round pulls, orphan backfill,
 	// fast-forward — walks this replica to the live frontier.
-	future := n.futureMsgs
-	n.futureMsgs = nil
 	n.propose()
-	for _, m := range future {
-		n.handle(m)
-	}
+	n.replayFuture()
 }

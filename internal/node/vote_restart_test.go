@@ -45,12 +45,14 @@ func newVoteRestartFixture(t *testing.T, checkpointEvery int) *voteRestartFixtur
 	for _, peer := range []types.ReplicaID{1, 2, 3} {
 		f.votesFor[peer] = make(map[types.Digest]int)
 		record := func(mt transport.MsgType, payload []byte) {
-			var v vote
+			var v voteBundle
 			if mt != MsgVote || v.unmarshal(payload) != nil {
 				return
 			}
 			f.mu.Lock()
-			f.votesFor[peer][v.BlockDigest]++
+			for _, e := range v.Entries {
+				f.votesFor[peer][e.Digest]++
+			}
 			f.mu.Unlock()
 		}
 		f.net.Endpoint(peer).SetHandler(func(_ types.ReplicaID, mt transport.MsgType, payload []byte) {

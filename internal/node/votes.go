@@ -7,9 +7,9 @@ import (
 	"thunderbolt/internal/types"
 )
 
-// Two-hop certification.
+// Two-hop certification, one signature per voter per pass.
 //
-// A voter broadcasts its MsgVote to the whole committee, the proposer's
+// A voter broadcasts its votes to the whole committee, the proposer's
 // own vote rides in the flush that carries its block, and every replica
 // counts votes per (round, proposer) slot and places the vertex the
 // moment one digest holds 2f+1 of them: block → votes, two message
@@ -17,15 +17,31 @@ import (
 // assemble different quorums for one block; Certificate.Digest excludes
 // the signatures, so they still agree on parent references.
 //
+// Votes travel in bundles. castVote journals the vote and records it in
+// the voted map at once, but only queues the slot; flushOutbox — the one
+// place a pass's output leaves — seals whatever the pass voted for into
+// one Merkle tree over the block digests (types/merkle.go), signs the
+// root once and broadcasts one MsgVote carrying the entries and that
+// signature. There is no hold timer and no other wire form: a single
+// vote is a bundle of one, whose root is the block digest itself, and
+// the batching factor is whatever arrived in the pass. A receiver
+// applies the per-vote rules to every entry first and verifies nothing
+// when no entry can still matter; otherwise it rebuilds the root from
+// the entries it was sent, verifies once, and hands each open slot the
+// signature with the entry's path. Signature plus path is a vote for
+// that one block anyone can check alone, so a certificate assembled
+// from bundled votes is as transferable as one over plain signatures.
+//
 // Safety rests on what it always rested on: an honest replica signs at
-// most one digest per slot (the journaled voted map), so at most one
-// digest per slot can gather 2f+1 votes, whoever does the counting.
-// Every signature a replica counts it either verified itself, against
-// the sender the transport delivered it from, or produced itself; a
-// certificate built from such votes is therefore not verified again.
-// It is still a transferable 2f+1-signature certificate: recovery
-// (MsgCertReq, MsgRoundReq) serves it, and the receiver checks it whole
-// in handleCert.
+// most one digest per slot (the journaled voted map, written before the
+// seal; a slot is voted once, so no bundle holds two digests for it), so
+// at most one digest per slot can gather 2f+1 votes, whoever does the
+// counting. Every signature a replica counts it either verified itself —
+// over a root it recomputed, against the sender the transport delivered
+// it from — or produced itself; a certificate built from such votes is
+// therefore not verified again. It is still a transferable
+// 2f+1-signature certificate: recovery (MsgCertReq, MsgRoundReq) serves
+// it, and the receiver checks it whole in handleCert.
 //
 // Votes may arrive before their block, or for a block this replica
 // never voted for (its proposer equivocated and the committee settled
@@ -43,11 +59,20 @@ import (
 // only hand a Byzantine voter room to park votes in.
 const voteWindow = 10
 
-// slotVote is one voter's vote in a slot: the digest it signed and the
-// signature, aliasing the delivered message. A nil sig means no vote.
+// maxBundle caps the entries of one vote bundle, sent or accepted: what
+// a voter can have to say about a vote window's worth of rounds. It
+// bounds what a Byzantine voter can make a peer hash for one signature.
+// The same number bounds the messages parked per sender for the next
+// epoch (parkFuture).
+func (n *Node) maxBundle() int { return n.n * voteWindow }
+
+// slotVote is one voter's vote in a slot: the digest it voted for, and
+// the signature — aliasing the delivered message — with the path from
+// the digest to the root it signs. A nil sig means no vote.
 type slotVote struct {
 	digest types.Digest
 	sig    []byte
+	path   types.MerklePath
 }
 
 // slotVotes is the quorum collector of one (round, proposer) slot.
@@ -65,8 +90,8 @@ type slotVotes struct {
 }
 
 // add records voter's vote and returns how many votes d now holds.
-func (s *slotVotes) add(voter types.ReplicaID, d types.Digest, sig []byte) int {
-	s.votes[voter] = slotVote{digest: d, sig: sig}
+func (s *slotVotes) add(voter types.ReplicaID, d types.Digest, sig []byte, path types.MerklePath) int {
+	s.votes[voter] = slotVote{digest: d, sig: sig, path: path}
 	if s.n == 0 {
 		s.lead = d
 	}
@@ -85,8 +110,8 @@ func (s *slotVotes) add(voter types.ReplicaID, d types.Digest, sig []byte) int {
 }
 
 // certificate assembles the certificate for d from the recorded votes,
-// in signer order. The signatures are shared with the collector's
-// entries, not copied.
+// in signer order. The signatures and paths are shared with the
+// collector's entries, not copied.
 func (s *slotVotes) certificate(d types.Digest, epoch types.Epoch, k voteKey, quorum int) *types.Certificate {
 	cert := &types.Certificate{
 		BlockDigest: d, Epoch: epoch, Round: k.round, Proposer: k.proposer,
@@ -94,7 +119,7 @@ func (s *slotVotes) certificate(d types.Digest, epoch types.Epoch, k voteKey, qu
 	}
 	for id := range s.votes {
 		if v := &s.votes[id]; v.sig != nil && v.digest == d {
-			cert.Sigs = append(cert.Sigs, types.Signature{Signer: types.ReplicaID(id), Sig: v.sig})
+			cert.Sigs = append(cert.Sigs, types.Signature{Signer: types.ReplicaID(id), Sig: v.sig, Path: v.path})
 		}
 	}
 	return cert
@@ -147,105 +172,177 @@ func (n *Node) voteCeiling() types.Round {
 	return max(n.dagStore.HighestRound(), n.nextRound) + voteWindow
 }
 
-// castVote signs b's digest for its slot — journaled first, so a
-// restarted replica cannot be walked into a second digest — then
-// broadcasts the vote and counts it here. The caller has checked the
-// voted map: this is the slot's first vote.
+// castVote votes for b in its slot: journaled and recorded first, so
+// neither a restart nor a second block can walk this replica into
+// another digest, then queued for the bundle this pass's flush seals.
+// The caller has checked the voted map: this is the slot's first vote.
 func (n *Node) castVote(b *types.Block, k voteKey, d types.Digest) {
 	n.noteOnly(voteNote(b.Epoch, k, d))
 	n.voted[k] = d
 	// a = proposer the vote is for.
 	n.trace(metrics.EvVote, b.Round, uint64(b.Proposer), 0)
-	v := n.signVote(b, d)
-	n.queueBcast(MsgVote, v.marshal())
-	n.countOwnVote(k, &v)
+	n.ballot = append(n.ballot, voteEntry{Round: k.round, Proposer: k.proposer, Digest: d})
 }
 
-// repeatVote returns the vote this replica already cast for b's slot,
-// to be sent again (a stall rebroadcast, on either side). Only the
-// journaled digest is ever repeated: ok is false when the slot's vote
-// is for another digest — a restarted proposer re-proposes its slot
-// with a new timestamp, and must not sign that second block — or was
-// never cast. The signature comes from the slot's collector; it is
-// produced again only when the collector no longer holds it (restart,
-// vertex landed), and then counted there.
-func (n *Node) repeatVote(b *types.Block, k voteKey, d types.Digest) (v vote, ok bool) {
-	if prev, voted := n.voted[k]; !voted || prev != d {
-		return vote{}, false
+// sealVotes signs and queues the votes cast since the last seal — one
+// bundle, one signature — and, when count is set, counts them in this
+// replica's own collectors. Counting can certify a vertex, which can
+// propose the next round and cast its vote: that one is sealed here
+// too, so a flush leaves nothing behind. The votes all belong to the
+// current epoch: resetEpochState seals before it moves on — without
+// counting, the collectors being about to go.
+func (n *Node) sealVotes(count bool) {
+	for len(n.ballot) > 0 {
+		cast := n.ballot
+		n.ballot = n.ballotSpare[:0] // votes cast while counting go to the other buffer
+		for rest := cast; len(rest) > 0; {
+			entries := rest[:min(len(rest), n.maxBundle())]
+			rest = rest[len(entries):]
+			sig := n.signVotes(n.bundleRoot(entries), len(entries))
+			n.queueBcast(MsgVote, (&voteBundle{Epoch: n.epoch, Entries: entries, Sig: sig}).marshal())
+			// Nothing counting sets off reads a bundle or seals one, so
+			// the tree stands until the last path is taken.
+			for i := 0; count && i < len(entries); i++ {
+				e := &entries[i]
+				n.countOwnVote(voteKey{round: e.Round, proposer: e.Proposer}, e.Digest, sig, n.voteTree.Path(i))
+			}
+		}
+		n.ballotSpare = cast[:0]
 	}
-	if s, held := n.slots[k]; held {
-		if own := &s.votes[n.cfg.ID]; own.sig != nil && own.digest == d {
-			return vote{
-				Epoch: b.Epoch, Round: b.Round, Proposer: b.Proposer,
-				BlockDigest: d, Sig: own.sig,
-			}, true
+}
+
+// bundleRoot builds the bundle's tree (left in voteTree for the paths)
+// and returns what its signature signs. One entry costs no hashing: the
+// root is its digest.
+func (n *Node) bundleRoot(entries []voteEntry) types.Digest {
+	n.leafBuf = n.leafBuf[:0]
+	for i := range entries {
+		n.leafBuf = append(n.leafBuf, entries[i].Digest)
+	}
+	return n.voteTree.Build(n.leafBuf)
+}
+
+// signVotes signs the root of a bundle of the given size whose every
+// entry is a digest journaled for its slot (sealVotes, repeatVote —
+// nothing else signs votes). The signature enters the certificate
+// verifier's memo under the root: no certificate carrying it, for any of
+// the bundle's slots, is ever charged a verification for it.
+func (n *Node) signVotes(root types.Digest, entries int) []byte {
+	sig := n.cfg.Signer.Sign(root)
+	n.memoVerifier.Remember(n.cfg.ID, root, sig)
+	n.nm.voteSigsSigned.Add(1)
+	n.nm.voteBundleEntries.Add(uint64(entries))
+	return sig
+}
+
+// repeatVote returns the vote this replica already cast for slot k as
+// a bundle of one, to be sent again (a stall rebroadcast, on either
+// side). Only the journaled digest is ever repeated: ok is false when
+// the slot's vote is for another digest — a restarted proposer
+// re-proposes its slot with a new timestamp, and must not sign that
+// second block — or was never cast, or is still waiting for this pass's
+// seal and about to reach everyone anyway. The signature comes from the
+// slot's collector when it holds one over the digest itself; otherwise
+// (restart, vertex landed, or the vote left in a larger bundle, whose
+// signature says nothing without its path) the digest is signed again,
+// and counted there if the collector lacks it.
+func (n *Node) repeatVote(k voteKey, d types.Digest) (payload []byte, ok bool) {
+	if prev, voted := n.voted[k]; !voted || prev != d {
+		return nil, false
+	}
+	e := voteEntry{Round: k.round, Proposer: k.proposer, Digest: d}
+	for i := range n.ballot {
+		if n.ballot[i] == e {
+			return nil, false
 		}
 	}
-	v = n.signVote(b, d)
-	n.countOwnVote(k, &v)
-	return v, true
+	var sig []byte
+	if s, held := n.slots[k]; held {
+		if own := &s.votes[n.cfg.ID]; own.sig != nil && own.digest == d && len(own.path.Sibs) == 0 {
+			sig = own.sig
+		}
+	}
+	if sig == nil {
+		sig = n.signVotes(d, 1)
+		n.countOwnVote(k, d, sig, types.MerklePath{})
+	}
+	return (&voteBundle{Epoch: n.epoch, Entries: []voteEntry{e}, Sig: sig}).marshal(), true
 }
 
 // countOwnVote counts this replica's vote in its own collector, unless
 // the slot is decided or already holds it.
-func (n *Node) countOwnVote(k voteKey, v *vote) {
+func (n *Node) countOwnVote(k voteKey, d types.Digest, sig []byte, path types.MerklePath) {
 	if s := n.openSlot(k); s != nil && s.votes[n.cfg.ID].sig == nil {
-		n.countVote(s, n.cfg.ID, k, v.BlockDigest, v.Sig)
+		n.countVote(s, n.cfg.ID, k, d, sig, path)
 	}
 }
 
-// signVote signs d, the digest journaled for b's slot (castVote,
-// repeatVote — nothing else signs votes). The signature enters the
-// certificate verifier's memo: a certificate carrying it is never
-// charged a verification for it.
-func (n *Node) signVote(b *types.Block, d types.Digest) vote {
-	sig := n.cfg.Signer.Sign(d)
-	n.memoVerifier.Remember(n.cfg.ID, d, sig)
-	return vote{
-		Epoch: b.Epoch, Round: b.Round, Proposer: b.Proposer,
-		BlockDigest: d, Sig: sig,
-	}
-}
-
-func (n *Node) handleVote(from types.ReplicaID, v *vote, raw []byte) {
-	if v.Epoch > n.epoch {
-		// A peer already transitioned to the next DAG; keep its vote
-		// (the received bytes, no re-encode) for replay after our own
-		// transition.
-		n.noteFutureEpoch(from, v.Epoch)
-		n.futureMsgs = append(n.futureMsgs, inboundMsg{from: from, mt: MsgVote, payload: raw})
+// handleVote processes one voter's bundle. raw is the received payload;
+// a bundle parked for the next epoch keeps those bytes.
+func (n *Node) handleVote(from types.ReplicaID, vb *voteBundle, raw []byte) {
+	if vb.Epoch > n.epoch {
+		n.parkFuture(from, vb.Epoch, MsgVote, raw)
 		return
 	}
-	if v.Epoch < n.epoch || int(v.Proposer) >= n.n || int(from) >= n.n || from == n.cfg.ID {
+	if vb.Epoch < n.epoch || int(from) >= n.n || from == n.cfg.ID {
 		return
 	}
-	if v.Round > n.voteCeiling() {
+	if len(vb.Entries) == 0 || len(vb.Entries) > n.maxBundle() {
 		return
 	}
-	k := voteKey{round: v.Round, proposer: v.Proposer}
-	s := n.openSlot(k)
-	if s == nil {
-		n.nm.votesDroppedLate.Add(1) // the quorum formed without it
+	// The rules a vote always had to pass, per entry: inside the window,
+	// its slot still open, the voter's first for it. A bundle none of
+	// whose entries pass is dropped unverified — the quorums it would
+	// have joined formed without it.
+	ceiling := n.voteCeiling()
+	open := false
+	for i := range vb.Entries {
+		e := &vb.Entries[i]
+		if int(e.Proposer) >= n.n || e.Round > ceiling {
+			continue
+		}
+		s := n.openSlot(voteKey{round: e.Round, proposer: e.Proposer})
+		if s == nil {
+			n.nm.votesDroppedLate.Add(1)
+			continue
+		}
+		open = open || s.votes[from].sig == nil
+	}
+	if !open {
 		return
 	}
-	if s.votes[from].sig != nil {
-		return // one vote per voter per slot
-	}
-	if !n.cfg.Verifier.Verify(from, v.BlockDigest, v.Sig) {
+	// One verification for the bundle, over the root of the entries as
+	// sent — every one of them, countable or not: the voter signed them
+	// together.
+	n.nm.voteSigsVerified.Add(1)
+	if !n.cfg.Verifier.Verify(from, n.bundleRoot(vb.Entries), vb.Sig) {
 		return
 	}
-	if _, ok := n.pendingBlocks[v.BlockDigest]; !ok {
-		n.nm.votesEarly.Add(1)
+	// Count what passed. Slots are looked up again: an earlier entry's
+	// vote can land vertices and retire collectors, this bundle's among
+	// them, and a second entry for one slot finds the first one there.
+	for i := range vb.Entries {
+		e := &vb.Entries[i]
+		k := voteKey{round: e.Round, proposer: e.Proposer}
+		s, ok := n.slots[k]
+		// (A collector beyond the window is one this replica's own vote
+		// opened; the window still binds everyone else's.)
+		if !ok || s.done || e.Round > ceiling || s.votes[from].sig != nil {
+			continue
+		}
+		if _, ok := n.pendingBlocks[e.Digest]; !ok {
+			n.nm.votesEarly.Add(1)
+		}
+		n.countVote(s, from, k, e.Digest, vb.Sig, n.voteTree.Path(i))
 	}
-	n.countVote(s, from, k, v.BlockDigest, v.Sig)
 }
 
 // countVote counts one vote of the current epoch — verified by
 // handleVote, or signed by this replica — toward its slot's quorum, and
 // certifies the slot when the vote completes one.
-func (n *Node) countVote(s *slotVotes, voter types.ReplicaID, k voteKey, d types.Digest, sig []byte) {
+func (n *Node) countVote(s *slotVotes, voter types.ReplicaID, k voteKey, d types.Digest, sig []byte, path types.MerklePath) {
 	quorum := crypto.QuorumSize(n.n)
-	if s.add(voter, d, sig) < quorum {
+	if s.add(voter, d, sig, path) < quorum {
 		return
 	}
 	s.done = true

@@ -244,10 +244,15 @@ func (b *Block) unmarshalFrom(data []byte) error {
 	return d.Finish()
 }
 
-// Signature is a signature over a block digest by one replica.
+// Signature is one replica's signature vouching for a block digest.
+// Sig signs the root that Path leads to from the digest: the digest
+// itself when Path is empty, otherwise the root of the vote bundle the
+// signer sealed the digest into (merkle.go) — either way a vote for
+// this one block that anyone can check without the rest of the bundle.
 type Signature struct {
 	Signer ReplicaID
 	Sig    []byte
+	Path   MerklePath
 }
 
 // Certificate proves that 2f+1 replicas vouched for a block. It is the
@@ -269,10 +274,10 @@ type Certificate struct {
 
 // Digest returns the content address of the certificate, computed
 // once and cached — the DAG layer re-derives it on every parent
-// lookup, support count, and causal walk. Signatures are excluded:
-// any 2f+1 quorum over the same block yields the same certificate
-// identity, so replicas assembling different quorums still agree on
-// parent references.
+// lookup, support count, and causal walk. Signatures and their paths
+// are excluded: any 2f+1 quorum over the same block yields the same
+// certificate identity, so replicas assembling different quorums, from
+// differently bundled votes, still agree on parent references.
 func (c *Certificate) Digest() Digest {
 	if !c.digOK {
 		e := GetEncoder()
@@ -299,6 +304,7 @@ func (c *Certificate) MarshalBinary() ([]byte, error) {
 	for _, s := range c.Sigs {
 		e.U32(uint32(s.Signer))
 		e.Bytes(s.Sig)
+		s.Path.encode(e)
 	}
 	return e.Detach(), nil
 }
@@ -325,7 +331,9 @@ func (c *Certificate) unmarshalFrom(data []byte) error {
 	n := d.U32()
 	c.Sigs = make([]Signature, 0, min(int(n), 4096))
 	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		c.Sigs = append(c.Sigs, Signature{Signer: ReplicaID(d.U32()), Sig: d.Bytes()})
+		s := Signature{Signer: ReplicaID(d.U32()), Sig: d.Bytes()}
+		s.Path.decode(d)
+		c.Sigs = append(c.Sigs, s)
 	}
 	return d.Finish()
 }
