@@ -8,6 +8,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 
+	"thunderbolt/internal/metrics"
 	"thunderbolt/internal/node"
 )
 
@@ -15,25 +16,31 @@ import (
 // every replica hosted by this process — one node in TCP mode, all N
 // in -local mode:
 //
-//	/metrics       registry snapshot as JSON, keyed by replica ID
+//	/metrics       registry snapshot as JSON, keyed by replica ID; in
+//	               -local mode the simulated network's own registry
+//	               under "network" (deliveries, parks, kicks, lag)
 //	/debug/flight  flight-recorder text dump (?node=i ?last=n)
 //	/debug/pprof/  standard pprof handlers
 //
 // Reads are snapshot-based (Registry.Snapshot, FlightRecorder.Dump),
 // so scraping never blocks the event loop beyond a bucket copy.
 
-// startDebugServer serves the debug endpoints for nodes on addr in a
-// background goroutine. A failure to bind is fatal: asking for
+// startDebugServer serves the debug endpoints for nodes (and, when
+// non-nil, the simulated network's registry) on addr in a background
+// goroutine. A failure to bind is fatal: asking for
 // -debug-addr and silently running without it would defeat the point.
-func startDebugServer(addr string, nodes []*node.Node) {
+func startDebugServer(addr string, nodes []*node.Node, network *metrics.Registry) {
 	if addr == "" {
 		return
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		out := make(map[string]any, len(nodes))
+		out := make(map[string]any, len(nodes)+1)
 		for _, n := range nodes {
 			out[strconv.Itoa(int(n.ID()))] = n.Metrics().Snapshot()
+		}
+		if network != nil {
+			out["network"] = network.Snapshot()
 		}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

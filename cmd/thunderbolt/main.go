@@ -190,7 +190,7 @@ func runLocal(n int, m thunderbolt.Mode, duration time.Duration, clients, accoun
 		for i := 0; i < n; i++ {
 			nodes[i] = c.Node(i)
 		}
-		startDebugServer(debugAddr, nodes)
+		startDebugServer(debugAddr, nodes, c.Network().Metrics())
 	}
 	fmt.Printf("local cluster: %d replicas, mode %s, %v of load...\n", n, m, duration)
 	rep := c.RunLoad(thunderbolt.LoadConfig{
@@ -260,7 +260,7 @@ func runTCP(id int, peersArg string, m thunderbolt.Mode, accounts, batch, k, kpr
 	}
 	nd.Start()
 	defer nd.Stop()
-	startDebugServer(debugAddr, []*node.Node{nd})
+	startDebugServer(debugAddr, []*node.Node{nd}, nil)
 	log.Printf("replica %d/%d listening on %s (mode %s, shard rotation k=%d k'=%d)",
 		id, n, listen, m, k, kprime)
 

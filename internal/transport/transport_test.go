@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -97,6 +98,80 @@ func TestSimLatencyApplied(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < delay {
 		t.Fatalf("delivered in %v, want >= %v", elapsed, delay)
 	}
+
+	// Many LAN-sized hops, sent in bursts so that some arrive while the
+	// dispatcher is parked and some while it is busy: none may be
+	// delivered before its release, and each is accounted for.
+	const hop, count = 200 * time.Microsecond, 200
+	lan := NewSimNetwork(SimConfig{N: 2, Latency: UniformLatency(hop, hop)})
+	defer lan.Close()
+	sent := make([]time.Time, count)
+	var early []string // appended on the delivery goroutine only
+	all := make(chan struct{})
+	got := 0
+	lan.Endpoint(1).SetHandler(func(_ types.ReplicaID, _ MsgType, p []byte) {
+		i := int(binary.BigEndian.Uint16(p))
+		if d := time.Since(sent[i]); d < hop {
+			early = append(early, fmt.Sprintf("#%d after %v", i, d))
+		}
+		if got++; got == count {
+			close(all)
+		}
+	})
+	for i := range sent {
+		if i%10 == 0 {
+			time.Sleep(300 * time.Microsecond)
+		}
+		sent[i] = time.Now()
+		if err := lan.Endpoint(0).Send(1, 1, binary.BigEndian.AppendUint16(nil, uint16(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-all:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the 200 µs messages")
+	}
+	if len(early) > 0 {
+		t.Fatalf("%d of %d messages delivered before their %v delay: %v", len(early), count, hop, early)
+	}
+	m := lan.Metrics()
+	if d, lag := m.Counter("sim_delivered").Value(), m.HistogramSnapshotOf("sim_delivery_lag_ns"); d != count || lag.Count != count {
+		t.Fatalf("sim_delivered = %d, lag observations = %d, want %d each", d, lag.Count, count)
+	}
+}
+
+// A handler runs on the dispatcher goroutine, so a handler that sends
+// into a full link must not wait for that link to drain: only the
+// dispatcher drains it. Every other sender still waits.
+func TestSimHandlerSendIntoFullLink(t *testing.T) {
+	const delay = 5 * time.Millisecond
+	net := NewSimNetwork(SimConfig{N: 2, QueueLen: 1, Latency: UniformLatency(delay, delay)})
+	defer net.Close()
+	rec := newRecorder()
+	net.Endpoint(0).SetHandler(rec.handler())
+	replier := net.Endpoint(1)
+	replier.SetHandler(func(from types.ReplicaID, mt MsgType, _ []byte) {
+		_ = replier.Send(from, mt, []byte("r1"))
+		_ = replier.Send(from, mt, []byte("r2")) // link 1→0 already holds r1
+	})
+	if err := net.Endpoint(0).Send(1, 1, []byte("q")); err != nil {
+		t.Fatal(err)
+	}
+	rec.wait(t, "1/1/r1")
+	rec.wait(t, "1/1/r2")
+
+	start := time.Now()
+	for _, p := range []string{"a", "b"} {
+		if err := replier.Send(0, 2, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if elapsed := time.Since(start); elapsed < delay {
+		t.Fatalf("second send into a full link returned after %v, before the first was delivered (%v link)", elapsed, delay)
+	}
+	rec.wait(t, "1/2/a")
+	rec.wait(t, "1/2/b")
 }
 
 func TestSimCrashAndSever(t *testing.T) {
