@@ -10,12 +10,13 @@
 //
 // The lying-snapshot-server scenario corrupts the cross-epoch recovery
 // path instead: a stranded replica fetching transition snapshots gets
-// an internally consistent but forged snapshot from one peer. The f+1
-// matching-digest rule must reject the lie and install the honest
-// state.
+// a properly signed but forged manifest from one peer, which would
+// serve the matching forged chunks. The f+1 matching-digest rule must
+// reject the lie and install the honest state.
 package chaos
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -128,68 +129,112 @@ func TestScenarioByzantineEquivocatingProposer(t *testing.T) {
 	}
 }
 
+// snapLiar turns replica liar into an insider lying to replica victim
+// about snapshots, on the wire. It holds the liar's real signing key,
+// so its lie arrives properly signed: every manifest the liar serves
+// the victim is replaced by one over the liar's live ledger with every
+// balance inflated — a self-serving lie that would blow conservation if
+// installed — and a chunk request for that manifest is answered with
+// the forged chunk, which verifies against it. Only the f+1
+// matching-digest rule stands between the lie and the victim's state.
+type snapLiar struct {
+	h             *Harness
+	liar, victim  types.ReplicaID
+	signer        crypto.Signer
+	lies, fetches atomic.Uint64
+
+	mu     sync.Mutex
+	forged types.Digest
+	chunks [][]byte
+}
+
+func (l *snapLiar) intercept(from, to types.ReplicaID, mt transport.MsgType, payload []byte) ([]byte, bool) {
+	switch {
+	case to == l.victim && mt == node.MsgSnapManifest && from == l.liar:
+		return l.forge(payload), true
+	case to == l.victim && mt == node.MsgSnapManifest:
+		// Honest manifests wait until the lie is on the wire (the servers
+		// re-serve on the victim's next request), so the victim is
+		// always offered the lie before it can assemble a quorum.
+		return payload, l.lies.Load() > 0
+	case from == l.victim && to == l.liar && mt == node.MsgSnapChunkReq:
+		l.answer(payload)
+	}
+	return payload, true
+}
+
+// forge rewrites one signed manifest (wire format, see node/messages.go:
+// signer u32, signature bytes, snapshot bytes) into the lie.
+func (l *snapLiar) forge(payload []byte) []byte {
+	d := types.NewDecoder(payload)
+	signer := d.U32()
+	_ = d.Bytes() // the honest signature, replaced below
+	body := d.Bytes()
+	var s types.Snapshot
+	if d.Finish() != nil || s.UnmarshalBinary(body) != nil {
+		return payload
+	}
+	cb := types.NewChunkBuilder(int(s.ChunkSize), -1)
+	l.h.Cluster().Node(int(l.liar)).Store().Ascend(func(r types.RWRecord) bool {
+		v := append(types.Value(nil), r.Value...)
+		if len(v) > 0 {
+			v[0] ^= 0x40
+		}
+		cb.Add(r.Key, v)
+		return true
+	})
+	chunks, digests, _, count := cb.Finish()
+	s.RecordCount, s.ChunkDigests = uint64(count), digests
+	forged, err := s.MarshalBinary()
+	if err != nil {
+		return payload
+	}
+	l.mu.Lock()
+	l.forged, l.chunks = s.Digest(), chunks
+	l.mu.Unlock()
+	e := types.NewEncoder()
+	e.U32(signer)
+	e.Bytes(l.signer.Sign(s.Digest()))
+	e.Bytes(forged)
+	l.lies.Add(1)
+	return e.Sum()
+}
+
+// answer serves a chunk of the lie (wire format: snapshot digest, u32
+// index) from the liar's endpoint, off the sender's goroutine.
+func (l *snapLiar) answer(req []byte) {
+	d := types.NewDecoder(req)
+	dig, i := d.Digest(), d.U32()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if d.Finish() != nil || dig != l.forged || int(i) >= len(l.chunks) {
+		return
+	}
+	l.fetches.Add(1)
+	e := types.NewEncoder()
+	e.Digest(dig)
+	e.U32(i)
+	e.Bytes(l.chunks[i])
+	go l.h.Net().Endpoint(l.liar).Send(l.victim, node.MsgSnapChunk, e.Sum())
+}
+
 // TestScenarioLyingSnapshotServer strands replica 3 across forced
 // reconfigurations, then lets it recover via snapshot transfer while
-// replica 2 serves it forged snapshots (internally consistent, wrong
-// balances — recomputed digest and all). The f+1 matching-digest rule
-// must pin the install to the honest pair's snapshot: the victim
-// rejoins, converges to honest state, and conservation holds
-// everywhere.
+// replica 2 lies to it (snapLiar). The f+1 matching-digest rule must
+// pin the install to the honest pair's manifest: the victim never asks
+// for a chunk of the lie, rejoins, converges to honest state, and
+// conservation holds everywhere.
 func TestScenarioLyingSnapshotServer(t *testing.T) {
 	h := newHarness(t, Options{N: 4, Seed: 111, KPrime: 20,
 		MinRoundInterval: 5 * time.Millisecond})
-	// The liar is an insider: it holds replica 2's real signing key, so
-	// its forged snapshot arrives properly signed — only the f+1
-	// matching-digest rule stands between it and the victim's state.
 	signers, _, err := crypto.InsecureScheme{}.Committee(h.Cluster().N(), h.Seed())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lies atomic.Uint64
-	forge := func(from, to types.ReplicaID, mt transport.MsgType, payload []byte) ([]byte, bool) {
-		if from != 2 || to != 3 || mt != node.MsgSnapshot {
-			return payload, true
-		}
-		// MsgSnapshot wire format (see node/messages.go): signer u32,
-		// signature bytes, snapshot bytes.
-		d := types.NewDecoder(payload)
-		signer := types.ReplicaID(d.U32())
-		_ = d.Bytes() // original signature, replaced below
-		snapBytes := d.Bytes()
-		if d.Finish() != nil || signer != 2 {
-			return payload, true
-		}
-		var s types.Snapshot
-		if s.UnmarshalBinary(snapBytes) != nil {
-			return payload, true
-		}
-		for i := range s.Ledger {
-			// Inflate every balance: a self-serving lie that would
-			// blow conservation if installed.
-			s.Ledger[i].Value = append(types.Value(nil), s.Ledger[i].Value...)
-			if len(s.Ledger[i].Value) > 0 {
-				s.Ledger[i].Value[0] ^= 0x40
-			}
-		}
-		forgedSnap, err := s.MarshalBinary()
-		if err != nil {
-			return payload, true
-		}
-		e := types.NewEncoder()
-		e.U32(uint32(signer))
-		var reread types.Snapshot
-		if reread.UnmarshalBinary(forgedSnap) != nil {
-			return payload, true
-		}
-		sig := signers[2].Sign(reread.Digest())
-		e.Bytes(sig)
-		e.Bytes(forgedSnap)
-		lies.Add(1)
-		return e.Sum(), true
-	}
+	liar := &snapLiar{h: h, liar: 2, victim: 3, signer: signers[2]}
 	h.Run([]Event{
 		{Name: "liar 2->3", At: 0,
-			Do: []Fault{InterceptFault{Fn: forge, Desc: "replica 2 forges snapshots served to 3"}}},
+			Do: []Fault{InterceptFault{Fn: liar.intercept, Desc: "replica 2 forges snapshots served to 3"}}},
 		{Name: "isolate 3", At: 300 * time.Millisecond,
 			Do: []Fault{IsolateFault{Victim: 3}}},
 		{Name: "heal after reconfig", When: AfterReconfigs(1), AfterPrev: 400 * time.Millisecond,
@@ -208,7 +253,10 @@ func TestScenarioLyingSnapshotServer(t *testing.T) {
 	if h.Cluster().Node(3).Stats().EpochJumps == 0 {
 		t.Error("victim rejoined without a snapshot epoch-jump")
 	}
-	if lies.Load() == 0 {
-		t.Error("the lying server never served a forged snapshot — scenario exercised nothing")
+	if liar.lies.Load() == 0 {
+		t.Error("the lying server never served a forged manifest — scenario exercised nothing")
+	}
+	if n := liar.fetches.Load(); n != 0 {
+		t.Errorf("victim asked the liar for %d chunks of the lie — a manifest without an f+1 quorum was fetched", n)
 	}
 }

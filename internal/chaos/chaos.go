@@ -86,11 +86,6 @@ type Options struct {
 	// default, negative disables. Rescue scenarios set it small so a
 	// stranded replica finds a fresh snapshot quickly.
 	SnapshotInterval int
-	// SnapChunkRecords / SnapMonolithicRecords shape chunked snapshot
-	// transfer (node.Config); 0 = defaults. Scenarios force the chunked
-	// path with SnapMonolithicRecords = -1.
-	SnapChunkRecords      int
-	SnapMonolithicRecords int
 	// Headless lists replica indices to leave without a node: their
 	// SimNetwork endpoints are free for a wire-level Byzantine driver
 	// (see the equivocating-proposer scenario). Replica 0 must stay
@@ -173,17 +168,15 @@ func New(opt Options) (*Harness, error) {
 		TickInterval: opt.TickInterval, MinRoundInterval: opt.MinRoundInterval,
 		SpecExecDepth: opt.SpecExecDepth, SpecVerify: opt.SpecVerify,
 		GCHorizon: opt.GCHorizon, Seed: opt.Seed,
-		SnapshotInterval:      opt.SnapshotInterval,
-		SnapChunkRecords:      opt.SnapChunkRecords,
-		SnapMonolithicRecords: opt.SnapMonolithicRecords,
-		CommitLogCap:          1 << 20,
-		Headless:              opt.Headless,
-		GatewayClients:        opt.GatewayClients,
-		NonceWindow:           opt.NonceWindow,
-		LegacyDedupWindow:     opt.LegacyDedupWindow,
-		SessionIdleEpochs:     opt.SessionIdleEpochs,
-		DataDir:               opt.DataDir,
-		WALNoSync:             opt.WALNoSync,
+		SnapshotInterval:  opt.SnapshotInterval,
+		CommitLogCap:      1 << 20,
+		Headless:          opt.Headless,
+		GatewayClients:    opt.GatewayClients,
+		NonceWindow:       opt.NonceWindow,
+		LegacyDedupWindow: opt.LegacyDedupWindow,
+		SessionIdleEpochs: opt.SessionIdleEpochs,
+		DataDir:           opt.DataDir,
+		WALNoSync:         opt.WALNoSync,
 	})
 	if err != nil {
 		return nil, err

@@ -5,10 +5,10 @@
 // no reconfiguration anywhere in sight (K = K' = 0) — must re-enter
 // through the chunked snapshot protocol while the rest of the
 // committee keeps committing, and every PR 1 invariant must hold
-// afterwards. The ledger is sized (tens of thousands of accounts)
-// so the monolithic path is out of the question: the rescue must go
-// manifest + chunks, and the incremental pass must spare the chunks
-// the victim's own pre-crash state still reproduces.
+// afterwards. The ledger is sized (tens of thousands of accounts) to
+// span many default-size chunks, so the rescue pulls chunks from
+// several servers and the incremental pass must spare the chunks the
+// victim's own pre-crash state still reproduces.
 package chaos
 
 import (
@@ -32,18 +32,15 @@ const (
 // rescueOptions configures a committee for mid-epoch rescue: no
 // reconfiguration knobs (the rescue must not be bailed out by an
 // epoch transition), a small horizon with mid-epoch captures inside
-// it, the chunked path forced regardless of ledger size, and round
-// production slowed so "beyond the horizon" is reachable in a
-// sub-second crash window.
+// it, and round production slowed so "beyond the horizon" is
+// reachable in a sub-second crash window.
 func rescueOptions(seed int64, accounts int) Options {
 	return Options{
 		N: 4, Seed: seed,
-		Accounts:              accounts,
-		GCHorizon:             rescueHorizon,
-		SnapshotInterval:      rescueInterval,
-		SnapChunkRecords:      8192,
-		SnapMonolithicRecords: -1, // never monolithic: the point is the chunk protocol
-		MinRoundInterval:      10 * time.Millisecond,
+		Accounts:         accounts,
+		GCHorizon:        rescueHorizon,
+		SnapshotInterval: rescueInterval,
+		MinRoundInterval: 10 * time.Millisecond,
 	}
 }
 
@@ -119,7 +116,7 @@ func TestScenarioMidEpochChunkedRescue(t *testing.T) {
 		t.Errorf("rescue was not mid-epoch: %d epoch jumps, %d reconfigurations", st.EpochJumps, h.Cluster().Reconfigurations())
 	}
 	if st.SnapChunksFetched == 0 {
-		t.Error("victim installed without fetching any chunk — monolithic path leaked in?")
+		t.Error("victim installed without fetching any chunk")
 	}
 	if st.SnapChunksSkipped == 0 {
 		t.Error("victim fetched every chunk — incremental pass never matched its pre-crash state")

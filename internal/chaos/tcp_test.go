@@ -5,8 +5,9 @@
 // and a brand-new replica instance (fresh genesis store, same identity
 // and address) rejoins over real sockets. Its in-epoch catch-up
 // requests reference a DAG the committee has discarded, so the rejoin
-// must go through the cross-epoch snapshot protocol — exercising
-// MsgSnapshotReq/MsgSnapshot over TCP framing rather than SimNetwork.
+// must go through the cross-epoch snapshot protocol — a signed manifest
+// and the chunk of its small ledger, over TCP framing rather than
+// SimNetwork.
 package chaos
 
 import (
@@ -304,12 +305,20 @@ func TestScenarioTCPCrashRestartEpochJump(t *testing.T) {
 // encodeDump renders a backend's full state + sequence-independent
 // content for bit-identity comparison across replicas.
 func encodeDump(st storage.Backend) []byte {
+	dump, _ := dumpAt(st)
+	return dump
+}
+
+// dumpAt is encodeDump plus the commit sequence of the state it
+// rendered, both from one walk of the store.
+func dumpAt(st storage.Backend) ([]byte, uint64) {
 	e := types.NewEncoder()
-	for _, r := range st.Dump() {
+	seq := st.AscendVersioned(func(r types.RWRecord, _ uint64) bool {
 		e.Str(string(r.Key))
 		e.Bytes(r.Value)
-	}
-	return e.Sum()
+		return true
+	})
+	return e.Sum(), seq
 }
 
 // TestScenarioTCPCrashRestartWALRecovery is the durable-backend twin
@@ -358,12 +367,15 @@ func TestScenarioTCPCrashRestartWALRecovery(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	// Replica 2 keeps running (and journaling votes) until the kill, so
+	// the state compared after recovery is taken from one walk — dump
+	// and sequence together — and only then made durable: Sync covers
+	// everything the walk saw, and every commit counted before it.
+	preCrashCommits := c.nodes[2].Stats().CommittedTxs
+	preCrashDump, preCrashSeq := dumpAt(c.backends[2])
 	if err := c.backends[2].Sync(); err != nil {
 		t.Fatal(err)
 	}
-	preCrashDump := encodeDump(c.backends[2])
-	preCrashSeq := c.backends[2].Seq()
-	preCrashCommits := c.nodes[2].Stats().CommittedTxs
 
 	// Phase 2: kill replica 2 (process + abrupt backend teardown) and
 	// keep committing on shards served by live proposers.

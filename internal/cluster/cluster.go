@@ -66,10 +66,6 @@ type Config struct {
 	// committed leader rounds (node.Config.SnapshotInterval): 0 =
 	// default, negative disables mid-epoch captures.
 	SnapshotInterval int
-	// SnapChunkRecords / SnapMonolithicRecords shape chunked snapshot
-	// transfer (see node.Config); 0 = defaults.
-	SnapChunkRecords      int
-	SnapMonolithicRecords int
 	// MinRoundInterval throttles each node's round advancement
 	// (node.Config.MinRoundInterval); 0 = default 1ms.
 	MinRoundInterval time.Duration
@@ -233,22 +229,20 @@ func New(cfg Config) (*Cluster, error) {
 			Mode:      cfg.Mode,
 			Executors: cfg.Executors, Validators: cfg.Validators,
 			BatchSize: cfg.BatchSize, K: cfg.K, KPrime: cfg.KPrime,
-			BatchSizeCap:          cfg.BatchSizeCap,
-			TickInterval:          cfg.TickInterval,
-			MinRoundInterval:      cfg.MinRoundInterval,
-			SpecExecDepth:         cfg.SpecExecDepth,
-			SpecVerify:            cfg.SpecVerify,
-			CommitLogCap:          cfg.CommitLogCap,
-			GCHorizon:             cfg.GCHorizon,
-			RecoverySyncRounds:    cfg.RecoverySyncRounds,
-			SnapshotInterval:      cfg.SnapshotInterval,
-			SnapChunkRecords:      cfg.SnapChunkRecords,
-			SnapMonolithicRecords: cfg.SnapMonolithicRecords,
-			NonceWindow:           cfg.NonceWindow,
-			LegacyDedupWindow:     cfg.LegacyDedupWindow,
-			SessionIdleEpochs:     cfg.SessionIdleEpochs,
-			OnCommitTx:            c.onCommit,
-			OnRejectTx:            c.onReject,
+			BatchSizeCap:       cfg.BatchSizeCap,
+			TickInterval:       cfg.TickInterval,
+			MinRoundInterval:   cfg.MinRoundInterval,
+			SpecExecDepth:      cfg.SpecExecDepth,
+			SpecVerify:         cfg.SpecVerify,
+			CommitLogCap:       cfg.CommitLogCap,
+			GCHorizon:          cfg.GCHorizon,
+			RecoverySyncRounds: cfg.RecoverySyncRounds,
+			SnapshotInterval:   cfg.SnapshotInterval,
+			NonceWindow:        cfg.NonceWindow,
+			LegacyDedupWindow:  cfg.LegacyDedupWindow,
+			SessionIdleEpochs:  cfg.SessionIdleEpochs,
+			OnCommitTx:         c.onCommit,
+			OnRejectTx:         c.onReject,
 		}
 		if i == 0 {
 			ncfg.OnCommitWave = c.onWave

@@ -6,7 +6,7 @@ import (
 )
 
 // Client-protocol message types. They live in a range disjoint from
-// the replica-to-replica protocol (node's MsgBlock..MsgSnapshot) so a
+// the replica-to-replica protocol (node's MsgBlock..MsgBatch) so a
 // gateway frame can never be mistaken for consensus traffic. The
 // transport treats types opaquely; replicas handle MsgTxSubmit and
 // emit the other three.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"thunderbolt/internal/contract"
@@ -51,9 +50,6 @@ func diffCaptures(got, want captured) error {
 			return fmt.Errorf("chunk %d digest is not the digest of its payload", i)
 		}
 	}
-	if !reflect.DeepEqual(g.Ledger, w.Ledger) {
-		return fmt.Errorf("retained ledgers differ (%d vs %d records)", len(g.Ledger), len(w.Ledger))
-	}
 	if g.Digest() != w.Digest() {
 		return fmt.Errorf("snapshot digest %s, want %s", g.Digest(), w.Digest())
 	}
@@ -84,8 +80,7 @@ func captureDiffNode(t *testing.T, id types.ReplicaID, st storage.Backend) *Node
 		Transport: &nullTransport{id: id},
 		Signer:    signers[id], Verifier: verifier,
 		Registry: contract.NewRegistry(), Store: st,
-		SnapChunkRecords:      diffChunk,
-		SnapMonolithicRecords: 2*diffChunk + 4, // the first captures retain their ledger, later ones outgrow it
+		snapChunkRecords: diffChunk,
 	})
 	if err != nil {
 		t.Fatal(err)

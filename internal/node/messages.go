@@ -42,36 +42,27 @@ const (
 	// references the vertex they would have certified — and can wedge
 	// the whole committee.
 	MsgRoundReq
-	// MsgSnapshotReq asks peers for their latest epoch-transition
-	// state snapshot. Broadcast by a replica whose catch-up requests
-	// go unanswered because it is beyond in-epoch recovery: peers have
-	// moved to a later epoch (f+1 of them present future-epoch
-	// evidence) and discarded the DAG the replica is trying to sync.
-	MsgSnapshotReq
-	// MsgSnapshot carries one replica's latest epoch-transition
-	// snapshot (types.Snapshot), wrapped in a snapshotMsg that signs
-	// the snapshot's content digest. Sent in response to
-	// MsgSnapshotReq, and proactively in response to a MsgRoundReq
-	// from a stale epoch — the passive detection path: a stranded
-	// replica's round pulls advertise its old epoch, and the answer
-	// that can actually help it is a snapshot. The receiver installs
-	// only after f+1 distinct verified signers vouch for one digest.
-	// Reserved for ledgers below the monolithic threshold; larger
-	// states travel as MsgSnapManifest plus MsgSnapChunk streams.
-	MsgSnapshot
-	// MsgSnapManifestReq asks a peer for its latest snapshot in
-	// whichever form fits (monolithic MsgSnapshot or MsgSnapManifest).
-	// It carries the requester's epoch and committed leader round so
-	// the server only answers when its snapshot would actually move the
-	// requester forward — which covers both cross-epoch stranding and
-	// the mid-epoch case (down past the GC horizon inside one epoch).
+	// MsgSnapManifestReq asks a peer for its latest state snapshot. It
+	// carries the requester's epoch and committed leader round so the
+	// server only answers when its snapshot would actually move the
+	// requester forward — which covers both cross-epoch stranding (peers
+	// reconfigured and discarded the DAG the requester is trying to
+	// sync) and the mid-epoch case (down past the GC horizon inside one
+	// epoch). A replica sends it to a rotating f+1 window of peers once
+	// it is wedged (snapshot.go).
 	MsgSnapManifestReq
-	// MsgSnapManifest carries a snapshot manifest: the full snapshot
-	// minus the raw ledger records (header, chunk digest list, dedup
-	// state), wrapped in the same signed snapshotMsg envelope as
-	// MsgSnapshot. The snapshot digest covers the manifest, so the
-	// f+1-signer install quorum authenticates every chunk digest, and
-	// each subsequently fetched chunk verifies independently.
+	// MsgSnapManifest carries one replica's latest snapshot
+	// (types.Snapshot: header, chunk digest list, dedup state — never
+	// the ledger records), wrapped in a snapshotMsg that signs its
+	// content digest. Sent in response to MsgSnapManifestReq, and
+	// proactively in response to a MsgRoundReq from a stale epoch or
+	// below the GC floor — the passive detection path: a stranded
+	// replica's round pulls advertise its position, and the answer that
+	// can actually help it is a snapshot. The digest covers the chunk
+	// digests, so the f+1-signer install quorum authenticates every
+	// chunk, and each chunk then fetched (MsgSnapChunkReq) verifies on
+	// its own. It is the only form a snapshot is served in, whatever
+	// the ledger's size: an empty ledger is a manifest of no chunks.
 	MsgSnapManifest
 	// MsgSnapChunkReq asks a peer for one chunk of the snapshot with
 	// the given digest. Requesters spread chunk pulls across every
@@ -235,25 +226,6 @@ func (r *roundReq) unmarshal(b []byte) error {
 	return d.Finish()
 }
 
-// snapshotReq is the payload of MsgSnapshotReq: the requester's
-// current epoch, so peers only answer with snapshots that would
-// actually move it forward.
-type snapshotReq struct {
-	Epoch types.Epoch
-}
-
-func (r *snapshotReq) marshal() []byte {
-	e := types.NewEncoder()
-	e.U64(uint64(r.Epoch))
-	return e.Sum()
-}
-
-func (r *snapshotReq) unmarshal(b []byte) error {
-	d := types.NewDecoder(b)
-	r.Epoch = types.Epoch(d.U64())
-	return d.Finish()
-}
-
 // snapManifestReq is the payload of MsgSnapManifestReq: the
 // requester's epoch and committed leader round. A server answers only
 // when its snapshot sits in a later epoch, or far enough ahead of
@@ -326,11 +298,9 @@ func (c *snapChunk) unmarshal(b []byte) error {
 	return d.Finish()
 }
 
-// snapshotMsg is the payload of MsgSnapshot and MsgSnapManifest: the
-// serving replica's identity, its signature over the snapshot's
-// content digest, and the encoded snapshot (full body or manifest
-// form — the digest covers the manifest, so both forms verify against
-// the same signature). Transport sender IDs are not authenticated (a TCP
+// snapshotMsg is the payload of MsgSnapManifest: the serving replica's
+// identity, its signature over the snapshot's content digest, and the
+// encoded manifest. Transport sender IDs are not authenticated (a TCP
 // frame carries whatever ID the sender claims), so the install quorum
 // counts signers it has cryptographically verified — like votes and
 // certificates, snapshot authenticity comes from the signature
@@ -351,8 +321,8 @@ func (m *snapshotMsg) marshal() []byte {
 }
 
 // unmarshal decodes a snapshot message. Sig and Snap alias b (owned
-// transport payload), which avoids re-copying a full-state snapshot
-// on the receive path.
+// transport payload), which avoids re-copying the manifest's chunk
+// digest list on the receive path.
 func (m *snapshotMsg) unmarshal(b []byte) error {
 	d := types.NewSharedDecoder(b)
 	m.Signer = types.ReplicaID(d.U32())

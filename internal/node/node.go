@@ -157,16 +157,6 @@ type Config struct {
 	// full re-entry margin (serving replicas must retain the rounds
 	// just behind their latest capture).
 	SnapshotInterval int
-	// SnapChunkRecords is the ledger-record count per snapshot chunk
-	// (0 selects types.DefaultChunkRecords). Chunks stream over
-	// MsgSnapChunk during a rescue; smaller chunks cost more manifest
-	// entries but make a corrupt or lost chunk cheaper to re-request.
-	SnapChunkRecords int
-	// SnapMonolithicRecords is the largest ledger (in records) still
-	// served as one monolithic MsgSnapshot; bigger states serve a
-	// manifest plus chunk stream. 0 selects the default (8192);
-	// negative forces the chunked path for every size (tests).
-	SnapMonolithicRecords int
 
 	// RecoverySyncRounds caps how many missing rounds a recovering
 	// replica bulk-requests per housekeeping tick (MsgRoundReq batch).
@@ -225,6 +215,11 @@ type Config struct {
 	OnCommitWave func(epoch types.Epoch, leaderRound types.Round, when time.Time)
 	// OnReconfig, if set, fires after each DAG transition.
 	OnReconfig func(newEpoch types.Epoch, when time.Time)
+
+	// snapChunkRecords is the ledger-record count per snapshot chunk,
+	// types.DefaultChunkRecords unless a test sets it to cut many
+	// chunks from a small ledger.
+	snapChunkRecords int
 }
 
 func (c Config) withDefaults() Config {
@@ -277,11 +272,8 @@ func (c Config) withDefaults() Config {
 			c.SnapshotInterval = max
 		}
 	}
-	if c.SnapChunkRecords <= 0 {
-		c.SnapChunkRecords = types.DefaultChunkRecords
-	}
-	if c.SnapMonolithicRecords == 0 {
-		c.SnapMonolithicRecords = defaultMonolithicRecords
+	if c.snapChunkRecords <= 0 {
+		c.snapChunkRecords = types.DefaultChunkRecords
 	}
 	return c
 }
@@ -312,10 +304,6 @@ const (
 	// rescue snapshot is at most ~512 leader rounds stale, and servers
 	// still hold four re-entry margins of history below it.
 	defaultSnapshotInterval = 512
-	// defaultMonolithicRecords is the largest ledger still shipped as
-	// one MsgSnapshot (two default-size chunks); beyond it the rescue
-	// streams chunks so no single message scales with state size.
-	defaultMonolithicRecords = 8192
 	// chunkServeBudget caps how many MsgSnapChunk replies this replica
 	// sends per housekeeping tick (~64 × 4096 records ≈ a
 	// quarter-million records per tick per server at the default chunk
@@ -355,8 +343,7 @@ type Stats struct {
 	PrunedRounds uint64
 	// EpochJumps counts cross-epoch snapshot installs — recoveries
 	// from being stranded across a reconfiguration. SnapshotsServed
-	// counts snapshots (monolithic or manifest form) served to
-	// stragglers.
+	// counts signed snapshot manifests served to stragglers.
 	EpochJumps      uint64
 	SnapshotsServed uint64
 	// MidEpochCaptures counts deterministic mid-epoch snapshot
@@ -562,24 +549,22 @@ type Node struct {
 	// mid-epoch boundary); it outlives per-epoch state so the node can
 	// serve stragglers from any earlier position. snapChunks holds its
 	// encoded chunk payloads for MsgSnapChunk serving, and snapCut the
-	// store sequence number they were cut at — what lets the next
-	// capture share the chunks nothing has written to since (0 when
-	// they were installed from peers, not cut here). lastSnapMsg and
-	// lastManifestMsg cache the signed wire payloads, built once on
-	// first serve (the snapshot is immutable, so every serve after
-	// that is a plain Send). snapFrom holds the latest snapshot
-	// candidate per verified signer (install needs f+1 matching
-	// digests), snapServed rate-limits serving per requester,
-	// snapReqAt paces this node's own rescue requests and
+	// store sequence number they were cut at — what lets the next capture
+	// share the chunks nothing has written to since (0 when they were
+	// installed from peers, not cut here). lastManifestMsg caches the
+	// signed manifest, built once on first serve (the snapshot is
+	// immutable, so every serve after that is a plain Send). snapFrom
+	// holds the latest snapshot candidate per verified signer (install
+	// needs f+1 matching digests), snapServed rate-limits serving per
+	// requester, snapReqAt paces this node's own rescue requests and
 	// snapReqCursor rotates them across f+1-peer windows, peerEpoch
-	// accumulates future-epoch evidence per claimed peer, lastSnapAt
-	// is the committed leader round of the newest capture (mid-epoch
-	// cadence tracking), chunkBudget is the per-tick chunk-serve
-	// allowance, and fetch is the in-progress chunked rescue, if any.
+	// accumulates future-epoch evidence per claimed peer, lastSnapAt is
+	// the committed leader round of the newest capture (mid-epoch cadence
+	// tracking), chunkBudget is the per-tick chunk-serve allowance, and
+	// fetch is the in-progress chunked rescue, if any.
 	lastSnap        *types.Snapshot
 	snapChunks      [][]byte
 	snapCut         uint64
-	lastSnapMsg     []byte
 	lastManifestMsg []byte
 	snapFrom        map[types.ReplicaID]*types.Snapshot
 	snapServed      map[types.ReplicaID]time.Time
@@ -1292,16 +1277,7 @@ func (n *Node) handle(m inboundMsg) {
 			return
 		}
 		n.handleRoundReq(m.from, &r)
-	case MsgSnapshotReq:
-		var r snapshotReq
-		if err := r.unmarshal(m.payload); err != nil {
-			return
-		}
-		n.handleSnapshotReq(m.from, &r)
-	case MsgSnapshot, MsgSnapManifest:
-		// One intake for both forms: the digest covers the manifest, so
-		// monolithic bodies and manifests verify against the same
-		// signature (bodies additionally re-chunk to prove consistency).
+	case MsgSnapManifest:
 		n.handleSnapshot(m.from, m.payload)
 	case MsgSnapManifestReq:
 		var r snapManifestReq

@@ -1,6 +1,7 @@
 package node_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -315,4 +316,72 @@ func TestWANCommitteeSendsNoRecoveryTraffic(t *testing.T) {
 			t.Fatalf("isolated replica: %d stall rebroadcasts, %d round pulls within %v (estimate %v)", rb, pulls, 10*est, est)
 		}
 	}
+}
+
+// TestFaultFreeCommitteeSendsNoCertificates: replicas certify from the
+// broadcast votes, so a certificate travels only as a recovery reply —
+// one per MsgCertReq, at most n per MsgRoundReq, to the replica that
+// asked. A committee without faults puts no other MsgCert on the wire,
+// inside a MsgBatch frame or alone; one there is the third message
+// delay per round growing back. (A healthy committee sends no recovery
+// requests either, but a loaded machine can starve a replica into a
+// round pull, and the replies to that are certificates by design.)
+func TestFaultFreeCommitteeSendsNoCertificates(t *testing.T) {
+	const n = 4
+	c, err := cluster.New(cluster.Config{
+		N: n, Seed: 10, Accounts: 64, BatchSize: 64, Executors: 4, Validators: 4,
+		Latency:      transport.UniformLatency(100*time.Microsecond, 500*time.Microsecond),
+		TickInterval: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu                   sync.Mutex
+		asked                [n][n]int // certificates p may still send q: what q asked p for
+		msgs, certs, unasked int
+	)
+	c.Network().SetInterceptor(func(from, to types.ReplicaID, mt transport.MsgType, p []byte) ([]byte, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		count := func(mt transport.MsgType, _ []byte) {
+			msgs++
+			switch mt {
+			case node.MsgCertReq:
+				asked[to][from]++
+			case node.MsgRoundReq:
+				asked[to][from] += n
+			case node.MsgCert:
+				certs++
+				if asked[from][to] == 0 {
+					unasked++
+				} else {
+					asked[from][to]--
+				}
+			}
+		}
+		if mt == node.MsgBatch {
+			_ = node.ForEachBatched(p, count)
+		} else {
+			count(mt, p)
+		}
+		return p, true
+	})
+	c.Start()
+	defer c.Stop()
+	gen := workload.NewGenerator(workload.Config{
+		Accounts: 64, Shards: 4, Theta: 0.7, ReadRatio: 0.3, CrossPct: 0.2, Seed: 10, Client: 1,
+	})
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		submitBatch(t, c, gen.Batch(50))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if msgs == 0 {
+		t.Fatal("no traffic reached the interceptor")
+	}
+	if unasked != 0 {
+		t.Fatalf("fault-free committee sent %d MsgCert nobody asked for (%d certificates in %d messages)", unasked, certs, msgs)
+	}
+	t.Logf("%d messages, %d certificates (all recovery replies)", msgs, certs)
 }

@@ -54,8 +54,7 @@ func sendClassOf(mt transport.MsgType) int {
 		return classCert
 	case MsgBlockReq, MsgCertReq, MsgRoundReq, MsgTx:
 		return classSync
-	case MsgSnapshotReq, MsgSnapshot, MsgSnapManifestReq, MsgSnapManifest,
-		MsgSnapChunkReq, MsgSnapChunk:
+	case MsgSnapManifestReq, MsgSnapManifest, MsgSnapChunkReq, MsgSnapChunk:
 		return classSnap
 	case MsgBatch:
 		return classBatch

@@ -6,13 +6,13 @@ import (
 	"thunderbolt/internal/types"
 )
 
-// Chunked snapshot transfer (the large-state half of snapshot.go's
-// rescue protocol). Once f+1 verified signers vouch for a manifest,
-// every chunk digest in it is authenticated — so the chunk payloads
-// themselves need no signatures and can be pulled from any server
-// that has them, in any order, across housekeeping ticks. The fetch
-// state machine here is built to survive exactly the conditions a
-// rescue runs under:
+// Chunked snapshot transfer (the second half of snapshot.go's rescue
+// protocol, at every ledger size). Once f+1 verified signers vouch
+// for a manifest, every chunk digest in it is authenticated — so the
+// chunk payloads themselves need no signatures and can be pulled from
+// any server that has them, in any order, across housekeeping ticks.
+// The fetch state machine here is built to survive exactly the
+// conditions a rescue runs under:
 //
 //   - a window of requests in flight at once, spread round-robin over
 //     the manifest's signers, so one slow server bounds one chunk,
@@ -61,8 +61,9 @@ type chunkReqState struct {
 	at   time.Time
 }
 
-// startChunkFetch begins (or refreshes) the chunked download of a
-// manifest-only snapshot. A repeat call for the digest already being
+// startChunkFetch begins (or refreshes) the chunked download of an
+// f+1-verified manifest; a manifest of no chunks (an empty ledger)
+// installs at once. A repeat call for the digest already being
 // fetched just adopts the wider server set — newly arrived signers
 // join the rotation without restarting progress.
 func (n *Node) startChunkFetch(snap *types.Snapshot, servers []types.ReplicaID) {

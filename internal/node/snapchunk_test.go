@@ -5,48 +5,17 @@ import (
 	"time"
 
 	"thunderbolt/internal/contract"
-	"thunderbolt/internal/crypto"
-	"thunderbolt/internal/storage"
 	"thunderbolt/internal/transport"
 	"thunderbolt/internal/tusk"
 	"thunderbolt/internal/types"
 	"thunderbolt/internal/workload"
 )
 
-// chunkTestNodes builds n unstarted nodes with a ledger large enough
-// to exercise the chunked snapshot path: the monolithic threshold is
-// forced off and chunks are cut tiny, so every capture is a manifest
-// plus a multi-chunk body. Methods are called directly; transport
-// deliveries land in each node's inbox and are drained explicitly.
+// chunkTestNodes builds n unstarted nodes whose snapshot chunks are
+// cut tiny, so every capture of a ledger of a few dozen accounts is a
+// manifest over many chunks.
 func chunkTestNodes(t *testing.T, n, accounts int) ([]*Node, *transport.SimNetwork) {
-	t.Helper()
-	signers, verifier, err := crypto.InsecureScheme{}.Committee(n, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := transport.NewSimNetwork(transport.SimConfig{N: n})
-	t.Cleanup(net.Close)
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		reg := contract.NewRegistry()
-		workload.RegisterSmallBank(reg)
-		st := storage.New()
-		workload.InitAccounts(st, accounts, 100, 100)
-		nd, err := New(Config{
-			ID: types.ReplicaID(i), N: n,
-			Transport: net.Endpoint(types.ReplicaID(i)),
-			Signer:    signers[i], Verifier: verifier,
-			Registry: reg, Store: st,
-			CommitLogCap:          1024,
-			SnapChunkRecords:      8,
-			SnapMonolithicRecords: -1, // force the chunked path
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = nd
-	}
-	return nodes, net
+	return snapTestNodesOf(t, n, accounts, 8)
 }
 
 // countInbox counts queued (undrained) messages of one type.
@@ -130,9 +99,6 @@ func TestMidEpochChunkedInstall(t *testing.T) {
 		seedMidEpochDonor(nd, 100, 555, txs...)
 	}
 	donor := nodes[1]
-	if donor.lastSnap.Complete() {
-		t.Fatal("fixture broken: capture should be manifest-only")
-	}
 	wantChunks := len(donor.lastSnap.ChunkDigests)
 	if wantChunks < 4 {
 		t.Fatalf("fixture broken: only %d chunks", wantChunks)
@@ -148,22 +114,10 @@ func TestMidEpochChunkedInstall(t *testing.T) {
 		t.Fatal("manifest quorum did not start a chunk fetch")
 	}
 
-	// Drive fetch + serve until the install lands: chunk requests sit
-	// in donor inboxes until drained, replies in the victim's.
-	deadline := time.Now().Add(5 * time.Second)
-	for victim.Stats().MidEpochInstalls == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("chunked rescue never completed")
-		}
-		time.Sleep(time.Millisecond)
-		for _, nd := range nodes {
-			nd.drainInbox()
-		}
-		victim.pumpChunkFetch()
-	}
+	fetchChunks(t, victim, nodes[1], nodes[2])
 
 	st := victim.Stats()
-	if st.EpochJumps != 0 {
+	if st.MidEpochInstalls != 1 || st.EpochJumps != 0 {
 		t.Fatalf("mid-epoch install counted as an epoch jump: %+v", st)
 	}
 	// Incremental rescue: genesis already matches most chunks — only

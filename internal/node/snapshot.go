@@ -25,14 +25,13 @@ import (
 //     the epoch (Config.SnapshotInterval). Both run at deterministic
 //     positions of the committed sequence, so every honest replica's
 //     capture for the same position is bit-identical. The capture
-//     streams the ledger through a ChunkBuilder: fixed-size chunks,
-//     per-chunk digests, and a snapshot digest over the manifest
-//     (header + Merkle-folded chunk digests + dedup state) — never
-//     over the raw records, so manifest and monolithic forms share
-//     one digest and one signature. It is incremental: one ordered
-//     walk of the store, and only the chunks holding a record written
-//     since the previous capture are encoded and hashed again; the
-//     rest are shared with that capture.
+//     streams the ledger through a ChunkBuilder: fixed-size chunks of
+//     types.DefaultChunkRecords records, per-chunk digests, and a
+//     snapshot digest over the manifest (header + Merkle-folded chunk
+//     digests + dedup state), never over the raw records. It is
+//     incremental: one ordered walk of the store, and only the chunks
+//     holding a record written since the previous capture are encoded
+//     and hashed again; the rest are shared with that capture.
 //   - Detect: a replica whose round advancement has stalled while f+1
 //     peers present future-epoch evidence — or that stays wedged for
 //     several request periods with no such evidence (mid-epoch
@@ -40,13 +39,15 @@ import (
 //     of peers. Peers also serve snapshots passively when a
 //     MsgRoundReq arrives from a stale epoch or for a round below
 //     their GC floor.
-//   - Verify: candidates are collected per verified signer; install
+//   - Verify: a snapshot travels in one form at every ledger size — a
+//     signed manifest (MsgSnapManifest), then its chunks pulled one by
+//     one. Manifests are collected per verified signer; the fetch
 //     waits for f+1 distinct signers with matching snapshot digests,
 //     which guarantees at least one honest source — a lying server
-//     cannot forge a quorum alone. Monolithic bodies must re-chunk to
-//     the signed manifest (VerifyLedger); manifest-only candidates
-//     move to the chunk fetch state machine (snapchunk.go), where
-//     every chunk verifies independently against its manifest digest.
+//     cannot forge a quorum alone. The chunk fetch state machine
+//     (snapchunk.go) then verifies every chunk independently against
+//     its manifest digest; a ledger smaller than one chunk is one
+//     chunk, and an empty ledger is none.
 //   - Install: one batched state application (fetched chunks only —
 //     locally matching chunks are skipped), the dedup and commit-log
 //     position taken verbatim, then either an epoch jump (transition
@@ -94,19 +95,14 @@ func (n *Node) maybeCaptureMidEpoch(leaderRound types.Round) {
 // tagged with snapEpoch: the next epoch for transition captures, the
 // current epoch for mid-epoch captures (Epoch == PrevEpoch is what
 // marks a snapshot as mid-epoch to its installer). One ordered walk of
-// the store produces the chunk payloads, their digests, and — when the
-// ledger is small enough for the monolithic path — the retained
-// records. Chunks untouched since the previous capture (every record's
-// version at or below snapCut) are that capture's chunks, by
-// reference; what a capture produces does not depend on what it could
-// reuse, so replicas with different histories stay bit-identical.
+// the store produces the chunk payloads and their digests. Chunks
+// untouched since the previous capture (every record's version at or
+// below snapCut) are that capture's chunks, by reference; what a
+// capture produces does not depend on what it could reuse, so replicas
+// with different histories stay bit-identical.
 func (n *Node) capture(snapEpoch types.Epoch) {
 	start := time.Now()
-	keep := n.cfg.SnapMonolithicRecords
-	if n.cfg.Store.Len() > keep {
-		keep = -1 // already past the monolithic path: retain no records
-	}
-	cb := types.NewChunkBuilder(n.cfg.SnapChunkRecords, keep)
+	cb := types.NewChunkBuilder(n.cfg.snapChunkRecords, -1)
 	if n.lastSnap != nil {
 		cb.Reuse(n.snapChunks, n.lastSnap.ChunkDigests, n.snapCut)
 	}
@@ -114,17 +110,16 @@ func (n *Node) capture(snapEpoch types.Epoch) {
 		cb.AddVersioned(r.Key, r.Value, ver)
 		return true
 	})
-	chunks, digests, records, count := cb.Finish()
+	chunks, digests, _, count := cb.Finish()
 	snap := &types.Snapshot{
 		Epoch:        snapEpoch,
 		N:            uint32(n.n),
 		PrevEpoch:    n.epoch,
 		EndRound:     n.committer.LastLeaderRound(),
 		Commits:      n.nm.committedTxs.Value(),
-		ChunkSize:    uint32(n.cfg.SnapChunkRecords),
+		ChunkSize:    uint32(n.cfg.snapChunkRecords),
 		RecordCount:  uint64(count),
 		ChunkDigests: digests,
-		Ledger:       records,
 		// The dedup payload is the compact per-client state, not the
 		// full applied set: floors and window bitmaps (bounded by
 		// clients × window) plus the bounded legacy digest window.
@@ -139,8 +134,7 @@ func (n *Node) capture(snapEpoch types.Epoch) {
 	n.lastSnap = snap
 	n.snapChunks = chunks
 	n.snapCut = cut
-	n.lastSnapMsg = nil // rebuilt on first serve
-	n.lastManifestMsg = nil
+	n.lastManifestMsg = nil // rebuilt on first serve
 
 	reused := uint64(cb.Reused())
 	encoded := uint64(len(chunks)) - reused
@@ -207,14 +201,12 @@ func (n *Node) maybeRequestSnapshot(stalled bool) {
 }
 
 // serveSnapshot sends this node's latest capture to a replica that
-// says it is at (reqEpoch, reqRound), rate-limited per requester, in
-// whichever form fits: ledgers at or below the monolithic threshold
-// travel complete in one MsgSnapshot; larger states send the manifest
-// and let the requester pull chunks. The snapshot is only sent when
-// it would actually move the requester forward — a later epoch, or
-// the same epoch at least a full re-entry margin ahead of reqRound
-// (reqRound 0 means the requester's position is unknown; the
-// requester's own install gate re-checks usefulness).
+// says it is at (reqEpoch, reqRound), rate-limited per requester, as
+// its signed manifest; the requester pulls the chunks. The snapshot
+// is only sent when it would actually move the requester forward — a
+// later epoch, or the same epoch at least a full re-entry margin
+// ahead of reqRound (reqRound 0 means the requester's position is
+// unknown; the requester's own install gate re-checks usefulness).
 func (n *Node) serveSnapshot(to types.ReplicaID, reqEpoch types.Epoch, reqRound types.Round) {
 	snap := n.lastSnap
 	if snap == nil || to == n.cfg.ID {
@@ -236,32 +228,17 @@ func (n *Node) serveSnapshot(to types.ReplicaID, reqEpoch types.Epoch, reqRound 
 		return
 	}
 	n.snapServed[to] = time.Now()
-	if snap.Complete() {
-		if n.lastSnapMsg == nil {
-			// The snapshot is immutable once captured: encode and sign
-			// it once, then every further serve is a plain Send.
-			n.lastSnapMsg = (&snapshotMsg{
-				Signer: n.cfg.ID,
-				Sig:    n.cfg.Signer.Sign(snap.Digest()),
-				Snap:   mustMarshal(snap),
-			}).marshal()
-		}
-		n.sendNow(to, MsgSnapshot, n.lastSnapMsg)
-	} else {
-		if n.lastManifestMsg == nil {
-			n.lastManifestMsg = (&snapshotMsg{
-				Signer: n.cfg.ID,
-				Sig:    n.cfg.Signer.Sign(snap.Digest()),
-				Snap:   mustMarshal(snap.Manifest()),
-			}).marshal()
-		}
-		n.sendNow(to, MsgSnapManifest, n.lastManifestMsg)
+	if n.lastManifestMsg == nil {
+		// The snapshot is immutable once captured: encode and sign it
+		// once, then every further serve is a plain Send.
+		n.lastManifestMsg = (&snapshotMsg{
+			Signer: n.cfg.ID,
+			Sig:    n.cfg.Signer.Sign(snap.Digest()),
+			Snap:   mustMarshal(snap),
+		}).marshal()
 	}
+	n.sendNow(to, MsgSnapManifest, n.lastManifestMsg)
 	n.nm.snapshotsServed.Add(1)
-}
-
-func (n *Node) handleSnapshotReq(from types.ReplicaID, r *snapshotReq) {
-	n.serveSnapshot(from, r.Epoch, 0)
 }
 
 // snapshotUseful gates candidate intake: installing must move this
@@ -284,14 +261,14 @@ func (n *Node) snapshotUseful(s *types.Snapshot) bool {
 		s.Commits >= n.Stats().CommittedTxs
 }
 
-// handleSnapshot collects one replica's signed snapshot (monolithic
-// MsgSnapshot or MsgSnapManifest form) and installs once f+1 distinct
-// verified signers agree. The candidate key is the verified signer,
-// never the transport sender: over TCP the claimed sender ID is just
-// bytes in a frame, and without the signature check one connection
-// could impersonate f+1 replicas and forge the install quorum. Only
-// the latest candidate per signer counts, so re-sending variants
-// cannot inflate any count either.
+// handleSnapshot collects one replica's signed snapshot manifest and
+// starts the chunk fetch once f+1 distinct verified signers agree.
+// The candidate key is the verified signer, never the transport
+// sender: over TCP the claimed sender ID is just bytes in a frame,
+// and without the signature check one connection could impersonate
+// f+1 replicas and forge the install quorum. Only the latest
+// candidate per signer counts, so re-sending variants cannot inflate
+// any count either.
 func (n *Node) handleSnapshot(_ types.ReplicaID, payload []byte) {
 	var m snapshotMsg
 	if err := m.unmarshal(payload); err != nil {
@@ -318,12 +295,6 @@ func (n *Node) handleSnapshot(_ types.ReplicaID, payload []byte) {
 	if !n.memoVerifier.Verify(m.Signer, snap.Digest(), m.Sig) {
 		return
 	}
-	// The signature covers the manifest; a monolithic body must
-	// additionally re-chunk to exactly those digests, or a lying
-	// server could pair an honest manifest with a forged ledger.
-	if len(snap.Ledger) != 0 && !snap.VerifyLedger() {
-		return
-	}
 	if snap.Epoch > n.epoch {
 		n.noteFutureEpoch(m.Signer, snap.Epoch)
 	}
@@ -333,10 +304,8 @@ func (n *Node) handleSnapshot(_ types.ReplicaID, payload []byte) {
 
 // maybeInstallSnapshot looks for a digest vouched for by f+1 distinct
 // verified signers. Matching digests mean identical manifests, and
-// f+1 of them include at least one honest replica's capture. A
-// complete candidate (ledger body attached, already verified against
-// the manifest) installs immediately; manifest-only candidates start
-// the chunked fetch across the quorum's signers.
+// f+1 of them include at least one honest replica's capture; the
+// chunk fetch then pulls the ledger from those signers.
 func (n *Node) maybeInstallSnapshot() {
 	votes := make(map[types.Digest]int, len(n.snapFrom))
 	digests := make(map[types.ReplicaID]types.Digest, len(n.snapFrom))
@@ -356,27 +325,12 @@ func (n *Node) maybeInstallSnapshot() {
 		return
 	}
 	var servers []types.ReplicaID
-	complete := best
-	if !best.Complete() {
-		complete = nil
-		for id, d := range digests {
-			if d != bestDig {
-				continue
-			}
+	for id, d := range digests {
+		if d == bestDig {
 			servers = append(servers, id)
-			if s := n.snapFrom[id]; s.Complete() {
-				complete = s
-			}
 		}
-		sort.Slice(servers, func(i, j int) bool { return servers[i] < servers[j] })
 	}
-	if complete != nil {
-		// Re-derive the chunk payloads from the verified body so this
-		// replica can serve chunk fetchers after installing.
-		chunks := complete.BuildChunks(complete.ChunkSize)
-		n.installSnapshot(complete, complete.Ledger, chunks)
-		return
-	}
+	sort.Slice(servers, func(i, j int) bool { return servers[i] < servers[j] })
 	n.startChunkFetch(best, servers)
 }
 
@@ -387,10 +341,10 @@ func (n *Node) maybeInstallSnapshot() {
 // state verbatim loses nothing; the batched Store.Apply is the single
 // state application, and the verbatim dedup restore is what keeps
 // this replica's next capture bit-identical to honest peers'. writes
-// is the record set that actually needs applying — the full ledger on
-// the monolithic path, only the fetched (non-skipped) chunks on the
-// chunked path. chunks is the snapshot's full encoded chunk list,
-// retained for serving later fetchers.
+// is the record set that actually needs applying: the fetched chunks,
+// not the ones the local state already matched. chunks is the
+// snapshot's full encoded chunk list, retained for serving later
+// fetchers.
 func (n *Node) installSnapshot(snap *types.Snapshot, writes []types.RWRecord, chunks [][]byte) {
 	n.fetch = nil
 	crossEpoch := snap.Epoch != n.epoch
@@ -411,13 +365,12 @@ func (n *Node) installSnapshot(snap *types.Snapshot, writes []types.RWRecord, ch
 	n.clogStart = snap.Commits
 	n.clogMu.Unlock()
 	// The verified snapshot is identical to an honest capture, so this
-	// replica now serves it — manifest, chunks, or monolithic body —
-	// to later stragglers, widening the pool a future f+1 install can
-	// draw on (re-signed with this replica's own key on first serve).
+	// replica now serves it — manifest and chunks — to later
+	// stragglers, widening the pool a future f+1 install can draw on
+	// (re-signed with this replica's own key on first serve).
 	n.lastSnap = snap
 	n.snapChunks = chunks
 	n.snapCut = 0 // peers cut these chunks: the next capture reuses none
-	n.lastSnapMsg = nil
 	n.lastManifestMsg = nil
 	if crossEpoch {
 		n.nm.epochJumps.Add(1)

@@ -2,6 +2,7 @@ package node
 
 import (
 	"testing"
+	"time"
 
 	"thunderbolt/internal/contract"
 	"thunderbolt/internal/crypto"
@@ -12,9 +13,17 @@ import (
 )
 
 // snapTestNodes builds n unstarted nodes over a zero-latency
-// SimNetwork with identical genesis state. Methods are called directly
-// (no event loop), which is safe single-threaded.
+// SimNetwork with identical 8-account genesis state — a ledger smaller
+// than one chunk. Methods are called directly (no event loop), which is
+// safe single-threaded; transport deliveries land in each node's inbox
+// and are drained explicitly.
 func snapTestNodes(t *testing.T, n int) ([]*Node, *transport.SimNetwork) {
+	return snapTestNodesOf(t, n, 8, 0)
+}
+
+// snapTestNodesOf is snapTestNodes over a genesis of accounts accounts,
+// cutting snapshot chunks of chunk records (0 = the default size).
+func snapTestNodesOf(t *testing.T, n, accounts, chunk int) ([]*Node, *transport.SimNetwork) {
 	t.Helper()
 	signers, verifier, err := crypto.InsecureScheme{}.Committee(n, 7)
 	if err != nil {
@@ -27,13 +36,14 @@ func snapTestNodes(t *testing.T, n int) ([]*Node, *transport.SimNetwork) {
 		reg := contract.NewRegistry()
 		workload.RegisterSmallBank(reg)
 		st := storage.New()
-		workload.InitAccounts(st, 8, 100, 100)
+		workload.InitAccounts(st, accounts, 100, 100)
 		nd, err := New(Config{
 			ID: types.ReplicaID(i), N: n,
 			Transport: net.Endpoint(types.ReplicaID(i)),
 			Signer:    signers[i], Verifier: verifier,
 			Registry: reg, Store: st,
-			CommitLogCap: 1024,
+			CommitLogCap:     1024,
+			snapChunkRecords: chunk,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -43,14 +53,33 @@ func snapTestNodes(t *testing.T, n int) ([]*Node, *transport.SimNetwork) {
 	return nodes, net
 }
 
-// signedSnap wraps a donor's latest snapshot in the signed MsgSnapshot
-// payload, exactly as serveSnapshot would.
+// signedSnap wraps a donor's latest snapshot in the signed
+// MsgSnapManifest payload, exactly as serveSnapshot would.
 func signedSnap(donor *Node) []byte {
 	return (&snapshotMsg{
 		Signer: donor.cfg.ID,
 		Sig:    donor.cfg.Signer.Sign(donor.lastSnap.Digest()),
 		Snap:   mustMarshal(donor.lastSnap),
 	}).marshal()
+}
+
+// fetchChunks drives victim's chunk fetch until it installs: the donors
+// answer its chunk requests from their inboxes, the replies land in its
+// own, and timed-out requests rotate as in housekeeping.
+func fetchChunks(t *testing.T, victim *Node, donors ...*Node) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for victim.fetch != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("chunk fetch never completed")
+		}
+		time.Sleep(time.Millisecond)
+		for _, d := range donors {
+			d.drainInbox()
+		}
+		victim.drainInbox()
+		victim.pumpChunkFetch()
+	}
 }
 
 // applyTestCommits gives a node some committed state: a store write
@@ -102,15 +131,16 @@ func TestSnapshotInstallNeedsQuorum(t *testing.T) {
 	victim := nodes[0]
 
 	victim.handleSnapshot(1, signedSnap(nodes[1]))
-	if victim.epoch != 0 {
+	if victim.epoch != 0 || victim.fetch != nil {
 		t.Fatal("installed from a single signer — f+1 matching digests required")
 	}
 	// The same signer re-sending must not inflate the count.
 	victim.handleSnapshot(1, signedSnap(nodes[1]))
-	if victim.epoch != 0 {
+	if victim.epoch != 0 || victim.fetch != nil {
 		t.Fatal("one signer counted twice toward the install quorum")
 	}
 	victim.handleSnapshot(2, signedSnap(nodes[2]))
+	fetchChunks(t, victim, nodes[1], nodes[2])
 	if victim.epoch != 2 {
 		t.Fatalf("no epoch jump after f+1 matching snapshots (epoch %d)", victim.epoch)
 	}
@@ -138,34 +168,23 @@ func TestSnapshotInstallNeedsQuorum(t *testing.T) {
 
 func TestSnapshotInstallRejectsLyingServer(t *testing.T) {
 	nodes, _ := snapTestNodes(t, 4)
-	for _, nd := range nodes[1:4] {
+	for _, nd := range nodes[1:3] {
 		applyTestCommits(nd, 900)
 		nd.captureSnapshot(3)
 	}
 	victim := nodes[0]
 
-	// Replica 3 lies: an internally consistent snapshot with a forged
-	// balance, properly signed with its own key. Its digest differs,
-	// so it can never join the honest candidates' count.
-	lie := *nodes[3].lastSnap
-	lie.Ledger = append([]types.RWRecord(nil), lie.Ledger...)
-	for i, r := range lie.Ledger {
-		if r.Key == workload.CheckingKey(workload.AccountName(0)) {
-			lie.Ledger[i].Value = contract.EncodeInt64(1_000_000)
-		}
-	}
-	lieBytes, _ := lie.MarshalBinary()
-	var reSigned types.Snapshot
-	if err := reSigned.UnmarshalBinary(lieBytes); err != nil {
-		t.Fatal(err)
-	}
-	forged := (&snapshotMsg{
-		Signer: 3, Sig: nodes[3].cfg.Signer.Sign(reSigned.Digest()), Snap: lieBytes,
-	}).marshal()
+	// Replica 3 lies: a manifest properly signed with its own key whose
+	// chunk carries a forged balance, and it would serve that chunk if
+	// asked. Its digest differs, so it can never join the honest
+	// candidates' count.
+	liar := nodes[3]
+	applyTestCommits(liar, 1_000_000)
+	liar.captureSnapshot(3)
 
-	victim.handleSnapshot(3, forged)
+	victim.handleSnapshot(3, signedSnap(liar))
 	victim.handleSnapshot(1, signedSnap(nodes[1]))
-	if victim.epoch != 0 {
+	if victim.epoch != 0 || victim.fetch != nil {
 		t.Fatal("installed with one honest and one lying vote")
 	}
 	// Impersonation: without replica 1's key, a second copy of the lie
@@ -173,13 +192,14 @@ func TestSnapshotInstallRejectsLyingServer(t *testing.T) {
 	// attacker could forge the whole f+1 quorum over an
 	// unauthenticated transport.
 	impersonated := (&snapshotMsg{
-		Signer: 1, Sig: nodes[3].cfg.Signer.Sign(reSigned.Digest()), Snap: lieBytes,
+		Signer: 1, Sig: liar.cfg.Signer.Sign(liar.lastSnap.Digest()), Snap: mustMarshal(liar.lastSnap),
 	}).marshal()
 	victim.handleSnapshot(1, impersonated)
-	if victim.epoch != 0 {
+	if victim.epoch != 0 || victim.fetch != nil {
 		t.Fatal("impersonated signer forged the install quorum")
 	}
 	victim.handleSnapshot(2, signedSnap(nodes[2]))
+	fetchChunks(t, victim, nodes[1:]...)
 	if victim.epoch != 3 {
 		t.Fatalf("honest quorum did not install (epoch %d)", victim.epoch)
 	}
@@ -217,4 +237,64 @@ func TestSnapshotStaleOrMismatchedIgnored(t *testing.T) {
 	if len(victim.snapFrom) != 0 {
 		t.Fatal("mismatched committee size retained as a candidate")
 	}
+}
+
+// TestSnapshotSmallAndEmptyLedgers: manifest plus chunks covers the
+// smallest ledgers too. A ledger smaller than one chunk is one chunk —
+// two manifests and one fetched chunk install it; an empty ledger is a
+// manifest of no chunks and installs on the manifest quorum alone,
+// without a chunk request.
+func TestSnapshotSmallAndEmptyLedgers(t *testing.T) {
+	t.Run("smaller than one chunk", func(t *testing.T) {
+		nodes, _ := snapTestNodes(t, 4)
+		for _, nd := range nodes[1:3] {
+			applyTestCommits(nd, 321)
+			nd.captureSnapshot(1)
+		}
+		if s := nodes[1].lastSnap; s.RecordCount == 0 || s.RecordCount >= types.DefaultChunkRecords || len(s.ChunkDigests) != 1 {
+			t.Fatalf("fixture broken: %d records in %d chunks", s.RecordCount, len(s.ChunkDigests))
+		}
+		victim := nodes[0]
+		victim.handleSnapshot(1, signedSnap(nodes[1]))
+		victim.handleSnapshot(2, signedSnap(nodes[2]))
+		fetchChunks(t, victim, nodes[1], nodes[2])
+		if st := victim.Stats(); st.Epoch != 1 || st.SnapChunksFetched != 1 || st.SnapChunksSkipped != 0 {
+			t.Fatalf("epoch %d after %d fetched and %d skipped chunks, want epoch 1 from one fetched chunk",
+				st.Epoch, st.SnapChunksFetched, st.SnapChunksSkipped)
+		}
+		v, _ := victim.cfg.Store.Get(workload.CheckingKey(workload.AccountName(0)))
+		if got, err := contract.DecodeInt64(v); err != nil || got != 321 {
+			t.Fatalf("ledger not installed: balance %d (%v)", got, err)
+		}
+	})
+	t.Run("empty", func(t *testing.T) {
+		nodes, _ := snapTestNodesOf(t, 4, 0, 0)
+		tx := legacyTx("e1")
+		for _, nd := range nodes[1:3] {
+			nd.dedup.Mark(tx)
+			nd.nm.committedTxs.Add(1)
+			nd.captureSnapshot(1)
+		}
+		if s := nodes[1].lastSnap; s.RecordCount != 0 || len(s.ChunkDigests) != 0 {
+			t.Fatalf("fixture broken: %d records in %d chunks", s.RecordCount, len(s.ChunkDigests))
+		}
+		victim := nodes[0]
+		victim.handleSnapshot(1, signedSnap(nodes[1]))
+		if victim.epoch != 0 {
+			t.Fatal("installed from a single signer")
+		}
+		victim.handleSnapshot(2, signedSnap(nodes[2]))
+		if victim.epoch != 1 || victim.fetch != nil {
+			t.Fatalf("empty ledger did not install on the manifest quorum (epoch %d)", victim.epoch)
+		}
+		if !victim.dedup.Resolved(tx) || victim.Stats().CommittedTxs != 1 {
+			t.Fatal("dedup state not installed")
+		}
+		time.Sleep(20 * time.Millisecond)
+		for _, nd := range nodes[1:] {
+			if got := countInbox(nd, MsgSnapChunkReq); got != 0 {
+				t.Fatalf("replica %d was asked for %d chunks of an empty ledger", nd.cfg.ID, got)
+			}
+		}
+	})
 }

@@ -366,12 +366,12 @@ func decodeRecordsArena(d *Decoder, arena *[]RWRecord) []RWRecord {
 	return recs
 }
 
-// decodeLedger decodes a record list that carries a snapshot's ledger
-// (a chunk, or a monolithic body). Unlike a block's read/write sets,
-// such a stream names every key of the state exactly once, so there
-// is nothing for the intern table to share — and interning it would
-// let a 200k-key cold stream fill the never-evicting table ahead of
-// the keys that blocks repeat. Keys are private copies.
+// decodeLedger decodes a record list that carries one chunk of a
+// snapshot's ledger. Unlike a block's read/write sets, such a stream
+// names every key of the state exactly once, so there is nothing for
+// the intern table to share — and interning it would let a 200k-key
+// cold stream fill the never-evicting table ahead of the keys that
+// blocks repeat. Keys are private copies.
 func decodeLedger(d *Decoder) []RWRecord {
 	n := d.U32()
 	if d.Err() != nil {

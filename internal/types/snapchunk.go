@@ -66,8 +66,8 @@ func MerkleFold(ds []Digest) Digest {
 //
 // When keepLimit ≥ 0 the builder additionally retains the decoded
 // records (values cloned) until the stream exceeds that many, then
-// drops them: the caller learns for free whether the ledger is small
-// enough for the monolithic snapshot path, and gets the records if so.
+// drops them. Snapshot capture and chunk fetch pass -1: no snapshot
+// carries records beside its chunks.
 //
 // A builder armed with Reuse is incremental: a chunk none of whose
 // records changed since the previous pass is taken from that pass by
@@ -188,26 +188,6 @@ func (b *ChunkBuilder) Finish() (chunks [][]byte, digests []Digest, records []RW
 	return b.chunks, b.digests, b.records, b.count
 }
 
-// BuildChunks (re)derives the snapshot's chunk manifest — ChunkSize,
-// RecordCount, ChunkDigests — from its in-memory Ledger, and returns
-// the encoded chunk payloads. size == 0 selects DefaultChunkRecords.
-// The digest cache is invalidated: the manifest is part of the digest.
-func (s *Snapshot) BuildChunks(size uint32) [][]byte {
-	if size == 0 {
-		size = DefaultChunkRecords
-	}
-	cb := NewChunkBuilder(int(size), -1)
-	for _, r := range s.Ledger {
-		cb.Add(r.Key, r.Value)
-	}
-	chunks, digests, _, count := cb.Finish()
-	s.ChunkSize = size
-	s.RecordCount = uint64(count)
-	s.ChunkDigests = digests
-	s.digOK = false
-	return chunks
-}
-
 // chunkRecords returns how many records chunk i must carry: ChunkSize
 // for every chunk but a shorter final one.
 func (s *Snapshot) chunkRecords(i int) int {
@@ -242,45 +222,4 @@ func (s *Snapshot) VerifyChunk(i int, payload []byte) ([]RWRecord, error) {
 		}
 	}
 	return recs, nil
-}
-
-// VerifyLedger reports whether the in-memory Ledger re-chunks to
-// exactly the manifest's digests — the check that keeps the
-// monolithic path honest now that the snapshot digest covers the
-// manifest rather than the raw records: a server cannot pair a valid
-// manifest with a forged ledger body.
-func (s *Snapshot) VerifyLedger() bool {
-	if s.ChunkSize == 0 || uint64(len(s.Ledger)) != s.RecordCount {
-		return false
-	}
-	cb := NewChunkBuilder(int(s.ChunkSize), -1)
-	for _, r := range s.Ledger {
-		cb.Add(r.Key, r.Value)
-	}
-	_, digests, _, _ := cb.Finish()
-	if len(digests) != len(s.ChunkDigests) {
-		return false
-	}
-	for i, d := range digests {
-		if d != s.ChunkDigests[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Complete reports whether the snapshot carries its full ledger body
-// (the monolithic form) rather than being a manifest awaiting chunk
-// fetch.
-func (s *Snapshot) Complete() bool {
-	return uint64(len(s.Ledger)) == s.RecordCount
-}
-
-// Manifest returns a copy of s without the raw ledger records — the
-// form served to chunk fetchers. The digest is unchanged by
-// construction: it covers the manifest, never the record bodies.
-func (s *Snapshot) Manifest() *Snapshot {
-	m := *s
-	m.Ledger = nil
-	return &m
 }

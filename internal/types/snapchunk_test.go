@@ -5,34 +5,32 @@ import (
 	"testing"
 )
 
-func chunkedSnapshot(records, chunkSize int) (*Snapshot, [][]byte) {
+// chunkedSnapshot returns a manifest over records ledger records cut
+// into chunks of chunkSize, the chunk payloads, and the ledger.
+func chunkedSnapshot(records, chunkSize int) (*Snapshot, [][]byte, []RWRecord) {
 	s := &Snapshot{
 		Epoch: 2, N: 4, PrevEpoch: 2, EndRound: 512, Commits: 9000,
 		DedupWindow: 128, LegacyCap: 64,
 	}
+	var ledger []RWRecord
 	for i := 0; i < records; i++ {
-		s.Ledger = append(s.Ledger, RWRecord{
+		ledger = append(ledger, RWRecord{
 			Key:   Key(fmt.Sprintf("c:acct%06d", i)),
 			Value: Value(fmt.Sprintf("%d", 1000+i)),
 		})
 	}
-	chunks := s.BuildChunks(uint32(chunkSize))
-	return s, chunks
+	return s, chunkInto(s, ledger, chunkSize), ledger
 }
 
 func TestChunkManifestRoundTrip(t *testing.T) {
-	s, chunks := chunkedSnapshot(10, 4)
+	s, chunks, ledger := chunkedSnapshot(10, 4)
 	if len(chunks) != 3 || len(s.ChunkDigests) != 3 || s.RecordCount != 10 {
 		t.Fatalf("want 3 chunks over 10 records, got %d chunks, count %d", len(chunks), s.RecordCount)
 	}
-	if !s.Canonical() || !s.Complete() {
-		t.Fatal("monolithic form should be canonical and complete")
+	if !s.Canonical() {
+		t.Fatal("manifest should be canonical")
 	}
-	m := s.Manifest()
-	if m.Digest() != s.Digest() {
-		t.Fatal("manifest digest must equal the full snapshot digest")
-	}
-	b, err := m.MarshalBinary()
+	b, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +40,6 @@ func TestChunkManifestRoundTrip(t *testing.T) {
 	}
 	if !got.Canonical() {
 		t.Fatal("decoded manifest not canonical")
-	}
-	if got.Complete() {
-		t.Fatal("manifest with pending records claims completeness")
 	}
 	if got.Digest() != s.Digest() {
 		t.Fatal("manifest digest changed across encode/decode")
@@ -59,48 +54,52 @@ func TestChunkManifestRoundTrip(t *testing.T) {
 		}
 		all = append(all, recs...)
 	}
-	if len(all) != len(s.Ledger) {
-		t.Fatalf("reassembled %d records, want %d", len(all), len(s.Ledger))
+	if len(all) != len(ledger) {
+		t.Fatalf("reassembled %d records, want %d", len(all), len(ledger))
 	}
 	for i := range all {
-		if all[i].Key != s.Ledger[i].Key || !all[i].Value.Equal(s.Ledger[i].Value) {
+		if all[i].Key != ledger[i].Key || !all[i].Value.Equal(ledger[i].Value) {
 			t.Fatalf("record %d mismatch after reassembly", i)
 		}
 	}
 }
 
 func TestVerifyChunkRejectsForgery(t *testing.T) {
-	s, chunks := chunkedSnapshot(10, 4)
-	m := s.Manifest()
-	if _, err := m.VerifyChunk(0, chunks[1]); err == nil {
+	s, chunks, _ := chunkedSnapshot(10, 4)
+	if _, err := s.VerifyChunk(0, chunks[1]); err == nil {
 		t.Fatal("chunk served under the wrong index verified")
 	}
-	if _, err := m.VerifyChunk(3, chunks[0]); err == nil {
+	if _, err := s.VerifyChunk(3, chunks[0]); err == nil {
 		t.Fatal("out-of-range index verified")
 	}
 	bad := append([]byte(nil), chunks[2]...)
 	bad[len(bad)-1] ^= 1
-	if _, err := m.VerifyChunk(2, bad); err == nil {
+	if _, err := s.VerifyChunk(2, bad); err == nil {
 		t.Fatal("corrupt payload verified")
 	}
-	if _, err := m.VerifyChunk(1, chunks[1][:len(chunks[1])-1]); err == nil {
+	if _, err := s.VerifyChunk(1, chunks[1][:len(chunks[1])-1]); err == nil {
 		t.Fatal("truncated payload verified")
 	}
 }
 
+// TestVerifyLedgerBindsBody checks that a ledger body re-chunked by a
+// server binds to the manifest: the honest records verify chunk by
+// chunk, while well-formed chunks of forged or missing records — what
+// a lying server pairs with an honest manifest — do not.
 func TestVerifyLedgerBindsBody(t *testing.T) {
-	s, _ := chunkedSnapshot(10, 4)
-	if !s.VerifyLedger() {
-		t.Fatal("honest ledger body rejected")
+	s, chunks, ledger := chunkedSnapshot(10, 4)
+	for i, c := range chunks {
+		if _, err := s.VerifyChunk(i, c); err != nil {
+			t.Fatalf("honest ledger chunk %d rejected: %v", i, err)
+		}
 	}
-	forged, _ := chunkedSnapshot(10, 4)
-	forged.Ledger[3].Value = Value("stolen")
-	if forged.VerifyLedger() {
+	forged := append([]RWRecord(nil), ledger...)
+	forged[3].Value = Value("stolen")
+	if _, err := s.VerifyChunk(0, chunkInto(&Snapshot{}, forged, 4)[0]); err == nil {
 		t.Fatal("forged ledger body passed against the manifest")
 	}
-	short, _ := chunkedSnapshot(10, 4)
-	short.Ledger = short.Ledger[:9]
-	if short.VerifyLedger() {
+	short := chunkInto(&Snapshot{}, ledger[:9], 4)
+	if _, err := s.VerifyChunk(2, short[2]); err == nil {
 		t.Fatal("short ledger body passed against the manifest")
 	}
 }
@@ -130,11 +129,10 @@ func TestMerkleFold(t *testing.T) {
 }
 
 func TestChunkBuilderStreamsAndKeeps(t *testing.T) {
-	s, want := chunkedSnapshot(10, 4)
-	// Streaming through the builder must produce bit-identical chunks
-	// to BuildChunks over the materialized ledger.
+	s, want, ledger := chunkedSnapshot(10, 4)
+	// Records retained under a keep limit must not change the chunks.
 	cb := NewChunkBuilder(4, 5) // keep limit below the stream size
-	for _, r := range s.Ledger {
+	for _, r := range ledger {
 		cb.Add(r.Key, r.Value)
 	}
 	chunks, digests, records, count := cb.Finish()
@@ -146,22 +144,22 @@ func TestChunkBuilderStreamsAndKeeps(t *testing.T) {
 	}
 	for i := range chunks {
 		if string(chunks[i]) != string(want[i]) {
-			t.Fatalf("chunk %d bytes differ from BuildChunks", i)
+			t.Fatalf("chunk %d bytes differ from a builder that keeps nothing", i)
 		}
 		if digests[i] != s.ChunkDigests[i] {
 			t.Fatalf("chunk %d digest differs from manifest", i)
 		}
 	}
-	// Under the limit the records are retained for the monolithic path.
+	// Under the limit the records are retained.
 	small := NewChunkBuilder(4, 16)
-	for _, r := range s.Ledger {
+	for _, r := range ledger {
 		small.Add(r.Key, r.Value)
 	}
 	_, _, kept, _ := small.Finish()
 	if len(kept) != 10 {
 		t.Fatalf("keep limit 16 over 10 records retained %d", len(kept))
 	}
-	if kept[0].Key != s.Ledger[0].Key {
+	if kept[0].Key != ledger[0].Key {
 		t.Fatal("retained records corrupted")
 	}
 }

@@ -45,20 +45,14 @@ type Snapshot struct {
 	// the ledger split into fixed-size key-ordered chunks of ChunkSize
 	// records each (a shorter final chunk), RecordCount records in
 	// total, with ChunkDigests[i] the content digest of chunk i's
-	// canonical encoding (EncodeChunk). The snapshot digest commits to
-	// the Merkle fold of these digests rather than the raw records, so
-	// the same f+1-signer contract that authenticates a monolithic
-	// snapshot authenticates the manifest, and every chunk then
-	// verifies independently against its manifest entry.
+	// canonical encoding (see ChunkBuilder). The records themselves
+	// never travel with the snapshot: the digest commits to the Merkle
+	// fold of these digests, so the f+1 signers that authenticate the
+	// manifest authenticate every chunk, and each fetched chunk then
+	// verifies independently against its manifest entry (VerifyChunk).
 	ChunkSize    uint32
 	RecordCount  uint64
 	ChunkDigests []Digest
-
-	// Ledger is the full committed key/value state, in strictly
-	// ascending key order. It is populated in the monolithic form
-	// (small ledgers shipped as one message) and nil in the manifest
-	// form, where the records travel as individually fetched chunks.
-	Ledger []RWRecord
 
 	// DedupWindow and LegacyCap bind the digest to the dedup
 	// configuration the sessions and applied window were built under
@@ -109,22 +103,16 @@ type ClientSession struct {
 	Bits   []uint64
 }
 
-// SortLedger puts records into the canonical strictly-ascending key
-// order builders must emit.
-func SortLedger(recs []RWRecord) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
-}
-
 // SortDigests puts digests into the canonical strictly-ascending byte
 // order builders must emit.
 func SortDigests(ds []Digest) {
 	sort.Slice(ds, func(i, j int) bool { return bytes.Compare(ds[i][:], ds[j][:]) < 0 })
 }
 
-// Canonical reports whether the snapshot is in canonical form: ledger
-// keys strictly ascending, sessions strictly ascending by client with
-// bitmaps sized to DedupWindow, and the legacy applied window within
-// its capacity. Honest builders always emit canonical snapshots;
+// Canonical reports whether the snapshot is in canonical form: one
+// chunk digest per ChunkSize records, sessions strictly ascending by
+// client with bitmaps sized to DedupWindow, and the legacy applied
+// window within its capacity. Honest builders always emit canonical snapshots;
 // receivers reject anything else before counting it toward an install
 // quorum, so a malformed or deliberately inflated copy can never
 // masquerade as a fresh digest of the same logical state. (The
@@ -132,21 +120,11 @@ func SortDigests(ds []Digest) {
 // order is state — so its ordering is bound by the digest, not by a
 // canonical sort.)
 func (s *Snapshot) Canonical() bool {
-	for i := 1; i < len(s.Ledger); i++ {
-		if s.Ledger[i-1].Key >= s.Ledger[i].Key {
-			return false
-		}
-	}
 	if s.ChunkSize == 0 {
 		return false
 	}
 	wantChunks := int((s.RecordCount + uint64(s.ChunkSize) - 1) / uint64(s.ChunkSize))
 	if len(s.ChunkDigests) != wantChunks {
-		return false
-	}
-	// A populated ledger body must match the manifest's record count
-	// exactly; an empty one is the manifest form (or the empty state).
-	if len(s.Ledger) != 0 && uint64(len(s.Ledger)) != s.RecordCount {
 		return false
 	}
 	if s.DedupWindow == 0 || s.DedupWindow%64 != 0 {
@@ -167,9 +145,7 @@ func (s *Snapshot) Canonical() bool {
 // Digest returns the canonical content address of the snapshot,
 // computed once and cached. The preimage is the manifest — header,
 // chunk geometry, the Merkle fold of the chunk digests, and the dedup
-// state — never the raw ledger records: a manifest and the monolithic
-// snapshot it describes share one digest, so f+1 signatures collected
-// over either authenticate both the whole and every chunk.
+// state — so f+1 signatures over it authenticate every chunk.
 func (s *Snapshot) Digest() Digest {
 	if !s.digOK {
 		e := GetEncoder()
@@ -214,24 +190,17 @@ func (s *Snapshot) encodeDedup(e *Encoder) {
 	}
 }
 
-// encode appends the wire form: manifest fields (with the full chunk
-// digest list — fetchers need every entry), then the ledger records,
-// empty in the manifest form.
-func (s *Snapshot) encode(e *Encoder) {
+// MarshalBinary encodes the snapshot canonically: the header, the full
+// chunk digest list (fetchers need every entry), then the dedup state.
+func (s *Snapshot) MarshalBinary() ([]byte, error) {
+	e := GetEncoder()
+	defer PutEncoder(e)
 	s.encodeHeader(e)
 	e.U32(uint32(len(s.ChunkDigests)))
 	for _, d := range s.ChunkDigests {
 		e.Digest(d)
 	}
 	s.encodeDedup(e)
-	encodeRecords(e, s.Ledger)
-}
-
-// MarshalBinary encodes the snapshot canonically.
-func (s *Snapshot) MarshalBinary() ([]byte, error) {
-	e := GetEncoder()
-	defer PutEncoder(e)
-	s.encode(e)
 	return e.Detach(), nil
 }
 
@@ -281,10 +250,6 @@ func (s *Snapshot) UnmarshalBinary(b []byte) error {
 	s.Applied = make([]Digest, 0, na)
 	for i := uint32(0); i < na && d.Err() == nil; i++ {
 		s.Applied = append(s.Applied, d.Digest())
-	}
-	s.Ledger = decodeLedger(d)
-	if len(s.Ledger) == 0 {
-		s.Ledger = nil
 	}
 	return d.Finish()
 }

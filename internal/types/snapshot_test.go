@@ -4,14 +4,31 @@ import (
 	"testing"
 )
 
+// testLedger is a three-record ledger in ascending key order.
+func testLedger() []RWRecord {
+	return []RWRecord{
+		{Key: "c:acct000001", Value: Value("100")},
+		{Key: "c:acct000002", Value: Value("250")},
+		{Key: "s:acct000001", Value: Value("7")},
+	}
+}
+
+// chunkInto cuts recs (ascending keys) into chunks of size records,
+// sets s's manifest to match, and returns the chunk payloads.
+func chunkInto(s *Snapshot, recs []RWRecord, size int) [][]byte {
+	cb := NewChunkBuilder(size, -1)
+	for _, r := range recs {
+		cb.Add(r.Key, r.Value)
+	}
+	chunks, digests, _, count := cb.Finish()
+	s.ChunkSize, s.RecordCount, s.ChunkDigests = uint32(size), uint64(count), digests
+	s.digOK = false
+	return chunks
+}
+
 func testSnapshot() *Snapshot {
 	s := &Snapshot{
 		Epoch: 3, N: 4, PrevEpoch: 2, EndRound: 41, Commits: 1234,
-		Ledger: []RWRecord{
-			{Key: "c:acct000001", Value: Value("100")},
-			{Key: "c:acct000002", Value: Value("250")},
-			{Key: "s:acct000001", Value: Value("7")},
-		},
 		DedupWindow: 128,
 		LegacyCap:   4096,
 		Sessions: []ClientSession{
@@ -26,8 +43,7 @@ func testSnapshot() *Snapshot {
 			HashBytes([]byte("b")),
 		},
 	}
-	SortLedger(s.Ledger)
-	s.BuildChunks(2) // three records → two chunks
+	chunkInto(s, testLedger(), 2) // three records → two chunks
 	return s
 }
 
@@ -46,13 +62,14 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		got.DedupWindow != s.DedupWindow || got.LegacyCap != s.LegacyCap {
 		t.Fatalf("header mismatch: %+v vs %+v", got, s)
 	}
-	if len(got.Ledger) != len(s.Ledger) || len(got.Applied) != len(s.Applied) ||
+	if got.ChunkSize != s.ChunkSize || got.RecordCount != s.RecordCount ||
+		len(got.ChunkDigests) != len(s.ChunkDigests) || len(got.Applied) != len(s.Applied) ||
 		len(got.Sessions) != len(s.Sessions) {
 		t.Fatalf("body length mismatch")
 	}
-	for i := range s.Ledger {
-		if got.Ledger[i].Key != s.Ledger[i].Key || !got.Ledger[i].Value.Equal(s.Ledger[i].Value) {
-			t.Fatalf("ledger[%d] mismatch", i)
+	for i := range s.ChunkDigests {
+		if got.ChunkDigests[i] != s.ChunkDigests[i] {
+			t.Fatalf("chunk digest %d mismatch", i)
 		}
 	}
 	for i := range s.Sessions {
@@ -88,7 +105,11 @@ func TestSnapshotDigestBindsContent(t *testing.T) {
 		func(s *Snapshot) { s.Commits++ },
 		// The digest covers the manifest, not the raw records, so a
 		// ledger edit surfaces through the rebuilt chunk digests.
-		func(s *Snapshot) { s.Ledger[0].Value = Value("999"); s.BuildChunks(s.ChunkSize) },
+		func(s *Snapshot) {
+			recs := testLedger()
+			recs[0].Value = Value("999")
+			chunkInto(s, recs, int(s.ChunkSize))
+		},
 		func(s *Snapshot) { s.ChunkSize *= 2 },
 		func(s *Snapshot) { s.RecordCount++ },
 		func(s *Snapshot) { s.ChunkDigests[0][0] ^= 1 },
@@ -116,11 +137,6 @@ func TestSnapshotCanonical(t *testing.T) {
 	s := testSnapshot()
 	if !s.Canonical() {
 		t.Fatal("well-formed snapshot should be canonical")
-	}
-	bad := testSnapshot()
-	bad.Ledger[0], bad.Ledger[1] = bad.Ledger[1], bad.Ledger[0]
-	if bad.Canonical() {
-		t.Fatal("unsorted ledger accepted as canonical")
 	}
 	unsorted := testSnapshot()
 	unsorted.Sessions[0], unsorted.Sessions[1] = unsorted.Sessions[1], unsorted.Sessions[0]
@@ -151,11 +167,6 @@ func TestSnapshotCanonical(t *testing.T) {
 	wrongChunks.ChunkDigests = wrongChunks.ChunkDigests[:1]
 	if wrongChunks.Canonical() {
 		t.Fatal("chunk count disagreeing with record count accepted as canonical")
-	}
-	shortBody := testSnapshot()
-	shortBody.Ledger = shortBody.Ledger[:1] // partial body: neither manifest nor monolith
-	if shortBody.Canonical() {
-		t.Fatal("partial ledger body accepted as canonical")
 	}
 }
 
