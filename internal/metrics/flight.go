@@ -35,6 +35,7 @@ const (
 	EvSpecStart
 	EvSpecConfirm
 	EvSpecRollback
+	EvAnchorSkip
 )
 
 func (k EventKind) String() string {
@@ -71,6 +72,8 @@ func (k EventKind) String() string {
 		return "spec-confirm"
 	case EvSpecRollback:
 		return "spec-rollback"
+	case EvAnchorSkip:
+		return "anchor-skip"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

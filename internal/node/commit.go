@@ -23,7 +23,18 @@ func (n *Node) processCommits() {
 		now := time.Now()
 		for _, w := range waves {
 			n.execQ = append(n.execQ, execItem{wave: w, committedAt: now})
+			for _, s := range w.Skipped {
+				// a = 1 when the leader vertex was missing, 0 when it
+				// was short of support.
+				var missing uint64
+				if s.Missing {
+					missing = 1
+				}
+				n.trace(metrics.EvAnchorSkip, s.Round, missing, 0)
+			}
+			n.nm.anchorsSkipped.Add(uint64(len(w.Skipped)))
 		}
+		n.nm.anchorsOrdered.Add(uint64(len(waves)))
 		n.nm.execQueueDepth.Set(int64(len(n.execQ)))
 		n.nm.roundsInFlight.Set(int64(n.nextRound) - 1 - int64(n.committer.LastLeaderRound()))
 	}

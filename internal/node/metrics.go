@@ -51,6 +51,13 @@ const (
 	mSpecMisses    = "spec_misses"
 	mSpecWastedTxs = "spec_wasted_txs"
 
+	// Commit rule (tusk): anchors ordered, one per commit wave, and
+	// anchor candidates an instance passed over on the way to one.
+	// anchors_ordered / rounds_proposed is the anchors per round: ≈ 1
+	// when nothing fails, lower by the rounds skips cost.
+	mAnchorsOrdered = "anchors_ordered"
+	mAnchorsSkipped = "anchors_skipped"
+
 	// Certification and round pacing (votes.go, pacing.go).
 	mLeaderWaits        = "leader_waits"         // proposals held for a leader's certificate
 	mLeaderWaitTimeouts = "leader_wait_timeouts" // holds that ended at their bound
@@ -109,6 +116,8 @@ type nodeMetrics struct {
 	specHits           *metrics.Counter
 	specMisses         *metrics.Counter
 	specWastedTxs      *metrics.Counter
+	anchorsOrdered     *metrics.Counter
+	anchorsSkipped     *metrics.Counter
 	leaderWaits        *metrics.Counter
 	leaderWaitTimeouts *metrics.Counter
 	votesEarly         *metrics.Counter
@@ -174,6 +183,8 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		specHits:           reg.Counter(mSpecHits),
 		specMisses:         reg.Counter(mSpecMisses),
 		specWastedTxs:      reg.Counter(mSpecWastedTxs),
+		anchorsOrdered:     reg.Counter(mAnchorsOrdered),
+		anchorsSkipped:     reg.Counter(mAnchorsSkipped),
 		leaderWaits:        reg.Counter(mLeaderWaits),
 		leaderWaitTimeouts: reg.Counter(mLeaderWaitTimeouts),
 		votesEarly:         reg.Counter(mVotesEarly),

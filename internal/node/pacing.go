@@ -70,18 +70,16 @@ type leaderWait struct {
 }
 
 // holdForLeader reports whether the proposal that would leave round
-// prev must wait: prev is a leader round whose leader block this
-// replica has received but not yet certified. Leaving without the
-// vertex means the next block cannot reference it; when f+1 replicas do
-// that the anchor misses direct support and its wave commits two
-// rounds late. A leader whose block never arrived is not waited for —
-// a crashed leader costs what it always cost — and the hold ends when
-// the vertex lands (addVertex re-enters maybeAdvance) or at
-// leaderWaitBound (leaderTimer does).
+// prev must wait: every round carries an anchor candidate, and prev's
+// leader block has been received here but not yet certified. Leaving
+// without the vertex means the next block cannot reference it; when
+// f+1 replicas do that the candidate misses direct support and its
+// instance orders the candidate two rounds later instead — the round
+// between them gets no anchor. A leader whose block never arrived is
+// not waited for — a crashed leader costs what it always cost — and
+// the hold ends when the vertex lands (addVertex re-enters
+// maybeAdvance) or at leaderWaitBound (leaderTimer does).
 func (n *Node) holdForLeader(prev types.Round) bool {
-	if !tusk.LeaderRound(prev) {
-		return false
-	}
 	w := &n.leaderWait
 	leader := tusk.LeaderOf(n.epoch, prev, n.n)
 	if _, ok := n.dagStore.Get(prev, leader); ok {

@@ -277,22 +277,15 @@ func (n *Node) fillBlock(blk *types.Block, r types.Round) {
 }
 
 // missingLeader reports whether a leader vertex is overdue (rule P6's
-// "leader proposal delayed beyond a timeout"). The newest leader round
-// is legitimately still in flight, so the check applies to the leader
-// two rounds back: by then an honest leader's certificate has had a
-// full round-trip to arrive.
+// "leader proposal delayed beyond a timeout"). The newest rounds'
+// leaders are legitimately still in flight, so the check applies to
+// the leader of round r−3: by then an honest leader's certificate has
+// had a full round-trip to arrive.
 func (n *Node) missingLeader(r types.Round) bool {
 	if r < 4 {
 		return false
 	}
-	lr := r - 3
-	for lr > 0 && !tusk.LeaderRound(lr) {
-		lr--
-	}
-	if lr == 0 {
-		return false
-	}
-	_, ok := n.dagStore.Get(lr, tusk.LeaderOf(n.epoch, lr, n.n))
+	_, ok := n.dagStore.Get(r-3, tusk.LeaderOf(n.epoch, r-3, n.n))
 	return !ok
 }
 

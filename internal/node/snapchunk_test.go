@@ -1,10 +1,13 @@
 package node
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"thunderbolt/internal/contract"
+	"thunderbolt/internal/dag"
+	"thunderbolt/internal/dag/dagtest"
 	"thunderbolt/internal/transport"
 	"thunderbolt/internal/tusk"
 	"thunderbolt/internal/types"
@@ -45,11 +48,12 @@ func waitInbox(t *testing.T, nd *Node, mt transport.MsgType, want int) {
 	}
 }
 
-// seedMidEpochDonor gives a donor committed state at leader round
-// endRound and a mid-epoch capture of it.
+// seedMidEpochDonor gives a donor committed state through the wave
+// ordered at round endRound and a mid-epoch capture of it.
 func seedMidEpochDonor(nd *Node, endRound types.Round, balance int64, txs ...*types.Transaction) {
 	applyTestCommits(nd, balance, txs...)
 	nd.committer = tusk.NewCommitterAt(nd.dagStore, nd.n, endRound)
+	nd.commitCtx.Wave = endRound
 	nd.capture(nd.epoch)
 }
 
@@ -140,13 +144,12 @@ func TestMidEpochChunkedInstall(t *testing.T) {
 			t.Fatal("dedup state not installed")
 		}
 	}
-	// Re-anchored mid-epoch: base = EndRound − minGCHorizon, odd.
+	// Re-anchored mid-epoch: the DAG enters at EndRound − minGCHorizon,
+	// and the committer resumes at EndRound, the committee's instance
+	// boundary.
 	wantBase := types.Round(100 - minGCHorizon)
-	if wantBase%2 == 0 {
-		wantBase--
-	}
-	if victim.dagStore.Base() != wantBase || victim.committer.LastLeaderRound() < wantBase {
-		t.Fatalf("not re-anchored: base %d (want %d), last leader %d",
+	if victim.dagStore.Base() != wantBase || victim.committer.LastLeaderRound() != 100 {
+		t.Fatalf("not re-anchored: base %d (want %d), last leader %d (want 100)",
 			victim.dagStore.Base(), wantBase, victim.committer.LastLeaderRound())
 	}
 	if victim.epoch != 0 {
@@ -170,6 +173,50 @@ func TestMidEpochChunkedInstall(t *testing.T) {
 	start, log := victim.CommitLog()
 	if start != donor.lastSnap.Commits || len(log) != 0 {
 		t.Fatalf("commit log not re-anchored: start %d, %d entries", start, len(log))
+	}
+}
+
+// A mid-epoch install must carry the epoch's committed Shift
+// proposers: the installer's DAG enters above the early Shift blocks,
+// so it can never re-derive them, and a replica that counts one Shift
+// fewer reconfigures a wave after its peers — or never, committing on
+// into the epoch they left.
+func TestMidEpochInstallRestoresCommittedShifts(t *testing.T) {
+	nodes, _ := chunkTestNodes(t, 4, 64)
+	victim := nodes[0]
+	for _, nd := range nodes[1:3] {
+		nd.committedShift[1] = true // committed far below the snapshot's base
+		seedMidEpochDonor(nd, 100, 555)
+	}
+	nodes[1].serveSnapshot(0, 0, 0)
+	nodes[2].serveSnapshot(0, 0, 0)
+	waitInbox(t, victim, MsgSnapManifest, 2)
+	victim.drainInbox()
+	if victim.fetch == nil {
+		t.Fatal("manifest quorum did not start a chunk fetch")
+	}
+	fetchChunks(t, victim, nodes[1], nodes[2])
+	if victim.Stats().MidEpochInstalls != 1 {
+		t.Fatal("snapshot not installed")
+	}
+	if !reflect.DeepEqual(victim.committedShift, nodes[1].committedShift) {
+		t.Fatalf("installer's committed Shifts %v, capturer's %v", victim.committedShift, nodes[1].committedShift)
+	}
+
+	// 2f more Shifts commit in one wave: it completes the 2f+1 quorum,
+	// so capturer and installer both reconfigure on it.
+	committee := dagtest.NewCommittee(4)
+	var vs []*dag.Vertex
+	for _, p := range []types.ReplicaID{2, 3} {
+		vs = append(vs, committee.Vertex(&types.Block{Round: 101, Proposer: p, Shard: types.ShardID(p), Kind: types.ShiftBlock}))
+	}
+	wave := tusk.CommitWave{Leader: vs[len(vs)-1], Vertices: vs}
+	for _, nd := range []*Node{nodes[1], victim} {
+		nd.execQ = append(nd.execQ, execItem{wave: wave, committedAt: time.Now()})
+		nd.drainExec()
+		if nd.epoch != 1 || nd.Stats().Reconfigurations != 1 {
+			t.Fatalf("replica %d did not reconfigure on the wave completing the Shift quorum (epoch %d)", nd.cfg.ID, nd.epoch)
+		}
 	}
 }
 

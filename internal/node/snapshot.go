@@ -51,12 +51,12 @@ import (
 //   - Install: one batched state application (fetched chunks only —
 //     locally matching chunks are skipped), the dedup and commit-log
 //     position taken verbatim, then either an epoch jump (transition
-//     snapshots) or a mid-epoch re-entry: the DAG and committer are
-//     re-anchored at a base a full re-entry margin behind the
-//     snapshot's end round, waves re-derived below the snapshot
-//     position deduplicate against the restored state exactly like a
-//     WAL-restart replay, and the replica rejoins while the committee
-//     keeps committing.
+//     snapshots) or a mid-epoch re-entry: the DAG is re-anchored at a
+//     base a full re-entry margin behind the snapshot's end round and
+//     the committer at the end round itself, history re-derived below
+//     the snapshot position deduplicates against the restored state
+//     exactly like a WAL-restart replay, and the replica rejoins while
+//     the committee keeps committing.
 
 // snapshotReqEvery spaces rescue requests and per-peer snapshot
 // serves, in housekeeping ticks: snapshots are large payloads, so
@@ -111,11 +111,23 @@ func (n *Node) capture(snapEpoch types.Epoch) {
 		return true
 	})
 	chunks, digests, _, count := cb.Finish()
+	var shifts []types.ReplicaID
+	if snapEpoch == n.epoch {
+		for p := range n.committedShift {
+			shifts = append(shifts, p)
+		}
+		sort.Slice(shifts, func(i, j int) bool { return shifts[i] < shifts[j] })
+	}
 	snap := &types.Snapshot{
-		Epoch:        snapEpoch,
-		N:            uint32(n.n),
-		PrevEpoch:    n.epoch,
-		EndRound:     n.committer.LastLeaderRound(),
+		Epoch:     snapEpoch,
+		N:         uint32(n.n),
+		PrevEpoch: n.epoch,
+		// The anchor of the last installed wave, not the committer's
+		// position: waves it already ordered may still wait in execQ,
+		// and the state captured here does not include them. A
+		// mid-epoch installer resumes its committer right at this round.
+		EndRound:     n.commitCtx.Wave,
+		Shifts:       shifts,
 		Commits:      n.nm.committedTxs.Value(),
 		ChunkSize:    uint32(n.cfg.snapChunkRecords),
 		RecordCount:  uint64(count),
@@ -392,14 +404,22 @@ func (n *Node) installSnapshot(snap *types.Snapshot, writes []types.RWRecord, ch
 }
 
 // resumeMidEpoch re-enters a live epoch from a mid-epoch snapshot:
-// the DAG and committer restart at a base one full re-entry margin
-// behind the snapshot's end round (rounded down to a leader round),
-// where peers still retain vertices — the snapshot's serving
-// constraint GCHorizon ≥ SnapshotInterval + minGCHorizon guarantees
-// it. Waves re-derived between the base and the snapshot position
-// linearize transactions the restored dedup already resolves, so they
-// validate as duplicates instead of re-applying — the same replay
-// model as a WAL restart. When the snapshot is from this replica's
+// the DAG restarts at a base one full re-entry margin behind the
+// snapshot's end round, where peers still retain vertices — the
+// snapshot's serving constraint GCHorizon ≥ SnapshotInterval +
+// minGCHorizon guarantees it. The committer restarts at the end round
+// itself: that is the last anchor the snapshot's wave sequence
+// ordered, an instance boundary the whole committee agrees on, so the
+// first instance here is the committee's next one. (Started at the
+// base instead, it could order an anchor below the end round that no
+// one else ordered.) The first wave also linearizes history between
+// the base and the end round that the restored dedup already
+// resolves, so it validates as duplicates instead of re-applying —
+// the same replay model as a WAL restart. The epoch's committed Shift
+// proposers come back from the snapshot before anything replays:
+// Shift blocks committed below the base would never be re-derived,
+// and without them this replica would reconfigure a wave after its
+// peers. When the snapshot is from this replica's
 // own epoch, the vote map survives (a re-entry must not be tricked
 // into second votes for slots it already signed) and queued plus
 // in-flight own transactions requeue — the shard assignment is
@@ -411,9 +431,6 @@ func (n *Node) resumeMidEpoch(snap *types.Snapshot) {
 	base := types.Round(1)
 	if snap.EndRound > minGCHorizon {
 		base = snap.EndRound - minGCHorizon
-	}
-	if base%2 == 0 {
-		base--
 	}
 	sameEpoch := snap.Epoch == n.epoch
 	savedVotes := n.voted
@@ -429,11 +446,14 @@ func (n *Node) resumeMidEpoch(snap *types.Snapshot) {
 	n.txQueue = nil
 	n.resetEpochState(snap.Epoch)
 	n.dagStore = dag.NewStoreAt(snap.Epoch, n.n, base)
-	n.committer = tusk.NewCommitterAt(n.dagStore, n.n, base)
+	n.committer = tusk.NewCommitterAt(n.dagStore, n.n, snap.EndRound)
+	for _, p := range snap.Shifts {
+		n.committedShift[p] = true
+	}
 	n.nextRound = base
-	// Suppress mid-epoch captures until commits pass the snapshot
-	// position: boundaries crossed by re-derived waves would capture
-	// against state already ahead of them.
+	// Resume the capture cadence at the snapshot's position, as its
+	// capturers' did: the next capture is at the next interval boundary
+	// they cross too, not on the first wave here.
 	n.lastSnapAt = snap.EndRound
 	if sameEpoch {
 		n.voted = savedVotes

@@ -25,8 +25,9 @@ import (
 //     as commitLeader would, with earlier queued predictions treated
 //     as committed, so stacked predictions compose like consecutive
 //     commits. Linearize is stable once a vertex is in the store, so
-//     a prediction only misses when the anchor-chain walk reorders
-//     leaders (skipped or late-arriving leaders, equivocation fallout).
+//     a prediction only misses when an instance orders another anchor
+//     than the next round's leader (a skipped candidate, a late
+//     leader, equivocation fallout).
 //   - run: runWave against predicted state — reads fall through the
 //     write sets of the earlier queued predictions to the committed
 //     store, and the dedup view is the committed dedup with those
@@ -69,8 +70,10 @@ func (n *Node) resetSpec() {
 // prediction — PredictWave's "already committed" extension.
 func (n *Node) specVertClaimed(d types.Digest) bool { return n.specVerts[d] }
 
-// nextSpecLeaderRound returns the first leader round not yet covered
-// by a commit or a queued prediction.
+// nextSpecLeaderRound returns the round after the last anchor ordered
+// or predicted: every round carries an anchor, so the prediction is
+// that the next instance orders its first candidate. When that
+// candidate is skipped instead, the commit is an ordinary miss.
 func (n *Node) nextSpecLeaderRound() types.Round {
 	r := n.committer.LastLeaderRound()
 	if len(n.specQ) > 0 {
@@ -78,15 +81,12 @@ func (n *Node) nextSpecLeaderRound() types.Round {
 			r = lr
 		}
 	}
-	if tusk.LeaderRound(r) {
-		return r + 2
-	}
 	return r + 1
 }
 
 // maybeQueueSpec extends the prediction queue up to specDepth: one
-// prediction per consecutive leader round whose leader vertex is
-// already certified into the DAG. Stops at the first missing leader —
+// prediction per consecutive round whose leader vertex is already
+// certified into the DAG. Stops at the first missing leader —
 // predicting past a hole would bake in the guess that the hole's
 // leader never commits, which is exactly the reorder that forces a
 // flush when wrong.

@@ -1,14 +1,47 @@
 // Package tusk implements the Tusk commit rule over a DAG store
-// (paper §2, after Danezis et al.).
+// (paper §2, after Danezis et al.), pipelined so that every round
+// carries an anchor (after Shoal, Spiegelman et al.).
 //
-// Leaders live on odd rounds, chosen round-robin (the paper's
-// predetermined-leader property that Thunderbolt's proposal rules
-// lean on). A leader vertex of round r commits once f+1 vertices of
-// round r+1 reference it. Committing a leader first commits every
-// earlier uncommitted leader found in its causal history (in round
-// order), and each leader commit linearizes its uncommitted causal
-// history deterministically — so all honest replicas derive the same
-// total block order from their (eventually identical) DAGs.
+// Every round has a designated leader, chosen round-robin with an
+// epoch offset (the paper's predetermined-leader property that
+// Thunderbolt's proposal rules lean on). The commit sequence is built
+// one instance at a time. An instance starts at round s, one past the
+// last ordered anchor, and its anchor candidates are the leaders of
+// rounds s, s+2, s+4, …. The first candidate whose vertex has f+1
+// support in the next round is committed directly; from it a backward
+// chain walk in steps of two rounds collects every earlier candidate
+// (down to s) that the current chain element causally references. The
+// earliest element of that chain is the one anchor the instance
+// orders: its uncommitted causal history is linearized into one commit
+// wave, and the next instance starts one round above it. With no
+// faults the leader of round s has support and is its own chain, so
+// every round orders an anchor.
+//
+// Safety — why all honest replicas order the same anchor sequence:
+//
+//   - Within one instance, candidates are two rounds apart, so
+//     Bullshark's argument holds unchanged: a leader vertex with f+1
+//     support at round r+1 is in the causal history of every vertex at
+//     round ≥ r+2 (each such vertex has 2f+1 parents at r+1, which
+//     intersect the f+1 supporters), so it lies on every chain walked
+//     from a later candidate of the same instance.
+//   - Hence two replicas that directly commit different candidates of
+//     one instance agree on the chain below the lower of the two, and in
+//     particular on its earliest element — the anchor the instance
+//     orders. The chain is a pure graph property of vertices already in
+//     the store, so it does not depend on when support became visible
+//     locally.
+//   - So every instance boundary (the ordered anchor's round + 1) is
+//     the same everywhere, and induction over instances gives one
+//     anchor sequence.
+//   - Each ordered anchor commits its whole uncommitted causal history,
+//     so the committed set stays causally closed — the invariant the
+//     pruning walk in dag.Store.Linearize relies on.
+//
+// Making every round a candidate of one instance (a chain walk in steps
+// of one) is not safe: f+1 support at r+1 does not put a leader into
+// the history of round r+1's leader, so replicas can walk different
+// chains. The property test in this package catches that rule.
 package tusk
 
 import (
@@ -17,27 +50,37 @@ import (
 	"thunderbolt/internal/types"
 )
 
-// LeaderRound reports whether r carries a leader (odd rounds: 1, 3,
-// 5, ... — one leader every two rounds as in Tusk).
-func LeaderRound(r types.Round) bool { return r%2 == 1 }
+// LeaderRound reports whether r carries a leader: every round from 1
+// does.
+func LeaderRound(r types.Round) bool { return r >= 1 }
 
-// LeaderOf returns the leader replica for an odd round. The epoch
-// offsets the rotation so shard reconfigurations also rotate leader
-// duty.
+// LeaderOf returns the leader replica of round r. The epoch offsets
+// the rotation so shard reconfigurations also rotate leader duty;
+// round 1 of epoch 0 is led by replica 0.
 func LeaderOf(epoch types.Epoch, r types.Round, n int) types.ReplicaID {
 	if !LeaderRound(r) {
-		panic("tusk: leader requested for a non-leader round")
+		panic("tusk: leader requested for round 0")
 	}
-	idx := (uint64(r)/2 + uint64(epoch)) % uint64(n)
+	idx := (uint64(r) - 1 + uint64(epoch)) % uint64(n)
 	return types.ReplicaID(idx)
 }
 
-// CommitWave is the outcome of one leader commit: the leader vertex
-// and the newly committed vertices of its causal history (leader
-// included, deterministic order).
+// CommitWave is the outcome of one ordered anchor: the leader vertex,
+// the newly committed vertices of its causal history (leader included,
+// deterministic order), and the candidates of its instance that were
+// passed over on the way to it.
 type CommitWave struct {
 	Leader   *dag.Vertex
 	Vertices []*dag.Vertex
+	Skipped  []SkippedAnchor
+}
+
+// SkippedAnchor is one anchor candidate an instance passed over: its
+// round, and whether its leader vertex was missing from the local DAG
+// (otherwise it was short of support and off the committed chain).
+type SkippedAnchor struct {
+	Round   types.Round
+	Missing bool
 }
 
 // Committer applies the commit rule incrementally as vertices arrive.
@@ -48,7 +91,8 @@ type Committer struct {
 	f     int
 
 	committed map[types.Digest]bool // by certificate digest
-	// lastLeaderRound is the highest leader round already committed.
+	// lastLeaderRound is the round of the last ordered anchor; the
+	// current instance starts one above it.
 	lastLeaderRound types.Round
 }
 
@@ -57,13 +101,15 @@ func NewCommitter(store *dag.Store, n int) *Committer {
 	return NewCommitterAt(store, n, 0)
 }
 
-// NewCommitterAt builds a committer that treats every leader round ≤
-// seed as already committed — the mid-epoch snapshot install case,
-// where the snapshot state already contains those waves' effects. The
-// first leader Advance considers is the first leader round above
-// seed; waves it re-derives between seed and the snapshot position
-// deduplicate against restored state exactly like a WAL-restart
-// replay. seed 0 is an ordinary epoch committer.
+// NewCommitterAt builds a committer whose first instance starts at
+// round seed+1 — the mid-epoch snapshot install case, where seed is
+// the snapshot's last ordered anchor and the snapshot state already
+// contains every wave up to it. seed must be an anchor the committee
+// ordered: an instance started anywhere else could order an anchor
+// nobody else did. The store may be entered lower than seed; the first
+// wave then also linearizes history the committee committed at or
+// below seed, which deduplicates against restored state exactly like a
+// WAL-restart replay. seed 0 is an ordinary epoch committer.
 func NewCommitterAt(store *dag.Store, n int, seed types.Round) *Committer {
 	return &Committer{
 		store:           store,
@@ -93,66 +139,50 @@ func (c *Committer) Forget(ds []types.Digest) {
 // (observability for GC tests).
 func (c *Committer) CommittedLen() int { return len(c.committed) }
 
-// LastLeaderRound returns the highest committed leader round.
+// LastLeaderRound returns the round of the last ordered anchor.
 func (c *Committer) LastLeaderRound() types.Round { return c.lastLeaderRound }
 
 // Advance re-evaluates the commit rule after new vertices landed in
-// the store, returning zero or more commit waves in order.
-//
-// When a leader gains f+1 support, earlier uncommitted leaders are
-// resolved by the anchor-chain walk (as in DAG-Rider/Bullshark): step
-// backward one leader round at a time, committing a leader iff it is
-// in the causal history of the current anchor and skipping it forever
-// otherwise. The chain is a pure graph property, so every replica
-// derives the same committed-leader sequence no matter when support
-// became visible locally. (The naive alternative — committing every
-// uncommitted leader found in the new leader's history — orders a
-// support-committed leader and a history-committed leader differently
-// across replicas; the chaos suite's asymmetric-loss scenario caught
-// exactly that divergence.) A skipped leader's own vertex still
-// commits through the first committed wave whose closure contains it.
+// the store, returning zero or more commit waves in order: one per
+// instance that can order its anchor, until one cannot.
 func (c *Committer) Advance() []CommitWave {
 	var waves []CommitWave
-	hi := c.store.HighestRound()
-	for r := c.lastLeaderRound + 1; r+1 <= hi; r++ {
-		if !LeaderRound(r) {
-			continue
-		}
-		leader, ok := c.store.Get(r, LeaderOf(c.store.Epoch(), r, c.n))
+	for {
+		w, ok := c.order()
 		if !ok {
-			// Leader missing: it can never commit directly, and any
-			// support it has guarantees it will join the chain of a
-			// later leader; keep scanning.
+			return waves
+		}
+		waves = append(waves, w)
+	}
+}
+
+// order runs the current instance: it finds the first candidate with
+// f+1 support, walks the anchor chain from it down to the instance's
+// start, and commits the chain's earliest element.
+func (c *Committer) order() (CommitWave, bool) {
+	s := c.lastLeaderRound + 1
+	epoch := c.store.Epoch()
+	for r := s; r+1 <= c.store.HighestRound(); r += 2 {
+		leader, ok := c.store.Get(r, LeaderOf(epoch, r, c.n))
+		if !ok || c.store.SupportFor(leader) < c.f+1 {
 			continue
 		}
-		if c.committed[leader.Cert.Digest()] {
-			c.lastLeaderRound = r
-			continue
-		}
-		if c.store.SupportFor(leader) < c.f+1 {
-			continue
-		}
-		// Anchor chain: walk leader rounds backward; a leader joins
-		// the chain iff the current anchor causally references it.
-		chain := []*dag.Vertex{leader}
 		anchor := leader
-		for j := r; j > c.lastLeaderRound+2; {
+		for j := r; j >= s+2; {
 			j -= 2
-			lv, ok := c.store.Get(j, LeaderOf(c.store.Epoch(), j, c.n))
-			if !ok || c.committed[lv.Cert.Digest()] {
-				continue
-			}
-			if c.store.InCausalHistory(anchor, lv) {
-				chain = append(chain, lv)
+			if lv, ok := c.store.Get(j, LeaderOf(epoch, j, c.n)); ok && c.store.InCausalHistory(anchor, lv) {
 				anchor = lv
 			}
 		}
-		for i := len(chain) - 1; i >= 0; i-- {
-			waves = append(waves, c.commitLeader(chain[i]))
+		w := c.commitLeader(anchor)
+		for j := s; j < anchor.Round(); j += 2 {
+			_, ok := c.store.Get(j, LeaderOf(epoch, j, c.n))
+			w.Skipped = append(w.Skipped, SkippedAnchor{Round: j, Missing: !ok})
 		}
-		c.lastLeaderRound = r
+		c.lastLeaderRound = anchor.Round()
+		return w, true
 	}
-	return waves
+	return CommitWave{}, false
 }
 
 // PredictWave linearizes what commitLeader would commit for leader if
@@ -162,9 +192,10 @@ func (c *Committer) Advance() []CommitWave {
 // has predicted but not yet committed, so stacked predictions compose
 // exactly like consecutive commits. Linearize is stable once a vertex
 // is in the store (ancestors insert first), so the prediction for a
-// leader can only be wrong when the anchor-chain walk later routes an
-// intervening leader in front of it — the misprediction case the
-// speculation layer detects by comparing vertex lists at commit time.
+// leader can only be wrong when its instance orders a different
+// anchor — a skipped candidate, or a later chain element routed in
+// front of it — the misprediction case the speculation layer detects
+// by comparing vertex lists at commit time.
 func (c *Committer) PredictWave(leader *dag.Vertex, claimed func(types.Digest) bool) CommitWave {
 	vs := c.store.Linearize(leader, func(d types.Digest) bool { return c.committed[d] || claimed(d) })
 	return CommitWave{Leader: leader, Vertices: vs}

@@ -31,10 +31,18 @@ type Snapshot struct {
 	N uint32
 
 	// PrevEpoch and EndRound are the last-commit provenance: the epoch
-	// that ended at the transition and its final committed leader
-	// round (the wave that completed the Shift quorum).
+	// the captured wave sequence belongs to and the round of its last
+	// ordered anchor (for a transition, the wave that completed the
+	// Shift quorum).
 	PrevEpoch Epoch
 	EndRound  Round
+
+	// Shifts lists the proposers whose Shift blocks Epoch has committed
+	// so far, strictly ascending. A mid-epoch installer restores the set
+	// instead of re-deriving it from a DAG that no longer holds the
+	// early Shift blocks, so it reconfigures on the same wave as its
+	// peers. Empty for transition snapshots: the new epoch has none.
+	Shifts []ReplicaID
 
 	// Commits is the length of the committed-transaction sequence at
 	// capture (the commit-log position the first post-snapshot commit
@@ -109,10 +117,11 @@ func SortDigests(ds []Digest) {
 	sort.Slice(ds, func(i, j int) bool { return bytes.Compare(ds[i][:], ds[j][:]) < 0 })
 }
 
-// Canonical reports whether the snapshot is in canonical form: one
-// chunk digest per ChunkSize records, sessions strictly ascending by
-// client with bitmaps sized to DedupWindow, and the legacy applied
-// window within its capacity. Honest builders always emit canonical snapshots;
+// Canonical reports whether the snapshot is in canonical form: Shift
+// proposers strictly ascending and inside the committee, one chunk
+// digest per ChunkSize records, sessions strictly ascending by client
+// with bitmaps sized to DedupWindow, and the legacy applied window
+// within its capacity. Honest builders always emit canonical snapshots;
 // receivers reject anything else before counting it toward an install
 // quorum, so a malformed or deliberately inflated copy can never
 // masquerade as a fresh digest of the same logical state. (The
@@ -120,6 +129,11 @@ func SortDigests(ds []Digest) {
 // order is state — so its ordering is bound by the digest, not by a
 // canonical sort.)
 func (s *Snapshot) Canonical() bool {
+	for i, p := range s.Shifts {
+		if uint32(p) >= s.N || (i > 0 && s.Shifts[i-1] >= p) {
+			return false
+		}
+	}
 	if s.ChunkSize == 0 {
 		return false
 	}
@@ -165,6 +179,10 @@ func (s *Snapshot) encodeHeader(e *Encoder) {
 	e.U32(s.N)
 	e.U64(uint64(s.PrevEpoch))
 	e.U64(uint64(s.EndRound))
+	e.U32(uint32(len(s.Shifts)))
+	for _, p := range s.Shifts {
+		e.U32(uint32(p))
+	}
 	e.U64(s.Commits)
 	e.U32(s.ChunkSize)
 	e.U64(s.RecordCount)
@@ -212,6 +230,14 @@ func (s *Snapshot) UnmarshalBinary(b []byte) error {
 	s.N = d.U32()
 	s.PrevEpoch = Epoch(d.U64())
 	s.EndRound = Round(d.U64())
+	ns := d.U32()
+	if d.Err() == nil && int(ns) > len(b)/4 {
+		return fmt.Errorf("types: implausible shift count %d", ns)
+	}
+	s.Shifts = make([]ReplicaID, 0, ns)
+	for i := uint32(0); i < ns && d.Err() == nil; i++ {
+		s.Shifts = append(s.Shifts, ReplicaID(d.U32()))
+	}
 	s.Commits = d.U64()
 	s.ChunkSize = d.U32()
 	s.RecordCount = d.U64()

@@ -29,6 +29,7 @@ func chunkInto(s *Snapshot, recs []RWRecord, size int) [][]byte {
 func testSnapshot() *Snapshot {
 	s := &Snapshot{
 		Epoch: 3, N: 4, PrevEpoch: 2, EndRound: 41, Commits: 1234,
+		Shifts:      []ReplicaID{0, 2},
 		DedupWindow: 128,
 		LegacyCap:   4096,
 		Sessions: []ClientSession{
@@ -67,6 +68,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		len(got.Sessions) != len(s.Sessions) {
 		t.Fatalf("body length mismatch")
 	}
+	if len(got.Shifts) != len(s.Shifts) || got.Shifts[0] != s.Shifts[0] || got.Shifts[1] != s.Shifts[1] {
+		t.Fatalf("shifts mismatch: %v vs %v", got.Shifts, s.Shifts)
+	}
 	for i := range s.ChunkDigests {
 		if got.ChunkDigests[i] != s.ChunkDigests[i] {
 			t.Fatalf("chunk digest %d mismatch", i)
@@ -102,6 +106,8 @@ func TestSnapshotDigestBindsContent(t *testing.T) {
 		func(s *Snapshot) { s.N++ },
 		func(s *Snapshot) { s.PrevEpoch++ },
 		func(s *Snapshot) { s.EndRound++ },
+		func(s *Snapshot) { s.Shifts[1] = 3 },
+		func(s *Snapshot) { s.Shifts = s.Shifts[:1] },
 		func(s *Snapshot) { s.Commits++ },
 		// The digest covers the manifest, not the raw records, so a
 		// ledger edit surfaces through the rebuilt chunk digests.
@@ -157,6 +163,21 @@ func TestSnapshotCanonical(t *testing.T) {
 	badWindow.DedupWindow = 100 // not a multiple of 64
 	if badWindow.Canonical() {
 		t.Fatal("non-multiple-of-64 window accepted as canonical")
+	}
+	unsortedShifts := testSnapshot()
+	unsortedShifts.Shifts = []ReplicaID{2, 0}
+	if unsortedShifts.Canonical() {
+		t.Fatal("unsorted shift proposers accepted as canonical")
+	}
+	repeatedShift := testSnapshot()
+	repeatedShift.Shifts = []ReplicaID{2, 2}
+	if repeatedShift.Canonical() {
+		t.Fatal("a proposer's shift counted twice accepted as canonical")
+	}
+	outsideShift := testSnapshot()
+	outsideShift.Shifts = []ReplicaID{0, 4} // N = 4
+	if outsideShift.Canonical() {
+		t.Fatal("shift proposer outside the committee accepted as canonical")
 	}
 	noChunk := testSnapshot()
 	noChunk.ChunkSize = 0
