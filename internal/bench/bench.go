@@ -48,10 +48,6 @@ type Options struct {
 	Quick bool
 	// Seed decorrelates repeated runs.
 	Seed int64
-	// SpecExecDepth is forwarded to every cluster scenario
-	// (node.Config.SpecExecDepth): 0 = node default (speculation on),
-	// negative disables — cmd/bench's -spec=false escape hatch.
-	SpecExecDepth int
 }
 
 // workFactor adds deterministic CPU cost around every state access,

@@ -57,11 +57,9 @@ type Options struct {
 	InitBalance int64
 	// K / KPrime are the reconfiguration knobs (node.Config).
 	K, KPrime int
-	// BatchSize caps transactions per block (default 64). BatchSizeCap
-	// bounds adaptive batch growth above it (0 = node default of
-	// 4x BatchSize; negative disables adaptation).
-	BatchSize    int
-	BatchSizeCap int
+	// BatchSize is the adaptive batch floor (default 64; batches grow
+	// up to 4x it under backlog).
+	BatchSize int
 	// Latency is the network model (default: tight LAN jitter).
 	Latency transport.LatencyModel
 	// TickInterval paces node housekeeping — also the fault-recovery
@@ -99,11 +97,6 @@ type Options struct {
 	// (node.Config.NonceWindow); 0 = gateway default. Scenarios use
 	// small windows so plateau assertions bite.
 	NonceWindow int
-	// LegacyDedupWindow bounds the nonce-less digest dedup window.
-	LegacyDedupWindow int
-	// SessionIdleEpochs enables deterministic idle-session expiry at
-	// epoch transitions (cluster.Config.SessionIdleEpochs; 0 = off).
-	SessionIdleEpochs int
 	// DataDir gives every replica a durable WAL storage backend under
 	// per-replica subdirectories (cluster.Config.DataDir); restart
 	// scenarios then recover state from disk. WALNoSync skips fsync
@@ -163,20 +156,17 @@ func New(opt Options) (*Harness, error) {
 		N: opt.N, Mode: opt.Mode, Latency: opt.Latency,
 		Accounts: opt.Accounts, InitBalance: opt.InitBalance,
 		Executors: 2, Validators: 2,
-		BatchSize: opt.BatchSize, BatchSizeCap: opt.BatchSizeCap,
-		K: opt.K, KPrime: opt.KPrime,
+		BatchSize: opt.BatchSize, K: opt.K, KPrime: opt.KPrime,
 		TickInterval: opt.TickInterval, MinRoundInterval: opt.MinRoundInterval,
 		SpecExecDepth: opt.SpecExecDepth, SpecVerify: opt.SpecVerify,
 		GCHorizon: opt.GCHorizon, Seed: opt.Seed,
-		SnapshotInterval:  opt.SnapshotInterval,
-		CommitLogCap:      1 << 20,
-		Headless:          opt.Headless,
-		GatewayClients:    opt.GatewayClients,
-		NonceWindow:       opt.NonceWindow,
-		LegacyDedupWindow: opt.LegacyDedupWindow,
-		SessionIdleEpochs: opt.SessionIdleEpochs,
-		DataDir:           opt.DataDir,
-		WALNoSync:         opt.WALNoSync,
+		SnapshotInterval: opt.SnapshotInterval,
+		CommitLogCap:     1 << 20,
+		Headless:         opt.Headless,
+		GatewayClients:   opt.GatewayClients,
+		NonceWindow:      opt.NonceWindow,
+		DataDir:          opt.DataDir,
+		WALNoSync:        opt.WALNoSync,
 	})
 	if err != nil {
 		return nil, err

@@ -34,7 +34,7 @@ func TestScenarioGatewayDedupPlateau(t *testing.T) {
 	h := newHarness(t, Options{
 		N: 4, Seed: 118,
 		GatewayClients: clients,
-		NonceWindow:    nonceWindow, LegacyDedupWindow: 128,
+		NonceWindow:    nonceWindow,
 	})
 	h.Run([]Event{
 		{Name: "loss burst", At: 200 * time.Millisecond, Do: []Fault{LossFault{Rate: 0.05}}},
@@ -60,18 +60,13 @@ func TestScenarioGatewayDedupPlateau(t *testing.T) {
 	// Every wave opened fresh sessions (nonces start at 1 exactly once
 	// per session), so the dedup bound is sessions × window — not one
 	// entry per committed transaction. Each node may track at most the
-	// sessions ever opened; the legacy window stays empty because all
-	// gateway traffic is sessioned.
+	// sessions ever opened.
 	maxSessions := waves*clients + clients // per-wave sessions + the gateway endpoints' own
 	for _, i := range h.Cluster().Replicas() {
 		err := h.Cluster().Node(i).Inspect(func(v *node.DebugView) {
 			if v.DedupClients > maxSessions {
 				t.Errorf("replica %d tracks %d dedup sessions, bound %d — state is not plateauing",
 					i, v.DedupClients, maxSessions)
-			}
-			if v.DedupLegacy != 0 {
-				t.Errorf("replica %d holds %d legacy dedup digests under purely sessioned load",
-					i, v.DedupLegacy)
 			}
 		})
 		check(t, err)

@@ -27,9 +27,9 @@ import (
 func TestScenarioPipelinedRoundsPartitionRestart(t *testing.T) {
 	h := newHarness(t, Options{
 		N: 4, Seed: 108,
-		// Floor low and cap high so the closed-loop backlog visibly
-		// grows batches and the post-fault latency spike shrinks them.
-		BatchSize: 4, BatchSizeCap: 128,
+		// A low floor (cap 16) so the closed-loop backlog visibly grows
+		// batches and the post-fault latency spike shrinks them.
+		BatchSize: 4,
 	})
 	h.Run([]Event{
 		{Name: "isolate 3", At: 300 * time.Millisecond,

@@ -43,11 +43,8 @@ type Config struct {
 	Executors  int
 	Validators int
 	BatchSize  int
-	// BatchSizeCap bounds the adaptive batch controller
-	// (node.Config); zero selects the node default.
-	BatchSizeCap int
-	K            int
-	KPrime       int
+	K          int
+	KPrime     int
 	// TickInterval paces node housekeeping (default 25ms).
 	TickInterval time.Duration
 	// Seed feeds key generation and the workload.
@@ -86,13 +83,9 @@ type Config struct {
 	// that speak the sessioned submission protocol to the committee
 	// instead of calling node.Submit in-process. See GatewayClient.
 	GatewayClients int
-	// NonceWindow / LegacyDedupWindow configure every node's bounded
-	// dedup (node.Config); 0 selects the gateway defaults.
-	NonceWindow       int
-	LegacyDedupWindow int
-	// SessionIdleEpochs configures deterministic idle-session expiry
-	// at epoch transitions (node.Config.SessionIdleEpochs; 0 = off).
-	SessionIdleEpochs int
+	// NonceWindow configures every node's per-client dedup window
+	// (node.Config); 0 selects the gateway default.
+	NonceWindow int
 	// DataDir, when set, gives every replica a durable WAL storage
 	// backend under <DataDir>/replica-<i> instead of the in-memory
 	// store: replicas restarted against the same directory recover
@@ -229,7 +222,6 @@ func New(cfg Config) (*Cluster, error) {
 			Mode:      cfg.Mode,
 			Executors: cfg.Executors, Validators: cfg.Validators,
 			BatchSize: cfg.BatchSize, K: cfg.K, KPrime: cfg.KPrime,
-			BatchSizeCap:       cfg.BatchSizeCap,
 			TickInterval:       cfg.TickInterval,
 			MinRoundInterval:   cfg.MinRoundInterval,
 			SpecExecDepth:      cfg.SpecExecDepth,
@@ -239,8 +231,6 @@ func New(cfg Config) (*Cluster, error) {
 			RecoverySyncRounds: cfg.RecoverySyncRounds,
 			SnapshotInterval:   cfg.SnapshotInterval,
 			NonceWindow:        cfg.NonceWindow,
-			LegacyDedupWindow:  cfg.LegacyDedupWindow,
-			SessionIdleEpochs:  cfg.SessionIdleEpochs,
 			OnCommitTx:         c.onCommit,
 			OnRejectTx:         c.onReject,
 		}

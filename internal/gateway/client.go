@@ -29,9 +29,10 @@ type ClientConfig struct {
 	// N is the committee size (= shard count).
 	N int
 	// Session is the dedup session identity stamped on minted
-	// transactions. Sessions must be unique per client lifetime and
-	// their nonces start at 1: a client that loses its nonce counter
-	// opens a fresh session rather than guessing.
+	// transactions; it is required (nonzero), because replicas admit
+	// only sessioned transactions. Sessions must be unique per client
+	// lifetime and their nonces start at 1: a client that loses its
+	// nonce counter opens a fresh session rather than guessing.
 	Session uint64
 	// AckTimeout bounds one submission attempt: if no ack, nack, or
 	// commit arrives, the client fails over to the next replica
@@ -107,6 +108,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.N < 1 {
 		return nil, errors.New("gateway: committee size required")
+	}
+	if cfg.Session == 0 {
+		return nil, errors.New("gateway: session required")
 	}
 	if cfg.AckTimeout <= 0 {
 		cfg.AckTimeout = 500 * time.Millisecond

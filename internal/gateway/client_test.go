@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"thunderbolt/internal/cluster"
+	"thunderbolt/internal/gateway"
+	"thunderbolt/internal/transport"
 	"thunderbolt/internal/types"
 	"thunderbolt/internal/workload"
 )
@@ -121,6 +123,16 @@ func TestClientFailsOverCrashedProposer(t *testing.T) {
 	}
 	if !c.Committed(tx.ID()) {
 		t.Fatal("transaction not committed")
+	}
+}
+
+// TestNewClientRequiresSession: replicas admit only sessioned
+// transactions, so a client without a session is refused up front.
+func TestNewClientRequiresSession(t *testing.T) {
+	net := transport.NewSimNetwork(transport.SimConfig{N: 5, Committee: 4})
+	t.Cleanup(net.Close)
+	if _, err := gateway.NewClient(gateway.ClientConfig{Transport: net.Endpoint(4), N: 4}); err == nil {
+		t.Fatal("NewClient accepted Session 0")
 	}
 }
 

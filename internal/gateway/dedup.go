@@ -1,7 +1,6 @@
 // Package gateway is the client-facing submission subsystem: the
 // bounded dedup state the commit path consults (per-client
-// applied-nonce floors with an out-of-order window, plus a bounded
-// digest ring for nonce-less legacy transactions), the wire protocol
+// applied-nonce floors with an out-of-order window), the wire protocol
 // a remote client speaks to a shard proposer (submit / ack / nack /
 // committed over the existing transport framing), and a client
 // library that routes, retries on nack, fails over across proposers,
@@ -18,30 +17,34 @@
 // content. A nonce at or below the floor is definitionally resolved —
 // resubmitting it yields an ack referencing the original commit, and
 // it can never be admitted (or committed) again.
+//
+// (Client, Nonce) is the only transaction identity the commit path
+// knows. Admission refuses a transaction without one (Sessioned false):
+// the node's Submit errors, the wire answers NackNoSession, and
+// NewClient rejects a zero Session. A Byzantine proposer can still put
+// such a transaction in a block, so the dedup state reports it as
+// already resolved (Dedup.Resolved, Scratch.Resolved) and never marks
+// it. Every commit-path filter that drops resolved transactions then
+// drops it too, the same way on every replica: a single-shard batch
+// carrying one is discarded whole, and an ordered (cross-shard or
+// serial) one is skipped without running.
 package gateway
 
 import (
-	"sort"
+	"slices"
 
 	"thunderbolt/internal/types"
 )
 
-const (
-	// DefaultNonceWindow is the per-client out-of-order window: how
-	// many nonces above the applied floor are tracked individually. It
-	// bounds a client's in-flight pipeline; a submission more than a
-	// window ahead of the floor is nacked to back off.
-	DefaultNonceWindow = 1024
-	// DefaultLegacyWindow is the capacity of the digest ring that
-	// deduplicates nonce-less transactions. Under sessioned traffic
-	// the ring stays empty; it exists so legacy clients keep working
-	// with bounded (rather than unbounded) dedup history.
-	DefaultLegacyWindow = 1 << 16
-)
+// DefaultNonceWindow is the per-client out-of-order window: how many
+// nonces above the applied floor are tracked individually. It bounds a
+// client's in-flight pipeline; a submission more than a window ahead
+// of the floor is nacked to back off.
+const DefaultNonceWindow = 1024
 
-// Sessioned reports whether tx carries a dedup session identity.
-// Nonce-less (or client-less) transactions fall back to the bounded
-// digest window.
+// Sessioned reports whether tx carries a dedup session identity — the
+// admission rule: a transaction without one is refused at submission
+// and reads as resolved on the commit path.
 func Sessioned(tx *types.Transaction) bool {
 	return tx.Client != 0 && tx.Nonce != 0
 }
@@ -53,7 +56,7 @@ const (
 	// AdmitNew: unresolved and inside the window — enqueue it.
 	AdmitNew Admission = iota
 	// AdmitResolved: already resolved (committed or deterministically
-	// failed) — ack as a duplicate, never re-enqueue.
+	// failed), or carrying no session — never enqueue.
 	AdmitResolved
 	// AdmitFuture: sessioned nonce more than a window ahead of the
 	// client's floor — nack so the client backs off; admitting it
@@ -65,84 +68,49 @@ const (
 // node's event loop (not safe for concurrent use) and, critically,
 // mutated only on the deterministic commit path: every replica marks
 // the same transactions in the same committed order, so the state —
-// floors, bitmaps, ring contents, eviction order — is bit-identical
-// across honest replicas at equal commit positions. That determinism
-// is what lets epoch-transition snapshots carry it verbatim.
+// floors and bitmaps — is bit-identical across honest replicas at
+// equal commit positions. That determinism is what lets
+// epoch-transition snapshots carry it verbatim.
 type Dedup struct {
-	window    uint64
-	legacyCap int
-
+	window  uint64
 	clients map[uint64]*nonceWindow
-
-	// legacy digest ring: ring[(start+i) % cap] for i in [0, n) walks
-	// oldest → newest.
-	ring      []types.Digest
-	ringStart int
-	ringN     int
-	ringSet   map[types.Digest]struct{}
 }
 
 type nonceWindow struct {
 	floor uint64
 	bits  []uint64 // window/64 words; nonce n maps to bit n % window
-	// Idle-session bookkeeping (ExpireIdle): lastFloor is the floor
-	// observed at the previous expiry sweep, idle counts consecutive
-	// sweeps with no sign of life, and active records any Mark since
-	// the previous sweep — a session committing out-of-order nonces
-	// above a permanent hole never moves its floor but is very much
-	// alive, and expiring it would re-admit its committed nonces.
-	// Mutated only on the commit path (Mark) and at deterministic
-	// epoch transitions (ExpireIdle), so it is part of the
-	// bit-identical dedup state.
-	lastFloor uint64
-	idle      uint32
-	active    bool
 }
 
 // NewDedup builds an empty dedup state. window is rounded up to a
-// multiple of 64 (0 selects DefaultNonceWindow); legacyCap ≤ 0 selects
-// DefaultLegacyWindow. Both are part of the committee contract: every
-// replica must configure the same values or dedup state diverges.
-func NewDedup(window, legacyCap int) *Dedup {
+// multiple of 64 (0 selects DefaultNonceWindow); it is part of the
+// committee contract: every replica must configure the same value or
+// dedup state diverges. The second parameter is ignored; it stays for
+// existing callers.
+func NewDedup(window, _ int) *Dedup {
 	if window <= 0 {
 		window = DefaultNonceWindow
 	}
 	if window%64 != 0 {
 		window += 64 - window%64
 	}
-	if legacyCap <= 0 {
-		legacyCap = DefaultLegacyWindow
-	}
 	return &Dedup{
-		window:    uint64(window),
-		legacyCap: legacyCap,
-		clients:   make(map[uint64]*nonceWindow),
-		ring:      make([]types.Digest, 0, min(legacyCap, 4096)),
-		ringSet:   make(map[types.Digest]struct{}),
+		window:  uint64(window),
+		clients: make(map[uint64]*nonceWindow),
 	}
 }
 
 // Window returns the per-client nonce window size.
 func (d *Dedup) Window() int { return int(d.window) }
 
-// LegacyCap returns the legacy digest-window capacity.
-func (d *Dedup) LegacyCap() int { return d.legacyCap }
-
 // Clients returns the number of client sessions tracked.
 func (d *Dedup) Clients() int { return len(d.clients) }
-
-// LegacyLen returns the legacy digest window's current population.
-func (d *Dedup) LegacyLen() int { return d.ringN }
 
 // Admit classifies a submission without mutating anything; admission
 // never writes, because admission is a per-replica race while dedup
 // state must evolve only in committed order.
 func (d *Dedup) Admit(tx *types.Transaction) Admission {
 	if !Sessioned(tx) {
-		if _, ok := d.ringSet[tx.ID()]; ok {
-			return AdmitResolved
-		}
-		return AdmitNew
+		return AdmitResolved
 	}
 	return d.clients[tx.Client].admit(tx.Nonce, d.window)
 }
@@ -167,7 +135,8 @@ func (w *nonceWindow) admit(nonce, window uint64) Admission {
 }
 
 // Resolved reports whether tx has been resolved (committed or
-// deterministically failed). The commit path's dedup check.
+// deterministically failed) or carries no session. The commit path's
+// dedup check.
 func (d *Dedup) Resolved(tx *types.Transaction) bool {
 	return d.Admit(tx) == AdmitResolved
 }
@@ -178,49 +147,23 @@ func (d *Dedup) Resolved(tx *types.Transaction) bool {
 // the floor forward — nonces evicted unresolved lose dedup protection,
 // which is the documented bounded-window contract (it cannot happen to
 // a client admitted through Admit, whose floor only rises after
-// admission).
+// admission). A transaction without a session has no identity to mark.
 func (d *Dedup) Mark(tx *types.Transaction) {
-	if !Sessioned(tx) {
-		d.markLegacy(tx.ID())
-		return
+	if Sessioned(tx) {
+		d.MarkSession(tx.Client, tx.Nonce)
 	}
-	d.MarkSession(tx.Client, tx.Nonce)
 }
 
-// MarkSession resolves one sessioned (client, nonce) identity
-// directly — the WAL recovery replay's form of Mark. Same discipline:
-// committed order only.
+// MarkSession resolves one (client, nonce) identity directly — the WAL
+// recovery replay's form of Mark. Same discipline: committed order
+// only.
 func (d *Dedup) MarkSession(client, nonce uint64) {
 	w := d.clients[client]
 	if w == nil {
 		w = &nonceWindow{bits: make([]uint64, d.window/64)}
 		d.clients[client] = w
 	}
-	w.active = true
 	w.mark(nonce, d.window)
-}
-
-// MarkDigest resolves one nonce-less identity directly (WAL recovery
-// replay).
-func (d *Dedup) MarkDigest(id types.Digest) { d.markLegacy(id) }
-
-func (d *Dedup) markLegacy(id types.Digest) {
-	if _, ok := d.ringSet[id]; ok {
-		return
-	}
-	if d.ringN < d.legacyCap {
-		// Filling: the buffer only grows while start is 0, so oldest →
-		// newest is a plain prefix walk.
-		d.ring = append(d.ring, id)
-		d.ringN++
-	} else {
-		// Full: evict the oldest resolved digest — it leaves the dedup
-		// window and a resubmission of it would be admitted again.
-		delete(d.ringSet, d.ring[d.ringStart])
-		d.ring[d.ringStart] = id
-		d.ringStart = (d.ringStart + 1) % d.legacyCap
-	}
-	d.ringSet[id] = struct{}{}
 }
 
 func (w *nonceWindow) getBit(n, window uint64) bool {
@@ -266,66 +209,29 @@ func (w *nonceWindow) mark(n, window uint64) {
 	}
 }
 
-// ExpireIdle runs one idle-session sweep: a session showing no sign
-// of life — no floor movement and no Mark at all — since the previous
-// sweep accumulates idleness, and one idle for at least `epochs`
-// consecutive sweeps is dropped — its memory (and snapshot footprint)
-// is reclaimed, at the documented cost that the dropped session loses
-// dedup protection (a very late resubmission of its old nonces would
-// be admitted as new, exactly like a digest evicted from the legacy
-// ring). Must be called only on the deterministic commit path, at
-// epoch transitions, so every honest replica sweeps the same sessions
-// in the same committed state; epochs <= 0 disables the sweep.
-// Dropped client IDs return in ascending order.
-func (d *Dedup) ExpireIdle(epochs int) []uint64 {
-	if epochs <= 0 {
-		return nil
-	}
-	var dropped []uint64
-	for c, w := range d.clients {
-		if w.floor == w.lastFloor && !w.active {
-			w.idle++
-			if int(w.idle) >= epochs {
-				delete(d.clients, c)
-				dropped = append(dropped, c)
-			}
-		} else {
-			w.lastFloor = w.floor
-			w.idle = 0
-		}
-		w.active = false
-	}
-	sort.Slice(dropped, func(i, j int) bool { return dropped[i] < dropped[j] })
-	return dropped
-}
-
 // Sessions exports the per-client state in canonical (strictly
 // ascending client) order for snapshot capture. Bitmaps are copied.
-// Snapshots are captured at epoch transitions immediately after the
-// idle sweep, where lastFloor == floor by construction, so the idle
-// counter is the only sweep state a snapshot needs to carry.
 func (d *Dedup) Sessions() []types.ClientSession {
-	out := make([]types.ClientSession, 0, len(d.clients))
-	for c, w := range d.clients {
+	clients := d.sortedClients()
+	out := make([]types.ClientSession, 0, len(clients))
+	for _, c := range clients {
+		w := d.clients[c]
 		out = append(out, types.ClientSession{
 			Client: c,
 			Floor:  w.floor,
-			Idle:   w.idle,
 			Bits:   append([]uint64(nil), w.bits...),
 		})
 	}
-	sortSessions(out)
 	return out
 }
 
-// Legacy exports the legacy digest window, oldest first, for snapshot
-// capture.
-func (d *Dedup) Legacy() []types.Digest {
-	out := make([]types.Digest, 0, d.ringN)
-	for i := 0; i < d.ringN; i++ {
-		out = append(out, d.ring[(d.ringStart+i)%len(d.ring)])
+func (d *Dedup) sortedClients() []uint64 {
+	clients := make([]uint64, 0, len(d.clients))
+	for c := range d.clients {
+		clients = append(clients, c)
 	}
-	return out
+	slices.Sort(clients)
+	return clients
 }
 
 // Restore replaces the dedup state with a snapshot's, verbatim. The
@@ -334,63 +240,29 @@ func (d *Dedup) Legacy() []types.Digest {
 // later position), so taking the snapshot state loses nothing — and
 // taking it verbatim, rather than merging, is what keeps the
 // installer's next capture bit-identical to honest peers'.
-func (d *Dedup) Restore(sessions []types.ClientSession, legacy []types.Digest) {
+func (d *Dedup) Restore(sessions []types.ClientSession) {
 	d.clients = make(map[uint64]*nonceWindow, len(sessions))
 	words := int(d.window / 64)
 	for _, cs := range sessions {
 		bits := make([]uint64, words)
 		copy(bits, cs.Bits)
-		// Snapshots are cut right after the transition's idle sweep,
-		// where lastFloor == floor on every honest replica.
-		d.clients[cs.Client] = &nonceWindow{
-			floor: cs.Floor, bits: bits,
-			lastFloor: cs.Floor, idle: cs.Idle,
-		}
+		d.clients[cs.Client] = &nonceWindow{floor: cs.Floor, bits: bits}
 	}
-	d.ring = d.ring[:0]
-	d.ringStart = 0
-	d.ringN = 0
-	d.ringSet = make(map[types.Digest]struct{}, len(legacy))
-	for _, id := range legacy {
-		d.markLegacy(id)
-	}
-}
-
-func sortSessions(ss []types.ClientSession) {
-	sort.Slice(ss, func(i, j int) bool { return ss[i].Client < ss[j].Client })
 }
 
 // EncodeState appends the complete dedup state to e — the durable
-// backend's recovery sidecar. Unlike Sessions/Legacy (the snapshot
-// form, valid only at transition boundaries), this is full fidelity:
-// it includes the idle sweep's lastFloor, so a checkpoint cut at an
-// arbitrary mid-epoch position restores byte-exact sweep behaviour.
-// Sessions encode in ascending client order (deterministic bytes).
+// backend's recovery sidecar. Sessions encode in ascending client
+// order (deterministic bytes).
 func (d *Dedup) EncodeState(e *types.Encoder) {
-	clients := make([]uint64, 0, len(d.clients))
-	for c := range d.clients {
-		clients = append(clients, c)
-	}
-	sort.Slice(clients, func(i, j int) bool { return clients[i] < clients[j] })
+	clients := d.sortedClients()
 	e.U32(uint32(len(clients)))
 	for _, c := range clients {
 		w := d.clients[c]
 		e.U64(c)
 		e.U64(w.floor)
-		e.U64(w.lastFloor)
-		e.U32(w.idle)
-		if w.active {
-			e.U8(1)
-		} else {
-			e.U8(0)
-		}
 		for _, word := range w.bits {
 			e.U64(word)
 		}
-	}
-	e.U32(uint32(d.ringN))
-	for i := 0; i < d.ringN; i++ {
-		e.Digest(d.ring[(d.ringStart+i)%len(d.ring)])
 	}
 }
 
@@ -401,31 +273,16 @@ func (d *Dedup) DecodeState(dec *types.Decoder) error {
 	nc := dec.U32()
 	clients := make(map[uint64]*nonceWindow, nc)
 	for i := uint32(0); i < nc && dec.Err() == nil; i++ {
-		w := &nonceWindow{bits: make([]uint64, words)}
 		c := dec.U64()
-		w.floor = dec.U64()
-		w.lastFloor = dec.U64()
-		w.idle = dec.U32()
-		w.active = dec.U8() == 1
-		for j := 0; j < words; j++ {
+		w := &nonceWindow{floor: dec.U64(), bits: make([]uint64, words)}
+		for j := range w.bits {
 			w.bits[j] = dec.U64()
 		}
 		clients[c] = w
-	}
-	na := dec.U32()
-	legacy := make([]types.Digest, 0, na)
-	for i := uint32(0); i < na && dec.Err() == nil; i++ {
-		legacy = append(legacy, dec.Digest())
 	}
 	if err := dec.Err(); err != nil {
 		return err
 	}
 	d.clients = clients
-	d.ring = d.ring[:0]
-	d.ringStart, d.ringN = 0, 0
-	d.ringSet = make(map[types.Digest]struct{}, len(legacy))
-	for _, id := range legacy {
-		d.markLegacy(id)
-	}
 	return nil
 }

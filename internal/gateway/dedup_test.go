@@ -16,6 +16,7 @@ func stx(client, nonce uint64) *types.Transaction {
 	}
 }
 
+// ltx builds a transaction without a (client, nonce) session.
 func ltx(tag string) *types.Transaction {
 	return &types.Transaction{
 		Kind: types.SingleShard, Shards: []types.ShardID{0},
@@ -92,38 +93,13 @@ func TestDedupForcedEviction(t *testing.T) {
 	}
 }
 
-func TestDedupLegacyRing(t *testing.T) {
-	d := NewDedup(64, 4)
-	txs := make([]*types.Transaction, 6)
-	for i := range txs {
-		txs[i] = ltx(fmt.Sprintf("t%d", i))
-		d.Mark(txs[i])
-	}
-	// Capacity 4: t0 and t1 evicted, t2..t5 retained.
-	for i, tx := range txs {
-		want := i >= 2
-		if got := d.Resolved(tx); got != want {
-			t.Fatalf("legacy tx %d resolved=%v, want %v", i, got, want)
-		}
-	}
-	leg := d.Legacy()
-	if len(leg) != 4 {
-		t.Fatalf("legacy window holds %d, want 4", len(leg))
-	}
-	for i, id := range leg {
-		if id != txs[i+2].ID() {
-			t.Fatalf("legacy ring order broken at %d", i)
-		}
-	}
-}
-
 // TestDedupDeterministicState pins the property everything else rests
 // on: two replicas marking the same sequence hold byte-identical
 // exported state, and a third restoring that export then marking the
 // same continuation stays identical too (the snapshot epoch-jump
 // path).
 func TestDedupDeterministicState(t *testing.T) {
-	a, b := NewDedup(128, 8), NewDedup(128, 8)
+	a, b := NewDedup(128, 0), NewDedup(128, 0)
 	seq := []*types.Transaction{
 		stx(1, 1), stx(2, 1), stx(1, 3), ltx("x"), stx(2, 2), stx(1, 2),
 		ltx("y"), stx(7, 1), ltx("z"), stx(7, 130),
@@ -147,22 +123,13 @@ func TestDedupDeterministicState(t *testing.T) {
 				}
 			}
 		}
-		xl, yl := x.Legacy(), y.Legacy()
-		if len(xl) != len(yl) {
-			return fmt.Errorf("legacy lengths %d vs %d", len(xl), len(yl))
-		}
-		for i := range xl {
-			if xl[i] != yl[i] {
-				return fmt.Errorf("legacy order mismatch at %d", i)
-			}
-		}
 		return nil
 	}
 	if err := sameState(a, b); err != nil {
 		t.Fatalf("identical histories, divergent state: %v", err)
 	}
-	c := NewDedup(128, 8)
-	c.Restore(a.Sessions(), a.Legacy())
+	c := NewDedup(128, 0)
+	c.Restore(a.Sessions())
 	if err := sameState(a, c); err != nil {
 		t.Fatalf("restore not verbatim: %v", err)
 	}
@@ -177,10 +144,10 @@ func TestDedupDeterministicState(t *testing.T) {
 }
 
 // TestDedupBounded pins the memory contract: state is bounded by
-// clients × window + legacy capacity no matter how many transactions
-// resolve.
+// clients × window no matter how many transactions resolve, and a
+// transaction without a session adds nothing.
 func TestDedupBounded(t *testing.T) {
-	d := NewDedup(64, 16)
+	d := NewDedup(64, 0)
 	for c := uint64(1); c <= 8; c++ {
 		for n := uint64(1); n <= 10_000; n++ {
 			d.Mark(stx(c, n))
@@ -192,106 +159,22 @@ func TestDedupBounded(t *testing.T) {
 	if d.Clients() != 8 {
 		t.Fatalf("clients %d, want 8", d.Clients())
 	}
-	if d.LegacyLen() != 16 {
-		t.Fatalf("legacy %d, want capacity 16", d.LegacyLen())
-	}
 	if got := len(d.Sessions()[0].Bits); got != 1 {
 		t.Fatalf("bitmap words %d, want 1", got)
 	}
 }
 
-// TestDedupExpireIdle covers the deterministic idle-session sweep:
-// sessions whose floor stalls for E consecutive sweeps are dropped,
-// activity resets the idle clock, and a dropped session loses dedup
-// protection (its old nonces admit as new — the documented bound).
-func TestDedupExpireIdle(t *testing.T) {
-	d := NewDedup(64, 0)
-	d.Mark(stx(1, 1)) // client 1: active once, then idle forever
-	d.Mark(stx(2, 1)) // client 2: stays active across sweeps
-
-	if dropped := d.ExpireIdle(0); dropped != nil {
-		t.Fatalf("disabled sweep dropped %v", dropped)
-	}
-	// Sweep 1: both floors newly observed — nothing idle yet.
-	if dropped := d.ExpireIdle(2); len(dropped) != 0 {
-		t.Fatalf("first sweep dropped %v", dropped)
-	}
-	d.Mark(stx(2, 2)) // client 2 moves between sweeps
-	// Sweep 2: client 1 idle×1, client 2 reset.
-	if dropped := d.ExpireIdle(2); len(dropped) != 0 {
-		t.Fatalf("second sweep dropped %v", dropped)
-	}
-	// Sweep 3: client 1 hits the horizon; client 2 idle×1 only.
-	dropped := d.ExpireIdle(2)
-	if len(dropped) != 1 || dropped[0] != 1 {
-		t.Fatalf("third sweep dropped %v, want [1]", dropped)
-	}
-	if d.Clients() != 1 {
-		t.Fatalf("%d sessions tracked, want 1", d.Clients())
-	}
-	// The dropped session's history is gone: its old nonce admits as
-	// new (bounded-window contract), while client 2's floor survives.
-	if got := d.Admit(stx(1, 1)); got != AdmitNew {
-		t.Fatalf("expired session nonce: got %v, want new", got)
-	}
-	if got := d.Admit(stx(2, 1)); got != AdmitResolved {
-		t.Fatalf("live session nonce: got %v, want resolved", got)
-	}
-	// Client 2 stalls from here: idle×1 at sweep 3 (it moved before
-	// sweep 2, so its clock restarted), horizon at sweep 4.
-	dropped = d.ExpireIdle(2)
-	if len(dropped) != 1 || dropped[0] != 2 || d.Clients() != 0 {
-		t.Fatalf("fourth sweep dropped %v (sessions=%d), want [2] and none tracked", dropped, d.Clients())
-	}
-}
-
-// TestDedupExpireIdleSnapshotIdentity: the sweep state survives a
-// snapshot round-trip — a restored dedup evolves bit-identically to
-// the original through further marks and sweeps.
-func TestDedupExpireIdleSnapshotIdentity(t *testing.T) {
-	a := NewDedup(64, 16)
-	a.Mark(stx(1, 1))
-	a.Mark(stx(2, 1))
-	a.ExpireIdle(3)   // both observed
-	a.Mark(stx(2, 2)) // client 2 active
-	a.ExpireIdle(3)   // client 1 idle×1 — mid-horizon state
-	b := NewDedup(64, 16)
-	b.Restore(a.Sessions(), a.Legacy())
-
-	evolve := func(d *Dedup) {
-		d.Mark(stx(2, 3))
-		d.ExpireIdle(3) // client 1 idle×2
-		d.ExpireIdle(3) // client 1 expires exactly now
-	}
-	evolve(a)
-	evolve(b)
-	if a.Clients() != 1 || b.Clients() != 1 {
-		t.Fatalf("post-evolution sessions: a=%d b=%d, want 1,1", a.Clients(), b.Clients())
-	}
-	ea, eb := types.NewEncoder(), types.NewEncoder()
-	a.EncodeState(ea)
-	b.EncodeState(eb)
-	if string(ea.Sum()) != string(eb.Sum()) {
-		t.Fatal("restored dedup diverged from original after identical evolution")
-	}
-}
-
 // TestDedupEncodeDecodeState: the WAL sidecar codec is a full-fidelity
-// round trip, including mid-epoch sweep state where lastFloor lags the
-// floor.
+// round trip.
 func TestDedupEncodeDecodeState(t *testing.T) {
-	a := NewDedup(64, 8)
+	a := NewDedup(64, 0)
 	a.Mark(stx(1, 1))
-	a.ExpireIdle(4)   // lastFloor pinned at 1
-	a.Mark(stx(1, 2)) // floor moves past lastFloor (mid-epoch shape)
+	a.Mark(stx(1, 2))
 	a.Mark(stx(3, 7)) // out-of-order window content
-	for i := 0; i < 12; i++ {
-		a.Mark(ltx(fmt.Sprintf("legacy-%d", i))) // wraps the 8-cap ring
-	}
 	e := types.NewEncoder()
 	a.EncodeState(e)
 
-	b := NewDedup(64, 8)
+	b := NewDedup(64, 0)
 	if err := b.DecodeState(types.NewDecoder(e.Sum())); err != nil {
 		t.Fatal(err)
 	}
@@ -300,47 +183,18 @@ func TestDedupEncodeDecodeState(t *testing.T) {
 	if string(e.Sum()) != string(e2.Sum()) {
 		t.Fatal("EncodeState/DecodeState round trip not byte-identical")
 	}
-	// And the decoded copy behaves identically on the next sweep (the
-	// lastFloor fidelity the snapshot form cannot carry).
-	da := a.ExpireIdle(4)
-	db := b.ExpireIdle(4)
-	if len(da) != len(db) {
-		t.Fatalf("sweep divergence after round trip: %v vs %v", da, db)
-	}
-}
-
-// TestDedupExpireIdleSparesActiveHoledSession: a session whose floor
-// is pinned by a permanently lost nonce but which keeps committing
-// out-of-order nonces above the hole is alive — expiring it would
-// re-admit its committed nonces as new.
-func TestDedupExpireIdleSparesActiveHoledSession(t *testing.T) {
-	d := NewDedup(64, 0)
-	// Nonce 1 never commits; 2..k do — floor stays 0 forever.
-	next := uint64(2)
-	for sweep := 0; sweep < 6; sweep++ {
-		d.Mark(stx(1, next))
-		next++
-		if dropped := d.ExpireIdle(2); len(dropped) != 0 {
-			t.Fatalf("sweep %d expired the actively committing session (dropped %v)", sweep, dropped)
-		}
-	}
-	if got := d.Admit(stx(1, 2)); got != AdmitResolved {
-		t.Fatalf("committed nonce above the hole: got %v, want resolved", got)
-	}
-	// Once the marks stop, the idle clock finally runs.
-	d.ExpireIdle(2)
-	dropped := d.ExpireIdle(2)
-	if len(dropped) != 1 || dropped[0] != 1 {
-		t.Fatalf("quiet holed session not expired: dropped %v", dropped)
+	if !b.Resolved(stx(3, 7)) || b.Resolved(stx(3, 6)) || !b.Resolved(stx(1, 2)) {
+		t.Fatal("decoded copy resolves differently from the original")
 	}
 }
 
 // TestScratchMatchesDedup is the scratch view's whole contract: after
 // any sequence of marks, Scratch.Resolved answers exactly as a real
 // Dedup that took the same marks — floor advance, forced eviction and
-// legacy-ring eviction included — and the Dedup underneath is untouched.
+// nonce-less transactions included — and the Dedup underneath is
+// untouched.
 func TestScratchMatchesDedup(t *testing.T) {
-	const window, legacyCap = 64, 4
+	const window = 64
 	encode := func(d *Dedup) string {
 		e := types.NewEncoder()
 		d.EncodeState(e)
@@ -348,11 +202,11 @@ func TestScratchMatchesDedup(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		// The universe is small enough that sessions collide, nonces jump
-		// past the window, and the legacy ring wraps several times.
+		// The universe is small enough that sessions collide and nonces
+		// jump past the window; a third of the draws carry no session.
 		draw := func() *types.Transaction {
 			if rng.Intn(3) == 0 {
-				return ltx(fmt.Sprintf("legacy-%d", rng.Intn(12)))
+				return ltx(fmt.Sprintf("no-session-%d", rng.Intn(12)))
 			}
 			nonce := uint64(1 + rng.Intn(40))
 			if rng.Intn(8) == 0 {
@@ -360,7 +214,7 @@ func TestScratchMatchesDedup(t *testing.T) {
 			}
 			return stx(uint64(1+rng.Intn(3)), nonce)
 		}
-		base, mirror := NewDedup(window, legacyCap), NewDedup(window, legacyCap)
+		base, mirror := NewDedup(window, 0), NewDedup(window, 0)
 		for i := 0; i < 60; i++ {
 			tx := draw()
 			base.Mark(tx)

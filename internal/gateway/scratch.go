@@ -8,8 +8,8 @@ import "thunderbolt/internal/types"
 // "what would dedup say at this point of the wave" before anything is
 // installed — while running a wave that has not been applied yet, and
 // while running one ahead of its commit on top of other such waves —
-// under the one rule (session floors, forced eviction, ring eviction)
-// that Mark itself implements.
+// under the one rule (session floors, forced eviction) that Mark itself
+// implements.
 //
 // A Scratch's marks are valid only while its Dedup is not mutated —
 // Reset it after the Dedup changes — and it is owned by one goroutine,
@@ -23,25 +23,11 @@ type Scratch struct {
 	// its largest allocation.
 	clients map[uint64]*nonceWindow
 	free    []*nonceWindow
-	// Legacy ring, as a delta: order lists the digests marked through
-	// the view, added the ones still resolved, and evicted the Dedup's
-	// own ring entries those marks pushed out (nEvicted counts both
-	// kinds of eviction; the ring evicts oldest first, the Dedup's
-	// entries before the view's).
-	order    []types.Digest
-	added    map[types.Digest]struct{}
-	evicted  map[types.Digest]struct{}
-	nEvicted int
 }
 
 // Scratch returns an empty view over d.
 func (d *Dedup) Scratch() *Scratch {
-	return &Scratch{
-		d:       d,
-		clients: make(map[uint64]*nonceWindow),
-		added:   make(map[types.Digest]struct{}),
-		evicted: make(map[types.Digest]struct{}),
-	}
+	return &Scratch{d: d, clients: make(map[uint64]*nonceWindow)}
 }
 
 // Reset forgets every mark made through the view, which then shows the
@@ -51,17 +37,13 @@ func (s *Scratch) Reset() *Scratch {
 		s.free = append(s.free, w)
 		delete(s.clients, c)
 	}
-	s.order = s.order[:0]
-	clear(s.added)
-	clear(s.evicted)
-	s.nEvicted = 0
 	return s
 }
 
 // Resolved is Dedup.Resolved as of the view.
 func (s *Scratch) Resolved(tx *types.Transaction) bool {
 	if !Sessioned(tx) {
-		return s.resolvedLegacy(tx.ID())
+		return true
 	}
 	w, ok := s.clients[tx.Client]
 	if !ok {
@@ -73,7 +55,6 @@ func (s *Scratch) Resolved(tx *types.Transaction) bool {
 // Mark is Dedup.Mark applied to the view only.
 func (s *Scratch) Mark(tx *types.Transaction) {
 	if !Sessioned(tx) {
-		s.markLegacy(tx.ID())
 		return
 	}
 	w, ok := s.clients[tx.Client]
@@ -93,33 +74,4 @@ func (s *Scratch) Mark(tx *types.Transaction) {
 		s.clients[tx.Client] = w
 	}
 	w.mark(tx.Nonce, s.d.window)
-}
-
-func (s *Scratch) resolvedLegacy(id types.Digest) bool {
-	if _, ok := s.added[id]; ok {
-		return true
-	}
-	if _, ok := s.evicted[id]; ok {
-		return false
-	}
-	_, ok := s.d.ringSet[id]
-	return ok
-}
-
-func (s *Scratch) markLegacy(id types.Digest) {
-	if s.resolvedLegacy(id) {
-		return
-	}
-	s.order = append(s.order, id)
-	s.added[id] = struct{}{}
-	if s.d.ringN+len(s.order)-s.nEvicted <= s.d.legacyCap {
-		return
-	}
-	// Over capacity: the oldest resolved digest leaves the window.
-	if e := s.nEvicted; e < s.d.ringN {
-		s.evicted[s.d.ring[(s.d.ringStart+e)%len(s.d.ring)]] = struct{}{}
-	} else {
-		delete(s.added, s.order[e-s.d.ringN])
-	}
-	s.nEvicted++
 }

@@ -57,6 +57,10 @@ const (
 	// NackEpochEnded: the transaction was dropped with a dying epoch
 	// at a reconfiguration; Proposer carries the shard's new owner.
 	NackEpochEnded
+	// NackNoSession: the transaction carries no (client, nonce)
+	// session, the only identity the commit path deduplicates by. It
+	// is never admitted; the client must mint one (Client.Mint).
+	NackNoSession
 )
 
 // Ack is the payload of MsgTxAck.

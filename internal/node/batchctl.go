@@ -16,7 +16,7 @@ const batchLatencyTargetTicks = 4
 // identically (pinned by TestAdaptiveBatchBounds).
 type batchController struct {
 	floor int // Config.BatchSize
-	cap   int // Config.BatchSizeCap; cap <= floor disables adaptation
+	cap   int // 4 × Config.BatchSize; cap <= floor fixes the size
 	size  int // current batch size
 }
 

@@ -425,16 +425,11 @@ func (n *Node) dropOwnBlock(round types.Round) {
 // snapshot — the committed sequence position is deterministic here, so
 // every honest replica records a bit-identical snapshot, which is what
 // lets a replica stranded across this transition authenticate one
-// later with f+1 matching digests (see snapshot.go).
-//
-// The transition is itself a commit-path event: the idle-session
-// sweep (Config.SessionIdleEpochs) runs here, before the capture, so
-// the snapshot carries the swept session set — and on a durable
+// later with f+1 matching digests (see snapshot.go). On a durable
 // backend the transition is journaled so a restarted replica resumes
-// in this epoch with the same sweep applied.
+// in this epoch.
 func (n *Node) reconfigure() {
 	n.noteOnly(transitionNote(n.epoch + 1))
-	n.dedup.ExpireIdle(n.cfg.SessionIdleEpochs)
 	n.captureSnapshot(n.epoch + 1)
 	n.nm.reconfigurations.Add(1)
 	// a = the epoch being entered.

@@ -9,8 +9,8 @@ import (
 
 // Restart-from-disk recovery (the durable storage backend's node
 // side). The store alone is not enough to restart a replica: the
-// commit path's dedup state (per-client nonce floors, legacy digest
-// ring) must sit at exactly the same committed position as the store,
+// commit path's dedup state (per-client nonce floors and windows)
+// must sit at exactly the same committed position as the store,
 // or the node would re-apply — or wrongly skip — blocks during
 // in-epoch catch-up. The durable backend therefore persists a sidecar
 // in lockstep with the state:
@@ -39,8 +39,8 @@ import (
 
 // WAL note kinds.
 const (
-	walNoteMarks      = 1 // resolved-transaction identities of one commit
-	walNoteTransition = 2 // epoch transition (+ idle-session sweep)
+	walNoteMarks      = 1 // resolved (client, nonce) identities of one commit
+	walNoteTransition = 2 // epoch transition
 	walNoteRestore    = 3 // snapshot epoch-jump: absolute dedup/commit state
 	walNoteVote       = 4 // first vote on a (round, proposer) slot
 )
@@ -66,26 +66,13 @@ func (n *Node) noteOnly(note []byte) {
 	}
 }
 
-// markNote encodes a walNoteMarks payload: the identities resolved by
-// the commit being applied, committed first, deterministic failures
-// second. Returns nil when no durable backend listens.
+// markNote encodes a walNoteMarks payload: the (client, nonce)
+// identities resolved by the commit being applied, committed first,
+// deterministic failures second. The commit path resolves only
+// sessioned transactions, so the pair is the whole identity.
 type markNote struct {
-	committed []noteIdentity
-	failed    []noteIdentity
-}
-
-type noteIdentity struct {
-	sessioned bool
-	client    uint64
-	nonce     uint64
-	id        types.Digest
-}
-
-func identityOf(tx *types.Transaction) noteIdentity {
-	if tx.Client != 0 && tx.Nonce != 0 {
-		return noteIdentity{sessioned: true, client: tx.Client, nonce: tx.Nonce}
-	}
-	return noteIdentity{id: tx.ID()}
+	committed []*types.Transaction
+	failed    []*types.Transaction
 }
 
 // newMarkNote returns a collector when the backend is durable, nil
@@ -102,14 +89,14 @@ func (m *markNote) commit(tx *types.Transaction) {
 	if m == nil {
 		return
 	}
-	m.committed = append(m.committed, identityOf(tx))
+	m.committed = append(m.committed, tx)
 }
 
 func (m *markNote) fail(tx *types.Transaction) {
 	if m == nil {
 		return
 	}
-	m.failed = append(m.failed, identityOf(tx))
+	m.failed = append(m.failed, tx)
 }
 
 // bytes renders the note, or nil when empty/disabled.
@@ -119,17 +106,11 @@ func (m *markNote) bytes() []byte {
 	}
 	e := types.NewEncoder()
 	e.U8(walNoteMarks)
-	for _, ids := range [][]noteIdentity{m.committed, m.failed} {
-		e.U32(uint32(len(ids)))
-		for _, id := range ids {
-			if id.sessioned {
-				e.U8(1)
-				e.U64(id.client)
-				e.U64(id.nonce)
-			} else {
-				e.U8(0)
-				e.Digest(id.id)
-			}
+	for _, txs := range [][]*types.Transaction{m.committed, m.failed} {
+		e.U32(uint32(len(txs)))
+		for _, tx := range txs {
+			e.U64(tx.Client)
+			e.U64(tx.Nonce)
 		}
 	}
 	return e.Sum()
@@ -176,13 +157,12 @@ func (n *Node) restoreNote(epoch types.Epoch, commits uint64) []byte {
 	return e.Sum()
 }
 
-// walMeta is the checkpoint sidecar: the dedup configuration it was
-// written under (the same committee contract the snapshot-install
-// path binds — a replica restarted with a different window would
-// misparse the bitmaps or re-run idle sweeps on the wrong horizon and
-// silently diverge from the committee), then epoch, commit counter,
-// full dedup state, and the current epoch's voted slots as of the
-// records already applied. The votes must ride the meta, not just
+// walMeta is the checkpoint sidecar: the nonce window it was written
+// under (the same committee contract the snapshot-install path binds —
+// a replica restarted with a different window would misparse the
+// bitmaps and silently diverge from the committee), then epoch, commit
+// counter, full dedup state, and the current epoch's voted slots as of
+// the records already applied. The votes must ride the meta, not just
 // their notes: a checkpoint truncates earlier notes, and losing
 // pre-checkpoint vote records would reopen the equivocation window
 // they exist to close. Runs synchronously on the applying goroutine
@@ -190,8 +170,6 @@ func (n *Node) restoreNote(epoch types.Epoch, commits uint64) []byte {
 func (n *Node) walMeta() []byte {
 	e := types.NewEncoder()
 	e.U32(uint32(n.dedup.Window()))
-	e.U32(uint32(n.dedup.LegacyCap()))
-	e.U32(uint32(n.cfg.SessionIdleEpochs))
 	e.U64(uint64(n.epoch))
 	e.U64(n.Stats().CommittedTxs)
 	n.dedup.EncodeState(e)
@@ -212,11 +190,10 @@ func (n *Node) recoverFromBackend(rec storage.Recoverable) (types.Epoch, error) 
 	commits := uint64(0)
 	if meta := rec.RecoveredMeta(); len(meta) > 0 {
 		d := types.NewDecoder(meta)
-		window, legacy, idle := int(d.U32()), int(d.U32()), int(d.U32())
-		if window != n.dedup.Window() || legacy != n.dedup.LegacyCap() || idle != n.cfg.SessionIdleEpochs {
+		if window := int(d.U32()); window != n.dedup.Window() {
 			return 0, fmt.Errorf(
-				"node: durable state was written under dedup config window=%d legacy=%d idleEpochs=%d, node configured window=%d legacy=%d idleEpochs=%d — recovery under a different config would diverge from the committee",
-				window, legacy, idle, n.dedup.Window(), n.dedup.LegacyCap(), n.cfg.SessionIdleEpochs)
+				"node: durable state was written under nonce window %d, node configured %d — recovery under a different window would diverge from the committee",
+				window, n.dedup.Window())
 		}
 		epoch = types.Epoch(d.U64())
 		commits = d.U64()
@@ -243,21 +220,15 @@ func (n *Node) recoverFromBackend(rec storage.Recoverable) (types.Epoch, error) 
 			for pass := 0; pass < 2; pass++ {
 				cnt := d.U32()
 				for i := uint32(0); i < cnt && d.Err() == nil; i++ {
-					if d.U8() == 1 {
-						n.dedup.MarkSession(d.U64(), d.U64())
-					} else {
-						n.dedup.MarkDigest(d.Digest())
-					}
+					n.dedup.MarkSession(d.U64(), d.U64())
 					if pass == 0 {
 						commits++
 					}
 				}
 			}
 		case walNoteTransition:
-			// Re-run the deterministic idle sweep the live transition
-			// performed, then adopt the epoch. Votes belonged to the
-			// discarded epoch's DAG; drop them.
-			n.dedup.ExpireIdle(n.cfg.SessionIdleEpochs)
+			// Adopt the epoch. Votes belonged to the discarded epoch's
+			// DAG; drop them.
 			epoch = types.Epoch(d.U64())
 			n.recoveredVotes = nil
 		case walNoteRestore:

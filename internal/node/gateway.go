@@ -30,11 +30,19 @@ type clientSub struct {
 // retransmissions.
 const clientSubTTL = 30 * time.Second
 
-// handleTxSubmit answers one sessioned submission. Admission consults
+// handleTxSubmit answers one submission; one without a (client, nonce)
+// session is nacked with NackNoSession. Admission consults
 // (but never mutates) the dedup state: dedup evolves only on the
 // deterministic commit path, while admission is a per-replica race.
 func (n *Node) handleTxSubmit(from types.ReplicaID, tx *types.Transaction) {
 	id := tx.ID()
+	if !gateway.Sessioned(tx) {
+		n.sendNack(from, &gateway.Nack{
+			TxID: id, Client: tx.Client, Nonce: tx.Nonce,
+			Reason: gateway.NackNoSession, Epoch: n.epoch, Proposer: n.cfg.ID,
+		})
+		return
+	}
 	switch n.dedup.Admit(tx) {
 	case gateway.AdmitResolved:
 		// Duplicate of a resolved transaction: ack referencing the

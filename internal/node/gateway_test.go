@@ -163,6 +163,38 @@ func TestGatewayMisrouteNack(t *testing.T) {
 	}
 }
 
+// TestGatewayRefusesNoSession: a transaction without a (client, nonce)
+// session is refused at both entry points — Submit errors before
+// queueing, and a wire submit is nacked with NackNoSession — so no
+// replica ever proposes one.
+func TestGatewayRefusesNoSession(t *testing.T) {
+	f := newGwFixture(t, 4)
+	nd := f.nodes[1] // serves shard 1 in epoch 0
+	for _, tx := range []*types.Transaction{sessTx(0, 1, 1), sessTx(42, 0, 1)} {
+		if err := nd.Submit(tx); err == nil {
+			t.Fatalf("Submit accepted client %d nonce %d", tx.Client, tx.Nonce)
+		}
+		if len(nd.txCh) != 0 {
+			t.Fatal("refused submission reached the ingress channel")
+		}
+		nd.handleTxSubmit(f.clientID(), tx)
+		m := f.wait(t)
+		if m.mt != gateway.MsgTxNack {
+			t.Fatalf("got message type %d, want nack", m.mt)
+		}
+		var nk gateway.Nack
+		if err := nk.Unmarshal(m.payload); err != nil {
+			t.Fatal(err)
+		}
+		if nk.Reason != gateway.NackNoSession || nk.TxID != tx.ID() {
+			t.Fatalf("nack %+v, want no-session for %s", nk, tx.ID())
+		}
+		if len(nd.txQueue) != 0 {
+			t.Fatal("transaction without a session entered the queue")
+		}
+	}
+}
+
 // TestGatewayOutOfWindowNack: a nonce more than a window ahead of the
 // client's floor is refused so server state stays bounded.
 func TestGatewayOutOfWindowNack(t *testing.T) {

@@ -84,15 +84,12 @@ type Config struct {
 	// pool (defaults 16 and 16, the paper's system configuration).
 	Executors  int
 	Validators int
-	// BatchSize caps transactions per block (default 500). It is the
-	// adaptive batch controller's floor: under sustained ingress
-	// backlog the proposer grows its batch toward BatchSizeCap and
-	// shrinks back here when its own blocks take more than four ticks
-	// to commit (batchctl.go), so throughput tracks offered load.
+	// BatchSize is the adaptive batch controller's floor (default
+	// 500): under sustained ingress backlog the proposer grows its
+	// batch toward 4 × BatchSize and shrinks back here when its own
+	// blocks take more than four ticks to commit (batchctl.go), so
+	// throughput tracks offered load.
 	BatchSize int
-	// BatchSizeCap bounds adaptive batch growth. 0 selects
-	// 4×BatchSize; negative disables adaptation (fixed BatchSize).
-	BatchSizeCap int
 
 	// K triggers a Shift vote when a proposer has been silent for K
 	// rounds (0 disables). KPrime forces a Shift vote every KPrime
@@ -112,24 +109,11 @@ type Config struct {
 	// individually; submissions further ahead are nacked to back off.
 	// 0 selects gateway.DefaultNonceWindow (1024); values are rounded
 	// up to a multiple of 64. Consensus-critical: every replica must
-	// configure the same value (snapshots bind it, installs reject a
-	// mismatch).
+	// configure the same value (snapshots and the WAL meta bind it;
+	// installs and restarts reject a mismatch). A (client, nonce)
+	// session is the only transaction identity: Submit refuses a
+	// transaction without one.
 	NonceWindow int
-	// LegacyDedupWindow bounds the digest window deduplicating
-	// nonce-less legacy transactions; 0 selects
-	// gateway.DefaultLegacyWindow (65536). Consensus-critical like
-	// NonceWindow.
-	LegacyDedupWindow int
-
-	// SessionIdleEpochs, when positive, expires idle gateway sessions
-	// deterministically at epoch transitions: a session whose applied
-	// nonce floor has not moved for this many consecutive transitions
-	// is dropped from the dedup state (and from snapshots), bounding
-	// session memory under billions of one-shot clients. Runs on the
-	// commit path, so honest replicas stay bit-identical; snapshots
-	// bind the value and installs reject a mismatch. 0 (default)
-	// disables expiry. Consensus-critical like NonceWindow.
-	SessionIdleEpochs int
 
 	// GCHorizon is the committed-wave garbage-collection retention
 	// horizon, in rounds: after each commit wave the node prunes DAG
@@ -234,12 +218,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TickInterval <= 0 {
 		c.TickInterval = 25 * time.Millisecond
-	}
-	if c.BatchSizeCap == 0 {
-		c.BatchSizeCap = 4 * c.BatchSize
-	}
-	if c.BatchSizeCap > 0 && c.BatchSizeCap < c.BatchSize {
-		c.BatchSizeCap = c.BatchSize
 	}
 	if c.MinRoundInterval <= 0 {
 		c.MinRoundInterval = time.Millisecond
@@ -599,10 +577,10 @@ type Node struct {
 	committedShift map[types.ReplicaID]bool
 
 	// commit state: the bounded dedup of resolved transactions —
-	// per-client nonce floors plus a digest window for nonce-less
-	// legacy traffic. Mutated only on the deterministic commit path,
-	// so honest replicas at equal commit positions hold bit-identical
-	// state (which is what lets snapshots carry it verbatim).
+	// per-client nonce floors and windows. Mutated only on the
+	// deterministic commit path, so honest replicas at equal commit
+	// positions hold bit-identical state (which is what lets snapshots
+	// carry it verbatim).
 	dedup *gateway.Dedup
 	// scratch is the dedup view waves run under (commit.go's runWave):
 	// reset before each run, so one arena serves every wave.
@@ -679,7 +657,7 @@ func New(cfg Config) (*Node, error) {
 		n.specDepth = cfg.SpecExecDepth
 	}
 	n.nm = newNodeMetrics(cfg.ID)
-	n.dedup = gateway.NewDedup(cfg.NonceWindow, cfg.LegacyDedupWindow)
+	n.dedup = gateway.NewDedup(cfg.NonceWindow, 0)
 	n.scratch = n.dedup.Scratch()
 	startEpoch := types.Epoch(0)
 	if rec, ok := cfg.Store.(storage.Recoverable); ok {
@@ -707,7 +685,7 @@ func New(cfg Config) (*Node, error) {
 	n.chunkBudget = chunkServeBudget
 	n.outDirect = make([][]outMsg, cfg.N)
 	n.futureMsgs = make([][]inboundMsg, cfg.N)
-	n.batch = newBatchController(cfg.BatchSize, cfg.BatchSizeCap)
+	n.batch = newBatchController(cfg.BatchSize, 4*cfg.BatchSize)
 	n.txClients = make(map[types.Digest]clientSub)
 	n.seen = make(map[types.Digest]time.Time)
 	n.preplayer = n.newPreplayer()
@@ -884,7 +862,6 @@ func (n *Node) Inspect(f func(*DebugView)) error {
 			Resolved:       func(tx *types.Transaction) bool { return n.dedup.Resolved(tx) },
 			Seen:           func(d types.Digest) bool { _, ok := n.seen[d]; return ok },
 			DedupClients:   n.dedup.Clients(),
-			DedupLegacy:    n.dedup.LegacyLen(),
 			PrevRoundCerts: n.dagStore.CountAtRound(prev),
 			HasOwnPrev:     ownPrev,
 			HighestRound:   n.dagStore.HighestRound(),
@@ -937,13 +914,12 @@ type DebugView struct {
 	Pending   []types.Digest
 	// Resolved reports whether a transaction is deduplicated as
 	// resolved (committed or deterministically failed); Seen reports
-	// pre-commit queue dedup. DedupClients and DedupLegacy are the
-	// bounded dedup state's population (clients tracked, legacy digest
-	// window fill) — the plateau tests sample these.
+	// pre-commit queue dedup. DedupClients is the bounded dedup
+	// state's population (clients tracked) — the plateau tests sample
+	// it.
 	Resolved     func(*types.Transaction) bool
 	Seen         func(types.Digest) bool
 	DedupClients int
-	DedupLegacy  int
 	// Frontier internals for liveness debugging: certificates present
 	// at nextRound-1, whether our own is among them, the highest
 	// certified round, and the sizes of the recovery queues.
@@ -997,8 +973,12 @@ func pendingIDs(n *Node) []types.Digest {
 
 // Submit enqueues a client transaction. Single-shard transactions
 // must be routed to the proposer currently serving their shard;
-// misrouted ones are rejected so the client layer can re-route.
+// misrouted ones are rejected so the client layer can re-route. A
+// transaction without a (client, nonce) session is refused.
 func (n *Node) Submit(tx *types.Transaction) error {
+	if !gateway.Sessioned(tx) {
+		return errors.New("node: transaction has no (client, nonce) session")
+	}
 	select {
 	case n.txCh <- tx:
 		return nil

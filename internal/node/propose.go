@@ -300,7 +300,7 @@ func (n *Node) preplayRead(k types.Key) types.Value {
 }
 
 // drainQueue pulls up to the adaptive batch size (floor
-// Config.BatchSize, cap Config.BatchSizeCap) of transactions,
+// Config.BatchSize, cap 4 × Config.BatchSize) of transactions,
 // splitting them into single-shard (for this node's current shard)
 // and cross-shard. Misrouted singles (wrong shard, e.g. queued before
 // a reconfiguration) are dropped; clients resubmit to the new

@@ -98,7 +98,7 @@ func TestMidEpochCaptureCadence(t *testing.T) {
 func TestMidEpochChunkedInstall(t *testing.T) {
 	nodes, _ := chunkTestNodes(t, 4, 64)
 	victim := nodes[0]
-	txs := []*types.Transaction{legacyTx("c1"), legacyTx("c2")}
+	txs := []*types.Transaction{snapTx(1), snapTx(2)}
 	for _, nd := range nodes[1:3] {
 		seedMidEpochDonor(nd, 100, 555, txs...)
 	}
@@ -139,10 +139,8 @@ func TestMidEpochChunkedInstall(t *testing.T) {
 	if got, err := contract.DecodeInt64(v); err != nil || got != 555 {
 		t.Fatalf("ledger not installed: balance %d (%v)", got, err)
 	}
-	for _, tx := range txs {
-		if !victim.dedup.Resolved(tx) {
-			t.Fatal("dedup state not installed")
-		}
+	if ss := victim.dedup.Sessions(); len(ss) != 1 || ss[0].Floor != uint64(len(txs)) {
+		t.Fatalf("dedup state not installed: %+v", ss)
 	}
 	// Re-anchored mid-epoch: the DAG enters at EndRound − minGCHorizon,
 	// and the committer resumes at EndRound, the committee's instance

@@ -134,14 +134,10 @@ func (n *Node) capture(snapEpoch types.Epoch) {
 		ChunkDigests: digests,
 		// The dedup payload is the compact per-client state, not the
 		// full applied set: floors and window bitmaps (bounded by
-		// clients × window) plus the bounded legacy digest window.
-		// Dedup state evolves only in committed order, so honest
-		// replicas capture bit-identical sessions here.
-		DedupWindow:       uint32(n.dedup.Window()),
-		LegacyCap:         uint32(n.dedup.LegacyCap()),
-		SessionIdleEpochs: uint32(n.cfg.SessionIdleEpochs),
-		Sessions:          n.dedup.Sessions(),
-		Applied:           n.dedup.Legacy(),
+		// clients × window). Dedup state evolves only in committed
+		// order, so honest replicas capture bit-identical sessions here.
+		DedupWindow: uint32(n.dedup.Window()),
+		Sessions:    n.dedup.Sessions(),
 	}
 	n.lastSnap = snap
 	n.snapChunks = chunks
@@ -300,8 +296,7 @@ func (n *Node) handleSnapshot(_ types.ReplicaID, payload []byte) {
 	// N): installing under a different window would make this
 	// replica's dedup evolution — and its next snapshot capture —
 	// diverge from the committee's.
-	if int(snap.DedupWindow) != n.dedup.Window() || int(snap.LegacyCap) != n.dedup.LegacyCap() ||
-		int(snap.SessionIdleEpochs) != n.cfg.SessionIdleEpochs {
+	if int(snap.DedupWindow) != n.dedup.Window() {
 		return
 	}
 	if !n.memoVerifier.Verify(m.Signer, snap.Digest(), m.Sig) {
@@ -366,7 +361,7 @@ func (n *Node) installSnapshot(snap *types.Snapshot, writes []types.RWRecord, ch
 	// to the ledger batch, landing on the identical position (the
 	// restore is absolute, so replaying it over a checkpoint that
 	// already contains it is idempotent).
-	n.dedup.Restore(snap.Sessions, snap.Applied)
+	n.dedup.Restore(snap.Sessions)
 	n.applyCommit(writes, n.restoreNote(snap.Epoch, snap.Commits))
 	// Re-anchor the commit log at the snapshot's sequence position:
 	// the local log resumes exactly where the committee's agreed

@@ -84,9 +84,7 @@ func fetchChunks(t *testing.T, victim *Node, donors ...*Node) {
 
 // applyTestCommits gives a node some committed state: a store write
 // plus resolved transactions, mirroring what executing a committed
-// prefix does. The transactions are nonce-less, so they land in the
-// snapshot's legacy digest window (sessioned state is covered by
-// TestSnapshotCarriesSessions).
+// prefix does.
 func applyTestCommits(n *Node, balance int64, txs ...*types.Transaction) {
 	n.cfg.Store.Set(workload.CheckingKey(workload.AccountName(0)), contract.EncodeInt64(balance))
 	for _, tx := range txs {
@@ -95,15 +93,13 @@ func applyTestCommits(n *Node, balance int64, txs ...*types.Transaction) {
 	n.nm.committedTxs.Add(uint64(len(txs)))
 }
 
-// legacyTx builds a nonce-less transaction with a distinct identity.
-func legacyTx(tag string) *types.Transaction {
-	return &types.Transaction{Kind: types.SingleShard, Shards: []types.ShardID{0},
-		Contract: "t", Args: [][]byte{[]byte(tag)}}
-}
+// snapTx builds the nonce-th transaction of the snapshot tests' one
+// client session.
+func snapTx(nonce uint64) *types.Transaction { return sessTx(7, nonce, 0) }
 
 func TestSnapshotCaptureDeterministic(t *testing.T) {
 	nodes, _ := snapTestNodes(t, 4)
-	txs := []*types.Transaction{legacyTx("t1"), legacyTx("t2")}
+	txs := []*types.Transaction{snapTx(1), snapTx(2)}
 	for _, nd := range nodes[:2] {
 		applyTestCommits(nd, 555, txs...)
 		nd.captureSnapshot(1)
@@ -116,14 +112,14 @@ func TestSnapshotCaptureDeterministic(t *testing.T) {
 		t.Fatalf("replicas with identical committed state captured different digests: %s vs %s",
 			a.Digest(), b.Digest())
 	}
-	if a.Epoch != 1 || a.Commits != 2 || len(a.Applied) != 2 {
+	if a.Epoch != 1 || a.Commits != 2 || len(a.Sessions) != 1 || a.Sessions[0].Floor != 2 {
 		t.Fatalf("unexpected snapshot header: %+v", a)
 	}
 }
 
 func TestSnapshotInstallNeedsQuorum(t *testing.T) {
 	nodes, _ := snapTestNodes(t, 4)
-	txs := []*types.Transaction{legacyTx("t1")}
+	txs := []*types.Transaction{snapTx(1)}
 	for _, nd := range nodes[1:3] {
 		applyTestCommits(nd, 777, txs...)
 		nd.captureSnapshot(2)
@@ -144,7 +140,7 @@ func TestSnapshotInstallNeedsQuorum(t *testing.T) {
 	if victim.epoch != 2 {
 		t.Fatalf("no epoch jump after f+1 matching snapshots (epoch %d)", victim.epoch)
 	}
-	if !victim.dedup.Resolved(txs[0]) {
+	if !victim.dedup.Resolved(txs[0]) || victim.dedup.Resolved(snapTx(2)) {
 		t.Fatal("dedup state not installed")
 	}
 	v, _ := victim.cfg.Store.Get(workload.CheckingKey(workload.AccountName(0)))
@@ -269,7 +265,7 @@ func TestSnapshotSmallAndEmptyLedgers(t *testing.T) {
 	})
 	t.Run("empty", func(t *testing.T) {
 		nodes, _ := snapTestNodesOf(t, 4, 0, 0)
-		tx := legacyTx("e1")
+		tx := snapTx(1)
 		for _, nd := range nodes[1:3] {
 			nd.dedup.Mark(tx)
 			nd.nm.committedTxs.Add(1)
@@ -287,7 +283,7 @@ func TestSnapshotSmallAndEmptyLedgers(t *testing.T) {
 		if victim.epoch != 1 || victim.fetch != nil {
 			t.Fatalf("empty ledger did not install on the manifest quorum (epoch %d)", victim.epoch)
 		}
-		if !victim.dedup.Resolved(tx) || victim.Stats().CommittedTxs != 1 {
+		if ss := victim.dedup.Sessions(); len(ss) != 1 || ss[0].Floor != 1 || victim.Stats().CommittedTxs != 1 {
 			t.Fatal("dedup state not installed")
 		}
 		time.Sleep(20 * time.Millisecond)

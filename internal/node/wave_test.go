@@ -293,6 +293,55 @@ func TestWaveRunOnceInstallOnce(t *testing.T) {
 			},
 		},
 		{
+			// A Byzantine proposer's batch carrying a transaction without a
+			// (client, nonce) session reads as stale on every replica.
+			name: "nonce-less single-shard transaction discards its block",
+			build: func(wb *waveBuilder) []tusk.CommitWave {
+				return []tusk.CommitWave{wb.wave(wb.block(1, 1, true, []*types.Transaction{
+					depositTx(9, 1, 1, 1, 5), depositTx(0, 0, 1, 3, 7),
+				}, nil))}
+			},
+			check: func(t *testing.T, wn *waveNode, waves []tusk.CommitWave, results []*waveResult) {
+				if out := results[0].outcomes; len(out) != 1 || out[0].ok {
+					t.Fatalf("want the block discarded, got %+v", out)
+				}
+				if a, b := checking(t, wn, 1), checking(t, wn, 3); a != 100 || b != 100 {
+					t.Fatalf("discarded block left writes: accounts 1, 3 = %d, %d", a, b)
+				}
+				if st := wn.n.Stats(); st.ValidationFailures != 1 || st.CommittedTxs != 0 {
+					t.Fatalf("validation failures = %d, committed = %d", st.ValidationFailures, st.CommittedTxs)
+				}
+				if sessioned := waves[0].Vertices[0].Block.SingleTxs[0]; wn.n.dedup.Resolved(sessioned) {
+					t.Fatal("the discarded block's sessioned transaction was resolved")
+				}
+			},
+		},
+		{
+			name: "nonce-less cross transaction is dropped without running",
+			build: func(wb *waveBuilder) []tusk.CommitWave {
+				return []tusk.CommitWave{wb.wave(wb.block(1, 1, true, nil, []*types.Transaction{
+					payTx(8, 0, 1, 2, 10), payTx(4, 1, 3, 4, 10),
+				}))}
+			},
+			check: func(t *testing.T, wn *waveNode, waves []tusk.CommitWave, results []*waveResult) {
+				if out := results[0].outcomes; len(out) != 1 || !out[0].ok || out[0].tx.Nonce != 1 {
+					t.Fatalf("want only the sessioned payment run, got %+v", out)
+				}
+				if results[0].txs != 1 {
+					t.Fatalf("executed %d transactions, want 1", results[0].txs)
+				}
+				if a, b := checking(t, wn, 1), checking(t, wn, 2); a != 100 || b != 100 {
+					t.Fatalf("nonce-less payment ran: accounts 1, 2 = %d, %d", a, b)
+				}
+				if a, b := checking(t, wn, 3), checking(t, wn, 4); a != 90 || b != 110 {
+					t.Fatalf("accounts 3, 4 = %d, %d", a, b)
+				}
+				if st := wn.n.Stats(); st.CommittedTxs != 1 {
+					t.Fatalf("committed %d transactions, want 1", st.CommittedTxs)
+				}
+			},
+		},
+		{
 			name: "shift and skip only",
 			build: func(wb *waveBuilder) []tusk.CommitWave {
 				shift := wb.block(1, 1, true, nil, nil)

@@ -10,7 +10,7 @@ import (
 func chunkedSnapshot(records, chunkSize int) (*Snapshot, [][]byte, []RWRecord) {
 	s := &Snapshot{
 		Epoch: 2, N: 4, PrevEpoch: 2, EndRound: 512, Commits: 9000,
-		DedupWindow: 128, LegacyCap: 64,
+		DedupWindow: 128,
 	}
 	var ledger []RWRecord
 	for i := 0; i < records; i++ {

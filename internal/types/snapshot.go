@@ -62,18 +62,11 @@ type Snapshot struct {
 	RecordCount  uint64
 	ChunkDigests []Digest
 
-	// DedupWindow and LegacyCap bind the digest to the dedup
-	// configuration the sessions and applied window were built under
-	// (per-client nonce window size and legacy digest-window capacity).
-	// Like N, they are part of the committee contract: an installer
-	// configured differently would diverge from the committee's dedup
-	// evolution and must reject the snapshot. SessionIdleEpochs is the
-	// idle-session expiry horizon (0 = expiry off) — same contract:
-	// replicas sweeping on different horizons hold different session
-	// sets.
-	DedupWindow       uint32
-	LegacyCap         uint32
-	SessionIdleEpochs uint32
+	// DedupWindow binds the digest to the per-client nonce window the
+	// sessions were built under. Like N, it is part of the committee
+	// contract: an installer configured differently would diverge from
+	// the committee's dedup evolution and must reject the snapshot.
+	DedupWindow uint32
 
 	// Sessions is the per-client dedup state resolved by the committed
 	// prefix, in strictly ascending client order: each client's
@@ -82,13 +75,6 @@ type Snapshot struct {
 	// the snapshot's dedup payload is bounded by clients × window no
 	// matter how long the chain has run.
 	Sessions []ClientSession
-
-	// Applied holds the legacy digest-window contents — the IDs of
-	// resolved transactions that carry no (client, nonce) session — in
-	// ring order, oldest first, so installers rebuild the identical
-	// bounded window (eviction order included). Its length is bounded
-	// by LegacyCap.
-	Applied []Digest
 
 	// dig caches the content digest (see Block.dig for the ownership
 	// discipline: snapshots are immutable once built, decode resets
@@ -101,13 +87,10 @@ type Snapshot struct {
 // Floor is resolved, and Bits is the window bitmap over (Floor,
 // Floor+window] — bit for nonce n lives at position n mod window
 // (absolute addressing, so honestly built bitmaps are bit-identical
-// without any rotation bookkeeping). Idle counts consecutive
-// epoch-transition sweeps the floor has not moved (the idle-session
-// expiry state; always 0 when expiry is off).
+// without any rotation bookkeeping).
 type ClientSession struct {
 	Client uint64
 	Floor  uint64
-	Idle   uint32
 	Bits   []uint64
 }
 
@@ -119,15 +102,12 @@ func SortDigests(ds []Digest) {
 
 // Canonical reports whether the snapshot is in canonical form: Shift
 // proposers strictly ascending and inside the committee, one chunk
-// digest per ChunkSize records, sessions strictly ascending by client
-// with bitmaps sized to DedupWindow, and the legacy applied window
-// within its capacity. Honest builders always emit canonical snapshots;
-// receivers reject anything else before counting it toward an install
-// quorum, so a malformed or deliberately inflated copy can never
-// masquerade as a fresh digest of the same logical state. (The
-// Applied ring is order-significant rather than sorted — eviction
-// order is state — so its ordering is bound by the digest, not by a
-// canonical sort.)
+// digest per ChunkSize records, and sessions strictly ascending by
+// client with bitmaps sized to DedupWindow. Honest builders always
+// emit canonical snapshots; receivers reject anything else before
+// counting it toward an install quorum, so a malformed or deliberately
+// inflated copy can never masquerade as a fresh digest of the same
+// logical state.
 func (s *Snapshot) Canonical() bool {
 	for i, p := range s.Shifts {
 		if uint32(p) >= s.N || (i > 0 && s.Shifts[i-1] >= p) {
@@ -153,7 +133,7 @@ func (s *Snapshot) Canonical() bool {
 			return false
 		}
 	}
-	return len(s.Applied) <= int(s.LegacyCap)
+	return true
 }
 
 // Digest returns the canonical content address of the snapshot,
@@ -190,21 +170,14 @@ func (s *Snapshot) encodeHeader(e *Encoder) {
 
 func (s *Snapshot) encodeDedup(e *Encoder) {
 	e.U32(s.DedupWindow)
-	e.U32(s.LegacyCap)
-	e.U32(s.SessionIdleEpochs)
 	e.U32(uint32(len(s.Sessions)))
 	for _, cs := range s.Sessions {
 		e.U64(cs.Client)
 		e.U64(cs.Floor)
-		e.U32(cs.Idle)
 		e.U32(uint32(len(cs.Bits)))
 		for _, w := range cs.Bits {
 			e.U64(w)
 		}
-	}
-	e.U32(uint32(len(s.Applied)))
-	for _, d := range s.Applied {
-		e.Digest(d)
 	}
 }
 
@@ -250,15 +223,13 @@ func (s *Snapshot) UnmarshalBinary(b []byte) error {
 		s.ChunkDigests = append(s.ChunkDigests, d.Digest())
 	}
 	s.DedupWindow = d.U32()
-	s.LegacyCap = d.U32()
-	s.SessionIdleEpochs = d.U32()
 	nc := d.U32()
 	if d.Err() == nil && int(nc) > len(b)/16 {
 		return fmt.Errorf("types: implausible session count %d", nc)
 	}
 	s.Sessions = make([]ClientSession, 0, nc)
 	for i := uint32(0); i < nc && d.Err() == nil; i++ {
-		cs := ClientSession{Client: d.U64(), Floor: d.U64(), Idle: d.U32()}
+		cs := ClientSession{Client: d.U64(), Floor: d.U64()}
 		nw := d.U32()
 		if d.Err() == nil && int(nw) > len(b)/8 {
 			return fmt.Errorf("types: implausible bitmap length %d", nw)
@@ -268,14 +239,6 @@ func (s *Snapshot) UnmarshalBinary(b []byte) error {
 			cs.Bits = append(cs.Bits, d.U64())
 		}
 		s.Sessions = append(s.Sessions, cs)
-	}
-	na := d.U32()
-	if d.Err() == nil && int(na) > len(b)/32 {
-		return fmt.Errorf("types: implausible applied count %d", na)
-	}
-	s.Applied = make([]Digest, 0, na)
-	for i := uint32(0); i < na && d.Err() == nil; i++ {
-		s.Applied = append(s.Applied, d.Digest())
 	}
 	return d.Finish()
 }

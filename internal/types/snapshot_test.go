@@ -31,17 +31,9 @@ func testSnapshot() *Snapshot {
 		Epoch: 3, N: 4, PrevEpoch: 2, EndRound: 41, Commits: 1234,
 		Shifts:      []ReplicaID{0, 2},
 		DedupWindow: 128,
-		LegacyCap:   4096,
 		Sessions: []ClientSession{
 			{Client: 1, Floor: 17, Bits: []uint64{0b1010, 0}},
 			{Client: 9, Floor: 3, Bits: []uint64{0, 1 << 63}},
-		},
-		// Legacy digest-window contents, ring order (oldest first) —
-		// order-significant, not sorted.
-		Applied: []Digest{
-			HashBytes([]byte("c")),
-			HashBytes([]byte("a")),
-			HashBytes([]byte("b")),
 		},
 	}
 	chunkInto(s, testLedger(), 2) // three records → two chunks
@@ -60,11 +52,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if got.Epoch != s.Epoch || got.N != s.N || got.PrevEpoch != s.PrevEpoch ||
 		got.EndRound != s.EndRound || got.Commits != s.Commits ||
-		got.DedupWindow != s.DedupWindow || got.LegacyCap != s.LegacyCap {
+		got.DedupWindow != s.DedupWindow {
 		t.Fatalf("header mismatch: %+v vs %+v", got, s)
 	}
 	if got.ChunkSize != s.ChunkSize || got.RecordCount != s.RecordCount ||
-		len(got.ChunkDigests) != len(s.ChunkDigests) || len(got.Applied) != len(s.Applied) ||
+		len(got.ChunkDigests) != len(s.ChunkDigests) ||
 		len(got.Sessions) != len(s.Sessions) {
 		t.Fatalf("body length mismatch")
 	}
@@ -84,11 +76,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if got.Sessions[i].Bits[j] != s.Sessions[i].Bits[j] {
 				t.Fatalf("sessions[%d].bits[%d] mismatch", i, j)
 			}
-		}
-	}
-	for i := range s.Applied {
-		if got.Applied[i] != s.Applied[i] {
-			t.Fatalf("applied[%d] mismatch (ring order must survive)", i)
 		}
 	}
 	if got.Digest() != s.Digest() {
@@ -121,14 +108,8 @@ func TestSnapshotDigestBindsContent(t *testing.T) {
 		func(s *Snapshot) { s.ChunkDigests[0][0] ^= 1 },
 		func(s *Snapshot) { s.ChunkDigests[0], s.ChunkDigests[1] = s.ChunkDigests[1], s.ChunkDigests[0] },
 		func(s *Snapshot) { s.DedupWindow *= 2 },
-		func(s *Snapshot) { s.LegacyCap-- },
 		func(s *Snapshot) { s.Sessions[0].Floor++ },
 		func(s *Snapshot) { s.Sessions[1].Bits[1] ^= 1 },
-		func(s *Snapshot) { s.Applied[0][0] ^= 1 },
-		func(s *Snapshot) { s.Applied = s.Applied[:len(s.Applied)-1] },
-		// Ring order is state (it encodes eviction order): swapping
-		// two entries must change the digest.
-		func(s *Snapshot) { s.Applied[0], s.Applied[1] = s.Applied[1], s.Applied[0] },
 	}
 	for i, mut := range mutations {
 		s := testSnapshot()
@@ -153,11 +134,6 @@ func TestSnapshotCanonical(t *testing.T) {
 	wrongBits.Sessions[0].Bits = wrongBits.Sessions[0].Bits[:1]
 	if wrongBits.Canonical() {
 		t.Fatal("bitmap shorter than the window accepted as canonical")
-	}
-	overflow := testSnapshot()
-	overflow.LegacyCap = 2 // three applied entries claim a cap of two
-	if overflow.Canonical() {
-		t.Fatal("legacy window above its claimed capacity accepted as canonical")
 	}
 	badWindow := testSnapshot()
 	badWindow.DedupWindow = 100 // not a multiple of 64
