@@ -3,8 +3,8 @@
 // over bundle roots, each with the path from the block digest to its
 // root. A replica that saw none of those bundles — it was partitioned
 // away while they flew — must be able to rejoin from such certificates
-// alone (MsgRoundReq / MsgCertReq replies), including when one of the
-// serving peers corrupts the paths it sends.
+// alone (replies to round pulls, MsgRoundReq), including when one of
+// the serving peers corrupts the paths it sends.
 package chaos
 
 import (

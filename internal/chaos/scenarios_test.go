@@ -138,8 +138,8 @@ func TestScenarioShardProposerCrashMidEpoch(t *testing.T) {
 
 // TestScenarioCrashRestartUnderLoad crashes a replica under sustained
 // load and restarts it in the same epoch. The restarted replica must
-// recover its missed causal history through the certificate-request
-// protocol and reconverge fully.
+// recover its missed causal history through round pulls and
+// reconverge fully.
 func TestScenarioCrashRestartUnderLoad(t *testing.T) {
 	h := newHarness(t, Options{N: 4, Seed: 103})
 	h.Run([]Event{

@@ -180,7 +180,7 @@ func (f CrashFault) apply(net *transport.SimNetwork) { net.Crash(f.Victim) }
 func (f CrashFault) String() string                  { return fmt.Sprintf("crash %d", f.Victim) }
 
 // RestartFault undoes CrashFault; the replica recovers its missed DAG
-// history through the certificate-request protocol.
+// history through round pulls (node.MsgRoundReq).
 type RestartFault struct{ Victim types.ReplicaID }
 
 func (f RestartFault) apply(net *transport.SimNetwork) { net.Restart(f.Victim) }

@@ -56,9 +56,6 @@ type Config struct {
 	// GCHorizon is each node's committed-wave GC retention horizon in
 	// rounds (node.Config.GCHorizon): 0 = default, negative disables.
 	GCHorizon int
-	// RecoverySyncRounds caps each node's per-tick recovery round-pull
-	// batch (node.Config.RecoverySyncRounds); 0 = measured default.
-	RecoverySyncRounds int
 	// SnapshotInterval is the mid-epoch snapshot capture cadence in
 	// committed leader rounds (node.Config.SnapshotInterval): 0 =
 	// default, negative disables mid-epoch captures.
@@ -222,17 +219,16 @@ func New(cfg Config) (*Cluster, error) {
 			Mode:      cfg.Mode,
 			Executors: cfg.Executors, Validators: cfg.Validators,
 			BatchSize: cfg.BatchSize, K: cfg.K, KPrime: cfg.KPrime,
-			TickInterval:       cfg.TickInterval,
-			MinRoundInterval:   cfg.MinRoundInterval,
-			SpecExecDepth:      cfg.SpecExecDepth,
-			SpecVerify:         cfg.SpecVerify,
-			CommitLogCap:       cfg.CommitLogCap,
-			GCHorizon:          cfg.GCHorizon,
-			RecoverySyncRounds: cfg.RecoverySyncRounds,
-			SnapshotInterval:   cfg.SnapshotInterval,
-			NonceWindow:        cfg.NonceWindow,
-			OnCommitTx:         c.onCommit,
-			OnRejectTx:         c.onReject,
+			TickInterval:     cfg.TickInterval,
+			MinRoundInterval: cfg.MinRoundInterval,
+			SpecExecDepth:    cfg.SpecExecDepth,
+			SpecVerify:       cfg.SpecVerify,
+			CommitLogCap:     cfg.CommitLogCap,
+			GCHorizon:        cfg.GCHorizon,
+			SnapshotInterval: cfg.SnapshotInterval,
+			NonceWindow:      cfg.NonceWindow,
+			OnCommitTx:       c.onCommit,
+			OnRejectTx:       c.onReject,
 		}
 		if i == 0 {
 			ncfg.OnCommitWave = c.onWave

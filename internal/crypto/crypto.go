@@ -270,8 +270,8 @@ type sigKey struct {
 // produced and recorded with Remember. A replica certifies vertices
 // from vote bundles it verified as they arrived and never re-verifies
 // what it assembled, so in steady state the memo sees no traffic; it
-// serves the certificates that still arrive whole — recovery replies to
-// MsgCertReq/MsgRoundReq — where it keeps the replica from ever paying
+// serves the certificates that still arrive whole — replies to round
+// pulls (MsgRoundReq) — where it keeps the replica from ever paying
 // an asymmetric verification for its own signature, and makes a
 // certificate served twice cost map lookups the second time. The key is
 // what was signed: a voter's one signature over a bundle root sits in

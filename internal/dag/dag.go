@@ -111,9 +111,10 @@ func (s *Store) Epoch() types.Epoch { return s.epoch }
 
 // Add inserts a certified vertex. It rejects epoch mismatches,
 // duplicate (round, proposer) slots with different blocks (Byzantine
-// equivocation caught at certification), and vertices whose parents
-// are not yet present — callers buffer those until the causal history
-// arrives (Validity property).
+// equivocation caught at certification), vertices naming a parent
+// outside the previous round, and vertices whose parents are not yet
+// present — callers buffer those until the causal history arrives
+// (Validity property).
 func (s *Store) Add(v *Vertex) error {
 	b := v.Block
 	if b.Epoch != s.epoch {
@@ -138,10 +139,20 @@ func (s *Store) Add(v *Vertex) error {
 		}
 		return fmt.Errorf("dag: slot (%d,%d) already filled with a different block", b.Round, b.Proposer)
 	}
+	// Parents name certificates of round Round-1 (types.Block), and
+	// catch-up pulls exactly that round for an orphan. A parent from any
+	// other round is refused outright: that pull would never fetch it,
+	// so replicas that happen to hold it would insert a vertex the
+	// others cannot. The verdict is the same everywhere — a replica
+	// without the parent keeps the vertex orphaned, never inserted.
 	if b.Round > s.base {
 		for _, p := range b.Parents {
-			if _, ok := s.byCert[p]; !ok {
+			pv, ok := s.byCert[p]
+			if !ok {
 				return &MissingParentError{Parent: p, Round: b.Round}
+			}
+			if pv.Block.Round != b.Round-1 {
+				return fmt.Errorf("dag: round-%d vertex names a round-%d parent", b.Round, pv.Block.Round)
 			}
 		}
 	}

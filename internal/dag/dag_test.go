@@ -91,6 +91,43 @@ func TestAddRequiresParents(t *testing.T) {
 	}
 }
 
+// TestAddRejectsParentFromAnotherRound pins the parent rule a round
+// pull relies on: a certified vertex of round r may name only round-(r-1)
+// certificates. A replica holding an older parent refuses the vertex; one
+// that lacks it keeps the vertex an orphan, so neither inserts it.
+func TestAddRejectsParentFromAnotherRound(t *testing.T) {
+	c := dagtest.NewCommittee(4)
+	b := dagtest.NewBuilder(c, 0)
+	r1 := b.NextRound(nil, nil)
+	r2 := b.NextRound(nil, nil)
+	parents := []types.Digest{r2[0].Cert.Digest(), r2[1].Cert.Digest(), r2[2].Cert.Digest(), r1[3].Cert.Digest()}
+	skewed := c.Vertex(&types.Block{Epoch: 0, Round: 3, Proposer: 0, Kind: types.NormalBlock, Parents: parents})
+	err := b.Store.Add(skewed)
+	var mpe *dag.MissingParentError
+	if err == nil || errors.As(err, &mpe) {
+		t.Fatalf("round-3 vertex with a round-1 parent: got %v, want a rejection", err)
+	}
+	if _, ok := b.Store.Get(3, 0); ok {
+		t.Fatal("rejected vertex filled its slot")
+	}
+	// A store re-entered at round 2 never held the round-1 parent: the
+	// vertex stays an orphan there.
+	st := dag.NewStoreAt(0, 4, 2)
+	for _, v := range r2 {
+		if err := st.Add(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Add(skewed); !errors.As(err, &mpe) {
+		t.Fatalf("store without the old parent: got %v, want MissingParentError", err)
+	}
+	// The slot stays open for a well-formed block.
+	good := c.Vertex(&types.Block{Epoch: 0, Round: 3, Proposer: 0, Kind: types.NormalBlock, Parents: parents[:3]})
+	if err := b.Store.Add(good); err != nil {
+		t.Fatalf("well-parented vertex rejected: %v", err)
+	}
+}
+
 func TestStoreBaseEntry(t *testing.T) {
 	c := dagtest.NewCommittee(4)
 	st := dag.NewStoreAt(0, 4, 101)

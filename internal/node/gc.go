@@ -18,15 +18,16 @@ import (
 // Pruning relative to the node's *own* commit progress is what makes
 // GC recovery-safe from the pruner's side: a replica that is itself
 // behind has a low floor and never discards history it still needs.
-// For peers, the horizon is the contract: the MsgCertReq/MsgRoundReq
-// catch-up protocol can serve any round within the horizon of the
-// server's committed frontier; a replica that misses more than that
-// is beyond in-epoch recovery and is rescued by the state-transfer
-// protocol (snapshot.go) — a same-epoch request for a pruned round is
-// answered with the server's latest snapshot, and the replica
-// re-enters at the snapshot's base within a bounded round budget (the
-// mid-epoch capture cadence, Config.SnapshotInterval) instead of
-// waiting for the next reconfiguration or replaying the pruned range.
+// For peers, the horizon is the contract: a round pull (MsgRoundReq)
+// is answered with block + certificate pairs for any round within the
+// horizon of the server's committed frontier; a replica that misses
+// more than that is beyond in-epoch recovery and is rescued by the
+// state-transfer protocol (snapshot.go) — the same pull for a pruned
+// round is answered with the server's latest snapshot manifest, and
+// the replica re-enters at the snapshot's base within a bounded round
+// budget (the mid-epoch capture cadence, Config.SnapshotInterval)
+// instead of waiting for the next reconfiguration or replaying the
+// pruned range.
 //
 // Safety of discarding uncommitted vertices below the floor is argued
 // at dag.Store.PruneBelow: with the horizon clamped far above the
@@ -101,9 +102,7 @@ func (n *Node) maybeGC() {
 				keep = append(keep, o)
 				continue
 			}
-			d := o.Cert.Digest()
-			delete(n.orphanSet, d)
-			delete(n.parentReq, d)
+			delete(n.orphanSet, o.Cert.Digest())
 		}
 		for i := len(keep); i < len(n.orphans); i++ {
 			n.orphans[i] = nil

@@ -21,7 +21,7 @@ const (
 	// one and goes to that proposer alone.
 	MsgVote
 	// MsgCert carries an assembled 2f+1 certificate. Recovery only —
-	// the reply to MsgCertReq/MsgRoundReq — never steady-state traffic.
+	// the reply to MsgRoundReq — never steady-state traffic.
 	MsgCert
 	// MsgBlockReq asks a peer for the block with a given digest (sent
 	// when a certificate — assembled from votes or received — precedes
@@ -29,40 +29,29 @@ const (
 	MsgBlockReq
 	// MsgTx submits a client transaction to a shard proposer.
 	MsgTx
-	// MsgCertReq asks a peer for the certified vertex whose
-	// certificate digest is given: the reply is the block (MsgBlock)
-	// followed by its certificate (MsgCert). Sent while recovering
-	// missing causal history, e.g. after a crash+restart or a healed
-	// partition (parent references are certificate digests).
-	MsgCertReq
-	// MsgRoundReq asks a peer for every certified vertex it holds at
-	// one round of the current epoch (block + certificate each).
-	// Broadcast by a node whose round advancement has stalled: lost
-	// votes otherwise leave no trace to re-request — no orphan
-	// references the vertex they would have certified — and can wedge
-	// the whole committee.
+	// MsgRoundReq is the one catch-up request: it asks a peer for
+	// every certified vertex it holds at one round of the requester's
+	// epoch. Everything a replica can miss is named by a round — a
+	// vertex's parents are the previous round's certificates — so an
+	// orphan pulls its parents' round, a stalled replica the round it
+	// cannot leave (lost votes leave no orphan to re-request), and a
+	// replica behind the committee the range up to it. The answer
+	// depends on where the requester stands: within the server's GC
+	// horizon, block + certificate per vertex; from a stale epoch or
+	// below the floor, the signed snapshot manifest (MsgSnapManifest),
+	// since round-by-round history no longer exists there.
 	MsgRoundReq
-	// MsgSnapManifestReq asks a peer for its latest state snapshot. It
-	// carries the requester's epoch and committed leader round so the
-	// server only answers when its snapshot would actually move the
-	// requester forward — which covers both cross-epoch stranding (peers
-	// reconfigured and discarded the DAG the requester is trying to
-	// sync) and the mid-epoch case (down past the GC horizon inside one
-	// epoch). A replica sends it to a rotating f+1 window of peers once
-	// it is wedged (snapshot.go).
-	MsgSnapManifestReq
 	// MsgSnapManifest carries one replica's latest snapshot
 	// (types.Snapshot: header, chunk digest list, dedup state — never
 	// the ledger records), wrapped in a snapshotMsg that signs its
-	// content digest. Sent in response to MsgSnapManifestReq, and
-	// proactively in response to a MsgRoundReq from a stale epoch or
-	// below the GC floor — the passive detection path: a stranded
-	// replica's round pulls advertise its position, and the answer that
-	// can actually help it is a snapshot. The digest covers the chunk
-	// digests, so the f+1-signer install quorum authenticates every
-	// chunk, and each chunk then fetched (MsgSnapChunkReq) verifies on
-	// its own. It is the only form a snapshot is served in, whatever
-	// the ledger's size: an empty ledger is a manifest of no chunks.
+	// content digest. Sent in response to a MsgRoundReq from a stale
+	// epoch or below the GC floor: a stranded replica's round pulls
+	// advertise its position, and the answer that can actually help it
+	// is a snapshot. The digest covers the chunk digests, so the
+	// f+1-signer install quorum authenticates every chunk, and each
+	// chunk then fetched (MsgSnapChunkReq) verifies on its own. It is
+	// the only form a snapshot is served in, whatever the ledger's
+	// size: an empty ledger is a manifest of no chunks.
 	MsgSnapManifest
 	// MsgSnapChunkReq asks a peer for one chunk of the snapshot with
 	// the given digest. Requesters spread chunk pulls across every
@@ -189,23 +178,6 @@ func (r *blockReq) unmarshal(b []byte) error {
 	return d.Finish()
 }
 
-// certReq is the payload of MsgCertReq.
-type certReq struct {
-	CertDigest types.Digest
-}
-
-func (r *certReq) marshal() []byte {
-	e := types.NewEncoder()
-	e.Digest(r.CertDigest)
-	return e.Sum()
-}
-
-func (r *certReq) unmarshal(b []byte) error {
-	d := types.NewDecoder(b)
-	r.CertDigest = d.Digest()
-	return d.Finish()
-}
-
 // roundReq is the payload of MsgRoundReq.
 type roundReq struct {
 	Epoch types.Epoch
@@ -220,29 +192,6 @@ func (r *roundReq) marshal() []byte {
 }
 
 func (r *roundReq) unmarshal(b []byte) error {
-	d := types.NewDecoder(b)
-	r.Epoch = types.Epoch(d.U64())
-	r.Round = types.Round(d.U64())
-	return d.Finish()
-}
-
-// snapManifestReq is the payload of MsgSnapManifestReq: the
-// requester's epoch and committed leader round. A server answers only
-// when its snapshot sits in a later epoch, or far enough ahead of
-// Round in the same epoch that in-epoch catch-up cannot cover the gap.
-type snapManifestReq struct {
-	Epoch types.Epoch
-	Round types.Round
-}
-
-func (r *snapManifestReq) marshal() []byte {
-	e := types.NewEncoder()
-	e.U64(uint64(r.Epoch))
-	e.U64(uint64(r.Round))
-	return e.Sum()
-}
-
-func (r *snapManifestReq) unmarshal(b []byte) error {
 	d := types.NewDecoder(b)
 	r.Epoch = types.Epoch(d.U64())
 	r.Round = types.Round(d.U64())

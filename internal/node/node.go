@@ -142,13 +142,6 @@ type Config struct {
 	// just behind their latest capture).
 	SnapshotInterval int
 
-	// RecoverySyncRounds caps how many missing rounds a recovering
-	// replica bulk-requests per housekeeping tick (MsgRoundReq batch).
-	// Zero selects the default (256, measured under the WAN latency
-	// model — see README "Performance"). Larger values recover deep
-	// gaps in fewer round-trips at the cost of burstier reply traffic.
-	RecoverySyncRounds int
-
 	// SpecExecDepth bounds the speculative-execution pipeline: how
 	// many certified-but-uncommitted commit waves may be predicted
 	// from the anchor chain and executed ahead of the Tusk commit
@@ -231,9 +224,6 @@ func (c Config) withDefaults() Config {
 	case c.GCHorizon > 0 && c.GCHorizon < minGCHorizon:
 		c.GCHorizon = minGCHorizon
 	}
-	if c.RecoverySyncRounds <= 0 {
-		c.RecoverySyncRounds = defaultRecoverySyncRounds
-	}
 	if c.SnapshotInterval == 0 {
 		c.SnapshotInterval = defaultSnapshotInterval
 	}
@@ -268,15 +258,15 @@ const (
 	// Ten gaps (40 rounds) is that margin; the snapshot re-entry base
 	// (snapshot.go) retains the same span.
 	minGCHorizon = 10 * fastForwardGap
-	// defaultRecoverySyncRounds is the per-tick round-pull batch,
-	// chosen from a WAN-latency SimNetwork sweep (README
-	// "Performance"): reconvergence after a 6s crash halves from
-	// batch 16 to 64 (432ms → 206ms) and is flat beyond (216ms at
-	// 256, 197ms at 1024) because WAN round production bounds the
-	// gap. 256 keeps that flat-zone behaviour while also covering a
-	// GC-horizon-deep gap in a quarter of the ticks 64 would need,
-	// with no measured reply-burst cost.
-	defaultRecoverySyncRounds = 256
+	// roundPullBatch caps how many missing rounds one housekeeping tick
+	// pulls (housekeeping's range pull), chosen from a WAN-latency
+	// SimNetwork sweep (README "Recovery cadence"): reconvergence after
+	// a 6s crash halves from batch 16 to 64 (432ms → 206ms) and is flat
+	// beyond (216ms at 256, 197ms at 1024) because WAN round production
+	// bounds the gap. 256 keeps that flat-zone behaviour while also
+	// covering a GC-horizon-deep gap in a quarter of the ticks 64 would
+	// need, with no measured reply-burst cost.
+	roundPullBatch = 256
 	// defaultSnapshotInterval spaces mid-epoch captures roughly a
 	// quarter of the default GC horizon apart: a stranded replica's
 	// rescue snapshot is at most ~512 leader rounds stale, and servers
@@ -446,11 +436,9 @@ type Node struct {
 	// futureMsgs parks messages stamped with the next epoch until this
 	// replica's own transition, per sender and bounded (parkFuture).
 	futureMsgs [][]inboundMsg
-	// parentReq tracks in-flight MsgCertReq recoveries of missing
-	// parent vertices (by certificate digest) with their request time,
-	// so each missing parent is asked for at most once per tick.
-	// roundReqAt does the same for bulk MsgRoundReq round pulls.
-	parentReq  map[types.Digest]time.Time
+	// roundReqAt holds the send time of each in-flight round pull
+	// (MsgRoundReq), so a round is asked for at most once per re-ask
+	// interval (pullRound).
 	roundReqAt map[types.Round]time.Time
 	// lastBlock is this node's newest proposed block; rebroadcast by
 	// housekeeping until its certificate lands in the DAG, which lets a
@@ -534,21 +522,16 @@ type Node struct {
 	// immutable, so every serve after that is a plain Send). snapFrom
 	// holds the latest snapshot candidate per verified signer (install
 	// needs f+1 matching digests), snapServed rate-limits serving per
-	// requester, snapReqAt paces this node's own rescue requests and
-	// snapReqCursor rotates them across f+1-peer windows, peerEpoch
-	// accumulates future-epoch evidence per claimed peer, lastSnapAt is
-	// the committed leader round of the newest capture (mid-epoch cadence
-	// tracking), chunkBudget is the per-tick chunk-serve allowance, and
-	// fetch is the in-progress chunked rescue, if any.
+	// requester, lastSnapAt is the committed leader round of the newest
+	// capture (mid-epoch cadence tracking), chunkBudget is the per-tick
+	// chunk-serve allowance, and fetch is the in-progress chunked rescue,
+	// if any.
 	lastSnap        *types.Snapshot
 	snapChunks      [][]byte
 	snapCut         uint64
 	lastManifestMsg []byte
 	snapFrom        map[types.ReplicaID]*types.Snapshot
 	snapServed      map[types.ReplicaID]time.Time
-	snapReqAt       time.Time
-	snapReqCursor   int
-	peerEpoch       map[types.ReplicaID]types.Epoch
 	lastSnapAt      types.Round
 	chunkBudget     int
 	fetch           *chunkFetch
@@ -731,7 +714,6 @@ func (n *Node) resetEpochState(epoch types.Epoch) {
 	n.shiftSent = false
 	n.roundsProposed = 0
 	n.committedShift = make(map[types.ReplicaID]bool)
-	n.parentReq = make(map[types.Digest]time.Time)
 	n.roundReqAt = make(map[types.Round]time.Time)
 	n.lastBlock = nil
 	n.lastBlockRaw = nil
@@ -742,8 +724,6 @@ func (n *Node) resetEpochState(epoch types.Epoch) {
 	n.loadedRound = 0
 	n.snapFrom = make(map[types.ReplicaID]*types.Snapshot)
 	n.snapServed = make(map[types.ReplicaID]time.Time)
-	n.snapReqAt = time.Time{}
-	n.peerEpoch = make(map[types.ReplicaID]types.Epoch)
 	n.lastSnapAt = 0
 	n.fetch = nil
 }
@@ -1084,41 +1064,37 @@ func (n *Node) enqueueTx(tx *types.Transaction) {
 	n.txQueue = append(n.txQueue, tx.Clone())
 }
 
-// housekeeping re-requests blocks for dangling certificates, retries
-// recovery of missing parents, rebroadcasts this node's uncertified
-// proposal, and purges self-healing caches.
+// housekeeping re-requests blocks for dangling certificates, pulls
+// missing history, rebroadcasts this node's uncertified proposal, and
+// purges self-healing caches.
 func (n *Node) housekeeping() {
 	for bd, cert := range n.certWait {
 		n.queueTo(cert.Proposer, MsgBlockReq, (&blockReq{BlockDigest: bd}).marshal())
 	}
-	// Stale in-flight parent requests expire every tick regardless of
-	// orphan state, so the map cannot accumulate dead entries.
-	for d, at := range n.parentReq {
-		if time.Since(at) >= n.cfg.TickInterval {
-			delete(n.parentReq, d)
-		}
+	// Pull the missing round range in bulk, up to the lowest orphan or
+	// the committee's round, whichever is higher. Orphans above the
+	// inserted frontier mark a gap — after an outage it spans hundreds
+	// of rounds, and walking it one parent round-trip at a time loses
+	// the race against round production. A committee seen proposing
+	// beyond the vote window (f+1 proposers, so at least one honest one)
+	// marks one too: this replica dropped the votes for the rounds in
+	// between and can only catch up from certificates. Each orphan also
+	// re-pulls its parents' round, in case the first answer was lost.
+	hi := n.dagStore.HighestRound()
+	var upTo types.Round
+	if at := n.committeeRound(); at > hi+voteWindow {
+		upTo = at
 	}
-	// Orphans wait for parents. Bulk-sync the missing round range
-	// first: after an outage the gap between the inserted frontier and
-	// the lowest orphan spans hundreds of rounds, and walking it one
-	// certificate-request round-trip at a time loses the race against
-	// round production. Batch bounded by Config.RecoverySyncRounds.
 	if len(n.orphans) > 0 {
 		lowest := n.orphans[0].Round()
-		for _, o := range n.orphans[1:] {
-			if o.Round() < lowest {
-				lowest = o.Round()
-			}
-		}
-		hi := n.dagStore.HighestRound()
-		for r := hi + 1; r < lowest && r <= hi+types.Round(n.cfg.RecoverySyncRounds); r++ {
-			n.pullRound(r)
-		}
-		// Fine-grained backstop: re-request individual parents whose
-		// answers were lost.
 		for _, o := range n.orphans {
+			lowest = min(lowest, o.Round())
 			n.requestMissingParents(o)
 		}
+		upTo = max(upTo, lowest)
+	}
+	for r := hi + 1; r < upTo && r <= hi+roundPullBatch; r++ {
+		n.pullRound(r)
 	}
 	// A proposal lost to a crash or partition wedges this node: it
 	// cannot advance past a round missing its own certificate
@@ -1163,27 +1139,13 @@ func (n *Node) housekeeping() {
 	}
 	// Votes lost on the way here leave no orphan to trigger recovery;
 	// if advancement has stalled, pull the previous round from peers,
-	// who answer with the certificates they assembled.
+	// who answer with the certificates they assembled. The same pull
+	// rescues a stranded replica: peers that moved to a later epoch, or
+	// pruned the round, answer it with their snapshot manifest
+	// (handleRoundReq).
 	if stalled && n.nextRound > 1 {
 		n.pullRound(n.nextRound - 1)
 	}
-	// Further behind than the vote window — f+1 proposers, so at least
-	// one honest one, have been seen proposing past it — this replica
-	// dropped the votes for the rounds in between and can only catch up
-	// from certificates: pull the gap, bounded like the orphan backfill
-	// above.
-	if hi, at := n.dagStore.HighestRound(), n.committeeRound(); at > hi+voteWindow {
-		for r := hi + 1; r < at && r <= hi+types.Round(n.cfg.RecoverySyncRounds); r++ {
-			n.pullRound(r)
-		}
-	}
-	// A stall plus f+1 peers seen in a future epoch means the committee
-	// transitioned without us: in-epoch catch-up can never answer, so
-	// ask for rescue snapshots instead. A deep stall with no epoch
-	// evidence triggers the same request — the mid-epoch stranding
-	// case, where peers are in our epoch but pruned everything we ask
-	// for (maybeRequestSnapshot).
-	n.maybeRequestSnapshot(stalled)
 	// Chunked rescue bookkeeping: replenish the per-tick serve budget
 	// and drive the fetch state machine (timeouts, peer rotation).
 	n.chunkBudget = chunkServeBudget
@@ -1245,12 +1207,6 @@ func (n *Node) handle(m inboundMsg) {
 			return
 		}
 		n.enqueueTx(&tx)
-	case MsgCertReq:
-		var r certReq
-		if err := r.unmarshal(m.payload); err != nil {
-			return
-		}
-		n.handleCertReq(m.from, &r)
 	case MsgRoundReq:
 		var r roundReq
 		if err := r.unmarshal(m.payload); err != nil {
@@ -1259,12 +1215,6 @@ func (n *Node) handle(m inboundMsg) {
 		n.handleRoundReq(m.from, &r)
 	case MsgSnapManifest:
 		n.handleSnapshot(m.from, m.payload)
-	case MsgSnapManifestReq:
-		var r snapManifestReq
-		if err := r.unmarshal(m.payload); err != nil {
-			return
-		}
-		n.serveSnapshot(m.from, r.Epoch, r.Round)
 	case MsgSnapChunkReq:
 		var r snapChunkReq
 		if err := r.unmarshal(m.payload); err != nil {
@@ -1323,15 +1273,16 @@ func (n *Node) pullRound(r types.Round) {
 // snapshot that lets the requester jump epochs instead. The same
 // logic covers mid-epoch stranding: a same-epoch request for a round
 // below this node's GC floor can never be answered round-by-round, so
-// the reply is the latest capture (passive stranding detection — the
-// stranded replica need not even know it is beyond the horizon).
+// the reply is the latest capture. The stranded replica need not know
+// it is stranded: its ordinary stall pull reaches every peer, and
+// serveSnapshot's gate and per-requester rate limit decide whether a
+// manifest goes back.
 func (n *Node) handleRoundReq(from types.ReplicaID, r *roundReq) {
 	if r.Epoch < n.epoch {
 		n.serveSnapshot(from, r.Epoch, 0)
 		return
 	}
 	if r.Epoch > n.epoch {
-		n.noteFutureEpoch(from, r.Epoch)
 		return
 	}
 	if r.Round < n.dagStore.Floor() {
@@ -1344,36 +1295,18 @@ func (n *Node) handleRoundReq(from types.ReplicaID, r *roundReq) {
 	}
 }
 
-// handleCertReq serves a certified vertex from the local DAG: the
-// block first so the requester can pair it with the certificate that
-// follows (handleCert would otherwise round-trip a MsgBlockReq).
-func (n *Node) handleCertReq(from types.ReplicaID, r *certReq) {
-	v, ok := n.dagStore.ByCert(r.CertDigest)
-	if !ok {
-		return
-	}
-	n.queueTo(from, MsgBlock, mustMarshal(v.Block))
-	n.queueTo(from, MsgCert, mustMarshal(v.Cert))
-}
-
-// requestMissingParents broadcasts MsgCertReq for every parent of v
-// absent from the DAG, at most once per entry until housekeeping
-// retries. Recovery walks causal history backwards one round per
-// round-trip: each recovered parent that is itself an orphan triggers
-// requests for its own parents.
+// requestMissingParents pulls the round an orphan's parents live in —
+// round r−1, the only round dag.Store.Add accepts them from — unless
+// every parent it lacks has arrived already, itself an orphan waiting
+// for its own parents. Recovery walks causal history backwards one
+// round per round-trip: each recovered parent that is itself an orphan
+// pulls the round below it.
 func (n *Node) requestMissingParents(v *dag.Vertex) {
 	for _, p := range v.Block.Parents {
-		if _, ok := n.dagStore.ByCert(p); ok {
-			continue
+		if _, ok := n.dagStore.ByCert(p); !ok && !n.orphanSet[p] {
+			n.pullRound(v.Round() - 1)
+			return
 		}
-		if n.orphanSet[p] {
-			continue // received already, itself waiting for parents
-		}
-		if _, inflight := n.parentReq[p]; inflight {
-			continue
-		}
-		n.parentReq[p] = time.Now()
-		n.queueBcast(MsgCertReq, (&certReq{CertDigest: p}).marshal())
 	}
 }
 
@@ -1387,7 +1320,6 @@ func (n *Node) requestMissingParents(v *dag.Vertex) {
 // grow this replica's heap until its transition. What is dropped is
 // recovered like any lost message (stall rebroadcast, round pulls).
 func (n *Node) parkFuture(from types.ReplicaID, epoch types.Epoch, mt transport.MsgType, raw []byte) {
-	n.noteFutureEpoch(from, epoch)
 	if epoch != n.epoch+1 || int(from) >= n.n || from == n.cfg.ID {
 		return
 	}
@@ -1467,8 +1399,8 @@ func (n *Node) handleBlock(from types.ReplicaID, b *types.Block, raw []byte) {
 	}
 }
 
-// handleCert processes a certificate received whole: a recovery reply
-// (MsgCertReq, MsgRoundReq), never steady-state traffic — replicas
+// handleCert processes a certificate received whole: a reply to a
+// round pull (MsgRoundReq), never steady-state traffic — replicas
 // certify from votes. raw is the received payload; a parked
 // future-epoch certificate keeps those bytes.
 func (n *Node) handleCert(from types.ReplicaID, c *types.Certificate, raw []byte) {
@@ -1522,7 +1454,6 @@ func (n *Node) addVertex(v *dag.Vertex) {
 			switch {
 			case err == nil:
 				delete(n.orphanSet, d)
-				delete(n.parentReq, d)
 				n.onVertexAdded(o)
 				progress = true
 			case errors.As(err, &missing):
@@ -1549,9 +1480,7 @@ func (n *Node) inserted(v *dag.Vertex) bool {
 func (n *Node) insertVertex(v *dag.Vertex) bool {
 	err := n.dagStore.Add(v)
 	if err == nil {
-		d := v.Cert.Digest()
-		delete(n.parentReq, d)
-		delete(n.orphanSet, d)
+		delete(n.orphanSet, v.Cert.Digest())
 		n.onVertexAdded(v)
 		return true
 	}

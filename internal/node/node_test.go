@@ -320,8 +320,7 @@ func TestWANCommitteeSendsNoRecoveryTraffic(t *testing.T) {
 
 // TestFaultFreeCommitteeSendsNoCertificates: replicas certify from the
 // broadcast votes, so a certificate travels only as a recovery reply —
-// one per MsgCertReq, at most n per MsgRoundReq, to the replica that
-// asked. A committee without faults puts no other MsgCert on the wire,
+// at most n per MsgRoundReq, to the replica that asked. A committee without faults puts no other MsgCert on the wire,
 // inside a MsgBatch frame or alone; one there is the third message
 // delay per round growing back. (A healthy committee sends no recovery
 // requests either, but a loaded machine can starve a replica into a
@@ -347,8 +346,6 @@ func TestFaultFreeCommitteeSendsNoCertificates(t *testing.T) {
 		count := func(mt transport.MsgType, _ []byte) {
 			msgs++
 			switch mt {
-			case node.MsgCertReq:
-				asked[to][from]++
 			case node.MsgRoundReq:
 				asked[to][from] += n
 			case node.MsgCert:

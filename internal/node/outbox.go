@@ -32,7 +32,7 @@ const (
 	classBlock = iota // block dissemination (proposals, serve replies)
 	classVote
 	classCert
-	classSync  // recovery requests: block/cert/round pulls, tx relay
+	classSync  // recovery requests: block and round pulls, tx relay
 	classSnap  // snapshot rescue traffic
 	classBatch // coalesced frames
 	classOther // gateway client replies and anything unclassified
@@ -52,9 +52,9 @@ func sendClassOf(mt transport.MsgType) int {
 		return classVote
 	case MsgCert:
 		return classCert
-	case MsgBlockReq, MsgCertReq, MsgRoundReq, MsgTx:
+	case MsgBlockReq, MsgRoundReq, MsgTx:
 		return classSync
-	case MsgSnapManifestReq, MsgSnapManifest, MsgSnapChunkReq, MsgSnapChunk:
+	case MsgSnapManifest, MsgSnapChunkReq, MsgSnapChunk:
 		return classSnap
 	case MsgBatch:
 		return classBatch

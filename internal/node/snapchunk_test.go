@@ -334,49 +334,3 @@ func TestServeSnapshotRoundGate(t *testing.T) {
 	donor2.serveSnapshot(0, 0, 0)
 	waitInbox(t, victim, MsgSnapManifest, 2)
 }
-
-func TestSnapshotRequestRotation(t *testing.T) {
-	nodes, _ := snapTestNodes(t, 4)
-	victim := nodes[0]
-	victim.lastProgress = time.Now()
-
-	// No future-epoch evidence and no deep stall: a routine stall must
-	// not trigger rescue requests.
-	victim.maybeRequestSnapshot(true)
-	time.Sleep(20 * time.Millisecond)
-	for i := 1; i < 4; i++ {
-		if countInbox(nodes[i], MsgSnapManifestReq) != 0 {
-			t.Fatal("requested snapshots without evidence or deep stall")
-		}
-	}
-
-	// f+1 peers seen in a future epoch: request from the first f+1
-	// window of peers.
-	victim.peerEpoch[1] = 1
-	victim.peerEpoch[2] = 1
-	victim.maybeRequestSnapshot(true)
-	waitInbox(t, nodes[1], MsgSnapManifestReq, 1)
-	waitInbox(t, nodes[2], MsgSnapManifestReq, 1)
-
-	// The next attempt rotates to the following window, so a dead or
-	// withholding server in the first window cannot absorb every
-	// request forever.
-	victim.snapReqAt = time.Now().Add(-time.Hour)
-	victim.maybeRequestSnapshot(true)
-	waitInbox(t, nodes[2], MsgSnapManifestReq, 2)
-	waitInbox(t, nodes[3], MsgSnapManifestReq, 1)
-	if got := countInbox(nodes[1], MsgSnapManifestReq); got != 1 {
-		t.Fatalf("rotation re-targeted the first window (peer 1 saw %d requests)", got)
-	}
-}
-
-func TestSnapshotRequestDeepStall(t *testing.T) {
-	nodes, _ := snapTestNodes(t, 4)
-	victim := nodes[0]
-	// Wedged for a long time with zero future-epoch evidence: the
-	// mid-epoch stranding case must still actively ask for rescue.
-	victim.lastProgress = time.Now().Add(-time.Hour)
-	victim.maybeRequestSnapshot(true)
-	waitInbox(t, nodes[1], MsgSnapManifestReq, 1)
-	waitInbox(t, nodes[2], MsgSnapManifestReq, 1)
-}

@@ -32,13 +32,12 @@ import (
 //     incremental: one ordered walk of the store, and only the chunks
 //     holding a record written since the previous capture are encoded
 //     and hashed again; the rest are shared with that capture.
-//   - Detect: a replica whose round advancement has stalled while f+1
-//     peers present future-epoch evidence — or that stays wedged for
-//     several request periods with no such evidence (mid-epoch
-//     stranding) — sends MsgSnapManifestReq to a rotating f+1 window
-//     of peers. Peers also serve snapshots passively when a
-//     MsgRoundReq arrives from a stale epoch or for a round below
-//     their GC floor.
+//   - Detect: there is no rescue request. A stranded replica keeps
+//     sending the round pulls (MsgRoundReq) any stalled replica sends,
+//     to every peer, and a peer answers a pull from a stale epoch or
+//     for a round below its GC floor with its signed manifest instead
+//     of blocks (handleRoundReq) — a dead or withholding peer cannot
+//     absorb a request the others also received.
 //   - Verify: a snapshot travels in one form at every ledger size — a
 //     signed manifest (MsgSnapManifest), then its chunks pulled one by
 //     one. Manifests are collected per verified signer; the fetch
@@ -58,10 +57,10 @@ import (
 //     exactly like a WAL-restart replay, and the replica rejoins while
 //     the committee keeps committing.
 
-// snapshotReqEvery spaces rescue requests and per-peer snapshot
-// serves, in housekeeping ticks: snapshots are large payloads, so
-// neither side re-sends them every tick.
-const snapshotReqEvery = 4
+// snapshotServeEvery spaces per-requester snapshot serves, in
+// housekeeping ticks: a stranded replica re-pulls its round every few
+// ticks (pullRound), and a manifest is too large to answer each pull.
+const snapshotServeEvery = 4
 
 // captureSnapshot records the canonical committed state at the
 // transition out of the current epoch into nextEpoch. Runs on the
@@ -153,61 +152,6 @@ func (n *Node) capture(snapEpoch types.Epoch) {
 	n.trace(metrics.EvSnapCapture, snap.EndRound, encoded, reused)
 }
 
-// noteFutureEpoch records evidence that a peer has moved past this
-// replica's epoch (a message from a future epoch). Requiring f+1
-// distinct peers before actively requesting snapshots keeps one
-// confused or malicious peer from triggering request traffic — but it
-// is an advisory gate, not a security boundary: the evidence keys on
-// claimed sender IDs, which TCP framing does not authenticate, so a
-// determined attacker can induce spurious rescue requests. That is
-// harmless by design; install safety rests entirely on the f+1
-// verified-signer digest quorum in maybeInstallSnapshot.
-func (n *Node) noteFutureEpoch(from types.ReplicaID, e types.Epoch) {
-	if e > n.peerEpoch[from] {
-		n.peerEpoch[from] = e
-	}
-}
-
-// maybeRequestSnapshot sends MsgSnapManifestReq when this replica is
-// wedged. Two triggers: provably behind across epochs (f+1 peers seen
-// in a future epoch), or a deep stall with no epoch evidence — the
-// mid-epoch stranding case, where peers are in our epoch but have
-// pruned every round we pull (the passive below-floor reply path
-// usually answers first; this is the active backstop). Each attempt
-// targets the next f+1-peer window instead of broadcasting, and the
-// window rotates between attempts, so a dead or silently withholding
-// server never absorbs the only request forever: candidates accumulate
-// in snapFrom across attempts, and the f+1 install quorum can
-// assemble from answers gathered across different serving sets.
-// Called from housekeeping.
-func (n *Node) maybeRequestSnapshot(stalled bool) {
-	if !stalled || time.Since(n.snapReqAt) < snapshotReqEvery*n.cfg.TickInterval {
-		return
-	}
-	ahead := 0
-	for _, e := range n.peerEpoch {
-		if e > n.epoch {
-			ahead++
-		}
-	}
-	deepStall := time.Since(n.lastProgress) >= 2*snapshotReqEvery*n.cfg.TickInterval
-	if ahead < n.f+1 && !deepStall {
-		return
-	}
-	n.snapReqAt = time.Now()
-	req := (&snapManifestReq{Epoch: n.epoch, Round: n.committer.LastLeaderRound()}).marshal()
-	sent := 0
-	for i := 0; i < n.n && sent < n.f+1; i++ {
-		p := types.ReplicaID((n.snapReqCursor + i) % n.n)
-		if p == n.cfg.ID {
-			continue
-		}
-		n.sendNow(p, MsgSnapManifestReq, req)
-		sent++
-	}
-	n.snapReqCursor = (n.snapReqCursor + n.f + 1) % n.n
-}
-
 // serveSnapshot sends this node's latest capture to a replica that
 // says it is at (reqEpoch, reqRound), rate-limited per requester, as
 // its signed manifest; the requester pulls the chunks. The snapshot
@@ -232,7 +176,7 @@ func (n *Node) serveSnapshot(to types.ReplicaID, reqEpoch types.Epoch, reqRound 
 			return
 		}
 	}
-	if at, ok := n.snapServed[to]; ok && time.Since(at) < snapshotReqEvery*n.cfg.TickInterval {
+	if at, ok := n.snapServed[to]; ok && time.Since(at) < snapshotServeEvery*n.cfg.TickInterval {
 		return
 	}
 	n.snapServed[to] = time.Now()
@@ -301,9 +245,6 @@ func (n *Node) handleSnapshot(_ types.ReplicaID, payload []byte) {
 	}
 	if !n.memoVerifier.Verify(m.Signer, snap.Digest(), m.Sig) {
 		return
-	}
-	if snap.Epoch > n.epoch {
-		n.noteFutureEpoch(m.Signer, snap.Epoch)
 	}
 	n.snapFrom[m.Signer] = &snap
 	n.maybeInstallSnapshot()

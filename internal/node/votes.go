@@ -40,8 +40,8 @@ import (
 // over a root it recomputed, against the sender the transport delivered
 // it from — or produced itself; a certificate built from such votes is
 // therefore not verified again. It is still a transferable
-// 2f+1-signature certificate: recovery (MsgCertReq, MsgRoundReq) serves
-// it, and the receiver checks it whole in handleCert.
+// 2f+1-signature certificate: a round pull (MsgRoundReq) serves it, and
+// the receiver checks it whole in handleCert.
 //
 // Votes may arrive before their block, or for a block this replica
 // never voted for (its proposer equivocated and the committee settled
