@@ -67,6 +67,8 @@ const (
 	mVoteSigsSigned     = "vote_sigs_signed"     // vote signatures produced: one per bundle sealed
 	mVoteSigsVerified   = "vote_sigs_verified"   // vote signatures checked: at most one per bundle received
 	mVoteBundleEntries  = "vote_bundle_entries"  // votes that left under those signatures
+	mVoteSealHolds      = "vote_seal_holds"      // flushes that ended with the ballot held for its round quorum
+	mVoteSealsOnStall   = "vote_seals_on_stall"  // held ballots a stall sealed
 	mFutureMsgsDropped  = "future_msgs_dropped"  // next-epoch messages a sender's own later ones pushed out
 	mStallRebroadcasts  = "stall_rebroadcasts"   // own block re-sent after a stall
 	mRoundPulls         = "round_pulls"          // MsgRoundReq broadcasts
@@ -125,6 +127,8 @@ type nodeMetrics struct {
 	voteSigsSigned     *metrics.Counter
 	voteSigsVerified   *metrics.Counter
 	voteBundleEntries  *metrics.Counter
+	voteSealHolds      *metrics.Counter
+	voteSealsOnStall   *metrics.Counter
 	futureMsgsDropped  *metrics.Counter
 	stallRebroadcasts  *metrics.Counter
 	roundPulls         *metrics.Counter
@@ -192,6 +196,8 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		voteSigsSigned:     reg.Counter(mVoteSigsSigned),
 		voteSigsVerified:   reg.Counter(mVoteSigsVerified),
 		voteBundleEntries:  reg.Counter(mVoteBundleEntries),
+		voteSealHolds:      reg.Counter(mVoteSealHolds),
+		voteSealsOnStall:   reg.Counter(mVoteSealsOnStall),
 		futureMsgsDropped:  reg.Counter(mFutureMsgsDropped),
 		stallRebroadcasts:  reg.Counter(mStallRebroadcasts),
 		roundPulls:         reg.Counter(mRoundPulls),

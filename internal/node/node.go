@@ -688,7 +688,7 @@ func New(cfg Config) (*Node, error) {
 func (n *Node) resetEpochState(epoch types.Epoch) {
 	// Votes already journaled for the dying epoch still leave, under its
 	// number: peers still in it may be waiting for them.
-	n.sealVotes(false)
+	n.sealVotes(false, false)
 	if n.preplayer != nil { // nil during construction
 		n.preplayer.invalidate() // own-writes overlay resets; carried tips are stale
 	}
@@ -1009,14 +1009,15 @@ func (n *Node) run() {
 			return
 		}
 		// Pipeline tail. One coalesced flush sends everything the pass
-		// produced, its votes sealed into one bundle first — which
-		// counts this replica's own, and can certify a vertex and
-		// release a commit wave. The handlers above collected waves
-		// without executing them; execute now, re-draining the inbox
-		// between waves so vote and certificate handling for newer
-		// rounds is never blocked behind execution of older ones, and
-		// flush what that produced, until neither leaves work for the
-		// other. Then spend the certify→commit wait: predict and run
+		// produced, its ballot sealed into one bundle first unless held
+		// for the round quorum — sealing counts this replica's own
+		// votes, and can certify a vertex and release a commit wave.
+		// The handlers above collected waves without executing them;
+		// execute now, re-draining the inbox between waves so vote and
+		// certificate handling for newer rounds is never blocked behind
+		// execution of older ones, and flush what that produced, until
+		// neither leaves work for the other. Then spend the
+		// certify→commit wait: predict and run
 		// certified waves the commit rule has not released yet
 		// (drainSpec), so the next commit can install a result that
 		// already exists instead of running on the critical path.
@@ -1136,6 +1137,14 @@ func (n *Node) housekeeping() {
 			n.lastBlockRaw = nil
 			n.lastBlockVotes = 0
 		}
+	}
+	// A ballot still held for its round quorum (sealVotes) leaves on a
+	// stall, so no vote waits on blocks that are not coming. Sealed after
+	// the rebroadcast above: a held own vote is not repeated there, it
+	// leaves here.
+	if stalled && len(n.ballot) > 0 {
+		n.nm.voteSealsOnStall.Add(1)
+		n.sealVotes(true, false)
 	}
 	// Votes lost on the way here leave no orphan to trigger recovery;
 	// if advancement has stalled, pull the previous round from peers,
@@ -1380,10 +1389,12 @@ func (n *Node) handleBlock(from types.ReplicaID, b *types.Block, raw []byte) {
 	// induced into signing a conflicting digest for an already-voted
 	// slot (two certificates for one slot would let commit sequences
 	// diverge across replicas). The first vote goes to the whole
-	// committee, in the bundle this pass's flush seals — every replica
-	// certifies from votes. A repeat of the block is its proposer saying
-	// it still lacks the quorum (stall rebroadcast), so the same vote
-	// goes again, to the proposer alone.
+	// committee, in the next bundle sealed — every replica certifies
+	// from votes. A vote for this replica's current round waits for the
+	// flush that reaches the round's quorum; any other leaves with this
+	// pass's flush (votes.go). A repeat of the block is its proposer
+	// saying it still lacks the quorum (stall rebroadcast), so the same
+	// vote goes again, to the proposer alone.
 	if from == b.Proposer {
 		k := voteKey{round: b.Round, proposer: b.Proposer}
 		if _, ok := n.voted[k]; !ok {

@@ -106,13 +106,13 @@ func (n *Node) sendNow(to types.ReplicaID, mt transport.MsgType, payload []byte)
 	n.noteSendErr(mt, n.cfg.Transport.Send(to, mt, payload))
 }
 
-// flushOutbox seals the votes cast since the last flush into one
-// bundle (votes.go) and drains the queued traffic: per peer, a single
-// message goes out as itself and anything more folds into one MsgBatch
-// frame. The frame buffer is reused across flushes — both transports
-// copy the payload before returning.
+// flushOutbox seals the ballot into one bundle, unless it is held for
+// its round quorum (votes.go), and drains the queued traffic: per peer,
+// a single message goes out as itself and anything more folds into one
+// MsgBatch frame. The frame buffer is reused across flushes — both
+// transports copy the payload before returning.
 func (n *Node) flushOutbox() {
-	n.sealVotes(true)
+	n.sealVotes(true, true)
 	direct := 0
 	for i := range n.outDirect {
 		direct += len(n.outDirect[i])

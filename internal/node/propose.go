@@ -162,12 +162,15 @@ func (n *Node) propose() {
 	n.lastBlockVotes = 0
 	n.queueBcast(MsgBlock, n.lastBlockRaw)
 	// Vote for our own block inline — the outbox excludes self from
-	// broadcasts — and broadcast the vote behind the block: both leave
-	// in this pass's flush, one frame per peer, so every replica holds
-	// the proposer's vote when it casts its own. The anti-equivocation
-	// journal entry is written before the signature exists, exactly as
-	// handleBlock does for peer blocks. (In a committee of one the vote
-	// is the quorum and the vertex lands right here.)
+	// broadcasts. The vote waits on the ballot for the round's quorum
+	// and leaves in one bundle with the first 2f peer votes of the round
+	// (votes.go); peers certify this block from any 2f+1 votes, so none
+	// waits for this one in particular. Votes still held for the round
+	// before are off the new round, so this pass's flush seals them,
+	// this one with them. The anti-equivocation journal entry is
+	// written before the signature exists, exactly as handleBlock does
+	// for peer blocks. (In a committee of one the vote is the quorum
+	// and the vertex lands at this pass's flush.)
 	k := voteKey{round: blk.Round, proposer: blk.Proposer}
 	if _, ok := n.voted[k]; !ok {
 		n.castVote(blk, k, d)

@@ -206,7 +206,9 @@ func TestFirstVoteJournaledAcrossRestart(t *testing.T) {
 // rebroadcasts: the block may go again, a signature over its digest
 // must not — with f Byzantine voters two digests of one slot could both
 // reach 2f+1. A replica that did not restart repeats the one vote it
-// cast, without signing again.
+// cast, without signing again. With no peer block arriving, the own vote
+// waits on the ballot for its round's quorum until the first stalled
+// tick seals it: that seal is the one signature the slot ever gets.
 func TestRestartedProposerNeverSignsSecondDigest(t *testing.T) {
 	f := newVoteRestartFixture(t, -1)
 	stall := func(n *Node) {
@@ -225,14 +227,29 @@ func TestRestartedProposerNeverSignsSecondDigest(t *testing.T) {
 	if n1.voted[k] != first {
 		t.Fatal("proposer did not journal the vote for its own block")
 	}
+	if got := n1.nm.voteSigsSigned.Value(); got != 0 {
+		t.Fatalf("%d vote signatures before the round's quorum, want the own vote held", got)
+	}
+	// The first stalled tick re-sends the block (no vote was counted
+	// since the proposal) and seals the held vote, which reaches every
+	// peer once and is counted in the own collector.
+	stall(n1)
+	if got := n1.nm.voteSealsOnStall.Value(); got != 1 {
+		t.Fatalf("vote_seals_on_stall = %d, want 1", got)
+	}
+	for _, peer := range []types.ReplicaID{1, 2, 3} {
+		if got := f.votes(peer, first); got != 1 {
+			t.Fatalf("replica %d holds %d votes for the proposal after the stall seal, want 1", peer, got)
+		}
+	}
 	// No restart: the stall rebroadcast repeats the vote held in the
-	// collector. (The first stalled tick only notes that the vote count
-	// rose since the proposal — by the proposer's own vote.)
+	// collector. (The second stalled tick only notes that the vote count
+	// rose — by the proposer's own vote, counted at the seal.)
 	held := n1.slots[k].votes[0].sig
 	stall(n1)
 	stall(n1)
-	if got := n1.nm.stallRebroadcasts.Value(); got != 1 {
-		t.Fatalf("stall_rebroadcasts = %d, want 1", got)
+	if got := n1.nm.stallRebroadcasts.Value(); got != 2 {
+		t.Fatalf("stall_rebroadcasts = %d, want 2", got)
 	}
 	for _, peer := range []types.ReplicaID{1, 2, 3} {
 		if got := f.votes(peer, first); got != 2 {
@@ -241,6 +258,9 @@ func TestRestartedProposerNeverSignsSecondDigest(t *testing.T) {
 	}
 	if again := n1.slots[k].votes[0].sig; &again[0] != &held[0] {
 		t.Fatal("the repeat vote replaced the signature the collector held")
+	}
+	if got := n1.nm.voteSigsSigned.Value(); got != 1 {
+		t.Fatalf("%d vote signatures for one slot, want 1: the repeat signs nothing", got)
 	}
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)

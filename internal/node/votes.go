@@ -7,10 +7,10 @@ import (
 	"thunderbolt/internal/types"
 )
 
-// Two-hop certification, one signature per voter per pass.
+// Two-hop certification, one signature per voter per round quorum.
 //
-// A voter broadcasts its votes to the whole committee, the proposer's
-// own vote rides in the flush that carries its block, and every replica
+// A voter broadcasts its votes to the whole committee, the proposer
+// votes for its own block like everyone else, and every replica
 // counts votes per (round, proposer) slot and places the vertex the
 // moment one digest holds 2f+1 of them: block → votes, two message
 // delays, and no certificate on the wire in steady state. Replicas
@@ -18,13 +18,29 @@ import (
 // the signatures, so they still agree on parent references.
 //
 // Votes travel in bundles. castVote journals the vote and records it in
-// the voted map at once, but only queues the slot; flushOutbox — the one
-// place a pass's output leaves — seals whatever the pass voted for into
-// one Merkle tree over the block digests (types/merkle.go), signs the
-// root once and broadcasts one MsgVote carrying the entries and that
-// signature. There is no hold timer and no other wire form: a single
-// vote is a bundle of one, whose root is the block digest itself, and
-// the batching factor is whatever arrived in the pass. A receiver
+// the voted map at once, but only queues the slot on the ballot;
+// flushOutbox — the one place a pass's output leaves — seals the ballot
+// into one Merkle tree over the block digests (types/merkle.go), signs
+// the root once and broadcasts one MsgVote carrying the entries and that
+// signature. A single vote is a bundle of one, whose root is the block
+// digest itself; there is no other wire form.
+//
+// The batch is the round quorum, not the pass. A flush holds the ballot
+// while every vote on it is for this replica's current round R
+// (nextRound-1) and it has voted for fewer than 2f+1 of R's proposers
+// (holdBallot). So the seal that reaches 2f+1 carries the replica's own
+// vote and its first 2f peer votes under one signature; a vote for any
+// other round, and a straggler at R cast after that seal, leave in the
+// pass that cast them (and take whatever is held along); and
+// housekeeping's stall signal seals whatever is still held. There is no
+// hold timer: the hold ends on what arrives. Liveness, by induction on
+// R: a held ballot waits only for honest blocks of round R; those need
+// only certificates of round R−1, which need only round R−1 votes; and
+// a replica never holds R−1 votes once it has moved to R — the vote for
+// its own block at R is off the old round, so the pass that proposes R
+// seals them. Round 1 blocks need no votes at all. So every honest
+// replica votes for 2f+1 honest blocks of each round it reaches, and
+// every held ballot is eventually released. A receiver
 // applies the per-vote rules to every entry first and verifies nothing
 // when no entry can still matter; otherwise it rebuilds the root from
 // the entries it was sent, verifies once, and hands each open slot the
@@ -174,7 +190,7 @@ func (n *Node) voteCeiling() types.Round {
 
 // castVote votes for b in its slot: journaled and recorded first, so
 // neither a restart nor a second block can walk this replica into
-// another digest, then queued for the bundle this pass's flush seals.
+// another digest, then queued on the ballot a flush seals.
 // The caller has checked the voted map: this is the slot's first vote.
 func (n *Node) castVote(b *types.Block, k voteKey, d types.Digest) {
 	n.noteOnly(voteNote(b.Epoch, k, d))
@@ -186,13 +202,19 @@ func (n *Node) castVote(b *types.Block, k voteKey, d types.Digest) {
 
 // sealVotes signs and queues the votes cast since the last seal — one
 // bundle, one signature — and, when count is set, counts them in this
-// replica's own collectors. Counting can certify a vertex, which can
-// propose the next round and cast its vote: that one is sealed here
-// too, so a flush leaves nothing behind. The votes all belong to the
-// current epoch: resetEpochState seals before it moves on — without
-// counting, the collectors being about to go.
-func (n *Node) sealVotes(count bool) {
+// replica's own collectors. With hold set it first leaves the ballot
+// for a later flush while holdBallot says the round quorum is still
+// forming. Counting can certify a vertex, which can propose the next
+// round and cast its vote: that one is sealed here too, or held on the
+// same rule. The votes all belong to the current epoch: resetEpochState
+// seals before it moves on — without counting, the collectors being
+// about to go.
+func (n *Node) sealVotes(count, hold bool) {
 	for len(n.ballot) > 0 {
+		if hold && n.holdBallot() {
+			n.nm.voteSealHolds.Add(1)
+			return
+		}
 		cast := n.ballot
 		n.ballot = n.ballotSpare[:0] // votes cast while counting go to the other buffer
 		for rest := cast; len(rest) > 0; {
@@ -209,6 +231,26 @@ func (n *Node) sealVotes(count bool) {
 		}
 		n.ballotSpare = cast[:0]
 	}
+}
+
+// holdBallot reports whether the ballot waits for more of its round:
+// every vote on it is for this replica's current round, and it has
+// voted for fewer than 2f+1 of that round's proposers. The quorum is
+// read from the voted map, so a vote journaled before a restart counts.
+func (n *Node) holdBallot() bool {
+	r := n.nextRound - 1
+	for i := range n.ballot {
+		if n.ballot[i].Round != r {
+			return false
+		}
+	}
+	voted := 0
+	for p := 0; p < n.n; p++ {
+		if _, ok := n.voted[voteKey{round: r, proposer: types.ReplicaID(p)}]; ok {
+			voted++
+		}
+	}
+	return voted < crypto.QuorumSize(n.n)
 }
 
 // bundleRoot builds the bundle's tree (left in voteTree for the paths)
@@ -240,9 +282,10 @@ func (n *Node) signVotes(root types.Digest, entries int) []byte {
 // side). Only the journaled digest is ever repeated: ok is false when
 // the slot's vote is for another digest — a restarted proposer
 // re-proposes its slot with a new timestamp, and must not sign that
-// second block — or was never cast, or is still waiting for this pass's
-// seal and about to reach everyone anyway. The signature comes from the
-// slot's collector when it holds one over the digest itself; otherwise
+// second block — or was never cast, or is still on the ballot, which
+// reaches everyone when it is sealed: at the latest on this replica's
+// own stall (housekeeping). The signature comes from the slot's
+// collector when it holds one over the digest itself; otherwise
 // (restart, vertex landed, or the vote left in a larger bundle, whose
 // signature says nothing without its path) the digest is signed again,
 // and counted there if the collector lacks it.

@@ -384,7 +384,9 @@ func testBlock(r types.Round, p types.ReplicaID) *types.Block {
 
 // TestOnePassOneSignature: four blocks delivered in one inbox pass cost
 // one signature and one MsgVote per peer, carrying four entries — and
-// that bundle is what a peer accepts, with one verification.
+// that bundle is what a peer accepts, with one verification. The replica
+// has not proposed, so none of its votes is for its current round and
+// nothing waits for a round quorum (TestSealAtRoundQuorum).
 func TestOnePassOneSignature(t *testing.T) {
 	committee := dagtest.NewCommittee(4)
 	n, tr := voteTestNode(t, committee, 0)
@@ -441,14 +443,129 @@ func TestOnePassOneSignature(t *testing.T) {
 			t.Fatalf("peer did not count the vote for (%d,%d)", b.Round, b.Proposer)
 		}
 	}
-	// A second pass is a second bundle: nothing is held back.
+	// A vote off the replica's current round leaves in the pass that
+	// cast it, a bundle of its own, even where a vote for that round
+	// would wait: here the replica stands in round 3, where it has voted
+	// for nobody.
+	n.nextRound = 4
 	n.handleBlock(2, testBlock(2, 2), nil)
 	n.flushOutbox()
 	if signs(n) != 2 || len(tr.bundles[1]) != 2 || len(tr.bundles[1][1].Entries) != 1 {
 		t.Fatalf("second pass: %d signatures, %d bundles", signs(n), len(tr.bundles[1]))
 	}
+	if got := counter(n, mVoteSealHolds); got != 0 {
+		t.Fatalf("vote_seal_holds = %d for votes off the current round, want 0", got)
+	}
 	if own := n.slots[voteKey{round: 2, proposer: 2}].votes[0]; len(own.path.Sibs) != 0 {
 		t.Fatal("a bundle of one has a path")
+	}
+}
+
+// TestSealAtRoundQuorum pins when a replica's ballot is sealed. Votes
+// for its current round wait until it has voted for 2f+1 of the round's
+// proposers, and then leave under one signature: its own vote and its
+// first 2f peer votes. A straggler of that round, and a vote for any
+// other round, leave in the pass that cast them; a stall seals what is
+// still held.
+func TestSealAtRoundQuorum(t *testing.T) {
+	committee := dagtest.NewCommittee(4)
+	n, tr := voteTestNode(t, committee, 0)
+	peers := []types.ReplicaID{1, 2, 3}
+	bundles := func(want int) {
+		t.Helper()
+		for _, peer := range peers {
+			if got := tr.sent(peer, MsgVote); got != want {
+				t.Fatalf("%d MsgVote to replica %d, want %d", got, peer, want)
+			}
+		}
+	}
+	entries := func(i int, want ...types.Digest) {
+		t.Helper()
+		for _, peer := range peers {
+			var got []types.Digest
+			for _, e := range tr.bundles[peer][i].Entries {
+				got = append(got, e.Digest)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("bundle %d to replica %d carries %d entries, want %d", i, peer, len(got), len(want))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("bundle %d to replica %d: entry %d is not the expected vote", i, peer, j)
+				}
+			}
+		}
+	}
+
+	// Round 1: its own block and one peer's — two of the three votes a
+	// quorum needs. The flush sends the block, and no vote.
+	n.propose()
+	own := n.lastBlock
+	p, q, late := testBlock(1, 1), testBlock(1, 2), testBlock(1, 3)
+	n.handleBlock(1, p, nil)
+	n.flushOutbox()
+	bundles(0)
+	if signs(n) != 0 || counter(n, mVoteSealHolds) != 1 {
+		t.Fatalf("held ballot: %d signatures, vote_seal_holds = %d; want 0 and 1", signs(n), counter(n, mVoteSealHolds))
+	}
+	if _, ok := n.slots[voteKey{round: 1, proposer: 0}]; ok {
+		t.Fatal("the held own vote was counted before it was signed")
+	}
+
+	// The second peer block reaches 2f+1: one bundle {own, p, q} to each
+	// peer under one signature, and the own votes are counted.
+	n.handleBlock(2, q, nil)
+	n.flushOutbox()
+	bundles(1)
+	entries(0, own.Digest(), p.Digest(), q.Digest())
+	if got := signs(n); got != 1 {
+		t.Fatalf("%d signatures at the round quorum, want 1", got)
+	}
+	for _, b := range []*types.Block{own, p, q} {
+		s := n.slots[voteKey{round: b.Round, proposer: b.Proposer}]
+		if s == nil || s.votes[0].digest != b.Digest() || len(s.votes[0].path.Sibs) == 0 {
+			t.Fatalf("own vote for (%d,%d) not counted with its path", b.Round, b.Proposer)
+		}
+	}
+
+	// The round's fourth block is a straggler: its vote leaves alone, in
+	// its own pass.
+	n.handleBlock(3, late, nil)
+	n.flushOutbox()
+	bundles(2)
+	entries(1, late.Digest())
+
+	// A vote for a block of the next round leaves at once.
+	ahead := testBlock(2, 1)
+	n.handleBlock(1, ahead, nil)
+	n.flushOutbox()
+	bundles(3)
+	entries(2, ahead.Digest())
+	if got := counter(n, mVoteSealHolds); got != 1 {
+		t.Fatalf("vote_seal_holds = %d, want 1: nothing was held after the quorum", got)
+	}
+
+	// Round 2: its own block makes two votes of the round; held again,
+	// until a stalled tick seals it.
+	n.propose()
+	n.flushOutbox()
+	bundles(3)
+	if got := counter(n, mVoteSealHolds); got != 2 {
+		t.Fatalf("vote_seal_holds = %d, want 2", got)
+	}
+	n.housekeeping()
+	n.flushOutbox()
+	bundles(3)
+	n.lastProgress = time.Now().Add(-time.Hour)
+	n.housekeeping()
+	n.flushOutbox()
+	bundles(4)
+	entries(3, n.lastBlock.Digest())
+	if got := counter(n, mVoteSealsOnStall); got != 1 {
+		t.Fatalf("vote_seals_on_stall = %d, want 1", got)
+	}
+	if got := signs(n); got != 4 {
+		t.Fatalf("%d signatures in all, want 4: one per bundle", got)
 	}
 }
 
