@@ -9,7 +9,7 @@
 // committing with prefix-consistent logs and conserved balances.
 //
 // The lying-snapshot-server scenario corrupts the cross-epoch recovery
-// path instead: a stranded replica fetching transition snapshots gets
+// path instead: a stranded replica fetching a later epoch's snapshot gets
 // a properly signed but forged manifest from one peer, which would
 // serve the matching forged chunks. The f+1 matching-digest rule must
 // reject the lie and install the honest state.

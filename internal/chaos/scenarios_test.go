@@ -165,7 +165,7 @@ func TestScenarioCrashRestartUnderLoad(t *testing.T) {
 // missing member; after healing, the partitioned replica — stranded
 // in an earlier epoch whose DAG the peers have discarded — must
 // recover through the cross-epoch snapshot protocol: verify f+1
-// matching transition snapshots, jump into the committee's epoch, and
+// matching snapshots of a later epoch, jump into the committee's epoch, and
 // commit new transactions. (Before state transfer shipped, this
 // scenario merely tolerated the stranded replica.)
 func TestScenarioReconfigUnderPartition(t *testing.T) {
@@ -207,7 +207,7 @@ func TestScenarioReconfigUnderPartition(t *testing.T) {
 // a replica is network-crashed while K-silence reconfigurations rotate
 // its shard away, and is only restarted epochs later. On restart its
 // in-epoch catch-up requests reference a discarded DAG; it must detect
-// the epoch floor, fetch and verify transition snapshots, and jump.
+// the epoch floor, fetch and verify a later epoch's snapshots, and jump.
 func TestScenarioCrashAcrossReconfig(t *testing.T) {
 	h := newHarness(t, Options{N: 4, Seed: 109, K: 8,
 		MinRoundInterval: 5 * time.Millisecond})

@@ -141,7 +141,6 @@ type Cluster struct {
 	// commit wave's leader round and wall-clock time (Figure 16).
 	waveSeries *metrics.Series
 	lastWaveAt time.Time
-	reconfigs  metrics.Counter
 	nacks      metrics.Counter
 
 	// rejected carries proposer negative-acks to the resubmit
@@ -232,7 +231,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		if i == 0 {
 			ncfg.OnCommitWave = c.onWave
-			ncfg.OnReconfig = func(types.Epoch, time.Time) { c.reconfigs.Add(1) }
 		}
 		nd, err := node.New(ncfg)
 		if err != nil {
@@ -379,8 +377,15 @@ func (c *Cluster) onWave(_ types.Epoch, _ types.Round, when time.Time) {
 // WaveSeries returns the per-wave commit spacing series (seconds).
 func (c *Cluster) WaveSeries() *metrics.Series { return c.waveSeries }
 
-// Reconfigurations returns the observer's reconfiguration count.
-func (c *Cluster) Reconfigurations() uint64 { return c.reconfigs.Value() }
+// Reconfigurations returns the observer's (replica 0's) count of
+// in-band reconfigurations; snapshot epoch jumps do not count. A
+// headless replica 0 observes none.
+func (c *Cluster) Reconfigurations() uint64 {
+	if c.nodes[0] == nil {
+		return 0
+	}
+	return c.nodes[0].Stats().Reconfigurations
+}
 
 // Committed reports whether tx has committed anywhere.
 func (c *Cluster) Committed(id types.Digest) bool {
@@ -780,7 +785,7 @@ func (c *Cluster) RunLoad(lc LoadConfig) Report {
 		Committed: committed,
 		TPS:       metrics.Throughput(committed, elapsed),
 		Latency:   c.latencies.Summarize(),
-		Reconfigs: c.reconfigs.Value(),
+		Reconfigs: c.Reconfigurations(),
 	}
 	for _, n := range c.nodes {
 		if n == nil {

@@ -70,7 +70,7 @@ const (
 // the same transactions in the same committed order, so the state —
 // floors and bitmaps — is bit-identical across honest replicas at
 // equal commit positions. That determinism is what lets
-// epoch-transition snapshots carry it verbatim.
+// snapshots carry it verbatim.
 type Dedup struct {
 	window  uint64
 	clients map[uint64]*nonceWindow

@@ -174,7 +174,7 @@ func BenchmarkCapture200k(b *testing.B) {
 				for _, k := range bc.dirty(st.Keys()) {
 					writes = append(writes, types.RWRecord{Key: k, Value: contract.EncodeInt64(7)})
 				}
-				n.capture(n.epoch)
+				n.capture()
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -184,7 +184,7 @@ func BenchmarkCapture200k(b *testing.B) {
 				} else {
 					st.Apply(writes)
 				}
-				n.capture(n.epoch)
+				n.capture()
 			}
 			b.StopTimer()
 			if got := n.lastSnap.RecordCount; got != 2*accounts {

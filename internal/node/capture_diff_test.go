@@ -60,10 +60,10 @@ func diffCaptures(got, want captured) error {
 // holds), then again with nothing to reuse, and returns both. The node
 // is left holding the incremental capture.
 func captureBothWays(n *Node) (incremental, scratch captured) {
-	n.capture(n.epoch)
+	n.capture()
 	incremental = lastCapture(n)
 	n.lastSnap = nil
-	n.capture(n.epoch)
+	n.capture()
 	scratch = lastCapture(n)
 	incremental.restore(n)
 	return incremental, scratch
@@ -225,8 +225,7 @@ func TestIncrementalCaptureMatchesFromScratch(t *testing.T) {
 					case op == 8: // a snapshot install between captures
 						ahead := append(d.overwrite(2), d.insert("middle"), d.insert("after"))
 						d.apply([]storage.Backend{d.donor.cfg.Store}, ahead)
-						d.donor.epoch = d.n.epoch
-						d.donor.captureSnapshot(d.n.epoch + 1)
+						reconfigureTo(d.donor, d.n.epoch+1)
 						d.n.installSnapshot(d.donor.lastSnap, ahead, d.donor.snapChunks)
 						if d.n.epoch != d.donor.lastSnap.Epoch {
 							t.Fatalf("round %d: install did not land (epoch %d)", round, d.n.epoch)
@@ -257,7 +256,7 @@ func TestCaptureDifferentialCatchesWrongReuse(t *testing.T) {
 		batch = append(batch, types.RWRecord{Key: types.Key(fmt.Sprintf("k%04d", i)), Value: types.Value("old")})
 	}
 	st.Apply(batch)
-	n.capture(n.epoch)
+	n.capture()
 	st.Apply([]types.RWRecord{{Key: batch[diffChunk+1].Key, Value: types.Value("new")}})
 
 	// The mutation: pretend the previous capture was cut after the write.
@@ -280,9 +279,9 @@ func TestCaptureTelemetry(t *testing.T) {
 		batch = append(batch, types.RWRecord{Key: types.Key(fmt.Sprintf("k%04d", i)), Value: types.Value("old")})
 	}
 	st.Apply(batch)
-	n.capture(n.epoch) // 4 chunks, nothing to reuse
+	n.capture() // 4 chunks, nothing to reuse
 	st.Apply([]types.RWRecord{{Key: batch[0].Key, Value: types.Value("new")}})
-	n.capture(n.epoch) // chunk 0 dirty, 3 shared
+	n.capture() // chunk 0 dirty, 3 shared
 
 	snap := n.Metrics().Snapshot()
 	if got := snap.Counters[mSnapChunksEncoded]; got != 5 {

@@ -420,70 +420,25 @@ func (n *Node) dropOwnBlock(round types.Round) {
 // reconfigure performs the non-blocking DAG transition (§6): a new
 // DAG starts at the deterministic ending round every honest replica
 // derives from the same committed Shift quorum; shard assignments
-// rotate; uncommitted transactions are dropped for clients to
-// resubmit. The outgoing state is first captured as the transition's
-// snapshot — the committed sequence position is deterministic here, so
-// every honest replica records a bit-identical snapshot, which is what
-// lets a replica stranded across this transition authenticate one
-// later with f+1 matching digests (see snapshot.go). On a durable
+// rotate; uncommitted transactions are nacked for clients to resubmit.
+// The replica enters the next epoch like any snapshot installer
+// (enterEpoch at end round 0, no Shifts), then captures the new
+// epoch's start: the committed sequence position is deterministic
+// here, so every honest replica records a bit-identical snapshot,
+// which is what lets a replica stranded across this reconfiguration
+// authenticate one later with f+1 matching digests (see snapshot.go).
+// The capture precedes propose and the replay of parked messages,
+// which can already commit waves of the new epoch. On a durable
 // backend the transition is journaled so a restarted replica resumes
-// in this epoch.
+// in the new epoch.
 func (n *Node) reconfigure() {
-	n.noteOnly(transitionNote(n.epoch + 1))
-	n.captureSnapshot(n.epoch + 1)
+	next := n.epoch + 1
+	n.noteOnly(transitionNote(next))
+	n.enterEpoch(next, 0, nil)
+	n.capture()
 	n.nm.reconfigurations.Add(1)
-	// a = the epoch being entered.
-	n.trace(metrics.EvReconfig, 0, uint64(n.epoch+1), 0)
-	n.transition(n.epoch+1, true)
-}
-
-// transition moves this replica into newEpoch, discarding the current
-// DAG and unclaiming uncommitted work. Shared by the in-band Shift
-// transition (reconfigure) and the cross-epoch snapshot jump
-// (installSnapshot); only the former reports through OnReconfig, so
-// observers counting committee reconfigurations never conflate them
-// with one replica's catch-up jumps (those surface as
-// Stats.EpochJumps).
-func (n *Node) transition(newEpoch types.Epoch, reconfig bool) {
-	dropped := uint64(len(n.txQueue))
-	// Unclaim every uncommitted transaction — queued or already
-	// proposed into the dying DAG — so client resubmissions are
-	// accepted by whichever proposer now owns the shard. Committed
-	// IDs stay deduplicated via n.dedup. Both the queue and this
-	// node's uncommitted in-flight blocks get a negative-ack — the
-	// OnRejectTx callback for in-process clients and a wire MsgTxNack
-	// for gateway clients: their transactions die with the epoch, and
-	// without the ack each would stall its client until the retry
-	// timer (the ROADMAP's discarded-block tail latency).
-	rejected := n.txQueue
-	for _, d := range n.ownPending {
-		if b, ok := n.pendingBlocks[d]; ok {
-			rejected = append(rejected, b.SingleTxs...)
-			rejected = append(rejected, b.CrossTxs...)
-		}
-	}
-	n.seen = make(map[types.Digest]time.Time)
-	n.txQueue = nil
-	n.resetEpochState(newEpoch)
-	seen := make(map[types.Digest]bool, len(rejected))
-	for _, tx := range rejected {
-		id := tx.ID()
-		if n.dedup.Resolved(tx) || seen[id] {
-			continue
-		}
-		seen[id] = true
-		n.nackPending(tx, gateway.NackEpochEnded)
-		if n.cfg.OnRejectTx != nil {
-			n.cfg.OnRejectTx(tx)
-		}
-	}
-
-	n.nm.droppedAtReconfig.Add(dropped)
-	n.nm.epoch.Set(int64(n.epoch))
-	if reconfig && n.cfg.OnReconfig != nil {
-		n.cfg.OnReconfig(n.epoch, time.Now())
-	}
-	// Replay messages that arrived early for the new epoch.
+	// a = the epoch entered.
+	n.trace(metrics.EvReconfig, 0, uint64(next), 0)
 	n.propose()
 	n.replayFuture()
 }

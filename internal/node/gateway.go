@@ -129,6 +129,16 @@ func (n *Node) nackPending(tx *types.Transaction, reason gateway.NackReason) {
 	}).Marshal())
 }
 
+// reject gives up on a claimed transaction: a wire nack for a gateway
+// submitter and the Config.OnRejectTx callback for in-process clients,
+// so either re-routes at once instead of waiting for its retry timer.
+func (n *Node) reject(tx *types.Transaction, reason gateway.NackReason) {
+	n.nackPending(tx, reason)
+	if n.cfg.OnRejectTx != nil {
+		n.cfg.OnRejectTx(tx)
+	}
+}
+
 // purgeClientSubs drops stale wire-submitter registrations (clients
 // that stopped retransmitting). Called from housekeeping.
 func (n *Node) purgeClientSubs() {

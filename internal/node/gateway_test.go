@@ -237,7 +237,7 @@ func TestGatewayOutOfWindowNack(t *testing.T) {
 }
 
 // TestGatewayWindowSurvivesEpochJump: the per-client window rides the
-// transition snapshot, so a replica that recovers by epoch jump — the
+// epoch-start snapshot, so a replica that recovers by epoch jump — the
 // same path a crashed-and-restarted-from-genesis process takes —
 // answers duplicates and admissions exactly like the committee.
 func TestGatewayWindowSurvivesEpochJump(t *testing.T) {
@@ -252,7 +252,7 @@ func TestGatewayWindowSurvivesEpochJump(t *testing.T) {
 			nd.dedup.Mark(tx)
 		}
 		nd.nm.committedTxs.Add(uint64(len(history)))
-		nd.captureSnapshot(2)
+		reconfigureTo(nd, 2)
 	}
 	victim := f.nodes[0] // fresh state: what a restarted process holds
 	victim.handleSnapshot(1, signedSnap(f.nodes[1]))
@@ -275,13 +275,11 @@ func TestGatewayWindowSurvivesEpochJump(t *testing.T) {
 		t.Fatalf("out-of-window after jump: got %v, want future", got)
 	}
 	// The jumper's own next capture must match the donors' — verbatim
-	// restore keeps dedup state bit-identical. (Donors transitioned in
-	// the real protocol right after capturing; mirror that here so
-	// both sides capture epoch 3 from epoch 2.)
+	// restore keeps dedup state bit-identical. Both sides reconfigure
+	// from epoch 2 into epoch 3.
 	donor := f.nodes[1]
-	donor.epoch = 2
-	victim.captureSnapshot(3)
-	donor.captureSnapshot(3)
+	reconfigureTo(victim, 3)
+	reconfigureTo(donor, 3)
 	if victim.lastSnap.Digest() != donor.lastSnap.Digest() {
 		t.Fatal("post-jump capture diverges from an honest peer's")
 	}
@@ -293,7 +291,7 @@ func TestGatewayWindowSurvivesEpochJump(t *testing.T) {
 func TestGatewaySnapshotRejectsWindowMismatch(t *testing.T) {
 	f := newGwFixture(t, 4)
 	for _, nd := range f.nodes[1:3] {
-		nd.captureSnapshot(2)
+		reconfigureTo(nd, 2)
 		nd.lastSnap.DedupWindow = 128 // forged/misconfigured window
 	}
 	victim := f.nodes[0]

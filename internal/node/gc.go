@@ -67,10 +67,7 @@ func (n *Node) maybeGC() {
 			delete(n.ownPending, r)
 			if b, ok := n.pendingBlocks[d]; ok {
 				if queued == nil {
-					queued = make(map[types.Digest]bool, len(n.txQueue))
-					for _, tx := range n.txQueue {
-						queued[tx.ID()] = true
-					}
+					queued = n.queuedIDs()
 				}
 				n.requeueOwnBlock(b, queued)
 			}

@@ -130,16 +130,17 @@ type Config struct {
 	GCHorizon int
 
 	// SnapshotInterval captures a mid-epoch snapshot every this many
-	// committed leader rounds, in addition to the capture at every
-	// epoch transition. Captures happen at deterministic positions of
-	// the committed sequence, so honest replicas' mid-epoch snapshots
-	// are bit-identical and a stranded replica can authenticate one
-	// with f+1 matching digests — the rescue that bounds rejoin time by
-	// the capture cadence instead of the epoch length. Zero selects the
-	// default (512); negative disables mid-epoch capture; positive
-	// values are clamped so GCHorizon − SnapshotInterval still leaves a
-	// full re-entry margin (serving replicas must retain the rounds
-	// just behind their latest capture).
+	// committed leader rounds, in addition to the capture at the start
+	// of every epoch a reconfiguration enters. Captures happen at
+	// deterministic positions of the committed sequence, so honest
+	// replicas' mid-epoch snapshots are bit-identical and a stranded
+	// replica can authenticate one with f+1 matching digests — the
+	// rescue that bounds rejoin time by the capture cadence instead of
+	// the epoch length. Zero selects the default (512); negative
+	// disables mid-epoch capture; positive values are clamped so
+	// GCHorizon − SnapshotInterval still leaves a full re-entry margin
+	// (serving replicas must retain the rounds just behind their latest
+	// capture).
 	SnapshotInterval int
 
 	// SpecExecDepth bounds the speculative-execution pipeline: how
@@ -190,8 +191,6 @@ type Config struct {
 	// OnCommitWave, if set, fires after each commit wave with the
 	// leader round (Figure 16's per-round runtime series).
 	OnCommitWave func(epoch types.Epoch, leaderRound types.Round, when time.Time)
-	// OnReconfig, if set, fires after each DAG transition.
-	OnReconfig func(newEpoch types.Epoch, when time.Time)
 
 	// snapChunkRecords is the ledger-record count per snapshot chunk,
 	// types.DefaultChunkRecords unless a test sets it to cut many
@@ -309,16 +308,19 @@ type Stats struct {
 	FastForwards uint64
 	// PrunedRounds counts rounds reclaimed by committed-wave GC.
 	PrunedRounds uint64
-	// EpochJumps counts cross-epoch snapshot installs — recoveries
-	// from being stranded across a reconfiguration. SnapshotsServed
-	// counts signed snapshot manifests served to stragglers.
+	// EpochJumps counts snapshot installs from a later epoch —
+	// recoveries from being stranded across a reconfiguration, whether
+	// the snapshot is that epoch's start or a capture inside it.
+	// SnapshotsServed counts signed snapshot manifests served to
+	// stragglers.
 	EpochJumps      uint64
 	SnapshotsServed uint64
 	// MidEpochCaptures counts deterministic mid-epoch snapshot
 	// captures (Config.SnapshotInterval boundaries); MidEpochInstalls
-	// counts installs of a mid-epoch snapshot — rescues that re-entered
+	// counts installs into the current epoch — rescues that re-entered
 	// a live epoch at the snapshot's base round instead of waiting for
-	// the next reconfiguration.
+	// the next reconfiguration. An install counts in exactly one of
+	// EpochJumps and MidEpochInstalls.
 	MidEpochCaptures uint64
 	MidEpochInstalls uint64
 	// Chunked-transfer counters: chunks served to fetchers, chunks
@@ -511,19 +513,19 @@ type Node struct {
 	batch batchController
 
 	// --- state transfer (snapshot.go, snapchunk.go) ---
-	// lastSnap is this node's most recent capture (epoch transition or
-	// mid-epoch boundary); it outlives per-epoch state so the node can
-	// serve stragglers from any earlier position. snapChunks holds its
-	// encoded chunk payloads for MsgSnapChunk serving, and snapCut the
-	// store sequence number they were cut at — what lets the next capture
-	// share the chunks nothing has written to since (0 when they were
-	// installed from peers, not cut here). lastManifestMsg caches the
+	// lastSnap is this node's most recent capture (epoch start or
+	// mid-epoch boundary) or install; it outlives per-epoch state so
+	// the node can serve stragglers from any earlier position.
+	// snapChunks holds its encoded chunk payloads for MsgSnapChunk
+	// serving, and snapCut the store sequence number they were cut at —
+	// what lets the next capture share the chunks nothing has written to
+	// since (0 when they were installed from peers, not cut here). lastManifestMsg caches the
 	// signed manifest, built once on first serve (the snapshot is
 	// immutable, so every serve after that is a plain Send). snapFrom
 	// holds the latest snapshot candidate per verified signer (install
 	// needs f+1 matching digests), snapServed rate-limits serving per
 	// requester, lastSnapAt is the committed leader round of the newest
-	// capture (mid-epoch cadence tracking), chunkBudget is the per-tick
+	// capture or of the entry position (mid-epoch cadence tracking), chunkBudget is the per-tick
 	// chunk-serve allowance, and fetch is the in-progress chunked rescue,
 	// if any.
 	lastSnap        *types.Snapshot
@@ -926,8 +928,8 @@ type DebugView struct {
 	PendingBlocks  int
 	VotedSlots     int
 	CommittedFlags int
-	// SnapshotEpoch is the epoch of the node's latest captured
-	// transition snapshot (0 before the first reconfiguration).
+	// SnapshotEpoch is the epoch of the node's latest captured or
+	// installed snapshot (0 before the first capture).
 	SnapshotEpoch types.Epoch
 	// Vertices returns the certified vertices at one round (valid only
 	// inside the Inspect callback).
@@ -1637,10 +1639,7 @@ func (n *Node) fastForward(hi types.Round) {
 	// against the queue and each other (a transaction can sit in
 	// several stale blocks after validation-failure requeues);
 	// committed ones stay filtered by the dedup state in drainQueue.
-	queued := make(map[types.Digest]bool, len(n.txQueue))
-	for _, tx := range n.txQueue {
-		queued[tx.ID()] = true
-	}
+	queued := n.queuedIDs()
 	for r, d := range n.ownPending {
 		if r > hi {
 			continue
@@ -1663,21 +1662,38 @@ func (n *Node) fastForward(hi types.Round) {
 }
 
 // requeueOwnBlock returns an abandoned own block's transactions to
-// the proposer queue, skipping committed ones and those already
-// queued, and unclaims them from dedup so client retransmissions are
-// accepted again.
+// the proposer queue and unclaims the requeued ones from the seen
+// set, so client retransmissions are accepted again.
 func (n *Node) requeueOwnBlock(b *types.Block, queued map[types.Digest]bool) {
 	for _, txs := range [][]*types.Transaction{b.SingleTxs, b.CrossTxs} {
 		for _, tx := range txs {
-			id := tx.ID()
-			if n.dedup.Resolved(tx) || queued[id] {
-				continue
+			if n.requeue(tx, queued) {
+				delete(n.seen, tx.ID())
 			}
-			queued[id] = true
-			delete(n.seen, id)
-			n.txQueue = append(n.txQueue, tx)
 		}
 	}
+}
+
+// requeue appends an own uncommitted transaction to the proposer
+// queue unless it is resolved or already in queued (the queue's IDs,
+// see queuedIDs), and reports whether it did.
+func (n *Node) requeue(tx *types.Transaction, queued map[types.Digest]bool) bool {
+	id := tx.ID()
+	if n.dedup.Resolved(tx) || queued[id] {
+		return false
+	}
+	queued[id] = true
+	n.txQueue = append(n.txQueue, tx)
+	return true
+}
+
+// queuedIDs indexes the proposer queue for requeue.
+func (n *Node) queuedIDs() map[types.Digest]bool {
+	queued := make(map[types.Digest]bool, len(n.txQueue))
+	for _, tx := range n.txQueue {
+		queued[tx.ID()] = true
+	}
+	return queued
 }
 
 // trackPendingBlock stores a block by digest and indexes it by round

@@ -337,10 +337,7 @@ func (n *Node) drainQueue() (singles, cross []*types.Transaction) {
 			// immediately.
 			delete(n.seen, tx.ID())
 			n.nm.droppedAtReconfig.Add(1)
-			n.nackPending(tx, gateway.NackMisroute)
-			if n.cfg.OnRejectTx != nil {
-				n.cfg.OnRejectTx(tx)
-			}
+			n.reject(tx, gateway.NackMisroute)
 		}
 	}
 	n.txQueue = rest

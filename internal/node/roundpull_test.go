@@ -63,10 +63,9 @@ func TestRoundPullAnswers(t *testing.T) {
 	}
 	server.dagStore = b.Store
 	seedMidEpochDonor(server, 152, 222)
-	// moved: already in epoch 1, with the transition capture into it.
+	// moved: already in epoch 1, with the epoch-start capture of it.
 	applyTestCommits(moved, 333)
-	moved.captureSnapshot(1)
-	moved.resetEpochState(1)
+	reconfigureTo(moved, 1)
 
 	for _, tc := range []struct {
 		name                     string

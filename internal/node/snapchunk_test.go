@@ -54,7 +54,7 @@ func seedMidEpochDonor(nd *Node, endRound types.Round, balance int64, txs ...*ty
 	applyTestCommits(nd, balance, txs...)
 	nd.committer = tusk.NewCommitterAt(nd.dagStore, nd.n, endRound)
 	nd.commitCtx.Wave = endRound
-	nd.capture(nd.epoch)
+	nd.capture()
 }
 
 func TestMidEpochCaptureCadence(t *testing.T) {
@@ -70,8 +70,8 @@ func TestMidEpochCaptureCadence(t *testing.T) {
 	if nd.lastSnap == nil {
 		t.Fatal("no capture after crossing the interval boundary")
 	}
-	if s := nd.lastSnap; s.Epoch != s.PrevEpoch {
-		t.Fatalf("mid-epoch capture not marked as such: epoch %d prev %d", s.Epoch, s.PrevEpoch)
+	if s := nd.lastSnap; s.Epoch != nd.epoch {
+		t.Fatalf("mid-epoch capture of epoch %d, want the current epoch %d", s.Epoch, nd.epoch)
 	}
 	if got := nd.Stats().MidEpochCaptures; got != 1 {
 		t.Fatalf("MidEpochCaptures = %d, want 1", got)
@@ -320,15 +320,15 @@ func TestServeSnapshotRoundGate(t *testing.T) {
 	nodes[1].serveSnapshot(0, 0, 10)
 	waitInbox(t, victim, MsgSnapManifest, 1)
 
-	// A transition snapshot must not answer a same-epoch request: it
+	// An epoch-start snapshot must not answer a same-epoch request: it
 	// would restart the requester at a position it already passed.
 	donor2 := nodes[2]
 	applyTestCommits(donor2, 333)
-	donor2.captureSnapshot(1) // transition capture into epoch 1
+	reconfigureTo(donor2, 1) // epoch-start capture of epoch 1
 	donor2.serveSnapshot(0, 1, 5)
 	time.Sleep(20 * time.Millisecond)
 	if got := countInbox(victim, MsgSnapManifest); got != 1 {
-		t.Fatalf("transition snapshot served to a same-epoch request (%d msgs)", got)
+		t.Fatalf("epoch-start snapshot served to a same-epoch request (%d msgs)", got)
 	}
 	// ...but it does answer a requester from the epoch before it.
 	donor2.serveSnapshot(0, 0, 0)

@@ -20,11 +20,13 @@ import (
 // from catch-up requests: peers no longer hold what it is asking for.
 // This file closes that hole with a snapshot protocol:
 //
-//   - Capture: every replica builds a types.Snapshot at each epoch
-//     transition AND at fixed committed-leader-round boundaries inside
-//     the epoch (Config.SnapshotInterval). Both run at deterministic
-//     positions of the committed sequence, so every honest replica's
-//     capture for the same position is bit-identical. The capture
+//   - Capture: every replica builds a types.Snapshot of its current
+//     epoch at the epoch's start (EndRound 0, right after a
+//     reconfiguration enters it) AND at fixed committed-leader-round
+//     boundaries inside the epoch (Config.SnapshotInterval). Both run
+//     at deterministic positions of the committed sequence, so every
+//     honest replica's capture for the same position is bit-identical,
+//     and both are one form, (Epoch, EndRound, Shifts, …). The capture
 //     streams the ledger through a ChunkBuilder: fixed-size chunks of
 //     types.DefaultChunkRecords records, per-chunk digests, and a
 //     snapshot digest over the manifest (header + Merkle-folded chunk
@@ -49,32 +51,27 @@ import (
 //     chunk, and an empty ledger is none.
 //   - Install: one batched state application (fetched chunks only —
 //     locally matching chunks are skipped), the dedup and commit-log
-//     position taken verbatim, then either an epoch jump (transition
-//     snapshots) or a mid-epoch re-entry: the DAG is re-anchored at a
-//     base a full re-entry margin behind the snapshot's end round and
-//     the committer at the end round itself, history re-derived below
-//     the snapshot position deduplicates against the restored state
-//     exactly like a WAL-restart replay, and the replica rejoins while
-//     the committee keeps committing.
+//     position taken verbatim, then the one re-entry path every way
+//     into an epoch takes (enterEpoch): the DAG is re-anchored at a
+//     base a full re-entry margin behind the snapshot's end round (base
+//     1 for an epoch-start capture) and the committer at the end round
+//     itself, history re-derived below the snapshot position
+//     deduplicates against the restored state exactly like a
+//     WAL-restart replay, and the replica rejoins while the committee
+//     keeps committing. An in-band reconfiguration enters its new
+//     epoch the same way, at end round 0.
 
 // snapshotServeEvery spaces per-requester snapshot serves, in
 // housekeeping ticks: a stranded replica re-pulls its round every few
 // ticks (pullRound), and a manifest is too large to answer each pull.
 const snapshotServeEvery = 4
 
-// captureSnapshot records the canonical committed state at the
-// transition out of the current epoch into nextEpoch. Runs on the
-// event loop immediately before resetEpochState discards the DAG.
-func (n *Node) captureSnapshot(nextEpoch types.Epoch) {
-	n.capture(nextEpoch)
-}
-
 // maybeCaptureMidEpoch captures a mid-epoch snapshot when the
 // committed leader round crosses a Config.SnapshotInterval boundary.
 // Called after each executed wave: honest replicas execute the
 // identical wave sequence, so the boundary crossing — and the
 // committed state at it — is the same everywhere, making mid-epoch
-// captures as bit-identical as transition captures. (A replica
+// captures as bit-identical as epoch-start captures. (A replica
 // replaying history it already holds captures at stale positions; its
 // digests then match no honest quorum, so those captures are inert.)
 func (n *Node) maybeCaptureMidEpoch(leaderRound types.Round) {
@@ -86,20 +83,19 @@ func (n *Node) maybeCaptureMidEpoch(leaderRound types.Round) {
 		return
 	}
 	n.lastSnapAt = leaderRound
-	n.capture(n.epoch)
+	n.capture()
 	n.nm.midEpochCaptures.Add(1)
 }
 
-// capture builds the snapshot at the current committed position,
-// tagged with snapEpoch: the next epoch for transition captures, the
-// current epoch for mid-epoch captures (Epoch == PrevEpoch is what
-// marks a snapshot as mid-epoch to its installer). One ordered walk of
-// the store produces the chunk payloads and their digests. Chunks
-// untouched since the previous capture (every record's version at or
-// below snapCut) are that capture's chunks, by reference; what a
-// capture produces does not depend on what it could reuse, so replicas
-// with different histories stay bit-identical.
-func (n *Node) capture(snapEpoch types.Epoch) {
+// capture builds the snapshot of the current epoch at the current
+// committed position: EndRound is the last installed wave's anchor,
+// which enterEpoch sets to the entry position (0 at an epoch's start).
+// One ordered walk of the store produces the chunk payloads and their
+// digests. Chunks untouched since the previous capture (every record's
+// version at or below snapCut) are that capture's chunks, by
+// reference; what a capture produces does not depend on what it could
+// reuse, so replicas with different histories stay bit-identical.
+func (n *Node) capture() {
 	start := time.Now()
 	cb := types.NewChunkBuilder(n.cfg.snapChunkRecords, -1)
 	if n.lastSnap != nil {
@@ -111,20 +107,17 @@ func (n *Node) capture(snapEpoch types.Epoch) {
 	})
 	chunks, digests, _, count := cb.Finish()
 	var shifts []types.ReplicaID
-	if snapEpoch == n.epoch {
-		for p := range n.committedShift {
-			shifts = append(shifts, p)
-		}
-		sort.Slice(shifts, func(i, j int) bool { return shifts[i] < shifts[j] })
+	for p := range n.committedShift {
+		shifts = append(shifts, p)
 	}
+	sort.Slice(shifts, func(i, j int) bool { return shifts[i] < shifts[j] })
 	snap := &types.Snapshot{
-		Epoch:     snapEpoch,
-		N:         uint32(n.n),
-		PrevEpoch: n.epoch,
+		Epoch: n.epoch,
+		N:     uint32(n.n),
 		// The anchor of the last installed wave, not the committer's
 		// position: waves it already ordered may still wait in execQ,
-		// and the state captured here does not include them. A
-		// mid-epoch installer resumes its committer right at this round.
+		// and the state captured here does not include them. An
+		// installer resumes its committer right at this round.
 		EndRound:     n.commitCtx.Wave,
 		Shifts:       shifts,
 		Commits:      n.nm.committedTxs.Value(),
@@ -167,14 +160,12 @@ func (n *Node) serveSnapshot(to types.ReplicaID, reqEpoch types.Epoch, reqRound 
 	if snap.Epoch < reqEpoch {
 		return
 	}
-	if snap.Epoch == reqEpoch {
-		// Same-epoch rescue needs a mid-epoch capture (a transition
-		// snapshot into this epoch would restart the requester at a
-		// position it already passed) far enough ahead of the
-		// requester to be worth installing.
-		if snap.Epoch != snap.PrevEpoch || snap.EndRound < reqRound+minGCHorizon {
-			return
-		}
+	// Same-epoch rescue needs a capture far enough ahead of the
+	// requester to be worth installing; an epoch-start capture (EndRound
+	// 0) never is, as it would restart the requester at a position it
+	// already passed.
+	if snap.Epoch == reqEpoch && snap.EndRound < reqRound+minGCHorizon {
+		return
 	}
 	if at, ok := n.snapServed[to]; ok && time.Since(at) < snapshotServeEvery*n.cfg.TickInterval {
 		return
@@ -195,12 +186,12 @@ func (n *Node) serveSnapshot(to types.ReplicaID, reqEpoch types.Epoch, reqRound 
 
 // snapshotUseful gates candidate intake: installing must move this
 // replica forward. Cross-epoch snapshots from a later epoch always
-// qualify. Same-epoch snapshots qualify only when they are mid-epoch
-// captures sitting at least a full re-entry margin ahead of this
-// replica's committed position (a healthy replica near the frontier
-// rejects them, so pushed manifests cannot perturb a live node) and
-// not behind its commit count (installing an older dedup state would
-// roll resolution back).
+// qualify. Same-epoch snapshots qualify only when they sit at least a
+// full re-entry margin ahead of this replica's committed position (a
+// healthy replica near the frontier rejects them, so pushed manifests
+// cannot perturb a live node; an epoch-start capture never qualifies)
+// and not behind its commit count (installing an older dedup state
+// would roll resolution back).
 func (n *Node) snapshotUseful(s *types.Snapshot) bool {
 	if s.Epoch > n.epoch {
 		return true
@@ -208,9 +199,8 @@ func (n *Node) snapshotUseful(s *types.Snapshot) bool {
 	if s.Epoch < n.epoch {
 		return false
 	}
-	return s.Epoch == s.PrevEpoch &&
-		s.EndRound >= n.committer.LastLeaderRound()+minGCHorizon &&
-		s.Commits >= n.Stats().CommittedTxs
+	return s.EndRound >= n.committer.LastLeaderRound()+minGCHorizon &&
+		s.Commits >= n.nm.committedTxs.Value()
 }
 
 // handleSnapshot collects one replica's signed snapshot manifest and
@@ -324,51 +314,58 @@ func (n *Node) installSnapshot(snap *types.Snapshot, writes []types.RWRecord, ch
 		n.nm.epochJumps.Add(1)
 		// a = the epoch jumped into.
 		n.trace(metrics.EvEpochJump, snap.EndRound, uint64(snap.Epoch), 0)
-	}
-	if snap.Epoch == snap.PrevEpoch {
+	} else {
 		n.nm.midEpochInstalls.Add(1)
 	}
 	// Absolute set: the committed position jumps to the snapshot's.
 	n.nm.committedTxs.Store(snap.Commits)
 	// a = snapshot epoch, b = its committed-transaction position.
 	n.trace(metrics.EvSnapInstall, snap.EndRound, uint64(snap.Epoch), snap.Commits)
-	if snap.Epoch == snap.PrevEpoch {
-		n.resumeMidEpoch(snap)
-	} else {
-		n.transition(snap.Epoch, false)
-	}
+	n.enterEpoch(snap.Epoch, snap.EndRound, snap.Shifts)
+	// Replay messages that arrived early, then rejoin: the first
+	// proposal at the base needs no parents (the store waives them
+	// there), and normal catch-up — round pulls, orphan backfill,
+	// fast-forward — walks this replica to the live frontier.
+	n.propose()
+	n.replayFuture()
 }
 
-// resumeMidEpoch re-enters a live epoch from a mid-epoch snapshot:
-// the DAG restarts at a base one full re-entry margin behind the
-// snapshot's end round, where peers still retain vertices — the
+// enterEpoch is the one way into an epoch, at the committed position
+// (epoch, endRound) whose epoch has committed the Shifts of shifts: an
+// in-band reconfiguration enters at end round 0 with no Shifts, and a
+// snapshot install, from a later epoch or into the current one, at the
+// snapshot's position. The DAG restarts at a base one full re-entry
+// margin behind endRound, where peers still retain vertices — the
 // snapshot's serving constraint GCHorizon ≥ SnapshotInterval +
-// minGCHorizon guarantees it. The committer restarts at the end round
-// itself: that is the last anchor the snapshot's wave sequence
-// ordered, an instance boundary the whole committee agrees on, so the
-// first instance here is the committee's next one. (Started at the
-// base instead, it could order an anchor below the end round that no
-// one else ordered.) The first wave also linearizes history between
-// the base and the end round that the restored dedup already
-// resolves, so it validates as duplicates instead of re-applying —
-// the same replay model as a WAL restart. The epoch's committed Shift
-// proposers come back from the snapshot before anything replays:
+// minGCHorizon guarantees it — and at round 1 near an epoch's start.
+// The committer restarts at endRound itself: that is the last anchor
+// the entered wave sequence ordered, an instance boundary the whole
+// committee agrees on, so the first instance here is the committee's
+// next one. (Started at the base instead, it could order an anchor
+// below endRound that no one else ordered.) The first wave also
+// linearizes history between the base and endRound that the restored
+// dedup already resolves, so it validates as duplicates instead of
+// re-applying — the same replay model as a WAL restart. The epoch's
+// committed Shift proposers are restored before anything replays:
 // Shift blocks committed below the base would never be re-derived,
 // and without them this replica would reconfigure a wave after its
-// peers. When the snapshot is from this replica's
-// own epoch, the vote map survives (a re-entry must not be tricked
-// into second votes for slots it already signed) and queued plus
-// in-flight own transactions requeue — the shard assignment is
-// unchanged, so they are still ours to propose. A cross-epoch
-// mid-epoch install (stranded across a reconfiguration, rescued by a
-// later epoch's mid-epoch capture) instead nacks them, exactly like a
-// transition: the shard rotated and clients must re-route.
-func (n *Node) resumeMidEpoch(snap *types.Snapshot) {
+// peers.
+//
+// The work this replica claimed follows the shard assignment.
+// Re-entering its own epoch, the assignment is unchanged: queued and
+// in-flight own transactions requeue, and the vote map survives (a
+// re-entry must not be tricked into second votes for slots it already
+// signed). Entering a later epoch, the shard rotated: every
+// uncommitted claimed transaction is nacked (NackEpochEnded) so its
+// client re-routes at once instead of stalling until its retry timer,
+// and committed ones stay deduplicated via n.dedup. The caller
+// proposes and replays parked messages afterwards.
+func (n *Node) enterEpoch(epoch types.Epoch, endRound types.Round, shifts []types.ReplicaID) {
 	base := types.Round(1)
-	if snap.EndRound > minGCHorizon {
-		base = snap.EndRound - minGCHorizon
+	if endRound > minGCHorizon {
+		base = endRound - minGCHorizon
 	}
-	sameEpoch := snap.Epoch == n.epoch
+	sameEpoch := epoch == n.epoch
 	savedVotes := n.voted
 	savedSeen := n.seen
 	queue := n.txQueue
@@ -380,56 +377,38 @@ func (n *Node) resumeMidEpoch(snap *types.Snapshot) {
 		}
 	}
 	n.txQueue = nil
-	n.resetEpochState(snap.Epoch)
-	n.dagStore = dag.NewStoreAt(snap.Epoch, n.n, base)
-	n.committer = tusk.NewCommitterAt(n.dagStore, n.n, snap.EndRound)
-	for _, p := range snap.Shifts {
+	n.resetEpochState(epoch)
+	n.dagStore = dag.NewStoreAt(epoch, n.n, base)
+	n.committer = tusk.NewCommitterAt(n.dagStore, n.n, endRound)
+	n.commitCtx = CommitEntry{Epoch: epoch, Wave: endRound}
+	for _, p := range shifts {
 		n.committedShift[p] = true
 	}
 	n.nextRound = base
-	// Resume the capture cadence at the snapshot's position, as its
-	// capturers' did: the next capture is at the next interval boundary
-	// they cross too, not on the first wave here.
-	n.lastSnapAt = snap.EndRound
+	// Resume the capture cadence at the entry position, as the
+	// committee's did: the next capture is at the next interval
+	// boundary they cross too, not on the first wave here.
+	n.lastSnapAt = endRound
 	if sameEpoch {
 		n.voted = savedVotes
 		n.seen = savedSeen
 		n.txQueue = queue
-		queued := make(map[types.Digest]bool, len(queue))
-		for _, tx := range queue {
-			queued[tx.ID()] = true
-		}
+		queued := n.queuedIDs()
 		for _, tx := range pending {
-			id := tx.ID()
-			if n.dedup.Resolved(tx) || queued[id] {
-				continue
-			}
-			queued[id] = true
-			n.txQueue = append(n.txQueue, tx)
+			n.requeue(tx, queued)
 		}
 	} else {
 		n.seen = make(map[types.Digest]time.Time)
-		rejected := append(queue, pending...)
-		seen := make(map[types.Digest]bool, len(rejected))
-		dropped := uint64(len(queue))
-		for _, tx := range rejected {
+		nacked := make(map[types.Digest]bool, len(queue)+len(pending))
+		for _, tx := range append(queue, pending...) {
 			id := tx.ID()
-			if n.dedup.Resolved(tx) || seen[id] {
+			if n.dedup.Resolved(tx) || nacked[id] {
 				continue
 			}
-			seen[id] = true
-			n.nackPending(tx, gateway.NackEpochEnded)
-			if n.cfg.OnRejectTx != nil {
-				n.cfg.OnRejectTx(tx)
-			}
+			nacked[id] = true
+			n.reject(tx, gateway.NackEpochEnded)
 		}
-		n.nm.droppedAtReconfig.Add(dropped)
+		n.nm.droppedAtReconfig.Add(uint64(len(queue)))
 	}
 	n.nm.epoch.Set(int64(n.epoch))
-	// Replay messages that arrived early, then rejoin: the first
-	// proposal at the base needs no parents (the store waives them
-	// there), and normal catch-up — round pulls, orphan backfill,
-	// fast-forward — walks this replica to the live frontier.
-	n.propose()
-	n.replayFuture()
 }

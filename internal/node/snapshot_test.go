@@ -1,6 +1,7 @@
 package node
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"thunderbolt/internal/crypto"
 	"thunderbolt/internal/storage"
 	"thunderbolt/internal/transport"
+	"thunderbolt/internal/tusk"
 	"thunderbolt/internal/types"
 	"thunderbolt/internal/workload"
 )
@@ -93,16 +95,33 @@ func applyTestCommits(n *Node, balance int64, txs ...*types.Transaction) {
 	n.nm.committedTxs.Add(uint64(len(txs)))
 }
 
+// reconfigureTo moves nd into epoch e the way an in-band
+// reconfiguration does — enterEpoch at end round 0, then the
+// epoch-start capture — without the journal note, the proposal and the
+// parked-message replay, so a fixture's network stays quiet. nd's
+// lastSnap is then the snapshot of (e, EndRound 0) every honest replica
+// with its committed state captures.
+func reconfigureTo(nd *Node, e types.Epoch) {
+	nd.enterEpoch(e, 0, nil)
+	nd.capture()
+}
+
 // snapTx builds the nonce-th transaction of the snapshot tests' one
 // client session.
 func snapTx(nonce uint64) *types.Transaction { return sessTx(7, nonce, 0) }
 
+// TestSnapshotCaptureDeterministic: replicas with the same committed
+// state capture bit-identical snapshots, and a reconfiguration's
+// capture is the new epoch's start — EndRound 0, no Shifts — whatever
+// position the dying epoch had reached on each replica.
 func TestSnapshotCaptureDeterministic(t *testing.T) {
 	nodes, _ := snapTestNodes(t, 4)
 	txs := []*types.Transaction{snapTx(1), snapTx(2)}
-	for _, nd := range nodes[:2] {
+	for i, nd := range nodes[:2] {
 		applyTestCommits(nd, 555, txs...)
-		nd.captureSnapshot(1)
+		nd.commitCtx.Wave = types.Round(250 + 4*i)
+		nd.committedShift[types.ReplicaID(i)] = true
+		nd.reconfigure()
 	}
 	a, b := nodes[0].lastSnap, nodes[1].lastSnap
 	if a == nil || b == nil {
@@ -115,6 +134,174 @@ func TestSnapshotCaptureDeterministic(t *testing.T) {
 	if a.Epoch != 1 || a.Commits != 2 || len(a.Sessions) != 1 || a.Sessions[0].Floor != 2 {
 		t.Fatalf("unexpected snapshot header: %+v", a)
 	}
+	if a.EndRound != 0 || len(a.Shifts) != 0 {
+		t.Fatalf("epoch-start capture at end round %d with shifts %v, want 0 and none", a.EndRound, a.Shifts)
+	}
+	// The quiet fixture path captures the same snapshot.
+	applyTestCommits(nodes[2], 555, txs...)
+	reconfigureTo(nodes[2], 1)
+	if nodes[2].lastSnap.Digest() != a.Digest() {
+		t.Fatal("reconfigureTo captured a different epoch-start snapshot than reconfigure")
+	}
+}
+
+// TestReconfigureMatchesEpochJump: an in-band reconfiguration and the
+// install of its epoch-start capture are one way into the epoch. A
+// replica that reconfigures and a stranded replica that installs the
+// reconfigurer's capture from f+1 manifests land on the same entry
+// position and nack the same claimed transactions.
+func TestReconfigureMatchesEpochJump(t *testing.T) {
+	nodes, _ := snapTestNodes(t, 4)
+	mover, signer, jumper := nodes[0], nodes[1], nodes[3]
+	committed := []*types.Transaction{snapTx(1), snapTx(2)}
+	// The mover and a second signer end epoch 0 at the wave that
+	// completed the Shift quorum; the jumper committed none of it.
+	for _, nd := range []*Node{mover, signer} {
+		applyTestCommits(nd, 555, committed...)
+		nd.committer = tusk.NewCommitterAt(nd.dagStore, nd.n, 250)
+		nd.commitCtx.Wave = 250
+		for p := range 3 {
+			nd.committedShift[types.ReplicaID(p)] = true
+		}
+	}
+	// Mover and jumper hold the same claims, queued and in flight: one
+	// committed (resolved after the install on the jumper), one both
+	// queued and in flight.
+	nacked := map[types.ReplicaID]map[types.Digest]bool{}
+	for _, nd := range []*Node{mover, jumper} {
+		set := map[types.Digest]bool{}
+		nacked[nd.cfg.ID] = set
+		nd.cfg.OnRejectTx = func(tx *types.Transaction) { set[tx.ID()] = true }
+		nd.txQueue = []*types.Transaction{snapTx(2), snapTx(3), snapTx(4)}
+		b := &types.Block{Epoch: 0, Round: 5, Proposer: nd.cfg.ID, Kind: types.NormalBlock,
+			SingleTxs: []*types.Transaction{snapTx(4), snapTx(5)}}
+		nd.trackPendingBlock(b)
+		nd.ownPending[b.Round] = b.Digest()
+	}
+
+	mover.reconfigure()
+	reconfigureTo(signer, 1)
+	jumper.handleSnapshot(mover.cfg.ID, signedSnap(mover))
+	jumper.handleSnapshot(signer.cfg.ID, signedSnap(signer))
+	fetchChunks(t, jumper, mover, signer)
+
+	if mover.lastSnap.EndRound != 0 || jumper.lastSnap.Digest() != mover.lastSnap.Digest() {
+		t.Fatalf("jumper did not install the mover's epoch-start capture (end round %d)", mover.lastSnap.EndRound)
+	}
+	type entry struct {
+		Epoch             types.Epoch
+		NextRound, Base   types.Round
+		Floor, LastLeader types.Round
+		LastSnapAt        types.Round
+		Shifts            int
+		Queue             int
+		DroppedAtReconfig uint64
+	}
+	view := func(nd *Node) entry {
+		return entry{
+			Epoch: nd.epoch, NextRound: nd.nextRound, Base: nd.dagStore.Base(),
+			Floor: nd.dagStore.Floor(), LastLeader: nd.committer.LastLeaderRound(),
+			LastSnapAt: nd.lastSnapAt, Shifts: len(nd.committedShift),
+			Queue: len(nd.txQueue), DroppedAtReconfig: nd.Stats().DroppedAtReconfig,
+		}
+	}
+	m, j := view(mover), view(jumper)
+	if m != j {
+		t.Fatalf("entry positions differ:\n reconfigure %+v\n install     %+v", m, j)
+	}
+	if m.Epoch != 1 || m.Base != 1 || m.LastLeader != 0 || m.Shifts != 0 {
+		t.Fatalf("reconfiguration entered at %+v, want epoch 1 from round 1 with nothing ordered", m)
+	}
+	want := map[types.Digest]bool{snapTx(3).ID(): true, snapTx(4).ID(): true, snapTx(5).ID(): true}
+	for id, set := range nacked {
+		if !reflect.DeepEqual(set, want) {
+			t.Fatalf("replica %d nacked %d transactions, want exactly the 3 uncommitted claims", id, len(set))
+		}
+	}
+	if st := jumper.Stats(); st.EpochJumps != 1 || st.MidEpochInstalls != 0 || st.Reconfigurations != 0 {
+		t.Fatalf("jumper counted %d jumps, %d mid-epoch installs, %d reconfigurations; want 1, 0, 0",
+			st.EpochJumps, st.MidEpochInstalls, st.Reconfigurations)
+	}
+	if st := mover.Stats(); st.Reconfigurations != 1 || st.EpochJumps != 0 {
+		t.Fatalf("mover counted %d reconfigurations, %d jumps; want 1, 0", st.Reconfigurations, st.EpochJumps)
+	}
+}
+
+// TestInstallCountersAndClaims: an install from a later epoch is an
+// epoch jump and only that, even when the snapshot is a mid-epoch
+// capture of that epoch, and nacks the work the replica claimed; an
+// install into the current epoch is a mid-epoch install and only that,
+// requeues the claimed work and keeps the vote map.
+func TestInstallCountersAndClaims(t *testing.T) {
+	nodes, _ := snapTestNodes(t, 4)
+	victim, donors := nodes[0], nodes[1:3]
+	nacked := map[uint64]bool{}
+	victim.cfg.OnRejectTx = func(tx *types.Transaction) { nacked[tx.Nonce] = true }
+	// claim gives the victim a queued and an in-flight own transaction
+	// on its current shard.
+	claim := func(queued, inFlight uint64) {
+		shard := victim.myShard()
+		victim.txQueue = append(victim.txQueue, sessTx(7, queued, shard))
+		b := &types.Block{Epoch: victim.epoch, Round: victim.nextRound, Proposer: victim.cfg.ID,
+			Shard: shard, Kind: types.NormalBlock, SingleTxs: []*types.Transaction{sessTx(7, inFlight, shard)}}
+		victim.trackPendingBlock(b)
+		victim.ownPending[b.Round] = b.Digest()
+	}
+	install := func(endRound types.Round, balance int64, txs ...*types.Transaction) {
+		t.Helper()
+		for _, d := range donors {
+			seedMidEpochDonor(d, endRound, balance, txs...)
+		}
+		victim.handleSnapshot(1, signedSnap(donors[0]))
+		victim.handleSnapshot(2, signedSnap(donors[1]))
+		fetchChunks(t, victim, donors...)
+		if victim.lastSnap.Digest() != donors[0].lastSnap.Digest() || victim.committer.LastLeaderRound() != endRound {
+			t.Fatalf("capture at end round %d not installed (last leader %d)", endRound, victim.committer.LastLeaderRound())
+		}
+	}
+	for _, d := range donors {
+		reconfigureTo(d, 1)
+	}
+
+	claim(10, 11)
+	install(100, 555, snapTx(1))
+	if st := victim.Stats(); st.Epoch != 1 || st.EpochJumps != 1 || st.MidEpochInstalls != 0 {
+		t.Fatalf("cross-epoch mid-epoch install: epoch %d, %d jumps, %d mid-epoch installs; want 1, 1, 0",
+			st.Epoch, st.EpochJumps, st.MidEpochInstalls)
+	}
+	if !reflect.DeepEqual(nacked, map[uint64]bool{10: true, 11: true}) {
+		t.Fatalf("epoch jump nacked nonces %v, want the claimed 10 and 11", nacked)
+	}
+
+	claim(12, 13)
+	signed := voteKey{round: 170, proposer: 2}
+	victim.voted[signed] = types.Digest{1}
+	install(200, 666, snapTx(2))
+	if st := victim.Stats(); st.Epoch != 1 || st.EpochJumps != 1 || st.MidEpochInstalls != 1 {
+		t.Fatalf("same-epoch install: epoch %d, %d jumps, %d mid-epoch installs; want 1, 1, 1",
+			st.Epoch, st.EpochJumps, st.MidEpochInstalls)
+	}
+	if len(nacked) != 2 {
+		t.Fatalf("same-epoch install nacked nonces %v", nacked)
+	}
+	// The claims are still this replica's: queued, or already proposed
+	// again at the re-entry base.
+	held := map[uint64]bool{}
+	for _, tx := range victim.txQueue {
+		held[tx.Nonce] = true
+	}
+	for _, d := range victim.ownPending {
+		b := victim.pendingBlocks[d]
+		for _, tx := range append(b.SingleTxs, b.CrossTxs...) {
+			held[tx.Nonce] = true
+		}
+	}
+	if !held[12] || !held[13] {
+		t.Fatalf("same-epoch install dropped claimed work: holding nonces %v, want 12 and 13", held)
+	}
+	if victim.voted[signed] != (types.Digest{1}) {
+		t.Fatal("same-epoch install forgot a slot this replica already voted for")
+	}
 }
 
 func TestSnapshotInstallNeedsQuorum(t *testing.T) {
@@ -122,7 +309,7 @@ func TestSnapshotInstallNeedsQuorum(t *testing.T) {
 	txs := []*types.Transaction{snapTx(1)}
 	for _, nd := range nodes[1:3] {
 		applyTestCommits(nd, 777, txs...)
-		nd.captureSnapshot(2)
+		reconfigureTo(nd, 2)
 	}
 	victim := nodes[0]
 
@@ -166,7 +353,7 @@ func TestSnapshotInstallRejectsLyingServer(t *testing.T) {
 	nodes, _ := snapTestNodes(t, 4)
 	for _, nd := range nodes[1:3] {
 		applyTestCommits(nd, 900)
-		nd.captureSnapshot(3)
+		reconfigureTo(nd, 3)
 	}
 	victim := nodes[0]
 
@@ -176,7 +363,7 @@ func TestSnapshotInstallRejectsLyingServer(t *testing.T) {
 	// candidates' count.
 	liar := nodes[3]
 	applyTestCommits(liar, 1_000_000)
-	liar.captureSnapshot(3)
+	reconfigureTo(liar, 3)
 
 	victim.handleSnapshot(3, signedSnap(liar))
 	victim.handleSnapshot(1, signedSnap(nodes[1]))
@@ -209,7 +396,7 @@ func TestSnapshotStaleOrMismatchedIgnored(t *testing.T) {
 	nodes, _ := snapTestNodes(t, 4)
 	donor := nodes[1]
 	applyTestCommits(donor, 444)
-	donor.captureSnapshot(1)
+	reconfigureTo(donor, 1)
 
 	victim := nodes[0]
 	victim.epoch = 5 // pretend we are already past the snapshot
@@ -245,7 +432,7 @@ func TestSnapshotSmallAndEmptyLedgers(t *testing.T) {
 		nodes, _ := snapTestNodes(t, 4)
 		for _, nd := range nodes[1:3] {
 			applyTestCommits(nd, 321)
-			nd.captureSnapshot(1)
+			reconfigureTo(nd, 1)
 		}
 		if s := nodes[1].lastSnap; s.RecordCount == 0 || s.RecordCount >= types.DefaultChunkRecords || len(s.ChunkDigests) != 1 {
 			t.Fatalf("fixture broken: %d records in %d chunks", s.RecordCount, len(s.ChunkDigests))
@@ -269,7 +456,7 @@ func TestSnapshotSmallAndEmptyLedgers(t *testing.T) {
 		for _, nd := range nodes[1:3] {
 			nd.dedup.Mark(tx)
 			nd.nm.committedTxs.Add(1)
-			nd.captureSnapshot(1)
+			reconfigureTo(nd, 1)
 		}
 		if s := nodes[1].lastSnap; s.RecordCount != 0 || len(s.ChunkDigests) != 0 {
 			t.Fatalf("fixture broken: %d records in %d chunks", s.RecordCount, len(s.ChunkDigests))

@@ -775,7 +775,7 @@ func TestBundledCertificateIsTransferable(t *testing.T) {
 // TestFutureMsgsBoundedPerSender: messages stamped with the next epoch
 // are parked per sender up to a bound, the oldest making room; anything
 // further ahead, or from outside the committee, is not parked at all;
-// and the transition replays what was kept.
+// and the reconfiguration replays what was kept.
 func TestFutureMsgsBoundedPerSender(t *testing.T) {
 	committee := dagtest.NewCommittee(4)
 	n, _ := voteTestNode(t, committee, 0)
@@ -811,12 +811,12 @@ func TestFutureMsgsBoundedPerSender(t *testing.T) {
 	if got := n.futureLen(); got != limit+1 {
 		t.Fatalf("%d messages parked, want %d", got, limit+1)
 	}
-	// The transition replays: the block is voted for, the junk dies at
-	// the verifier, nothing stays parked.
-	n.transition(1, false)
+	// The reconfiguration replays: the block is voted for, the junk
+	// dies at the verifier, nothing stays parked.
+	n.reconfigure()
 	n.flushOutbox()
 	if n.futureLen() != 0 {
-		t.Fatalf("%d messages still parked after the transition", n.futureLen())
+		t.Fatalf("%d messages still parked after the reconfiguration", n.futureLen())
 	}
 	if n.voted[voteKey{round: 1, proposer: 1}] != blk.Digest() {
 		t.Fatal("the parked block was not replayed into the new epoch")

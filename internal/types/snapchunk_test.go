@@ -9,7 +9,7 @@ import (
 // into chunks of chunkSize, the chunk payloads, and the ledger.
 func chunkedSnapshot(records, chunkSize int) (*Snapshot, [][]byte, []RWRecord) {
 	s := &Snapshot{
-		Epoch: 2, N: 4, PrevEpoch: 2, EndRound: 512, Commits: 9000,
+		Epoch: 2, N: 4, EndRound: 512, Commits: 9000,
 		DedupWindow: 128,
 	}
 	var ledger []RWRecord

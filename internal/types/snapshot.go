@@ -6,42 +6,44 @@ import (
 	"sort"
 )
 
-// Snapshot is the cross-epoch state-transfer unit: the canonical
-// committed state of the cluster at one epoch transition. Every honest
-// replica reconfigures at the same position of the deterministic
-// committed sequence, so every honest replica captures a bit-identical
-// snapshot for the same transition — which is what lets a stranded
-// replica authenticate one by collecting f+1 matching digests from
-// independent peers instead of trusting any single server.
+// Snapshot is the state-transfer unit: the canonical committed state
+// of the cluster at one deterministic position (Epoch, EndRound) of the
+// committed sequence. Every replica captures one at the start of each
+// epoch it enters by reconfiguration (EndRound 0) and at fixed
+// committed-leader-round boundaries inside the epoch. Every honest
+// replica executes the same committed sequence, so every honest
+// replica captures a bit-identical snapshot for the same position —
+// which is what lets a stranded replica authenticate one by collecting
+// f+1 matching digests from independent peers instead of trusting any
+// single server.
 //
-// A replica that missed a reconfiguration (crashed or partitioned
-// across it) installs the snapshot as one batched state application
-// and joins Epoch directly: peers discarded the previous DAG at the
-// transition, so round-by-round replay of the missed history is
-// impossible by design (see the GC/epoch recovery contract in the
-// README "Recovery" section).
+// A replica that missed history beyond the retention horizon, or a
+// whole reconfiguration (crashed or partitioned across it), installs
+// the snapshot as one batched state application and re-enters Epoch at
+// EndRound: peers discarded the previous DAG at the reconfiguration
+// and prune rounds below the horizon, so round-by-round replay of the
+// missed history is impossible by design (see the GC/epoch recovery
+// contract in the README "Recovery" section).
 type Snapshot struct {
-	// Epoch is the epoch this snapshot admits a replica into — the
-	// epoch entered at the transition that captured it. The committee
-	// itself is static; per-epoch shard and leader assignments are
-	// derived deterministically from Epoch and N.
+	// Epoch is the epoch the captured wave sequence belongs to and the
+	// epoch this snapshot admits a replica into. The committee itself
+	// is static; per-epoch shard and leader assignments are derived
+	// deterministically from Epoch and N.
 	Epoch Epoch
 	// N is the committee size the snapshot was captured under, binding
 	// the digest to the configuration.
 	N uint32
 
-	// PrevEpoch and EndRound are the last-commit provenance: the epoch
-	// the captured wave sequence belongs to and the round of its last
-	// ordered anchor (for a transition, the wave that completed the
-	// Shift quorum).
-	PrevEpoch Epoch
-	EndRound  Round
+	// EndRound is the round of the last anchor the captured wave
+	// sequence ordered in Epoch: 0 for the capture at the epoch's
+	// start, where the new DAG has ordered nothing yet.
+	EndRound Round
 
 	// Shifts lists the proposers whose Shift blocks Epoch has committed
-	// so far, strictly ascending. A mid-epoch installer restores the set
-	// instead of re-deriving it from a DAG that no longer holds the
-	// early Shift blocks, so it reconfigures on the same wave as its
-	// peers. Empty for transition snapshots: the new epoch has none.
+	// so far, strictly ascending. An installer restores the set instead
+	// of re-deriving it from a DAG that no longer holds the early Shift
+	// blocks, so it reconfigures on the same wave as its peers. Empty at
+	// an epoch's start.
 	Shifts []ReplicaID
 
 	// Commits is the length of the committed-transaction sequence at
@@ -157,7 +159,6 @@ func (s *Snapshot) Digest() Digest {
 func (s *Snapshot) encodeHeader(e *Encoder) {
 	e.U64(uint64(s.Epoch))
 	e.U32(s.N)
-	e.U64(uint64(s.PrevEpoch))
 	e.U64(uint64(s.EndRound))
 	e.U32(uint32(len(s.Shifts)))
 	for _, p := range s.Shifts {
@@ -201,7 +202,6 @@ func (s *Snapshot) UnmarshalBinary(b []byte) error {
 	d := NewDecoder(b)
 	s.Epoch = Epoch(d.U64())
 	s.N = d.U32()
-	s.PrevEpoch = Epoch(d.U64())
 	s.EndRound = Round(d.U64())
 	ns := d.U32()
 	if d.Err() == nil && int(ns) > len(b)/4 {

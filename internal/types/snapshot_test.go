@@ -28,7 +28,7 @@ func chunkInto(s *Snapshot, recs []RWRecord, size int) [][]byte {
 
 func testSnapshot() *Snapshot {
 	s := &Snapshot{
-		Epoch: 3, N: 4, PrevEpoch: 2, EndRound: 41, Commits: 1234,
+		Epoch: 3, N: 4, EndRound: 41, Commits: 1234,
 		Shifts:      []ReplicaID{0, 2},
 		DedupWindow: 128,
 		Sessions: []ClientSession{
@@ -50,7 +50,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := got.UnmarshalBinary(b); err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != s.Epoch || got.N != s.N || got.PrevEpoch != s.PrevEpoch ||
+	if got.Epoch != s.Epoch || got.N != s.N ||
 		got.EndRound != s.EndRound || got.Commits != s.Commits ||
 		got.DedupWindow != s.DedupWindow {
 		t.Fatalf("header mismatch: %+v vs %+v", got, s)
@@ -91,7 +91,6 @@ func TestSnapshotDigestBindsContent(t *testing.T) {
 	mutations := []func(*Snapshot){
 		func(s *Snapshot) { s.Epoch++ },
 		func(s *Snapshot) { s.N++ },
-		func(s *Snapshot) { s.PrevEpoch++ },
 		func(s *Snapshot) { s.EndRound++ },
 		func(s *Snapshot) { s.Shifts[1] = 3 },
 		func(s *Snapshot) { s.Shifts = s.Shifts[:1] },
