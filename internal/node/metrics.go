@@ -66,6 +66,7 @@ const (
 	mVotesDroppedLate   = "votes_dropped_late"   // votes for a slot already decided
 	mVoteSigsSigned     = "vote_sigs_signed"     // vote signatures produced: one per bundle sealed
 	mVoteSigsVerified   = "vote_sigs_verified"   // vote signatures checked: at most one per bundle received
+	mVoteVerifyNs       = "vote_verify_ns"       // histogram: one of those checks
 	mVoteBundleEntries  = "vote_bundle_entries"  // votes that left under those signatures
 	mVoteSealHolds      = "vote_seal_holds"      // flushes that ended with the ballot held for its round quorum
 	mVoteSealsOnStall   = "vote_seals_on_stall"  // held ballots a stall sealed
@@ -152,6 +153,7 @@ type nodeMetrics struct {
 	stageSubmitAck       *metrics.Histogram
 	snapCapture          *metrics.Histogram
 	leaderWaitNs         *metrics.Histogram
+	voteVerifyNs         *metrics.Histogram
 }
 
 func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
@@ -220,6 +222,7 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		stageSubmitAck:       reg.Histogram(metrics.StageSubmitAck),
 		snapCapture:          reg.Histogram(mSnapCaptureNs),
 		leaderWaitNs:         reg.Histogram(mLeaderWaitNs),
+		voteVerifyNs:         reg.Histogram(mVoteVerifyNs),
 	}
 	for class := 0; class < numSendClasses; class++ {
 		m.sendErrors[class] = reg.Counter("send_errors_" + sendClassName[class])

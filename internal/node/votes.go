@@ -1,6 +1,8 @@
 package node
 
 import (
+	"time"
+
 	"thunderbolt/internal/crypto"
 	"thunderbolt/internal/dag"
 	"thunderbolt/internal/metrics"
@@ -358,7 +360,11 @@ func (n *Node) handleVote(from types.ReplicaID, vb *voteBundle, raw []byte) {
 	// sent — every one of them, countable or not: the voter signed them
 	// together.
 	n.nm.voteSigsVerified.Add(1)
-	if !n.cfg.Verifier.Verify(from, n.bundleRoot(vb.Entries), vb.Sig) {
+	root := n.bundleRoot(vb.Entries)
+	start := time.Now()
+	ok := n.cfg.Verifier.Verify(from, root, vb.Sig)
+	n.nm.voteVerifyNs.Observe(time.Since(start))
+	if !ok {
 		return
 	}
 	// Count what passed. Slots are looked up again: an earlier entry's

@@ -614,6 +614,10 @@ func TestBundleVerifiedOnlyWhenItCanMatter(t *testing.T) {
 	if s == nil || s.votes[3].digest != b3.Digest() || len(s.votes[3].path.Sibs) == 0 {
 		t.Fatal("the open slot's vote was not counted with its path")
 	}
+	// vote_verify_ns times every verification and nothing else.
+	if got, want := n.Metrics().Snapshot().Histograms[mVoteVerifyNs].Count, counter(n, mVoteSigsVerified); got != want {
+		t.Fatalf("vote_verify_ns holds %d samples, vote_sigs_verified = %d", got, want)
+	}
 }
 
 // TestBundleRules: what a replica refuses in a bundle, and what a
