@@ -76,8 +76,8 @@ type Options struct {
 	// (node.Config.SpecVerify) — speculation scenarios turn it on so a
 	// hit is a proven equivalence, not an assumption.
 	SpecVerify bool
-	// GCHorizon sets each node's committed-wave GC retention horizon
-	// in rounds (0 = node default, negative disables).
+	// GCHorizon sets each node's round-pull serving horizon in rounds
+	// (node.Config.GCHorizon: 0 = node default, negative disables GC).
 	GCHorizon int
 	// SnapshotInterval is the mid-epoch snapshot capture cadence in
 	// committed leader rounds (node.Config.SnapshotInterval): 0 =

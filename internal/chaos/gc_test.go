@@ -13,6 +13,7 @@
 package chaos
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -109,27 +110,37 @@ func TestScenarioGCSplitBrainStall(t *testing.T) {
 	assertPruned(t, h)
 }
 
-// TestGCPendingStatePlateaus is the memory bound: under sustained
-// load with a 64-round horizon, the per-epoch maps (DAG vertices,
-// pending blocks, vote slots, vote collectors and the early votes they
-// hold, committed flags) must plateau at the horizon instead of
-// growing with the round count. The run spans
-// many multiples of the horizon, so unbounded growth would overshoot
-// the asserted ceiling several-fold.
+// TestGCPendingStatePlateaus is the memory bound, for two horizons:
+// under sustained load the per-epoch maps (DAG vertices, pending
+// blocks, vote slots, vote collectors and the early votes they hold,
+// committed flags) must plateau at the decoded window — MinGCHorizon
+// rounds plus the commit lag — whatever the horizon is, and the round
+// archive below them at the horizon's remaining GCHorizon −
+// MinGCHorizon rounds, instead of either growing with the round count.
+// Each run spans many multiples of the horizon, so unbounded growth
+// would overshoot the asserted ceilings several-fold.
 func TestGCPendingStatePlateaus(t *testing.T) {
-	const horizon = 64
-	h := newHarness(t, Options{N: 4, Seed: 203, GCHorizon: horizon})
+	for i, horizon := range []int{64, 256} {
+		t.Run(fmt.Sprintf("horizon=%d", horizon), func(t *testing.T) {
+			gcPlateau(t, horizon, int64(203+i))
+		})
+	}
+}
+
+func gcPlateau(t *testing.T, horizon int, seed int64) {
+	h := newHarness(t, Options{N: 4, Seed: seed, GCHorizon: horizon})
 	loadH := h.RunLoadAsync(LoadOptions{
 		Duration: load(6 * time.Second), Clients: 8,
 		Workload: workloadCfg(0.3, 0.1),
 	})
-	// Retained rounds may exceed the horizon by the commit lag (the
-	// frontier runs ahead of the last committed leader); allow a full
-	// extra horizon plus slack before calling it unbounded.
+	// The decoded window may exceed MinGCHorizon by the commit lag (the
+	// frontier runs ahead of the last committed leader); allow 32
+	// rounds of it before calling the window unbounded.
 	const n = 4
-	maxRounds := uint64(3*horizon + 32)
+	decodedRounds := uint64(node.MinGCHorizon + 32)
+	archiveRounds := horizon - node.MinGCHorizon
 	deadline := time.Now().Add(load(6 * time.Second))
-	var checked, maxCollectors int
+	var checked, maxCollectors, maxArchive int
 	for time.Now().Before(deadline) {
 		time.Sleep(250 * time.Millisecond)
 		for i := 0; i < n; i++ {
@@ -145,23 +156,23 @@ func TestGCPendingStatePlateaus(t *testing.T) {
 				continue // GC has not started; bound not yet in force
 			}
 			checked++
-			if u := uint64(dv.DagVertices); u > n*maxRounds {
+			if u := uint64(dv.DagVertices); u > n*decodedRounds {
 				t.Fatalf("replica %d: %d DAG vertices at round %d — not plateauing (floor %d)",
 					i, dv.DagVertices, dv.HighestRound, dv.GCFloor)
 			}
-			if u := uint64(dv.PendingBlocks); u > n*maxRounds {
+			if u := uint64(dv.PendingBlocks); u > n*decodedRounds {
 				t.Fatalf("replica %d: %d pending blocks — not plateauing", i, dv.PendingBlocks)
 			}
-			if u := uint64(dv.VotedSlots); u > n*maxRounds {
+			if u := uint64(dv.VotedSlots); u > n*decodedRounds {
 				t.Fatalf("replica %d: %d vote slots — not plateauing", i, dv.VotedSlots)
 			}
-			if u := uint64(dv.CommittedFlags); u > n*maxRounds {
+			if u := uint64(dv.CommittedFlags); u > n*decodedRounds {
 				t.Fatalf("replica %d: %d committed flags — not plateauing", i, dv.CommittedFlags)
 			}
 			// A collector lives from a slot's first vote to its vertex
 			// landing: in a healthy committee a round or two of them, and
 			// at most one per retained slot however the run goes.
-			if u := uint64(dv.Collectors); u > n*maxRounds {
+			if u := uint64(dv.Collectors); u > n*decodedRounds {
 				t.Fatalf("replica %d: %d vote collectors — not plateauing", i, dv.Collectors)
 			}
 			if dv.EarlyVotes > n*dv.Collectors {
@@ -170,9 +181,21 @@ func TestGCPendingStatePlateaus(t *testing.T) {
 			maxCollectors = max(maxCollectors, dv.Collectors)
 			// Compared without subtracting: a store just re-entered at
 			// a snapshot's base reads highest 0 below its floor.
-			if dv.HighestRound > dv.GCFloor+types.Round(maxRounds) {
-				t.Fatalf("replica %d: retains rounds %d..%d, more than %d", i, dv.GCFloor, dv.HighestRound, maxRounds)
+			if dv.HighestRound > dv.GCFloor+types.Round(decodedRounds) {
+				t.Fatalf("replica %d: decodes rounds %d..%d, more than %d", i, dv.GCFloor, dv.HighestRound, decodedRounds)
 			}
+			// The archive holds every pruned round up to the horizon's
+			// remaining rounds, contiguous up to the decoded floor (the
+			// epoch's DAG starts at round 1).
+			wantArchive := min(archiveRounds, int(dv.GCFloor)-1)
+			if dv.ArchiveRounds != wantArchive || dv.ArchiveFloor+types.Round(dv.ArchiveRounds) != dv.GCFloor {
+				t.Fatalf("replica %d: archive holds %d rounds from %d below decoded floor %d, want %d ending there",
+					i, dv.ArchiveRounds, dv.ArchiveFloor, dv.GCFloor, wantArchive)
+			}
+			if dv.ArchiveRounds > 0 && dv.ArchiveBytes <= 0 {
+				t.Fatalf("replica %d: %d archived rounds hold %d bytes", i, dv.ArchiveRounds, dv.ArchiveBytes)
+			}
+			maxArchive = max(maxArchive, dv.ArchiveRounds)
 		}
 	}
 	rep := loadH.Wait()
@@ -189,10 +212,11 @@ func TestGCPendingStatePlateaus(t *testing.T) {
 		t.Fatalf("%d vote collectors live at once in a fault-free run — landed slots are not releasing theirs", maxCollectors)
 	}
 	// The run must have covered enough rounds that unbounded growth
-	// would have tripped the ceiling.
+	// would have tripped the ceilings, and filled the archive to its
+	// bound.
 	st := h.Cluster().Node(0).Stats()
-	if uint64(st.Round) < 2*maxRounds {
-		t.Logf("warning: only %d rounds produced; plateau evidence is weak", st.Round)
+	if uint64(st.Round) < 2*uint64(horizon) || maxArchive < archiveRounds {
+		t.Logf("warning: only %d rounds produced, archive peaked at %d of %d; plateau evidence is weak", st.Round, maxArchive, archiveRounds)
 	}
 	quiesceAndCheckAll(t, h)
 	assertPruned(t, h)

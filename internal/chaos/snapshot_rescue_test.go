@@ -23,7 +23,7 @@ import (
 
 // rescueHorizon / rescueInterval: an aggressive GC horizon with the
 // capture cadence inside it (withDefaults clamps the interval to
-// horizon − minGCHorizon anyway; 48 ≤ 96 − 40 stays explicit).
+// horizon − MinGCHorizon anyway; 48 ≤ 96 − 40 stays explicit).
 const (
 	rescueHorizon  = 96
 	rescueInterval = 48

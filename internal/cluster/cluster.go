@@ -53,8 +53,8 @@ type Config struct {
 	// commit sequence (node.Config.CommitLogCap) for the chaos
 	// harness's divergence and double-commit checkers.
 	CommitLogCap int
-	// GCHorizon is each node's committed-wave GC retention horizon in
-	// rounds (node.Config.GCHorizon): 0 = default, negative disables.
+	// GCHorizon is each node's round-pull serving horizon in rounds
+	// (node.Config.GCHorizon): 0 = default, negative disables GC.
 	GCHorizon int
 	// SnapshotInterval is the mid-epoch snapshot capture cadence in
 	// committed leader rounds (node.Config.SnapshotInterval): 0 =

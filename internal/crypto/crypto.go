@@ -293,14 +293,12 @@ type sigKey struct {
 }
 
 // CachingVerifier wraps a Verifier with a bounded FIFO memo of
-// signatures known to be valid: those it verified, and those its owner
-// produced and recorded with Remember. A replica certifies vertices
-// from vote bundles it verified as they arrived and never re-verifies
-// what it assembled, so in steady state the memo sees no traffic; it
-// serves the certificates that still arrive whole — replies to round
-// pulls (MsgRoundReq) — where it keeps the replica from ever paying
-// an asymmetric verification for its own signature, and makes a
-// certificate served twice cost map lookups the second time. The key is
+// signatures it verified. A replica certifies vertices from vote
+// bundles it verified as they arrived and never re-verifies what it
+// assembled, so in steady state the memo sees no traffic and stays
+// near-empty; it serves the certificates that still arrive whole —
+// replies to round pulls (MsgRoundReq) — where a certificate served
+// twice costs map lookups the second time. The key is
 // what was signed: a voter's one signature over a bundle root sits in
 // the certificate of every slot the bundle covered, and is verified for
 // the first of them only. Only valid signatures enter, so a forged one
@@ -317,7 +315,9 @@ type CachingVerifier struct {
 
 // NewCachingVerifier wraps inner with a memo of at most capEntries
 // verified signatures (default 8192 — several hundred rounds of
-// quorum signatures for common committee sizes).
+// quorum signatures for common committee sizes). The memo grows on
+// demand: a replica that never receives a whole certificate never
+// pays for it.
 func NewCachingVerifier(inner Verifier, capEntries int) *CachingVerifier {
 	if capEntries <= 0 {
 		capEntries = 8192
@@ -325,7 +325,7 @@ func NewCachingVerifier(inner Verifier, capEntries int) *CachingVerifier {
 	return &CachingVerifier{
 		inner: inner,
 		cap:   capEntries,
-		seen:  make(map[sigKey]struct{}, capEntries),
+		seen:  make(map[sigKey]struct{}),
 	}
 }
 
@@ -354,12 +354,6 @@ func (c *CachingVerifier) remember(k sigKey) {
 		c.next = (c.next + 1) % c.cap
 	}
 	c.seen[k] = struct{}{}
-}
-
-// Remember records sig as replica r's valid signature over d without
-// verifying it — for signatures the caller produced itself.
-func (c *CachingVerifier) Remember(r types.ReplicaID, d types.Digest, sig []byte) {
-	c.remember(c.key(r, d, sig))
 }
 
 // Verify implements Verifier.

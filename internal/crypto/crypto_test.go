@@ -243,10 +243,12 @@ func TestCachingVerifierNeverAdmitsForgery(t *testing.T) {
 	}
 }
 
-// TestCachingVerifierRemember: a signature its owner recorded is
-// admitted without reaching the scheme — exactly those bytes, for
-// exactly that signer and digest.
-func TestCachingVerifierRemember(t *testing.T) {
+// TestCachingVerifierOwnSignature: the memo holds only what it
+// verified, so a certificate carrying the replica's own valid
+// signature is checked through the scheme like any other — every
+// signature reaches it once — and one carrying a forgery under the
+// replica's id is refused.
+func TestCachingVerifierOwnSignature(t *testing.T) {
 	signers, verifier, _ := Ed25519Scheme{}.Committee(4, 5)
 	calls := 0
 	cv := NewCachingVerifier(verifierFunc(func(r types.ReplicaID, d types.Digest, sig []byte) bool {
@@ -254,20 +256,17 @@ func TestCachingVerifierRemember(t *testing.T) {
 		return verifier.Verify(r, d, sig)
 	}), 0)
 	d := types.HashBytes([]byte("blk"))
-	own := signers[0].Sign(d)
-	cv.Remember(0, d, own)
 	cert := &types.Certificate{BlockDigest: d, Round: 1, Sigs: []types.Signature{
-		{Signer: 0, Sig: own},
+		{Signer: 0, Sig: signers[0].Sign(d)},
 		{Signer: 1, Sig: signers[1].Sign(d)},
 		{Signer: 2, Sig: signers[2].Sign(d)},
 	}}
 	if err := VerifyCertificate(cert, 4, cv); err != nil {
 		t.Fatal(err)
 	}
-	if calls != 2 {
-		t.Fatalf("%d signatures reached the scheme, want 2: the remembered one must not", calls)
+	if calls != 3 {
+		t.Fatalf("%d signatures reached the scheme, want 3: the memo starts empty", calls)
 	}
-	// Garbage under the owner's id is not what was remembered.
 	cert.Sigs[0].Sig = []byte("garbage")
 	if err := VerifyCertificate(cert, 4, cv); err == nil {
 		t.Fatal("certificate with a forged own signature accepted")

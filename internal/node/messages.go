@@ -45,7 +45,7 @@ const (
 	// (types.Snapshot: header, chunk digest list, dedup state — never
 	// the ledger records), wrapped in a snapshotMsg that signs its
 	// content digest. Sent in response to a MsgRoundReq from a stale
-	// epoch or below the GC floor: a stranded replica's round pulls
+	// epoch or below the round archive: a stranded replica's round pulls
 	// advertise its position, and the answer that can actually help it
 	// is a snapshot. The digest covers the chunk digests, so the
 	// f+1-signer install quorum authenticates every chunk, and each

@@ -81,6 +81,13 @@ const (
 	mExecQueueDepth    = "exec_queue_depth"    // committed waves queued for execution
 	mOutboxFlushBytes  = "outbox_flush_bytes"  // bytes of the last outbox flush
 	mOutboxFlushFrames = "outbox_flush_frames" // wire frames of the last outbox flush
+
+	// Retention gauges (gc.go), set after each GC pass: vertices in the
+	// decoded DAG, and the rounds and payload bytes the round archive
+	// below it holds.
+	mDagVertices        = "dag_vertices"
+	mRoundArchiveRounds = "round_archive_rounds"
+	mRoundArchiveBytes  = "round_archive_bytes"
 )
 
 // nodeMetrics bundles the node's instrumentation: a registry of
@@ -145,6 +152,9 @@ type nodeMetrics struct {
 	outboxFlushBytes  *metrics.Gauge
 	outboxFlushFrames *metrics.Gauge
 	certLatencyEst    *metrics.Gauge
+	dagVertices       *metrics.Gauge
+	archiveRounds     *metrics.Gauge
+	archiveBytes      *metrics.Gauge
 
 	stageProposeCertify  *metrics.Histogram
 	stageCertifyCommit   *metrics.Histogram
@@ -214,6 +224,9 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		outboxFlushBytes:  reg.Gauge(mOutboxFlushBytes),
 		outboxFlushFrames: reg.Gauge(mOutboxFlushFrames),
 		certLatencyEst:    reg.Gauge(mCertLatencyEst),
+		dagVertices:       reg.Gauge(mDagVertices),
+		archiveRounds:     reg.Gauge(mRoundArchiveRounds),
+		archiveBytes:      reg.Gauge(mRoundArchiveBytes),
 
 		stageProposeCertify:  reg.Histogram(metrics.StageProposeCertify),
 		stageCertifyCommit:   reg.Histogram(metrics.StageCertifyCommit),

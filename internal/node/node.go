@@ -115,18 +115,18 @@ type Config struct {
 	// transaction without one.
 	NonceWindow int
 
-	// GCHorizon is the committed-wave garbage-collection retention
-	// horizon, in rounds: after each commit wave the node prunes DAG
-	// vertices, pending blocks, vote records, and collectors below
-	// (last committed leader round − horizon), bounding steady-state
-	// memory within an epoch. The horizon also bounds in-epoch
-	// recovery: a replica that misses more rounds than the horizon
-	// cannot be served the pruned range by its peers and waits for the
-	// next reconfiguration's snapshot to jump forward (the cross-epoch
-	// state-transfer protocol in snapshot.go — see README "Recovery").
-	// Zero selects the default (2048); negative disables GC;
-	// positive values are clamped to a safe minimum well above the
-	// fast-forward gap.
+	// GCHorizon is how far back, in rounds below the last committed
+	// leader round, this replica answers round pulls with the rounds'
+	// blocks and certificates — it bounds serving, not the decoded DAG.
+	// After each commit wave the node keeps decoded only the
+	// MinGCHorizon rounds that can still change an ordering (DAG
+	// vertices, pending blocks, vote records, collectors), and keeps the
+	// rounds between that and the horizon as their round-pull answers'
+	// wire bytes (gc.go). A replica that misses more rounds than the
+	// horizon cannot be served the pruned range by its peers and is
+	// rescued by a snapshot instead (snapshot.go — see README
+	// "Recovery"). Zero selects the default (2048); negative disables
+	// GC; positive values are clamped to MinGCHorizon.
 	GCHorizon int
 
 	// SnapshotInterval captures a mid-epoch snapshot every this many
@@ -220,19 +220,19 @@ func (c Config) withDefaults() Config {
 	switch {
 	case c.GCHorizon == 0:
 		c.GCHorizon = defaultGCHorizon
-	case c.GCHorizon > 0 && c.GCHorizon < minGCHorizon:
-		c.GCHorizon = minGCHorizon
+	case c.GCHorizon > 0 && c.GCHorizon < MinGCHorizon:
+		c.GCHorizon = MinGCHorizon
 	}
 	if c.SnapshotInterval == 0 {
 		c.SnapshotInterval = defaultSnapshotInterval
 	}
-	// The serving contract: a replica must still retain minGCHorizon
+	// The serving contract: a replica must still serve MinGCHorizon
 	// rounds below its newest capture's re-entry base, or the rescued
 	// replica could not backfill the DAG segment it re-enters on. Clamp
 	// the interval down — never the horizon up, which would silently
 	// grow memory the operator bounded on purpose.
 	if c.SnapshotInterval > 0 && c.GCHorizon > 0 {
-		if max := c.GCHorizon - minGCHorizon; c.SnapshotInterval > max {
+		if max := c.GCHorizon - MinGCHorizon; c.SnapshotInterval > max {
 			if max < 2 {
 				max = 2
 			}
@@ -246,17 +246,18 @@ func (c Config) withDefaults() Config {
 }
 
 const (
-	// defaultGCHorizon keeps roughly two thousand rounds of history —
+	// defaultGCHorizon serves roughly two thousand rounds of history —
 	// far beyond any in-epoch outage the chaos suite injects — while
 	// still bounding steady-state memory.
 	defaultGCHorizon = 2048
-	// minGCHorizon is the floor on configurable horizons. The GC
-	// safety argument (see dag.Store.PruneBelow) needs the horizon to
-	// sit well above the fast-forward gap, so that any vertex old
-	// enough to prune is also too old to ever join committed history.
-	// Ten gaps (40 rounds) is that margin; the snapshot re-entry base
-	// (snapshot.go) retains the same span.
-	minGCHorizon = 10 * fastForwardGap
+	// MinGCHorizon is the decoded window: the rounds below the last
+	// committed leader round a replica keeps decoded, and the floor on
+	// configurable horizons. The GC safety argument (see
+	// dag.Store.PruneBelow) needs it to sit well above the fast-forward
+	// gap, so that any vertex old enough to prune is also too old to
+	// ever join committed history. Ten gaps (40 rounds) is that margin;
+	// the snapshot re-entry base (snapshot.go) retains the same span.
+	MinGCHorizon = 10 * fastForwardGap
 	// roundPullBatch caps how many missing rounds one housekeeping tick
 	// pulls (housekeeping's range pull), chosen from a WAN-latency
 	// SimNetwork sweep (README "Recovery cadence"): reconvergence after
@@ -443,16 +444,18 @@ type Node struct {
 	// interval (pullRound).
 	roundReqAt map[types.Round]time.Time
 	// lastBlock is this node's newest proposed block; rebroadcast by
-	// housekeeping until its certificate lands in the DAG, which lets a
-	// replica whose proposal was lost (crash, partition) resume
-	// progress after recovery. lastBlockRaw caches its wire encoding
-	// (marshaled once at propose time), and lastBlockVotes remembers
-	// the vote count seen at the previous housekeeping tick so the
-	// rebroadcast fires only when vote collection has actually stopped
-	// — not merely because round latency exceeds the tick interval.
+	// housekeeping (its Wire bytes, encoded once at propose time) until
+	// its certificate lands in the DAG, which lets a replica whose
+	// proposal was lost (crash, partition) resume progress after
+	// recovery. lastBlockVotes remembers the vote count seen at the
+	// previous housekeeping tick so the rebroadcast fires only when
+	// vote collection has actually stopped — not merely because round
+	// latency exceeds the tick interval.
 	lastBlock      *types.Block
-	lastBlockRaw   []byte
 	lastBlockVotes int
+	// archive holds the round-pull answers of the rounds that left the
+	// decoded window, as wire bytes (gc.go).
+	archive roundArchive
 
 	// certLatency is this replica's running estimate (EWMA, 1/8 per
 	// sample) of how long its own blocks take from proposal to landing
@@ -642,6 +645,9 @@ func New(cfg Config) (*Node, error) {
 		n.specDepth = cfg.SpecExecDepth
 	}
 	n.nm = newNodeMetrics(cfg.ID)
+	if cfg.GCHorizon > 0 {
+		n.archive.limit = cfg.GCHorizon - MinGCHorizon
+	}
 	n.dedup = gateway.NewDedup(cfg.NonceWindow, 0)
 	n.scratch = n.dedup.Scratch()
 	startEpoch := types.Epoch(0)
@@ -718,8 +724,8 @@ func (n *Node) resetEpochState(epoch types.Epoch) {
 	n.committedShift = make(map[types.ReplicaID]bool)
 	n.roundReqAt = make(map[types.Round]time.Time)
 	n.lastBlock = nil
-	n.lastBlockRaw = nil
 	n.lastBlockVotes = 0
+	n.archive.reset(n.dagStore.Floor())
 	n.leaderWait = leaderWait{}
 	n.execQ = nil // waves of a dying epoch never execute
 	n.resetSpec() // predictions bind to the dying epoch's DAG
@@ -854,6 +860,9 @@ func (n *Node) Inspect(f func(*DebugView)) error {
 			LastBlockRound: lastBlockRound,
 			FutureMsgs:     n.futureLen(),
 			GCFloor:        n.dagStore.Floor(),
+			ArchiveFloor:   n.archive.lo,
+			ArchiveRounds:  n.archive.rounds(),
+			ArchiveBytes:   n.archive.bytes,
 			DagVertices:    n.dagStore.Len(),
 			PendingBlocks:  len(n.pendingBlocks),
 			VotedSlots:     len(n.voted),
@@ -920,10 +929,14 @@ type DebugView struct {
 	// FutureMsgs counts the messages parked for the next epoch, bounded
 	// per sender.
 	FutureMsgs int
-	// GC observability: the retention floor, and the sizes of the
-	// per-epoch maps committed-wave GC bounds (the long-run plateau
+	// GC observability: the decoded floor, the round archive below it
+	// (its lowest round, rounds held and bytes pinned), and the sizes of
+	// the per-epoch maps committed-wave GC bounds (the long-run plateau
 	// tests sample these).
 	GCFloor        types.Round
+	ArchiveFloor   types.Round
+	ArchiveRounds  int
+	ArchiveBytes   int
 	DagVertices    int
 	PendingBlocks  int
 	VotedSlots     int
@@ -1120,11 +1133,8 @@ func (n *Node) housekeeping() {
 				votes = s.n
 			}
 			if stalled && votes <= n.lastBlockVotes {
-				if n.lastBlockRaw == nil {
-					n.lastBlockRaw = mustMarshal(b)
-				}
 				n.nm.stallRebroadcasts.Add(1)
-				n.queueBcast(MsgBlock, n.lastBlockRaw)
+				n.queueBcast(MsgBlock, b.Wire())
 				// The vote goes again only if it is the slot's journaled
 				// one: a replica restarted into a round it had already
 				// proposed holds a vote for the earlier block, and signs
@@ -1136,7 +1146,6 @@ func (n *Node) housekeeping() {
 			n.lastBlockVotes = votes
 		} else {
 			n.lastBlock = nil
-			n.lastBlockRaw = nil
 			n.lastBlockVotes = 0
 		}
 	}
@@ -1278,16 +1287,18 @@ func (n *Node) pullRound(r types.Round) {
 }
 
 // handleRoundReq serves every certified vertex of one round (block
-// first, certificate second, per vertex). A request from a stale
-// epoch asks for a DAG this node discarded at a transition — the
-// round-by-round answer no longer exists, so the useful reply is the
-// snapshot that lets the requester jump epochs instead. The same
-// logic covers mid-epoch stranding: a same-epoch request for a round
-// below this node's GC floor can never be answered round-by-round, so
-// the reply is the latest capture. The stranded replica need not know
-// it is stranded: its ordinary stall pull reaches every peer, and
-// serveSnapshot's gate and per-requester rate limit decide whether a
-// manifest goes back.
+// first, certificate second, per vertex, in proposer order): from the
+// decoded DAG inside the decoded window, and below it as the archived
+// bytes, unchanged — the same messages either way (gc.go). A request
+// from a stale epoch asks for a DAG this node discarded at a
+// transition — the round-by-round answer no longer exists, so the
+// useful reply is the snapshot that lets the requester jump epochs
+// instead. The same logic covers mid-epoch stranding: a same-epoch
+// request for a round below the archive can never be answered
+// round-by-round, so the reply is the latest capture. The stranded
+// replica need not know it is stranded: its ordinary stall pull
+// reaches every peer, and serveSnapshot's gate and per-requester rate
+// limit decide whether a manifest goes back.
 func (n *Node) handleRoundReq(from types.ReplicaID, r *roundReq) {
 	if r.Epoch < n.epoch {
 		n.serveSnapshot(from, r.Epoch, 0)
@@ -1297,12 +1308,22 @@ func (n *Node) handleRoundReq(from types.ReplicaID, r *roundReq) {
 		return
 	}
 	if r.Round < n.dagStore.Floor() {
-		n.serveSnapshot(from, r.Epoch, r.Round)
+		vs, ok := n.archive.round(r.Round)
+		if !ok {
+			n.serveSnapshot(from, r.Epoch, r.Round)
+			return
+		}
+		for _, v := range vs {
+			n.queueTo(from, MsgBlock, v.block)
+			n.queueTo(from, MsgCert, v.cert)
+		}
 		return
 	}
-	for _, v := range n.dagStore.AtRound(r.Round) {
-		n.queueTo(from, MsgBlock, mustMarshal(v.Block))
-		n.queueTo(from, MsgCert, mustMarshal(v.Cert))
+	for p := 0; p < n.n; p++ {
+		if v, ok := n.dagStore.Get(r.Round, types.ReplicaID(p)); ok {
+			n.queueTo(from, MsgBlock, mustMarshal(v.Block))
+			n.queueTo(from, MsgCert, mustMarshal(v.Cert))
+		}
 	}
 }
 

@@ -151,16 +151,15 @@ func (n *Node) propose() {
 	// a = single-shard txs carried, b = cross-shard txs carried.
 	n.trace(metrics.EvPropose, r, uint64(len(blk.SingleTxs)), uint64(len(blk.CrossTxs)))
 	// Keep the block (and its encoding — one marshal serves the
-	// broadcast and any housekeeping rebroadcast): delivery is lossy
-	// under injected faults, and housekeeping re-sends lastBlockRaw
-	// until the certificate lands.
+	// broadcast, any housekeeping rebroadcast and the round archive):
+	// delivery is lossy under injected faults, and housekeeping re-sends
+	// the block until the certificate lands.
 	d := blk.Digest()
 	n.trackPendingBlock(blk)
 	n.ownPending[r] = d
 	n.lastBlock = blk
-	n.lastBlockRaw = mustMarshal(blk)
 	n.lastBlockVotes = 0
-	n.queueBcast(MsgBlock, n.lastBlockRaw)
+	n.queueBcast(MsgBlock, blk.Wire())
 	// Vote for our own block inline — the outbox excludes self from
 	// broadcasts. The vote waits on the ballot for the round's quorum
 	// and leaves in one bundle with the first 2f peer votes of the round

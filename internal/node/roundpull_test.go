@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -48,21 +49,26 @@ func takeInbox(t *testing.T, nd *Node, want int) (map[transport.MsgType]int, int
 
 // TestRoundPullAnswers: the answer to a round pull depends on where the
 // requester stands. Within the server's horizon it is the round's block
-// + certificate pairs; past the server's frontier it is nothing; from a
-// stale epoch or below the GC floor, where round-by-round history no
-// longer exists, it is the signed snapshot manifest. A routine stall
-// pull never draws a manifest, though the server holds one.
+// + certificate pairs, from the archive or the decoded DAG alike; past
+// the server's frontier it is nothing; from a stale epoch or below the
+// archive, where round-by-round history no longer exists, it is the
+// signed snapshot manifest. A routine stall pull never draws a
+// manifest, though the server holds one.
 func TestRoundPullAnswers(t *testing.T) {
 	nodes, _ := snapTestNodes(t, 4)
 	victim, server, moved := nodes[0], nodes[1], nodes[2]
-	// server: epoch 0, rounds 150-152 above its GC floor, and a
-	// mid-epoch capture at 152.
-	b := dagtest.NewBuilderAt(dagtest.NewCommittee(4), 0, 150)
-	for range 3 {
+	// server: epoch 0, rounds 149-150 archived and 151-152 decoded, and
+	// a mid-epoch capture at 152.
+	b := dagtest.NewBuilderAt(dagtest.NewCommittee(4), 0, 149)
+	for range 4 {
 		b.NextRound(nil, nil)
 	}
 	server.dagStore = b.Store
 	seedMidEpochDonor(server, 152, 222)
+	server.pruneBelow(151)
+	if server.archive.rounds() != 2 || server.dagStore.Floor() != 151 {
+		t.Fatalf("archive holds %d rounds below decoded floor %d, want 2 below 151", server.archive.rounds(), server.dagStore.Floor())
+	}
 	// moved: already in epoch 1, with the epoch-start capture of it.
 	applyTestCommits(moved, 333)
 	reconfigureTo(moved, 1)
@@ -73,11 +79,13 @@ func TestRoundPullAnswers(t *testing.T) {
 		req                      roundReq
 		blocks, certs, manifests int
 	}{
-		{"oldest retained round", server, roundReq{Epoch: 0, Round: 150}, 4, 4, 0},
+		{"oldest retained round", server, roundReq{Epoch: 0, Round: 149}, 4, 4, 0},
+		{"archived round", server, roundReq{Epoch: 0, Round: 150}, 4, 4, 0},
+		{"oldest decoded round", server, roundReq{Epoch: 0, Round: 151}, 4, 4, 0},
 		{"routine stall at the frontier", server, roundReq{Epoch: 0, Round: 152}, 4, 4, 0},
 		{"past the server's frontier", server, roundReq{Epoch: 0, Round: 153}, 0, 0, 0},
 		{"from a later epoch", server, roundReq{Epoch: 1, Round: 5}, 0, 0, 0},
-		{"below the GC floor", server, roundReq{Epoch: 0, Round: 10}, 0, 0, 1},
+		{"below the archive", server, roundReq{Epoch: 0, Round: 10}, 0, 0, 1},
 		{"from a stale epoch", moved, roundReq{Epoch: 0, Round: 5}, 0, 0, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -89,6 +97,70 @@ func TestRoundPullAnswers(t *testing.T) {
 				t.Fatalf("answer %v, want %d blocks, %d certificates, %d manifests", got, tc.blocks, tc.certs, tc.manifests)
 			}
 		})
+	}
+}
+
+// TestArchivedRoundServedAsDecoded: once a round leaves the decoded
+// window, its round-pull answer from the archive is byte-identical to
+// the one the decoded tier marshalled for it — blocks as they arrived,
+// certificates encoded once, in proposer order — and serving it again
+// allocates nothing beyond the outbox.
+func TestArchivedRoundServedAsDecoded(t *testing.T) {
+	committee := dagtest.NewCommittee(4)
+	n, _ := voteTestNode(t, committee, 0)
+	b := dagtest.NewBuilder(committee, 0)
+	withTxs := func(blk *types.Block) {
+		for i := range 3 {
+			tx := &types.Transaction{
+				Client: uint64(blk.Proposer) + 1, Nonce: uint64(blk.Round)*10 + uint64(i),
+				Kind: types.SingleShard, Shards: []types.ShardID{blk.Shard},
+				Contract: "transfer", Args: [][]byte{[]byte("from"), []byte("to")},
+			}
+			blk.SingleTxs = append(blk.SingleTxs, tx)
+			blk.Results = append(blk.Results, types.TxResult{TxID: tx.ID(),
+				WriteSet: []types.RWRecord{{Key: "from", Value: []byte{byte(i)}}}})
+		}
+	}
+	// Every vertex arrives off the wire, relayed, as a recovery reply
+	// does: the decoded blocks hold the bytes they came in.
+	for range 3 {
+		for p, v := range b.NextRound(nil, withTxs) {
+			from := (p + 1) % 4
+			n.handle(inboundMsg{from: from, mt: MsgBlock, payload: mustMarshal(v.Block)})
+			n.handle(inboundMsg{from: from, mt: MsgCert, payload: mustMarshal(v.Cert)})
+		}
+	}
+	if got := n.dagStore.CountAtRound(1); got != 4 {
+		t.Fatalf("round 1 holds %d vertices, want 4", got)
+	}
+	const to = 2
+	req := roundReq{Epoch: 0, Round: 1}
+	answer := func() []outMsg {
+		n.handleRoundReq(to, &req)
+		out := append([]outMsg(nil), n.outDirect[to]...)
+		n.outDirect[to] = n.outDirect[to][:0]
+		return out
+	}
+	decoded := answer()
+	n.pruneBelow(2)
+	if n.archive.rounds() != 1 || n.dagStore.CountAtRound(1) != 0 {
+		t.Fatalf("round 1 not moved to the archive (%d archived rounds)", n.archive.rounds())
+	}
+	archived := answer()
+	if len(decoded) != 8 || len(archived) != len(decoded) {
+		t.Fatalf("decoded answer has %d messages, archived %d; want 8 each", len(decoded), len(archived))
+	}
+	for i := range decoded {
+		if archived[i].mt != decoded[i].mt || !bytes.Equal(archived[i].payload, decoded[i].payload) {
+			t.Fatalf("message %d differs: archived type %d (%d bytes), decoded type %d (%d bytes)",
+				i, archived[i].mt, len(archived[i].payload), decoded[i].mt, len(decoded[i].payload))
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		n.handleRoundReq(to, &req)
+		n.outDirect[to] = n.outDirect[to][:0]
+	}); allocs != 0 {
+		t.Fatalf("serving an archived round allocates %.1f times, want 0", allocs)
 	}
 }
 

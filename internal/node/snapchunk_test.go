@@ -142,10 +142,10 @@ func TestMidEpochChunkedInstall(t *testing.T) {
 	if ss := victim.dedup.Sessions(); len(ss) != 1 || ss[0].Floor != uint64(len(txs)) {
 		t.Fatalf("dedup state not installed: %+v", ss)
 	}
-	// Re-anchored mid-epoch: the DAG enters at EndRound − minGCHorizon,
+	// Re-anchored mid-epoch: the DAG enters at EndRound − MinGCHorizon,
 	// and the committer resumes at EndRound, the committee's instance
 	// boundary.
-	wantBase := types.Round(100 - minGCHorizon)
+	wantBase := types.Round(100 - MinGCHorizon)
 	if victim.dagStore.Base() != wantBase || victim.committer.LastLeaderRound() != 100 {
 		t.Fatalf("not re-anchored: base %d (want %d), last leader %d (want 100)",
 			victim.dagStore.Base(), wantBase, victim.committer.LastLeaderRound())
@@ -312,7 +312,7 @@ func TestServeSnapshotRoundGate(t *testing.T) {
 
 	// Same-epoch serve refuses when the requester is too close for a
 	// re-entry margin: installing would move it backwards.
-	nodes[1].serveSnapshot(0, 0, 100-minGCHorizon+1)
+	nodes[1].serveSnapshot(0, 0, 100-MinGCHorizon+1)
 	time.Sleep(20 * time.Millisecond)
 	if got := countInbox(victim, MsgSnapManifest); got != 0 {
 		t.Fatalf("served a snapshot inside the re-entry margin (%d msgs)", got)

@@ -14,7 +14,7 @@ import (
 // State-transfer rescue (ROADMAP "Cross-epoch recovery", extended to
 // mid-epoch chunked rescue).
 //
-// Committed-wave GC bounds in-epoch recovery to the retention horizon,
+// Committed-wave GC bounds in-epoch recovery to the serving horizon,
 // and a reconfiguration discards the old DAG entirely — so a replica
 // that misses more history than the horizon can never re-derive it
 // from catch-up requests: peers no longer hold what it is asking for.
@@ -37,7 +37,7 @@ import (
 //   - Detect: there is no rescue request. A stranded replica keeps
 //     sending the round pulls (MsgRoundReq) any stalled replica sends,
 //     to every peer, and a peer answers a pull from a stale epoch or
-//     for a round below its GC floor with its signed manifest instead
+//     for a round below its round archive with its signed manifest instead
 //     of blocks (handleRoundReq) — a dead or withholding peer cannot
 //     absorb a request the others also received.
 //   - Verify: a snapshot travels in one form at every ledger size — a
@@ -164,7 +164,7 @@ func (n *Node) serveSnapshot(to types.ReplicaID, reqEpoch types.Epoch, reqRound 
 	// requester to be worth installing; an epoch-start capture (EndRound
 	// 0) never is, as it would restart the requester at a position it
 	// already passed.
-	if snap.Epoch == reqEpoch && snap.EndRound < reqRound+minGCHorizon {
+	if snap.Epoch == reqEpoch && snap.EndRound < reqRound+MinGCHorizon {
 		return
 	}
 	if at, ok := n.snapServed[to]; ok && time.Since(at) < snapshotServeEvery*n.cfg.TickInterval {
@@ -199,7 +199,7 @@ func (n *Node) snapshotUseful(s *types.Snapshot) bool {
 	if s.Epoch < n.epoch {
 		return false
 	}
-	return s.EndRound >= n.committer.LastLeaderRound()+minGCHorizon &&
+	return s.EndRound >= n.committer.LastLeaderRound()+MinGCHorizon &&
 		s.Commits >= n.nm.committedTxs.Value()
 }
 
@@ -337,7 +337,7 @@ func (n *Node) installSnapshot(snap *types.Snapshot, writes []types.RWRecord, ch
 // snapshot's position. The DAG restarts at a base one full re-entry
 // margin behind endRound, where peers still retain vertices — the
 // snapshot's serving constraint GCHorizon ≥ SnapshotInterval +
-// minGCHorizon guarantees it — and at round 1 near an epoch's start.
+// MinGCHorizon guarantees it — and at round 1 near an epoch's start.
 // The committer restarts at endRound itself: that is the last anchor
 // the entered wave sequence ordered, an instance boundary the whole
 // committee agrees on, so the first instance here is the committee's
@@ -362,8 +362,8 @@ func (n *Node) installSnapshot(snap *types.Snapshot, writes []types.RWRecord, ch
 // proposes and replays parked messages afterwards.
 func (n *Node) enterEpoch(epoch types.Epoch, endRound types.Round, shifts []types.ReplicaID) {
 	base := types.Round(1)
-	if endRound > minGCHorizon {
-		base = endRound - minGCHorizon
+	if endRound > MinGCHorizon {
+		base = endRound - MinGCHorizon
 	}
 	sameEpoch := epoch == n.epoch
 	savedVotes := n.voted

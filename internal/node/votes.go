@@ -268,12 +268,9 @@ func (n *Node) bundleRoot(entries []voteEntry) types.Digest {
 
 // signVotes signs the root of a bundle of the given size whose every
 // entry is a digest journaled for its slot (sealVotes, repeatVote —
-// nothing else signs votes). The signature enters the certificate
-// verifier's memo under the root: no certificate carrying it, for any of
-// the bundle's slots, is ever charged a verification for it.
+// nothing else signs votes).
 func (n *Node) signVotes(root types.Digest, entries int) []byte {
 	sig := n.cfg.Signer.Sign(root)
-	n.memoVerifier.Remember(n.cfg.ID, root, sig)
 	n.nm.voteSigsSigned.Add(1)
 	n.nm.voteBundleEntries.Add(uint64(entries))
 	return sig

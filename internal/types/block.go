@@ -75,6 +75,12 @@ type Block struct {
 	replay     error
 	replayDone bool
 
+	// wire holds the block's canonical encoding once known: the bytes
+	// it was decoded from, which its fields alias anyway, or the
+	// encoding Wire made for a block built locally. Local state like
+	// Stamps: outside the codec and the digest.
+	wire []byte
+
 	// dig caches the content digest. Blocks are immutable once built
 	// (propose fills them before the first Digest call; decode resets
 	// the cache) and owned by one goroutine at a time, so the cache is
@@ -117,6 +123,19 @@ func (b *Block) Digest() Digest {
 		b.digOK = true
 	}
 	return b.dig
+}
+
+// Wire returns the block's canonical encoding without encoding it
+// again: the bytes a decoded block came from (the codec is canonical,
+// so they are what MarshalBinary would produce), or, for a block built
+// locally, its encoding made on the first call and kept. The bytes are
+// shared — callers must not modify them — and, like the digest cache,
+// assume the block is not changed once built.
+func (b *Block) Wire() []byte {
+	if b.wire == nil {
+		b.wire, _ = b.MarshalBinary() // encoding a block cannot fail
+	}
+	return b.wire
 }
 
 // encode appends the block's canonical wire form. Nested transaction
@@ -186,6 +205,7 @@ func (b *Block) unmarshalFrom(data []byte) error {
 	b.digOK = false
 	b.Stamps = BlockStamps{}
 	b.replay, b.replayDone = nil, false
+	b.wire = nil
 	d := NewSharedDecoder(data)
 	b.Epoch = Epoch(d.U64())
 	b.Round = Round(d.U64())
@@ -241,7 +261,11 @@ func (b *Block) unmarshalFrom(data []byte) error {
 		b.CrossTxs[i] = &crosses[i]
 	}
 	b.ProposedUnixNano = d.I64()
-	return d.Finish()
+	if err := d.Finish(); err != nil {
+		return err
+	}
+	b.wire = data
+	return nil
 }
 
 // Signature is one replica's signature vouching for a block digest.
@@ -296,6 +320,19 @@ func (c *Certificate) Digest() Digest {
 func (c *Certificate) MarshalBinary() ([]byte, error) {
 	e := GetEncoder()
 	defer PutEncoder(e)
+	c.encode(e)
+	return e.Detach(), nil
+}
+
+// AppendBinary appends the certificate's encoding to b — how several
+// certificates share one buffer.
+func (c *Certificate) AppendBinary(b []byte) ([]byte, error) {
+	e := Encoder{buf: b}
+	c.encode(&e)
+	return e.buf, nil
+}
+
+func (c *Certificate) encode(e *Encoder) {
 	e.Digest(c.BlockDigest)
 	e.U64(uint64(c.Epoch))
 	e.U64(uint64(c.Round))
@@ -306,7 +343,6 @@ func (c *Certificate) MarshalBinary() ([]byte, error) {
 		e.Bytes(s.Sig)
 		s.Path.encode(e)
 	}
-	return e.Detach(), nil
 }
 
 // UnmarshalBinary decodes a certificate encoded by MarshalBinary (one
