@@ -11,6 +11,7 @@ import (
 	"thunderbolt/internal/contract"
 	"thunderbolt/internal/depgraph"
 	"thunderbolt/internal/storage"
+	"thunderbolt/internal/storage/storagetest"
 	"thunderbolt/internal/types"
 	"thunderbolt/internal/vm"
 	"thunderbolt/internal/workload"
@@ -39,19 +40,6 @@ func execBatch(t *testing.T, c *CE, base depgraph.BaseReader, txs []*types.Trans
 	return res
 }
 
-// overlayState adapts a storage.Overlay to contract.State for the
-// serial replay oracle.
-type overlayState struct{ o *storage.Overlay }
-
-func (s overlayState) Read(k types.Key) (types.Value, error) {
-	v, _ := s.o.Get(k)
-	return v, nil
-}
-func (s overlayState) Write(k types.Key, v types.Value) error {
-	s.o.Set(k, v)
-	return nil
-}
-
 func newSmallBank(t *testing.T, accounts int) (*contract.Registry, *storage.Store) {
 	t.Helper()
 	reg := contract.NewRegistry()
@@ -72,8 +60,8 @@ func replaySerially(t *testing.T, reg *contract.Registry, initial map[types.Key]
 		st.Set(k, v)
 	}
 	for i, tx := range res.Schedule {
-		o := storage.NewOverlay(st)
-		if err := vm.ExecuteTx(reg, overlayState{o}, tx); err != nil {
+		o := storagetest.NewOverlay(st)
+		if err := vm.ExecuteTx(reg, o, tx); err != nil {
 			t.Fatalf("replay tx %d: %v", i, err)
 		}
 		// Writes must match the declared write set.
@@ -568,4 +556,38 @@ func BenchmarkGraphReuse(b *testing.B) {
 			s.ExecuteBatch(baseOf(st), txs)
 		}
 	})
+}
+
+// TestSessionKeyStatesPlateau streams fresh keys through one session —
+// every batch deposits into accounts no earlier batch touched — and
+// requires the graph's key-state cache to plateau near one batch's
+// footprint instead of holding a state for every key ever seen.
+func TestSessionKeyStatesPlateau(t *testing.T) {
+	const perBatch, batches = 40, 150
+	reg, st := newSmallBank(t, perBatch*batches)
+	s := New(Config{Executors: 4, Registry: reg}).NewSession()
+	nonce := uint64(0)
+	peak := 0
+	for b := 0; b < batches; b++ {
+		txs := make([]*types.Transaction, perBatch)
+		for i := range txs {
+			nonce++
+			txs[i] = &types.Transaction{Client: 1, Nonce: nonce, Contract: workload.ContractDepositChecking,
+				Args: [][]byte{[]byte(workload.AccountName(b*perBatch + i)), contract.EncodeInt64(1)}}
+		}
+		if res := s.ExecuteBatch(baseOf(st), txs); len(res.Schedule) != perBatch {
+			t.Fatalf("batch %d scheduled %d of %d", b, len(res.Schedule), perBatch)
+		}
+		live, _ := s.Graph().KeyStates()
+		peak = max(peak, live)
+	}
+	live, dropped := s.Graph().KeyStates()
+	// One batch's keys, plus at most twice that carried from before the
+	// last drop.
+	if peak > 3*perBatch {
+		t.Fatalf("key-state cache peaked at %d states for %d keys per batch (%d keys streamed)", peak, perBatch, perBatch*batches)
+	}
+	if dropped < uint64(perBatch*batches-3*perBatch) {
+		t.Fatalf("%d states dropped, %d live, after %d fresh keys", dropped, live, perBatch*batches)
+	}
 }

@@ -310,15 +310,10 @@ func encodeDump(st storage.Backend) []byte {
 }
 
 // dumpAt is encodeDump plus the commit sequence of the state it
-// rendered, both from one walk of the store.
+// rendered, both from one view of the store: its snapshot chunks.
 func dumpAt(st storage.Backend) ([]byte, uint64) {
-	e := types.NewEncoder()
-	seq := st.AscendVersioned(func(r types.RWRecord, _ uint64) bool {
-		e.Str(string(r.Key))
-		e.Bytes(r.Value)
-		return true
-	})
-	return e.Sum(), seq
+	ch := st.Chunks()
+	return bytes.Join(ch.Enc, nil), ch.Seq
 }
 
 // TestScenarioTCPCrashRestartWALRecovery is the durable-backend twin

@@ -162,6 +162,11 @@ type Graph struct {
 	// counters for metrics
 	aborts uint64
 
+	// The key-state cache's bound (reset): states dropped so far, and
+	// the dropped states kept for reuse.
+	keysDropped uint64
+	freeKeys    []*keyState
+
 	// Arena state: epoch tags key states, rootGen tags cached base
 	// values, touched lists key states used this batch, free holds
 	// recycled nodes.
@@ -246,6 +251,7 @@ func (g *Graph) reset(base BaseReader, carry bool) {
 		// Lazily invalidates every cached root value, carried or not.
 		g.rootGen++
 	}
+	g.dropUntouched()
 	g.touched = g.touched[:0]
 	g.epoch++ // lazily empties every keyState
 	for n := range g.nodes {
@@ -354,10 +360,54 @@ func (g *Graph) Begin(id types.Digest) *Tx {
 	return t
 }
 
+// dropUntouched bounds the key-state cache: once it holds more than
+// twice the states the last batch touched, the states that batch did
+// not touch go. Each drop costs O(cache) and removes at least half of
+// it, so the bound is amortized O(1) per state ever created, and a
+// stream of fresh keys plateaus at a few batches' worth instead of
+// growing without limit. A dropped state only loses its cached base
+// value, which the next touch reads through the BaseReader again.
+// Dropped states are emptied and kept for reuse, so a working set that
+// drifts does not allocate a state per new key; the cache and the
+// spares together never hold more states than the cache's own peak,
+// three batches' footprint at most.
+func (g *Graph) dropUntouched() {
+	if len(g.keys) <= 2*len(g.touched) {
+		return
+	}
+	for k, ks := range g.keys {
+		if ks.epoch == g.epoch {
+			continue // touched by the batch being reset
+		}
+		delete(g.keys, k)
+		g.keysDropped++
+		ks.k, ks.chain = "", ks.chain[:0]
+		if len(ks.readTips) > 0 {
+			clear(ks.readTips)
+		}
+		ks.rootVal, ks.rootSet = nil, false
+		g.freeKeys = append(g.freeKeys, ks)
+	}
+}
+
+// KeyStates reports the size of the key-state cache and how many states
+// its bound has dropped so far.
+func (g *Graph) KeyStates() (live int, dropped uint64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.keys), g.keysDropped
+}
+
 func (g *Graph) key(k types.Key) *keyState {
 	ks, ok := g.keys[k]
 	if !ok {
-		ks = &keyState{k: k, epoch: g.epoch, readTips: make(map[*node]struct{})}
+		if n := len(g.freeKeys); n > 0 {
+			ks = g.freeKeys[n-1]
+			g.freeKeys = g.freeKeys[:n-1]
+			ks.k, ks.epoch = k, g.epoch
+		} else {
+			ks = &keyState{k: k, epoch: g.epoch, readTips: make(map[*node]struct{})}
+		}
 		g.keys[k] = ks
 		g.touched = append(g.touched, ks)
 		return ks

@@ -22,12 +22,9 @@ const diffChunk = 8 // records per chunk: small, so few keys make many chunks
 type captured struct {
 	snap   *types.Snapshot
 	chunks [][]byte
-	cut    uint64
 }
 
-func lastCapture(n *Node) captured { return captured{n.lastSnap, n.snapChunks, n.snapCut} }
-
-func (c captured) restore(n *Node) { n.lastSnap, n.snapChunks, n.snapCut = c.snap, c.chunks, c.cut }
+func lastCapture(n *Node) captured { return captured{n.lastSnap, n.snapChunks} }
 
 // diffCaptures reports the first difference between two captures of
 // one state, nil when they are interchangeable.
@@ -56,16 +53,25 @@ func diffCaptures(got, want captured) error {
 	return nil
 }
 
-// captureBothWays captures incrementally (reusing whatever the node
-// holds), then again with nothing to reuse, and returns both. The node
-// is left holding the incremental capture.
+// captureBothWays captures through the node — the store's chunks,
+// hashed only where a fold rebuilt them — and then cuts the same state
+// from scratch, with a ChunkBuilder over an ordered walk, and returns
+// both.
 func captureBothWays(n *Node) (incremental, scratch captured) {
 	n.capture()
 	incremental = lastCapture(n)
-	n.lastSnap = nil
-	n.capture()
-	scratch = lastCapture(n)
-	incremental.restore(n)
+	cb := types.NewChunkBuilder(diffChunk, -1)
+	n.cfg.Store.Ascend(func(r types.RWRecord) bool {
+		cb.Add(r.Key, r.Value)
+		return true
+	})
+	chunks, digests, _, count := cb.Finish()
+	s := incremental.snap
+	scratch = captured{&types.Snapshot{
+		Epoch: s.Epoch, N: s.N, EndRound: s.EndRound, Shifts: s.Shifts, Commits: s.Commits,
+		ChunkSize: diffChunk, RecordCount: uint64(count), ChunkDigests: digests,
+		DedupWindow: s.DedupWindow, Sessions: s.Sessions,
+	}, chunks}
 	return incremental, scratch
 }
 
@@ -80,7 +86,6 @@ func captureDiffNode(t *testing.T, id types.ReplicaID, st storage.Backend) *Node
 		Transport: &nullTransport{id: id},
 		Signer:    signers[id], Verifier: verifier,
 		Registry: contract.NewRegistry(), Store: st,
-		snapChunkRecords: diffChunk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,13 +167,13 @@ func TestIncrementalCaptureMatchesFromScratch(t *testing.T) {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed=%d", backend, seed), func(t *testing.T) {
 				var reopen func() storage.Backend
-				var st storage.Backend = storage.New()
+				var st storage.Backend = storage.NewChunked(diffChunk, 0)
 				if backend == "wal" {
 					dir := t.TempDir()
 					open := func() *storage.Durable {
 						// A short checkpoint cadence, so a reopen restores
 						// versions from a checkpoint and from replayed records.
-						w, err := storage.OpenDurable(storage.DurableOptions{Dir: dir, NoSync: true, CheckpointEvery: 16})
+						w, err := storage.OpenDurable(storage.DurableOptions{Dir: dir, NoSync: true, CheckpointEvery: 16, ChunkRecords: diffChunk})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -187,7 +192,7 @@ func TestIncrementalCaptureMatchesFromScratch(t *testing.T) {
 				}
 				d := &captureDiff{t: t, rng: rand.New(rand.NewSource(seed))}
 				d.n = captureDiffNode(t, 0, st)
-				d.donor = captureDiffNode(t, 1, storage.New())
+				d.donor = captureDiffNode(t, 1, storage.NewChunked(diffChunk, 0))
 
 				// Seed to one record short of two chunks.
 				var seedBatch []types.RWRecord
@@ -235,7 +240,9 @@ func TestIncrementalCaptureMatchesFromScratch(t *testing.T) {
 						d.check(fmt.Sprintf("round %d overwrite after install", round), len(d.keys) > 5*diffChunk)
 					case reopen != nil: // a close/reopen between captures
 						d.n.cfg.Store = reopen()
-						d.check(fmt.Sprintf("round %d after reopen", round), true)
+						// A reopened store rebuilt its chunks from the checkpoint and
+						// the WAL: its first capture hashes them all once.
+						d.check(fmt.Sprintf("round %d after reopen", round), false)
 						d.apply(d.both(), d.overwrite(1))
 						d.check(fmt.Sprintf("round %d overwrite after reopen", round), len(d.keys) > 5*diffChunk)
 					}
@@ -249,7 +256,7 @@ func TestIncrementalCaptureMatchesFromScratch(t *testing.T) {
 // the differential above: a capture that takes a dirty chunk from the
 // previous one must fail the comparison.
 func TestCaptureDifferentialCatchesWrongReuse(t *testing.T) {
-	st := storage.New()
+	st := storage.NewChunked(diffChunk, 0)
 	n := captureDiffNode(t, 0, st)
 	var batch []types.RWRecord
 	for i := 0; i < 4*diffChunk; i++ {
@@ -257,22 +264,29 @@ func TestCaptureDifferentialCatchesWrongReuse(t *testing.T) {
 	}
 	st.Apply(batch)
 	n.capture()
+	prev := lastCapture(n)
 	st.Apply([]types.RWRecord{{Key: batch[diffChunk+1].Key, Value: types.Value("new")}})
-
-	// The mutation: pretend the previous capture was cut after the write.
-	n.snapCut = st.Seq()
 	inc, scratch := captureBothWays(n)
+	if err := diffCaptures(inc, scratch); err != nil {
+		t.Fatalf("an honest capture failed the differential: %v", err)
+	}
+
+	// The mutation: chunk 1, which the write dirtied, taken from the
+	// capture before, digest and all.
+	inc.chunks[1], inc.snap.ChunkDigests[1] = prev.chunks[1], prev.snap.ChunkDigests[1]
 	if err := diffCaptures(inc, scratch); err == nil {
 		t.Fatal("a capture that reused a dirty chunk passed the differential")
 	}
 }
 
 // TestCaptureTelemetry: every capture reports how many chunks it
-// encoded and how many it shared with the one before — as registry
-// counters, as the EvSnapCapture flight event's payload, and as one
-// snap_capture_ns sample.
+// hashed and how many it took unchanged from the one before — as
+// registry counters, as the EvSnapCapture flight event's payload, and
+// as one snap_capture_ns sample — and the store reports its ledger
+// into the node's registry: the gauges after each apply and fold, and
+// one ledger_fold_ns sample per fold.
 func TestCaptureTelemetry(t *testing.T) {
-	st := storage.New()
+	st := storage.NewChunked(diffChunk, 0)
 	n := captureDiffNode(t, 0, st)
 	var batch []types.RWRecord
 	for i := 0; i < 4*diffChunk; i++ {
@@ -281,9 +295,23 @@ func TestCaptureTelemetry(t *testing.T) {
 	st.Apply(batch)
 	n.capture() // 4 chunks, nothing to reuse
 	st.Apply([]types.RWRecord{{Key: batch[0].Key, Value: types.Value("new")}})
+	if got := n.Metrics().Snapshot().Gauges[mLedgerBuffered]; got != 1 {
+		t.Errorf("%s = %d before the capture, want 1", mLedgerBuffered, got)
+	}
 	n.capture() // chunk 0 dirty, 3 shared
 
 	snap := n.Metrics().Snapshot()
+	for name, want := range map[string]int64{mLedgerRecords: 4 * diffChunk, mLedgerChunks: 4, mLedgerBuffered: 0} {
+		if got := snap.Gauges[name]; got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := snap.Gauges[mLedgerBytes]; got != int64(len(bytes.Join(n.snapChunks, nil))) {
+		t.Errorf("%s = %d, the chunks hold %d bytes", mLedgerBytes, got, len(bytes.Join(n.snapChunks, nil)))
+	}
+	if got := snap.Histograms[mLedgerFoldNs].Count; got != 1 {
+		t.Errorf("%s holds %d samples, want 1", mLedgerFoldNs, got)
+	}
 	if got := snap.Counters[mSnapChunksEncoded]; got != 5 {
 		t.Errorf("%s = %d, want 5", mSnapChunksEncoded, got)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"thunderbolt/internal/metrics"
+	"thunderbolt/internal/storage"
 	"thunderbolt/internal/types"
 )
 
@@ -36,8 +37,8 @@ const (
 	mSnapChunksFetched  = "snap_chunks_fetched"
 	mSnapChunksSkipped  = "snap_chunks_skipped"
 	mSnapChunkRetries   = "snap_chunk_retries"
-	mSnapChunksEncoded  = "snap_chunks_encoded" // chunks a capture encoded and hashed
-	mSnapChunksReused   = "snap_chunks_reused"  // chunks a capture shared with the one before
+	mSnapChunksEncoded  = "snap_chunks_encoded" // chunks a capture hashed: rebuilt by a fold since their last digest
+	mSnapChunksReused   = "snap_chunks_reused"  // chunks a capture took unchanged, digest and all
 	mSnapCaptureNs      = "snap_capture_ns"     // histogram: one capture, walk to manifest
 	mPendingCross       = "pending_cross"
 	mQueueLen           = "queue_len"
@@ -88,6 +89,20 @@ const (
 	mDagVertices        = "dag_vertices"
 	mRoundArchiveRounds = "round_archive_rounds"
 	mRoundArchiveBytes  = "round_archive_bytes"
+
+	// Ledger gauges (storage.LedgerMetrics), recorded by the store:
+	// records, chunks and chunk-encoding bytes after each fold, and the
+	// write buffer's length after each apply; plus each fold's duration.
+	mLedgerRecords  = "ledger_records"
+	mLedgerChunks   = "ledger_chunks"
+	mLedgerBytes    = "ledger_bytes"
+	mLedgerBuffered = "ledger_buffered"
+	mLedgerFoldNs   = "ledger_fold_ns"
+
+	// The proposer's preplay key-state cache (depgraph): its size after
+	// the last preplay, and the states its bound has dropped so far.
+	mKeyStates        = "ce_key_states"
+	mKeyStatesDropped = "ce_key_states_dropped"
 )
 
 // nodeMetrics bundles the node's instrumentation: a registry of
@@ -155,6 +170,9 @@ type nodeMetrics struct {
 	dagVertices       *metrics.Gauge
 	archiveRounds     *metrics.Gauge
 	archiveBytes      *metrics.Gauge
+	keyStates         *metrics.Gauge
+	keyStatesDropped  *metrics.Gauge
+	ledger            storage.LedgerMetrics
 
 	stageProposeCertify  *metrics.Histogram
 	stageCertifyCommit   *metrics.Histogram
@@ -227,6 +245,15 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		dagVertices:       reg.Gauge(mDagVertices),
 		archiveRounds:     reg.Gauge(mRoundArchiveRounds),
 		archiveBytes:      reg.Gauge(mRoundArchiveBytes),
+		keyStates:         reg.Gauge(mKeyStates),
+		keyStatesDropped:  reg.Gauge(mKeyStatesDropped),
+		ledger: storage.LedgerMetrics{
+			Records:  reg.Gauge(mLedgerRecords),
+			Chunks:   reg.Gauge(mLedgerChunks),
+			Bytes:    reg.Gauge(mLedgerBytes),
+			Buffered: reg.Gauge(mLedgerBuffered),
+			FoldNs:   reg.Histogram(mLedgerFoldNs),
+		},
 
 		stageProposeCertify:  reg.Histogram(metrics.StageProposeCertify),
 		stageCertifyCommit:   reg.Histogram(metrics.StageCertifyCommit),

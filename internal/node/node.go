@@ -191,11 +191,6 @@ type Config struct {
 	// OnCommitWave, if set, fires after each commit wave with the
 	// leader round (Figure 16's per-round runtime series).
 	OnCommitWave func(epoch types.Epoch, leaderRound types.Round, when time.Time)
-
-	// snapChunkRecords is the ledger-record count per snapshot chunk,
-	// types.DefaultChunkRecords unless a test sets it to cut many
-	// chunks from a small ledger.
-	snapChunkRecords int
 }
 
 func (c Config) withDefaults() Config {
@@ -238,9 +233,6 @@ func (c Config) withDefaults() Config {
 			}
 			c.SnapshotInterval = max
 		}
-	}
-	if c.snapChunkRecords <= 0 {
-		c.snapChunkRecords = types.DefaultChunkRecords
 	}
 	return c
 }
@@ -520,9 +512,8 @@ type Node struct {
 	// mid-epoch boundary) or install; it outlives per-epoch state so
 	// the node can serve stragglers from any earlier position.
 	// snapChunks holds its encoded chunk payloads for MsgSnapChunk
-	// serving, and snapCut the store sequence number they were cut at —
-	// what lets the next capture share the chunks nothing has written to
-	// since (0 when they were installed from peers, not cut here). lastManifestMsg caches the
+	// serving: the store's immutable chunks as of the capture, or the
+	// fetched ones of an install. lastManifestMsg caches the
 	// signed manifest, built once on first serve (the snapshot is
 	// immutable, so every serve after that is a plain Send). snapFrom
 	// holds the latest snapshot candidate per verified signer (install
@@ -533,7 +524,6 @@ type Node struct {
 	// if any.
 	lastSnap        *types.Snapshot
 	snapChunks      [][]byte
-	snapCut         uint64
 	lastManifestMsg []byte
 	snapFrom        map[types.ReplicaID]*types.Snapshot
 	snapServed      map[types.ReplicaID]time.Time
@@ -645,6 +635,7 @@ func New(cfg Config) (*Node, error) {
 		n.specDepth = cfg.SpecExecDepth
 	}
 	n.nm = newNodeMetrics(cfg.ID)
+	cfg.Store.Instrument(n.nm.ledger)
 	if cfg.GCHorizon > 0 {
 		n.archive.limit = cfg.GCHorizon - MinGCHorizon
 	}
@@ -867,6 +858,10 @@ func (n *Node) Inspect(f func(*DebugView)) error {
 			PendingBlocks:  len(n.pendingBlocks),
 			VotedSlots:     len(n.voted),
 			CommittedFlags: n.committer.CommittedLen(),
+			LedgerRecords:  int(n.nm.ledger.Records.Value()),
+			LedgerChunks:   int(n.nm.ledger.Chunks.Value()),
+			LedgerBytes:    int(n.nm.ledger.Bytes.Value()),
+			LedgerBuffered: int(n.nm.ledger.Buffered.Value()),
 			SnapshotEpoch: func() types.Epoch {
 				if n.lastSnap == nil {
 					return 0
@@ -941,6 +936,13 @@ type DebugView struct {
 	PendingBlocks  int
 	VotedSlots     int
 	CommittedFlags int
+	// The store's ledger (storage.LedgerMetrics): records, immutable
+	// chunks and their encoding bytes, and writes buffered for the next
+	// fold.
+	LedgerRecords  int
+	LedgerChunks   int
+	LedgerBytes    int
+	LedgerBuffered int
 	// SnapshotEpoch is the epoch of the node's latest captured or
 	// installed snapshot (0 before the first capture).
 	SnapshotEpoch types.Epoch

@@ -26,6 +26,9 @@ type preplayer interface {
 	// engine's own last batch: foreign-block commits, cross-shard
 	// commits, overlay rollbacks, epoch transitions.
 	invalidate()
+	// keyStates reports the engine's per-key cache: its size and how
+	// many entries its bound has dropped (zero for engines without one).
+	keyStates() (live int, dropped uint64)
 }
 
 func (n *Node) newPreplayer() preplayer {
@@ -53,6 +56,13 @@ func (p *cePreplayer) preplay(read func(types.Key) types.Value, txs []*types.Tra
 
 func (p *cePreplayer) invalidate() { p.sess.Invalidate() }
 
+func (p *cePreplayer) keyStates() (int, uint64) {
+	if g := p.sess.Graph(); g != nil {
+		return g.KeyStates()
+	}
+	return 0, 0
+}
+
 // occPreplayer adapts the OCC baseline to the proposer pipeline (the
 // paper's Thunderbolt-OCC configuration): OCC validates against a
 // lazily materialized versioned view over the preplay reader.
@@ -63,6 +73,8 @@ func (p *occPreplayer) preplay(read func(types.Key) types.Value, txs []*types.Tr
 }
 
 func (p *occPreplayer) invalidate() {} // OCC builds its view per preplay
+
+func (p *occPreplayer) keyStates() (int, uint64) { return 0, 0 }
 
 // preplayVersioned implements occ.VersionedStore over a read-through
 // base. Keys written during the batch carry real versions; untouched
@@ -258,6 +270,9 @@ func (n *Node) fillBlock(blk *types.Block, r types.Round) {
 	blk.SingleTxs = res.Schedule
 	blk.Results = res.Results
 	n.nm.reexecutions.Add(uint64(res.Reexecutions))
+	live, dropped := n.preplayer.keyStates()
+	n.nm.keyStates.Set(int64(live))
+	n.nm.keyStatesDropped.Set(int64(dropped))
 	// Fold the preplay outcome into the own-writes overlay so the next
 	// round's batch builds on it.
 	var writes []types.RWRecord

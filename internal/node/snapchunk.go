@@ -88,22 +88,17 @@ func (n *Node) startChunkFetch(snap *types.Snapshot, servers []types.ReplicaID) 
 		inflight: make(map[int]chunkReqState),
 	}
 	n.fetch = f
-	// Incremental pass: chunk the local state with the manifest's
-	// geometry and keep every chunk whose digest already matches — its
-	// records are already in the store, so it needs neither a fetch
-	// nor a write at install. The encoded payload is kept anyway: the
-	// installed snapshot serves chunks to later stragglers.
-	if nchunks > 0 {
-		cb := types.NewChunkBuilder(int(snap.ChunkSize), -1)
-		n.cfg.Store.Ascend(func(r types.RWRecord) bool {
-			cb.Add(r.Key, r.Value)
-			return true
-		})
-		chunks, digests, _, _ := cb.Finish()
+	// Incremental pass: take the store's own chunks, when they have
+	// the manifest's geometry, and keep every chunk whose digest
+	// already matches — its records are already in the store, so it
+	// needs neither a fetch nor a write at install. The encoded payload
+	// is kept anyway: the installed snapshot serves chunks to later
+	// stragglers.
+	if led := n.cfg.Store.Chunks(); led.Size == int(snap.ChunkSize) {
 		skipped := uint64(0)
-		for i := 0; i < nchunks && i < len(digests); i++ {
-			if digests[i] == snap.ChunkDigests[i] {
-				f.payloads[i] = chunks[i]
+		for i := 0; i < nchunks && i < len(led.Digests); i++ {
+			if led.Digests[i] == snap.ChunkDigests[i] {
+				f.payloads[i] = led.Enc[i]
 				f.done[i] = true
 				f.pending--
 				skipped++

@@ -26,14 +26,14 @@ import (
 //     boundaries inside the epoch (Config.SnapshotInterval). Both run
 //     at deterministic positions of the committed sequence, so every
 //     honest replica's capture for the same position is bit-identical,
-//     and both are one form, (Epoch, EndRound, Shifts, …). The capture
-//     streams the ledger through a ChunkBuilder: fixed-size chunks of
-//     types.DefaultChunkRecords records, per-chunk digests, and a
-//     snapshot digest over the manifest (header + Merkle-folded chunk
-//     digests + dedup state), never over the raw records. It is
-//     incremental: one ordered walk of the store, and only the chunks
-//     holding a record written since the previous capture are encoded
-//     and hashed again; the rest are shared with that capture.
+//     and both are one form, (Epoch, EndRound, Shifts, …). The ledger
+//     travels as the store's own chunks (storage.Backend.Chunks):
+//     fixed-size runs of types.DefaultChunkRecords records, per-chunk
+//     digests, and a snapshot digest over the manifest (header +
+//     Merkle-folded chunk digests + dedup state), never over the raw
+//     records. A capture walks no records: it folds the store's write
+//     buffer, hashes the chunks that fold rebuilt and shares the rest
+//     with the capture before it.
 //   - Detect: there is no rescue request. A stranded replica keeps
 //     sending the round pulls (MsgRoundReq) any stalled replica sends,
 //     to every peer, and a peer answers a pull from a stale epoch or
@@ -90,22 +90,14 @@ func (n *Node) maybeCaptureMidEpoch(leaderRound types.Round) {
 // capture builds the snapshot of the current epoch at the current
 // committed position: EndRound is the last installed wave's anchor,
 // which enterEpoch sets to the entry position (0 at an epoch's start).
-// One ordered walk of the store produces the chunk payloads and their
-// digests. Chunks untouched since the previous capture (every record's
-// version at or below snapCut) are that capture's chunks, by
-// reference; what a capture produces does not depend on what it could
-// reuse, so replicas with different histories stay bit-identical.
+// The store already keeps the ledger as snapshot chunks: the capture
+// folds the store's write buffer and takes every chunk by reference,
+// and only the chunks the fold rebuilt are hashed again. What a capture
+// produces depends on the state alone, so replicas with different
+// histories stay bit-identical.
 func (n *Node) capture() {
 	start := time.Now()
-	cb := types.NewChunkBuilder(n.cfg.snapChunkRecords, -1)
-	if n.lastSnap != nil {
-		cb.Reuse(n.snapChunks, n.lastSnap.ChunkDigests, n.snapCut)
-	}
-	cut := n.cfg.Store.AscendVersioned(func(r types.RWRecord, ver uint64) bool {
-		cb.AddVersioned(r.Key, r.Value, ver)
-		return true
-	})
-	chunks, digests, _, count := cb.Finish()
+	led := n.cfg.Store.Chunks()
 	var shifts []types.ReplicaID
 	for p := range n.committedShift {
 		shifts = append(shifts, p)
@@ -121,9 +113,9 @@ func (n *Node) capture() {
 		EndRound:     n.commitCtx.Wave,
 		Shifts:       shifts,
 		Commits:      n.nm.committedTxs.Value(),
-		ChunkSize:    uint32(n.cfg.snapChunkRecords),
-		RecordCount:  uint64(count),
-		ChunkDigests: digests,
+		ChunkSize:    uint32(led.Size),
+		RecordCount:  uint64(led.Records),
+		ChunkDigests: led.Digests,
 		// The dedup payload is the compact per-client state, not the
 		// full applied set: floors and window bitmaps (bounded by
 		// clients × window). Dedup state evolves only in committed
@@ -132,17 +124,16 @@ func (n *Node) capture() {
 		Sessions:    n.dedup.Sessions(),
 	}
 	n.lastSnap = snap
-	n.snapChunks = chunks
-	n.snapCut = cut
+	n.snapChunks = led.Enc
 	n.lastManifestMsg = nil // rebuilt on first serve
 
-	reused := uint64(cb.Reused())
-	encoded := uint64(len(chunks)) - reused
-	n.nm.snapChunksEncoded.Add(encoded)
+	hashed := uint64(led.Rehashed)
+	reused := uint64(len(led.Enc)) - hashed
+	n.nm.snapChunksEncoded.Add(hashed)
 	n.nm.snapChunksReused.Add(reused)
 	n.nm.snapCapture.Observe(time.Since(start))
-	// a = chunks encoded, b = chunks shared with the previous capture.
-	n.trace(metrics.EvSnapCapture, snap.EndRound, encoded, reused)
+	// a = chunks hashed, b = chunks unchanged since an earlier digest.
+	n.trace(metrics.EvSnapCapture, snap.EndRound, hashed, reused)
 }
 
 // serveSnapshot sends this node's latest capture to a replica that
@@ -308,7 +299,6 @@ func (n *Node) installSnapshot(snap *types.Snapshot, writes []types.RWRecord, ch
 	// (re-signed with this replica's own key on first serve).
 	n.lastSnap = snap
 	n.snapChunks = chunks
-	n.snapCut = 0 // peers cut these chunks: the next capture reuses none
 	n.lastManifestMsg = nil
 	if crossEpoch {
 		n.nm.epochJumps.Add(1)

@@ -37,15 +37,14 @@ func snapTestNodesOf(t *testing.T, n, accounts, chunk int) ([]*Node, *transport.
 	for i := 0; i < n; i++ {
 		reg := contract.NewRegistry()
 		workload.RegisterSmallBank(reg)
-		st := storage.New()
+		st := storage.NewChunked(chunk, 0)
 		workload.InitAccounts(st, accounts, 100, 100)
 		nd, err := New(Config{
 			ID: types.ReplicaID(i), N: n,
 			Transport: net.Endpoint(types.ReplicaID(i)),
 			Signer:    signers[i], Verifier: verifier,
 			Registry: reg, Store: st,
-			CommitLogCap:     1024,
-			snapChunkRecords: chunk,
+			CommitLogCap: 1024,
 		})
 		if err != nil {
 			t.Fatal(err)

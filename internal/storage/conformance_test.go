@@ -28,6 +28,17 @@ func eachBackend(t *testing.T, keepLog int, fn func(t *testing.T, b Backend)) {
 	})
 }
 
+// dumpOf returns a backend's state in ascending key order, values
+// cloned.
+func dumpOf(b Backend) []types.RWRecord {
+	var out []types.RWRecord
+	b.Ascend(func(r types.RWRecord) bool {
+		out = append(out, types.RWRecord{Key: r.Key, Value: r.Value.Clone()})
+		return true
+	})
+	return out
+}
+
 func rec(k string, v string) types.RWRecord {
 	return types.RWRecord{Key: types.Key(k), Value: types.Value(v)}
 }
@@ -97,7 +108,7 @@ func TestConformanceAtomicApply(t *testing.T) {
 func TestConformanceDumpOrderAndAliasing(t *testing.T) {
 	eachBackend(t, 0, func(t *testing.T, b Backend) {
 		b.Apply([]types.RWRecord{rec("b", "2"), rec("a", "1"), rec("c", "3")})
-		dump := b.Dump()
+		dump := dumpOf(b)
 		if len(dump) != 3 {
 			t.Fatalf("dump has %d records", len(dump))
 		}
@@ -126,10 +137,17 @@ func TestConformanceDumpOrderAndAliasing(t *testing.T) {
 		if count != 1 {
 			t.Fatalf("ascend ignored early stop: %d visits", count)
 		}
-		// Dumped values must not alias the store.
-		dump[0].Value[0] = 'X'
-		if v, _ := b.Get(dump[0].Key); v[0] == 'X' {
-			t.Fatal("dump aliases backend state")
+		// A value read out is clipped to itself: appending to it must
+		// not write into the record behind it, before a fold or after.
+		for _, fold := range []bool{false, true} {
+			if fold {
+				b.Chunks()
+			}
+			v, _ := b.Get(dump[0].Key)
+			_ = append(v, 'X', 'X', 'X', 'X', 'X', 'X', 'X', 'X')
+			if got, _ := b.Get(dump[1].Key); !got.Equal(dump[1].Value) {
+				t.Fatalf("appending to %s's value changed %s to %q", dump[0].Key, dump[1].Key, got)
+			}
 		}
 		// Keys sorted.
 		keys := b.Keys()
@@ -163,7 +181,7 @@ func driveSequence(b Backend) {
 func dumpBytes(t *testing.T, b Backend) []byte {
 	t.Helper()
 	e := types.NewEncoder()
-	for _, r := range b.Dump() {
+	for _, r := range dumpOf(b) {
 		e.Str(string(r.Key))
 		e.Bytes(r.Value)
 	}
@@ -272,17 +290,19 @@ func TestConformanceOrderedIndex(t *testing.T) {
 		}
 		check := func(step string) {
 			t.Helper()
-			dump, keys := b.Dump(), b.Keys()
+			dump, keys := dumpOf(b), b.Keys()
 			var walked []types.RWRecord
-			seq := b.AscendVersioned(func(r types.RWRecord, ver uint64) bool {
-				if ver != vers[r.Key] {
-					t.Fatalf("%s: %s walked at version %d, installed at %d", step, r.Key, ver, vers[r.Key])
-				}
+			b.Ascend(func(r types.RWRecord) bool {
 				walked = append(walked, types.RWRecord{Key: r.Key, Value: r.Value.Clone()})
 				return true
 			})
-			if seq != b.Seq() {
-				t.Fatalf("%s: walk reported seq %d, backend is at %d", step, seq, b.Seq())
+			for _, r := range walked {
+				if ver := b.Version(r.Key); ver != vers[r.Key] {
+					t.Fatalf("%s: %s at version %d, installed at %d", step, r.Key, ver, vers[r.Key])
+				}
+			}
+			if ch := b.Chunks(); ch.Seq != b.Seq() || ch.Records != len(want) {
+				t.Fatalf("%s: chunks of %d records at seq %d, backend holds %d at %d", step, ch.Records, ch.Seq, len(want), b.Seq())
 			}
 			if len(dump) != len(want) || len(keys) != len(want) || len(walked) != len(want) {
 				t.Fatalf("%s: dump/keys/walk list %d/%d/%d records, want %d", step, len(dump), len(keys), len(walked), len(want))
@@ -349,11 +369,6 @@ func TestConformanceAscendEarlyStop(t *testing.T) {
 			if visits != stopAt {
 				t.Fatalf("Ascend made %d visits, want stop after %d", visits, stopAt)
 			}
-			visits = 0
-			b.AscendVersioned(func(types.RWRecord, uint64) bool { visits++; return visits < stopAt })
-			if visits != stopAt {
-				t.Fatalf("AscendVersioned made %d visits, want stop after %d", visits, stopAt)
-			}
 		}
 		b.Set("after", types.Value("v")) // would deadlock if a stopped walk kept its lock
 		if b.Len() != 11 {
@@ -393,9 +408,7 @@ func TestConformanceAscendAtomicBatches(t *testing.T) {
 			}
 			var gen string
 			var seen, extra int
-			var maxVer uint64
-			seq := b.AscendVersioned(func(r types.RWRecord, ver uint64) bool {
-				maxVer = max(maxVer, ver)
+			b.Ascend(func(r types.RWRecord) bool {
 				if r.Key[0] != 'f' {
 					extra++
 					return true
@@ -411,10 +424,24 @@ func TestConformanceAscendAtomicBatches(t *testing.T) {
 			if seen != fixed && !t.Failed() {
 				t.Fatalf("walk saw %d of the %d fixed keys", seen, fixed)
 			}
-			// Generation g is batch g+1: the walk's sequence number, its
-			// newest version and its inserted-key count all name it.
-			if want := fmt.Sprint(seq - 1); !t.Failed() && (gen != want || maxVer != seq || extra != int(seq)) {
-				t.Fatalf("walk at seq %d saw generation %s, newest version %d, %d inserted keys", seq, gen, maxVer, extra)
+			// Generation g is batch g+1, which inserted the walk's
+			// (g+1)th key outside the fixed set.
+			if want := fmt.Sprint(extra - 1); !t.Failed() && gen != want {
+				t.Fatalf("walk saw generation %s with %d inserted keys", gen, extra)
+			}
+			// The chunk form is one state too: its sequence number names
+			// the generation its records carry.
+			ch := b.Chunks()
+			for _, enc := range ch.Enc {
+				recs, err := types.DecodeChunk(enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range recs {
+					if r.Key[0] == 'f' && string(r.Value) != fmt.Sprint(ch.Seq-1) {
+						t.Fatalf("chunks at seq %d hold %s at generation %s", ch.Seq, r.Key, r.Value)
+					}
+				}
 			}
 			if t.Failed() {
 				<-done

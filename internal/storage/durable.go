@@ -104,6 +104,9 @@ type DurableOptions struct {
 	CheckpointEvery int
 	// KeepLog bounds in-memory commit-log retention, as NewWithLog.
 	KeepLog int
+	// ChunkRecords sizes the index's chunks, as NewChunked (0 keeps
+	// types.DefaultChunkRecords).
+	ChunkRecords int
 }
 
 func (o DurableOptions) withDefaults() DurableOptions {
@@ -136,7 +139,7 @@ func OpenDurable(opts DurableOptions) (*Durable, error) {
 	d := &Durable{
 		opts: opts,
 		dir:  opts.Dir,
-		mem:  NewWithLog(opts.KeepLog),
+		mem:  NewChunked(opts.ChunkRecords, opts.KeepLog),
 		done: make(chan struct{}),
 	}
 	if err := d.recover(); err != nil {
@@ -155,13 +158,7 @@ func (d *Durable) recover() error {
 		return err
 	}
 	if ck != nil {
-		d.mem.mu.Lock()
-		d.mem.seq = ck.seq
-		d.mem.reserveLocked(len(ck.recs))
-		for _, r := range ck.recs {
-			d.mem.putLocked(r.key, r.val, r.ver)
-		}
-		d.mem.mu.Unlock()
+		d.mem.load(ck.seq, ck.recs)
 		d.recMeta = ck.meta
 	}
 	segs, err := listSegments(d.dir)
@@ -383,7 +380,7 @@ func (d *Durable) checkpointLocked() {
 	e := types.NewEncoder()
 	e.U64(d.mem.Seq())
 	e.U64(uint64(d.mem.Len()))
-	d.mem.AscendVersioned(func(r types.RWRecord, ver uint64) bool {
+	d.mem.ascendVersioned(func(r types.RWRecord, ver uint64) bool {
 		e.Str(string(r.Key))
 		e.Bytes(r.Value)
 		e.U64(ver)
@@ -503,9 +500,7 @@ func (d *Durable) Seq() uint64                         { return d.mem.Seq() }
 func (d *Durable) Log() []CommitRecord                 { return d.mem.Log() }
 func (d *Durable) Len() int                            { return d.mem.Len() }
 func (d *Durable) Snapshot() map[types.Key]types.Value { return d.mem.Snapshot() }
-func (d *Durable) Dump() []types.RWRecord              { return d.mem.Dump() }
 func (d *Durable) Ascend(fn func(types.RWRecord) bool) { d.mem.Ascend(fn) }
-func (d *Durable) AscendVersioned(fn func(types.RWRecord, uint64) bool) uint64 {
-	return d.mem.AscendVersioned(fn)
-}
-func (d *Durable) Keys() []types.Key { return d.mem.Keys() }
+func (d *Durable) Chunks() Chunks                      { return d.mem.Chunks() }
+func (d *Durable) Keys() []types.Key                   { return d.mem.Keys() }
+func (d *Durable) Instrument(m LedgerMetrics)          { d.mem.Instrument(m) }

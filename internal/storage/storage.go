@@ -8,17 +8,47 @@
 //   - Store, the in-memory engine the evaluation-shaped benchmarks
 //     use (the paper stresses concurrency control, not the disk), and
 //   - Durable (durable.go), an append-only segment WAL with
-//     group-commit batching and restart-from-disk replay.
+//     group-commit batching and restart-from-disk replay, which keeps
+//     a Store as its index.
 //
 // Both preserve the two properties the protocols rely on: per-key
 // versions (which the OCC baseline validates against) and atomic
 // batch commits in a total order (how committed DAG blocks are
 // applied).
+//
+// A Store keeps its ledger in LevelDB's shape — a small mutable buffer
+// over immutable sorted runs — with Sky^ε-Tree's rule of buffering
+// updates and flushing them in batches (ledger.go). It has three parts:
+//
+//   - chunks: the ledger in key order, cut every ChunkSize records,
+//     each one byte run that is exactly the snapshot chunk encoding
+//     (types.ChunkBuilder's cut, boundaries and digests) plus private
+//     per-record offsets and install versions;
+//   - an open-addressing index of uint64 entries (a hash tag and a
+//     record ordinal, or a buffer position), one probe sequence per
+//     lookup;
+//   - a write buffer that takes every Apply and that a fold turns into
+//     rewritten chunks — at each snapshot capture (Chunks), before an
+//     ordered walk, and whenever it outgrows a quarter of the ledger.
+//
+// None of the chunks' or the index's backing arrays holds a pointer,
+// so the garbage collector marks the ledger as O(chunks) objects
+// instead of scanning O(records) keys and values, and a snapshot
+// capture takes the chunks by reference, hashing only those a fold
+// rewrote.
+//
+// The aliasing rule: a value returned by Get is a view of memory the
+// store never writes again — a chunk's immutable bytes, clipped to the
+// value, or a buffered value the caller handed over — so it stays valid
+// for as long as it is held and must not be mutated. Apply keeps the
+// caller's value buffers until the next fold copies them into a chunk,
+// so callers must not mutate them afterwards either.
 package storage
 
 import (
-	"cmp"
+	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 
 	"thunderbolt/internal/types"
@@ -29,8 +59,9 @@ import (
 // observable semantics (the conformance suite in conformance_test.go
 // is the contract's executable form): every Apply consumes exactly one
 // monotonically increasing sequence number and stamps its keys with
-// it, reads never alias internal buffers, and Dump/Ascend iterate the
-// full state in strictly ascending key order.
+// it, values handed in and read out are never mutated by either side
+// (see the package comment), and Ascend and Chunks present the full
+// state in strictly ascending key order.
 type Backend interface {
 	// Get returns the current value under k and whether the key
 	// exists. The returned value must not be mutated.
@@ -60,23 +91,20 @@ type Backend interface {
 	Len() int
 	// Snapshot returns an immutable copy of the current state.
 	Snapshot() map[types.Key]types.Value
-	// Dump returns the full state in ascending key order (values
-	// cloned) — the canonical ledger form snapshots carry.
-	Dump() []types.RWRecord
 	// Ascend streams the state in ascending key order without
 	// materializing it, stopping early when fn returns false. The
-	// record passed to fn must not be retained or mutated.
+	// walk sees one state: no Apply lands between its first and last
+	// record. The record passed to fn must not be mutated; fn runs
+	// under the backend's read lock and must not write to it.
 	Ascend(fn func(types.RWRecord) bool)
-	// AscendVersioned is Ascend with each record's install version,
-	// and returns the commit sequence number of the state it walked.
-	// The whole walk sees one state — no Apply lands between its first
-	// and last record — so a record changed after an earlier walk
-	// exactly when its version exceeds that walk's sequence number. fn
-	// runs under the backend's read lock and must not write to it.
-	AscendVersioned(fn func(r types.RWRecord, ver uint64) bool) uint64
+	// Chunks folds any buffered writes and returns the state in
+	// snapshot chunk form, as of one sequence number.
+	Chunks() Chunks
 	// Keys returns every key, sorted, for deterministic iteration. The
 	// slice is the caller's.
 	Keys() []types.Key
+	// Instrument makes the backend record its ledger metrics into m.
+	Instrument(m LedgerMetrics)
 	// Sync forces any buffered commits durable (group-commit flush);
 	// a no-op for non-durable backends.
 	Sync() error
@@ -85,7 +113,24 @@ type Backend interface {
 	Close() error
 }
 
-// record is one key's current state.
+// Chunks is a backend's state in snapshot chunk form: Records records
+// in ascending key order, cut into chunks of Size records (the last
+// may hold fewer), each encoded exactly as types.ChunkBuilder encodes
+// it. Enc's byte slices are immutable and may be held for as long as
+// needed; the slices themselves are the caller's.
+type Chunks struct {
+	Size    int
+	Records int
+	Seq     uint64 // the commit the chunks are the state of
+	Enc     [][]byte
+	Digests []types.Digest // types.HashBytes of each encoding
+	// Rehashed counts the chunks this call hashed: those a fold
+	// rebuilt since their digest was last taken. The rest are the
+	// chunks an earlier call returned, unchanged.
+	Rehashed int
+}
+
+// record is one key's state in a checkpoint or a re-cut.
 type record struct {
 	key types.Key
 	val types.Value
@@ -93,22 +138,21 @@ type record struct {
 }
 
 // Store is the in-memory Backend: a thread-safe versioned key/value
-// store. The zero value is not usable; call New.
-//
-// Records live in one slab, recs, in insertion order; a slot never
-// moves, so an overwrite is one index lookup and an in-place store.
-// order lists the slots in ascending key order — the ordered index
-// every full-state walk (Ascend, Keys, Dump, the durable checkpoint)
-// follows without sorting. Overwrites leave it valid; only a batch
-// that inserts new keys outdates it, which shows as order covering
-// fewer slots than recs, and the next walk merges the new slots in
-// (reindexLocked). Keys are never deleted.
+// store over chunks, an index and a write buffer (see the package
+// comment and ledger.go). The zero value is not usable; call New.
+// Keys are never deleted.
 type Store struct {
-	mu    sync.RWMutex
-	index map[types.Key]uint32 // key → slot in recs; made by the first batch
-	recs  []record
-	order []uint32
-	seq   uint64
+	mu      sync.RWMutex
+	size    int // records per chunk
+	shift   int // ordinal bits for a slot: 1<<shift ≥ size
+	chunks  []chunk
+	records int // records in chunks
+	bytes   int // their encodings' total length
+	index   []uint64
+	buf     []pending
+	inserts int // buffered keys the chunks do not hold yet
+	seq     uint64
+	m       LedgerMetrics
 
 	logMu sync.Mutex
 	log   []CommitRecord
@@ -129,15 +173,32 @@ func New() *Store { return NewWithLog(0) }
 
 // NewWithLog returns an empty store retaining the last keep commit
 // records (keep <= 0 disables retention).
-func NewWithLog(keep int) *Store {
-	return &Store{keepLog: keep}
+func NewWithLog(keep int) *Store { return NewChunked(0, keep) }
+
+// NewChunked is NewWithLog with chunks of chunkRecords records instead
+// of types.DefaultChunkRecords (0 keeps the default) — for tests that
+// cut many chunks from a small ledger.
+func NewChunked(chunkRecords, keepLog int) *Store {
+	if chunkRecords <= 0 {
+		chunkRecords = types.DefaultChunkRecords
+	}
+	return &Store{size: chunkRecords, shift: bits.Len(uint(chunkRecords - 1)), keepLog: keepLog}
 }
 
 // Get returns the current value under k and whether the key exists.
-// The returned value must not be mutated.
+// The returned value must not be mutated. Unlike GetVersioned it leaves
+// the version array alone: one cache line fewer on the hot read path.
 func (s *Store) Get(k types.Key) (types.Value, bool) {
-	v, _, ok := s.GetVersioned(k)
-	return v, ok
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	p, c, j, ok := s.lookup(string(k))
+	switch {
+	case !ok:
+		return nil, false
+	case p != nil:
+		return p.val, true
+	}
+	return c.val(j), true
 }
 
 // GetVersioned returns the value under k together with the commit
@@ -145,12 +206,14 @@ func (s *Store) Get(k types.Key) (types.Value, bool) {
 func (s *Store) GetVersioned(k types.Key) (types.Value, uint64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	i, ok := s.index[k]
-	if !ok {
+	p, c, j, ok := s.lookup(string(k))
+	switch {
+	case !ok:
 		return nil, 0, false
+	case p != nil:
+		return p.val, p.ver, true
 	}
-	r := &s.recs[i]
-	return r.val, r.ver, true
+	return c.val(j), c.ver[j], true
 }
 
 // Version returns the install version of k (0 if absent).
@@ -174,19 +237,15 @@ func (s *Store) Set(k types.Key, v types.Value) {
 
 // Apply installs a write batch atomically, stamping every key with the
 // new commit sequence number, and returns that number. Values are
-// retained without copying: callers hand over buffers they never
-// mutate afterwards (execution results and decoded block payloads),
-// the same contract under which Get returns entries uncloned. The
-// former per-record clone was a fixed allocation tax on every
-// committed write.
+// retained without copying until the next fold copies them into a
+// chunk: callers hand over buffers they never mutate afterwards
+// (execution results and decoded block payloads), the same contract
+// under which Get returns entries uncloned.
 func (s *Store) Apply(writes []types.RWRecord) uint64 {
 	s.mu.Lock()
 	s.seq++
 	seq := s.seq
-	s.reserveLocked(len(writes))
-	for _, w := range writes {
-		s.putLocked(w.Key, w.Value, seq)
-	}
+	s.applyLocked(seq, writes)
 	s.mu.Unlock()
 
 	s.retain(seq, writes)
@@ -202,77 +261,92 @@ func (s *Store) ApplyNote(writes []types.RWRecord, _ []byte) uint64 {
 // applyAt installs a write batch under an externally assigned sequence
 // number — the WAL replay path, where record sequence numbers were
 // fixed at append time. seq must be strictly greater than the current
-// sequence.
+// sequence. Values are cloned: they alias the segment file buffer.
 func (s *Store) applyAt(seq uint64, writes []types.RWRecord) {
+	own := make([]types.RWRecord, len(writes))
+	for i, w := range writes {
+		own[i] = types.RWRecord{Key: w.Key, Value: w.Value.Clone()}
+	}
 	s.mu.Lock()
 	s.seq = seq
-	s.reserveLocked(len(writes))
-	for _, w := range writes {
-		s.putLocked(w.Key, w.Value.Clone(), seq)
-	}
+	s.applyLocked(seq, own)
 	s.mu.Unlock()
 	s.retain(seq, writes)
 }
 
-// reserveLocked sizes the index and the slab for the first batch an
-// empty store receives: workload seeding and checkpoint recovery
-// install the whole ledger at once, and growing by doubling from
-// empty re-hashes and re-copies it several times over.
-func (s *Store) reserveLocked(n int) {
-	if s.index == nil {
-		s.index = make(map[types.Key]uint32, n)
-		s.recs = make([]record, 0, n)
-	}
-}
-
-// putLocked installs one value at version ver.
-func (s *Store) putLocked(k types.Key, v types.Value, ver uint64) {
-	if i, ok := s.index[k]; ok {
-		r := &s.recs[i]
-		r.val, r.ver = v, ver
+// applyLocked buffers a batch at version seq, folding when the buffer
+// outgrows its bound. A store's first batch (workload seeding) skips
+// the buffer: one sort cuts it straight into chunks.
+func (s *Store) applyLocked(seq uint64, writes []types.RWRecord) {
+	if s.records == 0 && len(s.buf) == 0 && len(writes) > 0 {
+		order := keyOrder(writes)
+		n := len(writes)
+		if order != nil {
+			n = len(order)
+		}
+		s.build(n, func(i int) (types.Key, types.Value, uint64) {
+			if order != nil {
+				i = int(order[i])
+			}
+			return writes[i].Key, writes[i].Value, seq
+		})
 		return
 	}
-	s.index[k] = uint32(len(s.recs))
-	s.recs = append(s.recs, record{key: k, val: v, ver: ver})
+	for _, w := range writes {
+		s.putLocked(w.Key, w.Value, seq)
+	}
+	if len(s.buf) > s.foldAt() {
+		s.foldLocked()
+	}
+	s.report()
 }
 
-// rlockOrdered takes the read lock with order covering every slot,
-// first merging in (under the write lock) any slots inserted since
-// the last walk.
-func (s *Store) rlockOrdered() {
+// keyOrder returns the positions of writes in key order, the last
+// write of a repeated key winning, or nil when writes are already
+// strictly ascending (workload seeding is).
+func keyOrder(writes []types.RWRecord) []int32 {
+	ascending := true
+	for i := 1; i < len(writes) && ascending; i++ {
+		ascending = writes[i-1].Key < writes[i].Key
+	}
+	if ascending {
+		return nil
+	}
+	order := make([]int32, len(writes))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int { return strings.Compare(string(writes[a].Key), string(writes[b].Key)) })
+	out := order[:0]
+	for i, p := range order {
+		if i+1 < len(order) && writes[order[i+1]].Key == writes[p].Key {
+			continue
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// load installs a checkpoint's records (ascending by key) and sequence
+// number into an empty store.
+func (s *Store) load(seq uint64, recs []record) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.seq = seq
+	s.build(len(recs), func(i int) (types.Key, types.Value, uint64) { return recs[i].key, recs[i].val, recs[i].ver })
+}
+
+// rlockFolded takes the read lock over an empty write buffer, first
+// folding it under the write lock.
+func (s *Store) rlockFolded() {
 	s.mu.RLock()
-	for len(s.order) != len(s.recs) {
+	for len(s.buf) != 0 {
 		s.mu.RUnlock()
 		s.mu.Lock()
-		s.reindexLocked()
+		s.foldLocked()
 		s.mu.Unlock()
 		s.mu.RLock()
 	}
-}
-
-// reindexLocked extends order over the slots appended since it was
-// last complete: the new slots are sorted by key and merged into the
-// old order, O(n + m log m) for m new keys among n.
-func (s *Store) reindexLocked() {
-	byKey := func(a, b uint32) int { return cmp.Compare(s.recs[a].key, s.recs[b].key) }
-	old := s.order
-	fresh := make([]uint32, 0, len(s.recs)-len(old))
-	for i := len(old); i < len(s.recs); i++ {
-		fresh = append(fresh, uint32(i))
-	}
-	slices.SortFunc(fresh, byKey)
-	merged := make([]uint32, 0, len(s.recs))
-	i, j := 0, 0
-	for i < len(old) && j < len(fresh) {
-		if byKey(old[i], fresh[j]) < 0 {
-			merged = append(merged, old[i])
-			i++
-		} else {
-			merged = append(merged, fresh[j])
-			j++
-		}
-	}
-	s.order = append(append(merged, old[i:]...), fresh[j:]...)
 }
 
 // retain appends one record to the bounded commit log.
@@ -300,67 +374,86 @@ func (s *Store) Log() []CommitRecord {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.recs)
+	return s.records + s.inserts
 }
 
 // Snapshot returns an immutable copy of the current state, suitable
 // for serial replay during validation and testing.
 func (s *Store) Snapshot() map[types.Key]types.Value {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[types.Key]types.Value, len(s.recs))
-	for i := range s.recs {
-		out[s.recs[i].key] = s.recs[i].val.Clone()
-	}
+	out := make(map[types.Key]types.Value, s.Len())
+	s.Ascend(func(r types.RWRecord) bool {
+		out[r.Key] = r.Value.Clone()
+		return true
+	})
 	return out
 }
 
-// AscendVersioned streams the state in ascending key order with each
-// record's install version, under one read lock, and returns the
-// commit sequence number of the state it walked. The record handed to
-// fn aliases the store's value; fn must not retain or mutate it, and
-// must not write to the store.
-func (s *Store) AscendVersioned(fn func(r types.RWRecord, ver uint64) bool) uint64 {
-	s.rlockOrdered()
+// ascendVersioned walks the state in ascending key order with each
+// record's install version, under one read lock.
+func (s *Store) ascendVersioned(fn func(r types.RWRecord, ver uint64) bool) {
+	s.rlockFolded()
 	defer s.mu.RUnlock()
-	for _, slot := range s.order {
-		r := &s.recs[slot]
-		if !fn(types.RWRecord{Key: r.key, Value: r.val}, r.ver) {
-			break
+	for c := range s.chunks {
+		ch := &s.chunks[c]
+		for j := range ch.off {
+			if !fn(types.RWRecord{Key: types.Key(ch.key(j)), Value: ch.val(j)}, ch.ver[j]) {
+				return
+			}
 		}
 	}
-	return s.seq
 }
 
-// Ascend streams the state in ascending key order: AscendVersioned
-// without the versions.
+// Ascend streams the state in ascending key order over the chunks,
+// after folding the write buffer. Keys and values are views of
+// immutable chunk bytes.
 func (s *Store) Ascend(fn func(types.RWRecord) bool) {
-	s.AscendVersioned(func(r types.RWRecord, _ uint64) bool { return fn(r) })
+	s.ascendVersioned(func(r types.RWRecord, _ uint64) bool { return fn(r) })
 }
 
-// Dump returns the full state as records in ascending key order — the
-// canonical ledger form state snapshots carry. Values are cloned.
-func (s *Store) Dump() []types.RWRecord {
-	s.rlockOrdered()
-	defer s.mu.RUnlock()
-	out := make([]types.RWRecord, len(s.order))
-	for i, slot := range s.order {
-		r := &s.recs[slot]
-		out[i] = types.RWRecord{Key: r.key, Value: r.val.Clone()}
+// Chunks folds the write buffer, hashes the chunks the fold (or an
+// earlier one) rebuilt, and returns every chunk by reference.
+func (s *Store) Chunks() Chunks {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.foldLocked()
+	out := Chunks{
+		Size: s.size, Records: s.records, Seq: s.seq,
+		Enc:     make([][]byte, len(s.chunks)),
+		Digests: make([]types.Digest, len(s.chunks)),
+	}
+	for i := range s.chunks {
+		ch := &s.chunks[i]
+		if ch.stale {
+			ch.digest, ch.stale = types.HashBytes(ch.enc), false
+			out.Rehashed++
+		}
+		out.Enc[i], out.Digests[i] = ch.enc, ch.digest
 	}
 	return out
 }
 
 // Keys returns every key, sorted, for deterministic iteration. The
-// slice is a fresh copy the caller owns.
+// slice is a fresh copy the caller owns; its strings are views of
+// immutable chunk bytes.
 func (s *Store) Keys() []types.Key {
-	s.rlockOrdered()
+	s.rlockFolded()
 	defer s.mu.RUnlock()
-	ks := make([]types.Key, len(s.order))
-	for i, slot := range s.order {
-		ks[i] = s.recs[slot].key
+	ks := make([]types.Key, 0, s.records)
+	for c := range s.chunks {
+		ch := &s.chunks[c]
+		for j := range ch.off {
+			ks = append(ks, types.Key(ch.key(j)))
+		}
 	}
 	return ks
+}
+
+// Instrument makes the store record its ledger metrics into m.
+func (s *Store) Instrument(m LedgerMetrics) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m = m
+	s.report()
 }
 
 // Sync is a no-op: every Apply is immediately visible and the store
@@ -376,71 +469,4 @@ func cloneRecords(recs []types.RWRecord) []types.RWRecord {
 		out[i] = types.RWRecord{Key: r.Key, Value: r.Value.Clone()}
 	}
 	return out
-}
-
-// Overlay is a write buffer layered over a base store. Reads see the
-// overlay's own writes first, then the base; Flush applies the buffer
-// atomically. It is the execution context for serial replay (Tusk's
-// in-order execution, block validation, and test oracles) and is not
-// safe for concurrent use.
-type Overlay struct {
-	base   Backend
-	writes map[types.Key]types.Value
-	// reads records the first observed value per key, forming the
-	// read set of whatever ran against the overlay.
-	reads map[types.Key]types.Value
-	order []types.Key
-}
-
-// NewOverlay creates an empty overlay over base.
-func NewOverlay(base Backend) *Overlay {
-	return &Overlay{
-		base:   base,
-		writes: make(map[types.Key]types.Value),
-		reads:  make(map[types.Key]types.Value),
-	}
-}
-
-// Get reads k, preferring buffered writes.
-func (o *Overlay) Get(k types.Key) (types.Value, bool) {
-	if v, ok := o.writes[k]; ok {
-		return v, true
-	}
-	v, ok := o.base.Get(k)
-	if _, seen := o.reads[k]; !seen {
-		o.reads[k] = v.Clone()
-	}
-	return v, ok
-}
-
-// Set buffers a write to k.
-func (o *Overlay) Set(k types.Key, v types.Value) {
-	if _, ok := o.writes[k]; !ok {
-		o.order = append(o.order, k)
-	}
-	o.writes[k] = v.Clone()
-}
-
-// Writes returns the buffered writes in first-write order.
-func (o *Overlay) Writes() []types.RWRecord {
-	out := make([]types.RWRecord, 0, len(o.order))
-	for _, k := range o.order {
-		out = append(out, types.RWRecord{Key: k, Value: o.writes[k].Clone()})
-	}
-	return out
-}
-
-// Flush applies the buffered writes to the base store atomically and
-// clears the buffer. It returns the commit sequence number.
-func (o *Overlay) Flush() uint64 {
-	seq := o.base.Apply(o.Writes())
-	o.Reset()
-	return seq
-}
-
-// Reset discards buffered state.
-func (o *Overlay) Reset() {
-	o.writes = make(map[types.Key]types.Value)
-	o.reads = make(map[types.Key]types.Value)
-	o.order = o.order[:0]
 }

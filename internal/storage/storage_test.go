@@ -43,11 +43,14 @@ func TestApplyAtomicVersioning(t *testing.T) {
 }
 
 func TestApplyRetainsBuffers(t *testing.T) {
-	// Apply's contract is hand-over: the store retains the value
-	// buffers uncloned (callers never mutate them afterwards), so a
-	// read must observe exactly the installed bytes with no copy in
-	// between.
+	// Apply's contract is hand-over: the store buffers the caller's
+	// value uncloned (callers never mutate it afterwards), so until the
+	// next fold a read observes exactly the installed bytes with no copy
+	// in between. The fold copies the value into a chunk and lets the
+	// caller's buffer go, so a value stops pinning whatever it was
+	// decoded from.
 	s := New()
+	s.Set("seed", types.Value("x")) // a store's first batch is cut into chunks at once
 	v := types.Value("abc")
 	s.Apply([]types.RWRecord{{Key: "k", Value: v}})
 	got, _ := s.Get("k")
@@ -56,6 +59,11 @@ func TestApplyRetainsBuffers(t *testing.T) {
 	}
 	if &got[0] != &v[0] {
 		t.Fatal("expected the store to retain the caller's buffer without copying")
+	}
+	s.Chunks() // folds
+	got, _ = s.Get("k")
+	if string(got) != "abc" || &got[0] == &v[0] {
+		t.Fatalf("after a fold Get=%q aliases the caller's buffer: %v", got, &got[0] == &v[0])
 	}
 }
 
@@ -128,43 +136,6 @@ func TestConcurrentApplyAndGet(t *testing.T) {
 	wg.Wait()
 	if s.Seq() != 8*200 {
 		t.Fatalf("Seq=%d want %d", s.Seq(), 8*200)
-	}
-}
-
-func TestOverlayReadYourWrites(t *testing.T) {
-	s := New()
-	s.Set("a", types.Value("base"))
-	o := NewOverlay(s)
-	v, ok := o.Get("a")
-	if !ok || string(v) != "base" {
-		t.Fatalf("read-through failed: %q", v)
-	}
-	o.Set("a", types.Value("mine"))
-	if v, _ := o.Get("a"); string(v) != "mine" {
-		t.Fatal("overlay did not see own write")
-	}
-	// Base unchanged until flush.
-	if v, _ := s.Get("a"); string(v) != "base" {
-		t.Fatal("overlay leaked before flush")
-	}
-	o.Flush()
-	if v, _ := s.Get("a"); string(v) != "mine" {
-		t.Fatal("flush did not apply")
-	}
-}
-
-func TestOverlayWriteOrderAndReset(t *testing.T) {
-	o := NewOverlay(New())
-	o.Set("b", types.Value("1"))
-	o.Set("a", types.Value("2"))
-	o.Set("b", types.Value("3")) // overwrite keeps first-write position
-	ws := o.Writes()
-	if len(ws) != 2 || ws[0].Key != "b" || string(ws[0].Value) != "3" || ws[1].Key != "a" {
-		t.Fatalf("write order wrong: %+v", ws)
-	}
-	o.Reset()
-	if len(o.Writes()) != 0 {
-		t.Fatal("reset did not clear writes")
 	}
 }
 

@@ -7,21 +7,11 @@ import (
 	"thunderbolt/internal/ce"
 	"thunderbolt/internal/contract"
 	"thunderbolt/internal/storage"
+	"thunderbolt/internal/storage/storagetest"
 	"thunderbolt/internal/types"
 	"thunderbolt/internal/vm"
 	"thunderbolt/internal/workload"
 )
-
-type overlayState struct{ o *storage.Overlay }
-
-func (s overlayState) Read(k types.Key) (types.Value, error) {
-	v, _ := s.o.Get(k)
-	return v, nil
-}
-func (s overlayState) Write(k types.Key, v types.Value) error {
-	s.o.Set(k, v)
-	return nil
-}
 
 func setup(t *testing.T, accounts int) (*contract.Registry, *storage.Store) {
 	t.Helper()
@@ -40,8 +30,8 @@ func checkSerializable(t *testing.T, reg *contract.Registry, initial map[types.K
 		replay.Set(k, v)
 	}
 	for i, tx := range res.Schedule {
-		o := storage.NewOverlay(replay)
-		if err := vm.ExecuteTx(reg, overlayState{o}, tx); err != nil {
+		o := storagetest.NewOverlay(replay)
+		if err := vm.ExecuteTx(reg, o, tx); err != nil {
 			t.Fatalf("replay %d: %v", i, err)
 		}
 		o.Flush()

@@ -1,10 +1,8 @@
 package types
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // DefaultChunkRecords is the default number of ledger records per
@@ -66,14 +64,9 @@ func MerkleFold(ds []Digest) Digest {
 //
 // When keepLimit ≥ 0 the builder additionally retains the decoded
 // records (values cloned) until the stream exceeds that many, then
-// drops them. Snapshot capture and chunk fetch pass -1: no snapshot
-// carries records beside its chunks.
-//
-// A builder armed with Reuse is incremental: a chunk none of whose
-// records changed since the previous pass is taken from that pass by
-// reference instead of being allocated and hashed again. The result
-// is the same either way — a pass with nothing to reuse is the
-// from-scratch pass.
+// drops them. A replica never cuts chunks this way: its store keeps
+// the ledger as these chunks already (storage.Backend.Chunks). The
+// builder is the reference cut that store is tested against.
 type ChunkBuilder struct {
 	size    int
 	keep    bool
@@ -83,19 +76,10 @@ type ChunkBuilder struct {
 	digests []Digest
 	count   int
 
-	// The chunk being cut: its encoding so far, how many records that
-	// holds, the length of its head (count and first key), and whether
-	// any of its records is newer than the previous pass.
-	enc   Encoder
-	n     int
-	head  int
-	dirty bool
-
-	// The previous pass over the same store (Reuse).
-	prevChunks  [][]byte
-	prevDigests []Digest
-	since       uint64
-	reused      int
+	// The chunk being cut: its encoding so far and how many records
+	// that holds.
+	enc Encoder
+	n   int
 }
 
 // NewChunkBuilder returns a builder cutting chunks of size records.
@@ -107,34 +91,17 @@ func NewChunkBuilder(size, keepLimit int) *ChunkBuilder {
 	return &ChunkBuilder{size: size, keep: keepLimit >= 0, limit: keepLimit}
 }
 
-// Reuse arms the builder with the product of a previous pass: chunks
-// and their digests cut from one atomic ordered walk of the same store
-// at commit sequence since. The store must never delete keys, and the
-// stream must then be fed through AddVersioned from one atomic walk of
-// it. since == 0 leaves nothing to reuse.
-func (b *ChunkBuilder) Reuse(chunks [][]byte, digests []Digest, since uint64) {
-	b.prevChunks, b.prevDigests, b.since = chunks, digests, since
-}
-
 // Add appends one record to the stream. Keys must arrive in strictly
 // ascending order (the builder trusts its caller; honest captures
 // stream from a sorted index).
-func (b *ChunkBuilder) Add(k Key, v Value) { b.AddVersioned(k, v, math.MaxUint64) }
-
-// AddVersioned is Add for a record installed at commit sequence ver,
-// which is what decides whether its chunk can be reused.
-func (b *ChunkBuilder) AddVersioned(k Key, v Value, ver uint64) {
+func (b *ChunkBuilder) Add(k Key, v Value) {
 	if b.n == 0 {
 		b.enc.U32(0) // the record count, known when the chunk is cut
-		b.head = 4 + 4 + len(k)
 	}
 	b.enc.Str(string(k))
 	b.enc.Bytes(v)
 	b.n++
 	b.count++
-	if ver > b.since {
-		b.dirty = true
-	}
 	if b.keep {
 		if b.count > b.limit {
 			b.keep = false
@@ -148,37 +115,18 @@ func (b *ChunkBuilder) AddVersioned(k Key, v Value, ver uint64) {
 	}
 }
 
-// flush cuts the chunk being encoded. It is the previous pass's chunk
-// of the same index, byte for byte, when none of its records is newer
-// than that pass and both share a head — the same record count and
-// first key: unchanged records were all part of the previous walk; no
-// key between two of them can have existed then, or (keys are never
-// deleted) it would still sit between them now; so they are the run
-// of that many consecutive records the previous chunk started at the
-// same key. Inserted keys shift every later boundary, and the head
-// check then fails for the chunks behind them.
+// flush cuts the chunk being encoded.
 func (b *ChunkBuilder) flush() {
 	if b.n == 0 {
 		return
 	}
 	enc := b.enc.Sum()
 	binary.BigEndian.PutUint32(enc, uint32(b.n))
-	i := len(b.chunks)
-	if !b.dirty && i < len(b.prevChunks) && bytes.HasPrefix(b.prevChunks[i], enc[:b.head]) {
-		b.chunks = append(b.chunks, b.prevChunks[i])
-		b.digests = append(b.digests, b.prevDigests[i])
-		b.reused++
-	} else {
-		b.chunks = append(b.chunks, b.enc.Detach())
-		b.digests = append(b.digests, HashBytes(enc))
-	}
+	b.chunks = append(b.chunks, b.enc.Detach())
+	b.digests = append(b.digests, HashBytes(enc))
 	b.enc.buf = b.enc.buf[:0]
-	b.n, b.dirty = 0, false
+	b.n = 0
 }
-
-// Reused returns how many of the chunks cut so far were taken from the
-// previous pass instead of being encoded.
-func (b *ChunkBuilder) Reused() int { return b.reused }
 
 // Finish flushes the tail chunk and returns the encoded chunks, their
 // digests, the retained records (nil when the stream exceeded

@@ -7,6 +7,7 @@ import (
 	"thunderbolt/internal/ce"
 	"thunderbolt/internal/contract"
 	"thunderbolt/internal/storage"
+	"thunderbolt/internal/storage/storagetest"
 	"thunderbolt/internal/types"
 	"thunderbolt/internal/workload"
 )
@@ -55,7 +56,7 @@ func TestValidateAcceptsHonestPreplay(t *testing.T) {
 		serial.Set(k, v)
 	}
 	for _, tx := range batch.Schedule {
-		o := storage.NewOverlay(serial)
+		o := storagetest.NewOverlay(serial)
 		if err := execTx(reg, o, tx); err != nil {
 			t.Fatal(err)
 		}
@@ -75,23 +76,12 @@ func TestValidateAcceptsHonestPreplay(t *testing.T) {
 	}
 }
 
-type overlayState struct{ o *storage.Overlay }
-
-func (s overlayState) Read(k types.Key) (types.Value, error) {
-	v, _ := s.o.Get(k)
-	return v, nil
-}
-func (s overlayState) Write(k types.Key, v types.Value) error {
-	s.o.Set(k, v)
-	return nil
-}
-
-func execTx(reg *contract.Registry, o *storage.Overlay, tx *types.Transaction) error {
+func execTx(reg *contract.Registry, o *storagetest.Overlay, tx *types.Transaction) error {
 	c, ok := reg.Lookup(tx.Contract)
 	if !ok {
 		return errors.New("unknown contract")
 	}
-	return c.Execute(overlayState{o}, tx.Args)
+	return c.Execute(o, tx.Args)
 }
 
 func TestValidateRejectsForgedRead(t *testing.T) {
@@ -218,7 +208,7 @@ func TestCrossOrderedMatchesSerial(t *testing.T) {
 		serial.Set(k, v)
 	}
 	for _, tx := range txs {
-		o := storage.NewOverlay(serial)
+		o := storagetest.NewOverlay(serial)
 		if err := execTx(reg, o, tx); err != nil {
 			t.Fatal(err)
 		}

@@ -8,22 +8,10 @@ import (
 
 	"thunderbolt/internal/contract"
 	"thunderbolt/internal/storage"
+	"thunderbolt/internal/storage/storagetest"
 	"thunderbolt/internal/types"
 	"thunderbolt/internal/vm"
 )
-
-// storeState adapts a storage.Overlay to contract.State for direct
-// contract execution in tests.
-type storeState struct{ o *storage.Overlay }
-
-func (s storeState) Read(k types.Key) (types.Value, error) {
-	v, _ := s.o.Get(k)
-	return v, nil
-}
-func (s storeState) Write(k types.Key, v types.Value) error {
-	s.o.Set(k, v)
-	return nil
-}
 
 func newBank(t *testing.T, n int, checking, savings int64) (*contract.Registry, *storage.Store) {
 	t.Helper()
@@ -36,12 +24,12 @@ func newBank(t *testing.T, n int, checking, savings int64) (*contract.Registry, 
 
 func exec(t *testing.T, reg *contract.Registry, st *storage.Store, name string, args ...[]byte) error {
 	t.Helper()
-	o := storage.NewOverlay(st)
+	o := storagetest.NewOverlay(st)
 	c, ok := reg.Lookup(name)
 	if !ok {
 		t.Fatalf("contract %q not registered", name)
 	}
-	if err := c.Execute(storeState{o}, args); err != nil {
+	if err := c.Execute(o, args); err != nil {
 		return err
 	}
 	o.Flush()
@@ -134,9 +122,9 @@ func TestAmalgamate(t *testing.T) {
 
 func TestGetBalanceReadsOnly(t *testing.T) {
 	reg, st := newBank(t, 1, 10, 20)
-	o := storage.NewOverlay(st)
+	o := storagetest.NewOverlay(st)
 	c, _ := reg.Lookup(ContractGetBalance)
-	if err := c.Execute(storeState{o}, [][]byte{[]byte(AccountName(0))}); err != nil {
+	if err := c.Execute(o, [][]byte{[]byte(AccountName(0))}); err != nil {
 		t.Fatal(err)
 	}
 	if len(o.Writes()) != 0 {
@@ -170,8 +158,8 @@ func TestBalanceConservation(t *testing.T) {
 		if tx.Contract != ContractSendPayment && tx.Contract != ContractAmalgamate {
 			continue
 		}
-		o := storage.NewOverlay(st)
-		if err := vm.ExecuteTx(reg, storeState{o}, tx); err != nil {
+		o := storagetest.NewOverlay(st)
+		if err := vm.ExecuteTx(reg, o, tx); err != nil {
 			t.Fatal(err)
 		}
 		o.Flush()
@@ -195,8 +183,8 @@ func TestVMProgramsMatchNativeContracts(t *testing.T) {
 	if err := exec(t, regN, stN, ContractSendPayment, args...); err != nil {
 		t.Fatal(err)
 	}
-	o := storage.NewOverlay(stV)
-	if err := vm.Run(SendPaymentProgram(), storeState{o}, args, vm.Limits{}); err != nil {
+	o := storagetest.NewOverlay(stV)
+	if err := vm.Run(SendPaymentProgram(), o, args, vm.Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	o.Flush()
@@ -206,8 +194,8 @@ func TestVMProgramsMatchNativeContracts(t *testing.T) {
 		}
 	}
 	// GetBalance program reads cleanly.
-	o2 := storage.NewOverlay(stV)
-	if err := vm.Run(GetBalanceProgram(), storeState{o2}, [][]byte{[]byte(a)}, vm.Limits{}); err != nil {
+	o2 := storagetest.NewOverlay(stV)
+	if err := vm.Run(GetBalanceProgram(), o2, [][]byte{[]byte(a)}, vm.Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(o2.Writes()) != 0 {
@@ -218,27 +206,27 @@ func TestVMProgramsMatchNativeContracts(t *testing.T) {
 func TestExecuteTxDispatch(t *testing.T) {
 	reg, st := newBank(t, 2, 100, 0)
 	// Named contract path.
-	o := storage.NewOverlay(st)
+	o := storagetest.NewOverlay(st)
 	tx := &types.Transaction{Contract: ContractDepositChecking,
 		Args: [][]byte{[]byte(AccountName(0)), contract.EncodeInt64(1)}}
-	if err := vm.ExecuteTx(reg, storeState{o}, tx); err != nil {
+	if err := vm.ExecuteTx(reg, o, tx); err != nil {
 		t.Fatal(err)
 	}
 	// Bytecode path.
 	code, _ := SendPaymentProgram().MarshalBinary()
 	tx2 := &types.Transaction{Code: code,
 		Args: [][]byte{[]byte(AccountName(0)), []byte(AccountName(1)), contract.EncodeInt64(1)}}
-	if err := vm.ExecuteTx(reg, storeState{o}, tx2); err != nil {
+	if err := vm.ExecuteTx(reg, o, tx2); err != nil {
 		t.Fatal(err)
 	}
 	// Unknown contract fails terminally.
 	tx3 := &types.Transaction{Contract: "nope"}
-	if err := vm.ExecuteTx(reg, storeState{o}, tx3); !errors.Is(err, contract.ErrContractFailure) {
+	if err := vm.ExecuteTx(reg, o, tx3); !errors.Is(err, contract.ErrContractFailure) {
 		t.Fatalf("unknown contract: %v", err)
 	}
 	// Corrupt bytecode fails terminally.
 	tx4 := &types.Transaction{Code: []byte{1, 2, 3}}
-	if err := vm.ExecuteTx(reg, storeState{o}, tx4); !errors.Is(err, contract.ErrContractFailure) {
+	if err := vm.ExecuteTx(reg, o, tx4); !errors.Is(err, contract.ErrContractFailure) {
 		t.Fatalf("corrupt code: %v", err)
 	}
 }
