@@ -80,7 +80,7 @@ type Options struct {
 	// (node.Config.GCHorizon: 0 = node default, negative disables GC).
 	GCHorizon int
 	// SnapshotInterval is the mid-epoch snapshot capture cadence in
-	// committed leader rounds (node.Config.SnapshotInterval): 0 =
+	// decided rounds (node.Config.SnapshotInterval): 0 =
 	// default, negative disables. Rescue scenarios set it small so a
 	// stranded replica finds a fresh snapshot quickly.
 	SnapshotInterval int

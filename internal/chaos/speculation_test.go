@@ -1,10 +1,10 @@
 // Speculative-execution chaos scenarios: prove that the speculation
 // layer (node/spec.go) never leaks state when its predictions are
 // wrong. An equivocating proposer plus partition pulses make the
-// anchor chain diverge from the straight-line prediction — certified
-// leader vertices whose support arrives too late are skipped by the
-// chain walk, so replicas that predicted them must discard their
-// predictions and run the wave at commit time. The scenario asserts
+// commit order diverge from the straight-line prediction — certified
+// slot vertices whose support arrives too late are skipped, so
+// replicas that predicted them must discard their predictions and run
+// the wave at commit time. The scenario asserts
 // both that the rollbacks
 // actually happened (spec_misses > 0: the fault schedule exercised
 // the miss path, not just the happy path) and that they were
@@ -33,10 +33,10 @@ func specTotals(h *Harness, replicas ...int) (hits, misses, wasted uint64) {
 // TestScenarioSpeculationUnderReorg drives a 4-committee where replica
 // 3 equivocates at the wire level while partition pulses and a loss
 // burst delay certificate propagation among the honest replicas. The
-// combination makes predicted leaders miss their f+1 support window —
-// the anchor-chain walk then commits a later leader first, which is
-// exactly the misprediction the speculation layer must detect and roll
-// back. SpecVerify is on, so every hit that does install is re-derived
+// combination makes predicted slots miss their direct support — they
+// are skipped, or wait for a later anchor while the slots behind them
+// wait too, which is exactly the misprediction the speculation layer
+// must detect and roll back. SpecVerify is on, so every hit that does install is re-derived
 // cold and proven bit-identical on the spot.
 func TestScenarioSpeculationUnderReorg(t *testing.T) {
 	h := newHarness(t, Options{N: 4, Seed: 130, Headless: []int{3}, SpecVerify: true})

@@ -57,7 +57,7 @@ type Config struct {
 	// (node.Config.GCHorizon): 0 = default, negative disables GC.
 	GCHorizon int
 	// SnapshotInterval is the mid-epoch snapshot capture cadence in
-	// committed leader rounds (node.Config.SnapshotInterval): 0 =
+	// decided rounds (node.Config.SnapshotInterval): 0 =
 	// default, negative disables mid-epoch captures.
 	SnapshotInterval int
 	// MinRoundInterval throttles each node's round advancement
@@ -138,7 +138,7 @@ type Cluster struct {
 	latencies *metrics.LatencyRecorder
 	commits   metrics.Counter
 	// waveSeries records, from the observer node (replica 0), each
-	// commit wave's leader round and wall-clock time (Figure 16).
+	// commit wave's wall-clock time (Figure 16).
 	waveSeries *metrics.Series
 	lastWaveAt time.Time
 	nacks      metrics.Counter

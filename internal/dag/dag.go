@@ -52,6 +52,10 @@ type Store struct {
 	// whose parents predate everything the installer retained.
 	base types.Round
 
+	// parentSeen is Add's scratch: the proposers a vertex's parents
+	// were seen from, one flag per committee member.
+	parentSeen []bool
+
 	// walkSeen/walkStack are scratch for Linearize, reused across
 	// commit waves so the per-wave walk allocates nothing but its
 	// result slice. Store is event-loop-owned, so plain fields are
@@ -91,15 +95,16 @@ func NewStoreAt(epoch types.Epoch, n int, base types.Round) *Store {
 		base = 1
 	}
 	return &Store{
-		epoch:    epoch,
-		n:        n,
-		byCert:   make(map[types.Digest]*Vertex),
-		byBlock:  make(map[types.Digest]*Vertex),
-		rounds:   make(map[types.Round]map[types.ReplicaID]*Vertex),
-		floor:    base,
-		base:     base,
-		support:  make(map[types.Digest]supportMemo),
-		roundVer: make(map[types.Round]uint64),
+		epoch:      epoch,
+		n:          n,
+		byCert:     make(map[types.Digest]*Vertex),
+		byBlock:    make(map[types.Digest]*Vertex),
+		rounds:     make(map[types.Round]map[types.ReplicaID]*Vertex),
+		floor:      base,
+		base:       base,
+		parentSeen: make([]bool, n),
+		support:    make(map[types.Digest]supportMemo),
+		roundVer:   make(map[types.Round]uint64),
 	}
 }
 
@@ -112,13 +117,16 @@ func (s *Store) Epoch() types.Epoch { return s.epoch }
 // Add inserts a certified vertex. It rejects epoch mismatches,
 // duplicate (round, proposer) slots with different blocks (Byzantine
 // equivocation caught at certification), vertices naming a parent
-// outside the previous round, and vertices whose parents are not yet
-// present — callers buffer those until the causal history arrives
-// (Validity property).
+// outside the previous round or fewer than a quorum of distinct
+// parents, and vertices whose parents are not yet present — callers
+// buffer those until the causal history arrives (Validity property).
 func (s *Store) Add(v *Vertex) error {
 	b := v.Block
 	if b.Epoch != s.epoch {
 		return fmt.Errorf("dag: vertex epoch %d, store epoch %d", b.Epoch, s.epoch)
+	}
+	if int(b.Proposer) >= s.n {
+		return fmt.Errorf("dag: proposer %d outside a committee of %d", b.Proposer, s.n)
 	}
 	if b.Round < s.floor {
 		// The round was garbage-collected: every vertex that can still
@@ -145,7 +153,18 @@ func (s *Store) Add(v *Vertex) error {
 	// so replicas that happen to hold it would insert a vertex the
 	// others cannot. The verdict is the same everywhere — a replica
 	// without the parent keeps the vertex orphaned, never inserted.
+	//
+	// The commit rule's quorum intersection (see package tusk) needs
+	// every vertex above the base to name a quorum of distinct parents:
+	// certification checks signatures, not parents, so a Byzantine
+	// proposer's thin block can be certified, and is refused here, by
+	// every replica alike. One certified vertex per slot makes distinct
+	// parents distinct proposers.
 	if b.Round > s.base {
+		if q := s.n - (s.n-1)/3; len(b.Parents) < q {
+			return fmt.Errorf("dag: round-%d vertex names %d parents, want at least %d", b.Round, len(b.Parents), q)
+		}
+		clear(s.parentSeen)
 		for _, p := range b.Parents {
 			pv, ok := s.byCert[p]
 			if !ok {
@@ -154,6 +173,10 @@ func (s *Store) Add(v *Vertex) error {
 			if pv.Block.Round != b.Round-1 {
 				return fmt.Errorf("dag: round-%d vertex names a round-%d parent", b.Round, pv.Block.Round)
 			}
+			if s.parentSeen[pv.Proposer()] {
+				return fmt.Errorf("dag: round-%d vertex names a parent twice", b.Round)
+			}
+			s.parentSeen[pv.Proposer()] = true
 		}
 	}
 	s.byCert[v.Cert.Digest()] = v

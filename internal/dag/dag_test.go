@@ -82,12 +82,51 @@ func TestAddRequiresParents(t *testing.T) {
 	st := dag.NewStore(0, 4)
 	orphan := c.Vertex(&types.Block{
 		Epoch: 0, Round: 2, Proposer: 0, Kind: types.NormalBlock,
-		Parents: []types.Digest{types.HashBytes([]byte("nowhere"))},
+		Parents: nowhere(3),
 	})
 	err := st.Add(orphan)
 	var mpe *dag.MissingParentError
 	if !errors.As(err, &mpe) {
 		t.Fatalf("want MissingParentError, got %v", err)
+	}
+}
+
+// nowhere returns k parent digests no store holds.
+func nowhere(k int) []types.Digest {
+	var ds []types.Digest
+	for i := 0; i < k; i++ {
+		ds = append(ds, types.HashBytes([]byte{'n', byte(i)}))
+	}
+	return ds
+}
+
+// TestAddRejectsThinParents: above the base a vertex must name a quorum
+// (2f+1) of distinct previous-round parents — the intersection the
+// commit rule's safety argument needs — however it was certified. Too
+// few, or a quorum padded with one parent named twice, is refused, and
+// the slot stays open for a well-formed block.
+func TestAddRejectsThinParents(t *testing.T) {
+	c := dagtest.NewCommittee(4)
+	b := dagtest.NewBuilder(c, 0)
+	r1 := b.NextRound(nil, nil)
+	for name, parents := range map[string][]types.Digest{
+		"two parents":       {r1[0].Cert.Digest(), r1[1].Cert.Digest()},
+		"one parent thrice": {r1[0].Cert.Digest(), r1[0].Cert.Digest(), r1[0].Cert.Digest()},
+	} {
+		thin := c.Vertex(&types.Block{Epoch: 0, Round: 2, Proposer: 0, Kind: types.NormalBlock, Parents: parents})
+		err := b.Store.Add(thin)
+		var mpe *dag.MissingParentError
+		if err == nil || errors.As(err, &mpe) {
+			t.Fatalf("%s: got %v, want a rejection", name, err)
+		}
+		if _, ok := b.Store.Get(2, 0); ok {
+			t.Fatalf("%s: rejected vertex filled its slot", name)
+		}
+	}
+	good := c.Vertex(&types.Block{Epoch: 0, Round: 2, Proposer: 0, Kind: types.NormalBlock,
+		Parents: []types.Digest{r1[0].Cert.Digest(), r1[1].Cert.Digest(), r1[2].Cert.Digest()}})
+	if err := b.Store.Add(good); err != nil {
+		t.Fatalf("well-parented vertex rejected: %v", err)
 	}
 }
 
@@ -140,19 +179,23 @@ func TestStoreBaseEntry(t *testing.T) {
 	if err := st.Add(low); err == nil {
 		t.Fatal("vertex below the base admitted")
 	}
-	// At the base, parents are waived even though the block names
+	// At the base, parents are waived even though the blocks name
 	// certificates the installer never held.
-	entry := c.Vertex(&types.Block{
-		Epoch: 0, Round: 101, Proposer: 0, Kind: types.NormalBlock,
-		Parents: []types.Digest{types.HashBytes([]byte("pruned-cert"))},
-	})
-	if err := st.Add(entry); err != nil {
-		t.Fatalf("base-round vertex rejected: %v", err)
+	var entries []types.Digest
+	for p := types.ReplicaID(0); p < 3; p++ {
+		entry := c.Vertex(&types.Block{
+			Epoch: 0, Round: 101, Proposer: p, Kind: types.NormalBlock,
+			Parents: []types.Digest{types.HashBytes([]byte("pruned-cert"))},
+		})
+		if err := st.Add(entry); err != nil {
+			t.Fatalf("base-round vertex rejected: %v", err)
+		}
+		entries = append(entries, entry.Cert.Digest())
 	}
 	// Above the base the parent requirement is back in force.
 	orphan := c.Vertex(&types.Block{
 		Epoch: 0, Round: 102, Proposer: 1, Kind: types.NormalBlock,
-		Parents: []types.Digest{types.HashBytes([]byte("nowhere"))},
+		Parents: nowhere(3),
 	})
 	var mpe *dag.MissingParentError
 	if err := st.Add(orphan); !errors.As(err, &mpe) {
@@ -160,7 +203,7 @@ func TestStoreBaseEntry(t *testing.T) {
 	}
 	child := c.Vertex(&types.Block{
 		Epoch: 0, Round: 102, Proposer: 1, Kind: types.NormalBlock,
-		Parents: []types.Digest{entry.Cert.Digest()},
+		Parents: entries,
 	})
 	if err := st.Add(child); err != nil {
 		t.Fatalf("well-parented vertex above base rejected: %v", err)

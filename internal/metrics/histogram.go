@@ -8,23 +8,40 @@ import (
 	"time"
 )
 
-// histBuckets is the fixed bucket count of a Histogram: bucket 0
-// holds zero-valued observations and bucket i holds values in
-// [2^(i-1), 2^i) nanoseconds. 64 value buckets cover every possible
-// time.Duration, so recording never needs a range check beyond the
-// negative clamp.
-const histBuckets = 65
+// Bucketing is log-linear (HDR-style): each power of two is split into
+// subBuckets linear sub-buckets, so a bucket spans at most 1/subBuckets
+// of its lower bound. Values below subBuckets nanoseconds get a bucket
+// each (bucket v holds exactly v); a value v ≥ subBuckets with top bit
+// e lands in bucket (e−subBits)·subBuckets + (v >> (e−subBits)), whose
+// last term is v's top subBits+1 bits, in [subBuckets, 2·subBuckets).
+// The largest time.Duration has e = 62, which fixes histBuckets: every
+// possible duration has a bucket, so recording needs no range check
+// beyond the negative clamp.
+const (
+	subBits     = 3
+	subBuckets  = 1 << subBits
+	histBuckets = (62-subBits)*subBuckets + 2*subBuckets
+)
 
-// Histogram is a fixed log₂-bucket latency histogram. Record is one
+// bucketOf returns the bucket index of a non-negative value.
+func bucketOf(v uint64) int {
+	if v < subBuckets {
+		return int(v)
+	}
+	e := bits.Len64(v) - 1
+	return (e-subBits)*subBuckets + int(v>>(e-subBits))
+}
+
+// Histogram is a fixed log-linear latency histogram. Record is one
 // atomic add into a fixed array plus one into the running sum — no
 // locks, no allocations — so it can sit on the per-block commit path
 // of a GOMAXPROCS=1 bench run without showing up in the profile.
 //
-// The price of log₂ buckets is resolution: a quantile is reported as
-// its bucket's upper bound, which overstates the true value by at
-// most 2×. For steering optimization work across pipeline stages that
-// factor-of-two granularity is exactly enough; the bench's reservoir
-// LatencyRecorder still reports exact end-to-end percentiles.
+// The price of fixed buckets is resolution: a quantile is reported as
+// the largest value its bucket holds, which overstates the true value
+// by at most 1/8 (12.5 %) — fine enough to tell a 1.1 ms stage from a
+// 2.0 ms one. The bench's reservoir LatencyRecorder still reports
+// exact end-to-end percentiles.
 type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
 	count   atomic.Uint64
@@ -37,7 +54,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	h.buckets[bits.Len64(uint64(d))].Add(1)
+	h.buckets[bucketOf(uint64(d))].Add(1)
 	h.count.Add(1)
 	h.sum.Add(uint64(d))
 }
@@ -77,20 +94,28 @@ func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
 	s.SumNanos += o.SumNanos
 }
 
-// bucketUpper returns the exclusive upper bound of bucket i in
-// nanoseconds (bucket 0 holds only zeros).
-func bucketUpper(i int) time.Duration {
-	if i == 0 {
-		return 0
+// bucketLower returns the smallest value bucket i holds, in
+// nanoseconds.
+func bucketLower(i int) time.Duration {
+	if i < 2*subBuckets {
+		return time.Duration(i)
 	}
-	if i >= 64 {
-		return time.Duration(1<<63 - 1)
-	}
-	return time.Duration(uint64(1) << uint(i))
+	shift := i/subBuckets - 1 // e − subBits
+	return time.Duration(uint64(i%subBuckets+subBuckets) << uint(shift))
 }
 
-// Quantile returns the upper bound of the bucket containing the p-th
-// (0..1) observation — an overestimate by at most 2×. Zero if empty.
+// bucketUpper returns the largest value bucket i holds, in nanoseconds
+// (bucket 0 holds only zeros).
+func bucketUpper(i int) time.Duration {
+	if i == histBuckets-1 {
+		return time.Duration(1<<63 - 1)
+	}
+	return bucketLower(i+1) - 1
+}
+
+// Quantile returns the largest value of the bucket containing the p-th
+// (0..1) observation — an overestimate by at most 12.5 %. Zero if
+// empty.
 func (s HistogramSnapshot) Quantile(p float64) time.Duration {
 	if s.Count == 0 {
 		return 0
@@ -136,11 +161,7 @@ func (s HistogramSnapshot) Dump() string {
 		if c == 0 {
 			continue
 		}
-		var lo time.Duration
-		if i > 1 {
-			lo = bucketUpper(i - 1)
-		}
-		fmt.Fprintf(&b, "  [%12v, %12v) %d\n", lo, bucketUpper(i), c)
+		fmt.Fprintf(&b, "  [%12v, %12v] %d\n", bucketLower(i), bucketUpper(i), c)
 	}
 	return b.String()
 }

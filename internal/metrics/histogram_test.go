@@ -6,9 +6,10 @@ import (
 	"time"
 )
 
-// TestHistogramBucketBoundaries pins the log₂ bucketing contract:
-// bucket 0 holds zeros, bucket i holds [2^(i-1), 2^i), and a quantile
-// reports its bucket's upper bound (≤ 2× the true value).
+// TestHistogramBucketBoundaries pins the log-linear bucketing
+// contract: values below 8 ns get a bucket each, every power of two
+// above splits into 8 equal sub-buckets, and a quantile reports the
+// largest value of its bucket (≤ 12.5 % above the true value).
 func TestHistogramBucketBoundaries(t *testing.T) {
 	var h Histogram
 	cases := []struct {
@@ -16,15 +17,21 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		bucket int
 	}{
 		{0, 0},
-		{1, 1}, // [1, 2)
-		{2, 2}, // [2, 4)
-		{3, 2},
-		{4, 3}, // [4, 8)
-		{7, 3},
-		{8, 4},
-		{1023, 10},            // [512, 1024)
-		{1024, 11},            // [1024, 2048)
-		{-5 * time.Second, 0}, // negative clamps to zero
+		{1, 1},
+		{7, 7},
+		{8, 8},   // [8, 16) has width 1: [8, 8]
+		{15, 15}, // [15, 15]
+		{16, 16}, // [16, 32) splits in pairs: [16, 17]
+		{17, 16},
+		{18, 17},   // [18, 19]
+		{31, 23},   // [30, 31]
+		{32, 24},   // [32, 35]
+		{1023, 63}, // [960, 1023]
+		{1024, 64}, // [1024, 1151]
+		{1151, 64},
+		{1152, 65},                      // [1152, 1279]
+		{time.Duration(1<<63 - 1), 487}, // the largest duration has the last bucket
+		{-5 * time.Second, 0},           // negative clamps to zero
 	}
 	for _, c := range cases {
 		h.Observe(c.v)
@@ -43,13 +50,34 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		}
 	}
 
-	// Quantile upper-bound contract: a single value v lands below its
-	// bucket upper bound and at most 2v (v > 0).
-	var q Histogram
-	q.Observe(1500 * time.Nanosecond)
-	got := q.Snapshot().Quantile(0.5)
-	if got < 1500 || got > 3000 {
-		t.Fatalf("quantile of 1500ns = %v, want in [1500ns, 3µs]", got)
+	// Buckets tile the durations: each starts one past the one before,
+	// holds every value in it, and spans at most 1/8 of its lower bound.
+	for i := 1; i < histBuckets; i++ {
+		lo, hi := bucketLower(i), bucketUpper(i)
+		if lo != bucketUpper(i-1)+1 || bucketOf(uint64(lo)) != i || bucketOf(uint64(hi)) != i {
+			t.Fatalf("bucket %d [%d, %d] does not tile", i, lo, hi)
+		}
+		if hi-lo > lo/8 {
+			t.Fatalf("bucket %d [%d, %d] is wider than 1/8 of its lower bound", i, lo, hi)
+		}
+	}
+
+	// Quantile contract: a single value v reports its bucket's largest
+	// value, between v and 1.125 v.
+	for _, v := range []time.Duration{1500, 1100 * time.Microsecond, 2 * time.Millisecond, 170 * time.Millisecond} {
+		var q Histogram
+		q.Observe(v)
+		if got := q.Snapshot().Quantile(0.5); got < v || got > v+v/8 {
+			t.Fatalf("quantile of %v = %v, want in [%v, %v]", v, got, v, v+v/8)
+		}
+	}
+	// The resolution the stage histograms need: 1.1 ms and 2.0 ms
+	// certify→commit samples land buckets apart, not in one.
+	var a, b Histogram
+	a.Observe(1100 * time.Microsecond)
+	b.Observe(2 * time.Millisecond)
+	if a.Snapshot().Quantile(0.5) >= b.Snapshot().Quantile(0.5) {
+		t.Fatal("1.1 ms and 2.0 ms report the same quantile")
 	}
 
 	// Empty histogram: everything zero.
@@ -70,9 +98,9 @@ func TestHistogramQuantileOrder(t *testing.T) {
 		t.Fatalf("p50 %v > p99 %v", p50, p99)
 	}
 	// True p50 is ~500µs; the bucket bound must cover it and stay
-	// within the 2× contract.
-	if p50 < 500*time.Microsecond || p50 > time.Millisecond {
-		t.Fatalf("p50=%v want in [500µs, 1ms]", p50)
+	// within the 12.5 % contract.
+	if p50 < 500*time.Microsecond || p50 > 563*time.Microsecond {
+		t.Fatalf("p50=%v want in [500µs, 563µs]", p50)
 	}
 	if mean := s.Mean(); mean < 400*time.Microsecond || mean > 600*time.Microsecond {
 		t.Fatalf("mean=%v want ~500µs", mean)

@@ -24,19 +24,23 @@ func (n *Node) processCommits() {
 		for _, w := range waves {
 			n.execQ = append(n.execQ, execItem{wave: w, committedAt: now})
 			for _, s := range w.Skipped {
-				// a = 1 when the leader vertex was missing, 0 when it
-				// was short of support.
+				// a = 1 when the slot's vertex was missing, 0 when it
+				// was short of support; b = the slot's proposer.
 				var missing uint64
 				if s.Missing {
 					missing = 1
 				}
-				n.trace(metrics.EvAnchorSkip, s.Round, missing, 0)
+				n.trace(metrics.EvAnchorSkip, s.Round, missing, uint64(s.Proposer))
 			}
-			n.nm.anchorsSkipped.Add(uint64(len(w.Skipped)))
+			n.nm.slotsSkipped.Add(uint64(len(w.Skipped)))
+			if w.Direct {
+				n.nm.slotsDirect.Add(1)
+			} else {
+				n.nm.slotsIndirect.Add(1)
+			}
 		}
-		n.nm.anchorsOrdered.Add(uint64(len(waves)))
 		n.nm.execQueueDepth.Set(int64(len(n.execQ)))
-		n.nm.roundsInFlight.Set(int64(n.nextRound) - 1 - int64(n.committer.LastLeaderRound()))
+		n.nm.roundsInFlight.Set(int64(n.nextRound) - 1 - int64(n.committer.DecidedRound()))
 	}
 }
 
@@ -51,6 +55,14 @@ func (n *Node) drainExec() {
 	for i := 0; i < len(n.execQ); i++ {
 		it := n.execQ[i]
 		n.execQ[i] = execItem{} // release the vertex references
+		// Mid-epoch snapshot cadence: a wave of a later round than the
+		// last one installed says that round is fully decided, and the
+		// state holds exactly its waves — the deterministic position
+		// every honest replica shares. Capture there when it crossed a
+		// SnapshotInterval boundary.
+		if last := n.commitCtx.Wave; it.wave.Leader.Round() > last {
+			n.maybeCaptureMidEpoch(last)
+		}
 		// Run once, install once: the result is the confirmed
 		// prediction's if there is one, otherwise the wave runs now.
 		res, hit := n.waveResultFor(it.wave)
@@ -67,11 +79,6 @@ func (n *Node) drainExec() {
 			i = -1 // execQ was replaced by the new epoch's queue, if any
 			continue
 		}
-		// Mid-epoch snapshot cadence: capture when this wave crossed a
-		// SnapshotInterval boundary of committed leader rounds. After
-		// the wave's execution, so the capture sees its writes — the
-		// deterministic position every honest replica shares.
-		n.maybeCaptureMidEpoch(it.wave.Leader.Round())
 		n.maybeGC()
 		n.flushOutbox()
 		n.drainInbox()

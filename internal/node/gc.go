@@ -9,7 +9,7 @@ import (
 // Committed-wave garbage collection (ROADMAP "DAG/memory pruning").
 //
 // Retention has two tiers, both measured down from this replica's own
-// last committed leader round (last):
+// last fully decided round (last):
 //
 //	decoded tier: rounds ≥ last − MinGCHorizon
 //	archive:      last − GCHorizon ≤ rounds < last − MinGCHorizon
@@ -59,7 +59,7 @@ func (n *Node) maybeGC() {
 	if n.cfg.GCHorizon < 0 {
 		return
 	}
-	if last := n.committer.LastLeaderRound(); last > MinGCHorizon {
+	if last := n.committer.DecidedRound(); last > MinGCHorizon {
 		n.pruneBelow(last - MinGCHorizon)
 	}
 }

@@ -52,33 +52,34 @@ const (
 	mSpecMisses    = "spec_misses"
 	mSpecWastedTxs = "spec_wasted_txs"
 
-	// Commit rule (tusk): anchors ordered, one per commit wave, and
-	// anchor candidates an instance passed over on the way to one.
-	// anchors_ordered / rounds_proposed is the anchors per round: ≈ 1
-	// when nothing fails, lower by the rounds skips cost.
-	mAnchorsOrdered = "anchors_ordered"
-	mAnchorsSkipped = "anchors_skipped"
+	// Commit rule (tusk): slots decided, by rule. Every slot of a round
+	// is an anchor candidate, so (committed direct + indirect) /
+	// rounds_proposed is ≈ n when nothing fails; the indirect and
+	// skipped counts stay near 0 unless a proposer crashed or lagged.
+	mSlotsCommittedDirect   = "slots_committed_direct"
+	mSlotsCommittedIndirect = "slots_committed_indirect"
+	mSlotsSkipped           = "slots_skipped"
 
 	// Certification and round pacing (votes.go, pacing.go).
-	mLeaderWaits        = "leader_waits"         // proposals held for a leader's certificate
-	mLeaderWaitTimeouts = "leader_wait_timeouts" // holds that ended at their bound
-	mLeaderWaitNs       = "leader_wait_ns"       // histogram: how long a hold lasted
-	mVotesEarly         = "votes_early"          // votes counted before their block arrived
-	mVotesDroppedLate   = "votes_dropped_late"   // votes for a slot already decided
-	mVoteSigsSigned     = "vote_sigs_signed"     // vote signatures produced: one per bundle sealed
-	mVoteSigsVerified   = "vote_sigs_verified"   // vote signatures checked: at most one per bundle received
-	mVoteVerifyNs       = "vote_verify_ns"       // histogram: one of those checks
-	mVoteBundleEntries  = "vote_bundle_entries"  // votes that left under those signatures
-	mVoteSealHolds      = "vote_seal_holds"      // flushes that ended with the ballot held for its round quorum
-	mVoteSealsOnStall   = "vote_seals_on_stall"  // held ballots a stall sealed
-	mFutureMsgsDropped  = "future_msgs_dropped"  // next-epoch messages a sender's own later ones pushed out
-	mStallRebroadcasts  = "stall_rebroadcasts"   // own block re-sent after a stall
-	mRoundPulls         = "round_pulls"          // MsgRoundReq broadcasts
-	mCertLatencyEst     = "cert_latency_est_ns"  // gauge: own propose→certified estimate
+	mSlotWaits         = "slot_waits"          // proposals held for the previous round's seen blocks to certify
+	mSlotWaitTimeouts  = "slot_wait_timeouts"  // holds that ended at their bound
+	mSlotWaitNs        = "slot_wait_ns"        // histogram: how long a hold lasted
+	mVotesEarly        = "votes_early"         // votes counted before their block arrived
+	mVotesDroppedLate  = "votes_dropped_late"  // votes for a slot already decided
+	mVoteSigsSigned    = "vote_sigs_signed"    // vote signatures produced: one per bundle sealed
+	mVoteSigsVerified  = "vote_sigs_verified"  // vote signatures checked: at most one per bundle received
+	mVoteVerifyNs      = "vote_verify_ns"      // histogram: one of those checks
+	mVoteBundleEntries = "vote_bundle_entries" // votes that left under those signatures
+	mVoteSealHolds     = "vote_seal_holds"     // flushes that ended with the ballot held for its round quorum
+	mVoteSealsOnStall  = "vote_seals_on_stall" // held ballots a stall sealed
+	mFutureMsgsDropped = "future_msgs_dropped" // next-epoch messages a sender's own later ones pushed out
+	mStallRebroadcasts = "stall_rebroadcasts"  // own block re-sent after a stall
+	mRoundPulls        = "round_pulls"         // MsgRoundReq broadcasts
+	mCertLatencyEst    = "cert_latency_est_ns" // gauge: own propose→certified estimate
 
 	// Pipeline-depth gauges: how much work each stage of the pipelined
 	// commit path is holding right now.
-	mRoundsInFlight    = "rounds_in_flight"    // proposed rounds past the last committed leader round
+	mRoundsInFlight    = "rounds_in_flight"    // proposed rounds past the last fully decided round
 	mExecQueueDepth    = "exec_queue_depth"    // committed waves queued for execution
 	mOutboxFlushBytes  = "outbox_flush_bytes"  // bytes of the last outbox flush
 	mOutboxFlushFrames = "outbox_flush_frames" // wire frames of the last outbox flush
@@ -141,10 +142,11 @@ type nodeMetrics struct {
 	specHits           *metrics.Counter
 	specMisses         *metrics.Counter
 	specWastedTxs      *metrics.Counter
-	anchorsOrdered     *metrics.Counter
-	anchorsSkipped     *metrics.Counter
-	leaderWaits        *metrics.Counter
-	leaderWaitTimeouts *metrics.Counter
+	slotsDirect        *metrics.Counter
+	slotsIndirect      *metrics.Counter
+	slotsSkipped       *metrics.Counter
+	slotWaits          *metrics.Counter
+	slotWaitTimeouts   *metrics.Counter
 	votesEarly         *metrics.Counter
 	votesDroppedLate   *metrics.Counter
 	voteSigsSigned     *metrics.Counter
@@ -180,7 +182,7 @@ type nodeMetrics struct {
 	stageCommitExecute   *metrics.Histogram
 	stageSubmitAck       *metrics.Histogram
 	snapCapture          *metrics.Histogram
-	leaderWaitNs         *metrics.Histogram
+	slotWaitNs           *metrics.Histogram
 	voteVerifyNs         *metrics.Histogram
 }
 
@@ -217,10 +219,11 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		specHits:           reg.Counter(mSpecHits),
 		specMisses:         reg.Counter(mSpecMisses),
 		specWastedTxs:      reg.Counter(mSpecWastedTxs),
-		anchorsOrdered:     reg.Counter(mAnchorsOrdered),
-		anchorsSkipped:     reg.Counter(mAnchorsSkipped),
-		leaderWaits:        reg.Counter(mLeaderWaits),
-		leaderWaitTimeouts: reg.Counter(mLeaderWaitTimeouts),
+		slotsDirect:        reg.Counter(mSlotsCommittedDirect),
+		slotsIndirect:      reg.Counter(mSlotsCommittedIndirect),
+		slotsSkipped:       reg.Counter(mSlotsSkipped),
+		slotWaits:          reg.Counter(mSlotWaits),
+		slotWaitTimeouts:   reg.Counter(mSlotWaitTimeouts),
 		votesEarly:         reg.Counter(mVotesEarly),
 		votesDroppedLate:   reg.Counter(mVotesDroppedLate),
 		voteSigsSigned:     reg.Counter(mVoteSigsSigned),
@@ -261,7 +264,7 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		stageCommitExecute:   reg.Histogram(metrics.StageCommitExecute),
 		stageSubmitAck:       reg.Histogram(metrics.StageSubmitAck),
 		snapCapture:          reg.Histogram(mSnapCaptureNs),
-		leaderWaitNs:         reg.Histogram(mLeaderWaitNs),
+		slotWaitNs:           reg.Histogram(mSlotWaitNs),
 		voteVerifyNs:         reg.Histogram(mVoteVerifyNs),
 	}
 	for class := 0; class < numSendClasses; class++ {

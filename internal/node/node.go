@@ -115,8 +115,8 @@ type Config struct {
 	// transaction without one.
 	NonceWindow int
 
-	// GCHorizon is how far back, in rounds below the last committed
-	// leader round, this replica answers round pulls with the rounds'
+	// GCHorizon is how far back, in rounds below the last fully
+	// decided round, this replica answers round pulls with the rounds'
 	// blocks and certificates — it bounds serving, not the decoded DAG.
 	// After each commit wave the node keeps decoded only the
 	// MinGCHorizon rounds that can still change an ordering (DAG
@@ -130,7 +130,7 @@ type Config struct {
 	GCHorizon int
 
 	// SnapshotInterval captures a mid-epoch snapshot every this many
-	// committed leader rounds, in addition to the capture at the start
+	// decided rounds, in addition to the capture at the start
 	// of every epoch a reconfiguration enters. Captures happen at
 	// deterministic positions of the committed sequence, so honest
 	// replicas' mid-epoch snapshots are bit-identical and a stranded
@@ -145,7 +145,7 @@ type Config struct {
 
 	// SpecExecDepth bounds the speculative-execution pipeline: how
 	// many certified-but-uncommitted commit waves may be predicted
-	// from the anchor chain and executed ahead of the Tusk commit
+	// in slot order and executed ahead of the Tusk commit
 	// (spec.go), filling the certify→commit wait with execution work
 	// that a matching commit installs in O(writes). 0 selects the
 	// default (2); negative disables speculation — every wave then runs
@@ -172,9 +172,9 @@ type Config struct {
 	// MinRoundInterval throttles round advancement (a batch timer):
 	// an idle node proposes at most one block per interval, preventing
 	// empty rounds from spinning the network. Default 1ms. It is also
-	// the floor under the leader hold: a proposal waits for a leader
-	// whose block has arrived for at most twice the measured
-	// certification latency, and never less than this.
+	// the floor under the slot hold: a proposal waits for the previous
+	// round's blocks that have arrived uncertified for at most twice the
+	// measured certification latency, and never less than this.
 	MinRoundInterval time.Duration
 
 	// OnCommitTx, if set, fires for every committed transaction.
@@ -189,8 +189,8 @@ type Config struct {
 	// implementations must not block.
 	OnRejectTx func(tx *types.Transaction)
 	// OnCommitWave, if set, fires after each commit wave with the
-	// leader round (Figure 16's per-round runtime series).
-	OnCommitWave func(epoch types.Epoch, leaderRound types.Round, when time.Time)
+	// committed slot's round (Figure 16's per-round runtime series).
+	OnCommitWave func(epoch types.Epoch, round types.Round, when time.Time)
 }
 
 func (c Config) withDefaults() Config {
@@ -243,7 +243,7 @@ const (
 	// still bounding steady-state memory.
 	defaultGCHorizon = 2048
 	// MinGCHorizon is the decoded window: the rounds below the last
-	// committed leader round a replica keeps decoded, and the floor on
+	// fully decided round a replica keeps decoded, and the floor on
 	// configurable horizons. The GC safety argument (see
 	// dag.Store.PruneBelow) needs it to sit well above the fast-forward
 	// gap, so that any vertex old enough to prune is also too old to
@@ -261,7 +261,7 @@ const (
 	roundPullBatch = 256
 	// defaultSnapshotInterval spaces mid-epoch captures roughly a
 	// quarter of the default GC horizon apart: a stranded replica's
-	// rescue snapshot is at most ~512 leader rounds stale, and servers
+	// rescue snapshot is at most ~512 rounds stale, and servers
 	// still hold four re-entry margins of history below it.
 	defaultSnapshotInterval = 512
 	// chunkServeBudget caps how many MsgSnapChunk replies this replica
@@ -273,11 +273,11 @@ const (
 	chunkServeBudget = 64
 	// defaultSpecExecDepth is the speculative-execution pipeline
 	// depth: up to this many predicted commit waves executed ahead of
-	// the Tusk commit. Two covers the certify→commit wait at LAN
-	// latencies (one leader round in flight plus slack) at ~0.90 hit
-	// rate; deeper pipelines predict across more unsettled anchors,
-	// and the extra misses cost more re-execution than the extra
-	// overlap saves.
+	// the Tusk commit. A wave is one slot, so two run about half of a
+	// round's waves ahead at n = 4; a depth of 2n (a round and more)
+	// measured no better on a LAN committee, whose waves are cheap to
+	// run at commit, and deeper pipelines predict across more unsettled
+	// slots, whose misses cost re-execution.
 	defaultSpecExecDepth = 2
 )
 
@@ -339,7 +339,7 @@ type Stats struct {
 	BatchSize uint64
 	// Speculative execution (spec.go): SpecHits counts commit waves
 	// installed from precomputed results, SpecMisses counts predicted
-	// waves discarded on an anchor-order misprediction, and
+	// waves discarded on a slot-order misprediction, and
 	// SpecWastedTxs the speculatively executed transactions those
 	// rollbacks threw away.
 	SpecHits      uint64
@@ -424,10 +424,13 @@ type Node struct {
 	// and inVotes the one every received bundle decodes into.
 	ballot      []voteEntry
 	ballotSpare []voteEntry
-	voteTree    types.MerkleTree
-	leafBuf     []types.Digest
-	inVotes     voteBundle
-	lastSeen    map[types.ReplicaID]types.Round // latest round proposed per replica
+	// voteUnsynced is set when a vote was journaled on a durable
+	// backend since the last seal; sealVotes flushes the journal first.
+	voteUnsynced bool
+	voteTree     types.MerkleTree
+	leafBuf      []types.Digest
+	inVotes      voteBundle
+	lastSeen     map[types.ReplicaID]types.Round // latest round proposed per replica
 	// futureMsgs parks messages stamped with the next epoch until this
 	// replica's own transition, per sender and bounded (parkFuture).
 	futureMsgs [][]inboundMsg
@@ -453,16 +456,15 @@ type Node struct {
 	// sample) of how long its own blocks take from proposal to landing
 	// certified in the local DAG — two message delays plus queueing. It
 	// scales the two waits that used to be LAN constants: how long a
-	// proposal is held for a leader (leaderWaitBound) and how long
-	// without progress counts as a stall (stallAfter). Zero until the
-	// first own block certifies.
+	// proposal is held for the previous round's blocks (slotWaitBound)
+	// and how long without progress counts as a stall (stallAfter). Zero
+	// until the first own block certifies.
 	certLatency time.Duration
-	// leaderWait is the hold maybeAdvance is applying, if any: the
-	// leader round this replica would leave, when the hold began, and
-	// whether its bound already expired. leaderTimer wakes the loop at
-	// the bound.
-	leaderWait  leaderWait
-	leaderTimer *time.Timer
+	// slotWait is the hold maybeAdvance is applying, if any: the round
+	// this replica would leave, when the hold began, and whether its
+	// bound already expired. slotTimer wakes the loop at the bound.
+	slotWait  slotWait
+	slotTimer *time.Timer
 
 	// --- outbound coalescing (outbox.go) ---
 	outBcast  []outMsg
@@ -480,7 +482,7 @@ type Node struct {
 	execQ []execItem
 
 	// Speculative execution (spec.go): specQ holds commit waves
-	// predicted from the anchor chain in predicted commit order, run
+	// predicted in slot order, run
 	// ahead of the Tusk commit during the certify→commit wait — each
 	// entry's result doubles as the state layer later entries run on;
 	// specVerts claims their vertex digests (the committed filter
@@ -518,8 +520,8 @@ type Node struct {
 	// immutable, so every serve after that is a plain Send). snapFrom
 	// holds the latest snapshot candidate per verified signer (install
 	// needs f+1 matching digests), snapServed rate-limits serving per
-	// requester, lastSnapAt is the committed leader round of the newest
-	// capture or of the entry position (mid-epoch cadence tracking), chunkBudget is the per-tick
+	// requester, lastSnapAt is the decided round of the newest capture
+	// or of the entry position (mid-epoch cadence tracking), chunkBudget is the per-tick
 	// chunk-serve allowance, and fetch is the in-progress chunked rescue,
 	// if any.
 	lastSnap        *types.Snapshot
@@ -627,8 +629,8 @@ func New(cfg Config) (*Node, error) {
 		inspCh:       make(chan func(*Node)),
 		done:         make(chan struct{}),
 	}
-	n.leaderTimer = time.NewTimer(time.Hour)
-	n.leaderTimer.Stop()
+	n.slotTimer = time.NewTimer(time.Hour)
+	n.slotTimer.Stop()
 	n.baseReader = n.baseRead
 	n.specClaimFn = n.specVertClaimed
 	if cfg.SpecExecDepth > 0 && cfg.Mode != ModeSerial {
@@ -717,7 +719,7 @@ func (n *Node) resetEpochState(epoch types.Epoch) {
 	n.lastBlock = nil
 	n.lastBlockVotes = 0
 	n.archive.reset(n.dagStore.Floor())
-	n.leaderWait = leaderWait{}
+	n.slotWait = slotWait{}
 	n.execQ = nil // waves of a dying epoch never execute
 	n.resetSpec() // predictions bind to the dying epoch's DAG
 	n.loadedRound = 0
@@ -729,13 +731,13 @@ func (n *Node) resetEpochState(epoch types.Epoch) {
 
 // CommitEntry is one record of a node's ordered commit sequence: the
 // transaction identity plus its provenance — which epoch and commit
-// wave (leader round) applied it, which block carried it, and through
+// wave (its slot's round) applied it, which block carried it, and through
 // which path. The provenance fields turn a cross-replica divergence
 // from a bare digest mismatch into an explainable event.
 type CommitEntry struct {
 	ID       types.Digest
 	Epoch    types.Epoch
-	Wave     types.Round // leader round of the committing wave
+	Wave     types.Round // round of the committing wave's slot
 	Round    types.Round // round of the block carrying the transaction
 	Proposer types.ReplicaID
 	Cross    bool // committed via the ordered cross-shard path
@@ -990,7 +992,7 @@ func (n *Node) run() {
 	defer tick.Stop()
 	pace := time.NewTicker(n.cfg.MinRoundInterval)
 	defer pace.Stop()
-	defer n.leaderTimer.Stop()
+	defer n.slotTimer.Stop()
 	n.propose()
 	n.flushOutbox()
 	for {
@@ -1018,8 +1020,8 @@ func (n *Node) run() {
 			f(n)
 		case <-pace.C:
 			n.maybeAdvance()
-		case <-n.leaderTimer.C:
-			n.maybeAdvance() // a leader hold reached its bound
+		case <-n.slotTimer.C:
+			n.maybeAdvance() // a slot hold reached its bound
 		case <-tick.C:
 			n.housekeeping()
 		case <-n.done:
@@ -1290,8 +1292,10 @@ func (n *Node) pullRound(r types.Round) {
 
 // handleRoundReq serves every certified vertex of one round (block
 // first, certificate second, per vertex, in proposer order): from the
-// decoded DAG inside the decoded window, and below it as the archived
-// bytes, unchanged — the same messages either way (gc.go). A request
+// decoded DAG inside the decoded window — each block as the bytes it
+// arrived in (types.Block.Wire), so only certificates are encoded — and
+// below it as the archived bytes, unchanged: the same messages either
+// way (gc.go). A request
 // from a stale epoch asks for a DAG this node discarded at a
 // transition — the round-by-round answer no longer exists, so the
 // useful reply is the snapshot that lets the requester jump epochs
@@ -1323,7 +1327,7 @@ func (n *Node) handleRoundReq(from types.ReplicaID, r *roundReq) {
 	}
 	for p := 0; p < n.n; p++ {
 		if v, ok := n.dagStore.Get(r.Round, types.ReplicaID(p)); ok {
-			n.queueTo(from, MsgBlock, mustMarshal(v.Block))
+			n.queueTo(from, MsgBlock, v.Block.Wire())
 			n.queueTo(from, MsgCert, mustMarshal(v.Cert))
 		}
 	}
@@ -1458,11 +1462,11 @@ func (n *Node) handleCert(from types.ReplicaID, c *types.Certificate, raw []byte
 
 func (n *Node) handleBlockReq(from types.ReplicaID, r *blockReq) {
 	if b, ok := n.pendingBlocks[r.BlockDigest]; ok {
-		n.queueTo(from, MsgBlock, mustMarshal(b))
+		n.queueTo(from, MsgBlock, b.Wire())
 		return
 	}
 	if v, ok := n.dagStore.ByBlock(r.BlockDigest); ok {
-		n.queueTo(from, MsgBlock, mustMarshal(v.Block))
+		n.queueTo(from, MsgBlock, v.Block.Wire())
 	}
 }
 
@@ -1597,8 +1601,8 @@ func (n *Node) maybeAdvance() {
 	// rejoin there: blocks proposed at long-past rounds are never
 	// referenced by anyone's parents, so they never commit and their
 	// transactions starve. The rejoin round must sit on a full
-	// certificate quorum — a thin-parent proposal on a leader round
-	// would break the quorum intersection Tusk's commit rule needs
+	// certificate quorum — a thin-parent proposal would break the
+	// quorum intersection the slot commit rule needs
 	// (observed as diverging commit sequences under asymmetric loss).
 	if hi := n.dagStore.HighestRound(); hi >= n.nextRound-1+fastForwardGap {
 		for r := hi; r > hi-4 && r >= n.nextRound-1+fastForwardGap; r-- {
@@ -1622,7 +1626,7 @@ func (n *Node) maybeAdvance() {
 	if _, ok := n.dagStore.Get(prev, n.cfg.ID); !ok {
 		return // wait for our own certificate
 	}
-	if n.holdForLeader(prev) {
+	if n.holdForSlots(prev) {
 		return
 	}
 	// Adaptive round pacing: while the committee carries traffic —

@@ -3,7 +3,6 @@ package node
 import (
 	"time"
 
-	"thunderbolt/internal/tusk"
 	"thunderbolt/internal/types"
 )
 
@@ -12,8 +11,8 @@ import (
 // Two waits in the round loop depend on how long a round takes, and a
 // LAN constant for either is wrong by two orders of magnitude on a WAN
 // link: how long a replica should hold its next proposal for the
-// leader's certificate, and how long without progress means the replica
-// is stalled rather than mid-round. Both derive from one number the
+// previous round's certificates, and how long without progress means
+// the replica is stalled rather than mid-round. Both derive from one number the
 // replica measures on itself — certLatency, the propose→certified
 // latency of its own blocks — with the configured intervals as floors.
 
@@ -42,11 +41,11 @@ func (n *Node) observeCertLatency(b *types.Block) {
 	n.nm.certLatencyEst.Set(int64(n.certLatency))
 }
 
-// leaderWaitBound is how long a proposal is held for a leader whose
-// block has arrived: two certification latencies — the leader's block
-// is at most one behind this replica's own — and never less than the
-// round-pacing floor.
-func (n *Node) leaderWaitBound() time.Duration {
+// slotWaitBound is how long a proposal is held for the previous
+// round's blocks that have arrived uncertified: two certification
+// latencies — such a block is at most one behind this replica's own —
+// and never less than the round-pacing floor.
+func (n *Node) slotWaitBound() time.Duration {
 	return max(n.cfg.MinRoundInterval, 2*n.certLatency)
 }
 
@@ -62,29 +61,30 @@ func (n *Node) stallAfter() time.Duration {
 	return max(2*n.cfg.TickInterval, 4*n.certLatency)
 }
 
-// leaderWait is one hold of the next proposal for a leader vertex.
-type leaderWait struct {
-	round    types.Round // leader round being left; 0 = no hold
+// slotWait is one hold of the next proposal for the previous round's
+// slots.
+type slotWait struct {
+	round    types.Round // round being left; 0 = no hold
 	since    time.Time
 	released bool // the bound expired; do not hold this round again
 }
 
-// holdForLeader reports whether the proposal that would leave round
-// prev must wait: every round carries an anchor candidate, and prev's
-// leader block has been received here but not yet certified. Leaving
-// without the vertex means the next block cannot reference it; when
-// f+1 replicas do that the candidate misses direct support and its
-// instance orders the candidate two rounds later instead — the round
-// between them gets no anchor. A leader whose block never arrived is
-// not waited for — a crashed leader costs what it always cost — and
-// the hold ends when the vertex lands (addVertex re-enters
-// maybeAdvance) or at leaderWaitBound (leaderTimer does).
-func (n *Node) holdForLeader(prev types.Round) bool {
-	w := &n.leaderWait
-	leader := tusk.LeaderOf(n.epoch, prev, n.n)
-	if _, ok := n.dagStore.Get(prev, leader); ok {
+// holdForSlots reports whether the proposal that would leave round
+// prev must wait: every slot of prev is an anchor candidate, committed
+// on its own only when 2f+1 vertices of the next round reference it,
+// and a block of prev has been received here whose vertex has not
+// landed yet. Leaving without the vertex means the next block cannot
+// reference it; when f+1 replicas do that the slot misses direct
+// commit and waits for an anchor two rounds up — and every slot behind
+// it in the commit order waits with it. A block that never arrived is
+// not waited for — a crashed proposer's slot is skipped on its own —
+// and the hold ends when the last awaited vertex lands (addVertex
+// re-enters maybeAdvance) or at slotWaitBound (slotTimer does).
+func (n *Node) holdForSlots(prev types.Round) bool {
+	w := &n.slotWait
+	if !n.awaitingVertex(prev) {
 		if w.round == prev && !w.released {
-			n.nm.leaderWaitNs.Observe(time.Since(w.since))
+			n.nm.slotWaitNs.Observe(time.Since(w.since))
 			w.released = true
 		}
 		return false
@@ -93,28 +93,28 @@ func (n *Node) holdForLeader(prev types.Round) bool {
 		if w.released {
 			return false
 		}
-		if waited := time.Since(w.since); waited >= n.leaderWaitBound() {
-			n.nm.leaderWaitTimeouts.Add(1)
-			n.nm.leaderWaitNs.Observe(waited)
+		if waited := time.Since(w.since); waited >= n.slotWaitBound() {
+			n.nm.slotWaitTimeouts.Add(1)
+			n.nm.slotWaitNs.Observe(waited)
 			w.released = true
 			return false
 		}
 		return true
 	}
-	if !n.blockSeen(prev, leader) {
-		return false
-	}
-	*w = leaderWait{round: prev, since: time.Now()}
-	n.nm.leaderWaits.Add(1)
-	n.leaderTimer.Reset(n.leaderWaitBound())
+	*w = slotWait{round: prev, since: time.Now()}
+	n.nm.slotWaits.Add(1)
+	n.slotTimer.Reset(n.slotWaitBound())
 	return true
 }
 
-// blockSeen reports whether a block for the slot has been received.
-func (n *Node) blockSeen(r types.Round, p types.ReplicaID) bool {
+// awaitingVertex reports whether a block of round r has been received
+// whose slot holds no vertex in the DAG yet.
+func (n *Node) awaitingVertex(r types.Round) bool {
 	for _, d := range n.pendingRounds[r] {
-		if b, ok := n.pendingBlocks[d]; ok && b.Proposer == p {
-			return true
+		if b, ok := n.pendingBlocks[d]; ok {
+			if _, landed := n.dagStore.Get(r, b.Proposer); !landed {
+				return true
+			}
 		}
 	}
 	return false

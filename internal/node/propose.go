@@ -159,7 +159,7 @@ func (n *Node) propose() {
 	n.nm.round.Set(int64(r))
 	n.nm.pendingCross.Set(int64(len(n.pendingCross)))
 	n.nm.queueLen.Set(int64(len(n.txQueue)))
-	n.nm.roundsInFlight.Set(int64(r) - int64(n.committer.LastLeaderRound()))
+	n.nm.roundsInFlight.Set(int64(r) - int64(n.committer.DecidedRound()))
 	// a = single-shard txs carried, b = cross-shard txs carried.
 	n.trace(metrics.EvPropose, r, uint64(len(blk.SingleTxs)), uint64(len(blk.CrossTxs)))
 	// Keep the block (and its encoding — one marshal serves the

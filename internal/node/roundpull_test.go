@@ -106,33 +106,7 @@ func TestRoundPullAnswers(t *testing.T) {
 // certificates encoded once, in proposer order — and serving it again
 // allocates nothing beyond the outbox.
 func TestArchivedRoundServedAsDecoded(t *testing.T) {
-	committee := dagtest.NewCommittee(4)
-	n, _ := voteTestNode(t, committee, 0)
-	b := dagtest.NewBuilder(committee, 0)
-	withTxs := func(blk *types.Block) {
-		for i := range 3 {
-			tx := &types.Transaction{
-				Client: uint64(blk.Proposer) + 1, Nonce: uint64(blk.Round)*10 + uint64(i),
-				Kind: types.SingleShard, Shards: []types.ShardID{blk.Shard},
-				Contract: "transfer", Args: [][]byte{[]byte("from"), []byte("to")},
-			}
-			blk.SingleTxs = append(blk.SingleTxs, tx)
-			blk.Results = append(blk.Results, types.TxResult{TxID: tx.ID(),
-				WriteSet: []types.RWRecord{{Key: "from", Value: []byte{byte(i)}}}})
-		}
-	}
-	// Every vertex arrives off the wire, relayed, as a recovery reply
-	// does: the decoded blocks hold the bytes they came in.
-	for range 3 {
-		for p, v := range b.NextRound(nil, withTxs) {
-			from := (p + 1) % 4
-			n.handle(inboundMsg{from: from, mt: MsgBlock, payload: mustMarshal(v.Block)})
-			n.handle(inboundMsg{from: from, mt: MsgCert, payload: mustMarshal(v.Cert)})
-		}
-	}
-	if got := n.dagStore.CountAtRound(1); got != 4 {
-		t.Fatalf("round 1 holds %d vertices, want 4", got)
-	}
+	n := relayedRounds(t)
 	const to = 2
 	req := roundReq{Epoch: 0, Round: 1}
 	answer := func() []outMsg {
@@ -162,6 +136,65 @@ func TestArchivedRoundServedAsDecoded(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("serving an archived round allocates %.1f times, want 0", allocs)
 	}
+}
+
+// TestDecodedRoundServedFromWire: inside the decoded window a round
+// pull's blocks go out as the bytes they arrived in — identical to a
+// fresh encoding, and no block encoded to answer.
+func TestDecodedRoundServedFromWire(t *testing.T) {
+	n := relayedRounds(t)
+	const to = 2
+	n.handleRoundReq(to, &roundReq{Epoch: 0, Round: 1})
+	out := n.outDirect[to]
+	if len(out) != 8 {
+		t.Fatalf("answer has %d messages, want 8", len(out))
+	}
+	for p := 0; p < 4; p++ {
+		v, _ := n.dagStore.Get(1, types.ReplicaID(p))
+		m, wire := out[2*p], v.Block.Wire()
+		if m.mt != MsgBlock || !bytes.Equal(m.payload, mustMarshal(v.Block)) {
+			t.Fatalf("proposer %d: the block answer is not the block's encoding", p)
+		}
+		if &m.payload[0] != &wire[0] {
+			t.Fatalf("proposer %d: the block was encoded again to answer", p)
+		}
+	}
+}
+
+// relayedRounds is replica 0 holding rounds 1-3 of a committee of four,
+// each vertex received off the wire, relayed, as a recovery reply does:
+// the decoded blocks hold the bytes they came in, and carry
+// transactions so an encoding is not trivially small.
+func relayedRounds(t *testing.T) *Node {
+	t.Helper()
+	committee := dagtest.NewCommittee(4)
+	n, _ := voteTestNode(t, committee, 0)
+	b := dagtest.NewBuilder(committee, 0)
+	withTxs := func(blk *types.Block) {
+		for i := range 3 {
+			tx := &types.Transaction{
+				Client: uint64(blk.Proposer) + 1, Nonce: uint64(blk.Round)*10 + uint64(i),
+				Kind: types.SingleShard, Shards: []types.ShardID{blk.Shard},
+				Contract: "transfer", Args: [][]byte{[]byte("from"), []byte("to")},
+			}
+			blk.SingleTxs = append(blk.SingleTxs, tx)
+			blk.Results = append(blk.Results, types.TxResult{TxID: tx.ID(),
+				WriteSet: []types.RWRecord{{Key: "from", Value: []byte{byte(i)}}}})
+		}
+	}
+	// Every vertex arrives off the wire, relayed, as a recovery reply
+	// does: the decoded blocks hold the bytes they came in.
+	for range 3 {
+		for p, v := range b.NextRound(nil, withTxs) {
+			from := (p + 1) % 4
+			n.handle(inboundMsg{from: from, mt: MsgBlock, payload: mustMarshal(v.Block)})
+			n.handle(inboundMsg{from: from, mt: MsgCert, payload: mustMarshal(v.Cert)})
+		}
+	}
+	if got := n.dagStore.CountAtRound(1); got != 4 {
+		t.Fatalf("round 1 holds %d vertices, want 4", got)
+	}
+	return n
 }
 
 // TestStallPullRescuesPastWithholdingServer: a stranded replica sends
@@ -199,8 +232,8 @@ func TestStallPullRescuesPastWithholdingServer(t *testing.T) {
 		t.Fatal("the withholding server's manifest arrived")
 	}
 	fetchChunks(t, victim, nodes[2:]...)
-	if st := victim.Stats(); st.MidEpochInstalls != 1 || victim.committer.LastLeaderRound() != 150 {
-		t.Fatalf("not rescued: %d mid-epoch installs, last leader %d", st.MidEpochInstalls, victim.committer.LastLeaderRound())
+	if st := victim.Stats(); st.MidEpochInstalls != 1 || victim.committer.DecidedRound() != 150 {
+		t.Fatalf("not rescued: %d mid-epoch installs, last leader %d", st.MidEpochInstalls, victim.committer.DecidedRound())
 	}
 }
 

@@ -146,9 +146,9 @@ func TestMidEpochChunkedInstall(t *testing.T) {
 	// and the committer resumes at EndRound, the committee's instance
 	// boundary.
 	wantBase := types.Round(100 - MinGCHorizon)
-	if victim.dagStore.Base() != wantBase || victim.committer.LastLeaderRound() != 100 {
+	if victim.dagStore.Base() != wantBase || victim.committer.DecidedRound() != 100 {
 		t.Fatalf("not re-anchored: base %d (want %d), last leader %d (want 100)",
-			victim.dagStore.Base(), wantBase, victim.committer.LastLeaderRound())
+			victim.dagStore.Base(), wantBase, victim.committer.DecidedRound())
 	}
 	if victim.epoch != 0 {
 		t.Fatalf("mid-epoch install changed the epoch to %d", victim.epoch)

@@ -22,7 +22,7 @@ import (
 //
 //   - Capture: every replica builds a types.Snapshot of its current
 //     epoch at the epoch's start (EndRound 0, right after a
-//     reconfiguration enters it) AND at fixed committed-leader-round
+//     reconfiguration enters it) AND at fixed decided-round
 //     boundaries inside the epoch (Config.SnapshotInterval). Both run
 //     at deterministic positions of the committed sequence, so every
 //     honest replica's capture for the same position is bit-identical,
@@ -66,29 +66,31 @@ import (
 // ticks (pullRound), and a manifest is too large to answer each pull.
 const snapshotServeEvery = 4
 
-// maybeCaptureMidEpoch captures a mid-epoch snapshot when the
-// committed leader round crosses a Config.SnapshotInterval boundary.
-// Called after each executed wave: honest replicas execute the
-// identical wave sequence, so the boundary crossing — and the
-// committed state at it — is the same everywhere, making mid-epoch
-// captures as bit-identical as epoch-start captures. (A replica
-// replaying history it already holds captures at stale positions; its
-// digests then match no honest quorum, so those captures are inert.)
-func (n *Node) maybeCaptureMidEpoch(leaderRound types.Round) {
+// maybeCaptureMidEpoch captures a mid-epoch snapshot when round, the
+// last fully decided round whose waves are all installed and nothing
+// after them, crosses a Config.SnapshotInterval boundary. drainExec
+// calls it before installing a wave of a later round than the last
+// one's: honest replicas execute the identical wave sequence, so the
+// boundary crossing — and the committed state at it — is the same
+// everywhere, making mid-epoch captures as bit-identical as
+// epoch-start captures. (A replica replaying history it already holds
+// captures at stale positions; its digests then match no honest
+// quorum, so those captures are inert.)
+func (n *Node) maybeCaptureMidEpoch(round types.Round) {
 	if n.cfg.SnapshotInterval <= 0 {
 		return
 	}
 	iv := types.Round(n.cfg.SnapshotInterval)
-	if leaderRound/iv <= n.lastSnapAt/iv {
+	if round/iv <= n.lastSnapAt/iv {
 		return
 	}
-	n.lastSnapAt = leaderRound
+	n.lastSnapAt = round
 	n.capture()
 	n.nm.midEpochCaptures.Add(1)
 }
 
 // capture builds the snapshot of the current epoch at the current
-// committed position: EndRound is the last installed wave's anchor,
+// committed position: EndRound is the last installed wave's round,
 // which enterEpoch sets to the entry position (0 at an epoch's start).
 // The store already keeps the ledger as snapshot chunks: the capture
 // folds the store's write buffer and takes every chunk by reference,
@@ -106,9 +108,10 @@ func (n *Node) capture() {
 	snap := &types.Snapshot{
 		Epoch: n.epoch,
 		N:     uint32(n.n),
-		// The anchor of the last installed wave, not the committer's
+		// The round of the last installed wave, not the committer's
 		// position: waves it already ordered may still wait in execQ,
-		// and the state captured here does not include them. An
+		// and the state captured here does not include them. The
+		// cadence captures only once that round is fully decided, so an
 		// installer resumes its committer right at this round.
 		EndRound:     n.commitCtx.Wave,
 		Shifts:       shifts,
@@ -190,7 +193,7 @@ func (n *Node) snapshotUseful(s *types.Snapshot) bool {
 	if s.Epoch < n.epoch {
 		return false
 	}
-	return s.EndRound >= n.committer.LastLeaderRound()+MinGCHorizon &&
+	return s.EndRound >= n.committer.DecidedRound()+MinGCHorizon &&
 		s.Commits >= n.nm.committedTxs.Value()
 }
 
@@ -328,11 +331,10 @@ func (n *Node) installSnapshot(snap *types.Snapshot, writes []types.RWRecord, ch
 // margin behind endRound, where peers still retain vertices — the
 // snapshot's serving constraint GCHorizon ≥ SnapshotInterval +
 // MinGCHorizon guarantees it — and at round 1 near an epoch's start.
-// The committer restarts at endRound itself: that is the last anchor
-// the entered wave sequence ordered, an instance boundary the whole
-// committee agrees on, so the first instance here is the committee's
-// next one. (Started at the base instead, it could order an anchor
-// below endRound that no one else ordered.) The first wave also
+// The committer restarts at endRound itself: a round whose slots the
+// entered wave sequence had all decided, so the first slot here is the
+// committee's next one. (Started at the base instead, it could order a
+// slot below endRound that no one else ordered.) The first wave also
 // linearizes history between the base and endRound that the restored
 // dedup already resolves, so it validates as duplicates instead of
 // re-applying — the same replay model as a WAL restart. The epoch's

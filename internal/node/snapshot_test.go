@@ -199,7 +199,7 @@ func TestReconfigureMatchesEpochJump(t *testing.T) {
 	view := func(nd *Node) entry {
 		return entry{
 			Epoch: nd.epoch, NextRound: nd.nextRound, Base: nd.dagStore.Base(),
-			Floor: nd.dagStore.Floor(), LastLeader: nd.committer.LastLeaderRound(),
+			Floor: nd.dagStore.Floor(), LastLeader: nd.committer.DecidedRound(),
 			LastSnapAt: nd.lastSnapAt, Shifts: len(nd.committedShift),
 			Queue: len(nd.txQueue), DroppedAtReconfig: nd.Stats().DroppedAtReconfig,
 		}
@@ -254,8 +254,8 @@ func TestInstallCountersAndClaims(t *testing.T) {
 		victim.handleSnapshot(1, signedSnap(donors[0]))
 		victim.handleSnapshot(2, signedSnap(donors[1]))
 		fetchChunks(t, victim, donors...)
-		if victim.lastSnap.Digest() != donors[0].lastSnap.Digest() || victim.committer.LastLeaderRound() != endRound {
-			t.Fatalf("capture at end round %d not installed (last leader %d)", endRound, victim.committer.LastLeaderRound())
+		if victim.lastSnap.Digest() != donors[0].lastSnap.Digest() || victim.committer.DecidedRound() != endRound {
+			t.Fatalf("capture at end round %d not installed (last leader %d)", endRound, victim.committer.DecidedRound())
 		}
 	}
 	for _, d := range donors {

@@ -14,20 +14,19 @@ import (
 // of its latency waiting for the Tusk commit rule to release blocks
 // that are already certified — execution itself is a rounding error.
 // This file fills that wait: the node predicts the next commit waves
-// from the anchor chain (tusk.PredictWave) and runs them right away
+// in slot order (tusk.PredictWave) and runs them right away
 // with runWave — the same function a wave runs through at commit time —
 // so that when the commit rule releases a wave whose prediction held,
 // drainExec hands installWave a result that already exists.
 //
 // The contract:
 //
-//   - predict: a certified leader vertex's wave is linearized exactly
-//     as commitLeader would, with earlier queued predictions treated
-//     as committed, so stacked predictions compose like consecutive
-//     commits. Linearize is stable once a vertex is in the store, so
-//     a prediction only misses when an instance orders another anchor
-//     than the next round's leader (a skipped candidate, a late
-//     leader, equivocation fallout).
+//   - predict: a certified slot vertex's wave is linearized exactly as
+//     its commit would, with earlier queued predictions treated as
+//     committed, so stacked predictions compose like consecutive
+//     commits. Linearize is stable once a vertex is in the store, so a
+//     prediction only misses when a slot it assumed committed is
+//     skipped (a late or unsupported block, equivocation fallout).
 //   - run: runWave against predicted state — reads fall through the
 //     write sets of the earlier queued predictions to the committed
 //     store, and the dedup view is the committed dedup with those
@@ -70,34 +69,33 @@ func (n *Node) resetSpec() {
 // prediction — PredictWave's "already committed" extension.
 func (n *Node) specVertClaimed(d types.Digest) bool { return n.specVerts[d] }
 
-// nextSpecLeaderRound returns the round after the last anchor ordered
-// or predicted: every round carries an anchor, so the prediction is
-// that the next instance orders its first candidate. When that
-// candidate is skipped instead, the commit is an ordinary miss.
-func (n *Node) nextSpecLeaderRound() types.Round {
-	r := n.committer.LastLeaderRound()
+// nextSpecSlot returns the slot after the last one decided or
+// predicted: the prediction is that every slot commits, in slot order.
+// When one is skipped instead, its commit is an ordinary miss. Slots
+// are compared by position in the commit order, round·n + index.
+func (n *Node) nextSpecSlot() (types.Round, types.ReplicaID) {
+	r, p := n.committer.Next()
+	pos := int(r)*n.n + tusk.SlotIndex(n.epoch, r, n.n, p)
 	if len(n.specQ) > 0 {
-		if lr := n.specQ[len(n.specQ)-1].wave.Leader.Round(); lr > r {
-			r = lr
-		}
+		last := n.specQ[len(n.specQ)-1].wave.Leader
+		pos = max(pos, int(last.Round())*n.n+tusk.SlotIndex(n.epoch, last.Round(), n.n, last.Proposer())+1)
 	}
-	return r + 1
+	r = types.Round(pos / n.n)
+	return r, tusk.SlotProposer(n.epoch, r, n.n, pos%n.n)
 }
 
 // maybeQueueSpec extends the prediction queue up to specDepth: one
-// prediction per consecutive round whose leader vertex is already
-// certified into the DAG. Stops at the first missing leader —
-// predicting past a hole would bake in the guess that the hole's
-// leader never commits, which is exactly the reorder that forces a
-// flush when wrong.
+// prediction per consecutive slot whose vertex is already certified
+// into the DAG. Stops at the first missing vertex — predicting past a
+// hole would bake in the guess that the hole's slot never commits,
+// which is exactly the reorder that forces a flush when wrong.
 func (n *Node) maybeQueueSpec() {
 	for len(n.specQ) < n.specDepth {
-		r := n.nextSpecLeaderRound()
-		leader, ok := n.dagStore.Get(r, tusk.LeaderOf(n.epoch, r, n.n))
+		v, ok := n.dagStore.Get(n.nextSpecSlot())
 		if !ok {
 			return
 		}
-		w := n.committer.PredictWave(leader, n.specClaimFn)
+		w := n.committer.PredictWave(v, n.specClaimFn)
 		for _, v := range w.Vertices {
 			n.specVerts[v.Cert.Digest()] = true
 		}
@@ -168,8 +166,8 @@ func (n *Node) waveResultFor(w tusk.CommitWave) (res *waveResult, hit bool) {
 		sw := &n.specQ[0]
 		switch {
 		case sw.wave.Leader != w.Leader || !sameVertices(sw.wave.Vertices, w.Vertices):
-			// The anchor chain routed a different wave here than predicted
-			// (late leader, skipped leader, or a divergent linearization).
+			// The commit rule released a different wave here than predicted
+			// (a skipped slot, or a divergent linearization).
 			// Every queued prediction built on the wrong order.
 			n.specMiss(w)
 		case sw.res == nil:

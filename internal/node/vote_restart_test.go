@@ -23,6 +23,7 @@ type voteRestartFixture struct {
 	net      *transport.SimNetwork
 	dir      string
 	ckpt     int
+	group    time.Duration // the WAL's group-commit interval; 0 = default
 	signers  []crypto.Signer
 	verifier crypto.Verifier
 
@@ -67,7 +68,7 @@ func newVoteRestartFixture(t *testing.T, checkpointEvery int) *voteRestartFixtur
 }
 
 func (f *voteRestartFixture) open() *storage.Durable {
-	d, err := storage.OpenDurable(storage.DurableOptions{Dir: f.dir, CheckpointEvery: f.ckpt})
+	d, err := storage.OpenDurable(storage.DurableOptions{Dir: f.dir, CheckpointEvery: f.ckpt, GroupInterval: f.group})
 	if err != nil {
 		f.t.Fatal(err)
 	}
@@ -104,6 +105,34 @@ func (f *voteRestartFixture) digests(peer types.ReplicaID) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.votesFor[peer])
+}
+
+// TestVoteJournalDurableBeforeWire: a vote's journal entry reaches the
+// disk before the vote reaches the wire. The group-commit timer is out
+// of reach and nothing calls Sync, so the only flush is the one sealing
+// the ballot takes; a crash right after a peer holds the vote must
+// still find it in the reopened journal.
+func TestVoteJournalDurableBeforeWire(t *testing.T) {
+	f := newVoteRestartFixture(t, -1)
+	f.group = time.Hour
+	d := f.open()
+	n1 := f.build(d)
+	blk := &types.Block{Epoch: 0, Round: 1, Proposer: 1, Kind: types.NormalBlock}
+	n1.handleBlock(1, blk, nil)
+	n1.flushOutbox()
+	for deadline := time.Now().Add(5 * time.Second); f.votes(2, blk.Digest()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the vote never reached replica 2")
+		}
+	}
+	d.CloseAbrupt()
+
+	d2 := f.open()
+	defer d2.CloseAbrupt()
+	n2 := f.build(d2)
+	if got, ok := n2.voted[voteKey{round: 1, proposer: 1}]; !ok || got != blk.Digest() {
+		t.Fatalf("a vote a peer holds is missing from the reopened journal (present=%v)", ok)
+	}
 }
 
 // TestFirstVoteJournaledAcrossRestart closes the crash-window

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"time"
 
 	"thunderbolt/internal/crypto"
@@ -196,6 +197,7 @@ func (n *Node) voteCeiling() types.Round {
 // The caller has checked the voted map: this is the slot's first vote.
 func (n *Node) castVote(b *types.Block, k voteKey, d types.Digest) {
 	n.noteOnly(voteNote(b.Epoch, k, d))
+	n.voteUnsynced = n.durable != nil
 	n.voted[k] = d
 	// a = proposer the vote is for.
 	n.trace(metrics.EvVote, b.Round, uint64(b.Proposer), 0)
@@ -206,16 +208,29 @@ func (n *Node) castVote(b *types.Block, k voteKey, d types.Digest) {
 // bundle, one signature — and, when count is set, counts them in this
 // replica's own collectors. With hold set it first leaves the ballot
 // for a later flush while holdBallot says the round quorum is still
-// forming. Counting can certify a vertex, which can propose the next
-// round and cast its vote: that one is sealed here too, or held on the
-// same rule. The votes all belong to the current epoch: resetEpochState
-// seals before it moves on — without counting, the collectors being
-// about to go.
+// forming. Nothing is signed before the journal entries of the votes
+// cast since the last seal are on disk: castVote only buffers its note
+// in the backend's pending group, and a crash between the wire and the
+// group's flush would let the restarted replica sign a second digest
+// for the slot. A seal with no vote cast since the last one pays
+// nothing; one that has pays a single group flush (a replica whose
+// journal fails must not sign at all, and the backend's next append
+// would panic on the same error). Counting can certify a vertex, which
+// can propose the next round and cast its vote: that one is sealed here
+// too, or held on the same rule. The votes all belong to the current
+// epoch: resetEpochState seals before it moves on — without counting,
+// the collectors being about to go.
 func (n *Node) sealVotes(count, hold bool) {
 	for len(n.ballot) > 0 {
 		if hold && n.holdBallot() {
 			n.nm.voteSealHolds.Add(1)
 			return
+		}
+		if n.voteUnsynced {
+			if err := n.cfg.Store.Sync(); err != nil {
+				panic(fmt.Sprintf("node: vote journal not durable: %v", err))
+			}
+			n.voteUnsynced = false
 		}
 		cast := n.ballot
 		n.ballot = n.ballotSpare[:0] // votes cast while counting go to the other buffer

@@ -130,10 +130,10 @@ func deliverVote(t testing.TB, n *Node, from types.ReplicaID, raw []byte) {
 
 func counter(n *Node, name string) uint64 { return n.Metrics().Snapshot().Counters[name] }
 
-// leaderHoldFixture is replica 2 standing at the end of leader round 1
-// (leader: replica 0): a certificate quorum of round 1 in its DAG, its
-// own included, the leader's vertex not among them.
-func leaderHoldFixture(t *testing.T, leaderBlockSeen bool) (n *Node, leader *dag.Vertex) {
+// slotHoldFixture is replica 2 standing at the end of round 1 (leader:
+// replica 0): a certificate quorum of round 1 in its DAG — the
+// leader's and its own among them — and replica 1's vertex not.
+func slotHoldFixture(t *testing.T, blockSeen bool) (n *Node, late *dag.Vertex) {
 	t.Helper()
 	committee := dagtest.NewCommittee(4)
 	n, _ = voteTestNode(t, committee, 2)
@@ -142,7 +142,7 @@ func leaderHoldFixture(t *testing.T, leaderBlockSeen bool) (n *Node, leader *dag
 	}
 	vs := dagtest.NewBuilder(committee, 0).NextRound(nil, nil)
 	for p, v := range vs {
-		if p == 0 {
+		if p == 1 {
 			continue
 		}
 		n.trackPendingBlock(v.Block)
@@ -150,50 +150,51 @@ func leaderHoldFixture(t *testing.T, leaderBlockSeen bool) (n *Node, leader *dag
 			t.Fatalf("vertex of %d rejected", p)
 		}
 	}
-	if leaderBlockSeen {
-		n.trackPendingBlock(vs[0].Block)
+	if blockSeen {
+		n.trackPendingBlock(vs[1].Block)
 	}
 	n.nextRound = 2
-	return n, vs[0]
+	return n, vs[1]
 }
 
-func TestLeaderHoldReleasedOnArrival(t *testing.T) {
-	n, leader := leaderHoldFixture(t, true)
+// A proposal waits for a non-leader block of its round that is here
+// uncertified, and leaves the moment its vertex lands, referencing it.
+func TestSlotHoldReleasedOnArrival(t *testing.T) {
+	n, late := slotHoldFixture(t, true)
 	n.certLatency = time.Second // the bound (2 s) is not what ends this hold
 	n.maybeAdvance()
 	if n.nextRound != 2 {
-		t.Fatalf("proposed round %d past a leader whose block is here and whose certificate is not", n.nextRound-1)
+		t.Fatalf("proposed round %d past a block that is here and whose certificate is not", n.nextRound-1)
 	}
-	if got := counter(n, mLeaderWaits); got != 1 {
-		t.Fatalf("leader_waits = %d, want 1", got)
+	if got := counter(n, mSlotWaits); got != 1 {
+		t.Fatalf("slot_waits = %d, want 1", got)
 	}
 	n.maybeAdvance() // the pace ticker keeps asking; still held, still one wait
-	if n.nextRound != 2 || counter(n, mLeaderWaits) != 1 {
-		t.Fatalf("hold did not persist: next round %d, waits %d", n.nextRound, counter(n, mLeaderWaits))
+	if n.nextRound != 2 || counter(n, mSlotWaits) != 1 {
+		t.Fatalf("hold did not persist: next round %d, waits %d", n.nextRound, counter(n, mSlotWaits))
 	}
-	n.addVertex(leader)
+	n.addVertex(late)
 	if n.nextRound != 3 {
-		t.Fatalf("leader vertex landed but round 2 was not proposed (next round %d)", n.nextRound)
+		t.Fatalf("the awaited vertex landed but round 2 was not proposed (next round %d)", n.nextRound)
 	}
-	if got := counter(n, mLeaderWaitTimeouts); got != 0 {
-		t.Fatalf("leader_wait_timeouts = %d, want 0", got)
+	if got := counter(n, mSlotWaitTimeouts); got != 0 {
+		t.Fatalf("slot_wait_timeouts = %d, want 0", got)
 	}
-	if got := n.Metrics().Snapshot().Histograms[mLeaderWaitNs].Count; got != 1 {
-		t.Fatalf("leader_wait_ns holds %d samples, want 1", got)
+	if got := n.Metrics().Snapshot().Histograms[mSlotWaitNs].Count; got != 1 {
+		t.Fatalf("slot_wait_ns holds %d samples, want 1", got)
 	}
-	// The round-2 block references the leader it waited for.
-	b := n.lastBlock
+	// The round-2 block references the vertex it waited for.
 	found := false
-	for _, p := range b.Parents {
-		found = found || p == leader.Cert.Digest()
+	for _, p := range n.lastBlock.Parents {
+		found = found || p == late.Cert.Digest()
 	}
 	if !found {
-		t.Fatal("round-2 proposal does not reference the leader vertex")
+		t.Fatal("round-2 proposal does not reference the awaited vertex")
 	}
 }
 
-func TestLeaderHoldReleasedAtBound(t *testing.T) {
-	n, _ := leaderHoldFixture(t, true)
+func TestSlotHoldReleasedAtBound(t *testing.T) {
+	n, _ := slotHoldFixture(t, true)
 	n.certLatency = 2 * time.Millisecond // bound: 4 ms
 	n.maybeAdvance()
 	if n.nextRound != 2 {
@@ -204,20 +205,20 @@ func TestLeaderHoldReleasedAtBound(t *testing.T) {
 	if n.nextRound != 3 {
 		t.Fatalf("hold outlived its bound (next round %d)", n.nextRound)
 	}
-	if w, to := counter(n, mLeaderWaits), counter(n, mLeaderWaitTimeouts); w != 1 || to != 1 {
-		t.Fatalf("leader_waits=%d leader_wait_timeouts=%d, want 1 and 1", w, to)
+	if w, to := counter(n, mSlotWaits), counter(n, mSlotWaitTimeouts); w != 1 || to != 1 {
+		t.Fatalf("slot_waits=%d slot_wait_timeouts=%d, want 1 and 1", w, to)
 	}
 }
 
-func TestNoHoldForUnseenLeader(t *testing.T) {
-	n, _ := leaderHoldFixture(t, false)
+func TestNoHoldForUnseenBlock(t *testing.T) {
+	n, _ := slotHoldFixture(t, false)
 	n.certLatency = time.Second
 	n.maybeAdvance()
 	if n.nextRound != 3 {
-		t.Fatalf("a leader whose block never arrived held the proposal (next round %d)", n.nextRound)
+		t.Fatalf("a slot whose block never arrived held the proposal (next round %d)", n.nextRound)
 	}
-	if got := counter(n, mLeaderWaits); got != 0 {
-		t.Fatalf("leader_waits = %d, want 0", got)
+	if got := counter(n, mSlotWaits); got != 0 {
+		t.Fatalf("slot_waits = %d, want 0", got)
 	}
 }
 

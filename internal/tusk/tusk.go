@@ -1,47 +1,79 @@
-// Package tusk implements the Tusk commit rule over a DAG store
-// (paper §2, after Danezis et al.), pipelined so that every round
-// carries an anchor (after Shoal, Spiegelman et al.).
+// Package tusk implements the commit rule over a DAG store (paper §2,
+// after Danezis et al.'s Tusk), with every vertex an anchor candidate
+// that is decided on its own (after Shoal++, Arun et al., and
+// Mysticeti, Babel et al.).
 //
-// Every round has a designated leader, chosen round-robin with an
-// epoch offset (the paper's predetermined-leader property that
-// Thunderbolt's proposal rules lean on). The commit sequence is built
-// one instance at a time. An instance starts at round s, one past the
-// last ordered anchor, and its anchor candidates are the leaders of
-// rounds s, s+2, s+4, …. The first candidate whose vertex has f+1
-// support in the next round is committed directly; from it a backward
-// chain walk in steps of two rounds collects every earlier candidate
-// (down to s) that the current chain element causally references. The
-// earliest element of that chain is the one anchor the instance
-// orders: its uncommitted causal history is linearized into one commit
-// wave, and the next instance starts one round above it. With no
-// faults the leader of round s has support and is its own chain, so
-// every round orders an anchor.
+// Every round r has n slots, one per proposer, in a fixed order that
+// starts at the round's designated leader (LeaderOf, round-robin with
+// an epoch offset — the paper's predetermined-leader property that
+// Thunderbolt's proposal rules lean on) and rotates from there. The
+// commit sequence is the slots in that order, round after round; each
+// slot is decided commit or skip, and a slot is ordered only once
+// every slot before it is decided. Let q = n − f be the quorum (2f+1
+// at n = 3f+1). Slot (r, p) holding vertex v — or nothing, if no
+// vertex for it is in the store — is decided by the first rule that
+// applies:
 //
-// Safety — why all honest replicas order the same anchor sequence:
+//   - direct commit: q round-(r+1) vertices reference v;
+//   - direct skip: q round-(r+1) vertices do not reference it (a
+//     missing v is referenced by no vertex in the store, so a crashed
+//     proposer's slot is skipped as soon as its next round holds a
+//     quorum, and never stalls the slots behind it);
+//   - indirect: otherwise, take the anchor: the first slot, in order
+//     from round r+2 on, that is not decided skip. While the anchor is
+//     undecided so is this slot; once it is decided commit, commit this
+//     slot if the anchor vertex's causal history holds more than f of
+//     v's round-(r+1) referencers, and skip it otherwise.
 //
-//   - Within one instance, candidates are two rounds apart, so
-//     Bullshark's argument holds unchanged: a leader vertex with f+1
-//     support at round r+1 is in the causal history of every vertex at
-//     round ≥ r+2 (each such vertex has 2f+1 parents at r+1, which
-//     intersect the f+1 supporters), so it lies on every chain walked
-//     from a later candidate of the same instance.
-//   - Hence two replicas that directly commit different candidates of
-//     one instance agree on the chain below the lower of the two, and in
-//     particular on its earliest element — the anchor the instance
-//     orders. The chain is a pure graph property of vertices already in
-//     the store, so it does not depend on when support became visible
-//     locally.
-//   - So every instance boundary (the ordered anchor's round + 1) is
-//     the same everywhere, and induction over instances gives one
-//     anchor sequence.
-//   - Each ordered anchor commits its whole uncommitted causal history,
-//     so the committed set stays causally closed — the invariant the
-//     pruning walk in dag.Store.Linearize relies on.
+// A committed slot orders its vertex's uncommitted causal history as
+// one commit wave; a skipped slot's vertex still commits inside a later
+// wave's history, as every non-anchor vertex does.
 //
-// Making every round a candidate of one instance (a chain walk in steps
-// of one) is not safe: f+1 support at r+1 does not put a leader into
-// the history of round r+1's leader, so replicas can walk different
-// chains. The property test in this package catches that rule.
+// Safety — every honest replica decides every slot it decides the same
+// way, so all of them order the same wave sequence. The argument needs
+// two facts about the store: one certified vertex per slot (two blocks
+// of one slot cannot both gather q votes when each honest replica
+// votes once per slot), and every vertex above the store's base naming
+// at least q distinct parents of the round below it, all present
+// (dag.Store.Add refuses a vertex with fewer, and keeps one out until
+// its parents are in). References are a property of the vertices
+// alone, so every count below is a property of the DAG, not of when a
+// replica saw it.
+//
+//  1. Direct decisions never conflict. Round r+1 has at most n slots; q
+//     referencers and q non-referencers would need 2q > n of them.
+//  2. A direct commit forces indirect commit. With q referencers, any
+//     round-(r+2) vertex has q parents at r+1, which meet the
+//     referencers in at least 2q − n = n − 2f ≥ f+1 vertices. Every
+//     vertex at round ≥ r+2 has a round-(r+2) vertex in its history, so
+//     any anchor's history holds more than f referencers.
+//  3. A direct skip forces indirect skip. With q non-referencers, at
+//     most n − q = f vertices reference v anywhere, so no anchor's
+//     history holds more than f.
+//  4. Two indirect decisions agree. By induction on the depth of the
+//     decisions' derivations: the slots from round r+2 up to either
+//     replica's anchor are decided by shallower derivations, so both
+//     agree on them, hence on which slot is the first not skipped — the
+//     same anchor, decided commit by both. Its causal history is a
+//     fixed set, so the count of v's referencers in it is the same.
+//
+// Decisions are also final: a direct count only ever grows toward its
+// threshold and the other side can never reach its own (1), and an
+// anchor's decision and history do not change. So a slot decided once
+// stays decided, and the slot order makes the wave sequence a function
+// of the DAG. Each committed slot commits its whole uncommitted causal
+// history, so the committed set stays causally closed — the invariant
+// the pruning walk in dag.Store.Linearize relies on.
+//
+// Three shortcuts look tempting and are unsafe; the property test in
+// this package catches each. Skipping on f+1 non-references lets one
+// replica skip a slot that another, seeing a different f+1 first,
+// commits through an anchor. Committing indirectly because the anchor
+// reaches v at all (reachability alone, as the old per-round chain walk
+// did) contradicts a direct skip, where f referencers may still exist.
+// And ordering a slot while an earlier one is undecided lets that
+// earlier slot's later commit land behind it on one replica and in
+// front of it on another.
 package tusk
 
 import (
@@ -54,9 +86,9 @@ import (
 // does.
 func LeaderRound(r types.Round) bool { return r >= 1 }
 
-// LeaderOf returns the leader replica of round r. The epoch offsets
-// the rotation so shard reconfigurations also rotate leader duty;
-// round 1 of epoch 0 is led by replica 0.
+// LeaderOf returns the leader replica of round r: its first slot. The
+// epoch offsets the rotation so shard reconfigurations also rotate
+// leader duty; round 1 of epoch 0 is led by replica 0.
 func LeaderOf(epoch types.Epoch, r types.Round, n int) types.ReplicaID {
 	if !LeaderRound(r) {
 		panic("tusk: leader requested for round 0")
@@ -65,22 +97,52 @@ func LeaderOf(epoch types.Epoch, r types.Round, n int) types.ReplicaID {
 	return types.ReplicaID(idx)
 }
 
-// CommitWave is the outcome of one ordered anchor: the leader vertex,
-// the newly committed vertices of its causal history (leader included,
-// deterministic order), and the candidates of its instance that were
-// passed over on the way to it.
+// SlotProposer returns the proposer of round r's i-th slot in the
+// commit order, 0 ≤ i < n: the leader first, then on around the
+// committee.
+func SlotProposer(epoch types.Epoch, r types.Round, n, i int) types.ReplicaID {
+	return types.ReplicaID((int(LeaderOf(epoch, r, n)) + i) % n)
+}
+
+// SlotIndex is SlotProposer's inverse: p's position in round r's order.
+func SlotIndex(epoch types.Epoch, r types.Round, n int, p types.ReplicaID) int {
+	return (int(p) - int(LeaderOf(epoch, r, n)) + n) % n
+}
+
+// CommitWave is the outcome of one committed slot: the slot's vertex
+// (Leader), the newly committed vertices of its causal history (the
+// slot's vertex included, deterministic order), whether the slot was
+// committed on its own support (Direct) or through a later anchor, and
+// the slots decided skip since the previous wave.
 type CommitWave struct {
 	Leader   *dag.Vertex
 	Vertices []*dag.Vertex
-	Skipped  []SkippedAnchor
+	Direct   bool
+	Skipped  []SkippedSlot
 }
 
-// SkippedAnchor is one anchor candidate an instance passed over: its
-// round, and whether its leader vertex was missing from the local DAG
-// (otherwise it was short of support and off the committed chain).
-type SkippedAnchor struct {
-	Round   types.Round
-	Missing bool
+// SkippedSlot is one slot decided skip: its round and proposer, and
+// whether its vertex was missing from the local DAG when it was decided
+// (otherwise it was short of support).
+type SkippedSlot struct {
+	Round    types.Round
+	Proposer types.ReplicaID
+	Missing  bool
+}
+
+// decision is a slot's verdict.
+type decision uint8
+
+const (
+	undecided decision = iota
+	commitDirect
+	commitIndirect
+	skip
+)
+
+type slot struct {
+	round    types.Round
+	proposer types.ReplicaID
 }
 
 // Committer applies the commit rule incrementally as vertices arrive.
@@ -91,9 +153,16 @@ type Committer struct {
 	f     int
 
 	committed map[types.Digest]bool // by certificate digest
-	// lastLeaderRound is the round of the last ordered anchor; the
-	// current instance starts one above it.
-	lastLeaderRound types.Round
+	// decided is the last round whose slots are all decided, and next
+	// how many slots of round decided+1 are: the next slot to decide.
+	decided types.Round
+	next    int
+	// skipped holds the slots decided skip since the last wave.
+	skipped []SkippedSlot
+	// memo keeps the final decisions of slots above the next one, made
+	// while they served as anchors; an anchor search can revisit them on
+	// every Advance until the slot below them is decided.
+	memo map[slot]decision
 }
 
 // NewCommitter builds a committer for one epoch's store.
@@ -101,22 +170,23 @@ func NewCommitter(store *dag.Store, n int) *Committer {
 	return NewCommitterAt(store, n, 0)
 }
 
-// NewCommitterAt builds a committer whose first instance starts at
-// round seed+1 — the mid-epoch snapshot install case, where seed is
-// the snapshot's last ordered anchor and the snapshot state already
-// contains every wave up to it. seed must be an anchor the committee
-// ordered: an instance started anywhere else could order an anchor
-// nobody else did. The store may be entered lower than seed; the first
-// wave then also linearizes history the committee committed at or
-// below seed, which deduplicates against restored state exactly like a
-// WAL-restart replay. seed 0 is an ordinary epoch committer.
+// NewCommitterAt builds a committer whose first slot is round seed+1's
+// first — the mid-epoch snapshot install case, where seed is a round
+// the committee had fully decided at the snapshot and the snapshot
+// state already contains every wave up to it. seed must be such a
+// round: started inside a partly decided round, the committer would
+// order slots of it the committee ordered differently. The store may
+// be entered lower than seed; the first wave then also linearizes
+// history the committee committed at or below seed, which
+// deduplicates against restored state exactly like a WAL-restart
+// replay. seed 0 is an ordinary epoch committer.
 func NewCommitterAt(store *dag.Store, n int, seed types.Round) *Committer {
 	return &Committer{
-		store:           store,
-		n:               n,
-		f:               crypto.FaultBound(n),
-		committed:       make(map[types.Digest]bool),
-		lastLeaderRound: seed,
+		store:     store,
+		n:         n,
+		f:         crypto.FaultBound(n),
+		committed: make(map[types.Digest]bool),
+		decided:   seed,
 	}
 }
 
@@ -139,73 +209,139 @@ func (c *Committer) Forget(ds []types.Digest) {
 // (observability for GC tests).
 func (c *Committer) CommittedLen() int { return len(c.committed) }
 
-// LastLeaderRound returns the round of the last ordered anchor.
-func (c *Committer) LastLeaderRound() types.Round { return c.lastLeaderRound }
+// DecidedRound returns the last round whose slots are all decided.
+func (c *Committer) DecidedRound() types.Round { return c.decided }
+
+// Next returns the next slot to decide.
+func (c *Committer) Next() (types.Round, types.ReplicaID) {
+	r := c.decided + 1
+	return r, SlotProposer(c.store.Epoch(), r, c.n, c.next)
+}
 
 // Advance re-evaluates the commit rule after new vertices landed in
 // the store, returning zero or more commit waves in order: one per
-// instance that can order its anchor, until one cannot.
+// slot decided commit, until a slot cannot be decided yet.
 func (c *Committer) Advance() []CommitWave {
 	var waves []CommitWave
 	for {
-		w, ok := c.order()
-		if !ok {
+		r, p := c.Next()
+		d, v := c.decide(r, p)
+		switch d {
+		case undecided:
 			return waves
+		case skip:
+			c.skipped = append(c.skipped, SkippedSlot{Round: r, Proposer: p, Missing: v == nil})
+		default:
+			w := c.commitSlot(v)
+			w.Direct = d == commitDirect
+			w.Skipped, c.skipped = c.skipped, nil
+			waves = append(waves, w)
 		}
-		waves = append(waves, w)
-	}
-}
-
-// order runs the current instance: it finds the first candidate with
-// f+1 support, walks the anchor chain from it down to the instance's
-// start, and commits the chain's earliest element.
-func (c *Committer) order() (CommitWave, bool) {
-	s := c.lastLeaderRound + 1
-	epoch := c.store.Epoch()
-	for r := s; r+1 <= c.store.HighestRound(); r += 2 {
-		leader, ok := c.store.Get(r, LeaderOf(epoch, r, c.n))
-		if !ok || c.store.SupportFor(leader) < c.f+1 {
-			continue
-		}
-		anchor := leader
-		for j := r; j >= s+2; {
-			j -= 2
-			if lv, ok := c.store.Get(j, LeaderOf(epoch, j, c.n)); ok && c.store.InCausalHistory(anchor, lv) {
-				anchor = lv
+		if c.next++; c.next == c.n {
+			c.next = 0
+			c.decided = r
+			for s := range c.memo {
+				if s.round <= r {
+					delete(c.memo, s)
+				}
 			}
 		}
-		w := c.commitLeader(anchor)
-		for j := s; j < anchor.Round(); j += 2 {
-			_, ok := c.store.Get(j, LeaderOf(epoch, j, c.n))
-			w.Skipped = append(w.Skipped, SkippedAnchor{Round: j, Missing: !ok})
-		}
-		c.lastLeaderRound = anchor.Round()
-		return w, true
 	}
-	return CommitWave{}, false
 }
 
-// PredictWave linearizes what commitLeader would commit for leader if
-// it were the next anchor, treating digests accepted by claimed as
-// already committed, without marking anything — the speculative
-// execution prediction. The caller supplies claimed to cover waves it
-// has predicted but not yet committed, so stacked predictions compose
-// exactly like consecutive commits. Linearize is stable once a vertex
-// is in the store (ancestors insert first), so the prediction for a
-// leader can only be wrong when its instance orders a different
-// anchor — a skipped candidate, or a later chain element routed in
-// front of it — the misprediction case the speculation layer detects
-// by comparing vertex lists at commit time.
+// decide applies the slot rule to (r, p) and returns the verdict with
+// the slot's vertex, nil when the store has none.
+func (c *Committer) decide(r types.Round, p types.ReplicaID) (decision, *dag.Vertex) {
+	v, _ := c.store.Get(r, p)
+	if d, ok := c.memo[slot{r, p}]; ok {
+		return d, v
+	}
+	q := c.n - c.f
+	refs := 0
+	if v != nil {
+		refs = c.store.SupportFor(v)
+	}
+	switch {
+	case refs >= q:
+		return commitDirect, v
+	case c.store.CountAtRound(r+1)-refs >= q:
+		return skip, v
+	}
+	anchor := c.anchorAbove(r)
+	if anchor == nil {
+		return undecided, v
+	}
+	d := skip
+	if v != nil && c.referencersIn(anchor, v) > c.f {
+		d = commitIndirect
+	}
+	if c.memo == nil {
+		c.memo = make(map[slot]decision)
+	}
+	c.memo[slot{r, p}] = d
+	return d, v
+}
+
+// anchorAbove returns the vertex of the first slot from round r+2 on
+// that is not decided skip, when that slot is decided commit, and nil
+// while it is undecided.
+func (c *Committer) anchorAbove(r types.Round) *dag.Vertex {
+	epoch := c.store.Epoch()
+	// A slot of the highest round cannot be decided: both direct rules
+	// need the round above it.
+	for a := r + 2; a < c.store.HighestRound(); a++ {
+		for i := 0; i < c.n; i++ {
+			switch d, v := c.decide(a, SlotProposer(epoch, a, c.n, i)); d {
+			case undecided:
+				return nil
+			case commitDirect, commitIndirect:
+				return v
+			}
+		}
+	}
+	return nil
+}
+
+// referencersIn counts the round-(r+1) vertices that reference v (of
+// round r) and lie in anchor's causal history. Only indirect decisions
+// ask, so the walk per referencer is not worth sharing.
+func (c *Committer) referencersIn(anchor, v *dag.Vertex) int {
+	target := v.Cert.Digest()
+	count := 0
+	for _, w := range c.store.AtRound(v.Round() + 1) {
+		for _, p := range w.Block.Parents {
+			if p == target {
+				if c.store.InCausalHistory(anchor, w) {
+					count++
+				}
+				break
+			}
+		}
+	}
+	return count
+}
+
+// PredictWave linearizes what a commit of slot vertex leader would
+// commit if it were the next wave, treating digests accepted by
+// claimed as already committed, without marking anything — the
+// speculative execution prediction. The caller supplies claimed to
+// cover waves it has predicted but not yet committed, so stacked
+// predictions compose exactly like consecutive commits. Linearize is
+// stable once a vertex is in the store (ancestors insert first), so the
+// prediction for a slot can only be wrong when a slot before it, or the
+// slot itself, is decided skip — the misprediction case the speculation
+// layer detects by comparing vertex lists at commit time.
 func (c *Committer) PredictWave(leader *dag.Vertex, claimed func(types.Digest) bool) CommitWave {
 	vs := c.store.Linearize(leader, func(d types.Digest) bool { return c.committed[d] || claimed(d) })
 	return CommitWave{Leader: leader, Vertices: vs}
 }
 
-// commitLeader linearizes one leader's uncommitted causal history.
-func (c *Committer) commitLeader(leader *dag.Vertex) CommitWave {
-	vs := c.store.Linearize(leader, func(d types.Digest) bool { return c.committed[d] })
-	for _, v := range vs {
-		c.committed[v.Cert.Digest()] = true
+// commitSlot linearizes one committed slot vertex's uncommitted causal
+// history.
+func (c *Committer) commitSlot(v *dag.Vertex) CommitWave {
+	vs := c.store.Linearize(v, func(d types.Digest) bool { return c.committed[d] })
+	for _, x := range vs {
+		c.committed[x.Cert.Digest()] = true
 	}
-	return CommitWave{Leader: leader, Vertices: vs}
+	return CommitWave{Leader: v, Vertices: vs}
 }

@@ -48,53 +48,74 @@ func TestCommitFirstLeader(t *testing.T) {
 	}
 	b.NextRound(nil, nil) // round 2 references all of round 1
 	waves := cm.Advance()
-	if len(waves) != 1 {
-		t.Fatalf("waves=%d want 1", len(waves))
+	// Every slot of round 1 has its own support: four waves, in slot
+	// order from the leader.
+	if len(waves) != 4 {
+		t.Fatalf("waves=%d want 4", len(waves))
 	}
-	w := waves[0]
-	leader := LeaderOf(0, 1, 4)
-	if w.Leader.Proposer() != leader || w.Leader.Round() != 1 {
-		t.Fatalf("wrong leader committed: (%d,%d)", w.Leader.Round(), w.Leader.Proposer())
+	for i, w := range waves {
+		if want := SlotProposer(0, 1, 4, i); w.Leader.Proposer() != want || w.Leader.Round() != 1 || !w.Direct {
+			t.Fatalf("wave %d: slot (%d,%d) direct=%v, want (1,%d) direct", i, w.Leader.Round(), w.Leader.Proposer(), w.Direct, want)
+		}
+		// Round-1 vertices have no parents: each wave is just its slot.
+		if len(w.Vertices) != 1 || w.Vertices[0] != w.Leader {
+			t.Fatalf("wave %d should contain exactly its slot vertex, got %d", i, len(w.Vertices))
+		}
+		if !cm.Committed(w.Leader.Cert.Digest()) {
+			t.Fatalf("wave %d: slot vertex not marked committed", i)
+		}
 	}
-	// Leader of round 1 has no parents: wave is just itself.
-	if len(w.Vertices) != 1 || w.Vertices[0] != w.Leader {
-		t.Fatalf("wave should contain exactly the leader, got %d", len(w.Vertices))
+	if waves[0].Leader.Proposer() != LeaderOf(0, 1, 4) {
+		t.Fatal("the leader's slot is not first")
 	}
-	if !cm.Committed(w.Leader.Cert.Digest()) {
-		t.Fatal("leader not marked committed")
+	if r, p := cm.Next(); cm.DecidedRound() != 1 || r != 2 || p != LeaderOf(0, 2, 4) {
+		t.Fatalf("after round 1: decided %d, next (%d,%d)", cm.DecidedRound(), r, p)
 	}
 }
 
+// A skipped slot's vertex commits inside the history of a later slot
+// that references it.
 func TestSecondWaveSweepsHistory(t *testing.T) {
 	c := dagtest.NewCommittee(4)
 	b := dagtest.NewBuilder(c, 0)
 	cm := NewCommitter(b.Store, 4)
-	b.NextRound(nil, nil) // 1
-	b.NextRound(nil, nil) // 2
-	b.NextRound(nil, nil) // 3
-	b.NextRound(nil, nil) // 4
-	waves := cm.Advance()
-	// Every round is an anchor: leaders 1, 2 and 3 (round 4 supports 3).
-	if len(waves) != 3 {
-		t.Fatalf("waves=%d want 3", len(waves))
+	const x = types.ReplicaID(2) // not round 1's leader
+	r1 := b.NextRound(nil, nil)
+	// Round 2: only x's own block references x's round-1 vertex.
+	var others []types.Digest
+	for _, p := range othersThan(x) {
+		others = append(others, r1[p].Cert.Digest())
 	}
-	for i, w := range waves {
-		if w.Leader.Round() != types.Round(i+1) || len(w.Skipped) != 0 {
-			t.Fatalf("wave %d: leader round %d, %d skipped; want round %d, none", i, w.Leader.Round(), len(w.Skipped), i+1)
+	b.NextRound(nil, func(blk *types.Block) {
+		if blk.Proposer != x {
+			blk.Parents = append([]types.Digest(nil), others...)
+		}
+	})
+	b.NextRound(nil, nil) // 3
+	var waves []CommitWave
+	waves = append(waves, cm.Advance()...)
+	// Round 1: three slots commit, x's is skipped on three
+	// non-references. Round 2: four slots commit.
+	if len(waves) != 7 {
+		t.Fatalf("waves=%d want 7", len(waves))
+	}
+	var skipped []SkippedSlot
+	for _, w := range waves {
+		skipped = append(skipped, w.Skipped...)
+	}
+	if len(skipped) != 1 || skipped[0] != (SkippedSlot{Round: 1, Proposer: x}) {
+		t.Fatalf("skipped %+v, want slot (1,%d) only", skipped, x)
+	}
+	// x's round-2 slot sweeps its skipped round-1 vertex along.
+	for _, w := range waves {
+		if w.Leader.Round() == 2 && w.Leader.Proposer() == x {
+			if len(w.Vertices) != 2 || w.Vertices[0] != r1[x] {
+				t.Fatalf("slot (2,%d) wave carries %d vertices, want the skipped (1,%d) first and itself", x, len(w.Vertices), x)
+			}
+			return
 		}
 	}
-	// Wave 2 commits leader 2 plus everything uncommitted in its
-	// history: the 3 siblings of round-1's leader, itself = 4.
-	if len(waves[1].Vertices) != 4 {
-		t.Fatalf("wave 2 carries %d vertices, want 4", len(waves[1].Vertices))
-	}
-	total := 0
-	for _, w := range waves {
-		total += len(w.Vertices)
-	}
-	if total != 9 {
-		t.Fatalf("committed %d vertices, want 9", total)
-	}
+	t.Fatalf("slot (2,%d) never committed", x)
 }
 
 // othersThan returns the 4-replica committee without p.
@@ -108,6 +129,8 @@ func othersThan(p types.ReplicaID) []types.ReplicaID {
 	return out
 }
 
+// A missing slot is skipped directly as soon as the round above it
+// holds a quorum, and the slots behind it commit at once.
 func TestMissingLeaderSkipped(t *testing.T) {
 	c := dagtest.NewCommittee(4)
 	b := dagtest.NewBuilder(c, 0)
@@ -116,36 +139,31 @@ func TestMissingLeaderSkipped(t *testing.T) {
 	b.NextRound(nil, nil)                           // 2
 	b.NextRound(othersThan(LeaderOf(0, 3, 4)), nil) // 3 without its leader
 	b.NextRound(nil, nil)                           // 4
-	b.NextRound(nil, nil)                           // 5
-	b.NextRound(nil, nil)                           // 6
 	waves := cm.Advance()
-	// Anchors 1 and 2 order; the instance starting at 3 finds its first
-	// candidate absent forever and orders 5, the next one with support.
-	if len(waves) != 3 {
-		t.Fatalf("waves=%d want 3", len(waves))
+	// Rounds 1 and 2 order every slot, round 3 the three present ones.
+	if len(waves) != 11 {
+		t.Fatalf("waves=%d want 11", len(waves))
 	}
-	if waves[2].Leader.Round() != 5 {
-		t.Fatalf("third wave leader round %d want 5", waves[2].Leader.Round())
+	w := waves[8]
+	if w.Leader.Round() != 3 || w.Leader.Proposer() != SlotProposer(0, 3, 4, 1) {
+		t.Fatalf("ninth wave is slot (%d,%d), want round 3's second slot", w.Leader.Round(), w.Leader.Proposer())
 	}
-	if got := waves[2].Skipped; len(got) != 1 || got[0] != (SkippedAnchor{Round: 3, Missing: true}) {
-		t.Fatalf("third wave skipped %+v, want round 3 missing", got)
+	if got := w.Skipped; len(got) != 1 || got[0] != (SkippedSlot{Round: 3, Proposer: LeaderOf(0, 3, 4), Missing: true}) {
+		t.Fatalf("ninth wave skipped %+v, want round 3's leader, missing", got)
 	}
-	// Committed: rounds 1-4 fully (4+4+3+4) plus leader 5 itself; the
-	// round-5 siblings await the next anchor.
 	total := 0
 	for _, w := range waves {
 		total += len(w.Vertices)
 	}
-	if total != 16 {
-		t.Fatalf("committed %d vertices, want 16", total)
+	if total != 11 {
+		t.Fatalf("committed %d vertices, want 11", total)
 	}
 }
 
-// A candidate that cannot be ordered — absent, or present but without
-// support — costs its instance two rounds: the instance orders the
-// candidate two rounds later, and the round between them gets no
-// anchor. The instances after it are back to one anchor per round.
-func TestMissingLeaderCostsOneInstanceTwoRounds(t *testing.T) {
+// A slot that cannot be committed — absent, or present but referenced
+// by no one — is skipped on its own, and costs no other slot anything:
+// every other slot of the run commits directly, in order.
+func TestMissingSlotDelaysNoOtherSlot(t *testing.T) {
 	leader3 := LeaderOf(0, 3, 4)
 	for _, tc := range []struct {
 		name    string
@@ -174,46 +192,95 @@ func TestMissingLeaderCostsOneInstanceTwoRounds(t *testing.T) {
 				customize = tc.round4(r3)
 			}
 			b.NextRound(nil, customize)
-			var leaders []types.Round
-			var skipped []SkippedAnchor
+			var got []slot
+			var skipped []SkippedSlot
 			for r := 5; r <= 10; r++ {
 				b.NextRound(nil, nil)
 				for _, w := range cm.Advance() {
-					leaders = append(leaders, w.Leader.Round())
+					if !w.Direct {
+						t.Fatalf("slot (%d,%d) committed indirectly", w.Leader.Round(), w.Leader.Proposer())
+					}
+					got = append(got, slot{w.Leader.Round(), w.Leader.Proposer()})
 					skipped = append(skipped, w.Skipped...)
 				}
 			}
-			want := []types.Round{1, 2, 5, 6, 7, 8, 9}
-			if fmt.Sprint(leaders) != fmt.Sprint(want) {
-				t.Fatalf("ordered anchors %v, want %v", leaders, want)
+			var want []slot
+			for r := types.Round(1); r <= 9; r++ {
+				for i := 0; i < 4; i++ {
+					if p := SlotProposer(0, r, 4, i); r != 3 || p != leader3 {
+						want = append(want, slot{r, p})
+					}
+				}
 			}
-			if len(skipped) != 1 || skipped[0] != (SkippedAnchor{Round: 3, Missing: tc.missing}) {
-				t.Fatalf("skipped %+v, want round 3 (missing=%v) only", skipped, tc.missing)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("ordered slots %v, want %v", got, want)
+			}
+			if len(skipped) != 1 || skipped[0] != (SkippedSlot{Round: 3, Proposer: leader3, Missing: tc.missing}) {
+				t.Fatalf("skipped %+v, want (3,%d) (missing=%v) only", skipped, leader3, tc.missing)
 			}
 		})
 	}
 }
 
+// A slot short of both direct thresholds waits, and so does every slot
+// behind it, until an anchor two rounds up decides it: committed when
+// the anchor's history holds f+1 of its referencers, skipped when it
+// holds fewer.
 func TestInsufficientSupportDefersCommit(t *testing.T) {
-	c := dagtest.NewCommittee(4)
-	b := dagtest.NewBuilder(c, 0)
-	cm := NewCommitter(b.Store, 4)
 	leader1 := LeaderOf(0, 1, 4)
-	r1 := b.NextRound(nil, nil)
-	_ = r1
-	// Round 2 vertices reference only the non-leader vertices: build
-	// manually with pruned parents.
-	var keep []types.Digest
-	for p, v := range r1 {
-		if p != leader1 {
-			keep = append(keep, v.Cert.Digest())
-		}
-	}
-	b.NextRound(nil, func(blk *types.Block) {
-		blk.Parents = append([]types.Digest(nil), keep...)
-	})
-	if waves := cm.Advance(); len(waves) != 0 {
-		t.Fatal("leader committed with zero support")
+	for _, tc := range []struct {
+		name  string
+		refs  []types.ReplicaID // round-2 proposers referencing leader 1
+		round []types.ReplicaID // round-2 proposers (nil = all)
+		want  bool              // leader 1's slot commits
+	}{
+		{name: "two of four refer", refs: []types.ReplicaID{0, 1}, want: true},
+		{name: "one of three refers", refs: []types.ReplicaID{1}, round: []types.ReplicaID{1, 2, 3}, want: false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := dagtest.NewCommittee(4)
+			b := dagtest.NewBuilder(c, 0)
+			cm := NewCommitter(b.Store, 4)
+			r1 := b.NextRound(nil, nil)
+			var all, without []types.Digest
+			for p := types.ReplicaID(0); p < 4; p++ {
+				all = append(all, r1[p].Cert.Digest())
+				if p != leader1 {
+					without = append(without, r1[p].Cert.Digest())
+				}
+			}
+			b.NextRound(tc.round, func(blk *types.Block) {
+				blk.Parents = append([]types.Digest(nil), without...)
+				for _, p := range tc.refs {
+					if blk.Proposer == p {
+						blk.Parents = append([]types.Digest(nil), all...)
+					}
+				}
+			})
+			if waves := cm.Advance(); len(waves) != 0 {
+				t.Fatalf("ordered %d waves with the first slot undecided", len(waves))
+			}
+			b.NextRound(tc.round, nil) // 3
+			if waves := cm.Advance(); len(waves) != 0 {
+				t.Fatalf("ordered %d waves before any anchor two rounds up is decided", len(waves))
+			}
+			b.NextRound(tc.round, nil) // 4 commits round 3's slots directly
+			waves := cm.Advance()
+			if len(waves) == 0 {
+				t.Fatal("nothing ordered once the anchor committed")
+			}
+			first := waves[0]
+			committed := first.Leader.Round() == 1 && first.Leader.Proposer() == leader1
+			if committed != tc.want {
+				t.Fatalf("leader 1's slot committed=%v, want %v (first wave (%d,%d))", committed, tc.want, first.Leader.Round(), first.Leader.Proposer())
+			}
+			if committed && first.Direct {
+				t.Fatal("leader 1's slot reported as a direct commit")
+			}
+			if !committed && (len(first.Skipped) != 1 || first.Skipped[0] != (SkippedSlot{Round: 1, Proposer: leader1})) {
+				t.Fatalf("skipped %+v, want leader 1's slot", first.Skipped)
+			}
+		})
 	}
 }
 
@@ -246,9 +313,9 @@ func TestDeterministicAcrossReplicas(t *testing.T) {
 	}
 }
 
-// A committer seeded at an ordered anchor's round, over a store entered
+// A committer seeded at a fully decided round, over a store entered
 // below it (the mid-epoch install shape), reproduces every later wave of
-// a committer that ran from round 1: the same anchors, and the same
+// a committer that ran from round 1: the same slots, and the same
 // vertices apart from ones the full committer had already committed.
 func TestCommitterSeededAt(t *testing.T) {
 	c := dagtest.NewCommittee(4)
@@ -256,28 +323,28 @@ func TestCommitterSeededAt(t *testing.T) {
 	for r := types.Round(1); r <= 14; r++ {
 		var include []types.ReplicaID
 		if r == 5 {
-			include = othersThan(LeaderOf(0, 5, 4)) // a skipped candidate below the seed
+			include = othersThan(LeaderOf(0, 5, 4)) // a skipped slot below the seed
 		}
 		b.NextRound(include, nil)
 	}
 	full := NewCommitter(b.Store, 4)
 	waves := full.Advance()
+	const seed = 6
 	committedIn := map[*dag.Vertex]int{} // wave index that committed each vertex
-	seedWave := -1
+	next := -1                           // the first wave above the seed
 	for i, w := range waves {
 		for _, v := range w.Vertices {
 			committedIn[v] = i
 		}
-		if seedWave < 0 && len(w.Skipped) > 0 {
-			seedWave = i
+		if next < 0 && w.Leader.Round() > seed {
+			next = i
 		}
 	}
-	if seedWave < 0 || waves[seedWave].Leader.Round() != 7 {
-		t.Fatalf("fixture: no wave ordered past the missing round-5 leader")
+	if next < 0 || waves[next].Leader.Round() != seed+1 {
+		t.Fatalf("fixture: no wave ordered above the seed")
 	}
-	seed := waves[seedWave].Leader.Round()
 
-	base := seed - 4
+	base := types.Round(seed - 4)
 	store := dag.NewStoreAt(0, 4, base)
 	for r := base; r <= b.Store.HighestRound(); r++ {
 		for _, v := range b.Store.AtRound(r) {
@@ -287,21 +354,21 @@ func TestCommitterSeededAt(t *testing.T) {
 		}
 	}
 	seeded := NewCommitterAt(store, 4, seed)
-	if seeded.LastLeaderRound() != seed {
-		t.Fatalf("seed not applied: last leader round %d", seeded.LastLeaderRound())
+	if r, p := seeded.Next(); seeded.DecidedRound() != seed || r != seed+1 || p != LeaderOf(0, seed+1, 4) {
+		t.Fatalf("seed not applied: decided %d, next (%d,%d)", seeded.DecidedRound(), r, p)
 	}
-	got, want := seeded.Advance(), waves[seedWave+1:]
+	got, want := seeded.Advance(), waves[next:]
 	if len(got) != len(want) || len(got) == 0 {
 		t.Fatalf("seeded committer ordered %d waves, full committer %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i].Leader != want[i].Leader {
-			t.Fatalf("wave %d: seeded anchor (%d,%d), full anchor (%d,%d)", i,
+			t.Fatalf("wave %d: seeded slot (%d,%d), full slot (%d,%d)", i,
 				got[i].Leader.Round(), got[i].Leader.Proposer(), want[i].Leader.Round(), want[i].Leader.Proposer())
 		}
 		var kept []*dag.Vertex
 		for _, v := range got[i].Vertices {
-			if j, ok := committedIn[v]; ok && j < seedWave+1+i {
+			if j, ok := committedIn[v]; ok && j < next+i {
 				continue // the full committer had committed it already
 			}
 			kept = append(kept, v)
@@ -324,46 +391,42 @@ func TestPredictWaveMatchesCommit(t *testing.T) {
 	cm := NewCommitter(b.Store, 4)
 	claimed := map[types.Digest]bool{}
 	var preds []CommitWave
-	// predict stacks leader r's wave on top of the claimed (but
-	// uncommitted) earlier predictions, as the node's queue does.
+	// predict stacks the waves of round r's slots, in slot order, on top
+	// of the claimed (but uncommitted) earlier predictions, as the
+	// node's queue does.
 	predict := func(r types.Round) {
-		l, ok := b.Store.Get(r, LeaderOf(0, r, 4))
-		if !ok {
-			t.Fatalf("leader %d missing", r)
+		for i := 0; i < 4; i++ {
+			v, ok := b.Store.Get(r, SlotProposer(0, r, 4, i))
+			if !ok {
+				t.Fatalf("slot (%d,%d) missing", r, i)
+			}
+			p := cm.PredictWave(v, func(d types.Digest) bool { return claimed[d] })
+			for _, v := range p.Vertices {
+				claimed[v.Cert.Digest()] = true
+			}
+			preds = append(preds, p)
 		}
-		p := cm.PredictWave(l, func(d types.Digest) bool { return claimed[d] })
-		for _, v := range p.Vertices {
-			claimed[v.Cert.Digest()] = true
-		}
-		preds = append(preds, p)
 	}
 
 	b.NextRound(nil, nil) // 1
-	b.NextRound(nil, nil) // 2
 	predict(1)
 	if cm.CommittedLen() != 0 {
 		t.Fatal("PredictWave must not mark anything committed")
 	}
-	b.NextRound(nil, nil) // 3
+	b.NextRound(nil, nil) // 2
 	predict(2)
-	b.NextRound(nil, nil) // 4 gives leader 3 support
-	predict(3)
+	b.NextRound(nil, nil) // 3 gives round 2's slots support
 	waves := cm.Advance()
-	if len(waves) != 3 {
-		t.Fatalf("waves=%d want 3", len(waves))
+	if len(waves) != len(preds) {
+		t.Fatalf("waves=%d want %d", len(waves), len(preds))
 	}
 	for wi, got := range waves {
 		pred := preds[wi]
 		if pred.Leader != got.Leader {
-			t.Fatalf("wave %d: predicted leader differs", wi)
+			t.Fatalf("wave %d: predicted slot differs", wi)
 		}
-		if len(pred.Vertices) != len(got.Vertices) {
-			t.Fatalf("wave %d: predicted %d vertices, committed %d", wi, len(pred.Vertices), len(got.Vertices))
-		}
-		for i := range pred.Vertices {
-			if pred.Vertices[i] != got.Vertices[i] {
-				t.Fatalf("wave %d: vertex order diverged at %d", wi, i)
-			}
+		if !sameVertexList(pred.Vertices, got.Vertices) {
+			t.Fatalf("wave %d: predicted %d vertices, committed %d, or in another order", wi, len(pred.Vertices), len(got.Vertices))
 		}
 	}
 }
@@ -374,8 +437,8 @@ func TestAdvanceIdempotent(t *testing.T) {
 	cm := NewCommitter(b.Store, 4)
 	b.NextRound(nil, nil)
 	b.NextRound(nil, nil)
-	if waves := cm.Advance(); len(waves) != 1 {
-		t.Fatal("first advance should commit")
+	if waves := cm.Advance(); len(waves) != 4 {
+		t.Fatal("first advance should commit round 1's four slots")
 	}
 	if waves := cm.Advance(); len(waves) != 0 {
 		t.Fatal("second advance recommitted")

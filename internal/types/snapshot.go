@@ -34,9 +34,10 @@ type Snapshot struct {
 	// the digest to the configuration.
 	N uint32
 
-	// EndRound is the round of the last anchor the captured wave
-	// sequence ordered in Epoch: 0 for the capture at the epoch's
-	// start, where the new DAG has ordered nothing yet.
+	// EndRound is the round of the last slot the captured wave sequence
+	// committed in Epoch, a round whose slots were all decided: 0 for
+	// the capture at the epoch's start, where the new DAG has ordered
+	// nothing yet.
 	EndRound Round
 
 	// Shifts lists the proposers whose Shift blocks Epoch has committed
