@@ -202,8 +202,11 @@ func (w *wireDriver) handle(from types.ReplicaID, mt transport.MsgType, payload 
 			w.onPeerBundle(from, payload)
 		}
 	case node.MsgBlockReq:
-		// MsgBlockReq wire format: the block digest.
+		// MsgBlockReq wire format: the slot's round u64 and proposer
+		// u32, then the block digest.
 		d := types.NewDecoder(payload)
+		d.U64()
+		d.U32()
 		dig := d.Digest()
 		if d.Finish() != nil {
 			return

@@ -61,10 +61,7 @@ func benchNode(b *testing.B, committee *dagtest.Committee, rounds int) *Node {
 			if !n.insertVertex(v) {
 				b.Fatalf("vertex rejected at round %d", v.Round())
 			}
-			n.trackPendingBlock(v.Block)
-			if v.Proposer() == 0 {
-				n.ownPending[v.Round()] = v.Block.Digest()
-			}
+			n.trackPendingBlock(v.Block, v.Proposer()) // replica 0's own proposals
 		}
 	}
 	return n
@@ -75,8 +72,8 @@ func benchNode(b *testing.B, committee *dagtest.Committee, rounds int) *Node {
 // 4×rounds) while the node's own uncommitted proposal window stays
 // fixed at 16 blocks, as committed-wave GC guarantees in steady
 // state. Run at two sizes to expose the cost curve's shape: the
-// requeue scan must not grow with total pending state (it used to be
-// a full scan over every pending block).
+// requeue scan visits round records, one own proposal each, never the
+// blocks they hold (without GC, as here, the table holds every round).
 func BenchmarkFastForward(b *testing.B) {
 	const ownWindow = 16
 	committee := dagtest.NewCommittee(4)
@@ -84,9 +81,9 @@ func BenchmarkFastForward(b *testing.B) {
 		b.Run(fmt.Sprintf("rounds=%d", rounds), func(b *testing.B) {
 			n := benchNode(b, committee, rounds)
 			hi := n.dagStore.HighestRound()
-			for r := range n.ownPending {
+			for r, rs := range n.table.rounds {
 				if r+ownWindow <= hi {
-					delete(n.ownPending, r)
+					rs.own = nil
 				}
 			}
 			b.ReportAllocs()
@@ -96,21 +93,16 @@ func BenchmarkFastForward(b *testing.B) {
 				n.nextRound = 2 // far behind the frontier
 				n.fastForward(hi)
 				// Unwind the re-proposal and restore the own-block
-				// index so pending state stays at the configured size
+				// window so pending state stays at the configured size
 				// across iterations.
 				b.StopTimer()
 				if lb := n.lastBlock; lb != nil {
-					d := lb.Digest()
-					delete(n.pendingBlocks, d)
-					delete(n.pendingRounds, lb.Round)
-					n.releaseSlot(voteKey{round: lb.Round, proposer: lb.Proposer})
-					delete(n.voted, voteKey{round: lb.Round, proposer: lb.Proposer})
-					delete(n.ownPending, lb.Round)
+					n.table.drop(lb.Round)
 					n.lastBlock = nil
 				}
 				for r := hi - ownWindow + 1; r <= hi; r++ {
 					if v, ok := n.dagStore.Get(r, 0); ok {
-						n.ownPending[r] = v.Block.Digest()
+						n.table.at(r).own = v.Block
 					}
 				}
 				b.StartTimer()

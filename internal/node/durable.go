@@ -8,25 +8,21 @@ import (
 )
 
 // Restart-from-disk recovery (the durable storage backend's node
-// side). The store alone is not enough to restart a replica: the
-// commit path's dedup state (per-client nonce floors and windows)
-// must sit at exactly the same committed position as the store,
-// or the node would re-apply — or wrongly skip — blocks during
-// in-epoch catch-up. The durable backend therefore persists a sidecar
-// in lockstep with the state:
-//
-//   - every commit-path apply carries a note describing the dedup
-//     mutations the node performs right after it (resolved identities,
-//     epoch transitions, snapshot-jump restores), and
-//   - every checkpoint captures a meta blob with the full dedup
-//     state, the commit counter, and the epoch as of the records
-//     already applied.
-//
-// Reopening replays meta + notes alongside the store, after which the
-// replica resumes in its last durable epoch with a bit-identical
-// dedup — re-derived waves below its commit position validate as
-// duplicates (no double application), and the lost group-commit
-// suffix, if any, re-applies through normal in-epoch catch-up.
+// side). The store alone is not enough to restart a replica: the commit
+// path's dedup state (per-client nonce floors and windows) must sit at
+// exactly the store's committed position, or in-epoch catch-up would
+// re-apply — or wrongly skip — blocks; and the votes it signed must
+// survive, or it could be induced to sign a second digest for a slot.
+// The durable backend persists a sidecar in lockstep with the state:
+// every apply carries a note of what the node does right after it
+// (resolved identities, epoch transitions, snapshot-jump restores,
+// journaled votes), and every checkpoint a meta blob with the full
+// dedup state, commit counter, epoch and journaled votes as of the
+// records applied. Reopening replays meta and notes alongside the
+// store: the replica resumes in its last durable epoch with a
+// bit-identical dedup and its votes back in the slot table; waves
+// re-derived below its commit position validate as duplicates, and a
+// lost group-commit suffix re-applies through in-epoch catch-up.
 //
 // Note discipline (what makes checkpoints cut at arbitrary records
 // consistent): a record's note describes mutations the node performs
@@ -117,20 +113,18 @@ func (m *markNote) bytes() []byte {
 }
 
 // voteNote encodes a walNoteVote payload: the slot this replica is
-// about to sign and the digest it signs. Journaled before the first
-// vote per slot leaves the replica (handleBlock), it closes the
-// crash-window equivocation hazard: without it, a replica that voted,
-// crashed, and restarted had an empty voted map and could be induced
-// into signing a conflicting digest for an already-voted slot — and
-// two certificates for one slot let commit sequences diverge. Written
-// even when the backend later drops it (noteOnly filters); the
-// allocation only happens once per (round, proposer) slot.
-func voteNote(epoch types.Epoch, k voteKey, d types.Digest) []byte {
+// about to sign and the digest it signs. Journaled before the slot's
+// vote leaves the replica, it closes the crash-window equivocation
+// hazard: a replica that voted, crashed and restarted without it could
+// be induced into signing a conflicting digest for the slot — and two
+// certificates for one slot let commit sequences diverge. Built even
+// when the backend drops it (noteOnly filters): once per slot.
+func voteNote(epoch types.Epoch, r types.Round, p types.ReplicaID, d types.Digest) []byte {
 	e := types.NewEncoder()
 	e.U8(walNoteVote)
 	e.U64(uint64(epoch))
-	e.U64(uint64(k.round))
-	e.U32(uint32(k.proposer))
+	e.U64(uint64(r))
+	e.U32(uint32(p))
 	e.Digest(d)
 	return e.Sum()
 }
@@ -161,56 +155,55 @@ func (n *Node) restoreNote(epoch types.Epoch, commits uint64) []byte {
 // under (the same committee contract the snapshot-install path binds —
 // a replica restarted with a different window would misparse the
 // bitmaps and silently diverge from the committee), then epoch, commit
-// counter, full dedup state, and the current epoch's voted slots as of
-// the records already applied. The votes must ride the meta, not just
-// their notes: a checkpoint truncates earlier notes, and losing
-// pre-checkpoint vote records would reopen the equivocation window
-// they exist to close. Runs synchronously on the applying goroutine
-// (the event loop), so the reads are safe.
+// counter, full dedup state, and the current epoch's journaled votes,
+// in (round, proposer) order, as of the records already applied. The
+// votes must ride the meta, not just their notes: a checkpoint truncates
+// earlier notes, and losing pre-checkpoint vote records would reopen
+// the equivocation window they exist to close. Runs synchronously on
+// the applying goroutine (the event loop), so the reads are safe.
 func (n *Node) walMeta() []byte {
 	e := types.NewEncoder()
 	e.U32(uint32(n.dedup.Window()))
 	e.U64(uint64(n.epoch))
 	e.U64(n.Stats().CommittedTxs)
 	n.dedup.EncodeState(e)
-	e.U32(uint32(len(n.voted)))
-	for k, d := range n.voted {
-		e.U64(uint64(k.round))
-		e.U32(uint32(k.proposer))
-		e.Digest(d)
+	votes := n.table.journaled()
+	e.U32(uint32(len(votes)))
+	for _, v := range votes {
+		e.U64(uint64(v.Round))
+		e.U32(uint32(v.Proposer))
+		e.Digest(v.Digest)
 	}
 	return e.Sum()
 }
 
 // recoverFromBackend rebuilds commit-path state from the durable
 // backend's sidecar: checkpoint meta first, then the replayed record
-// notes in apply order. Returns the epoch to resume in.
-func (n *Node) recoverFromBackend(rec storage.Recoverable) (types.Epoch, error) {
+// notes in apply order. It sets the epoch to resume in, and journaled
+// votes of that epoch go straight into the slot table, re-arming the
+// anti-equivocation guard: a restarted replica must refuse to sign a
+// conflicting digest for any slot it already voted on.
+func (n *Node) recoverFromBackend(rec storage.Recoverable) error {
 	epoch := types.Epoch(0)
 	commits := uint64(0)
 	if meta := rec.RecoveredMeta(); len(meta) > 0 {
 		d := types.NewDecoder(meta)
 		if window := int(d.U32()); window != n.dedup.Window() {
-			return 0, fmt.Errorf(
+			return fmt.Errorf(
 				"node: durable state was written under nonce window %d, node configured %d — recovery under a different window would diverge from the committee",
 				window, n.dedup.Window())
 		}
 		epoch = types.Epoch(d.U64())
 		commits = d.U64()
 		if err := n.dedup.DecodeState(d); err != nil {
-			return 0, fmt.Errorf("node: corrupt durable meta: %w", err)
+			return fmt.Errorf("node: corrupt durable meta: %w", err)
 		}
 		votes := d.U32()
 		for i := uint32(0); i < votes && d.Err() == nil; i++ {
-			k := voteKey{round: types.Round(d.U64()), proposer: types.ReplicaID(d.U32())}
-			dig := d.Digest()
-			if n.recoveredVotes == nil {
-				n.recoveredVotes = make(map[voteKey]types.Digest)
-			}
-			n.recoveredVotes[k] = dig
+			n.recoverVote(types.Round(d.U64()), types.ReplicaID(d.U32()), d.Digest())
 		}
 		if err := d.Finish(); err != nil {
-			return 0, fmt.Errorf("node: corrupt durable meta: %w", err)
+			return fmt.Errorf("node: corrupt durable meta: %w", err)
 		}
 	}
 	for _, note := range rec.RecoveredNotes() {
@@ -230,38 +223,34 @@ func (n *Node) recoverFromBackend(rec storage.Recoverable) (types.Epoch, error) 
 			// Adopt the epoch. Votes belonged to the discarded epoch's
 			// DAG; drop them.
 			epoch = types.Epoch(d.U64())
-			n.recoveredVotes = nil
+			n.table.reset(false, 0)
 		case walNoteRestore:
 			// Mirror the live install: a same-epoch (mid-epoch) install
-			// keeps the vote map — the slots are still this epoch's —
-			// while a cross-epoch jump discards it with the old DAG.
+			// keeps the votes — the slots are still this epoch's — while
+			// a cross-epoch jump discards them with the old DAG.
 			re := types.Epoch(d.U64())
 			if re != epoch {
-				n.recoveredVotes = nil
+				n.table.reset(false, 0)
 			}
 			epoch = re
 			commits = d.U64()
 			if err := n.dedup.DecodeState(d); err != nil {
-				return 0, fmt.Errorf("node: corrupt durable restore note: %w", err)
+				return fmt.Errorf("node: corrupt durable restore note: %w", err)
 			}
 		case walNoteVote:
 			// Re-arm the anti-equivocation guard: only votes cast in the
 			// epoch this replica resumes in matter (earlier epochs' DAGs
 			// are gone; the transition/restore cases above clear them).
 			ve := types.Epoch(d.U64())
-			k := voteKey{round: types.Round(d.U64()), proposer: types.ReplicaID(d.U32())}
-			dig := d.Digest()
+			r, p, dig := types.Round(d.U64()), types.ReplicaID(d.U32()), d.Digest()
 			if ve == epoch {
-				if n.recoveredVotes == nil {
-					n.recoveredVotes = make(map[voteKey]types.Digest)
-				}
-				n.recoveredVotes[k] = dig
+				n.recoverVote(r, p, dig)
 			}
 		default:
-			return 0, fmt.Errorf("node: unknown durable note kind %d", kind)
+			return fmt.Errorf("node: unknown durable note kind %d", kind)
 		}
 		if err := d.Err(); err != nil {
-			return 0, fmt.Errorf("node: corrupt durable note: %w", err)
+			return fmt.Errorf("node: corrupt durable note: %w", err)
 		}
 	}
 	rec.ReleaseRecovered() // sidecar consumed; free the buffers
@@ -272,5 +261,13 @@ func (n *Node) recoverFromBackend(rec storage.Recoverable) (types.Epoch, error) 
 	// position from the sidecar instead of re-counting from zero.
 	n.nm.committedTxs.Store(commits)
 	n.nm.epoch.Set(int64(epoch))
-	return epoch, nil
+	n.epoch = epoch
+	return nil
+}
+
+// recoverVote records a journaled vote read back from the sidecar.
+func (n *Node) recoverVote(r types.Round, p types.ReplicaID, d types.Digest) {
+	if int(p) < n.n {
+		n.table.slot(voteKey{round: r, proposer: p}).vote = d
+	}
 }

@@ -15,16 +15,15 @@ import (
 //	archive:      last − GCHorizon ≤ rounds < last − MinGCHorizon
 //
 // The decoded tier is what can still change an ordering: the DAG
-// store, pendingBlocks, voted, the per-slot vote collectors, certWait,
-// orphans, round-request bookkeeping and the committer's flags. After
-// each commit wave the node prunes all of it below the decoded floor,
-// rescuing its own uncommitted transactions first. Safety of discarding
-// uncommitted vertices there is argued at dag.Store.PruneBelow: the
-// floor sits MinGCHorizon rounds — ten fast-forward gaps — below the
-// committed frontier, so a vertex that old can never join committed
-// history, and no future Linearize call on any replica can reach it.
-// The decoded floor is the one the configuration GCHorizon =
-// MinGCHorizon always allowed.
+// store, the slot table (slottable.go: per slot its blocks, journaled vote,
+// vote collector and a certificate or vertex waiting for what it lacks;
+// per round its pull time) and the committer's flags. After each commit
+// wave the node prunes all of it below the decoded floor — a round's
+// slot record leaves whole — rescuing its own uncommitted transactions
+// first. Discarding uncommitted vertices there is safe (argued at
+// dag.Store.PruneBelow): the floor sits MinGCHorizon rounds — ten
+// fast-forward gaps — below the committed frontier, so a vertex that old
+// can never join committed history.
 //
 // The archive exists for peers. GCHorizon is the serving contract: a
 // round pull (MsgRoundReq) is answered with block + certificate pairs
@@ -65,23 +64,22 @@ func (n *Node) maybeGC() {
 }
 
 // pruneBelow moves every round below floor out of the decoded tier:
-// its round-pull answer into the archive, and every per-round
-// structure away.
+// its round-pull answer into the archive, its slot record away.
 func (n *Node) pruneBelow(floor types.Round) {
 	old := n.dagStore.Floor()
 	if floor <= old {
 		return
 	}
-	// The archive ends where the DAG's floor begins, and PruneBelow
-	// stops one past the highest round present.
-	for r := old; r < min(floor, n.dagStore.HighestRound()+1); r++ {
-		n.archive.add(n.dagStore, r, n.n)
-	}
-
 	// queued dedups rescue requeues against the live queue; built
 	// lazily — own blocks below the floor are normally committed.
 	var queued map[types.Digest]bool
+	hi := n.dagStore.HighestRound()
 	for r := old; r < floor; r++ {
+		// The archive ends where the DAG's floor begins, and PruneBelow
+		// stops one past the highest round present.
+		if r <= hi {
+			n.archive.add(n.dagStore, r, n.n)
+		}
 		// Rescue any own uncommitted transactions before their block
 		// is dropped, mirroring fastForward: a block this far behind
 		// the committed frontier can never commit, so its transactions
@@ -92,56 +90,19 @@ func (n *Node) pruneBelow(floor types.Round) {
 		// ordered block is left alone: its wave may still wait in
 		// execQ, which on a busy box runs more than the decoded window
 		// behind the commit rule.
-		if d, ok := n.ownPending[r]; ok {
-			delete(n.ownPending, r)
-			b, abandoned := n.pendingBlocks[d]
-			if v, ok := n.dagStore.ByBlock(d); ok && n.committer.Committed(v.Cert.Digest()) {
-				abandoned = false
-			}
-			if abandoned {
+		if rs := n.table.rounds[r]; rs != nil && rs.own != nil {
+			if v, ok := n.dagStore.ByBlock(rs.own.Digest()); !ok || !n.committer.Committed(v.Cert.Digest()) {
 				if queued == nil {
 					queued = n.queuedIDs()
 				}
-				n.requeueOwnBlock(b, queued)
+				n.requeueOwnBlock(rs.own, queued)
 				n.dropOwnBlock(r)
 				n.preplayer.invalidate()
 			}
 		}
-		if ds, ok := n.pendingRounds[r]; ok {
-			for _, d := range ds {
-				delete(n.pendingBlocks, d)
-			}
-			delete(n.pendingRounds, r)
-		}
-		for p := 0; p < n.n; p++ {
-			k := voteKey{round: r, proposer: types.ReplicaID(p)}
-			delete(n.voted, k)
-			n.releaseSlot(k)
-		}
-		delete(n.roundReqAt, r)
+		n.table.drop(r)
 	}
 	n.committer.Forget(n.dagStore.PruneBelow(floor))
-	// certWait and orphans are tiny transient sets; a linear sweep per
-	// GC pass keeps them honest without their own round index.
-	for d, cert := range n.certWait {
-		if cert.Round < floor {
-			delete(n.certWait, d)
-		}
-	}
-	if len(n.orphans) > 0 {
-		keep := n.orphans[:0]
-		for _, o := range n.orphans {
-			if o.Round() >= floor {
-				keep = append(keep, o)
-				continue
-			}
-			delete(n.orphanSet, o.Cert.Digest())
-		}
-		for i := len(keep); i < len(n.orphans); i++ {
-			n.orphans[i] = nil
-		}
-		n.orphans = keep
-	}
 	if n.lastBlock != nil && n.lastBlock.Round < floor {
 		n.lastBlock = nil
 	}

@@ -41,8 +41,7 @@ func TestPruneRescuesOnlyAbandonedOwnBlocks(t *testing.T) {
 	lost := &types.Block{Epoch: 0, Round: 2, Proposer: 0, Kind: types.NormalBlock,
 		SingleTxs: []*types.Transaction{abandoned}, ProposedUnixNano: 7}
 	for k, blk := range map[types.Key]*types.Block{"k1": own.Block, "k2": lost} {
-		n.trackPendingBlock(blk)
-		n.ownPending[blk.Round] = blk.Digest()
+		n.trackPendingBlock(blk, n.cfg.ID)
 		n.ownBlocks = append(n.ownBlocks, ownBlock{round: blk.Round, writes: []types.RWRecord{{Key: k, Value: []byte{1}}}})
 		n.ownWrites[k] = []byte{1}
 	}

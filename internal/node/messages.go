@@ -161,20 +161,25 @@ func (v *voteBundle) unmarshal(b []byte) error {
 	return d.Finish()
 }
 
-// blockReq is the payload of MsgBlockReq.
+// blockReq is the payload of MsgBlockReq: the slot and the digest of
+// the block asked for.
 type blockReq struct {
+	Round       types.Round
+	Proposer    types.ReplicaID
 	BlockDigest types.Digest
 }
 
 func (r *blockReq) marshal() []byte {
 	e := types.NewEncoder()
+	e.U64(uint64(r.Round))
+	e.U32(uint32(r.Proposer))
 	e.Digest(r.BlockDigest)
 	return e.Sum()
 }
 
 func (r *blockReq) unmarshal(b []byte) error {
 	d := types.NewDecoder(b)
-	r.BlockDigest = d.Digest()
+	r.Round, r.Proposer, r.BlockDigest = types.Round(d.U64()), types.ReplicaID(d.U32()), d.Digest()
 	return d.Finish()
 }
 

@@ -75,6 +75,8 @@ const (
 	mFutureMsgsDropped = "future_msgs_dropped" // next-epoch messages a sender's own later ones pushed out
 	mStallRebroadcasts = "stall_rebroadcasts"  // own block re-sent after a stall
 	mRoundPulls        = "round_pulls"         // MsgRoundReq broadcasts
+	mBlocksDropped     = "blocks_dropped"      // blocks refused: above blockCeiling, or a second from one sender for a slot
+	mSlotTableRounds   = "slot_table_rounds"   // gauge: round records in the slot table, set each tick
 	mCertLatencyEst    = "cert_latency_est_ns" // gauge: own propose→certified estimate
 
 	// Pipeline-depth gauges: how much work each stage of the pipelined
@@ -157,6 +159,7 @@ type nodeMetrics struct {
 	futureMsgsDropped  *metrics.Counter
 	stallRebroadcasts  *metrics.Counter
 	roundPulls         *metrics.Counter
+	blocksDropped      *metrics.Counter
 	sendErrors         [numSendClasses]*metrics.Counter
 
 	epoch             *metrics.Gauge
@@ -169,6 +172,7 @@ type nodeMetrics struct {
 	outboxFlushBytes  *metrics.Gauge
 	outboxFlushFrames *metrics.Gauge
 	certLatencyEst    *metrics.Gauge
+	slotTableRounds   *metrics.Gauge
 	dagVertices       *metrics.Gauge
 	archiveRounds     *metrics.Gauge
 	archiveBytes      *metrics.Gauge
@@ -234,6 +238,7 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		futureMsgsDropped:  reg.Counter(mFutureMsgsDropped),
 		stallRebroadcasts:  reg.Counter(mStallRebroadcasts),
 		roundPulls:         reg.Counter(mRoundPulls),
+		blocksDropped:      reg.Counter(mBlocksDropped),
 
 		epoch:             reg.Gauge(mEpoch),
 		round:             reg.Gauge(mRound),
@@ -245,6 +250,7 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		outboxFlushBytes:  reg.Gauge(mOutboxFlushBytes),
 		outboxFlushFrames: reg.Gauge(mOutboxFlushFrames),
 		certLatencyEst:    reg.Gauge(mCertLatencyEst),
+		slotTableRounds:   reg.Gauge(mSlotTableRounds),
 		dagVertices:       reg.Gauge(mDagVertices),
 		archiveRounds:     reg.Gauge(mRoundArchiveRounds),
 		archiveBytes:      reg.Gauge(mRoundArchiveBytes),

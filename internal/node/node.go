@@ -119,14 +119,14 @@ type Config struct {
 	// decided round, this replica answers round pulls with the rounds'
 	// blocks and certificates — it bounds serving, not the decoded DAG.
 	// After each commit wave the node keeps decoded only the
-	// MinGCHorizon rounds that can still change an ordering (DAG
-	// vertices, pending blocks, vote records, collectors), and keeps the
-	// rounds between that and the horizon as their round-pull answers'
-	// wire bytes (gc.go). A replica that misses more rounds than the
-	// horizon cannot be served the pruned range by its peers and is
-	// rescued by a snapshot instead (snapshot.go — see README
-	// "Recovery"). Zero selects the default (2048); negative disables
-	// GC; positive values are clamped to MinGCHorizon.
+	// MinGCHorizon rounds that can still change an ordering (the DAG and
+	// the slot table), and keeps the rounds between that and the horizon
+	// as their round-pull answers' wire bytes (gc.go). A replica that
+	// misses more rounds than the horizon cannot be served the pruned
+	// range by its peers and is rescued by a snapshot instead
+	// (snapshot.go — see README "Recovery"). Zero selects the default
+	// (2048); negative disables GC; positive values are clamped to
+	// MinGCHorizon.
 	GCHorizon int
 
 	// SnapshotInterval captures a mid-epoch snapshot every this many
@@ -402,22 +402,9 @@ type Node struct {
 	// nextRound is the next round this node will propose.
 	nextRound types.Round
 
-	pendingBlocks map[types.Digest]*types.Block // by block digest
-	// pendingRounds indexes pendingBlocks by round so committed-wave
-	// GC drops whole rounds without scanning the map, and ownPending
-	// indexes this node's own proposals by round so fast-forward
-	// requeue scans only own blocks instead of every pending block.
-	pendingRounds map[types.Round][]types.Digest
-	ownPending    map[types.Round]types.Digest
-	certWait      map[types.Digest]*types.Certificate // certs waiting for blocks
-	orphans       []*dag.Vertex                       // vertices waiting for parents
-	orphanSet     map[types.Digest]bool               // orphan membership by cert digest
-	// slots holds the vote collector of every (round, proposer) slot
-	// that has received a vote and is not certified in the local DAG
-	// yet (votes.go); slotFree recycles them.
-	slots    map[voteKey]*slotVotes
-	slotFree []*slotVotes
-	voted    map[voteKey]types.Digest
+	// table holds the certifier's state per (round, proposer) slot and
+	// per round (slottable.go).
+	table slotTable
 	// ballot holds the votes cast since the last seal, in casting order
 	// (ballotSpare is its double buffer); voteTree and leafBuf are the
 	// scratch a bundle's Merkle tree is built in, sealing or checking,
@@ -430,24 +417,21 @@ type Node struct {
 	voteTree     types.MerkleTree
 	leafBuf      []types.Digest
 	inVotes      voteBundle
-	lastSeen     map[types.ReplicaID]types.Round // latest round proposed per replica
+	// latestRound is, per proposer, the newest round it was heard
+	// proposing itself or a vertex of it landed.
+	latestRound []types.Round
 	// futureMsgs parks messages stamped with the next epoch until this
 	// replica's own transition, per sender and bounded (parkFuture).
 	futureMsgs [][]inboundMsg
-	// roundReqAt holds the send time of each in-flight round pull
-	// (MsgRoundReq), so a round is asked for at most once per re-ask
-	// interval (pullRound).
-	roundReqAt map[types.Round]time.Time
 	// lastBlock is this node's newest proposed block; rebroadcast by
 	// housekeeping (its Wire bytes, encoded once at propose time) until
 	// its certificate lands in the DAG, which lets a replica whose
 	// proposal was lost (crash, partition) resume progress after
-	// recovery. lastBlockVotes remembers the vote count seen at the
+	// recovery. Its round record remembers the vote count seen at the
 	// previous housekeeping tick so the rebroadcast fires only when
 	// vote collection has actually stopped — not merely because round
 	// latency exceeds the tick interval.
-	lastBlock      *types.Block
-	lastBlockVotes int
+	lastBlock *types.Block
 	// archive holds the round-pull answers of the rounds that left the
 	// decoded window, as wire bytes (gc.go).
 	archive roundArchive
@@ -460,10 +444,7 @@ type Node struct {
 	// and how long without progress counts as a stall (stallAfter). Zero
 	// until the first own block certifies.
 	certLatency time.Duration
-	// slotWait is the hold maybeAdvance is applying, if any: the round
-	// this replica would leave, when the hold began, and whether its
-	// bound already expired. slotTimer wakes the loop at the bound.
-	slotWait  slotWait
+	// slotTimer wakes the loop at the bound of a slot hold (pacing.go).
 	slotTimer *time.Timer
 
 	// --- outbound coalescing (outbox.go) ---
@@ -532,9 +513,6 @@ type Node struct {
 	lastSnapAt      types.Round
 	chunkBudget     int
 	fetch           *chunkFetch
-	// recoveredVotes carries WAL-journaled vote records (durable.go)
-	// from recovery to the first resetEpochState, then stays nil.
-	recoveredVotes map[voteKey]types.Digest
 
 	// proposer state
 	txQueue []*types.Transaction
@@ -597,11 +575,6 @@ type execItem struct {
 	committedAt time.Time
 }
 
-type voteKey struct {
-	round    types.Round
-	proposer types.ReplicaID
-}
-
 type ownBlock struct {
 	round  types.Round
 	writes []types.RWRecord
@@ -628,6 +601,7 @@ func New(cfg Config) (*Node, error) {
 		txCh:         make(chan *types.Transaction, 16384),
 		inspCh:       make(chan func(*Node)),
 		done:         make(chan struct{}),
+		table:        slotTable{n: cfg.N, rounds: make(map[types.Round]*roundRecord)},
 	}
 	n.slotTimer = time.NewTimer(time.Hour)
 	n.slotTimer.Stop()
@@ -643,29 +617,20 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.dedup = gateway.NewDedup(cfg.NonceWindow, 0)
 	n.scratch = n.dedup.Scratch()
-	startEpoch := types.Epoch(0)
 	if rec, ok := cfg.Store.(storage.Recoverable); ok {
 		n.durable = rec
-		// Restart-from-disk: rebuild the dedup/commit position from
-		// the backend's sidecar and resume in the recovered epoch —
-		// in-epoch catch-up (round pulls, fast-forward) replays the
-		// missed suffix, and waves below the recovered position
-		// validate as duplicates instead of re-applying.
-		e, err := n.recoverFromBackend(rec)
-		if err != nil {
+		// Restart-from-disk: rebuild the dedup/commit position and the
+		// journaled votes from the backend's sidecar and resume in the
+		// recovered epoch — in-epoch catch-up (round pulls,
+		// fast-forward) replays the missed suffix, and waves below the
+		// recovered position validate as duplicates instead of
+		// re-applying.
+		if err := n.recoverFromBackend(rec); err != nil {
 			return nil, err
 		}
-		startEpoch = e
 		rec.SetMetaFunc(n.walMeta)
 	}
-	n.resetEpochState(startEpoch)
-	// Re-arm the anti-equivocation guard with the votes journaled for
-	// the recovered epoch: a restarted replica must refuse to sign a
-	// conflicting digest for any slot it already voted on.
-	for k, d := range n.recoveredVotes {
-		n.voted[k] = d
-	}
-	n.recoveredVotes = nil
+	n.resetEpochState(n.epoch, 1)
 	n.chunkBudget = chunkServeBudget
 	n.outDirect = make([][]outMsg, cfg.N)
 	n.futureMsgs = make([][]inboundMsg, cfg.N)
@@ -685,41 +650,31 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// resetEpochState initializes per-epoch protocol state.
-func (n *Node) resetEpochState(epoch types.Epoch) {
+// resetEpochState initializes per-epoch protocol state for epoch, its
+// DAG entered at round base. Re-entering the same epoch keeps the
+// journaled votes of rounds from base on: a re-entry must not be
+// tricked into a second vote for a slot it signed.
+func (n *Node) resetEpochState(epoch types.Epoch, base types.Round) {
 	// Votes already journaled for the dying epoch still leave, under its
 	// number: peers still in it may be waiting for them.
 	n.sealVotes(false, false)
 	if n.preplayer != nil { // nil during construction
 		n.preplayer.invalidate() // own-writes overlay resets; carried tips are stale
 	}
+	n.table.reset(epoch == n.epoch, base)
 	n.epoch = epoch
-	n.dagStore = dag.NewStore(epoch, n.n)
+	n.dagStore = dag.NewStoreAt(epoch, n.n, base)
 	n.committer = tusk.NewCommitter(n.dagStore, n.n)
 	n.nextRound = 1
-	n.pendingBlocks = make(map[types.Digest]*types.Block)
-	n.pendingRounds = make(map[types.Round][]types.Digest)
-	n.ownPending = make(map[types.Round]types.Digest)
-	n.certWait = make(map[types.Digest]*types.Certificate)
-	n.orphans = nil
-	n.orphanSet = make(map[types.Digest]bool)
-	for k := range n.slots {
-		n.releaseSlot(k)
-	}
-	n.slots = make(map[voteKey]*slotVotes)
-	n.voted = make(map[voteKey]types.Digest)
-	n.lastSeen = make(map[types.ReplicaID]types.Round)
+	n.latestRound = make([]types.Round, n.n)
 	n.ownWrites = make(map[types.Key]types.Value)
 	n.ownBlocks = nil
 	n.pendingCross = make(map[types.Digest]*types.Transaction)
 	n.shiftSent = false
 	n.roundsProposed = 0
 	n.committedShift = make(map[types.ReplicaID]bool)
-	n.roundReqAt = make(map[types.Round]time.Time)
 	n.lastBlock = nil
-	n.lastBlockVotes = 0
 	n.archive.reset(n.dagStore.Floor())
-	n.slotWait = slotWait{}
 	n.execQ = nil // waves of a dying epoch never execute
 	n.resetSpec() // predictions bind to the dying epoch's DAG
 	n.loadedRound = 0
@@ -829,60 +784,27 @@ func (n *Node) Stop() {
 func (n *Node) Inspect(f func(*DebugView)) error {
 	donec := make(chan struct{})
 	g := func(n *Node) {
-		prev := n.nextRound - 1
-		_, ownPrev := n.dagStore.Get(prev, n.cfg.ID)
-		lastBlockRound := types.Round(0)
-		if n.lastBlock != nil {
-			lastBlockRound = n.lastBlock.Round
-		}
-		f(&DebugView{
-			Epoch:          n.epoch,
+		v := &DebugView{
 			NextRound:      n.nextRound,
-			QueueLen:       len(n.txQueue),
-			Pending:        pendingIDs(n),
-			Resolved:       func(tx *types.Transaction) bool { return n.dedup.Resolved(tx) },
-			Seen:           func(d types.Digest) bool { _, ok := n.seen[d]; return ok },
 			DedupClients:   n.dedup.Clients(),
-			PrevRoundCerts: n.dagStore.CountAtRound(prev),
-			HasOwnPrev:     ownPrev,
 			HighestRound:   n.dagStore.HighestRound(),
-			Orphans:        len(n.orphans),
-			CertWait:       len(n.certWait),
-			Collectors:     len(n.slots),
-			EarlyVotes:     n.earlyVotes(),
-			LastBlockRound: lastBlockRound,
 			FutureMsgs:     n.futureLen(),
 			GCFloor:        n.dagStore.Floor(),
 			ArchiveFloor:   n.archive.lo,
 			ArchiveRounds:  n.archive.rounds(),
 			ArchiveBytes:   n.archive.bytes,
 			DagVertices:    n.dagStore.Len(),
-			PendingBlocks:  len(n.pendingBlocks),
-			VotedSlots:     len(n.voted),
 			CommittedFlags: n.committer.CommittedLen(),
-			LedgerRecords:  int(n.nm.ledger.Records.Value()),
-			LedgerChunks:   int(n.nm.ledger.Chunks.Value()),
-			LedgerBytes:    int(n.nm.ledger.Bytes.Value()),
-			LedgerBuffered: int(n.nm.ledger.Buffered.Value()),
-			SnapshotEpoch: func() types.Epoch {
-				if n.lastSnap == nil {
-					return 0
-				}
-				return n.lastSnap.Epoch
-			}(),
 			Vertices: func(r types.Round) []VertexInfo {
 				var out []VertexInfo
 				for _, v := range n.dagStore.AtRound(r) {
-					out = append(out, VertexInfo{
-						Round: v.Round(), Proposer: v.Proposer(),
-						Kind:       v.Block.Kind,
-						CertDigest: v.Cert.Digest(),
-						Parents:    append([]types.Digest(nil), v.Block.Parents...),
-					})
+					out = append(out, VertexInfo{Proposer: v.Proposer(), CertDigest: v.Cert.Digest()})
 				}
 				return out
 			},
-		})
+		}
+		n.table.census(v)
+		f(v)
 		close(donec)
 	}
 	select {
@@ -896,40 +818,28 @@ func (n *Node) Inspect(f func(*DebugView)) error {
 
 // DebugView is a snapshot of event-loop state handed to Inspect.
 type DebugView struct {
-	Epoch     types.Epoch
 	NextRound types.Round
-	QueueLen  int
-	Pending   []types.Digest
-	// Resolved reports whether a transaction is deduplicated as
-	// resolved (committed or deterministically failed); Seen reports
-	// pre-commit queue dedup. DedupClients is the bounded dedup
-	// state's population (clients tracked) — the plateau tests sample
-	// it.
-	Resolved     func(*types.Transaction) bool
-	Seen         func(types.Digest) bool
+	// DedupClients is the bounded dedup state's population (clients
+	// tracked) — the plateau tests sample it.
 	DedupClients int
-	// Frontier internals for liveness debugging: certificates present
-	// at nextRound-1, whether our own is among them, the highest
-	// certified round, and the sizes of the recovery queues.
-	PrevRoundCerts int
-	HasOwnPrev     bool
-	HighestRound   types.Round
-	Orphans        int
-	CertWait       int
-	// Collectors counts the live per-slot vote collectors (slots voted
-	// on but not yet certified here); EarlyVotes the votes they hold
-	// for blocks this replica has not received. Both are bounded by the
-	// vote window and reclaimed at the GC floor.
-	Collectors     int
-	EarlyVotes     int
-	LastBlockRound types.Round
+	// HighestRound is the highest certified round; CertWait counts the
+	// slots whose certificate waits for its block.
+	HighestRound types.Round
+	CertWait     int
+	// Collectors counts the slots with a live vote collector (voted on
+	// but not yet certified here); EarlyVotes the votes they hold for
+	// blocks their slot has not received. Both are bounded by the vote
+	// window and reclaimed at the GC floor.
+	Collectors int
+	EarlyVotes int
 	// FutureMsgs counts the messages parked for the next epoch, bounded
 	// per sender.
 	FutureMsgs int
 	// GC observability: the decoded floor, the round archive below it
-	// (its lowest round, rounds held and bytes pinned), and the sizes of
-	// the per-epoch maps committed-wave GC bounds (the long-run plateau
-	// tests sample these).
+	// (its lowest round, rounds held and bytes pinned), and what
+	// committed-wave GC bounds — decoded vertices, the slot table's blocks
+	// (one per sender per slot) and journaled votes, the committer's
+	// flags — which the long-run plateau tests sample.
 	GCFloor        types.Round
 	ArchiveFloor   types.Round
 	ArchiveRounds  int
@@ -938,16 +848,6 @@ type DebugView struct {
 	PendingBlocks  int
 	VotedSlots     int
 	CommittedFlags int
-	// The store's ledger (storage.LedgerMetrics): records, immutable
-	// chunks and their encoding bytes, and writes buffered for the next
-	// fold.
-	LedgerRecords  int
-	LedgerChunks   int
-	LedgerBytes    int
-	LedgerBuffered int
-	// SnapshotEpoch is the epoch of the node's latest captured or
-	// installed snapshot (0 before the first capture).
-	SnapshotEpoch types.Epoch
 	// Vertices returns the certified vertices at one round (valid only
 	// inside the Inspect callback).
 	Vertices func(r types.Round) []VertexInfo
@@ -955,19 +855,8 @@ type DebugView struct {
 
 // VertexInfo is a read-only DAG vertex summary for debugging.
 type VertexInfo struct {
-	Round      types.Round
 	Proposer   types.ReplicaID
-	Kind       types.BlockKind
 	CertDigest types.Digest
-	Parents    []types.Digest
-}
-
-func pendingIDs(n *Node) []types.Digest {
-	out := make([]types.Digest, 0, len(n.pendingCross))
-	for id := range n.pendingCross {
-		out = append(out, id)
-	}
-	return out
 }
 
 // Submit enqueues a client transaction. Single-shard transactions
@@ -1088,69 +977,67 @@ func (n *Node) enqueueTx(tx *types.Transaction) {
 // missing history, rebroadcasts this node's uncertified proposal, and
 // purges self-healing caches.
 func (n *Node) housekeeping() {
-	for bd, cert := range n.certWait {
-		n.queueTo(cert.Proposer, MsgBlockReq, (&blockReq{BlockDigest: bd}).marshal())
-	}
+	n.nm.slotTableRounds.Set(int64(len(n.table.rounds)))
 	// Pull the missing round range in bulk, up to the lowest orphan or
 	// the committee's round, whichever is higher. Orphans above the
 	// inserted frontier mark a gap — after an outage it spans hundreds
 	// of rounds, and walking it one parent round-trip at a time loses
 	// the race against round production. A committee seen proposing
-	// beyond the vote window (f+1 proposers, so at least one honest one)
-	// marks one too: this replica dropped the votes for the rounds in
-	// between and can only catch up from certificates. Each orphan also
-	// re-pulls its parents' round, in case the first answer was lost.
+	// beyond the vote window (f+1 proposers, one of them honest) marks
+	// one too: this replica can only catch up from certificates. Each
+	// orphan also re-pulls its parents' round, and each certificate
+	// waiting for its block asks the proposer again, in case the first
+	// answer was lost.
 	hi := n.dagStore.HighestRound()
 	var upTo types.Round
 	if at := n.committeeRound(); at > hi+voteWindow {
 		upTo = at
 	}
-	if len(n.orphans) > 0 {
-		lowest := n.orphans[0].Round()
-		for _, o := range n.orphans {
-			lowest = min(lowest, o.Round())
-			n.requestMissingParents(o)
+	var lowest types.Round // of the orphans; 0: none
+	for _, rs := range n.table.rounds {
+		for i := range rs.slot {
+			if c := rs.slot[i].cert; c != nil {
+				n.queueTo(c.Proposer, MsgBlockReq, (&blockReq{Round: c.Round, Proposer: c.Proposer, BlockDigest: c.BlockDigest}).marshal())
+			}
+			if o := rs.slot[i].orphan; o != nil {
+				if lowest == 0 || o.Round() < lowest {
+					lowest = o.Round()
+				}
+				n.requestMissingParents(o)
+			}
 		}
-		upTo = max(upTo, lowest)
 	}
+	upTo = max(upTo, lowest)
 	for r := hi + 1; r < upTo && r <= hi+roundPullBatch; r++ {
 		n.pullRound(r)
 	}
 	// A proposal lost to a crash or partition wedges this node: it
 	// cannot advance past a round missing its own certificate
 	// (maybeAdvance). Rebroadcast until the vertex lands — the block and
-	// this replica's vote for it, as at proposal; peers that already
-	// voted repeat their vote to this replica alone. Gated on
-	// certification state, not just the stall timer: while the vote
-	// count is still rising the proposal evidently reached peers, and
-	// re-sending it every tick is pure wire noise — only a stall with a
-	// frozen vote count re-sends (the cached proposal bytes, no
-	// re-marshal). The stall threshold follows the measured
-	// certification latency (stallAfter), so a healthy committee on slow
-	// links is not mistaken for a wedged one.
+	// this replica's vote for it; peers that already voted repeat theirs
+	// to this replica alone. Only a stall with a frozen vote count
+	// re-sends: while the count rises the proposal evidently reached
+	// peers. The stall threshold follows the measured certification
+	// latency (stallAfter), so slow links do not look wedged.
 	stalled := time.Since(n.lastProgress) >= n.stallAfter()
 	if b := n.lastBlock; b != nil {
 		if _, ok := n.dagStore.Get(b.Round, n.cfg.ID); !ok {
-			k := voteKey{round: b.Round, proposer: n.cfg.ID}
-			votes := 0
-			if s, ok := n.slots[k]; ok {
-				votes = s.n
-			}
-			if stalled && votes <= n.lastBlockVotes {
+			rs := n.table.at(b.Round)
+			votes := rs.slot[n.cfg.ID].n
+			if stalled && votes <= rs.ownVotes {
 				n.nm.stallRebroadcasts.Add(1)
 				n.queueBcast(MsgBlock, b.Wire())
 				// The vote goes again only if it is the slot's journaled
 				// one: a replica restarted into a round it had already
 				// proposed holds a vote for the earlier block, and signs
 				// nothing for this one.
-				if v, ok := n.repeatVote(k, b.Digest()); ok {
+				if v, ok := n.repeatVote(voteKey{round: b.Round, proposer: n.cfg.ID}, b.Digest()); ok {
 					n.queueBcast(MsgVote, v)
 				}
 			}
-			n.lastBlockVotes = votes
+			rs.ownVotes = votes
 		} else {
 			n.lastBlock = nil
-			n.lastBlockVotes = 0
 		}
 	}
 	// A ballot still held for its round quorum (sealVotes) leaves on a
@@ -1264,15 +1151,8 @@ func (n *Node) handle(m inboundMsg) {
 // proposing at or beyond — one of them honest, so the round before it
 // holds a certificate quorum somewhere.
 func (n *Node) committeeRound() types.Round {
-	seen := make([]types.Round, 0, n.n)
-	for p, r := range n.lastSeen {
-		if p != n.cfg.ID {
-			seen = append(seen, r)
-		}
-	}
-	if len(seen) <= n.f {
-		return 0
-	}
+	seen := slices.Clone(n.latestRound)
+	seen[n.cfg.ID] = 0 // peers only
 	slices.Sort(seen)
 	return seen[len(seen)-1-n.f]
 }
@@ -1280,12 +1160,17 @@ func (n *Node) committeeRound() types.Round {
 // pullRound broadcasts a MsgRoundReq for one round unless a request
 // is already in flight (re-asked after four ticks, covering a
 // round-trip on slow links, so recovery traffic doesn't multiply by
-// latency/tick).
+// latency/tick). A round below the GC floor is not asked for: its
+// answer would be refused.
 func (n *Node) pullRound(r types.Round) {
-	if at, ok := n.roundReqAt[r]; ok && time.Since(at) < 4*n.cfg.TickInterval {
+	if r < n.dagStore.Floor() {
 		return
 	}
-	n.roundReqAt[r] = time.Now()
+	rs := n.table.at(r)
+	if time.Since(rs.pulledAt) < 4*n.cfg.TickInterval {
+		return
+	}
+	rs.pulledAt = time.Now()
 	n.nm.roundPulls.Add(1)
 	n.queueBcast(MsgRoundReq, (&roundReq{Epoch: n.epoch, Round: r}).marshal())
 }
@@ -1335,13 +1220,12 @@ func (n *Node) handleRoundReq(from types.ReplicaID, r *roundReq) {
 
 // requestMissingParents pulls the round an orphan's parents live in —
 // round r−1, the only round dag.Store.Add accepts them from — unless
-// every parent it lacks has arrived already, itself an orphan waiting
-// for its own parents. Recovery walks causal history backwards one
-// round per round-trip: each recovered parent that is itself an orphan
-// pulls the round below it.
+// every parent it lacks is here already, an orphan itself. Recovery
+// walks history backwards one round per round-trip: each recovered
+// parent that is itself an orphan pulls the round below it.
 func (n *Node) requestMissingParents(v *dag.Vertex) {
 	for _, p := range v.Block.Parents {
-		if _, ok := n.dagStore.ByCert(p); !ok && !n.orphanSet[p] {
+		if _, ok := n.dagStore.ByCert(p); !ok && !n.table.orphaned(v.Round()-1, p) {
 			n.pullRound(v.Round() - 1)
 			return
 		}
@@ -1406,37 +1290,50 @@ func (n *Node) handleBlock(from types.ReplicaID, b *types.Block, raw []byte) {
 	if b.Round < n.dagStore.Floor() {
 		return // round garbage-collected; the vertex can never matter
 	}
-	d := b.Digest()
-	n.trackPendingBlock(b)
-	if b.Round > n.lastSeen[b.Proposer] {
-		n.lastSeen[b.Proposer] = b.Round
-	}
-	// Vote only for blocks received from their proposer, once per
-	// (round, proposer) slot — the anti-equivocation guard. On a
-	// durable backend the first vote per slot is journaled before the
-	// signature leaves this replica, so a crash+restart cannot be
-	// induced into signing a conflicting digest for an already-voted
-	// slot (two certificates for one slot would let commit sequences
-	// diverge across replicas). The first vote goes to the whole
-	// committee, in the next bundle sealed — every replica certifies
-	// from votes. A vote for this replica's current round waits for the
-	// flush that reaches the round's quorum; any other leaves with this
-	// pass's flush (votes.go). A repeat of the block is its proposer
-	// saying it still lacks the quorum (stall rebroadcast), so the same
-	// vote goes again, to the proposer alone.
+	// Only a proposer speaks for its own progress: a forged relayed block
+	// at a far round would set off hundreds of round pulls
+	// (committeeRound) and hide a silent proposer from Shift condition
+	// (1). Noted before the ceiling: a replica far behind learns it is.
 	if from == b.Proposer {
-		k := voteKey{round: b.Round, proposer: b.Proposer}
-		if _, ok := n.voted[k]; !ok {
-			n.castVote(b, k, d)
-		} else if v, ok := n.repeatVote(k, d); ok {
+		n.latestRound[from] = max(n.latestRound[from], b.Round)
+	}
+	if b.Round > n.blockCeiling() {
+		n.nm.blocksDropped.Add(1)
+		return
+	}
+	d := b.Digest()
+	s, held := n.trackPendingBlock(b, from)
+	if !held {
+		n.nm.blocksDropped.Add(1)
+	}
+	// Vote only for blocks received from their proposer, once per slot
+	// — the anti-equivocation guard. The vote is journaled before its
+	// signature leaves this replica (a restart cannot be induced into
+	// signing a second digest for the slot, and two certificates for one
+	// slot would let commit sequences diverge) and goes to the whole
+	// committee in the next bundle sealed (votes.go). A repeat of the
+	// block is its proposer saying it still lacks the quorum (stall
+	// rebroadcast), so the same vote goes again, to the proposer alone —
+	// even when the slot refused the block, the proposer's other one
+	// having come first.
+	if from == b.Proposer {
+		if s.vote.IsZero() {
+			n.castVote(b, s, d)
+		} else if v, ok := n.repeatVote(voteKey{round: b.Round, proposer: b.Proposer}, d); ok {
 			n.queueTo(b.Proposer, MsgVote, v)
 		}
 	}
-	// A certificate may have arrived first.
-	if cert, ok := n.certWait[d]; ok {
-		delete(n.certWait, d)
-		n.addVertex(&dag.Vertex{Block: b, Cert: cert})
+	// A certificate may have arrived first (it names a held block).
+	if c := s.cert; c != nil && c.BlockDigest == d {
+		s.cert = nil
+		n.addVertex(&dag.Vertex{Block: b, Cert: c})
 	}
+}
+
+// blockCeiling is the highest round a block or certificate is kept for:
+// the highest round a round pull asks for (housekeeping, stall pull).
+func (n *Node) blockCeiling() types.Round {
+	return max(n.dagStore.HighestRound(), n.nextRound) + roundPullBatch
 }
 
 // handleCert processes a certificate received whole: a reply to a
@@ -1448,7 +1345,7 @@ func (n *Node) handleCert(from types.ReplicaID, c *types.Certificate, raw []byte
 		n.parkFuture(from, c.Epoch, MsgCert, raw)
 		return
 	}
-	if c.Epoch < n.epoch || c.Round < n.dagStore.Floor() {
+	if c.Epoch < n.epoch || c.Round < n.dagStore.Floor() || c.Round > n.blockCeiling() || int(c.Proposer) >= n.n {
 		return
 	}
 	if _, ok := n.dagStore.ByCert(c.Digest()); ok {
@@ -1460,13 +1357,13 @@ func (n *Node) handleCert(from types.ReplicaID, c *types.Certificate, raw []byte
 	n.placeCert(c, from)
 }
 
+// handleBlockReq serves a block from its slot, which holds it landed
+// or not while its round is decoded.
 func (n *Node) handleBlockReq(from types.ReplicaID, r *blockReq) {
-	if b, ok := n.pendingBlocks[r.BlockDigest]; ok {
-		n.queueTo(from, MsgBlock, b.Wire())
-		return
-	}
-	if v, ok := n.dagStore.ByBlock(r.BlockDigest); ok {
-		n.queueTo(from, MsgBlock, v.Block.Wire())
+	if s := n.table.find(voteKey{round: r.Round, proposer: r.Proposer}); s != nil {
+		if b := s.block(r.BlockDigest); b != nil {
+			n.queueTo(from, MsgBlock, b.Wire())
+		}
 	}
 }
 
@@ -1476,51 +1373,41 @@ func (n *Node) addVertex(v *dag.Vertex) {
 	if !n.insertVertex(v) {
 		return
 	}
-	// Orphans may now have parents. Retry against the store directly:
-	// still-orphaned vertices stay parked (membership unchanged, no
-	// re-request) until the next arrival or housekeeping retry.
-	progress := true
-	for progress {
+	// Orphans may now have parents. Retry them against the store, in
+	// round order, until a pass lands none: still-orphaned vertices stay
+	// parked (no re-request) until the next arrival or housekeeping
+	// retry. A landed orphan leaves its slot in onVertexAdded.
+	for progress := n.table.orphans > 0; progress; {
 		progress = false
-		keep := n.orphans[:0]
-		for _, o := range n.orphans {
-			d := o.Cert.Digest()
-			if n.inserted(o) {
-				delete(n.orphanSet, d)
-				continue
-			}
-			err := n.dagStore.Add(o)
-			var missing *dag.MissingParentError
-			switch {
-			case err == nil:
-				delete(n.orphanSet, d)
-				n.onVertexAdded(o)
-				progress = true
-			case errors.As(err, &missing):
-				keep = append(keep, o)
-			default:
-				// Permanent rejection (equivocation or garbage): do
-				// not park it forever.
-				delete(n.orphanSet, d)
+		for r := n.dagStore.Floor(); r <= n.blockCeiling() && n.table.orphans > 0; r++ {
+			for i, rs := 0, n.table.rounds[r]; rs != nil && i < len(rs.slot); i++ {
+				o := rs.slot[i].orphan
+				if o == nil {
+					continue
+				}
+				err := n.dagStore.Add(o)
+				var missing *dag.MissingParentError
+				switch {
+				case err == nil:
+					n.onVertexAdded(o)
+					progress = true
+				case !errors.As(err, &missing):
+					// Permanent rejection (equivocation or garbage): do
+					// not park it forever.
+					n.table.park(&rs.slot[i], nil)
+				}
 			}
 		}
-		n.orphans = keep
 	}
 	n.maybeAdvance()
 	n.processCommits()
 }
 
-func (n *Node) inserted(v *dag.Vertex) bool {
-	_, ok := n.dagStore.ByCert(v.Cert.Digest())
-	return ok
-}
-
-// insertVertex adds to the DAG store, parking vertices with missing
-// parents on the orphan list. Returns true if the vertex landed.
+// insertVertex adds to the DAG store, parking a vertex with missing
+// parents in its slot. Returns true if the vertex landed.
 func (n *Node) insertVertex(v *dag.Vertex) bool {
 	err := n.dagStore.Add(v)
 	if err == nil {
-		delete(n.orphanSet, v.Cert.Digest())
 		n.onVertexAdded(v)
 		return true
 	}
@@ -1528,19 +1415,16 @@ func (n *Node) insertVertex(v *dag.Vertex) bool {
 	// address forces a heap allocation, and insertions succeed on the
 	// hot path.
 	var missing *dag.MissingParentError
-	switch {
-	case errors.As(err, &missing):
-		if d := v.Cert.Digest(); !n.orphanSet[d] {
-			n.orphanSet[d] = true
-			n.orphans = append(n.orphans, v)
-			// Ask peers for the missing history immediately;
-			// housekeeping retries if the answers are lost.
-			n.requestMissingParents(v)
-		}
-		return false
-	default:
+	if !errors.As(err, &missing) {
 		return false // equivocation or garbage
 	}
+	if s := n.table.slot(voteKey{round: v.Round(), proposer: v.Proposer()}); s.orphan == nil {
+		n.table.park(s, v)
+		// Ask peers for the missing history immediately; housekeeping
+		// retries if the answers are lost.
+		n.requestMissingParents(v)
+	}
+	return false
 }
 
 // onVertexAdded tracks proposer liveness and pending cross-shard
@@ -1552,16 +1436,15 @@ func (n *Node) onVertexAdded(v *dag.Vertex) {
 	if v.Block.Stamps.Certified.IsZero() {
 		v.Block.Stamps.Certified = n.lastProgress
 	}
-	// The slot is decided: retire its vote collector. One that
-	// assembled a certificate means this vertex was certified here,
-	// from votes, rather than received certified.
-	k := voteKey{round: v.Round(), proposer: v.Proposer()}
+	// The slot is decided: retire its collector and orphan. A collector
+	// that assembled a certificate means the vertex was certified here.
 	var local uint64
-	if s, ok := n.slots[k]; ok {
+	if s := n.table.find(voteKey{round: v.Round(), proposer: v.Proposer()}); s != nil {
 		if s.done {
 			local = 1
 		}
-		n.releaseSlot(k)
+		n.table.retire(s)
+		n.table.park(s, nil)
 	}
 	// a = proposer whose vertex was certified, b = 1 when the
 	// certificate was assembled locally.
@@ -1569,9 +1452,7 @@ func (n *Node) onVertexAdded(v *dag.Vertex) {
 	if v.Proposer() == n.cfg.ID {
 		n.observeCertLatency(v.Block)
 	}
-	if v.Round() > n.lastSeen[v.Proposer()] {
-		n.lastSeen[v.Proposer()] = v.Round()
-	}
+	n.latestRound[v.Proposer()] = max(n.latestRound[v.Proposer()], v.Round())
 	// Track the newest round whose blocks carried transactions: input
 	// to the adaptive pacing decision in maybeAdvance.
 	if v.Round() > n.loadedRound &&
@@ -1661,19 +1542,15 @@ const fastForwardGap = 4
 // at one past the certified frontier so the next frontier round links
 // to this node again.
 func (n *Node) fastForward(hi types.Round) {
-	// Recover transactions from own stale blocks — the ownPending
-	// round index, not a scan over every pending block — deduplicated
-	// against the queue and each other (a transaction can sit in
-	// several stale blocks after validation-failure requeues);
-	// committed ones stay filtered by the dedup state in drainQueue.
+	// Requeue the transactions of own stale blocks (each round record's
+	// own proposal), deduplicated against the queue and each other (a
+	// transaction can sit in several stale blocks after
+	// validation-failure requeues); drainQueue filters committed ones.
 	queued := n.queuedIDs()
-	for r, d := range n.ownPending {
-		if r > hi {
-			continue
-		}
-		delete(n.ownPending, r)
-		if b, ok := n.pendingBlocks[d]; ok {
-			n.requeueOwnBlock(b, queued)
+	for r, rs := range n.table.rounds {
+		if r <= hi && rs.own != nil {
+			n.requeueOwnBlock(rs.own, queued)
+			rs.own = nil
 		}
 	}
 	// The own-writes overlay describes abandoned blocks; drop it.
@@ -1723,12 +1600,23 @@ func (n *Node) queuedIDs() map[types.Digest]bool {
 	return queued
 }
 
-// trackPendingBlock stores a block by digest and indexes it by round
-// (for committed-wave GC and the own-block fast-forward scan).
-func (n *Node) trackPendingBlock(b *types.Block) {
+// trackPendingBlock keeps b, received from `from` (this replica: its
+// own proposal), in its slot and returns the slot. held is false when
+// b is refused: its sender has another block in the slot, and b is not
+// the one the slot's waiting certificate names.
+func (n *Node) trackPendingBlock(b *types.Block, from types.ReplicaID) (s *slot, held bool) {
+	rs := n.table.at(b.Round)
+	s = &rs.slot[b.Proposer]
 	d := b.Digest()
-	if _, ok := n.pendingBlocks[d]; ok {
-		return
+	if s.block(d) != nil {
+		return s, true
+	}
+	if s.cert == nil || s.cert.BlockDigest != d {
+		for i := range s.blocks {
+			if s.blocks[i].from == from {
+				return s, false
+			}
+		}
 	}
 	// First sighting on this replica: the propose→certify stage clock
 	// starts here (own blocks stamp at creation, peer blocks at first
@@ -1736,8 +1624,11 @@ func (n *Node) trackPendingBlock(b *types.Block) {
 	if b.Stamps.Seen.IsZero() {
 		b.Stamps.Seen = time.Now()
 	}
-	n.pendingBlocks[d] = b
-	n.pendingRounds[b.Round] = append(n.pendingRounds[b.Round], d)
+	s.blocks = append(s.blocks, heldBlock{b: b, from: from})
+	if from == n.cfg.ID {
+		rs.own = b
+	}
+	return s, true
 }
 
 func mustMarshal(m interface{ MarshalBinary() ([]byte, error) }) []byte {

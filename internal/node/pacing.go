@@ -61,58 +61,49 @@ func (n *Node) stallAfter() time.Duration {
 	return max(2*n.cfg.TickInterval, 4*n.certLatency)
 }
 
-// slotWait is one hold of the next proposal for the previous round's
-// slots.
-type slotWait struct {
-	round    types.Round // round being left; 0 = no hold
-	since    time.Time
-	released bool // the bound expired; do not hold this round again
-}
-
 // holdForSlots reports whether the proposal that would leave round
-// prev must wait: every slot of prev is an anchor candidate, committed
-// on its own only when 2f+1 vertices of the next round reference it,
-// and a block of prev has been received here whose vertex has not
-// landed yet. Leaving without the vertex means the next block cannot
-// reference it; when f+1 replicas do that the slot misses direct
-// commit and waits for an anchor two rounds up — and every slot behind
-// it in the commit order waits with it. A block that never arrived is
-// not waited for — a crashed proposer's slot is skipped on its own —
-// and the hold ends when the last awaited vertex lands (addVertex
-// re-enters maybeAdvance) or at slotWaitBound (slotTimer does).
+// prev must wait: a block of prev has been received here whose vertex
+// has not landed yet. Every slot is an anchor candidate, committed on
+// its own only when 2f+1 vertices of the next round reference it; when
+// f+1 replicas leave without its vertex the slot waits for an anchor two
+// rounds up, and every slot behind it in the commit order with it. A
+// block that never arrived is not waited for (a crashed proposer's slot
+// is skipped on its own). The hold, kept in prev's round record, ends
+// when the last awaited vertex lands (addVertex re-enters maybeAdvance)
+// or at slotWaitBound (slotTimer).
 func (n *Node) holdForSlots(prev types.Round) bool {
-	w := &n.slotWait
-	if !n.awaitingVertex(prev) {
-		if w.round == prev && !w.released {
-			n.nm.slotWaitNs.Observe(time.Since(w.since))
-			w.released = true
+	rs := n.table.rounds[prev]
+	if rs == nil || rs.holdOver {
+		return false // no block of prev is here, or its hold ended
+	}
+	if !n.awaitingVertex(prev, rs) {
+		if !rs.holdSince.IsZero() {
+			n.nm.slotWaitNs.Observe(time.Since(rs.holdSince))
+			rs.holdOver = true
 		}
 		return false
 	}
-	if w.round == prev {
-		if w.released {
-			return false
-		}
-		if waited := time.Since(w.since); waited >= n.slotWaitBound() {
-			n.nm.slotWaitTimeouts.Add(1)
-			n.nm.slotWaitNs.Observe(waited)
-			w.released = true
-			return false
-		}
+	if rs.holdSince.IsZero() {
+		rs.holdSince = time.Now()
+		n.nm.slotWaits.Add(1)
+		n.slotTimer.Reset(n.slotWaitBound())
 		return true
 	}
-	*w = slotWait{round: prev, since: time.Now()}
-	n.nm.slotWaits.Add(1)
-	n.slotTimer.Reset(n.slotWaitBound())
+	if waited := time.Since(rs.holdSince); waited >= n.slotWaitBound() {
+		n.nm.slotWaitTimeouts.Add(1)
+		n.nm.slotWaitNs.Observe(waited)
+		rs.holdOver = true
+		return false
+	}
 	return true
 }
 
-// awaitingVertex reports whether a block of round r has been received
-// whose slot holds no vertex in the DAG yet.
-func (n *Node) awaitingVertex(r types.Round) bool {
-	for _, d := range n.pendingRounds[r] {
-		if b, ok := n.pendingBlocks[d]; ok {
-			if _, landed := n.dagStore.Get(r, b.Proposer); !landed {
+// awaitingVertex reports whether a block of round r (record rs) has
+// been received whose slot holds no vertex in the DAG yet.
+func (n *Node) awaitingVertex(r types.Round, rs *roundRecord) bool {
+	for p := range rs.slot {
+		if len(rs.slot[p].blocks) > 0 {
+			if _, landed := n.dagStore.Get(r, types.ReplicaID(p)); !landed {
 				return true
 			}
 		}

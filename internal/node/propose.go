@@ -167,24 +167,18 @@ func (n *Node) propose() {
 	// delivery is lossy under injected faults, and housekeeping re-sends
 	// the block until the certificate lands.
 	d := blk.Digest()
-	n.trackPendingBlock(blk)
-	n.ownPending[r] = d
+	s, _ := n.trackPendingBlock(blk, n.cfg.ID)
 	n.lastBlock = blk
-	n.lastBlockVotes = 0
 	n.queueBcast(MsgBlock, blk.Wire())
 	// Vote for our own block inline — the outbox excludes self from
-	// broadcasts. The vote waits on the ballot for the round's quorum
-	// and leaves in one bundle with the first 2f peer votes of the round
-	// (votes.go); peers certify this block from any 2f+1 votes, so none
-	// waits for this one in particular. Votes still held for the round
-	// before are off the new round, so this pass's flush seals them,
-	// this one with them. The anti-equivocation journal entry is
-	// written before the signature exists, exactly as handleBlock does
-	// for peer blocks. (In a committee of one the vote is the quorum
-	// and the vertex lands at this pass's flush.)
-	k := voteKey{round: blk.Round, proposer: blk.Proposer}
-	if _, ok := n.voted[k]; !ok {
-		n.castVote(blk, k, d)
+	// broadcasts — journaled first, as handleBlock does for peer blocks.
+	// The vote waits on the ballot for the round's quorum and leaves in
+	// one bundle with the first 2f peer votes of the round (votes.go);
+	// votes still held for the round before are off the new round, so
+	// this pass's flush seals them. (In a committee of one the vote is
+	// the quorum and the vertex lands at this pass's flush.)
+	if s.vote.IsZero() {
+		n.castVote(blk, s, d)
 	}
 }
 
@@ -199,7 +193,7 @@ func (n *Node) shouldShift(r types.Round) bool {
 			if p == n.cfg.ID {
 				continue
 			}
-			if n.lastSeen[p]+types.Round(n.cfg.K) < r {
+			if n.latestRound[p]+types.Round(n.cfg.K) < r {
 				return true
 			}
 		}

@@ -248,7 +248,7 @@ func TestOrphanPullsItsParentRound(t *testing.T) {
 	b := dagtest.NewBuilder(committee, 0)
 	r1, r2, r3 := b.NextRound(nil, nil), b.NextRound(nil, nil), b.NextRound(nil, nil)
 	for _, v := range r1 {
-		n.trackPendingBlock(v.Block)
+		n.trackPendingBlock(v.Block, v.Proposer())
 		if !n.insertVertex(v) {
 			t.Fatal("round-1 vertex rejected")
 		}
@@ -285,8 +285,8 @@ func TestOrphanPullsItsParentRound(t *testing.T) {
 	if out, mts := queued(); len(out) != 1 {
 		t.Fatalf("a second orphan of the round left message types %v queued, want the first pull alone", mts)
 	}
-	if len(n.orphans) != 2 {
-		t.Fatalf("%d orphans parked, want 2", len(n.orphans))
+	if n.table.orphans != 2 {
+		t.Fatalf("%d orphans parked, want 2", n.table.orphans)
 	}
 	for p := types.ReplicaID(0); p < 4; p++ {
 		deliver(r2[p])
@@ -296,7 +296,38 @@ func TestOrphanPullsItsParentRound(t *testing.T) {
 			t.Fatalf("orphan of proposer %d did not land", v.Proposer())
 		}
 	}
-	if len(n.orphans) != 0 {
-		t.Fatalf("%d orphans left", len(n.orphans))
+	if n.table.orphans != 0 {
+		t.Fatalf("%d orphans left", n.table.orphans)
+	}
+}
+
+// TestRelayedBlockSpeaksNotForItsProposer: a block relayed by another
+// replica says nothing about its proposer's progress. One Byzantine
+// peer forging blocks that name two honest proposers at a far round —
+// still under the block ceiling, so the slot table keeps them — must
+// neither send this replica pulling the rounds in between nor hide a
+// silent proposer from Shift condition (1).
+func TestRelayedBlockSpeaksNotForItsProposer(t *testing.T) {
+	committee := dagtest.NewCommittee(4)
+	n, _ := voteTestNode(t, committee, 0)
+	n.cfg.K = 5
+	n.lastProgress = time.Now() // not stalled: housekeeping sends no stall pull
+	// Proposers 1 and 2 are heard from at round 9; proposer 3 is silent.
+	for _, p := range []types.ReplicaID{1, 2} {
+		n.handleBlock(p, testBlock(9, p), nil)
+	}
+	for _, p := range []types.ReplicaID{2, 3} {
+		n.handleBlock(1, testBlock(200, p), nil)
+	}
+	if got := counter(n, "blocks_dropped"); got != 0 {
+		t.Fatalf("fixture: %d forged blocks refused, want them kept", got)
+	}
+	before := counter(n, mRoundPulls)
+	n.housekeeping()
+	if got := counter(n, mRoundPulls) - before; got != 0 {
+		t.Errorf("relayed forged blocks set off %d round pulls", got)
+	}
+	if !n.shouldShift(10) {
+		t.Fatal("a relayed forged block hid silent proposer 3 from Shift condition (1)")
 	}
 }

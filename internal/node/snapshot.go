@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"thunderbolt/internal/dag"
 	"thunderbolt/internal/gateway"
 	"thunderbolt/internal/metrics"
 	"thunderbolt/internal/tusk"
@@ -345,32 +344,29 @@ func (n *Node) installSnapshot(snap *types.Snapshot, writes []types.RWRecord, ch
 //
 // The work this replica claimed follows the shard assignment.
 // Re-entering its own epoch, the assignment is unchanged: queued and
-// in-flight own transactions requeue, and the vote map survives (a
-// re-entry must not be tricked into second votes for slots it already
-// signed). Entering a later epoch, the shard rotated: every
-// uncommitted claimed transaction is nacked (NackEpochEnded) so its
-// client re-routes at once instead of stalling until its retry timer,
-// and committed ones stay deduplicated via n.dedup. The caller
-// proposes and replays parked messages afterwards.
+// in-flight own transactions requeue, and journaled votes from the base
+// on survive (resetEpochState). Entering a later epoch, the shard
+// rotated: every uncommitted claimed transaction is nacked
+// (NackEpochEnded) so its client re-routes at once, and committed ones
+// stay deduplicated via n.dedup. The caller proposes and replays parked
+// messages afterwards.
 func (n *Node) enterEpoch(epoch types.Epoch, endRound types.Round, shifts []types.ReplicaID) {
 	base := types.Round(1)
 	if endRound > MinGCHorizon {
 		base = endRound - MinGCHorizon
 	}
 	sameEpoch := epoch == n.epoch
-	savedVotes := n.voted
 	savedSeen := n.seen
 	queue := n.txQueue
 	var pending []*types.Transaction
-	for _, d := range n.ownPending {
-		if b, ok := n.pendingBlocks[d]; ok {
+	for _, rs := range n.table.rounds {
+		if b := rs.own; b != nil {
 			pending = append(pending, b.SingleTxs...)
 			pending = append(pending, b.CrossTxs...)
 		}
 	}
 	n.txQueue = nil
-	n.resetEpochState(epoch)
-	n.dagStore = dag.NewStoreAt(epoch, n.n, base)
+	n.resetEpochState(epoch, base)
 	n.committer = tusk.NewCommitterAt(n.dagStore, n.n, endRound)
 	n.commitCtx = CommitEntry{Epoch: epoch, Wave: endRound}
 	for _, p := range shifts {
@@ -382,7 +378,6 @@ func (n *Node) enterEpoch(epoch types.Epoch, endRound types.Round, shifts []type
 	// boundary they cross too, not on the first wave here.
 	n.lastSnapAt = endRound
 	if sameEpoch {
-		n.voted = savedVotes
 		n.seen = savedSeen
 		n.txQueue = queue
 		queued := n.queuedIDs()

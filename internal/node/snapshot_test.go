@@ -174,8 +174,7 @@ func TestReconfigureMatchesEpochJump(t *testing.T) {
 		nd.txQueue = []*types.Transaction{snapTx(2), snapTx(3), snapTx(4)}
 		b := &types.Block{Epoch: 0, Round: 5, Proposer: nd.cfg.ID, Kind: types.NormalBlock,
 			SingleTxs: []*types.Transaction{snapTx(4), snapTx(5)}}
-		nd.trackPendingBlock(b)
-		nd.ownPending[b.Round] = b.Digest()
+		nd.trackPendingBlock(b, nd.cfg.ID)
 	}
 
 	mover.reconfigure()
@@ -230,7 +229,7 @@ func TestReconfigureMatchesEpochJump(t *testing.T) {
 // epoch jump and only that, even when the snapshot is a mid-epoch
 // capture of that epoch, and nacks the work the replica claimed; an
 // install into the current epoch is a mid-epoch install and only that,
-// requeues the claimed work and keeps the vote map.
+// requeues the claimed work and keeps the journaled votes.
 func TestInstallCountersAndClaims(t *testing.T) {
 	nodes, _ := snapTestNodes(t, 4)
 	victim, donors := nodes[0], nodes[1:3]
@@ -243,8 +242,7 @@ func TestInstallCountersAndClaims(t *testing.T) {
 		victim.txQueue = append(victim.txQueue, sessTx(7, queued, shard))
 		b := &types.Block{Epoch: victim.epoch, Round: victim.nextRound, Proposer: victim.cfg.ID,
 			Shard: shard, Kind: types.NormalBlock, SingleTxs: []*types.Transaction{sessTx(7, inFlight, shard)}}
-		victim.trackPendingBlock(b)
-		victim.ownPending[b.Round] = b.Digest()
+		victim.trackPendingBlock(b, victim.cfg.ID)
 	}
 	install := func(endRound types.Round, balance int64, txs ...*types.Transaction) {
 		t.Helper()
@@ -274,7 +272,7 @@ func TestInstallCountersAndClaims(t *testing.T) {
 
 	claim(12, 13)
 	signed := voteKey{round: 170, proposer: 2}
-	victim.voted[signed] = types.Digest{1}
+	victim.table.slot(signed).vote = types.Digest{1}
 	install(200, 666, snapTx(2))
 	if st := victim.Stats(); st.Epoch != 1 || st.EpochJumps != 1 || st.MidEpochInstalls != 1 {
 		t.Fatalf("same-epoch install: epoch %d, %d jumps, %d mid-epoch installs; want 1, 1, 1",
@@ -289,16 +287,17 @@ func TestInstallCountersAndClaims(t *testing.T) {
 	for _, tx := range victim.txQueue {
 		held[tx.Nonce] = true
 	}
-	for _, d := range victim.ownPending {
-		b := victim.pendingBlocks[d]
-		for _, tx := range append(b.SingleTxs, b.CrossTxs...) {
-			held[tx.Nonce] = true
+	for _, rs := range victim.table.rounds {
+		if b := rs.own; b != nil {
+			for _, tx := range append(b.SingleTxs, b.CrossTxs...) {
+				held[tx.Nonce] = true
+			}
 		}
 	}
 	if !held[12] || !held[13] {
 		t.Fatalf("same-epoch install dropped claimed work: holding nonces %v, want 12 and 13", held)
 	}
-	if victim.voted[signed] != (types.Digest{1}) {
+	if d, _ := victim.table.vote(signed); d != (types.Digest{1}) {
 		t.Fatal("same-epoch install forgot a slot this replica already voted for")
 	}
 }

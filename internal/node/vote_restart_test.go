@@ -1,12 +1,14 @@
 package node
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
 
 	"thunderbolt/internal/contract"
 	"thunderbolt/internal/crypto"
+	"thunderbolt/internal/dag/dagtest"
 	"thunderbolt/internal/storage"
 	"thunderbolt/internal/transport"
 	"thunderbolt/internal/types"
@@ -130,7 +132,7 @@ func TestVoteJournalDurableBeforeWire(t *testing.T) {
 	d2 := f.open()
 	defer d2.CloseAbrupt()
 	n2 := f.build(d2)
-	if got, ok := n2.voted[voteKey{round: 1, proposer: 1}]; !ok || got != blk.Digest() {
+	if got, ok := n2.table.vote(voteKey{round: 1, proposer: 1}); !ok || got != blk.Digest() {
 		t.Fatalf("a vote a peer holds is missing from the reopened journal (present=%v)", ok)
 	}
 }
@@ -141,7 +143,7 @@ func TestVoteJournalDurableBeforeWire(t *testing.T) {
 // The vote is journaled in the durable WAL sidecar before the
 // signature leaves the replica — both through the note replay path
 // and through checkpoint meta (a checkpoint truncates earlier notes,
-// so the vote map must ride the meta too).
+// so the journaled votes must ride the meta too).
 func TestFirstVoteJournaledAcrossRestart(t *testing.T) {
 	for _, tc := range []struct {
 		name            string
@@ -160,7 +162,7 @@ func TestFirstVoteJournaledAcrossRestart(t *testing.T) {
 			n1.handleBlock(1, blk, nil)
 			n1.flushOutbox()
 			k := voteKey{round: 1, proposer: 1}
-			if n1.voted[k] != blk.Digest() {
+			if got, _ := n1.table.vote(k); got != blk.Digest() {
 				t.Fatal("vote not recorded before crash")
 			}
 			time.Sleep(50 * time.Millisecond)
@@ -183,7 +185,7 @@ func TestFirstVoteJournaledAcrossRestart(t *testing.T) {
 			d2 := open()
 			defer d2.CloseAbrupt()
 			n2 := build(d2)
-			if got, ok := n2.voted[k]; !ok || got != blk.Digest() {
+			if got, ok := n2.table.vote(k); !ok || got != blk.Digest() {
 				t.Fatalf("journaled vote lost across restart (present=%v)", ok)
 			}
 
@@ -201,7 +203,7 @@ func TestFirstVoteJournaledAcrossRestart(t *testing.T) {
 			n2.handleBlock(1, blk, nil)
 			n2.flushOutbox()
 			time.Sleep(50 * time.Millisecond)
-			if n2.voted[k] != blk.Digest() {
+			if got, _ := n2.table.vote(k); got != blk.Digest() {
 				t.Fatal("restarted replica overwrote its journaled vote")
 			}
 			for _, peer := range []types.ReplicaID{1, 2, 3} {
@@ -214,13 +216,13 @@ func TestFirstVoteJournaledAcrossRestart(t *testing.T) {
 			if got := votes(1, blk.Digest()); got != 2 {
 				t.Fatalf("proposer holds %d votes for the original digest, want the first and the repeat", got)
 			}
-			if s := n2.slots[k]; s == nil || s.votes[0].digest != blk.Digest() {
+			if s := n2.table.collector(k); s == nil || s.votes[0].digest != blk.Digest() {
 				t.Fatal("restarted replica did not count its own repeat vote")
 			}
 			// Fresh slots still vote normally after recovery.
 			blk2 := &types.Block{Epoch: 0, Round: 1, Proposer: 2, Kind: types.NormalBlock}
 			n2.handleBlock(2, blk2, nil)
-			if n2.voted[voteKey{round: 1, proposer: 2}] != blk2.Digest() {
+			if got, _ := n2.table.vote(voteKey{round: 1, proposer: 2}); got != blk2.Digest() {
 				t.Fatal("recovered replica stopped voting on fresh slots")
 			}
 		})
@@ -253,7 +255,7 @@ func TestRestartedProposerNeverSignsSecondDigest(t *testing.T) {
 	n1.propose()
 	n1.flushOutbox()
 	first := n1.lastBlock.Digest()
-	if n1.voted[k] != first {
+	if got, _ := n1.table.vote(k); got != first {
 		t.Fatal("proposer did not journal the vote for its own block")
 	}
 	if got := n1.nm.voteSigsSigned.Value(); got != 0 {
@@ -274,7 +276,7 @@ func TestRestartedProposerNeverSignsSecondDigest(t *testing.T) {
 	// No restart: the stall rebroadcast repeats the vote held in the
 	// collector. (The second stalled tick only notes that the vote count
 	// rose — by the proposer's own vote, counted at the seal.)
-	held := n1.slots[k].votes[0].sig
+	held := n1.table.collector(k).votes[0].sig
 	stall(n1)
 	stall(n1)
 	if got := n1.nm.stallRebroadcasts.Value(); got != 2 {
@@ -285,7 +287,7 @@ func TestRestartedProposerNeverSignsSecondDigest(t *testing.T) {
 			t.Fatalf("replica %d holds %d votes for the proposal, want the first and the repeat", peer, got)
 		}
 	}
-	if again := n1.slots[k].votes[0].sig; &again[0] != &held[0] {
+	if again := n1.table.collector(k).votes[0].sig; &again[0] != &held[0] {
 		t.Fatal("the repeat vote replaced the signature the collector held")
 	}
 	if got := n1.nm.voteSigsSigned.Value(); got != 1 {
@@ -299,7 +301,7 @@ func TestRestartedProposerNeverSignsSecondDigest(t *testing.T) {
 	d2 := f.open()
 	defer d2.CloseAbrupt()
 	n2 := f.build(d2)
-	if n2.voted[k] != first {
+	if got, _ := n2.table.vote(k); got != first {
 		t.Fatal("journaled own-slot vote lost across restart")
 	}
 	n2.propose()
@@ -314,7 +316,7 @@ func TestRestartedProposerNeverSignsSecondDigest(t *testing.T) {
 	if got := n2.nm.stallRebroadcasts.Value(); got < 2 {
 		t.Fatalf("stall_rebroadcasts = %d, want ≥ 2: the stall was not exercised", got)
 	}
-	if n2.voted[k] != first {
+	if got, _ := n2.table.vote(k); got != first {
 		t.Fatal("restarted proposer overwrote its journaled vote")
 	}
 	for _, peer := range []types.ReplicaID{1, 2, 3} {
@@ -325,7 +327,25 @@ func TestRestartedProposerNeverSignsSecondDigest(t *testing.T) {
 			t.Fatalf("replica %d received votes for %d digests of slot (1,0), want 1", peer, got)
 		}
 	}
-	if s, ok := n2.slots[k]; ok && s.votes[0].sig != nil {
+	if s := n2.table.collector(k); s != nil && s.votes[0].sig != nil {
 		t.Fatal("restarted proposer counted a vote for the second block in its own collector")
+	}
+}
+
+// TestWalMetaDeterministic: the checkpoint meta writes the journaled
+// votes in (round, proposer) order, so two metas of one state are
+// byte-equal.
+func TestWalMetaDeterministic(t *testing.T) {
+	n, _ := voteTestNode(t, dagtest.NewCommittee(4), 0)
+	for r := types.Round(1); r <= 8; r++ {
+		for p := types.ReplicaID(1); p < 4; p++ {
+			n.handleBlock(p, testBlock(r, p), nil)
+		}
+	}
+	first := n.walMeta()
+	for i := 0; i < 20; i++ {
+		if !bytes.Equal(n.walMeta(), first) {
+			t.Fatal("two checkpoint metas of one state differ")
+		}
 	}
 }

@@ -13,18 +13,18 @@ import (
 // Two-hop certification, one signature per voter per round quorum.
 //
 // A voter broadcasts its votes to the whole committee, the proposer
-// votes for its own block like everyone else, and every replica
-// counts votes per (round, proposer) slot and places the vertex the
-// moment one digest holds 2f+1 of them: block → votes, two message
-// delays, and no certificate on the wire in steady state. Replicas
-// assemble different quorums for one block; Certificate.Digest excludes
-// the signatures, so they still agree on parent references.
+// votes for its own block like everyone else, and every replica counts
+// votes per (round, proposer) slot and places the vertex the moment one
+// digest holds 2f+1 of them: block → votes, two message delays, and no
+// certificate on the wire in steady state. Replicas assemble different
+// quorums for one block; Certificate.Digest excludes the signatures, so
+// they still agree on parent references.
 //
 // Votes travel in bundles. castVote journals the vote and records it in
-// the voted map at once, but only queues the slot on the ballot;
+// its slot (slottable.go) at once, but only queues it on the ballot;
 // flushOutbox — the one place a pass's output leaves — seals the ballot
 // into one Merkle tree over the block digests (types/merkle.go), signs
-// the root once and broadcasts one MsgVote carrying the entries and that
+// the root once and broadcasts one MsgVote with the entries and that
 // signature. A single vote is a bundle of one, whose root is the block
 // digest itself; there is no other wire form.
 //
@@ -34,41 +34,37 @@ import (
 // (holdBallot). So the seal that reaches 2f+1 carries the replica's own
 // vote and its first 2f peer votes under one signature; a vote for any
 // other round, and a straggler at R cast after that seal, leave in the
-// pass that cast them (and take whatever is held along); and
-// housekeeping's stall signal seals whatever is still held. There is no
-// hold timer: the hold ends on what arrives. Liveness, by induction on
-// R: a held ballot waits only for honest blocks of round R; those need
-// only certificates of round R−1, which need only round R−1 votes; and
-// a replica never holds R−1 votes once it has moved to R — the vote for
-// its own block at R is off the old round, so the pass that proposes R
-// seals them. Round 1 blocks need no votes at all. So every honest
-// replica votes for 2f+1 honest blocks of each round it reaches, and
-// every held ballot is eventually released. A receiver
-// applies the per-vote rules to every entry first and verifies nothing
-// when no entry can still matter; otherwise it rebuilds the root from
-// the entries it was sent, verifies once, and hands each open slot the
-// signature with the entry's path. Signature plus path is a vote for
-// that one block anyone can check alone, so a certificate assembled
-// from bundled votes is as transferable as one over plain signatures.
+// pass that cast them (with whatever is held); housekeeping's stall
+// signal seals whatever is still held. There is no hold timer. Liveness,
+// by induction on R: a held ballot waits only for honest blocks of round
+// R; those need only certificates of round R−1, which need only round
+// R−1 votes; and the pass that proposes R seals every R−1 vote, the own
+// vote at R being off the old round. Round 1 blocks need no votes. So
+// every honest replica votes for 2f+1 honest blocks of each round it
+// reaches, and every held ballot is released. A receiver applies the
+// per-vote rules to every entry and verifies nothing when no entry can
+// still matter; otherwise it rebuilds the root from the entries it was
+// sent, verifies once, and hands each open slot the signature with the
+// entry's path. Signature plus path is a vote for that one block anyone
+// can check alone, so a certificate assembled from bundled votes is as
+// transferable as one over plain signatures.
 //
-// Safety rests on what it always rested on: an honest replica signs at
-// most one digest per slot (the journaled voted map, written before the
-// seal; a slot is voted once, so no bundle holds two digests for it), so
-// at most one digest per slot can gather 2f+1 votes, whoever does the
-// counting. Every signature a replica counts it either verified itself —
-// over a root it recomputed, against the sender the transport delivered
-// it from — or produced itself; a certificate built from such votes is
-// therefore not verified again. It is still a transferable
-// 2f+1-signature certificate: a round pull (MsgRoundReq) serves it, and
-// the receiver checks it whole in handleCert.
+// Safety: an honest replica signs at most one digest per slot (the
+// slot's journaled vote, written before the seal; a slot is voted once,
+// so no bundle holds two digests for it), so at most one digest per slot
+// can gather 2f+1 votes, whoever counts. Every signature a replica
+// counts it verified itself — over a root it recomputed, against the
+// sender the transport delivered it from — or produced itself, so a
+// certificate built from them is not verified again; it is still a
+// transferable 2f+1-signature certificate, served by round pulls
+// (MsgRoundReq) and checked whole by the receiver in handleCert.
 //
-// Votes may arrive before their block, or for a block this replica
-// never voted for (its proposer equivocated and the committee settled
-// on the other one). Either way they are counted in the slot's
-// collector — one entry per voter per slot, so a slot never holds more
-// than n votes — and a quorum for an unknown block parks the
-// certificate and asks the proposer for the block, as a received
-// certificate always did.
+// Votes may arrive before their block, or for a block this replica never
+// voted for (its proposer equivocated and the committee settled on the
+// other one). Either way they are counted in the slot's collector — one
+// entry per voter, so never more than n votes — and a quorum for an
+// unknown block parks the certificate in the slot and asks the proposer
+// for the block.
 
 // voteWindow is how many rounds past this replica's frontier votes are
 // still collected. Replicas within a few rounds of each other certify
@@ -144,46 +140,25 @@ func (s *slotVotes) certificate(d types.Digest, epoch types.Epoch, k voteKey, qu
 	return cert
 }
 
-// openSlot returns the slot's collector while votes for it still count,
-// taking one off the free list (or allocating) on the slot's first
-// vote. It returns nil once the slot is decided: below the GC floor,
-// its vertex in the DAG, or its certificate assembled and waiting for
-// the block or the parents.
-func (n *Node) openSlot(k voteKey) *slotVotes {
-	s, ok := n.slots[k]
-	if ok {
-		if s.done {
-			return nil
-		}
-		return s
-	}
+// openSlot returns slot k's record while votes for it still count,
+// giving it a collector on the slot's first vote. It returns nil once
+// the slot is decided: below the GC floor, its vertex in the DAG, or its
+// certificate assembled and waiting for the block or the parents.
+func (n *Node) openSlot(k voteKey) *slot {
 	if k.round < n.dagStore.Floor() {
 		return nil
 	}
-	if _, ok := n.dagStore.Get(k.round, k.proposer); ok {
+	s := n.table.slot(k)
+	if s.votes == nil {
+		if _, ok := n.dagStore.Get(k.round, k.proposer); ok {
+			return nil
+		}
+		n.table.openCollector(s)
+	}
+	if s.done {
 		return nil
 	}
-	if last := len(n.slotFree) - 1; last >= 0 {
-		s, n.slotFree[last] = n.slotFree[last], nil
-		n.slotFree = n.slotFree[:last]
-	} else {
-		s = &slotVotes{votes: make([]slotVote, n.n)}
-	}
-	n.slots[k] = s
 	return s
-}
-
-// releaseSlot retires the slot's collector — its vertex landed, or its
-// round fell below the GC floor — and returns it to the free list.
-func (n *Node) releaseSlot(k voteKey) {
-	s, ok := n.slots[k]
-	if !ok {
-		return
-	}
-	delete(n.slots, k)
-	clear(s.votes) // drop the delivery buffers the signatures alias
-	*s = slotVotes{votes: s.votes}
-	n.slotFree = append(n.slotFree, s)
 }
 
 // voteCeiling is the highest round votes are collected for.
@@ -191,17 +166,17 @@ func (n *Node) voteCeiling() types.Round {
 	return max(n.dagStore.HighestRound(), n.nextRound) + voteWindow
 }
 
-// castVote votes for b in its slot: journaled and recorded first, so
+// castVote votes for b in its slot s: journaled and recorded first, so
 // neither a restart nor a second block can walk this replica into
 // another digest, then queued on the ballot a flush seals.
-// The caller has checked the voted map: this is the slot's first vote.
-func (n *Node) castVote(b *types.Block, k voteKey, d types.Digest) {
-	n.noteOnly(voteNote(b.Epoch, k, d))
+// The caller has checked s.vote: this is the slot's first vote.
+func (n *Node) castVote(b *types.Block, s *slot, d types.Digest) {
+	n.noteOnly(voteNote(b.Epoch, b.Round, b.Proposer, d))
 	n.voteUnsynced = n.durable != nil
-	n.voted[k] = d
+	s.vote = d
 	// a = proposer the vote is for.
 	n.trace(metrics.EvVote, b.Round, uint64(b.Proposer), 0)
-	n.ballot = append(n.ballot, voteEntry{Round: k.round, Proposer: k.proposer, Digest: d})
+	n.ballot = append(n.ballot, voteEntry{Round: b.Round, Proposer: b.Proposer, Digest: d})
 }
 
 // sealVotes signs and queues the votes cast since the last seal — one
@@ -253,7 +228,8 @@ func (n *Node) sealVotes(count, hold bool) {
 // holdBallot reports whether the ballot waits for more of its round:
 // every vote on it is for this replica's current round, and it has
 // voted for fewer than 2f+1 of that round's proposers. The quorum is
-// read from the voted map, so a vote journaled before a restart counts.
+// read from the round's journaled votes, so a vote journaled before a
+// restart counts.
 func (n *Node) holdBallot() bool {
 	r := n.nextRound - 1
 	for i := range n.ballot {
@@ -261,13 +237,13 @@ func (n *Node) holdBallot() bool {
 			return false
 		}
 	}
-	voted := 0
-	for p := 0; p < n.n; p++ {
-		if _, ok := n.voted[voteKey{round: r, proposer: types.ReplicaID(p)}]; ok {
-			voted++
+	cast := 0
+	if rs := n.table.rounds[r]; rs != nil {
+		for i := range rs.slot {
+			cast += b2i(!rs.slot[i].vote.IsZero())
 		}
 	}
-	return voted < crypto.QuorumSize(n.n)
+	return cast < crypto.QuorumSize(n.n)
 }
 
 // bundleRoot builds the bundle's tree (left in voteTree for the paths)
@@ -296,15 +272,14 @@ func (n *Node) signVotes(root types.Digest, entries int) []byte {
 // side). Only the journaled digest is ever repeated: ok is false when
 // the slot's vote is for another digest — a restarted proposer
 // re-proposes its slot with a new timestamp, and must not sign that
-// second block — or was never cast, or is still on the ballot, which
-// reaches everyone when it is sealed: at the latest on this replica's
-// own stall (housekeeping). The signature comes from the slot's
-// collector when it holds one over the digest itself; otherwise
-// (restart, vertex landed, or the vote left in a larger bundle, whose
-// signature says nothing without its path) the digest is signed again,
-// and counted there if the collector lacks it.
+// second block — or was never cast, or is still on the ballot (sealed
+// at the latest on this replica's own stall). The signature is the
+// collector's when it holds a plain one over the digest; otherwise
+// (restart, vertex landed, or the vote left in a larger bundle) the
+// digest is signed again, and counted if the collector lacks it.
 func (n *Node) repeatVote(k voteKey, d types.Digest) (payload []byte, ok bool) {
-	if prev, voted := n.voted[k]; !voted || prev != d {
+	s := n.table.find(k)
+	if s == nil || s.vote != d {
 		return nil, false
 	}
 	e := voteEntry{Round: k.round, Proposer: k.proposer, Digest: d}
@@ -314,7 +289,7 @@ func (n *Node) repeatVote(k voteKey, d types.Digest) (payload []byte, ok bool) {
 		}
 	}
 	var sig []byte
-	if s, held := n.slots[k]; held {
+	if s.votes != nil {
 		if own := &s.votes[n.cfg.ID]; own.sig != nil && own.digest == d && len(own.path.Sibs) == 0 {
 			sig = own.sig
 		}
@@ -330,7 +305,7 @@ func (n *Node) repeatVote(k voteKey, d types.Digest) (payload []byte, ok bool) {
 // the slot is decided or already holds it.
 func (n *Node) countOwnVote(k voteKey, d types.Digest, sig []byte, path types.MerklePath) {
 	if s := n.openSlot(k); s != nil && s.votes[n.cfg.ID].sig == nil {
-		n.countVote(s, n.cfg.ID, k, d, sig, path)
+		n.countVote(&s.slotVotes, n.cfg.ID, k, d, sig, path)
 	}
 }
 
@@ -348,53 +323,45 @@ func (n *Node) handleVote(from types.ReplicaID, vb *voteBundle, raw []byte) {
 		return
 	}
 	// The rules a vote always had to pass, per entry: inside the window,
-	// its slot still open, the voter's first for it. A bundle none of
-	// whose entries pass is dropped unverified — the quorums it would
-	// have joined formed without it.
+	// its slot still open, the voter's first for it. The first entry to
+	// pass has the bundle verified, once, over the root of the entries as
+	// sent — every one of them, countable or not: the voter signed them
+	// together. A bundle none of whose entries pass is dropped unverified
+	// — the quorums it would have joined formed without it. Each slot is
+	// looked up as its entry comes: an earlier entry's vote can land
+	// vertices and retire collectors, and a second entry for one slot
+	// finds the first one there.
 	ceiling := n.voteCeiling()
-	open := false
+	verified := false
 	for i := range vb.Entries {
 		e := &vb.Entries[i]
 		if int(e.Proposer) >= n.n || e.Round > ceiling {
 			continue
 		}
-		s := n.openSlot(voteKey{round: e.Round, proposer: e.Proposer})
+		k := voteKey{round: e.Round, proposer: e.Proposer}
+		s := n.openSlot(k)
 		if s == nil {
 			n.nm.votesDroppedLate.Add(1)
 			continue
 		}
-		open = open || s.votes[from].sig == nil
-	}
-	if !open {
-		return
-	}
-	// One verification for the bundle, over the root of the entries as
-	// sent — every one of them, countable or not: the voter signed them
-	// together.
-	n.nm.voteSigsVerified.Add(1)
-	root := n.bundleRoot(vb.Entries)
-	start := time.Now()
-	ok := n.cfg.Verifier.Verify(from, root, vb.Sig)
-	n.nm.voteVerifyNs.Observe(time.Since(start))
-	if !ok {
-		return
-	}
-	// Count what passed. Slots are looked up again: an earlier entry's
-	// vote can land vertices and retire collectors, this bundle's among
-	// them, and a second entry for one slot finds the first one there.
-	for i := range vb.Entries {
-		e := &vb.Entries[i]
-		k := voteKey{round: e.Round, proposer: e.Proposer}
-		s, ok := n.slots[k]
-		// (A collector beyond the window is one this replica's own vote
-		// opened; the window still binds everyone else's.)
-		if !ok || s.done || e.Round > ceiling || s.votes[from].sig != nil {
+		if s.votes[from].sig != nil {
 			continue
 		}
-		if _, ok := n.pendingBlocks[e.Digest]; !ok {
+		if !verified {
+			n.nm.voteSigsVerified.Add(1)
+			root := n.bundleRoot(vb.Entries)
+			start := time.Now()
+			ok := n.cfg.Verifier.Verify(from, root, vb.Sig)
+			n.nm.voteVerifyNs.Observe(time.Since(start))
+			if !ok {
+				return
+			}
+			verified = true
+		}
+		if s.block(e.Digest) == nil {
 			n.nm.votesEarly.Add(1)
 		}
-		n.countVote(s, from, k, e.Digest, vb.Sig, n.voteTree.Path(i))
+		n.countVote(&s.slotVotes, from, k, e.Digest, vb.Sig, n.voteTree.Path(i))
 	}
 }
 
@@ -413,29 +380,13 @@ func (n *Node) countVote(s *slotVotes, voter types.ReplicaID, k voteKey, d types
 // placeCert pairs a certificate whose signatures this replica accepts —
 // counted vote by vote here, or verified whole by handleCert — with its
 // block and inserts the vertex. With the block unknown the certificate
-// waits for it, and from is asked for the block.
+// waits for it in the slot, and from is asked for the block.
 func (n *Node) placeCert(c *types.Certificate, from types.ReplicaID) {
-	b, ok := n.pendingBlocks[c.BlockDigest]
-	if !ok {
-		n.certWait[c.BlockDigest] = c
-		n.queueTo(from, MsgBlockReq, (&blockReq{BlockDigest: c.BlockDigest}).marshal())
+	s := n.table.slot(voteKey{round: c.Round, proposer: c.Proposer})
+	if b := s.block(c.BlockDigest); b != nil {
+		n.addVertex(&dag.Vertex{Block: b, Cert: c})
 		return
 	}
-	n.addVertex(&dag.Vertex{Block: b, Cert: c})
-}
-
-// earlyVotes counts the votes held for blocks this replica has not
-// received (DebugView).
-func (n *Node) earlyVotes() int {
-	c := 0
-	for _, s := range n.slots {
-		for i := range s.votes {
-			if v := &s.votes[i]; v.sig != nil {
-				if _, ok := n.pendingBlocks[v.digest]; !ok {
-					c++
-				}
-			}
-		}
-	}
-	return c
+	s.cert = c
+	n.queueTo(from, MsgBlockReq, (&blockReq{Round: c.Round, Proposer: c.Proposer, BlockDigest: c.BlockDigest}).marshal())
 }

@@ -130,6 +130,28 @@ func deliverVote(t testing.TB, n *Node, from types.ReplicaID, raw []byte) {
 
 func counter(n *Node, name string) uint64 { return n.Metrics().Snapshot().Counters[name] }
 
+// voted returns the digest the replica journaled a vote for in slot k.
+func (t *slotTable) vote(k voteKey) (types.Digest, bool) {
+	if s := t.find(k); s != nil && !s.vote.IsZero() {
+		return s.vote, true
+	}
+	return types.Digest{}, false
+}
+
+// census returns the slot table's counts, as DebugView reports them.
+func census(n *Node) (v DebugView) {
+	n.table.census(&v)
+	return v
+}
+
+// collector returns slot k's live vote collector, or nil.
+func (t *slotTable) collector(k voteKey) *slotVotes {
+	if s := t.find(k); s != nil && s.votes != nil {
+		return &s.slotVotes
+	}
+	return nil
+}
+
 // slotHoldFixture is replica 2 standing at the end of round 1 (leader:
 // replica 0): a certificate quorum of round 1 in its DAG — the
 // leader's and its own among them — and replica 1's vertex not.
@@ -145,13 +167,13 @@ func slotHoldFixture(t *testing.T, blockSeen bool) (n *Node, late *dag.Vertex) {
 		if p == 1 {
 			continue
 		}
-		n.trackPendingBlock(v.Block)
+		n.trackPendingBlock(v.Block, p)
 		if !n.insertVertex(v) {
 			t.Fatalf("vertex of %d rejected", p)
 		}
 	}
 	if blockSeen {
-		n.trackPendingBlock(vs[1].Block)
+		n.trackPendingBlock(vs[1].Block, 1)
 	}
 	n.nextRound = 2
 	return n, vs[1]
@@ -237,7 +259,7 @@ func TestCertificateBeforeBlock(t *testing.T) {
 	if got := counter(n, mVotesEarly); got != 3 {
 		t.Fatalf("votes_early = %d, want 3", got)
 	}
-	if _, ok := n.certWait[b.Digest()]; !ok {
+	if s := n.table.find(voteKey{round: 1, proposer: 1}); s == nil || s.cert == nil || s.cert.BlockDigest != b.Digest() {
 		t.Fatal("2f+1 votes for an unknown block did not park a certificate")
 	}
 	if got := tr.sent(1, MsgBlockReq); got != 1 {
@@ -249,8 +271,8 @@ func TestCertificateBeforeBlock(t *testing.T) {
 	if _, ok := n.dagStore.Get(1, 1); !ok {
 		t.Fatal("block arrived but the vertex did not land")
 	}
-	if len(n.certWait) != 0 || len(n.slots) != 0 {
-		t.Fatalf("landed slot left state behind: certWait=%d collectors=%d", len(n.certWait), len(n.slots))
+	if c := census(n); c.CertWait != 0 || c.Collectors != 0 {
+		t.Fatalf("landed slot left state behind: certWait=%d collectors=%d", c.CertWait, c.Collectors)
 	}
 	v, _ := n.dagStore.Get(1, 1)
 	if len(v.Cert.Sigs) != 3 {
@@ -268,34 +290,34 @@ func TestVoteRules(t *testing.T) {
 
 	// Another replica's signature under the sender's id.
 	deliverVote(t, n, 3, peerVote(committee, 2, b))
-	if s, ok := n.slots[k]; ok && s.n != 0 {
+	if s := n.table.collector(k); s != nil && s.n != 0 {
 		t.Fatal("a replayed signature was counted")
 	}
 	// One vote per voter per slot: the second, for a different digest,
 	// neither replaces nor adds.
 	deliverVote(t, n, 2, peerVote(committee, 2, b))
 	deliverVote(t, n, 2, peerVote(committee, 2, other))
-	if s := n.slots[k]; s.n != 1 || s.votes[2].digest != b.Digest() {
+	if s := n.table.collector(k); s.n != 1 || s.votes[2].digest != b.Digest() {
 		t.Fatalf("conflicting second vote changed the slot: n=%d", s.n)
 	}
 	// Beyond the window.
 	far := &types.Block{Epoch: 0, Round: n.voteCeiling() + 1, Proposer: 1, Kind: types.NormalBlock}
 	deliverVote(t, n, 2, peerVote(committee, 2, far))
-	if _, ok := n.slots[voteKey{round: far.Round, proposer: 1}]; ok {
+	if n.table.collector(voteKey{round: far.Round, proposer: 1}) != nil {
 		t.Fatal("a vote beyond the window opened a collector")
 	}
 	// An epoch reset reclaims every collector.
-	n.resetEpochState(1)
-	if len(n.slots) != 0 || len(n.slotFree) == 0 {
-		t.Fatalf("epoch reset left %d collectors live, %d free", len(n.slots), len(n.slotFree))
+	n.resetEpochState(1, 1)
+	if c := census(n); c.Collectors != 0 || len(n.table.rounds) != 0 || len(n.table.votesFree) == 0 {
+		t.Fatalf("epoch reset left %d collectors live in %d round records, %d free", c.Collectors, len(n.table.rounds), len(n.table.votesFree))
 	}
 }
 
 // TestVotePathAllocs pins the per-vote cost of the two-hop flow, where
 // a replica handles n votes per slot instead of one certificate:
 // counting a vote in a live collector allocates nothing beyond the
-// delivered message, and a completed slot's collector goes back to the
-// free list for the next slot.
+// delivered message, and a completed slot's collector array goes back
+// to the slot table for the next slot.
 func TestVotePathAllocs(t *testing.T) {
 	committee := dagtest.NewCommittee(4)
 	n, _ := voteTestNode(t, committee, 0)
@@ -303,10 +325,11 @@ func TestVotePathAllocs(t *testing.T) {
 	n.handleBlock(1, b, nil)
 	n.flushOutbox() // own vote sealed and counted: the collector is live
 	k := voteKey{round: 1, proposer: 1}
-	s := n.slots[k]
+	s := n.table.collector(k)
 	if s == nil || s.n != 1 {
 		t.Fatal("own vote did not open the slot's collector")
 	}
+	votes := s.votes
 	raw := peerVote(committee, 2, b)
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := n.inVotes.unmarshal(raw); err != nil {
@@ -318,6 +341,7 @@ func TestVotePathAllocs(t *testing.T) {
 		s.n--
 		s.leadN--
 	})
+	t.Logf("a vote for a live collector costs %.1f allocs", allocs)
 	if allocs > 1 {
 		t.Fatalf("a vote for a live collector costs %.1f allocs, want <= 1", allocs)
 	}
@@ -326,16 +350,16 @@ func TestVotePathAllocs(t *testing.T) {
 	if _, ok := n.dagStore.Get(1, 1); !ok {
 		t.Fatal("quorum of votes did not land the vertex")
 	}
-	if len(n.slots) != 0 || len(n.slotFree) != 1 || n.slotFree[0] != s {
-		t.Fatalf("completed slot's collector not returned: live=%d free=%d", len(n.slots), len(n.slotFree))
+	if free := n.table.votesFree; n.table.collector(k) != nil || len(free) != 1 || &free[0][0] != &votes[0] {
+		t.Fatalf("completed slot's collector not returned: live=%d free=%d", census(n).Collectors, len(free))
 	}
 	b2 := &types.Block{Epoch: 0, Round: 1, Proposer: 2, Shard: 2, Kind: types.NormalBlock, ProposedUnixNano: 1}
 	n.handleBlock(2, b2, nil)
 	n.flushOutbox()
-	if got := n.slots[voteKey{round: 1, proposer: 2}]; got != s || len(n.slotFree) != 0 {
+	if got := n.table.collector(voteKey{round: 1, proposer: 2}); got == nil || &got.votes[0] != &votes[0] || len(n.table.votesFree) != 0 {
 		t.Fatal("next slot did not reuse the freed collector")
 	}
-	if s.votes[2].sig != nil || s.votes[3].sig != nil {
+	if votes[2].sig != nil || votes[3].sig != nil {
 		t.Fatal("recycled collector kept the previous slot's votes")
 	}
 }
@@ -360,7 +384,7 @@ func TestBehindNonQuorateFrontierStillAdvances(t *testing.T) {
 	n.nextRound = 2
 	for _, vs := range rounds {
 		for _, v := range vs {
-			n.trackPendingBlock(v.Block)
+			n.trackPendingBlock(v.Block, v.Proposer())
 			if !n.insertVertex(v) {
 				t.Fatalf("vertex (%d,%d) rejected", v.Round(), v.Proposer())
 			}
@@ -397,12 +421,12 @@ func TestOnePassOneSignature(t *testing.T) {
 	}
 	n.drainInbox()
 	for _, b := range blocks {
-		if n.voted[voteKey{round: b.Round, proposer: b.Proposer}] != b.Digest() {
+		if d, _ := n.table.vote(voteKey{round: b.Round, proposer: b.Proposer}); d != b.Digest() {
 			t.Fatal("a vote was not recorded when it was cast")
 		}
 	}
-	if signs(n) != 0 || len(n.slots) != 0 {
-		t.Fatalf("before the flush: %d signatures, %d collectors — votes are sealed at the flush", signs(n), len(n.slots))
+	if c := census(n); signs(n) != 0 || c.Collectors != 0 {
+		t.Fatalf("before the flush: %d signatures, %d collectors — votes are sealed at the flush", signs(n), c.Collectors)
 	}
 	n.flushOutbox()
 	if got := signs(n); got != 1 {
@@ -427,7 +451,7 @@ func TestOnePassOneSignature(t *testing.T) {
 	}
 	root := tree.Build(leaves)
 	for _, b := range blocks {
-		own := n.slots[voteKey{round: b.Round, proposer: b.Proposer}].votes[0]
+		own := n.table.collector(voteKey{round: b.Round, proposer: b.Proposer}).votes[0]
 		if own.sig == nil || len(own.path.Sibs) != 2 || own.path.Fold(b.Digest()) != root {
 			t.Fatalf("own vote for (%d,%d) not counted with a path to the bundle root", b.Round, b.Proposer)
 		}
@@ -439,7 +463,7 @@ func TestOnePassOneSignature(t *testing.T) {
 		t.Fatalf("peer verified %d signatures for one bundle, want 1", got)
 	}
 	for _, b := range blocks {
-		s := peer.slots[voteKey{round: b.Round, proposer: b.Proposer}]
+		s := peer.table.collector(voteKey{round: b.Round, proposer: b.Proposer})
 		if s == nil || s.votes[0].digest != b.Digest() || s.votes[0].path.Fold(b.Digest()) != root {
 			t.Fatalf("peer did not count the vote for (%d,%d)", b.Round, b.Proposer)
 		}
@@ -457,7 +481,7 @@ func TestOnePassOneSignature(t *testing.T) {
 	if got := counter(n, mVoteSealHolds); got != 0 {
 		t.Fatalf("vote_seal_holds = %d for votes off the current round, want 0", got)
 	}
-	if own := n.slots[voteKey{round: 2, proposer: 2}].votes[0]; len(own.path.Sibs) != 0 {
+	if own := n.table.collector(voteKey{round: 2, proposer: 2}).votes[0]; len(own.path.Sibs) != 0 {
 		t.Fatal("a bundle of one has a path")
 	}
 }
@@ -509,7 +533,7 @@ func TestSealAtRoundQuorum(t *testing.T) {
 	if signs(n) != 0 || counter(n, mVoteSealHolds) != 1 {
 		t.Fatalf("held ballot: %d signatures, vote_seal_holds = %d; want 0 and 1", signs(n), counter(n, mVoteSealHolds))
 	}
-	if _, ok := n.slots[voteKey{round: 1, proposer: 0}]; ok {
+	if n.table.collector(voteKey{round: 1, proposer: 0}) != nil {
 		t.Fatal("the held own vote was counted before it was signed")
 	}
 
@@ -523,7 +547,7 @@ func TestSealAtRoundQuorum(t *testing.T) {
 		t.Fatalf("%d signatures at the round quorum, want 1", got)
 	}
 	for _, b := range []*types.Block{own, p, q} {
-		s := n.slots[voteKey{round: b.Round, proposer: b.Proposer}]
+		s := n.table.collector(voteKey{round: b.Round, proposer: b.Proposer})
 		if s == nil || s.votes[0].digest != b.Digest() || len(s.votes[0].path.Sibs) == 0 {
 			t.Fatalf("own vote for (%d,%d) not counted with its path", b.Round, b.Proposer)
 		}
@@ -579,7 +603,7 @@ func TestBundleVerifiedOnlyWhenItCanMatter(t *testing.T) {
 	// Round 1 of proposers 1 and 2 is decided here before replica 3's
 	// votes arrive; proposer 3's slot is not.
 	b1, b2, b3 := testBlock(1, 1), testBlock(1, 2), testBlock(1, 3)
-	n.trackPendingBlock(b3)
+	n.trackPendingBlock(b3, b3.Proposer)
 	voters := []types.ReplicaID{1, 2}
 	for _, b := range []*types.Block{b1, b2} {
 		n.handleBlock(b.Proposer, b, nil)
@@ -611,7 +635,7 @@ func TestBundleVerifiedOnlyWhenItCanMatter(t *testing.T) {
 	if got := counter(n, mVotesDroppedLate) - late; got != 4 {
 		t.Fatalf("votes_dropped_late grew by %d in all, want 4", got)
 	}
-	s := n.slots[voteKey{round: 1, proposer: 3}]
+	s := n.table.collector(voteKey{round: 1, proposer: 3})
 	if s == nil || s.votes[3].digest != b3.Digest() || len(s.votes[3].path.Sibs) == 0 {
 		t.Fatal("the open slot's vote was not counted with its path")
 	}
@@ -641,7 +665,7 @@ func TestBundleRules(t *testing.T) {
 		return vb.marshal()
 	}
 	voteOf := func(r types.Round, p types.ReplicaID) *slotVote {
-		if s, ok := n.slots[voteKey{round: r, proposer: p}]; ok && s.votes[2].sig != nil {
+		if s := n.table.collector(voteKey{round: r, proposer: p}); s != nil && s.votes[2].sig != nil {
 			return &s.votes[2]
 		}
 		return nil
@@ -685,7 +709,7 @@ func TestBundleRules(t *testing.T) {
 	if got := verifies(n); got != 5 {
 		t.Fatalf("a bundle at the cap was not verified (%d)", got)
 	}
-	n.resetEpochState(0)
+	n.resetEpochState(0, 1)
 
 	// Two digests for one slot in one bundle: the first counts, once.
 	a2 := testBlock(1, 1)
@@ -694,7 +718,7 @@ func TestBundleRules(t *testing.T) {
 	if v := voteOf(1, 1); v == nil || v.digest != a.Digest() {
 		t.Fatal("first entry for the slot was not the one counted")
 	}
-	if s := n.slots[voteKey{round: 1, proposer: 1}]; s.n != 1 {
+	if s := n.table.collector(voteKey{round: 1, proposer: 1}); s.n != 1 {
 		t.Fatalf("slot holds %d votes from one voter's bundle, want 1", s.n)
 	}
 	if voteOf(1, 3) == nil {
@@ -711,7 +735,7 @@ func TestBundleRules(t *testing.T) {
 		t.Fatal("a valid entry was censored by the padding around it")
 	}
 	for _, far := range []*types.Block{far1, far2, alien} {
-		if _, ok := n.slots[voteKey{round: far.Round, proposer: far.Proposer}]; ok {
+		if n.table.collector(voteKey{round: far.Round, proposer: far.Proposer}) != nil {
 			t.Fatal("padding opened a collector")
 		}
 	}
@@ -772,7 +796,7 @@ func TestBundledCertificateIsTransferable(t *testing.T) {
 	if _, ok := strict.dagStore.Get(1, 1); ok {
 		t.Fatal("a certificate with a tampered path was accepted")
 	}
-	if len(strict.certWait) != 0 {
+	if census(strict).CertWait != 0 {
 		t.Fatal("a refused certificate was parked")
 	}
 }
@@ -823,7 +847,7 @@ func TestFutureMsgsBoundedPerSender(t *testing.T) {
 	if n.futureLen() != 0 {
 		t.Fatalf("%d messages still parked after the reconfiguration", n.futureLen())
 	}
-	if n.voted[voteKey{round: 1, proposer: 1}] != blk.Digest() {
+	if d, _ := n.table.vote(voteKey{round: 1, proposer: 1}); d != blk.Digest() {
 		t.Fatal("the parked block was not replayed into the new epoch")
 	}
 }
