@@ -7,8 +7,9 @@
 // one block per sender per slot and none above its block ceiling (the
 // highest round a round pull asks for), so it holds at most two blocks
 // per slot here — the proposer's and the flooder's — over the rounds
-// between its GC floor and that ceiling. The honest committee keeps
-// committing, safely, meanwhile.
+// between its GC floor and that ceiling, and it refuses a block above
+// the ceiling by its header, without decoding it. The honest committee
+// keeps committing, safely, meanwhile.
 package chaos
 
 import (
@@ -29,6 +30,7 @@ type blockFlooder struct {
 	*wireDriver
 	frontier atomic.Uint64 // newest round of a peer block received
 	forged   atomic.Uint64
+	farAhead atomic.Uint64 // forged blocks a thousand rounds and more beyond the frontier
 }
 
 func newBlockFlooder(t *testing.T, h *Harness, id types.ReplicaID) *blockFlooder {
@@ -69,6 +71,7 @@ func (f *blockFlooder) flood(honest []int, stop <-chan struct{}) {
 				round := r + types.Round(seq%4)
 				if i%2 == 1 {
 					round = r + 1000 + types.Round(seq)
+					f.farAhead.Add(1)
 				}
 				b := &types.Block{Epoch: 0, Round: round, Proposer: p,
 					Shard: node.MyShard(p, 0, f.n), Kind: types.NormalBlock, ProposedUnixNano: seq}
@@ -139,9 +142,25 @@ func TestScenarioByzantineBlockFlood(t *testing.T) {
 	if dropped == 0 {
 		t.Errorf("no replica refused a forged block (%d sent)", flooder.forged.Load())
 	}
+	// Every far-ahead block is above every honest replica's ceiling (or
+	// of an epoch it has left): each must be refused by its header, never
+	// decoded. Deliveries still in flight are waited for.
+	var refused uint64
+	for deadline := time.Now().Add(budget); ; time.Sleep(50 * time.Millisecond) {
+		refused = 0
+		for _, i := range honest {
+			refused += h.Cluster().Node(i).Metrics().Snapshot().Counters["msgs_refused_before_decode"]
+		}
+		if refused >= flooder.farAhead.Load() || time.Now().After(deadline) {
+			break
+		}
+	}
+	if refused < flooder.farAhead.Load() {
+		t.Errorf("%d blocks refused before decode, %d sent far beyond the ceiling", refused, flooder.farAhead.Load())
+	}
 	if flooder.ownCerts.Load() == 0 {
 		t.Error("the flooder's own slot never certified — the scenario degenerated to a crash fault")
 	}
-	t.Logf("%d forged blocks sent, %d refused, at most %d blocks held; honest commit latency %v",
-		flooder.forged.Load(), dropped, worst, rep.Latency)
+	t.Logf("%d forged blocks sent (%d far ahead), %d refused before decode, blocks_dropped %d, at most %d blocks held; honest commit latency %v",
+		flooder.forged.Load(), flooder.farAhead.Load(), refused, dropped, worst, rep.Latency)
 }

@@ -131,9 +131,12 @@ type Cluster struct {
 	gateways map[int]*gateway.Client
 	sessions atomic.Uint64
 
-	mu          sync.Mutex
-	committedAt map[types.Digest]time.Time
-	waiters     map[types.Digest][]chan struct{}
+	// committed holds every transaction committed anywhere in the
+	// cluster. Only membership is read, and a value-free map of
+	// pointer-free keys is one the garbage collector never scans.
+	mu        sync.Mutex
+	committed map[types.Digest]struct{}
+	waiters   map[types.Digest][]chan struct{}
 
 	latencies *metrics.LatencyRecorder
 	commits   metrics.Counter
@@ -174,14 +177,14 @@ func New(cfg Config) (*Cluster, error) {
 			N: cfg.N + cfg.GatewayClients, Committee: cfg.N,
 			Latency: cfg.Latency, Seed: cfg.Seed,
 		}),
-		reg:         reg,
-		gateways:    make(map[int]*gateway.Client),
-		committedAt: make(map[types.Digest]time.Time),
-		waiters:     make(map[types.Digest][]chan struct{}),
-		latencies:   metrics.NewLatencyRecorder(),
-		waveSeries:  &metrics.Series{},
-		rejected:    make(chan *types.Transaction, 8192),
-		done:        make(chan struct{}),
+		reg:        reg,
+		gateways:   make(map[int]*gateway.Client),
+		committed:  make(map[types.Digest]struct{}),
+		waiters:    make(map[types.Digest][]chan struct{}),
+		latencies:  metrics.NewLatencyRecorder(),
+		waveSeries: &metrics.Series{},
+		rejected:   make(chan *types.Transaction, 8192),
+		done:       make(chan struct{}),
 	}
 	headless := make(map[int]bool, len(cfg.Headless))
 	for _, i := range cfg.Headless {
@@ -345,11 +348,11 @@ func (c *Cluster) Nacks() uint64 { return c.nacks.Value() }
 func (c *Cluster) onCommit(tx *types.Transaction, when time.Time) {
 	id := tx.ID()
 	c.mu.Lock()
-	if _, dup := c.committedAt[id]; dup {
+	if _, dup := c.committed[id]; dup {
 		c.mu.Unlock()
 		return
 	}
-	c.committedAt[id] = when
+	c.committed[id] = struct{}{}
 	ws := c.waiters[id]
 	delete(c.waiters, id)
 	c.mu.Unlock()
@@ -391,7 +394,7 @@ func (c *Cluster) Reconfigurations() uint64 {
 func (c *Cluster) Committed(id types.Digest) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.committedAt[id]
+	_, ok := c.committed[id]
 	return ok
 }
 
@@ -411,7 +414,7 @@ func (c *Cluster) PendingWaits() []types.Digest {
 func (c *Cluster) watch(id types.Digest) <-chan struct{} {
 	ch := make(chan struct{})
 	c.mu.Lock()
-	if _, done := c.committedAt[id]; done {
+	if _, done := c.committed[id]; done {
 		c.mu.Unlock()
 		close(ch)
 		return ch

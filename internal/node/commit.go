@@ -3,6 +3,7 @@ package node
 import (
 	"time"
 
+	"thunderbolt/internal/contract"
 	"thunderbolt/internal/crypto"
 	"thunderbolt/internal/gateway"
 	"thunderbolt/internal/metrics"
@@ -44,44 +45,63 @@ func (n *Node) processCommits() {
 	}
 }
 
-// drainExec runs and installs queued commit waves in order. If a wave
-// pushes the epoch's committed Shift count to 2f+1, the node
-// transitions to a new DAG immediately and discards any later queued
-// waves of the old epoch (resetEpochState clears execQ; the paper's
-// "ending round" semantics). Between waves the inbox is re-drained —
-// messages that arrived during a long execution are handled (and may
-// append further waves) before the next wave runs.
+// maxBatchWaves bounds an install batch, so a long catch-up queue
+// still drains the inbox and installs every few waves.
+const maxBatchWaves = 16
+
+// drainExec runs and installs queued commit waves in order, paying once
+// per pass for what no peer observes. Every wave a pass finds ready is
+// decided on top of the ones before it (batchWave) — a confirmed
+// prediction's result, or a run on the stack of the batch's earlier
+// waves — and the batch lands as one store apply carrying one WAL note
+// (installBatch). GC, the outbox flush and the inbox re-drain then run
+// once: messages that arrived during a long execution are handled, and
+// may queue further waves, which form the next batch.
+//
+// Batches end where a replica-independent position must hold exactly
+// the waves before it. Before the first wave of a later round when a
+// mid-epoch capture falls due there: the capture must see the earlier
+// round's waves installed and none of the later one. And after a wave
+// carrying a Shift block: if it pushes the epoch's committed Shift
+// count to 2f+1, the node transitions to a new DAG at once and
+// discards any later queued waves of the old epoch (resetEpochState
+// clears execQ; the paper's "ending round" semantics).
 func (n *Node) drainExec() {
+	entries := n.epochEntries
 	for i := 0; i < len(n.execQ); i++ {
 		it := n.execQ[i]
 		n.execQ[i] = execItem{} // release the vertex references
 		// Mid-epoch snapshot cadence: a wave of a later round than the
-		// last one installed says that round is fully decided, and the
-		// state holds exactly its waves — the deterministic position
-		// every honest replica shares. Capture there when it crossed a
-		// SnapshotInterval boundary.
-		if last := n.commitCtx.Wave; it.wave.Leader.Round() > last {
+		// last one decided says that round is fully decided, and the
+		// installed state holds exactly its waves — the deterministic
+		// position every honest replica shares.
+		if last := n.batchRound(); it.wave.Leader.Round() > last && n.captureDue(last) {
+			n.installBatch()
 			n.maybeCaptureMidEpoch(last)
 		}
-		// Run once, install once: the result is the confirmed
-		// prediction's if there is one, otherwise the wave runs now.
-		res, hit := n.waveResultFor(it.wave)
-		n.installWave(it.wave, res, it.committedAt)
-		if hit {
-			n.popSpec()
-			n.nm.specHits.Add(1)
-			// a = vertices installed, b = coalesced store writes.
-			n.trace(metrics.EvSpecConfirm, it.wave.Leader.Round(), uint64(len(it.wave.Vertices)), uint64(len(res.writes.recs)))
+		n.batchWave(it)
+		if carriesShift(it.wave) {
+			n.installBatch()
+			if len(n.committedShift) >= crypto.QuorumSize(n.n) {
+				n.reconfigure()
+				n.flushOutbox()
+				entries = n.epochEntries
+				i = -1 // execQ was replaced by the new epoch's queue, if any
+				continue
+			}
 		}
-		if len(n.committedShift) >= crypto.QuorumSize(n.n) {
-			n.reconfigure()
+		if i == len(n.execQ)-1 || len(n.execBatch) == maxBatchWaves {
+			n.installBatch()
+			n.maybeGC()
 			n.flushOutbox()
-			i = -1 // execQ was replaced by the new epoch's queue, if any
-			continue
+			n.drainInbox()
+			if n.epochEntries != entries {
+				// A snapshot install the inbox held replaced execQ with
+				// the queue of the epoch it entered.
+				entries = n.epochEntries
+				i = -1
+			}
 		}
-		n.maybeGC()
-		n.flushOutbox()
-		n.drainInbox()
 	}
 	// Every entry was consumed (and zeroed above); keep the backing
 	// array so steady-state commits stop re-growing the queue.
@@ -89,14 +109,114 @@ func (n *Node) drainExec() {
 	n.nm.execQueueDepth.Set(0)
 }
 
-// waveWrites is a wave's coalesced write set: the last value written
-// per key, keys in first-write order. While the wave runs it is the
-// layer reads fall through before the base; afterwards it is the one
-// batch install applies, and — for a wave run ahead of its commit — the
-// overlay later predictions read through.
+// batchRound is the round of the last wave decided: the newest in the
+// install batch, or the last one installed.
+func (n *Node) batchRound() types.Round {
+	if k := len(n.execBatch); k > 0 {
+		return n.execBatch[k-1].wave.Leader.Round()
+	}
+	return n.commitCtx.Wave
+}
+
+func carriesShift(w tusk.CommitWave) bool {
+	for _, v := range w.Vertices {
+		if v.Block.Kind == types.ShiftBlock {
+			return true
+		}
+	}
+	return false
+}
+
+// batchWave decides the wave the commit rule released on the stack of
+// the install batch's earlier waves, and appends it to both.
+func (n *Node) batchWave(it execItem) {
+	if len(n.execBatch) == 0 {
+		n.stack.reset()
+	}
+	res, hit := n.waveResultFor(it.wave)
+	n.execBatch = append(n.execBatch, ranWave{wave: it.wave, res: res, committedAt: it.committedAt, hit: hit})
+}
+
+// ranWave is a commit wave and, once run, its result: a prediction in
+// the speculation queue, or a decided wave in the install batch, which
+// also keeps when the commit rule released it and whether its result is
+// a confirmed prediction's.
+type ranWave struct {
+	wave        tusk.CommitWave
+	res         *waveResult // nil until run
+	committedAt time.Time
+	hit         bool
+}
+
+// waveStack is the state a wave runs on when results that are not
+// installed yet sit between it and committed state: their resolutions
+// marked on a scratch view of the dedup, their writes coalesced over
+// the store, the later over the earlier. One scratch view and one write
+// map serve every wave. A prediction runs on the predictions queued
+// ahead of it (runPrediction), a commit-time run on the waves ahead of
+// it in its install batch (waveResultFor). A stack holds only while the
+// committed dedup and store stay as they are, so each prediction and
+// each install batch starts from a reset one.
+type waveStack struct {
+	dedup  *gateway.Scratch
+	writes waveWrites // over committed state
+}
+
+func newWaveStack(dedup *gateway.Scratch, base validate.BaseReader) *waveStack {
+	s := &waveStack{dedup: dedup}
+	s.writes.over(base)
+	return s
+}
+
+func (s *waveStack) reset() {
+	s.dedup.Reset()
+	s.writes.reset()
+}
+
+// push stacks a result. ranHere says it was run on this stack, so its
+// run marked the scratch dedup already.
+func (s *waveStack) push(r *waveResult, ranHere bool) {
+	if !ranHere {
+		r.eachResolved(func(tx *types.Transaction, _ bool) { s.dedup.Mark(tx) })
+	}
+	s.writes.fold(r.writes.recs)
+}
+
+// view is the dedup view and base reader a wave runs on.
+func (s *waveStack) view() (*gateway.Scratch, validate.BaseReader) {
+	if len(s.writes.recs) == 0 {
+		return s.dedup, s.writes.base
+	}
+	return s.dedup, s.writes.read
+}
+
+// waveWrites is a coalesced write set: the last value written per key,
+// keys in first-write order, layered over a base reader. While a wave
+// runs, its own is the layer reads fall through before the base;
+// afterwards it folds into the stack later waves run on, whose sum an
+// install batch applies.
 type waveWrites struct {
 	idx  map[types.Key]int
 	recs []types.RWRecord
+	base validate.BaseReader
+	// read serves recs ahead of base; bound once by over, since a
+	// method value made per run would allocate per run.
+	read validate.BaseReader
+}
+
+// over sets the base the write set layers over.
+func (ws *waveWrites) over(base validate.BaseReader) {
+	ws.base = base
+	if ws.read == nil {
+		ws.read = ws.readThrough
+	}
+}
+
+func (ws *waveWrites) readThrough(k types.Key) types.Value {
+	if v, ok := ws.get(k); ok {
+		return v
+	}
+	return ws.base(k)
 }
 
 func (ws *waveWrites) get(k types.Key) (types.Value, bool) {
@@ -104,6 +224,11 @@ func (ws *waveWrites) get(k types.Key) (types.Value, bool) {
 		return ws.recs[i].Value, true
 	}
 	return nil, false
+}
+
+func (ws *waveWrites) reset() {
+	clear(ws.idx)
+	ws.recs = ws.recs[:0]
 }
 
 func (ws *waveWrites) fold(writes []types.RWRecord) {
@@ -121,14 +246,66 @@ func (ws *waveWrites) fold(writes []types.RWRecord) {
 }
 
 // waveResult is what running a wave decided: every outcome in commit
-// order plus the coalesced writes. installWave replays it onto the
-// node; nothing else does.
+// order plus the coalesced writes. installBatch applies it and
+// installWave replays it onto the node; nothing else does.
+//
+// A result is recycled (newResult, releaseResult): the node takes one
+// from its free list for every run and returns it when the result is
+// installed or its prediction discarded, so steady-state waves run on
+// memory earlier waves grew. The fields after txs are that memory:
+// runWave's working lists, the ordered executor's buffers, and the
+// readers bound to the result once.
 type waveResult struct {
 	outcomes []waveOutcome
 	writes   waveWrites
 	// txs counts executed transactions — the unit of wasted work a
 	// discarded prediction reports.
 	txs int
+
+	cross    []orderedTx          // the wave's cross-shard transactions, in order
+	live     []orderedTx          // execOrdered's unresolved items
+	liveTxs  []*types.Transaction // and their transactions
+	exec     validate.CrossExec
+	sessions map[session]struct{}          // staleBlock's, one block's sessions
+	fold     func(writes []types.RWRecord) // writes.fold, bound once
+}
+
+// orderedTx is one transaction of a wave's consensus-ordered run and
+// the block that carried it.
+type orderedTx struct {
+	tx    *types.Transaction
+	b     *types.Block
+	cross bool
+}
+
+// session is a transaction's identity.
+type session struct{ client, nonce uint64 }
+
+// newResult takes an empty result off the free list, or makes one.
+func (n *Node) newResult() *waveResult {
+	k := len(n.freeResults)
+	if k == 0 {
+		r := &waveResult{}
+		r.fold = r.writes.fold
+		return r
+	}
+	r := n.freeResults[k-1]
+	n.freeResults[k-1] = nil
+	n.freeResults = n.freeResults[:k-1]
+	r.outcomes = r.outcomes[:0]
+	r.writes.reset()
+	r.txs = 0
+	return r
+}
+
+// releaseResult returns a result nobody holds any more — installed, or
+// a discarded prediction's — to the free list. Its contents are cleared
+// when it is taken again, so an installed result stays readable until
+// the next run.
+func (n *Node) releaseResult(r *waveResult) {
+	if r != nil && len(n.freeResults) < maxBatchWaves+n.specDepth {
+		n.freeResults = append(n.freeResults, r)
+	}
 }
 
 // eachResolved calls f, in commit order, for every transaction the wave
@@ -158,57 +335,20 @@ type waveOutcome struct {
 	cross bool // tx was carried in b.CrossTxs
 }
 
-// runWave decides one commit wave: validated single-shard preplay
-// results first (rules G1/P2), then its cross-shard transactions in
-// consensus order (OE model) — or, in ModeSerial, every transaction one
-// by one in commit order (the Tusk baseline: no preplay, no parallel
-// validation). It is the only encoding of those rules, and a pure
-// function of the wave, the dedup view and the base reader: it marks
-// only the view, writes only its result, and reads nothing of the node
-// beyond Registry, Validators and Mode. Whether the wave runs at commit
-// time against committed state or ahead of its commit against
-// predicted state is the caller's choice of dedup and base.
-func (c *Config) runWave(w tusk.CommitWave, dedup *gateway.Scratch, base validate.BaseReader) *waveResult {
-	res := &waveResult{}
-	read := func(k types.Key) types.Value {
-		if v, ok := res.writes.get(k); ok {
-			return v
-		}
-		return base(k)
-	}
-	type orderedTx struct {
-		tx    *types.Transaction
-		b     *types.Block
-		cross bool
-	}
-	// execOrdered executes transactions in the given order, each seeing
-	// its predecessors' writes. A transaction the view already resolves
-	// — committed in an earlier wave, by an earlier block of this one, or
-	// earlier in this very list (a second inclusion of one identity) — is
-	// dropped. Marking ahead of execution is exact because success and
-	// deterministic failure both resolve the identity.
-	execOrdered := func(items []orderedTx, workers int) {
-		live := items[:0]
-		txs := make([]*types.Transaction, 0, len(items))
-		for _, it := range items {
-			if dedup.Resolved(it.tx) {
-				continue
-			}
-			dedup.Mark(it.tx)
-			live = append(live, it)
-			txs = append(txs, it.tx)
-		}
-		if len(txs) == 0 {
-			return
-		}
-		res.txs += len(txs)
-		// The executor folds each of its waves into res.writes, which is
-		// how the next wave's reads (through read) see it.
-		for i, out := range validate.ExecuteCrossOrdered(c.Registry, read, txs, workers, res.writes.fold) {
-			res.outcomes = append(res.outcomes, waveOutcome{b: live[i].b, tx: out.Tx, ok: out.Err == nil, cross: live[i].cross})
-		}
-	}
-	var cross []orderedTx
+// runWave decides one commit wave into res, an empty result: validated
+// single-shard preplay results first (rules G1/P2), then its
+// cross-shard transactions in consensus order (OE model) — or, in
+// ModeSerial, every transaction one by one in commit order (the Tusk
+// baseline: no preplay, no parallel validation). It is the only
+// encoding of those rules, and a pure function of the wave, the dedup
+// view and the base reader: it marks only the view, writes only res,
+// and reads nothing of the node beyond Registry, Validators and Mode.
+// Whether the wave runs at commit time against committed state or ahead
+// of its commit against predicted state is the caller's choice of dedup
+// and base.
+func (c *Config) runWave(w tusk.CommitWave, dedup *gateway.Scratch, base validate.BaseReader, res *waveResult) *waveResult {
+	res.writes.over(base)
+	res.cross = res.cross[:0]
 	for _, v := range w.Vertices {
 		b := v.Block
 		if b.Kind != types.NormalBlock {
@@ -216,18 +356,18 @@ func (c *Config) runWave(w tusk.CommitWave, dedup *gateway.Scratch, base validat
 		}
 		if c.Mode == ModeSerial {
 			for _, tx := range b.SingleTxs {
-				execOrdered([]orderedTx{{tx: tx, b: b}}, 1)
+				res.execOrdered(c.Registry, dedup, []orderedTx{{tx: tx, b: b}}, 1)
 			}
 			for _, tx := range b.CrossTxs {
-				execOrdered([]orderedTx{{tx: tx, b: b, cross: true}}, 1)
+				res.execOrdered(c.Registry, dedup, []orderedTx{{tx: tx, b: b, cross: true}}, 1)
 			}
 			continue
 		}
 		if len(b.SingleTxs) > 0 {
 			ok := false
-			if !staleBlock(b, dedup) {
+			if !res.staleBlock(b, dedup) {
 				res.txs += len(b.SingleTxs)
-				if r, err := validate.ValidateBlock(c.Registry, read, b, c.Validators); err == nil {
+				if r, err := validate.ValidateBlock(c.Registry, res.writes.read, b, c.Validators); err == nil {
 					ok = true
 					res.writes.fold(r.Writes)
 					for _, tx := range b.SingleTxs {
@@ -238,7 +378,7 @@ func (c *Config) runWave(w tusk.CommitWave, dedup *gateway.Scratch, base validat
 			res.outcomes = append(res.outcomes, waveOutcome{b: b, ok: ok})
 		}
 		for _, tx := range b.CrossTxs {
-			cross = append(cross, orderedTx{tx: tx, b: b, cross: true})
+			res.cross = append(res.cross, orderedTx{tx: tx, b: b, cross: true})
 		}
 	}
 	// Cross-shard transactions run after every single-shard result of
@@ -246,31 +386,116 @@ func (c *Config) runWave(w tusk.CommitWave, dedup *gateway.Scratch, base validat
 	// Filtering here rather than at collection also drops a promoted
 	// copy carried by an early vertex whose original committed through
 	// a later vertex's single-shard block.
-	execOrdered(cross, c.Validators)
+	res.execOrdered(c.Registry, dedup, res.cross, c.Validators)
+	// The working lists keep no block alive on the free list.
+	clear(res.cross)
+	res.writes.base = nil
 	return res
+}
+
+// execOrdered executes transactions in the given order, each seeing its
+// predecessors' writes. A transaction the view already resolves —
+// committed in an earlier wave, by an earlier block of this one, or
+// earlier in this very list (a second inclusion of one identity) — is
+// dropped. Marking ahead of execution is exact because success and
+// deterministic failure both resolve the identity.
+func (r *waveResult) execOrdered(reg *contract.Registry, dedup *gateway.Scratch, items []orderedTx, workers int) {
+	r.live, r.liveTxs = r.live[:0], r.liveTxs[:0]
+	for _, it := range items {
+		if dedup.Resolved(it.tx) {
+			continue
+		}
+		dedup.Mark(it.tx)
+		r.live = append(r.live, it)
+		r.liveTxs = append(r.liveTxs, it.tx)
+	}
+	if len(r.live) == 0 {
+		return
+	}
+	r.txs += len(r.live)
+	// The executor folds each of its waves into r.writes, which is how
+	// the next wave's reads (through r.writes.read) see it.
+	for i, out := range r.exec.Run(reg, r.writes.read, r.liveTxs, workers, r.fold) {
+		it := &r.live[i]
+		r.outcomes = append(r.outcomes, waveOutcome{b: it.b, tx: out.Tx, ok: out.Err == nil, cross: it.cross})
+	}
+	clear(r.live)
+	clear(r.liveTxs)
 }
 
 // staleBlock reports whether a block's single-shard batch must be
 // discarded before validation: it carries another shard's transaction
 // (a Byzantine proposer), one the view already resolves (a resubmission
-// raced a reconfiguration), or the same transaction twice.
-func staleBlock(b *types.Block, dedup *gateway.Scratch) bool {
-	inBlock := make(map[types.Digest]bool, len(b.SingleTxs))
+// raced a reconfiguration), or one session twice (a Byzantine proposer:
+// an honest one's drainQueue keeps one transaction per session).
+func (r *waveResult) staleBlock(b *types.Block, dedup *gateway.Scratch) bool {
+	if r.sessions == nil {
+		r.sessions = make(map[session]struct{}, len(b.SingleTxs))
+	}
+	clear(r.sessions)
 	for _, tx := range b.SingleTxs {
-		id := tx.ID()
-		if len(tx.Shards) != 1 || tx.Shards[0] != b.Shard || dedup.Resolved(tx) || inBlock[id] {
+		if len(tx.Shards) != 1 || tx.Shards[0] != b.Shard || dedup.Resolved(tx) {
 			return true
 		}
-		inBlock[id] = true
+		s := session{tx.Client, tx.Nonce}
+		if _, dup := r.sessions[s]; dup {
+			return true
+		}
+		r.sessions[s] = struct{}{}
 	}
 	return false
 }
 
-// installWave applies a wave's result — the only place a wave touches
-// the store, the WAL, the dedup state, clients and counters. The whole
-// wave lands as one store apply carrying one note with every identity
-// it resolves (so a crash leaves a wave applied or not, never half),
-// then the bookkeeping replays in commit order.
+// installBatch installs the decided waves of the install batch, in
+// order — the only place waves touch the store and the WAL. The batch
+// lands as one store apply carrying one note with every identity it
+// resolves (so a crash leaves a batch applied or not, never part of
+// one), then installWave replays each wave's bookkeeping in commit
+// order, and the results go back to the free list.
+func (n *Node) installBatch() {
+	if len(n.execBatch) == 0 {
+		return
+	}
+	// The note precedes the marks it describes (durable.go's discipline).
+	note := n.newMarkNote()
+	if note != nil {
+		for i := range n.execBatch {
+			n.execBatch[i].res.eachResolved(func(tx *types.Transaction, committed bool) {
+				if committed {
+					note.commit(tx)
+				} else {
+					note.fail(tx)
+				}
+			})
+		}
+	}
+	// The batch's stack holds its writes, coalesced: a key two waves
+	// wrote carries the later value.
+	if writes := n.stack.writes.recs; len(writes) > 0 {
+		n.applyCommit(writes, note.bytes())
+	} else {
+		n.noteOnly(note.bytes())
+	}
+	for i := range n.execBatch {
+		rw := &n.execBatch[i]
+		n.installWave(rw.wave, rw.res, rw.committedAt)
+		if rw.hit {
+			n.nm.specHits.Add(1)
+			// a = vertices installed, b = coalesced store writes.
+			n.trace(metrics.EvSpecConfirm, rw.wave.Leader.Round(), uint64(len(rw.wave.Vertices)), uint64(len(rw.res.writes.recs)))
+		}
+		n.releaseResult(rw.res)
+		*rw = ranWave{}
+	}
+	n.nm.execBatches.Add(1)
+	n.execBatch = n.execBatch[:0]
+}
+
+// installWave replays one wave of an applied batch onto the node: the
+// dedup marks, client acks, commit log, counters, stage histograms and
+// the proposer's own-block state, in commit order — everything a wave
+// changes besides the store and the WAL, which its batch's apply
+// already carried.
 func (n *Node) installWave(w tusk.CommitWave, res *waveResult, committedAt time.Time) {
 	now := time.Now()
 	// a = vertices in the wave.
@@ -294,23 +519,6 @@ func (n *Node) installWave(w tusk.CommitWave, res *waveResult, committedAt time.
 		for _, tx := range b.CrossTxs {
 			delete(n.pendingCross, tx.ID())
 		}
-	}
-
-	// The note precedes the marks it describes (durable.go's discipline).
-	note := n.newMarkNote()
-	if note != nil {
-		res.eachResolved(func(tx *types.Transaction, committed bool) {
-			if committed {
-				note.commit(tx)
-			} else {
-				note.fail(tx)
-			}
-		})
-	}
-	if len(res.writes.recs) > 0 {
-		n.applyCommit(res.writes.recs, note.bytes())
-	} else {
-		n.noteOnly(note.bytes())
 	}
 
 	ordered := false
@@ -377,7 +585,7 @@ func (n *Node) installWave(w tusk.CommitWave, res *waveResult, committedAt time.
 		n.preplayer.invalidate()
 	}
 	// The wave's commit→execute leg: queue wait plus run (or the
-	// confirmation of an earlier run) plus this install.
+	// confirmation of an earlier run) plus its batch's install.
 	n.nm.stageCommitExecute.Observe(time.Since(committedAt))
 	if n.cfg.OnCommitWave != nil {
 		n.cfg.OnCommitWave(n.epoch, w.Leader.Round(), now)
@@ -416,7 +624,7 @@ func (n *Node) dropOwnBlock(round types.Round) {
 		}
 	}
 	n.ownBlocks = keep
-	n.ownWrites = make(map[types.Key]types.Value, len(n.ownWrites))
+	clear(n.ownWrites)
 	for _, ob := range n.ownBlocks {
 		for _, w := range ob.writes {
 			n.ownWrites[w.Key] = w.Value

@@ -71,14 +71,18 @@ type markNote struct {
 	failed    []*types.Transaction
 }
 
-// newMarkNote returns a collector when the backend is durable, nil
-// otherwise (all methods tolerate the nil receiver, so call sites
-// stay unconditional).
+// newMarkNote returns the node's one collector, emptied, when the
+// backend is durable, nil otherwise (all methods tolerate the nil
+// receiver, so call sites stay unconditional).
 func (n *Node) newMarkNote() *markNote {
 	if n.durable == nil {
 		return nil
 	}
-	return &markNote{}
+	m := &n.marks
+	clear(m.committed)
+	clear(m.failed)
+	m.committed, m.failed = m.committed[:0], m.failed[:0]
+	return m
 }
 
 func (m *markNote) commit(tx *types.Transaction) {

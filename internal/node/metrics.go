@@ -42,15 +42,23 @@ const (
 	mSnapCaptureNs      = "snap_capture_ns"     // histogram: one capture, walk to manifest
 	mPendingCross       = "pending_cross"
 	mQueueLen           = "queue_len"
+	mSessionRepeats     = "session_repeats_dropped" // queued single-shard txs dropped for a session their batch already held
 	mBatchSize          = "batch_size"
 
 	// Speculative-execution counters: hits install a result computed
 	// ahead of the commit, misses discard the queued predictions and run
 	// the wave at commit time, wasted counts the speculatively executed
-	// transactions those discards threw away.
+	// transactions those discards threw away, and uncovered counts the
+	// waves that found no prediction that had run (an empty queue, or
+	// one whose oldest entry never ran) and ran at commit time.
 	mSpecHits      = "spec_hits"
 	mSpecMisses    = "spec_misses"
 	mSpecWastedTxs = "spec_wasted_txs"
+	mSpecUncovered = "spec_uncovered"
+
+	// Install batches (drainExec): waves per batch is (committed direct
+	// + indirect slots) / exec_batches.
+	mExecBatches = "exec_batches"
 
 	// Commit rule (tusk): slots decided, by rule. Every slot of a round
 	// is an anchor candidate, so (committed direct + indirect) /
@@ -78,6 +86,9 @@ const (
 	mBlocksDropped     = "blocks_dropped"      // blocks refused: above blockCeiling, or a second from one sender for a slot
 	mSlotTableRounds   = "slot_table_rounds"   // gauge: round records in the slot table, set each tick
 	mCertLatencyEst    = "cert_latency_est_ns" // gauge: own propose→certified estimate
+	// Blocks refused by their header, undecoded: of an earlier epoch,
+	// from no committee member, below the GC floor or above blockCeiling.
+	mRefusedPreDecode = "msgs_refused_before_decode"
 
 	// Pipeline-depth gauges: how much work each stage of the pipelined
 	// commit path is holding right now.
@@ -144,6 +155,9 @@ type nodeMetrics struct {
 	specHits           *metrics.Counter
 	specMisses         *metrics.Counter
 	specWastedTxs      *metrics.Counter
+	specUncovered      *metrics.Counter
+	execBatches        *metrics.Counter
+	sessionRepeats     *metrics.Counter
 	slotsDirect        *metrics.Counter
 	slotsIndirect      *metrics.Counter
 	slotsSkipped       *metrics.Counter
@@ -160,6 +174,7 @@ type nodeMetrics struct {
 	stallRebroadcasts  *metrics.Counter
 	roundPulls         *metrics.Counter
 	blocksDropped      *metrics.Counter
+	refusedPreDecode   *metrics.Counter
 	sendErrors         [numSendClasses]*metrics.Counter
 
 	epoch             *metrics.Gauge
@@ -223,6 +238,9 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		specHits:           reg.Counter(mSpecHits),
 		specMisses:         reg.Counter(mSpecMisses),
 		specWastedTxs:      reg.Counter(mSpecWastedTxs),
+		specUncovered:      reg.Counter(mSpecUncovered),
+		execBatches:        reg.Counter(mExecBatches),
+		sessionRepeats:     reg.Counter(mSessionRepeats),
 		slotsDirect:        reg.Counter(mSlotsCommittedDirect),
 		slotsIndirect:      reg.Counter(mSlotsCommittedIndirect),
 		slotsSkipped:       reg.Counter(mSlotsSkipped),
@@ -239,6 +257,7 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		stallRebroadcasts:  reg.Counter(mStallRebroadcasts),
 		roundPulls:         reg.Counter(mRoundPulls),
 		blocksDropped:      reg.Counter(mBlocksDropped),
+		refusedPreDecode:   reg.Counter(mRefusedPreDecode),
 
 		epoch:             reg.Gauge(mEpoch),
 		round:             reg.Gauge(mRound),

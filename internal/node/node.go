@@ -461,6 +461,17 @@ type Node struct {
 	// entry carries its commit time — the certify→commit /
 	// commit→execute stage boundary.
 	execQ []execItem
+	// execBatch holds the waves a drainExec pass has decided and not yet
+	// installed (installBatch), in commit order. stack is what a wave
+	// runs on: the batch's earlier waves, or a prediction's predecessors
+	// (waveStack). Results nobody holds go back to freeResults
+	// (newResult).
+	execBatch   []ranWave
+	stack       *waveStack
+	freeResults []*waveResult
+	// epochEntries counts resetEpochState calls: a drainExec pass that
+	// sees it move knows its queue was replaced.
+	epochEntries uint64
 
 	// Speculative execution (spec.go): specQ holds commit waves
 	// predicted in slot order, run
@@ -470,7 +481,7 @@ type Node struct {
 	// stacked predictions linearize against). specDepth caps the queue
 	// (Config.SpecExecDepth; 0 = speculation off).
 	specDepth int
-	specQ     []specWave
+	specQ     []ranWave
 	specVerts map[types.Digest]bool
 	// specClaimFn is bound once like baseReader.
 	specClaimFn func(types.Digest) bool
@@ -516,6 +527,9 @@ type Node struct {
 
 	// proposer state
 	txQueue []*types.Transaction
+	// batchSessions is drainQueue's scratch: the sessions of the
+	// single-shard transactions the batch took so far.
+	batchSessions map[session]struct{}
 	// seen deduplicates client retransmissions (§6). Entries carry
 	// their enqueue time and expire after seenTTL so a transaction
 	// lost to a discarded block is accepted again on retransmission
@@ -540,13 +554,12 @@ type Node struct {
 	// positions hold bit-identical state (which is what lets snapshots
 	// carry it verbatim).
 	dedup *gateway.Dedup
-	// scratch is the dedup view waves run under (commit.go's runWave):
-	// reset before each run, so one arena serves every wave.
-	scratch *gateway.Scratch
 	// durable is non-nil when Config.Store persists a recovery
 	// sidecar (storage.Recoverable): the commit path then annotates
 	// every apply with the dedup mutations it performs (durable.go).
 	durable storage.Recoverable
+	// marks collects a durable install batch's WAL note (newMarkNote).
+	marks markNote
 	// txClients maps pending transaction IDs to the wire client
 	// waiting on them (gateway.go); survives epochs like dedup.
 	txClients map[types.Digest]clientSub
@@ -616,7 +629,7 @@ func New(cfg Config) (*Node, error) {
 		n.archive.limit = cfg.GCHorizon - MinGCHorizon
 	}
 	n.dedup = gateway.NewDedup(cfg.NonceWindow, 0)
-	n.scratch = n.dedup.Scratch()
+	n.stack = newWaveStack(n.dedup.Scratch(), n.baseReader)
 	if rec, ok := cfg.Store.(storage.Recoverable); ok {
 		n.durable = rec
 		// Restart-from-disk: rebuild the dedup/commit position and the
@@ -637,6 +650,7 @@ func New(cfg Config) (*Node, error) {
 	n.batch = newBatchController(cfg.BatchSize, 4*cfg.BatchSize)
 	n.txClients = make(map[types.Digest]clientSub)
 	n.seen = make(map[types.Digest]time.Time)
+	n.batchSessions = make(map[session]struct{})
 	n.preplayer = n.newPreplayer()
 	cfg.Transport.SetHandler(func(from types.ReplicaID, mt transport.MsgType, payload []byte) {
 		n.inboxMu.Lock()
@@ -676,6 +690,7 @@ func (n *Node) resetEpochState(epoch types.Epoch, base types.Round) {
 	n.lastBlock = nil
 	n.archive.reset(n.dagStore.Floor())
 	n.execQ = nil // waves of a dying epoch never execute
+	n.epochEntries++
 	n.resetSpec() // predictions bind to the dying epoch's DAG
 	n.loadedRound = 0
 	n.snapFrom = make(map[types.ReplicaID]*types.Snapshot)
@@ -795,6 +810,7 @@ func (n *Node) Inspect(f func(*DebugView)) error {
 			ArchiveBytes:   n.archive.bytes,
 			DagVertices:    n.dagStore.Len(),
 			CommittedFlags: n.committer.CommittedLen(),
+			SpecUncovered:  n.nm.specUncovered.Value(),
 			Vertices: func(r types.Round) []VertexInfo {
 				var out []VertexInfo
 				for _, v := range n.dagStore.AtRound(r) {
@@ -848,6 +864,10 @@ type DebugView struct {
 	PendingBlocks  int
 	VotedSlots     int
 	CommittedFlags int
+	// SpecUncovered counts the waves installed with no prediction that
+	// had run: the speculation queue was empty, or its oldest entry had
+	// not run, so the wave ran at commit time.
+	SpecUncovered uint64
 	// Vertices returns the certified vertices at one round (valid only
 	// inside the Inspect callback).
 	Vertices func(r types.Round) []VertexInfo
@@ -1088,6 +1108,20 @@ func (n *Node) handle(m inboundMsg) {
 			n.handle(inboundMsg{from: m.from, mt: mt, payload: payload})
 		})
 	case MsgBlock:
+		// Judged by its header first: a block this replica refuses or
+		// parks costs no decode of its transactions.
+		e, r, p, ok := types.PeekBlockHeader(m.payload)
+		if !ok {
+			return
+		}
+		switch n.judgeBlock(m.from, e, r, p) {
+		case blockPark:
+			n.parkFuture(m.from, e, MsgBlock, m.payload)
+			return
+		case blockRefuse:
+			n.nm.refusedPreDecode.Add(1)
+			return
+		}
 		var b types.Block
 		// Owned decode: the transport hands over the delivery buffer
 		// (batch frames included), so the block aliases it directly.
@@ -1273,32 +1307,55 @@ func (n *Node) futureLen() int {
 	return c
 }
 
-// handleBlock processes one block delivery. raw is the received wire
-// payload (nil when invoked without one, e.g. from tests), kept as-is
-// when the message is parked for the next epoch.
-func (n *Node) handleBlock(from types.ReplicaID, b *types.Block, raw []byte) {
-	if b.Epoch > n.epoch {
-		if raw == nil {
-			raw = mustMarshal(b)
-		}
-		n.parkFuture(from, b.Epoch, MsgBlock, raw)
-		return
+// blockVerdict is what a block's header alone decides (judgeBlock).
+type blockVerdict uint8
+
+const (
+	blockAccept blockVerdict = iota
+	blockPark                // a later epoch's: kept as received, replayed after this replica's transition
+	blockRefuse
+)
+
+// judgeBlock decides a block delivery by its epoch, round and proposer,
+// which a receiver reads before decoding the rest (handle): park a
+// later epoch's block, refuse one of an earlier epoch, from no
+// committee member, below the GC floor (the vertex can never matter)
+// or above the block ceiling, and accept the rest.
+func (n *Node) judgeBlock(from types.ReplicaID, e types.Epoch, r types.Round, p types.ReplicaID) blockVerdict {
+	if e > n.epoch {
+		return blockPark
 	}
-	if b.Epoch < n.epoch || int(b.Proposer) >= n.n {
-		return
-	}
-	if b.Round < n.dagStore.Floor() {
-		return // round garbage-collected; the vertex can never matter
+	if e < n.epoch || int(p) >= n.n || r < n.dagStore.Floor() {
+		return blockRefuse
 	}
 	// Only a proposer speaks for its own progress: a forged relayed block
 	// at a far round would set off hundreds of round pulls
 	// (committeeRound) and hide a silent proposer from Shift condition
 	// (1). Noted before the ceiling: a replica far behind learns it is.
-	if from == b.Proposer {
-		n.latestRound[from] = max(n.latestRound[from], b.Round)
+	if from == p {
+		n.latestRound[from] = max(n.latestRound[from], r)
 	}
-	if b.Round > n.blockCeiling() {
+	if r > n.blockCeiling() {
 		n.nm.blocksDropped.Add(1)
+		return blockRefuse
+	}
+	return blockAccept
+}
+
+// handleBlock processes one block delivery. raw is the received wire
+// payload (nil when invoked without one, e.g. from tests), kept as-is
+// when the message is parked for the next epoch. A delivery off the
+// wire was judged by its header before it was decoded; judging it
+// again here changes nothing.
+func (n *Node) handleBlock(from types.ReplicaID, b *types.Block, raw []byte) {
+	switch n.judgeBlock(from, b.Epoch, b.Round, b.Proposer) {
+	case blockPark:
+		if raw == nil {
+			raw = mustMarshal(b)
+		}
+		n.parkFuture(from, b.Epoch, MsgBlock, raw)
+		return
+	case blockRefuse:
 		return
 	}
 	d := b.Digest()

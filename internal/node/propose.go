@@ -315,7 +315,11 @@ func (n *Node) preplayRead(k types.Key) types.Value {
 // splitting them into single-shard (for this node's current shard)
 // and cross-shard. Misrouted singles (wrong shard, e.g. queued before
 // a reconfiguration) are dropped; clients resubmit to the new
-// proposer.
+// proposer. A single-shard transaction whose session an earlier one
+// of the batch already holds is dropped: a block carrying one session
+// twice is discarded by every replica (staleBlock), and at most one of
+// the two can ever commit. Its seen entry stays, so its retransmissions
+// wait out the TTL, by which time the kept one has resolved the session.
 func (n *Node) drainQueue() (singles, cross []*types.Transaction) {
 	mine := n.myShard()
 	taken := 0
@@ -323,6 +327,7 @@ func (n *Node) drainQueue() (singles, cross []*types.Transaction) {
 	if want := min(limit, len(n.txQueue)); want > 0 {
 		singles = make([]*types.Transaction, 0, want)
 	}
+	clear(n.batchSessions)
 	rest := n.txQueue[:0]
 	for _, tx := range n.txQueue {
 		if taken >= limit {
@@ -337,6 +342,12 @@ func (n *Node) drainQueue() (singles, cross []*types.Transaction) {
 			cross = append(cross, tx)
 			taken++
 		case len(tx.Shards) == 1 && tx.Shards[0] == mine:
+			s := session{tx.Client, tx.Nonce}
+			if _, dup := n.batchSessions[s]; dup {
+				n.nm.sessionRepeats.Add(1)
+				continue
+			}
+			n.batchSessions[s] = struct{}{}
 			singles = append(singles, tx)
 			taken++
 		default:

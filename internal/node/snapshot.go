@@ -60,6 +60,13 @@ import (
 //     keeps committing. An in-band reconfiguration enters its new
 //     epoch the same way, at end round 0.
 
+// captureDue reports whether maybeCaptureMidEpoch would capture at
+// round.
+func (n *Node) captureDue(round types.Round) bool {
+	iv := types.Round(n.cfg.SnapshotInterval)
+	return iv > 0 && round/iv > n.lastSnapAt/iv
+}
+
 // snapshotServeEvery spaces per-requester snapshot serves, in
 // housekeeping ticks: a stranded replica re-pulls its round every few
 // ticks (pullRound), and a manifest is too large to answer each pull.
@@ -67,20 +74,17 @@ const snapshotServeEvery = 4
 
 // maybeCaptureMidEpoch captures a mid-epoch snapshot when round, the
 // last fully decided round whose waves are all installed and nothing
-// after them, crosses a Config.SnapshotInterval boundary. drainExec
-// calls it before installing a wave of a later round than the last
-// one's: honest replicas execute the identical wave sequence, so the
-// boundary crossing — and the committed state at it — is the same
-// everywhere, making mid-epoch captures as bit-identical as
-// epoch-start captures. (A replica replaying history it already holds
-// captures at stale positions; its digests then match no honest
-// quorum, so those captures are inert.)
+// after them, crosses a Config.SnapshotInterval boundary (captureDue).
+// drainExec calls it before deciding a wave of a later round than the
+// last one's, its install batch cut and installed there: honest
+// replicas execute the identical wave sequence, so the boundary
+// crossing — and the committed state at it — is the same everywhere,
+// making mid-epoch captures as bit-identical as epoch-start captures.
+// (A replica replaying history it already holds captures at stale
+// positions; its digests then match no honest quorum, so those
+// captures are inert.)
 func (n *Node) maybeCaptureMidEpoch(round types.Round) {
-	if n.cfg.SnapshotInterval <= 0 {
-		return
-	}
-	iv := types.Round(n.cfg.SnapshotInterval)
-	if round/iv <= n.lastSnapAt/iv {
+	if !n.captureDue(round) {
 		return
 	}
 	n.lastSnapAt = round

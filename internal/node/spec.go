@@ -17,7 +17,7 @@ import (
 // in slot order (tusk.PredictWave) and runs them right away
 // with runWave — the same function a wave runs through at commit time —
 // so that when the commit rule releases a wave whose prediction held,
-// drainExec hands installWave a result that already exists.
+// drainExec puts a result that already exists into its install batch.
 //
 // The contract:
 //
@@ -30,9 +30,9 @@ import (
 //   - run: runWave against predicted state — reads fall through the
 //     write sets of the earlier queued predictions to the committed
 //     store, and the dedup view is the committed dedup with those
-//     predictions' resolutions marked on a scratch copy. Nothing
-//     escapes: the result sits in the queue, and only installWave
-//     touches the store, the dedup, or a client.
+//     predictions' resolutions marked on a scratch copy (waveStack).
+//     Nothing escapes: the result sits in the queue, and only
+//     installBatch touches the store, the dedup, or a client.
 //   - confirm: at commit, the canonical wave must match the oldest
 //     prediction vertex-for-vertex. Then its result is installed as is.
 //   - miss: any mismatch discards the entire prediction queue — results
@@ -48,15 +48,12 @@ import (
 // installs reset the queue too), which is what makes the predicted
 // state a run saw identical to the committed state at its install.
 
-// specWave is one predicted commit wave and, once run, its result.
-type specWave struct {
-	wave tusk.CommitWave
-	res  *waveResult // nil until run
-}
-
 // resetSpec discards all speculative state. Called from
 // resetEpochState: predictions bind to one epoch's DAG and die with it.
 func (n *Node) resetSpec() {
+	for i := range n.specQ {
+		n.releaseResult(n.specQ[i].res)
+	}
 	clear(n.specQ) // release vertex references
 	n.specQ = n.specQ[:0]
 	if n.specVerts == nil {
@@ -99,7 +96,7 @@ func (n *Node) maybeQueueSpec() {
 		for _, v := range w.Vertices {
 			n.specVerts[v.Cert.Digest()] = true
 		}
-		n.specQ = append(n.specQ, specWave{wave: w})
+		n.specQ = append(n.specQ, ranWave{wave: w})
 	}
 }
 
@@ -120,30 +117,19 @@ func (n *Node) drainSpec() {
 }
 
 // runPrediction runs the i-th queued prediction on the state its
-// predecessors leave behind: their write sets layered newest-first over
-// the committed store, their resolutions marked on a scratch dedup.
-// Predictions run in queue order, so every predecessor has a result.
+// predecessors leave behind: their results stacked over the committed
+// store and dedup. Predictions run in queue order, so every predecessor
+// has a result.
 func (n *Node) runPrediction(i int) {
 	sw := &n.specQ[i]
 	// a = vertices in the predicted wave.
 	n.trace(metrics.EvSpecStart, sw.wave.Leader.Round(), uint64(len(sw.wave.Vertices)), 0)
-	earlier := n.specQ[:i]
-	dedup := n.scratch.Reset()
-	for j := range earlier {
-		earlier[j].res.eachResolved(func(tx *types.Transaction, _ bool) { dedup.Mark(tx) })
+	n.stack.reset()
+	for j := range n.specQ[:i] {
+		n.stack.push(n.specQ[j].res, false)
 	}
-	base := n.baseReader
-	if i > 0 {
-		base = func(k types.Key) types.Value {
-			for j := len(earlier) - 1; j >= 0; j-- {
-				if v, ok := earlier[j].res.writes.get(k); ok {
-					return v
-				}
-			}
-			return n.baseRead(k)
-		}
-	}
-	sw.res = n.cfg.runWave(sw.wave, dedup, base)
+	dedup, base := n.stack.view()
+	sw.res = n.cfg.runWave(sw.wave, dedup, base, n.newResult())
 	// The reclaimed slice of the certify→commit wait: certification to
 	// speculative-results-ready, per block (same stamp discipline as
 	// installWave's stage histograms).
@@ -155,14 +141,18 @@ func (n *Node) runPrediction(i int) {
 	}
 }
 
-// waveResultFor decides the wave the commit rule just released: the
+// waveResultFor decides the wave the commit rule just released, on the
+// stack of the install batch's earlier waves, and pushes it there: the
 // oldest prediction's result when the prediction held (hit), otherwise
-// a run right now against the committed store and dedup — after
-// flushing every prediction if the canonical order diverged. Either way
-// the caller installs what it returns.
+// a run right now on the stack — after flushing every prediction if the
+// canonical order diverged. Either way the caller owns what it returns
+// and installs it. A wave with no prediction that ran counts as
+// uncovered.
 func (n *Node) waveResultFor(w tusk.CommitWave) (res *waveResult, hit bool) {
 	var predicted *waveResult
-	if len(n.specQ) > 0 {
+	if len(n.specQ) == 0 {
+		n.nm.specUncovered.Add(1)
+	} else {
 		sw := &n.specQ[0]
 		switch {
 		case sw.wave.Leader != w.Leader || !sameVertices(sw.wave.Vertices, w.Vertices):
@@ -174,15 +164,20 @@ func (n *Node) waveResultFor(w tusk.CommitWave) (res *waveResult, hit bool) {
 			// Predicted but never run — not a misprediction, and nothing
 			// queued behind it has run either.
 			n.popSpec()
+			n.nm.specUncovered.Add(1)
 		case !n.specStillFresh(sw.res):
 			n.specMiss(w)
 		case !n.cfg.SpecVerify:
-			return sw.res, true
+			res = n.popSpec()
+			n.stack.push(res, false)
+			return res, true
 		default:
 			predicted = sw.res
 		}
 	}
-	res = n.cfg.runWave(w, n.scratch.Reset(), n.baseReader)
+	dedup, base := n.stack.view()
+	res = n.cfg.runWave(w, dedup, base, n.newResult())
+	n.stack.push(res, true)
 	if predicted == nil {
 		return res, false
 	}
@@ -193,13 +188,16 @@ func (n *Node) waveResultFor(w tusk.CommitWave) (res *waveResult, hit bool) {
 		n.specMiss(w)
 		return res, false
 	}
+	n.releaseResult(n.popSpec())
 	return res, true
 }
 
 // specStillFresh is the guard behind the flush invariant: everything a
-// prediction resolved must still be unresolved when it is installed. It
-// holds by construction; if a future change mutates the dedup behind
-// the queue's back, the prediction becomes a miss instead of a double
+// prediction resolved must still be unresolved when it is installed.
+// The waves ahead of it in its install batch are the predictions it ran
+// on, so the committed dedup is what there is to check. It holds by
+// construction; if a future change mutates the dedup behind the
+// queue's back, the prediction becomes a miss instead of a double
 // commit.
 func (n *Node) specStillFresh(res *waveResult) bool {
 	fresh := true
@@ -260,12 +258,15 @@ func (n *Node) specMiss(w tusk.CommitWave) {
 	n.resetSpec()
 }
 
-// popSpec retires the oldest prediction (installed, or superseded
-// before it ran), releasing its vertex claims.
-func (n *Node) popSpec() {
+// popSpec retires the oldest prediction (confirmed, or superseded
+// before it ran), releasing its vertex claims, and hands its result, if
+// any, to the caller.
+func (n *Node) popSpec() *waveResult {
+	res := n.specQ[0].res
 	for _, v := range n.specQ[0].wave.Vertices {
 		delete(n.specVerts, v.Cert.Digest())
 	}
-	n.specQ[0] = specWave{}
+	n.specQ[0] = ranWave{}
 	n.specQ = n.specQ[1:]
+	return res
 }

@@ -165,6 +165,8 @@ func failTx(client, nonce uint64, kind types.TxKind, shards ...types.ShardID) *t
 // block builds proposer p's round-r normal block for shard p. With
 // preplay set, singles carry CE results computed on the genesis ledger
 // (the CE/OCC block shape); without, they ride unexecuted (ModeSerial).
+// One executor preplays them, so independent transactions keep their
+// order in the schedule and a row can name one by its position.
 func (wb *waveBuilder) block(r types.Round, p types.ReplicaID, preplay bool, singles, cross []*types.Transaction) *types.Block {
 	b := &types.Block{
 		Round: r, Proposer: p, Shard: types.ShardID(p), Kind: types.NormalBlock,
@@ -172,7 +174,7 @@ func (wb *waveBuilder) block(r types.Round, p types.ReplicaID, preplay bool, sin
 	}
 	if preplay && len(singles) > 0 {
 		read := func(k types.Key) types.Value { v, _ := wb.genesis.Get(k); return v }
-		res := ce.New(ce.Config{Executors: 2, Registry: wb.reg}).ExecuteBatch(depgraph.BaseReader(read), singles)
+		res := ce.New(ce.Config{Executors: 1, Registry: wb.reg}).ExecuteBatch(depgraph.BaseReader(read), singles)
 		if len(res.Failed) > 0 {
 			wb.t.Fatalf("preplay failed %d transactions", len(res.Failed))
 		}
@@ -187,6 +189,16 @@ func (wb *waveBuilder) wave(blocks ...*types.Block) tusk.CommitWave {
 		vs[i] = wb.committee.Vertex(b)
 	}
 	return tusk.CommitWave{Leader: vs[len(vs)-1], Vertices: vs}
+}
+
+// commitWave decides one released wave and installs it as a batch of
+// its own, as drainExec does for a pass that finds one wave ready. The
+// result stays readable until the next wave is decided.
+func commitWave(n *Node, w tusk.CommitWave) (*waveResult, bool) {
+	n.batchWave(execItem{wave: w, committedAt: time.Now()})
+	rw := n.execBatch[0]
+	n.installBatch()
+	return rw.res, rw.hit
 }
 
 func checking(t *testing.T, wn *waveNode, account int) int64 {
@@ -261,6 +273,32 @@ func TestWaveRunOnceInstallOnce(t *testing.T) {
 				}
 				if other := waves[1].Vertices[1].Block.SingleTxs[1]; wn.n.dedup.Resolved(other) {
 					t.Fatal("stale block B's other transaction was resolved")
+				}
+			},
+		},
+		{
+			// Two different transactions of one session in one block: a
+			// Byzantine proposer's (an honest one's drainQueue keeps one),
+			// so the batch reads as stale on every replica.
+			name: "two transactions of one session in one block",
+			build: func(wb *waveBuilder) []tusk.CommitWave {
+				return []tusk.CommitWave{wb.wave(wb.block(1, 1, true, []*types.Transaction{
+					depositTx(9, 1, 1, 1, 5), depositTx(7, 1, 1, 5, 1), depositTx(9, 1, 1, 3, 7),
+				}, nil))}
+			},
+			check: func(t *testing.T, wn *waveNode, waves []tusk.CommitWave, results []*waveResult) {
+				if out := results[0].outcomes; len(out) != 1 || out[0].ok {
+					t.Fatalf("want the block discarded, got %+v", out)
+				}
+				for _, a := range []int{1, 3, 5} {
+					if got := checking(t, wn, a); got != 100 {
+						t.Fatalf("discarded block left writes: account %d = %d", a, got)
+					}
+				}
+				for _, tx := range waves[0].Vertices[0].Block.SingleTxs {
+					if wn.n.dedup.Resolved(tx) {
+						t.Fatalf("the discarded block resolved client %d nonce %d", tx.Client, tx.Nonce)
+					}
 				}
 			},
 		},
@@ -515,19 +553,15 @@ func TestWaveRunOnceInstallOnce(t *testing.T) {
 						for _, v := range w.Vertices {
 							n.specVerts[v.Cert.Digest()] = true
 						}
-						n.specQ = append(n.specQ, specWave{wave: w})
+						n.specQ = append(n.specQ, ranWave{wave: w})
 						n.runPrediction(i)
 					}
 				}
 				var results []*waveResult
 				for _, w := range waves {
-					res, hit := n.waveResultFor(w)
+					res, hit := commitWave(n, w)
 					if hit != leg.ahead {
 						t.Fatalf("%s: hit = %v", leg.name, hit)
-					}
-					n.installWave(w, res, time.Now())
-					if hit {
-						n.popSpec()
 					}
 					results = append(results, res)
 				}
@@ -602,16 +636,15 @@ func TestWaveReplaysEachBlockOnce(t *testing.T) {
 			for _, v := range predicted.Vertices {
 				n.specVerts[v.Cert.Digest()] = true
 			}
-			n.specQ = append(n.specQ, specWave{wave: predicted})
+			n.specQ = append(n.specQ, ranWave{wave: predicted})
 			n.runPrediction(0)
 			if got := execs.Load(); got != 3 {
 				t.Fatalf("prediction executed %d contracts for 3 transactions", got)
 			}
-			res, hit := n.waveResultFor(committed)
+			_, hit := commitWave(n, committed)
 			if hit == leg.miss {
 				t.Fatalf("hit = %v", hit)
 			}
-			n.installWave(committed, res, time.Now())
 			if got := execs.Load(); got != 3 {
 				t.Fatalf("running the wave again executed %d more contracts", got-3)
 			}
@@ -622,5 +655,61 @@ func TestWaveReplaysEachBlockOnce(t *testing.T) {
 				t.Fatalf("accounts 1, 5, 2 = %d, %d, %d", x, y, z)
 			}
 		})
+	}
+}
+
+// TestProposerKeepsOneTransactionPerSession: a client that hands the
+// proposer two different single-shard transactions with one (client,
+// nonce) session gets only the first into a block, so the block
+// validates and carries the other clients' transactions with it;
+// a block holding both would be discarded by every replica, its
+// transactions requeued together, and the same block built again.
+func TestProposerKeepsOneTransactionPerSession(t *testing.T) {
+	committee := dagtest.NewCommittee(4)
+	wb := newWaveBuilder(t, committee)
+	wn := newWaveNode(t, committee, ModeCE, false)
+	n := wn.n
+	n.preplayer = n.newPreplayer()
+	shard := n.myShard()
+	first, repeat, other := depositTx(9, 1, shard, 1, 5), depositTx(9, 1, shard, 2, 7), depositTx(7, 1, shard, 3, 1)
+	for _, tx := range []*types.Transaction{first, repeat, other} {
+		n.enqueueTx(tx)
+	}
+	propose := func(r types.Round) *types.Block {
+		blk := &types.Block{Round: r, Proposer: n.cfg.ID, Shard: shard, Kind: types.NormalBlock, ProposedUnixNano: int64(r)}
+		n.fillBlock(blk, r)
+		return blk
+	}
+	blk := propose(1)
+	if len(blk.SingleTxs) != 2 || n.nm.sessionRepeats.Value() != 1 {
+		t.Fatalf("block carries %d transactions after %d session repeats, want 2 after 1", len(blk.SingleTxs), n.nm.sessionRepeats.Value())
+	}
+	for _, tx := range blk.SingleTxs {
+		if tx.ID() == repeat.ID() {
+			t.Fatal("the later transaction of the session was kept")
+		}
+	}
+	commitWave(n, wb.wave(blk))
+	if st := n.Stats(); st.ValidationFailures != 0 || st.CommittedTxs != 2 {
+		t.Fatalf("validation failures = %d, committed = %d; want 0 and 2", st.ValidationFailures, st.CommittedTxs)
+	}
+	if a, b, c := checking(t, wn, 1), checking(t, wn, 2), checking(t, wn, 3); a != 105 || b != 100 || c != 101 {
+		t.Fatalf("accounts 1, 2, 3 = %d, %d, %d; want 105, 100, 101", a, b, c)
+	}
+
+	// The shard keeps committing: the repeat's retransmission is refused
+	// (its session is resolved), and the client's next nonce commits.
+	n.enqueueTx(repeat)
+	n.enqueueTx(depositTx(9, 2, shard, 4, 2))
+	blk = propose(2)
+	if len(blk.SingleTxs) != 1 || blk.SingleTxs[0].Nonce != 2 {
+		t.Fatalf("second block carries %d transactions, want only nonce 2", len(blk.SingleTxs))
+	}
+	commitWave(n, wb.wave(blk))
+	if st := n.Stats(); st.ValidationFailures != 0 || st.CommittedTxs != 3 {
+		t.Fatalf("validation failures = %d, committed = %d; want 0 and 3", st.ValidationFailures, st.CommittedTxs)
+	}
+	if got := checking(t, wn, 4); got != 102 {
+		t.Fatalf("account 4 = %d, want 102", got)
 	}
 }

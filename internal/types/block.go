@@ -201,6 +201,17 @@ func (b *Block) UnmarshalBinaryOwned(data []byte) error {
 	return b.unmarshalFrom(data)
 }
 
+// PeekBlockHeader reads the epoch, round and proposer a block encoding
+// starts with and decodes nothing else, so a receiver can refuse a
+// block it has no use for before paying for its transactions. ok is
+// false when data is too short to hold them; a true ok says nothing
+// about the rest of data.
+func PeekBlockHeader(data []byte) (epoch Epoch, round Round, proposer ReplicaID, ok bool) {
+	d := Decoder{buf: data, shared: true}
+	epoch, round, proposer = Epoch(d.U64()), Round(d.U64()), ReplicaID(d.U32())
+	return epoch, round, proposer, d.err == nil
+}
+
 func (b *Block) unmarshalFrom(data []byte) error {
 	b.digOK = false
 	b.Stamps = BlockStamps{}

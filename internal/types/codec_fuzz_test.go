@@ -71,7 +71,9 @@ func randBlock(rng *rand.Rand) *Block {
 // re-encodes to exactly those bytes, and Wire hands them back. A
 // replica serves the rounds it archived as the block bytes it received
 // (node's round archive), so a second encoding of one block would let
-// two replicas answer the same round pull differently. Plain go test
+// two replicas answer the same round pull differently. The header a
+// receiver judges the block by before decoding it (PeekBlockHeader) is
+// the decoded block's. Plain go test
 // runs the seed corpus: random blocks whole, truncated and with one
 // bit flipped.
 func FuzzBlockCodecCanonical(f *testing.F) {
@@ -108,6 +110,10 @@ func FuzzBlockCodecCanonical(f *testing.F) {
 		}
 		if owned.Digest() != b.Digest() {
 			t.Fatal("owned and copying decodes disagree on the digest")
+		}
+		// A receiver judges a block by its header before decoding it.
+		if e, r, p, ok := PeekBlockHeader(data); !ok || e != b.Epoch || r != b.Round || p != b.Proposer {
+			t.Fatalf("header peek read e%d r%d p%d (ok %v), decode e%d r%d p%d", e, r, p, ok, b.Epoch, b.Round, b.Proposer)
 		}
 	})
 }

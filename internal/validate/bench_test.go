@@ -76,7 +76,9 @@ func BenchmarkValidateHot500(b *testing.B) {
 // BenchmarkCrossOrdered runs 64 ordered payments the two ways the
 // executor can: over a committee's 4 shards, where a wave holds two
 // transactions and everything runs inline, and over 64 shards, where
-// waves are wide enough to fan out.
+// waves are wide enough to fan out. It runs as a replica does, on one
+// CrossExec and one delta kept across calls, so what it allocates is
+// the contracts' own values plus the fan-out's goroutines.
 func BenchmarkCrossOrdered(b *testing.B) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const accounts = 64
@@ -104,10 +106,15 @@ func BenchmarkCrossOrdered(b *testing.B) {
 			name = "shards64-fanout"
 		}
 		b.Run(name, func(b *testing.B) {
+			var x CrossExec
+			d := newCrossDelta(st)
+			x.Run(reg, d.base, txs, 16, d.fold) // grow the buffers once
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				outs, delta := runCross(reg, st, txs, 16)
-				benchSink += len(outs) + len(delta)
+				d.reset()
+				outs := x.Run(reg, d.base, txs, 16, d.fold)
+				benchSink += len(outs) + len(d.recs)
 			}
 		})
 	}

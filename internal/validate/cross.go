@@ -1,7 +1,7 @@
 package validate
 
 import (
-	"sync"
+	"slices"
 
 	"thunderbolt/internal/contract"
 	"thunderbolt/internal/types"
@@ -19,13 +19,34 @@ type CrossOutcome struct {
 	Writes []types.RWRecord
 }
 
-// ExecuteCrossOrdered runs consensus-ordered cross-shard transactions
-// under the OE model: the total order is fixed, and parallelism is
-// recovered from the declared shard IDs (QueCC-style): transactions
-// whose shard sets are disjoint execute concurrently within a wave;
-// waves respect the total order. The returned outcomes are in input
-// order and the aggregate write delta equals serial in-order
-// execution.
+// CrossExec is the ordered cross-shard executor (paper §5.2, OE model)
+// and its working memory, owned by the caller: the outcomes, the wave
+// plan, one write buffer per transaction of the running wave, and one
+// record arena that every outcome's writes live in. A CrossExec run
+// again and again grows to its largest call and then allocates nothing
+// of its own. The zero value is ready; one goroutine owns it.
+type CrossExec struct {
+	outcomes []CrossOutcome
+	plan     wavePlan
+	states   []crossState // states[j] runs the running wave's j-th transaction
+	arena    []types.RWRecord
+	// The running call's inputs, for run; nil between calls.
+	reg  *contract.Registry
+	base BaseReader
+	txs  []*types.Transaction
+	wave []int // the running wave's transactions, as indices into txs
+	// runFn is run bound once: a method value made per call would
+	// allocate per call.
+	runFn func(j int)
+}
+
+// Run executes consensus-ordered cross-shard transactions: the total
+// order is fixed, and parallelism is recovered from the declared shard
+// IDs (QueCC-style): transactions whose shard sets are disjoint execute
+// concurrently within a wave; waves respect the total order. The
+// returned outcomes are in input order and the aggregate write delta
+// equals serial in-order execution. They and their writes stay valid
+// until x runs again.
 //
 // Each transaction sees base plus the writes of every earlier wave, and
 // the caller keeps that sum: after a wave, fold receives each of its
@@ -33,41 +54,53 @@ type CrossOutcome struct {
 // while no worker runs — and base must serve them from then on. Which
 // writes fold sees in which order depends on txs alone, never on
 // workers or the machine.
-func ExecuteCrossOrdered(reg *contract.Registry, base BaseReader, txs []*types.Transaction,
+func (x *CrossExec) Run(reg *contract.Registry, base BaseReader, txs []*types.Transaction,
 	workers int, fold func(writes []types.RWRecord)) []CrossOutcome {
-	outcomes := make([]CrossOutcome, len(txs))
+	x.outcomes = slices.Grow(x.outcomes[:0], len(txs))[:len(txs)]
+	clear(x.outcomes)
 	if len(txs) == 0 {
-		return outcomes
+		return x.outcomes
 	}
-	p := planPool.Get().(*wavePlan)
-	defer p.release()
-	p.plan(txs)
-
-	var wave []int // the running wave's transactions, as indices into txs
-	run := func(j int) {
-		i := wave[j]
-		st := crossStatePool.Get().(*crossState)
-		st.read = base
-		out := CrossOutcome{Tx: txs[i]}
-		if out.Err = vm.ExecuteTx(reg, st, txs[i]); out.Err == nil {
-			out.Writes = st.w.take()
-		} else {
+	x.plan.plan(txs)
+	if x.runFn == nil {
+		x.runFn = x.run
+	}
+	x.reg, x.base, x.txs = reg, base, txs
+	x.arena = x.arena[:0]
+	for w := 0; w+1 < len(x.plan.start); w++ {
+		x.wave = x.plan.order[x.plan.start[w]:x.plan.start[w+1]]
+		if grow := len(x.wave) - len(x.states); grow > 0 {
+			x.states = append(x.states, make([]crossState, grow)...)
+		}
+		each(workers, len(x.wave), x.runFn)
+		// Writes move into the arena, so the buffers are ready for the
+		// next wave and an outcome costs no slice of its own. An arena
+		// that grows leaves earlier outcomes on its old array, intact.
+		for j, i := range x.wave {
+			st := &x.states[j]
+			if out := &x.outcomes[i]; out.Err == nil && len(st.w.recs) > 0 {
+				at := len(x.arena)
+				x.arena = append(x.arena, st.w.recs...)
+				out.Writes = x.arena[at:len(x.arena):len(x.arena)]
+				fold(out.Writes)
+			}
 			st.w.reset()
 		}
-		outcomes[i] = out
-		st.read = nil
-		crossStatePool.Put(st)
 	}
-	for w := 0; w+1 < len(p.start); w++ {
-		wave = p.order[p.start[w]:p.start[w+1]]
-		each(workers, len(wave), run)
-		for _, i := range wave {
-			if len(outcomes[i].Writes) > 0 {
-				fold(outcomes[i].Writes)
-			}
-		}
-	}
-	return outcomes
+	x.reg, x.base, x.txs, x.wave = nil, nil, nil, nil
+	return x.outcomes
+}
+
+// run executes the running wave's j-th transaction. A failed one
+// leaves its buffer for Run to empty; it contributes no writes.
+func (x *CrossExec) run(j int) {
+	i := x.wave[j]
+	st := &x.states[j]
+	st.read = x.base
+	out := &x.outcomes[i]
+	out.Tx = x.txs[i]
+	out.Err = vm.ExecuteTx(x.reg, st, x.txs[i])
+	st.read = nil
 }
 
 // wavePlan buckets a transaction list by wave, once: order lists the
@@ -80,18 +113,13 @@ type wavePlan struct {
 	start    []int
 }
 
-var planPool = sync.Pool{New: func() any {
-	return &wavePlan{lastWave: make(map[types.ShardID]int)}
-}}
-
-func (p *wavePlan) release() {
-	clear(p.lastWave)
-	planPool.Put(p)
-}
-
 // plan builds waves greedily: a transaction joins the earliest wave
 // after the last wave containing a shard it touches.
 func (p *wavePlan) plan(txs []*types.Transaction) {
+	if p.lastWave == nil {
+		p.lastWave = make(map[types.ShardID]int)
+	}
+	clear(p.lastWave)
 	p.waveOf = p.waveOf[:0]
 	waves := 0
 	for _, tx := range txs {
@@ -135,8 +163,6 @@ type crossState struct {
 	read BaseReader
 	w    writeBuf
 }
-
-var crossStatePool = sync.Pool{New: func() any { return new(crossState) }}
 
 func (s *crossState) Read(k types.Key) (types.Value, error) {
 	if i := s.w.find(k); i >= 0 {

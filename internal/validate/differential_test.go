@@ -658,7 +658,7 @@ func TestCrossOrderedModesAgree(t *testing.T) {
 				serDelta[w.Key] = w.Value
 			}
 		}
-		serial = append(serial, ExecuteCrossOrdered(reg, base, []*types.Transaction{tx}, 1, fold)...)
+		serial = append(serial, new(CrossExec).Run(reg, base, []*types.Transaction{tx}, 1, fold)...)
 	}
 
 	sameOutcome := func(a, b CrossOutcome) bool {

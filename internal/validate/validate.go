@@ -19,7 +19,7 @@
 //     key serializes nothing, because no transaction reads another's
 //     output — it reads the block.
 //
-//   - ExecuteCrossOrdered (paper §5.2): deterministically executes
+//   - CrossExec.Run (paper §5.2): deterministically executes
 //     consensus-ordered cross-shard transactions, extracting
 //     parallelism from the shard metadata (SIDs): transactions with
 //     disjoint shard sets run concurrently, in QueCC-style waves.
@@ -59,7 +59,7 @@ import (
 
 // BaseReader supplies committed values (nil = absent). ValidateBatch
 // and ValidateBlock call it from the calling goroutine only, so it may
-// read unsynchronized state the caller owns. ExecuteCrossOrdered calls
+// read unsynchronized state the caller owns. CrossExec.Run calls
 // it from its workers, concurrently with itself but never with fold.
 type BaseReader func(k types.Key) types.Value
 

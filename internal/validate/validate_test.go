@@ -162,30 +162,51 @@ func TestValidateEmptyBatch(t *testing.T) {
 	}
 }
 
-// runCross drives ExecuteCrossOrdered the way node.runWave does: the
-// fold sink keeps the running delta, and base serves it ahead of the
-// store. It returns the outcomes and the delta in fold order.
-func runCross(reg *contract.Registry, st *storage.Store, txs []*types.Transaction, workers int) ([]CrossOutcome, []types.RWRecord) {
-	var delta []types.RWRecord
-	at := map[types.Key]int{}
-	base := func(k types.Key) types.Value {
-		if i, ok := at[k]; ok {
-			return delta[i].Value
+// crossDelta is the running delta node.runWave keeps around the
+// ordered executor: fold records each wave's writes, and base serves
+// them ahead of the store. base and fold are bound once, so a caller
+// that resets and reuses one allocates nothing per run.
+type crossDelta struct {
+	st   *storage.Store
+	recs []types.RWRecord // fold order
+	at   map[types.Key]int
+	base BaseReader
+	fold func(writes []types.RWRecord)
+}
+
+func newCrossDelta(st *storage.Store) *crossDelta {
+	d := &crossDelta{st: st, at: map[types.Key]int{}}
+	d.base = func(k types.Key) types.Value {
+		if i, ok := d.at[k]; ok {
+			return d.recs[i].Value
 		}
-		v, _ := st.Get(k)
+		v, _ := d.st.Get(k)
 		return v
 	}
-	fold := func(writes []types.RWRecord) {
+	d.fold = func(writes []types.RWRecord) {
 		for _, w := range writes {
-			if i, ok := at[w.Key]; ok {
-				delta[i].Value = w.Value
+			if i, ok := d.at[w.Key]; ok {
+				d.recs[i].Value = w.Value
 				continue
 			}
-			at[w.Key] = len(delta)
-			delta = append(delta, w)
+			d.at[w.Key] = len(d.recs)
+			d.recs = append(d.recs, w)
 		}
 	}
-	return ExecuteCrossOrdered(reg, base, txs, workers, fold), delta
+	return d
+}
+
+func (d *crossDelta) reset() {
+	clear(d.at)
+	d.recs = d.recs[:0]
+}
+
+// runCross drives CrossExec.Run the way node.runWave does. It
+// returns the outcomes and the delta in fold order.
+func runCross(reg *contract.Registry, st *storage.Store, txs []*types.Transaction, workers int) ([]CrossOutcome, []types.RWRecord) {
+	d := newCrossDelta(st)
+	outs := new(CrossExec).Run(reg, d.base, txs, workers, d.fold)
+	return outs, d.recs
 }
 
 func TestCrossOrderedMatchesSerial(t *testing.T) {

@@ -118,11 +118,3 @@ func (w *writeBuf) reset() {
 	clear(w.recs)
 	w.recs = w.recs[:0]
 }
-
-// take empties the buffer by handing its records to the caller.
-func (w *writeBuf) take() []types.RWRecord {
-	recs := w.recs
-	clear(w.idx)
-	w.recs = nil
-	return recs
-}
