@@ -16,6 +16,7 @@
 package chaos
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,9 +35,17 @@ import (
 // Whichever of the pair the larger part voted for gathers 2f+1 votes on
 // every honest replica, including the ones that were sent — and voted
 // for — the other: those certify a block they never saw and fetch it
-// from the driver, which serves both variants.
+// from the driver, which serves both variants. The pair names
+// different parents: the larger part's variant omits one slot of the
+// round below whenever more than a quorum of it is certified (the
+// driver holds a round open for its stragglers, as honest proposers
+// do), so the replica sent the other variant holds, from the proposer
+// itself, a reference that the certified block does not make — the
+// case the fast commit's 3f+1 threshold is set against. refSplits
+// counts those rounds.
 func newEquivocator(t *testing.T, h *Harness, id types.ReplicaID) *wireDriver {
 	w := newWireDriver(t, h, id)
+	w.holdFor = 10 * time.Millisecond
 	w.build = func(r types.Round, parents []types.Digest) []proposal {
 		pair := make([]proposal, 2)
 		for i := range pair {
@@ -44,6 +53,13 @@ func newEquivocator(t *testing.T, h *Harness, id types.ReplicaID) *wireDriver {
 			// Distinct timestamps make the pair distinct blocks with
 			// distinct digests — a real double proposal.
 			pair[i].block.ProposedUnixNano += int64(i)
+		}
+		// Variant 0 goes to the larger part (below), so it is the one
+		// certified.
+		if len(parents) > crypto.QuorumSize(w.n) {
+			omit := int(r) % len(parents)
+			pair[0].block.Parents = slices.Delete(slices.Clone(parents), omit, omit+1)
+			w.refSplits.Add(1)
 		}
 		// Alternate the split so every honest replica sees both variants
 		// over time.
@@ -126,6 +142,19 @@ func TestScenarioByzantineEquivocatingProposer(t *testing.T) {
 	// then fetch the block it never saw.
 	if byz.blocksServed.Load() == 0 {
 		t.Error("no replica ever fetched the variant it was not sent — certificate-before-block was not exercised")
+	}
+	// The pair named different parents, and honest replicas committed
+	// slots fast next to it: the fast rule ran where a proposer's block
+	// can name what its certified twin does not.
+	var fast uint64
+	for _, i := range honest {
+		fast += h.Cluster().Node(i).Metrics().Snapshot().Counters["slots_committed_fast"]
+	}
+	t.Logf("%d of %d equivocated rounds named different parents; honest replicas committed %d slots fast",
+		byz.refSplits.Load(), byz.slotsOpened.Load(), fast)
+	if byz.refSplits.Load() == 0 || fast == 0 {
+		t.Errorf("%d equivocated rounds named different parents, %d slots committed fast: the fast commit's threshold was not exercised",
+			byz.refSplits.Load(), fast)
 	}
 }
 

@@ -6,7 +6,8 @@
 // Like a replica it learns that a slot is certified by counting the
 // votes the committee broadcasts — vote bundles, each checked once
 // against the root of its entries — in one collector per block digest,
-// and a round with 2f+1 certified slots lets it propose the next. Its
+// and a round with 2f+1 certified slots lets it propose the next (at
+// once, or once the round is full or a hold has passed). Its
 // own votes are bundles of one. It broadcasts a vote for every block it
 // proposes itself, so
 // honest replicas find the proposer's vote where they expect it;
@@ -54,12 +55,18 @@ type wireDriver struct {
 	onPeerBlock  func(b *types.Block)
 	onPeerBundle func(from types.ReplicaID, payload []byte)
 	withholdOwn  bool
+	// holdFor, when set, keeps a round whose quorum is certified open
+	// for its other slots: the next proposal waits until every slot is
+	// certified or holdFor has passed, as an honest proposer's slot hold
+	// does. Set before start.
+	holdFor time.Duration
 
 	mu       sync.Mutex
 	blocks   map[types.Digest]*types.Block            // own proposals
 	tally    map[types.Digest]*crypto.QuorumCollector // every slot's votes, by block digest
 	certs    map[types.Round]map[types.Digest]bool    // certificate digests per round
 	proposed map[types.Round]bool
+	held     map[types.Round]bool // rounds with a hold timer running
 
 	peerBlocks   atomic.Uint64 // peer proposals received
 	peerVotes    atomic.Uint64 // honest votes cast for peers
@@ -67,6 +74,7 @@ type wireDriver struct {
 	ownCerts     atomic.Uint64 // own blocks that gathered a quorum
 	slotsOpened  atomic.Uint64 // own slots proposed
 	blocksServed atomic.Uint64 // MsgBlockReq answered
+	refSplits    atomic.Uint64 // own slots whose blocks name different parents
 }
 
 func newWireDriver(t *testing.T, h *Harness, id types.ReplicaID) *wireDriver {
@@ -86,6 +94,7 @@ func newWireDriver(t *testing.T, h *Harness, id types.ReplicaID) *wireDriver {
 		tally:    make(map[types.Digest]*crypto.QuorumCollector),
 		certs:    make(map[types.Round]map[types.Digest]bool),
 		proposed: make(map[types.Round]bool),
+		held:     make(map[types.Round]bool),
 	}
 }
 
@@ -257,20 +266,39 @@ func (w *wireDriver) count(voter types.ReplicaID, epoch types.Epoch, r types.Rou
 	if proposer == w.self {
 		w.ownCerts.Add(1)
 	}
-	rm := w.certs[cert.Round]
+	rm := w.certs[r]
 	if rm == nil {
 		rm = make(map[types.Digest]bool)
-		w.certs[cert.Round] = rm
+		w.certs[r] = rm
 	}
 	rm[cert.Digest()] = true
-	if len(rm) >= crypto.QuorumSize(w.n) && !w.proposed[cert.Round+1] {
-		parents := make([]types.Digest, 0, len(rm))
-		for d := range rm {
-			parents = append(parents, d)
+	switch {
+	case len(rm) < crypto.QuorumSize(w.n) || w.proposed[r+1]:
+	case len(rm) < w.n && w.holdFor > 0:
+		if !w.held[r] {
+			w.held[r] = true
+			time.AfterFunc(w.holdFor, func() {
+				w.mu.Lock()
+				defer w.mu.Unlock()
+				if !w.proposed[r+1] {
+					w.propose(r+1, w.certsAt(r))
+				}
+			})
 		}
-		types.SortDigests(parents)
-		w.propose(cert.Round+1, parents)
+	default:
+		w.propose(r+1, w.certsAt(r))
 	}
+}
+
+// certsAt returns round r's certificate digests, sorted. Callers hold
+// w.mu.
+func (w *wireDriver) certsAt(r types.Round) []types.Digest {
+	parents := make([]types.Digest, 0, len(w.certs[r]))
+	for d := range w.certs[r] {
+		parents = append(parents, d)
+	}
+	types.SortDigests(parents)
+	return parents
 }
 
 // propose emits the scenario's block(s) for the slot, each followed —

@@ -11,8 +11,9 @@
 package dag
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"thunderbolt/internal/types"
 )
@@ -56,12 +57,13 @@ type Store struct {
 	// were seen from, one flag per committee member.
 	parentSeen []bool
 
-	// walkSeen/walkStack are scratch for Linearize, reused across
-	// commit waves so the per-wave walk allocates nothing but its
-	// result slice. Store is event-loop-owned, so plain fields are
-	// safe.
+	// walkSeen/walkStack/walkOut are scratch for Linearize, reused
+	// across commit waves so the per-wave walk allocates nothing but
+	// its exactly sized result. Store is event-loop-owned, so plain
+	// fields are safe.
 	walkSeen  map[types.Digest]bool
 	walkStack []*Vertex
+	walkOut   []*Vertex
 
 	// support memoizes SupportFor per vertex (by certificate digest).
 	// A memo entry is valid while the supporting round's vote set is
@@ -390,15 +392,12 @@ func (s *Store) Linearize(v *Vertex, skip func(types.Digest) bool) []*Vertex {
 	if skip != nil && skip(v.Cert.Digest()) {
 		return nil
 	}
-	for k := range s.walkSeen {
-		delete(s.walkSeen, k)
-	}
+	clear(s.walkSeen)
 	if s.walkSeen == nil {
 		s.walkSeen = make(map[types.Digest]bool, 64)
 	}
 	s.walkSeen[v.Cert.Digest()] = true
-	out := make([]*Vertex, 1, 16) // escapes to the committer; not scratch
-	out[0] = v
+	out := append(s.walkOut[:0], v)
 	stack := append(s.walkStack[:0], v)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
@@ -418,11 +417,11 @@ func (s *Store) Linearize(v *Vertex, skip func(types.Digest) bool) []*Vertex {
 		}
 	}
 	s.walkStack = stack
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Round() != out[j].Round() {
-			return out[i].Round() < out[j].Round()
-		}
-		return out[i].Proposer() < out[j].Proposer()
+	slices.SortFunc(out, func(a, b *Vertex) int {
+		return cmp.Or(cmp.Compare(a.Round(), b.Round()), cmp.Compare(a.Proposer(), b.Proposer()))
 	})
-	return out
+	res := slices.Clone(out) // escapes to the committer; not scratch
+	clear(out)               // the scratch pins no vertex past the walk
+	s.walkOut = out[:0]
+	return res
 }

@@ -261,6 +261,27 @@ func TestLinearizeDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestLinearizeAllocs: a linearization allocates only its result. The
+// walk's seen set, stack and output live in the store's scratch, and
+// the sort takes no closure-boxed swapper.
+func TestLinearizeAllocs(t *testing.T) {
+	c := dagtest.NewCommittee(4)
+	b := dagtest.NewBuilder(c, 0)
+	for r := 0; r < 6; r++ {
+		b.NextRound(nil, nil)
+	}
+	top := b.NextRound(nil, nil)
+	b.Store.Linearize(top[1], nil) // warm the scratch
+	allocs := testing.AllocsPerRun(100, func() {
+		if got := b.Store.Linearize(top[1], nil); len(got) != 25 {
+			t.Fatalf("linearized %d vertices, want 25", len(got))
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("Linearize made %.1f allocations per call, want at most 1 (the result)", allocs)
+	}
+}
+
 func TestCertsAtRoundSorted(t *testing.T) {
 	c := dagtest.NewCommittee(4)
 	b := dagtest.NewBuilder(c, 0)

@@ -33,10 +33,10 @@ func (d *Dedup) Scratch() *Scratch {
 // Reset forgets every mark made through the view, which then shows the
 // Dedup as it is now, and returns the view for chaining.
 func (s *Scratch) Reset() *Scratch {
-	for c, w := range s.clients {
+	for _, w := range s.clients {
 		s.free = append(s.free, w)
-		delete(s.clients, c)
 	}
+	clear(s.clients)
 	return s
 }
 

@@ -36,6 +36,9 @@ func (n *Node) processCommits() {
 			n.nm.slotsSkipped.Add(uint64(len(w.Skipped)))
 			if w.Direct {
 				n.nm.slotsDirect.Add(1)
+				if w.Fast {
+					n.nm.slotsFast.Add(1)
+				}
 			} else {
 				n.nm.slotsIndirect.Add(1)
 			}
@@ -654,6 +657,6 @@ func (n *Node) reconfigure() {
 	n.nm.reconfigurations.Add(1)
 	// a = the epoch entered.
 	n.trace(metrics.EvReconfig, 0, uint64(next), 0)
-	n.propose()
+	n.proposeEntry()
 	n.replayFuture()
 }

@@ -412,8 +412,10 @@ type Node struct {
 	ballot      []voteEntry
 	ballotSpare []voteEntry
 	// voteUnsynced is set when a vote was journaled on a durable
-	// backend since the last seal; sealVotes flushes the journal first.
+	// backend since the last sync; sealVotes syncs the journal first,
+	// and so does a flush carrying a fresh own block (ownUnsent).
 	voteUnsynced bool
+	ownUnsent    bool
 	voteTree     types.MerkleTree
 	leafBuf      []types.Digest
 	inVotes      voteBundle
@@ -678,8 +680,11 @@ func (n *Node) resetEpochState(epoch types.Epoch, base types.Round) {
 	n.table.reset(epoch == n.epoch, base)
 	n.epoch = epoch
 	n.dagStore = dag.NewStoreAt(epoch, n.n, base)
-	n.committer = tusk.NewCommitter(n.dagStore, n.n)
-	n.nextRound = 1
+	n.newCommitter(0)
+	// Resume above every own slot that holds a journaled vote (a restart
+	// from the WAL, a same-epoch re-entry): its block is out already,
+	// and a second block in it would be this replica equivocating.
+	n.nextRound = max(base, n.table.ownVoted(n.cfg.ID)+1)
 	n.latestRound = make([]types.Round, n.n)
 	n.ownWrites = make(map[types.Key]types.Value)
 	n.ownBlocks = nil
@@ -697,6 +702,14 @@ func (n *Node) resetEpochState(epoch types.Epoch, base types.Round) {
 	n.snapServed = make(map[types.ReplicaID]time.Time)
 	n.lastSnapAt = 0
 	n.fetch = nil
+}
+
+// newCommitter starts the epoch's committer at round seed (see
+// tusk.NewCommitterAt), counting the blocks the slot table holds from
+// their proposers toward the fast commit.
+func (n *Node) newCommitter(seed types.Round) {
+	n.committer = tusk.NewCommitterAt(n.dagStore, n.n, seed)
+	n.committer.Receive(n.table.received)
 }
 
 // CommitEntry is one record of a node's ordered commit sequence: the
@@ -811,6 +824,7 @@ func (n *Node) Inspect(f func(*DebugView)) error {
 			DagVertices:    n.dagStore.Len(),
 			CommittedFlags: n.committer.CommittedLen(),
 			SpecUncovered:  n.nm.specUncovered.Value(),
+			SlotsFast:      n.nm.slotsFast.Value(),
 			Vertices: func(r types.Round) []VertexInfo {
 				var out []VertexInfo
 				for _, v := range n.dagStore.AtRound(r) {
@@ -868,6 +882,10 @@ type DebugView struct {
 	// had run: the speculation queue was empty, or its oldest entry had
 	// not run, so the wave ran at commit time.
 	SpecUncovered uint64
+	// SlotsFast counts the slots committed on every proposer's received,
+	// not yet certified, next-round block (slots_committed_fast, a subset
+	// of slots_committed_direct).
+	SlotsFast uint64
 	// Vertices returns the certified vertices at one round (valid only
 	// inside the Inspect callback).
 	Vertices func(r types.Round) []VertexInfo
@@ -902,7 +920,7 @@ func (n *Node) run() {
 	pace := time.NewTicker(n.cfg.MinRoundInterval)
 	defer pace.Stop()
 	defer n.slotTimer.Stop()
-	n.propose()
+	n.proposeEntry()
 	n.flushOutbox()
 	for {
 		select {
@@ -1048,9 +1066,8 @@ func (n *Node) housekeeping() {
 				n.nm.stallRebroadcasts.Add(1)
 				n.queueBcast(MsgBlock, b.Wire())
 				// The vote goes again only if it is the slot's journaled
-				// one: a replica restarted into a round it had already
-				// proposed holds a vote for the earlier block, and signs
-				// nothing for this one.
+				// one (propose never makes a second block for a voted own
+				// slot, so it is).
 				if v, ok := n.repeatVote(voteKey{round: b.Round, proposer: n.cfg.ID}, b.Digest()); ok {
 					n.queueBcast(MsgVote, v)
 				}
@@ -1380,10 +1397,15 @@ func (n *Node) handleBlock(from types.ReplicaID, b *types.Block, raw []byte) {
 			n.queueTo(b.Proposer, MsgVote, v)
 		}
 	}
-	// A certificate may have arrived first (it names a held block).
+	// A certificate may have arrived first (it names a held block);
+	// landing the vertex runs the commit rule. Otherwise a block from
+	// its proposer may still complete a slot of the round below: its
+	// fast commit counts every proposer's block naming it.
 	if c := s.cert; c != nil && c.BlockDigest == d {
 		s.cert = nil
 		n.addVertex(&dag.Vertex{Block: b, Cert: c})
+	} else if from == b.Proposer && held && b.Round > n.committer.DecidedRound()+1 {
+		n.processCommits()
 	}
 }
 

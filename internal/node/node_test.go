@@ -318,6 +318,37 @@ func TestWANCommitteeSendsNoRecoveryTraffic(t *testing.T) {
 	}
 }
 
+// TestWANCommitteeCommitsOnReceivedBlocks: on fault-free 30–50 ms links
+// every proposer's next-round block names every slot, so nearly every
+// slot commits on those blocks as they arrive (slots_committed_fast),
+// a link delay before they are certified.
+func TestWANCommitteeCommitsOnReceivedBlocks(t *testing.T) {
+	c, err := cluster.New(cluster.Config{
+		N: 4, Seed: 11, Accounts: 64, BatchSize: 64, Executors: 4, Validators: 4,
+		Latency: transport.WANModel(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	gen := workload.NewGenerator(workload.Config{
+		Accounts: 64, Shards: 4, Theta: 0.7, ReadRatio: 0.3, Seed: 11, Client: 1,
+	})
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		submitBatch(t, c, gen.Batch(8))
+	}
+	for i := 0; i < 4; i++ {
+		s := c.Node(i).Metrics().Snapshot().Counters
+		direct, fast := s["slots_committed_direct"], s["slots_committed_fast"]
+		t.Logf("replica %d: %d slots direct, %d of them fast; %d indirect, %d skipped",
+			i, direct, fast, s["slots_committed_indirect"], s["slots_skipped"])
+		if direct < 40 || fast*10 < direct*9 {
+			t.Errorf("replica %d committed %d of %d direct slots fast, want at least 90 %%", i, fast, direct)
+		}
+	}
+}
+
 // TestFaultFreeCommitteeSendsNoCertificates: replicas certify from the
 // broadcast votes, so a certificate travels only as a recovery reply —
 // at most n per MsgRoundReq, to the replica that asked. A committee without faults puts no other MsgCert on the wire,

@@ -110,9 +110,16 @@ func (n *Node) sendNow(to types.ReplicaID, mt transport.MsgType, payload []byte)
 // its round quorum (votes.go), and drains the queued traffic: per peer,
 // a single message goes out as itself and anything more folds into one
 // MsgBatch frame. The frame buffer is reused across flushes — both
-// transports copy the payload before returning.
+// transports copy the payload before returning. A fresh own block
+// leaves only once its own vote's journal entry is on disk, held ballot
+// or not: a replica that crashed with the block out and the vote lost
+// would resume below the block's round, and could propose it again.
 func (n *Node) flushOutbox() {
 	n.sealVotes(true, true)
+	if n.ownUnsent {
+		n.syncVotes()
+		n.ownUnsent = false
+	}
 	direct := 0
 	for i := range n.outDirect {
 		direct += len(n.outDirect[i])

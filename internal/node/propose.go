@@ -125,10 +125,17 @@ func (s *preplayVersioned) Apply(writes []types.RWRecord) uint64 {
 }
 
 // propose builds and broadcasts this node's block for n.nextRound,
-// then advances nextRound. Called once at start (round 1) and from
-// maybeAdvance as certificate quorums form.
+// then advances nextRound. Called at an epoch's entry (proposeEntry)
+// and from maybeAdvance as certificate quorums form. It refuses a round
+// whose own slot holds a journaled vote: that slot's block is out
+// already, and a second one would make this replica an equivocator —
+// the one thing the commit rule's fast path assumes an honest proposer
+// never is (resetEpochState resumes above every such round).
 func (n *Node) propose() {
 	r := n.nextRound
+	if s := n.table.find(voteKey{round: r, proposer: n.cfg.ID}); s != nil && !s.vote.IsZero() {
+		return
+	}
 	n.nextRound++
 	n.roundsProposed++
 	n.lastProposal = time.Now()
@@ -170,6 +177,7 @@ func (n *Node) propose() {
 	s, _ := n.trackPendingBlock(blk, n.cfg.ID)
 	n.lastBlock = blk
 	n.queueBcast(MsgBlock, blk.Wire())
+	n.ownUnsent = true // it leaves after its vote's journal entry (flushOutbox)
 	// Vote for our own block inline — the outbox excludes self from
 	// broadcasts — journaled first, as handleBlock does for peer blocks.
 	// The vote waits on the ballot for the round's quorum and leaves in
@@ -179,6 +187,19 @@ func (n *Node) propose() {
 	// the quorum and the vertex lands at this pass's flush.)
 	if s.vote.IsZero() {
 		n.castVote(blk, s, d)
+	}
+	// The own block counts toward the fast commit of the round below.
+	n.processCommits()
+}
+
+// proposeEntry makes an epoch entry's first proposal, at the DAG's base,
+// which needs no parents. A replica resumed above the base (its own
+// slots there hold journaled votes) proposes when its resume round's
+// quorum forms instead (maybeAdvance), or rejoins at the frontier
+// (fastForward).
+func (n *Node) proposeEntry() {
+	if n.nextRound == n.dagStore.Base() {
+		n.propose()
 	}
 }
 

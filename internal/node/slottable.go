@@ -52,6 +52,33 @@ func (s *slot) block(d types.Digest) *types.Block {
 	return nil
 }
 
+// received returns the block slot (r, p) holds as received from p
+// itself — this replica's own proposal when p is this replica — or nil:
+// the blocks the commit rule's fast path counts (tusk.Received). A
+// held block stays until its round's record is dropped, below the GC
+// floor or at an epoch entry, both past any slot it can decide.
+func (t *slotTable) received(r types.Round, p types.ReplicaID) *types.Block {
+	if s := t.find(voteKey{round: r, proposer: p}); s != nil {
+		for i := range s.blocks {
+			if s.blocks[i].from == p {
+				return s.blocks[i].b
+			}
+		}
+	}
+	return nil
+}
+
+// ownVoted returns the highest round whose slot of proposer id holds a
+// journaled vote, 0 if none does.
+func (t *slotTable) ownVoted(id types.ReplicaID) (hi types.Round) {
+	for r, rs := range t.rounds {
+		if r > hi && !rs.slot[id].vote.IsZero() {
+			hi = r
+		}
+	}
+	return hi
+}
+
 type roundRecord struct {
 	slot      []slot       // by proposer
 	own       *types.Block // own proposal, until fastForward requeues it

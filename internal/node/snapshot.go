@@ -6,7 +6,6 @@ import (
 
 	"thunderbolt/internal/gateway"
 	"thunderbolt/internal/metrics"
-	"thunderbolt/internal/tusk"
 	"thunderbolt/internal/types"
 )
 
@@ -322,7 +321,7 @@ func (n *Node) installSnapshot(snap *types.Snapshot, writes []types.RWRecord, ch
 	// proposal at the base needs no parents (the store waives them
 	// there), and normal catch-up — round pulls, orphan backfill,
 	// fast-forward — walks this replica to the live frontier.
-	n.propose()
+	n.proposeEntry()
 	n.replayFuture()
 }
 
@@ -371,12 +370,11 @@ func (n *Node) enterEpoch(epoch types.Epoch, endRound types.Round, shifts []type
 	}
 	n.txQueue = nil
 	n.resetEpochState(epoch, base)
-	n.committer = tusk.NewCommitterAt(n.dagStore, n.n, endRound)
+	n.newCommitter(endRound)
 	n.commitCtx = CommitEntry{Epoch: epoch, Wave: endRound}
 	for _, p := range shifts {
 		n.committedShift[p] = true
 	}
-	n.nextRound = base
 	// Resume the capture cadence at the entry position, as the
 	// committee's did: the next capture is at the next interval
 	// boundary they cross too, not on the first wave here.

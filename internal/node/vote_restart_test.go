@@ -18,8 +18,9 @@ import (
 // voteRestartFixture is replica 0 of a committee of four on a durable
 // store that can be crashed and reopened, with every vote signature
 // that reaches a peer recorded — votes are broadcast — by receiver and
-// by the digest signed. The recorders are installed before any vote is
-// cast, so late deliveries cannot slip past them.
+// by the digest signed, and every block by slot and digest. The
+// recorders are installed before any vote is cast, so late deliveries
+// cannot slip past them.
 type voteRestartFixture struct {
 	t        *testing.T
 	net      *transport.SimNetwork
@@ -31,6 +32,7 @@ type voteRestartFixture struct {
 
 	mu       sync.Mutex
 	votesFor map[types.ReplicaID]map[types.Digest]int
+	blocks   map[voteKey]map[types.Digest]bool
 }
 
 func newVoteRestartFixture(t *testing.T, checkpointEvery int) *voteRestartFixture {
@@ -43,11 +45,23 @@ func newVoteRestartFixture(t *testing.T, checkpointEvery int) *voteRestartFixtur
 		dir: t.TempDir(), ckpt: checkpointEvery,
 		signers: signers, verifier: verifier,
 		votesFor: make(map[types.ReplicaID]map[types.Digest]int),
+		blocks:   make(map[voteKey]map[types.Digest]bool),
 	}
 	t.Cleanup(f.net.Close)
 	for _, peer := range []types.ReplicaID{1, 2, 3} {
 		f.votesFor[peer] = make(map[types.Digest]int)
 		record := func(mt transport.MsgType, payload []byte) {
+			var b types.Block
+			if mt == MsgBlock && b.UnmarshalBinary(payload) == nil {
+				f.mu.Lock()
+				k := voteKey{round: b.Round, proposer: b.Proposer}
+				if f.blocks[k] == nil {
+					f.blocks[k] = make(map[types.Digest]bool)
+				}
+				f.blocks[k][b.Digest()] = true
+				f.mu.Unlock()
+				return
+			}
 			var v voteBundle
 			if mt != MsgVote || v.unmarshal(payload) != nil {
 				return
@@ -231,15 +245,16 @@ func TestFirstVoteJournaledAcrossRestart(t *testing.T) {
 
 // TestRestartedProposerNeverSignsSecondDigest is the own-slot case of
 // the same hazard. A replica that proposed — and so voted for — round r,
-// crashed and restarted proposes r again, and the new block's digest
-// differs (its timestamp is hashed). Peers that voted for the first
-// block refuse the second, the replica stalls, and housekeeping
-// rebroadcasts: the block may go again, a signature over its digest
-// must not — with f Byzantine voters two digests of one slot could both
-// reach 2f+1. A replica that did not restart repeats the one vote it
-// cast, without signing again. With no peer block arriving, the own vote
-// waits on the ballot for its round's quorum until the first stalled
-// tick seals it: that seal is the one signature the slot ever gets.
+// crashed and restarted must not sign a second digest for its slot: a
+// second proposal of r would carry one (its timestamp is hashed), and
+// with f Byzantine voters two digests of one slot could both reach
+// 2f+1. The restarted replica resumes above r
+// (TestRestartNeverReproposesOwnSlot); walked back to r, propose
+// refuses the slot, so no second block exists to sign. A replica that
+// did not restart repeats the one vote it cast, without signing again.
+// With no peer block arriving, the own vote waits on the ballot for its
+// round's quorum until the first stalled tick seals it: that seal is
+// the one signature the slot ever gets.
 func TestRestartedProposerNeverSignsSecondDigest(t *testing.T) {
 	f := newVoteRestartFixture(t, -1)
 	stall := func(n *Node) {
@@ -304,31 +319,117 @@ func TestRestartedProposerNeverSignsSecondDigest(t *testing.T) {
 	if got, _ := n2.table.vote(k); got != first {
 		t.Fatal("journaled own-slot vote lost across restart")
 	}
+	n2.nextRound = 1
 	n2.propose()
 	n2.flushOutbox()
-	second := n2.lastBlock.Digest()
-	if n2.lastBlock.Round != 1 || second == first {
-		t.Fatalf("fixture broken: restarted replica proposed round %d, same digest %v", n2.lastBlock.Round, second == first)
+	if n2.lastBlock != nil || n2.nextRound != 1 || n2.table.received(1, 0) != nil {
+		t.Fatal("restarted proposer proposed its journaled slot again")
 	}
 	stall(n2)
 	stall(n2)
 	stall(n2)
-	if got := n2.nm.stallRebroadcasts.Value(); got < 2 {
-		t.Fatalf("stall_rebroadcasts = %d, want ≥ 2: the stall was not exercised", got)
-	}
 	if got, _ := n2.table.vote(k); got != first {
 		t.Fatal("restarted proposer overwrote its journaled vote")
 	}
+	if got := n2.nm.voteSigsSigned.Value(); got != 0 {
+		t.Fatalf("restarted proposer signed %d votes with no block to vote for", got)
+	}
 	for _, peer := range []types.ReplicaID{1, 2, 3} {
-		if got := f.votes(peer, second); got != 0 {
-			t.Fatalf("restarted proposer sent replica %d %d votes for a second digest of its journaled slot", peer, got)
-		}
 		if got := f.digests(peer); got != 1 {
 			t.Fatalf("replica %d received votes for %d digests of slot (1,0), want 1", peer, got)
 		}
 	}
-	if s := n2.table.collector(k); s != nil && s.votes[0].sig != nil {
-		t.Fatal("restarted proposer counted a vote for the second block in its own collector")
+}
+
+// blockDigests is how many distinct blocks of slot k reached a peer.
+func (f *voteRestartFixture) blockDigests(k voteKey) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.blocks[k])
+}
+
+// TestRestartNeverReproposesOwnSlot: a replica restarted from its WAL
+// resumes above every own slot whose vote it journaled, and its event
+// loop's first pass proposes nothing there. Proposing round 1 again —
+// what starting at round 1 did — would put a second block, with a new
+// digest, in a slot whose first block peers hold: the honest
+// equivocation the fast commit rule must never see.
+func TestRestartNeverReproposesOwnSlot(t *testing.T) {
+	f := newVoteRestartFixture(t, -1)
+	k := voteKey{round: 1, proposer: 0}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	d := f.open()
+	n1 := f.build(d)
+	n1.Start()
+	waitFor("the round-1 proposal to reach the peers", func() bool { return f.blockDigests(k) == 1 })
+	n1.Stop()
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	d.CloseAbrupt()
+
+	d2 := f.open()
+	defer d2.CloseAbrupt()
+	n2 := f.build(d2)
+	if n2.nextRound != 2 {
+		t.Fatalf("restarted replica resumes at round %d, want 2: above its journaled slot (1,0)", n2.nextRound)
+	}
+	n2.Start()
+	// Let the loop run its first pass and a few housekeeping ticks.
+	time.Sleep(10 * n2.cfg.TickInterval)
+	n2.Stop()
+	if got := f.blockDigests(k); got != 1 {
+		t.Fatalf("peers received %d blocks for slot (1,0), want the one proposed before the restart", got)
+	}
+	if s := n2.table.find(k); s != nil && len(s.blocks) > 0 {
+		t.Fatal("restarted replica made a second block for its journaled slot (1,0)")
+	}
+	for _, peer := range []types.ReplicaID{1, 2, 3} {
+		if got := f.digests(peer); got > 1 {
+			t.Fatalf("replica %d received votes for %d digests of slot (1,0), want at most 1", peer, got)
+		}
+	}
+}
+
+// TestOwnBlockJournaledBeforeWire: a proposal reaches the wire only after
+// its own vote's journal entry reaches the disk, though the vote itself
+// waits on the ballot for the round's quorum. The group-commit timer is
+// out of reach and nothing calls Sync: a crash right after a peer holds
+// the block must still find the vote, so the restarted replica resumes
+// above the block's round and never proposes it again.
+func TestOwnBlockJournaledBeforeWire(t *testing.T) {
+	f := newVoteRestartFixture(t, -1)
+	f.group = time.Hour
+	k := voteKey{round: 1, proposer: 0}
+	d := f.open()
+	n1 := f.build(d)
+	n1.propose()
+	n1.flushOutbox()
+	time.Sleep(50 * time.Millisecond)
+	if f.blockDigests(k) != 1 {
+		t.Fatal("fixture broken: the proposal did not reach the peers")
+	}
+	if got := n1.nm.voteSigsSigned.Value(); got != 0 {
+		t.Fatalf("fixture broken: %d vote signatures, want the own vote held on the ballot", got)
+	}
+	d.CloseAbrupt()
+
+	d2 := f.open()
+	defer d2.CloseAbrupt()
+	n2 := f.build(d2)
+	if got, ok := n2.table.vote(k); !ok || got != n1.lastBlock.Digest() {
+		t.Fatalf("own vote for the proposal that reached the peers lost in the crash (present=%v)", ok)
+	}
+	if n2.nextRound != 2 {
+		t.Fatalf("restarted replica resumes at round %d, want 2", n2.nextRound)
 	}
 }
 

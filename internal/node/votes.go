@@ -201,12 +201,7 @@ func (n *Node) sealVotes(count, hold bool) {
 			n.nm.voteSealHolds.Add(1)
 			return
 		}
-		if n.voteUnsynced {
-			if err := n.cfg.Store.Sync(); err != nil {
-				panic(fmt.Sprintf("node: vote journal not durable: %v", err))
-			}
-			n.voteUnsynced = false
-		}
+		n.syncVotes()
 		cast := n.ballot
 		n.ballot = n.ballotSpare[:0] // votes cast while counting go to the other buffer
 		for rest := cast; len(rest) > 0; {
@@ -222,6 +217,18 @@ func (n *Node) sealVotes(count, hold bool) {
 			}
 		}
 		n.ballotSpare = cast[:0]
+	}
+}
+
+// syncVotes makes the votes journaled since the last sync durable. A
+// replica whose journal fails must not sign or propose at all, and the
+// backend's next append would panic on the same error.
+func (n *Node) syncVotes() {
+	if n.voteUnsynced {
+		if err := n.cfg.Store.Sync(); err != nil {
+			panic(fmt.Sprintf("node: vote journal not durable: %v", err))
+		}
+		n.voteUnsynced = false
 	}
 }
 

@@ -15,6 +15,11 @@
 // applies:
 //
 //   - direct commit: q round-(r+1) vertices reference v;
+//   - fast direct commit: this replica holds round-(r+1) blocks from
+//     3f+1 distinct proposers (every proposer at n = 3f+1), each
+//     received from its own proposer and naming v's certificate among
+//     its parents — certified or not (after Shoal++'s fast direct
+//     commit: one message delay before those blocks are certified);
 //   - direct skip: q round-(r+1) vertices do not reference it (a
 //     missing v is referenced by no vertex in the store, so a crashed
 //     proposer's slot is skipped as soon as its next round holds a
@@ -38,7 +43,12 @@
 // (dag.Store.Add refuses a vertex with fewer, and keeps one out until
 // its parents are in). References are a property of the vertices
 // alone, so every count below is a property of the DAG, not of when a
-// replica saw it.
+// replica saw it — but for the fast rule's count, which is of blocks
+// this replica received. That rule needs a third fact, about honest
+// proposers: one puts exactly one block in each of its slots (the node
+// never proposes a round whose own slot holds a journaled vote), and
+// sends it itself, so a block received from an honest proposer is the
+// only one of its slot any replica can certify.
 //
 //  1. Direct decisions never conflict. Round r+1 has at most n slots; q
 //     referencers and q non-referencers would need 2q > n of them.
@@ -50,7 +60,18 @@
 //  3. A direct skip forces indirect skip. With q non-referencers, at
 //     most n − q = f vertices reference v anywhere, so no anchor's
 //     history holds more than f.
-//  4. Two indirect decisions agree. By induction on the depth of the
+//  4. A fast direct commit forces indirect commit. Of its 3f+1
+//     referencers at least 2f+1 come from honest proposers, whose slots
+//     can certify no other block. So at most n − (2f+1) < q slots can
+//     ever be certified non-referencers, and no replica skips v
+//     directly; and any round-(r+2) vertex's q parents meet the honest
+//     referencers' slots in at least q + 2f+1 − n = f+1 vertices, so
+//     every anchor's history holds more than f referencers, as in 2.
+//     With q received references instead, f of them may be equivocating
+//     proposers whose certified blocks omit v, and an anchor's parents
+//     may meet the remaining f+1 in one vertex: a replica could commit
+//     what another skips through that anchor.
+//  5. Two indirect decisions agree. By induction on the depth of the
 //     decisions' derivations: the slots from round r+2 up to either
 //     replica's anchor are decided by shallower derivations, so both
 //     agree on them, hence on which slot is the first not skipped — the
@@ -58,25 +79,28 @@
 //     fixed set, so the count of v's referencers in it is the same.
 //
 // Decisions are also final: a direct count only ever grows toward its
-// threshold and the other side can never reach its own (1), and an
-// anchor's decision and history do not change. So a slot decided once
-// stays decided, and the slot order makes the wave sequence a function
-// of the DAG. Each committed slot commits its whole uncommitted causal
+// threshold and the other side can never reach its own (1, 4), a fast
+// decision is kept once made, and an anchor's decision and history do
+// not change. So a slot decided once stays decided, and the slot order
+// makes the wave sequence a function of the DAG. Each committed slot commits its whole uncommitted causal
 // history, so the committed set stays causally closed — the invariant
 // the pruning walk in dag.Store.Linearize relies on.
 //
-// Three shortcuts look tempting and are unsafe; the property test in
+// Four shortcuts look tempting and are unsafe; the property test in
 // this package catches each. Skipping on f+1 non-references lets one
 // replica skip a slot that another, seeing a different f+1 first,
 // commits through an anchor. Committing indirectly because the anchor
 // reaches v at all (reachability alone, as the old per-round chain walk
 // did) contradicts a direct skip, where f referencers may still exist.
-// And ordering a slot while an earlier one is undecided lets that
-// earlier slot's later commit land behind it on one replica and in
-// front of it on another.
+// Ordering a slot while an earlier one is undecided lets that earlier
+// slot's later commit land behind it on one replica and in front of it
+// on another. And a fast commit on q received references, not 3f+1,
+// is the one 4 rules out.
 package tusk
 
 import (
+	"slices"
+
 	"thunderbolt/internal/crypto"
 	"thunderbolt/internal/dag"
 	"thunderbolt/internal/types"
@@ -112,12 +136,14 @@ func SlotIndex(epoch types.Epoch, r types.Round, n int, p types.ReplicaID) int {
 // CommitWave is the outcome of one committed slot: the slot's vertex
 // (Leader), the newly committed vertices of its causal history (the
 // slot's vertex included, deterministic order), whether the slot was
-// committed on its own support (Direct) or through a later anchor, and
-// the slots decided skip since the previous wave.
+// committed on its own support (Direct; Fast when on received,
+// not yet certified, references) or through a later anchor, and the
+// slots decided skip since the previous wave.
 type CommitWave struct {
 	Leader   *dag.Vertex
 	Vertices []*dag.Vertex
 	Direct   bool
+	Fast     bool
 	Skipped  []SkippedSlot
 }
 
@@ -136,9 +162,16 @@ type decision uint8
 const (
 	undecided decision = iota
 	commitDirect
+	commitFast
 	commitIndirect
 	skip
 )
+
+// Received reads the block this replica holds for slot (r, p) as
+// received from p itself — its own proposal when p is this replica — or
+// nil. An answer, once given, must not change while the slot is
+// undecided.
+type Received func(r types.Round, p types.ReplicaID) *types.Block
 
 type slot struct {
 	round    types.Round
@@ -151,6 +184,10 @@ type Committer struct {
 	store *dag.Store
 	n     int
 	f     int
+	// received reads the blocks the fast rule counts (nil: the rule is
+	// off); fastQuorum is its threshold, 3f+1.
+	received   Received
+	fastQuorum int
 
 	committed map[types.Digest]bool // by certificate digest
 	// decided is the last round whose slots are all decided, and next
@@ -159,9 +196,10 @@ type Committer struct {
 	next    int
 	// skipped holds the slots decided skip since the last wave.
 	skipped []SkippedSlot
-	// memo keeps the final decisions of slots above the next one, made
-	// while they served as anchors; an anchor search can revisit them on
-	// every Advance until the slot below them is decided.
+	// memo keeps the indirect decisions of slots above the next one,
+	// made while they served as anchors (an anchor search can revisit
+	// them on every Advance until the slot below them is decided), and
+	// every fast decision, whose count is of this replica's receipts.
 	memo map[slot]decision
 }
 
@@ -182,13 +220,17 @@ func NewCommitter(store *dag.Store, n int) *Committer {
 // replay. seed 0 is an ordinary epoch committer.
 func NewCommitterAt(store *dag.Store, n int, seed types.Round) *Committer {
 	return &Committer{
-		store:     store,
-		n:         n,
-		f:         crypto.FaultBound(n),
-		committed: make(map[types.Digest]bool),
-		decided:   seed,
+		store:      store,
+		n:          n,
+		f:          crypto.FaultBound(n),
+		fastQuorum: 3*crypto.FaultBound(n) + 1,
+		committed:  make(map[types.Digest]bool),
+		decided:    seed,
 	}
 }
+
+// Receive turns on the fast direct commit over the blocks read reports.
+func (c *Committer) Receive(read Received) { c.received = read }
 
 // Committed reports whether the vertex with certificate digest d has
 // been committed.
@@ -233,7 +275,8 @@ func (c *Committer) Advance() []CommitWave {
 			c.skipped = append(c.skipped, SkippedSlot{Round: r, Proposer: p, Missing: v == nil})
 		default:
 			w := c.commitSlot(v)
-			w.Direct = d == commitDirect
+			w.Direct = d == commitDirect || d == commitFast
+			w.Fast = d == commitFast
 			w.Skipped, c.skipped = c.skipped, nil
 			waves = append(waves, w)
 		}
@@ -264,6 +307,9 @@ func (c *Committer) decide(r types.Round, p types.ReplicaID) (decision, *dag.Ver
 	switch {
 	case refs >= q:
 		return commitDirect, v
+	case v != nil && c.received != nil && c.receivedRefs(v) >= c.fastQuorum:
+		c.keep(slot{r, p}, commitFast)
+		return commitFast, v
 	case c.store.CountAtRound(r+1)-refs >= q:
 		return skip, v
 	}
@@ -275,11 +321,29 @@ func (c *Committer) decide(r types.Round, p types.ReplicaID) (decision, *dag.Ver
 	if v != nil && c.referencersIn(anchor, v) > c.f {
 		d = commitIndirect
 	}
+	c.keep(slot{r, p}, d)
+	return d, v
+}
+
+// keep memoizes a slot's final decision.
+func (c *Committer) keep(s slot, d decision) {
 	if c.memo == nil {
 		c.memo = make(map[slot]decision)
 	}
-	c.memo[slot{r, p}] = d
-	return d, v
+	c.memo[s] = d
+}
+
+// receivedRefs counts the proposers of round r+1 whose block, as
+// received from them, names v (of round r) among its parents.
+func (c *Committer) receivedRefs(v *dag.Vertex) int {
+	target := v.Cert.Digest()
+	count := 0
+	for p := 0; p < c.n; p++ {
+		if b := c.received(v.Round()+1, types.ReplicaID(p)); b != nil && slices.Contains(b.Parents, target) {
+			count++
+		}
+	}
+	return count
 }
 
 // anchorAbove returns the vertex of the first slot from round r+2 on
@@ -294,7 +358,7 @@ func (c *Committer) anchorAbove(r types.Round) *dag.Vertex {
 			switch d, v := c.decide(a, SlotProposer(epoch, a, c.n, i)); d {
 			case undecided:
 				return nil
-			case commitDirect, commitIndirect:
+			case commitDirect, commitFast, commitIndirect:
 				return v
 			}
 		}

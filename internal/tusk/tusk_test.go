@@ -475,3 +475,60 @@ func TestForgetDropsCommittedFlags(t *testing.T) {
 		t.Fatal("no waves committed after pruning")
 	}
 }
+
+// TestFastCommitOnEveryProposersBlock: a slot commits as soon as every
+// proposer's next-round block, received from that proposer and not yet
+// certified, names it — and not on one fewer. Round 2's blocks come in
+// one by one, proposer 3's naming every round-1 slot but the last in
+// round 1's order: the first three slots commit fast at the fourth
+// block, and the last waits until round 2's certified vertices give it
+// a direct quorum.
+func TestFastCommitOnEveryProposersBlock(t *testing.T) {
+	c := dagtest.NewCommittee(4)
+	b := dagtest.NewBuilder(c, 0)
+	cm := NewCommitter(b.Store, 4)
+	r1 := b.NextRound(nil, nil)
+	last := SlotProposer(0, 1, 4, 3)
+	received := map[types.ReplicaID]*types.Block{}
+	cm.Receive(func(r types.Round, p types.ReplicaID) *types.Block {
+		if r != 2 {
+			return nil
+		}
+		return received[p]
+	})
+	var round2 []*types.Block
+	for p := types.ReplicaID(0); p < 4; p++ {
+		blk := &types.Block{Round: 2, Proposer: p, Shard: types.ShardID(p), Kind: types.NormalBlock}
+		for q := types.ReplicaID(0); q < 4; q++ {
+			if p != 3 || q != last {
+				blk.Parents = append(blk.Parents, r1[q].Cert.Digest())
+			}
+		}
+		round2 = append(round2, blk)
+	}
+	for _, blk := range round2[:3] {
+		received[blk.Proposer] = blk
+		if waves := cm.Advance(); len(waves) != 0 {
+			t.Fatalf("%d received blocks committed %d slots, want none before every proposer's", len(received), len(waves))
+		}
+	}
+	received[3] = round2[3]
+	waves := cm.Advance()
+	if len(waves) != 3 {
+		t.Fatalf("every proposer's block committed %d slots, want the 3 all of them name", len(waves))
+	}
+	for i, w := range waves {
+		if w.Leader != r1[SlotProposer(0, 1, 4, i)] || !w.Direct || !w.Fast {
+			t.Fatalf("wave %d: slot (%d,%d) direct=%v fast=%v, want round 1's slot %d, fast", i, w.Leader.Round(), w.Leader.Proposer(), w.Direct, w.Fast, i)
+		}
+	}
+	for _, blk := range round2 {
+		if err := b.Store.Add(c.Vertex(blk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waves = cm.Advance()
+	if len(waves) != 1 || waves[0].Leader != r1[last] || !waves[0].Direct || waves[0].Fast {
+		t.Fatalf("certified round 2 released %d waves, want slot (1,%d) direct on its certified quorum", len(waves), last)
+	}
+}
