@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -57,12 +56,13 @@ type Config struct {
 }
 
 // CE is a reusable concurrent executor. ExecuteBatch is safe to call
-// from multiple goroutines (each call draws a private graph arena from
-// a pool); a Session additionally carries one arena — and the previous
-// batch's committed tips — across consecutive batches.
+// from multiple goroutines (each call draws a private session from a
+// pool and drops its carry); a Session of the caller's own
+// additionally carries the previous batch's committed tips across
+// consecutive batches.
 type CE struct {
 	cfg  Config
-	pool sync.Pool // *depgraph.Graph arenas
+	pool sync.Pool // *Session, carry dropped before each use
 }
 
 // New creates a CE. Executors defaults to 1; Registry is required.
@@ -100,15 +100,6 @@ type BatchResult struct {
 	Reexecutions uint64
 }
 
-// graphState adapts one graph transaction to contract.State.
-type graphState struct {
-	g *depgraph.Graph
-	t *depgraph.Tx
-}
-
-func (s graphState) Read(k types.Key) (types.Value, error)  { return s.g.Read(s.t, k) }
-func (s graphState) Write(k types.Key, v types.Value) error { return s.g.Write(s.t, k, v) }
-
 // Session is a single-caller executor that owns one graph arena and
 // reuses it across consecutive batches: nodes, key chains, and
 // reachability state are recycled, and each batch's committed tips are
@@ -116,10 +107,15 @@ func (s graphState) Write(k types.Key, v types.Value) error { return s.g.Write(s
 // diffs-against-N contract). Call Invalidate whenever the base state
 // may have changed other than by the previous batch's own committed
 // writes. A Session must not be shared between goroutines.
+//
+// The workers' outputs are recycled too, so a warm session allocates
+// per batch — the result and its one slab of read/write sets — and not
+// per transaction.
 type Session struct {
 	ce    *CE
 	g     *depgraph.Graph
 	carry bool
+	st    batchState
 }
 
 // NewSession creates a session with a fresh arena.
@@ -130,6 +126,16 @@ func (ce *CE) NewSession() *Session { return &Session{ce: ce} }
 // previous batch), base is only consulted for keys the previous batch
 // never touched.
 func (s *Session) ExecuteBatch(base depgraph.BaseReader, txs []*types.Transaction) *BatchResult {
+	g := s.begin(base)
+	if len(txs) == 0 {
+		return &BatchResult{}
+	}
+	return s.ce.run(g, s.st.reset(s.ce.workers(len(txs))), txs)
+}
+
+// begin readies the arena for a batch over base: rebased onto the
+// previous batch's outcome while the carry holds, reset otherwise.
+func (s *Session) begin(base depgraph.BaseReader) *depgraph.Graph {
 	switch {
 	case s.g == nil:
 		s.g = depgraph.New(base)
@@ -139,7 +145,7 @@ func (s *Session) ExecuteBatch(base depgraph.BaseReader, txs []*types.Transactio
 		s.g.Reset(base)
 	}
 	s.carry = true
-	return s.ce.run(s.g, txs)
+	return s.g
 }
 
 // Invalidate drops the carried committed-tip state; the next batch
@@ -166,9 +172,9 @@ func (s *Session) Graph() *depgraph.Graph { return s.g }
 // base. It blocks until every transaction has committed into the
 // schedule or failed terminally.
 func (ce *CE) ExecuteBatch(base depgraph.BaseReader, txs []*types.Transaction) *BatchResult {
-	g := ce.graph(base)
-	res := ce.run(g, txs)
-	ce.pool.Put(g)
+	s := ce.session()
+	res := s.ExecuteBatch(base, txs)
+	ce.pool.Put(s)
 	return res
 }
 
@@ -185,26 +191,30 @@ func (ce *CE) ExecuteLayered(base depgraph.BaseReader, txs []*types.Transaction,
 	if len(accs) != len(txs) {
 		panic("ce: ExecuteLayered footprints misaligned")
 	}
-	g := ce.graph(base)
-	pending := make([]attempt, len(txs))
-	for i := range txs {
-		pending[i] = attempt{tx: txs[i], reads: accs[i].Reads, writes: accs[i].Writes}
+	if len(txs) == 0 {
+		return &BatchResult{}
 	}
-	st := &batchState{outs: make([]workerOut, ce.workers(len(txs)))}
-	ce.retryRounds(g, st, pending, len(txs))
+	s := ce.session()
+	g := s.begin(base)
+	st := s.st.reset(ce.workers(len(txs)))
+	for i := range txs {
+		st.pending = append(st.pending, attempt{tx: txs[i], reads: accs[i].Reads, writes: accs[i].Writes})
+	}
+	ce.retryRounds(g, st, st.pending, len(txs))
 	res := st.assemble()
-	ce.pool.Put(g)
+	ce.pool.Put(s)
 	return res
 }
 
-// graph draws a reset arena from the pool.
-func (ce *CE) graph(base depgraph.BaseReader) *depgraph.Graph {
-	if gi := ce.pool.Get(); gi != nil {
-		g := gi.(*depgraph.Graph)
-		g.Reset(base)
-		return g
+// session draws a pooled session with its carry dropped: a pooled
+// arena's last batch ran over some other caller's base.
+func (ce *CE) session() *Session {
+	s, _ := ce.pool.Get().(*Session)
+	if s == nil {
+		return ce.NewSession()
 	}
-	return depgraph.New(base)
+	s.Invalidate()
+	return s
 }
 
 func (ce *CE) workers(n int) int {
@@ -223,10 +233,14 @@ func (ce *CE) workers(n int) int {
 	return w
 }
 
-// committed pairs a scheduled transaction with its result.
+// committed is a scheduled transaction: its committed attempt, whose
+// sets assemble copies out, at schedule position idx after retries
+// earlier attempts.
 type committed struct {
-	tx  *types.Transaction
-	res types.TxResult
+	tx      *types.Transaction
+	h       *depgraph.Tx
+	idx     int
+	retries int
 }
 
 // attempt is one transaction awaiting (re-)execution, with the key
@@ -248,17 +262,45 @@ type workerOut struct {
 	rexec  uint64
 }
 
-// batchState aggregates worker outputs across waves.
+// batchState aggregates worker outputs across waves. It is recycled
+// with its session: reset empties every list and keeps its capacity.
 type batchState struct {
 	outs []workerOut
+	// pending and accs are retryRounds' lists: the attempts awaiting
+	// the next round and their footprints.
+	pending []attempt
+	accs    []depgraph.Access
 }
 
+// reset readies st for a batch on the given number of workers.
+func (st *batchState) reset(workers int) *batchState {
+	if cap(st.outs) < workers {
+		st.outs = append(st.outs[:cap(st.outs)], make([]workerOut, workers-cap(st.outs))...)
+	}
+	st.outs = st.outs[:workers]
+	for w := range st.outs {
+		o := &st.outs[w]
+		clear(o.done)
+		clear(o.failed)
+		clear(o.retry)
+		o.done, o.failed, o.retry, o.rexec = o.done[:0], o.failed[:0], o.retry[:0], 0
+	}
+	clear(st.pending)
+	clear(st.accs)
+	st.pending, st.accs = st.pending[:0], st.accs[:0]
+	return st
+}
+
+// drainRetries moves every worker's retries into st.pending, whose
+// previous round is done with.
 func (st *batchState) drainRetries() []attempt {
-	var pending []attempt
+	pending := st.pending[:0]
 	for w := range st.outs {
 		pending = append(pending, st.outs[w].retry...)
+		clear(st.outs[w].retry)
 		st.outs[w].retry = st.outs[w].retry[:0]
 	}
+	st.pending = pending
 	return pending
 }
 
@@ -270,16 +312,26 @@ func (st *batchState) committedCount() int {
 	return n
 }
 
+// assemble builds the batch's result on the coordinating goroutine,
+// after the last wave and before the graph is reset, while every
+// committed attempt's sets are still in its node. They are counted
+// first and then copied into one exactly sized slab, so the batch's
+// results cost two allocations whatever their number, and alias nothing
+// the graph recycles.
 func (st *batchState) assemble() *BatchResult {
 	var (
 		n      int
 		failed []FailedTx
 		rexec  uint64
+		slab   depgraph.Slab
 	)
 	for w := range st.outs {
 		n += len(st.outs[w].done)
 		failed = append(failed, st.outs[w].failed...)
 		rexec += st.outs[w].rexec
+		for i := range st.outs[w].done {
+			slab.Count(st.outs[w].done[i].h)
+		}
 	}
 	out := &BatchResult{
 		Schedule:     make([]*types.Transaction, n),
@@ -288,46 +340,30 @@ func (st *batchState) assemble() *BatchResult {
 		Reexecutions: rexec,
 	}
 	// Schedule indices are dense over committed transactions (the
-	// graph hands them out as commit positions), so each result drops
-	// straight into its slot — no merge sort over the worker outputs.
+	// graph hands them out as commit positions, from 0 at each reset),
+	// so each result drops straight into its slot.
 	for w := range st.outs {
 		for i := range st.outs[w].done {
 			c := &st.outs[w].done[i]
-			idx := int(c.res.ScheduleIdx)
-			if idx >= n || out.Schedule[idx] != nil {
-				return st.assembleSorted(out) // saturated index; repair
+			if c.idx >= n || out.Schedule[c.idx] != nil {
+				panic(fmt.Sprintf("ce: schedule position %d of %d handed out twice or out of range", c.idx, n))
 			}
-			out.Schedule[idx] = c.tx
-			out.Results[idx] = c.res
+			out.Schedule[c.idx] = c.tx
+			out.Results[c.idx] = types.TxResult{
+				TxID:         c.tx.ID(),
+				ScheduleIdx:  satU32(c.idx),
+				ReadSet:      slab.ReadSet(c.h),
+				WriteSet:     slab.WriteSet(c.h),
+				Reexecutions: satU32(c.retries),
+			}
 		}
 	}
 	return out
 }
 
-// assembleSorted is the fallback for index collisions — only possible
-// once satU32 saturates, i.e. beyond 2^32 commits in one batch.
-func (st *batchState) assembleSorted(out *BatchResult) *BatchResult {
-	var done []committed
-	for w := range st.outs {
-		done = append(done, st.outs[w].done...)
-	}
-	sort.Slice(done, func(i, j int) bool {
-		return done[i].res.ScheduleIdx < done[j].res.ScheduleIdx
-	})
-	for i, c := range done {
-		out.Schedule[i] = c.tx
-		out.Results[i] = c.res
-	}
-	return out
-}
-
-// run executes txs to completion over a prepared graph.
-func (ce *CE) run(g *depgraph.Graph, txs []*types.Transaction) *BatchResult {
-	if len(txs) == 0 {
-		return &BatchResult{}
-	}
-	st := &batchState{outs: make([]workerOut, ce.workers(len(txs)))}
-
+// run executes txs, at least one, to completion over a prepared graph
+// and a reset batch state.
+func (ce *CE) run(g *depgraph.Graph, st *batchState, txs []*types.Transaction) *BatchResult {
 	// Discovery wave: one attempt per transaction, indices pulled off
 	// a shared counter, results accumulated worker-locally.
 	var next atomic.Int64
@@ -369,7 +405,11 @@ func (ce *CE) retryRounds(g *depgraph.Graph, st *batchState, pending []attempt, 
 		// Partition this round's retries into conflict-free layers by
 		// their discovered footprints and run each layer as one wave.
 		before := st.committedCount()
-		layers := depgraph.Layers(accessesOf(wave))
+		st.accs = st.accs[:0]
+		for i := range wave {
+			st.accs = append(st.accs, depgraph.Access{Reads: wave[i].reads, Writes: wave[i].writes})
+		}
+		layers := depgraph.Layers(st.accs)
 		for _, layer := range layers {
 			ce.runLayer(g, st, wave, layer)
 		}
@@ -423,20 +463,13 @@ func (ce *CE) runLayer(g *depgraph.Graph, st *batchState, wave []attempt, layer 
 // node is still live, holding chain positions — and a leaked handle
 // that wedges every successor.
 func (ce *CE) attemptOnce(g *depgraph.Graph, tx *types.Transaction, prior int, o *workerOut) {
-	id := tx.ID()
-	h := g.Begin(id)
-	err := vm.ExecuteTx(ce.cfg.Registry, graphState{g, h}, tx)
+	h := g.Begin(tx.ID())
+	err := vm.ExecuteTx(ce.cfg.Registry, h, tx)
 	switch {
 	case err == nil:
 		if out, ferr := g.FinishWait(h); ferr == nil {
 			if out.Committed {
-				o.done = append(o.done, committed{tx: tx, res: types.TxResult{
-					TxID:         id,
-					ScheduleIdx:  satU32(out.ScheduleIdx),
-					ReadSet:      h.ReadSet(),
-					WriteSet:     h.WriteSet(),
-					Reexecutions: satU32(prior),
-				}})
+				o.done = append(o.done, committed{tx: tx, h: h, idx: out.ScheduleIdx, retries: prior})
 				return
 			}
 		}
@@ -491,19 +524,12 @@ func (o *workerOut) retryOrFail(ce *CE, h *depgraph.Tx, tx *types.Transaction, r
 // terminal: this is what turns a deterministically-refusing
 // (Byzantine) contract from a livelock into a failed transaction.
 func (ce *CE) serialSlot(g *depgraph.Graph, a attempt, o *workerOut) {
-	id := a.tx.ID()
-	h := g.Begin(id)
-	err := vm.ExecuteTx(ce.cfg.Registry, graphState{g, h}, a.tx)
+	h := g.Begin(a.tx.ID())
+	err := vm.ExecuteTx(ce.cfg.Registry, h, a.tx)
 	if err == nil {
 		if out, ferr := g.FinishWait(h); ferr == nil {
 			if out.Committed {
-				o.done = append(o.done, committed{tx: a.tx, res: types.TxResult{
-					TxID:         id,
-					ScheduleIdx:  satU32(out.ScheduleIdx),
-					ReadSet:      h.ReadSet(),
-					WriteSet:     h.WriteSet(),
-					Reexecutions: satU32(a.retries),
-				}})
+				o.done = append(o.done, committed{tx: a.tx, h: h, idx: out.ScheduleIdx, retries: a.retries})
 				return
 			}
 		}
@@ -514,14 +540,6 @@ func (ce *CE) serialSlot(g *depgraph.Graph, a attempt, o *workerOut) {
 	g.Abort(h)
 	o.rexec++
 	o.failed = append(o.failed, FailedTx{Tx: a.tx, Err: err})
-}
-
-func accessesOf(wave []attempt) []depgraph.Access {
-	accs := make([]depgraph.Access, len(wave))
-	for i := range wave {
-		accs[i] = depgraph.Access{Reads: wave[i].reads, Writes: wave[i].writes}
-	}
-	return accs
 }
 
 // unionKeys merges two small key slices, preserving prev's order and

@@ -136,7 +136,8 @@ type Cluster struct {
 	// pointer-free keys is one the garbage collector never scans.
 	mu        sync.Mutex
 	committed map[types.Digest]struct{}
-	waiters   map[types.Digest][]chan struct{}
+	waiters   map[types.Digest]*waiter // chained through waiter.next
+	spare     []*waiter                // waiters no map entry reaches
 
 	latencies *metrics.LatencyRecorder
 	commits   metrics.Counter
@@ -180,7 +181,7 @@ func New(cfg Config) (*Cluster, error) {
 		reg:        reg,
 		gateways:   make(map[int]*gateway.Client),
 		committed:  make(map[types.Digest]struct{}),
-		waiters:    make(map[types.Digest][]chan struct{}),
+		waiters:    make(map[types.Digest]*waiter),
 		latencies:  metrics.NewLatencyRecorder(),
 		waveSeries: &metrics.Series{},
 		rejected:   make(chan *types.Transaction, 8192),
@@ -353,16 +354,17 @@ func (c *Cluster) onCommit(tx *types.Transaction, when time.Time) {
 		return
 	}
 	c.committed[id] = struct{}{}
-	ws := c.waiters[id]
+	// Signalled under c.mu: a waiter's owner recycles it under c.mu
+	// too, so no signal can reach the waiter's next user.
+	for w := c.waiters[id]; w != nil; w = w.next {
+		w.signal()
+	}
 	delete(c.waiters, id)
 	c.mu.Unlock()
 
 	c.commits.Add(1)
 	if tx.SubmitUnixNano > 0 {
 		c.latencies.Record(when.Sub(time.Unix(0, tx.SubmitUnixNano)))
-	}
-	for _, w := range ws {
-		close(w)
 	}
 }
 
@@ -410,37 +412,106 @@ func (c *Cluster) PendingWaits() []types.Digest {
 	return out
 }
 
-// watch returns a channel closed when tx id first commits.
-func (c *Cluster) watch(id types.Digest) <-chan struct{} {
-	ch := make(chan struct{})
-	c.mu.Lock()
-	if _, done := c.committed[id]; done {
-		c.mu.Unlock()
-		close(ch)
-		return ch
-	}
-	c.waiters[id] = append(c.waiters[id], ch)
-	c.mu.Unlock()
-	return ch
+// waiter is one SubmitWait call's wait for a commit: a channel the
+// commit signals once, and a timer for the call's retries. Waiters are
+// recycled through c.spare, so a call allocates nothing of its own once
+// the load's concurrency has been reached. A waiter goes back only
+// after it has left c.waiters under c.mu — removed by its commit, or by
+// unwatch — so a late commit of its last transaction cannot signal its
+// next user.
+type waiter struct {
+	ch    chan struct{} // buffered: a commit never blocks on it
+	timer *time.Timer   // stopped and drained between waits
+	next  *waiter       // the next waiter on the same transaction
 }
 
-// unwatch removes one abandoned waiter channel (SubmitWait timeout)
-// so PendingWaits reflects only live clients.
-func (c *Cluster) unwatch(id types.Digest, ch <-chan struct{}) {
+// signal marks w's transaction committed. A waiter is signalled once
+// per registration, so the buffer always has room; the send cannot
+// block the lock it is made under.
+func (w *waiter) signal() {
+	select {
+	case w.ch <- struct{}{}:
+	default:
+	}
+}
+
+// wait reports whether w was signalled within d.
+func (w *waiter) wait(d time.Duration) bool {
+	if w.timer == nil {
+		w.timer = time.NewTimer(d)
+	} else {
+		w.timer.Reset(d)
+	}
+	select {
+	case <-w.ch:
+		if !w.timer.Stop() {
+			select { // drain a fire that raced the signal
+			case <-w.timer.C:
+			default:
+			}
+		}
+		return true
+	case <-w.timer.C:
+		return false
+	}
+}
+
+// watch returns a waiter signalled when tx id first commits — at once
+// if it already has.
+func (c *Cluster) watch(id types.Digest) *waiter {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ws := c.waiters[id]
-	for i, w := range ws {
-		if w == ch {
-			ws = append(ws[:i], ws[i+1:]...)
-			break
+	var w *waiter
+	if k := len(c.spare); k > 0 {
+		w = c.spare[k-1]
+		c.spare[k-1] = nil
+		c.spare = c.spare[:k-1]
+	} else {
+		w = &waiter{ch: make(chan struct{}, 1)}
+	}
+	w.next = nil
+	if _, done := c.committed[id]; done {
+		w.signal()
+		return w
+	}
+	w.next = c.waiters[id]
+	c.waiters[id] = w
+	return w
+}
+
+// unwatch recycles the waiter of a SubmitWait call that gives up, so
+// PendingWaits reflects only live clients. A waiter its commit already
+// left signalled is drained first.
+func (c *Cluster) unwatch(id types.Digest, w *waiter) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if head := c.waiters[id]; head == w {
+		if w.next == nil {
+			delete(c.waiters, id)
+		} else {
+			c.waiters[id] = w.next
+		}
+	} else {
+		for p := head; p != nil; p = p.next {
+			if p.next == w {
+				p.next = w.next
+				break
+			}
 		}
 	}
-	if len(ws) == 0 {
-		delete(c.waiters, id)
-	} else {
-		c.waiters[id] = ws
+	select {
+	case <-w.ch:
+	default:
 	}
+	c.spare = append(c.spare, w)
+}
+
+// release recycles the waiter of a SubmitWait call whose commit
+// signalled it, and with that removed it from c.waiters.
+func (c *Cluster) release(w *waiter) {
+	c.mu.Lock()
+	c.spare = append(c.spare, w)
+	c.mu.Unlock()
 }
 
 // route picks the node a transaction should be submitted to: the
@@ -529,48 +600,31 @@ func (c *Cluster) Submit(tx *types.Transaction) error {
 // reconfigurations.
 func (c *Cluster) SubmitWait(tx *types.Transaction, retryEvery, timeout time.Duration) error {
 	id := tx.ID()
-	ch := c.watch(id)
+	w := c.watch(id)
 	deadline := time.Now().Add(timeout)
 	if err := c.Submit(tx); err != nil {
-		c.unwatch(id, ch)
+		c.unwatch(id, w)
 		return err
 	}
-	// One reused timer per call: a time.After per retry quantum leaves
-	// an unstoppable timer in the heap for the full retry interval long
-	// after the commit arrived — at load, thousands of dead timers.
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
+	// The waiter's one timer serves every retry quantum: a time.After
+	// per quantum leaves an unstoppable timer in the heap for the full
+	// retry interval long after the commit arrived — at load, thousands
+	// of dead timers.
 	for {
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			c.unwatch(id, ch)
+			c.unwatch(id, w)
 			return fmt.Errorf("cluster: tx %s not committed within %v", id, timeout)
 		}
 		wait := retryEvery
 		if wait <= 0 || wait > remaining {
 			wait = remaining
 		}
-		if timer == nil {
-			timer = time.NewTimer(wait)
-		} else {
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(wait)
-		}
-		select {
-		case <-ch:
+		if w.wait(wait) {
+			c.release(w)
 			return nil
-		case <-timer.C:
-			_ = c.Submit(tx) // re-route and retry
 		}
+		_ = c.Submit(tx) // re-route and retry
 	}
 }
 

@@ -70,6 +70,59 @@ func TestSubmitWaitStampsAndCommits(t *testing.T) {
 	}
 }
 
+// TestSubmitWaitLateCommitMissesReusedWaiter: a SubmitWait that gives
+// up hands its waiter back only after taking it out of c.waiters, so
+// when its transaction commits afterwards, the signal cannot reach the
+// call that reuses the waiter. No replica is built, so nothing commits
+// but what the test commits itself.
+func TestSubmitWaitLateCommitMissesReusedWaiter(t *testing.T) {
+	c, err := New(Config{N: 4, Accounts: 8, Headless: []int{0, 1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	defer c.Stop()
+	tx := func(nonce uint64) *types.Transaction {
+		// Stamped here: Submit then leaves it alone, and the commit
+		// made on another goroutine reads it.
+		return &types.Transaction{Client: 1, Nonce: nonce, Kind: types.SingleShard,
+			Shards: []types.ShardID{0}, Contract: workload.ContractGetBalance,
+			Args: [][]byte{[]byte(workload.AccountName(0))}, SubmitUnixNano: time.Now().UnixNano()}
+	}
+	spare := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.spare)
+	}
+
+	first := tx(1)
+	if err := c.SubmitWait(first, time.Millisecond, 5*time.Millisecond); err == nil {
+		t.Fatal("committed with no replica")
+	}
+	if n := spare(); n != 1 || len(c.PendingWaits()) != 0 {
+		t.Fatalf("after a timeout: %d spare waiters, %d pending waits; want 1 and 0", n, len(c.PendingWaits()))
+	}
+	c.onCommit(first, time.Now()) // the late commit
+
+	// The next call reuses the waiter; only its own commit may end it.
+	if err := c.SubmitWait(tx(2), time.Millisecond, 20*time.Millisecond); err == nil {
+		t.Fatal("the previous transaction's late commit ended the next wait")
+	}
+	third := tx(3)
+	go func() {
+		for len(c.PendingWaits()) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		c.onCommit(third, time.Now())
+	}()
+	if err := c.SubmitWait(third, time.Millisecond, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := spare(); n != 1 {
+		t.Fatalf("%d spare waiters after three sequential calls, want 1", n)
+	}
+}
+
 func TestSubmitWaitTimesOutForImpossibleTx(t *testing.T) {
 	c := testCluster(t, Config{Seed: 2})
 	// A contract failure never commits; SubmitWait must report it.

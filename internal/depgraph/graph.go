@@ -22,15 +22,33 @@
 // — the serializability property proved in paper §10 and checked by
 // this package's property tests.
 //
-// The graph is an arena: Reset and Rebase recycle nodes, per-key
-// chains, and reachability state in O(touched-this-batch), so a
-// proposer executing one batch per DAG round reuses one graph for the
-// lifetime of an epoch instead of rebuilding it per batch. Rebase
-// additionally carries each key's committed-tip value as a cached base
-// value, so batch N+1 diffs against batch N's outcome instead of
-// starting cold (the EVE reconciler idiom). Layers (layers.go) is the
-// complementary planning half: topologically-sorted conflict-free
-// waves for batches whose footprints are already known.
+// The graph is an arena: Reset and Rebase recycle nodes (committed and
+// aborted alike), per-key chains, and reachability state in
+// O(touched-this-batch), so a proposer executing one batch per DAG
+// round reuses one graph for the lifetime of an epoch instead of
+// rebuilding it per batch. Rebase additionally carries each key's
+// committed-tip value as a cached base value, so batch N+1 diffs
+// against batch N's outcome instead of starting cold (the EVE
+// reconciler idiom). Layers (layers.go) is the complementary planning
+// half: topologically-sorted conflict-free waves for batches whose
+// footprints are already known.
+//
+// Who owns a value's bytes decides how long it lives:
+//
+//   - Per attempt, the node's arena. Every value Read hands a contract
+//     and every value Write retains is a copy in the byte arena of the
+//     attempt's node, capped at its own length so that a contract which
+//     appends to it reallocates instead of running into the next value.
+//     A read record aliases the writer's retained copy or its key's
+//     base value. The arena is emptied when the node is recycled, at the
+//     next Reset or Rebase, so nothing the graph hands out outlives it.
+//   - Per batch, a Slab. Results leave the graph by copy: the caller
+//     counts every committed attempt's sets into one Slab, which holds
+//     them in one record array and one value array that the graph never
+//     touches again.
+//   - Across batches, the keyState. A key's base value, fetched through
+//     the BaseReader or carried by Rebase from the last committed
+//     writer, is copied into a buffer the key's state owns.
 package depgraph
 
 import (
@@ -59,10 +77,14 @@ type Outcome struct {
 
 // Tx is one execution attempt of a transaction against the graph. A
 // re-executed transaction gets a fresh Tx from Begin. Handles are
-// invalidated by Reset/Rebase: read their sets out before reusing the
-// graph.
+// invalidated by Reset/Rebase: copy their sets out (Slab) before
+// reusing the graph.
+//
+// A Tx is the contract.State its attempt runs against: Read and Write
+// are the graph's, bound to the attempt.
 type Tx struct {
 	id   types.Digest
+	g    *Graph
 	n    *node
 	done chan Outcome
 }
@@ -73,6 +95,17 @@ func (t *Tx) ID() types.Digest { return t.id }
 // Done delivers the final outcome after Finish succeeded.
 func (t *Tx) Done() <-chan Outcome { return t.done }
 
+// Read is Graph.Read for this attempt.
+func (t *Tx) Read(k types.Key) (types.Value, error) { return t.g.Read(t, k) }
+
+// Write is Graph.Write for this attempt.
+func (t *Tx) Write(k types.Key, v types.Value) error { return t.g.Write(t, k, v) }
+
+// node is one attempt's place in the graph. It is recycled with
+// everything it holds: its maps are cleared, its key lists and its
+// arena are cut to length zero and keep their capacity, and its reader
+// lists live in the graph's link slab, so a warm graph places an
+// attempt without allocating.
 type node struct {
 	tx  *Tx
 	seq uint64 // creation order, for deterministic iteration
@@ -80,22 +113,29 @@ type node struct {
 	// reads / lastWrite hold the two retained operations per key
 	// (§8.1: first read, last write). A read record keeps the value
 	// observed and the writer node it came from (nil = root/committed
-	// store). Values in both maps are never mutated in place — every
-	// handout to contract code is a clone — so result assembly may
-	// alias them without copying.
+	// store). Both hold copies in some node's arena or a key's base
+	// buffer, which are never written again before the node is
+	// recycled, so a read record may alias them.
 	reads      map[types.Key]readRec
 	lastWrite  map[types.Key]types.Value
 	readOrder  []types.Key // keys in first-read order
 	writeOrder []types.Key // keys in first-write order
 	// readersOf lists, per key this node wrote, the nodes that
-	// observed the written value; they cascade-abort if it changes.
-	readersOf map[types.Key]map[*node]struct{}
+	// observed the written value; they cascade-abort if it changes. A
+	// reader that aborts stays listed: aborting it again is a no-op.
+	// It is the head of a list in the graph's links (noLink: empty).
+	readersOf int
 	// prior lists, per key this node wrote, the readers serialized
 	// immediately before this write (they read the previous version).
 	// If this writer aborts, those readers must be re-ordered before
 	// the next writer — otherwise the next writer could serialize
-	// ahead of them and invalidate their reads silently.
-	prior map[types.Key]map[*node]struct{}
+	// ahead of them and invalidate their reads silently. Also a list
+	// in the graph's links.
+	prior int
+	// arena holds the bytes of every value this attempt handed to its
+	// contract or retained from it (copyIn). It only grows until the
+	// node is recycled.
+	arena []byte
 
 	in  map[*node]struct{}
 	out map[*node]struct{}
@@ -115,6 +155,50 @@ type node struct {
 type readRec struct {
 	v   types.Value
 	src *node
+}
+
+// link is one entry of a node's reader list or prior list: the node it
+// names, the key it concerns, and the list's next entry. The lists of a
+// batch all live in one slab, Graph.links, emptied at each reset, so a
+// hot key's writer gathering many readers grows the slab once instead
+// of a list of its own in every node it ever lands on.
+type link struct {
+	k    types.Key
+	n    *node
+	next int
+}
+
+// noLink ends a list in Graph.links.
+const noLink = -1
+
+// push prepends (k, n) to the list whose head is *head.
+func (g *Graph) push(head *int, k types.Key, n *node) {
+	g.links = append(g.links, link{k: k, n: n, next: *head})
+	*head = len(g.links) - 1
+}
+
+// maxArena bounds the arena a recycled node keeps: one outsized value
+// must not pin its bytes for the life of the graph.
+const maxArena = 64 << 10
+
+// A new node is sized for a typical footprint — a few keys, each read
+// and written once, with small values — so that however the free list
+// hands nodes out, reusing one seldom grows it.
+const (
+	minKeys  = 4
+	minArena = 64
+)
+
+// copyIn copies v into n's arena. The copy's capacity is its length, so
+// a holder that appends to it reallocates instead of overwriting the
+// next value. A nil value stays nil (an absent key).
+func (n *node) copyIn(v types.Value) types.Value {
+	if v == nil {
+		return nil
+	}
+	at := len(n.arena)
+	n.arena = append(n.arena, v...)
+	return n.arena[at:len(n.arena):len(n.arena)]
 }
 
 // keyState tracks the per-key version chain. States are epoch-tagged:
@@ -137,10 +221,27 @@ type keyState struct {
 
 	// rootVal caches the base value (or, after Rebase, the previous
 	// batch's committed tip) so repeated root reads skip the BaseReader.
-	// Valid iff rootSet and rootGen matches the graph's.
+	// Valid iff rootSet and rootGen matches the graph's. Its bytes live
+	// in rootBuf, which the state owns: they outlast the batch's nodes,
+	// and are only rewritten at a reset, when no reader holds them.
 	rootVal types.Value
+	rootBuf []byte
 	rootSet bool
 	rootGen uint64
+}
+
+// setRoot caches v as the key's base value, copied into rootBuf.
+func (ks *keyState) setRoot(v types.Value, gen uint64) {
+	ks.rootVal = nil
+	if v != nil {
+		if cap(ks.rootBuf) > maxArena {
+			ks.rootBuf = nil
+		}
+		ks.rootBuf = append(ks.rootBuf[:0], v...)
+		ks.rootVal = ks.rootBuf[:len(v):len(v)]
+	}
+	ks.rootSet = true
+	ks.rootGen = gen
 }
 
 // reachKey identifies one positive reachability fact src⇝dst.
@@ -174,6 +275,11 @@ type Graph struct {
 	rootGen uint64
 	touched []*keyState
 	free    []*node
+	// dead holds the batch's aborted nodes until the next reset
+	// recycles them: their handles stay readable until then.
+	dead []*node
+	// links holds every node's reader and prior lists (link).
+	links []link
 
 	// hasPath machinery: generation-stamped visited marks, a reusable
 	// DFS stack, and a positive-reachability memo. Edge additions
@@ -239,12 +345,10 @@ func (g *Graph) reset(base BaseReader, carry bool) {
 	if carry {
 		for _, ks := range g.touched {
 			// The last chain writer is the batch's final committed value
-			// for the key; promote it to the cached base. Values are
-			// taken, not cloned: the node's maps are cleared on recycle.
+			// for the key; promote it to the cached base. The value is
+			// copied out: the writer's arena is reused once it recycles.
 			if tip := ks.tipWriter(); tip != nil && tip.committed {
-				ks.rootVal = tip.lastWrite[ks.k]
-				ks.rootSet = true
-				ks.rootGen = g.rootGen
+				ks.setRoot(tip.lastWrite[ks.k], g.rootGen)
 			}
 		}
 	} else {
@@ -262,6 +366,13 @@ func (g *Graph) reset(base BaseReader, carry bool) {
 		// Live leftovers (caller abandoned an attempt) keep their
 		// handles valid-for-reading; they are dropped to the GC.
 	}
+	for i, n := range g.dead {
+		g.recycle(n)
+		g.dead[i] = nil
+	}
+	g.dead = g.dead[:0]
+	clear(g.links)
+	g.links = g.links[:0]
 	g.schedule = g.schedule[:0]
 	g.commitCount = 0
 	g.removeGen++ // recycled pointers must not revive stale facts
@@ -270,8 +381,8 @@ func (g *Graph) reset(base BaseReader, carry bool) {
 	}
 }
 
-// recycle returns a committed node (and its Tx shell) to the free
-// list for the next Begin.
+// recycle returns a committed or aborted node (and its Tx shell) to
+// the free list for the next Begin.
 func (g *Graph) recycle(n *node) {
 	// Guarded clears: most maps are empty on conflict-free commits and
 	// the mapclear call itself is the dominant recycle cost.
@@ -281,12 +392,11 @@ func (g *Graph) recycle(n *node) {
 	if len(n.lastWrite) > 0 {
 		clear(n.lastWrite)
 	}
-	if len(n.readersOf) > 0 {
-		clear(n.readersOf)
+	n.readersOf, n.prior = noLink, noLink
+	if cap(n.arena) > maxArena {
+		n.arena = make([]byte, 0, minArena)
 	}
-	if len(n.prior) > 0 {
-		clear(n.prior)
-	}
+	n.arena = n.arena[:0]
 	if len(n.in) > 0 {
 		clear(n.in)
 	}
@@ -345,16 +455,19 @@ func (g *Graph) Begin(id types.Digest) *Tx {
 		g.nodes[n] = struct{}{}
 		return n.tx
 	}
-	t := &Tx{id: id, done: make(chan Outcome, 1)}
+	t := &Tx{id: id, g: g, done: make(chan Outcome, 1)}
 	t.n = &node{
-		tx:        t,
-		seq:       g.nextSeq,
-		reads:     make(map[types.Key]readRec),
-		lastWrite: make(map[types.Key]types.Value),
-		readersOf: make(map[types.Key]map[*node]struct{}),
-		prior:     make(map[types.Key]map[*node]struct{}),
-		in:        make(map[*node]struct{}),
-		out:       make(map[*node]struct{}),
+		tx:         t,
+		seq:        g.nextSeq,
+		readersOf:  noLink,
+		prior:      noLink,
+		reads:      make(map[types.Key]readRec, minKeys),
+		lastWrite:  make(map[types.Key]types.Value, minKeys),
+		readOrder:  make([]types.Key, 0, minKeys),
+		writeOrder: make([]types.Key, 0, minKeys),
+		arena:      make([]byte, 0, minArena),
+		in:         make(map[*node]struct{}),
+		out:        make(map[*node]struct{}),
 	}
 	g.nodes[t.n] = struct{}{}
 	return t
@@ -385,7 +498,7 @@ func (g *Graph) dropUntouched() {
 		if len(ks.readTips) > 0 {
 			clear(ks.readTips)
 		}
-		ks.rootVal, ks.rootSet = nil, false
+		ks.rootVal, ks.rootSet = nil, false // rootBuf keeps its capacity
 		g.freeKeys = append(g.freeKeys, ks)
 	}
 }
@@ -490,11 +603,11 @@ func (g *Graph) Read(t *Tx, k types.Key) (types.Value, error) {
 	// Read-your-writes: a key we wrote is served from our own record
 	// and does not join the read set.
 	if v, ok := n.lastWrite[k]; ok {
-		return v.Clone(), nil
+		return n.copyIn(v), nil
 	}
 	// Repeatable read: the first read is retained (§8.1).
 	if r, ok := n.reads[k]; ok {
-		return r.v.Clone(), nil
+		return n.copyIn(r.v), nil
 	}
 	ks := g.key(k)
 	// Walk the version chain newest-first looking for a serializable
@@ -517,21 +630,22 @@ func (g *Graph) Read(t *Tx, k types.Key) (types.Value, error) {
 		if i+1 < len(ks.chain) && g.hasPath(ks.chain[i+1], n) {
 			continue // edge n→chain[i+1] would close a cycle
 		}
-		// The retained copy aliases the writer's record (or the cached
-		// root): those values are only ever replaced, never mutated,
-		// so one clone for the contract's private copy suffices.
+		// The retained record aliases the writer's record (or the
+		// cached root): those bytes are only ever replaced, never
+		// written again, so one copy for the contract's private use
+		// suffices.
 		var v types.Value
 		if src != nil {
 			v = src.lastWrite[k]
 			addEdge(src, n)
-			src.readers(k)[n] = struct{}{}
+			g.push(&src.readersOf, k, n)
 		} else {
 			v = g.rootValue(ks)
 		}
 		if i+1 < len(ks.chain) {
 			next := ks.chain[i+1]
 			addEdge(n, next)
-			next.priorSet(k)[n] = struct{}{}
+			g.push(&next.prior, k, n)
 		} else {
 			// n observed the newest version: the next writer must
 			// serialize after it.
@@ -539,7 +653,7 @@ func (g *Graph) Read(t *Tx, k types.Key) (types.Value, error) {
 		}
 		n.reads[k] = readRec{v: v, src: src}
 		n.readOrder = append(n.readOrder, k)
-		return v.Clone(), nil
+		return n.copyIn(v), nil
 	}
 	// No serializable position exists: abort the reader (§8.4 rule 1).
 	g.abort(n)
@@ -551,29 +665,24 @@ func (g *Graph) Read(t *Tx, k types.Key) (types.Value, error) {
 // the BaseReader at all).
 func (g *Graph) rootValue(ks *keyState) types.Value {
 	if !ks.rootSet || ks.rootGen != g.rootGen {
-		ks.rootVal = g.base(ks.k).Clone()
-		ks.rootSet = true
-		ks.rootGen = g.rootGen
+		ks.setRoot(g.base(ks.k), g.rootGen)
 	}
 	return ks.rootVal
 }
 
-func (n *node) readers(k types.Key) map[*node]struct{} {
-	m, ok := n.readersOf[k]
-	if !ok {
-		m = make(map[*node]struct{})
-		n.readersOf[k] = m
+// dropKey unlinks k's entries from the list whose head is *head.
+func (g *Graph) dropKey(head *int, k types.Key) {
+	prev := noLink
+	for i := *head; i != noLink; i = g.links[i].next {
+		switch {
+		case g.links[i].k != k:
+			prev = i
+		case prev == noLink:
+			*head = g.links[i].next
+		default:
+			g.links[prev].next = g.links[i].next
+		}
 	}
-	return m
-}
-
-func (n *node) priorSet(k types.Key) map[*node]struct{} {
-	m, ok := n.prior[k]
-	if !ok {
-		m = make(map[*node]struct{})
-		n.prior[k] = m
-	}
-	return m
 }
 
 // Write serves <Write, K, V> for t.
@@ -587,18 +696,18 @@ func (g *Graph) Write(t *Tx, k types.Key, v types.Value) error {
 	if _, wroteBefore := n.lastWrite[k]; wroteBefore {
 		// Rewriting a value other transactions already observed
 		// invalidates their reads: cascading abort (§8.4 rule 2,
-		// Figure 10b; Table 1 time 5). Snapshot the reader set first:
-		// cascades mutate it.
-		snap := g.snapshotNodes(n.readersOf[k])
-		for _, r := range snap {
-			g.abort(r)
+		// Figure 10b; Table 1 time 5). Cascades never unlink from a
+		// reader list, so the list is walked in place.
+		for i := n.readersOf; i != noLink; i = g.links[i].next {
+			if l := g.links[i]; l.k == k {
+				g.abort(l.n)
+			}
 		}
-		g.putSnapshot(snap)
-		delete(n.readersOf, k)
+		g.dropKey(&n.readersOf, k)
 		if n.aborted { // a cascade cycled back through another key
 			return contract.ErrAborted
 		}
-		n.lastWrite[k] = v.Clone()
+		n.lastWrite[k] = n.copyIn(v)
 		return nil
 	}
 	ks := g.key(k)
@@ -629,7 +738,7 @@ func (g *Graph) Write(t *Tx, k types.Key, v types.Value) error {
 			continue
 		}
 		addEdge(r, n)
-		n.priorSet(k)[r] = struct{}{}
+		g.push(&n.prior, k, r)
 	}
 	if tip != nil && tip != n {
 		if g.hasPath(n, tip) {
@@ -644,7 +753,7 @@ func (g *Graph) Write(t *Tx, k types.Key, v types.Value) error {
 	if len(ks.readTips) > 0 {
 		clear(ks.readTips)
 	}
-	n.lastWrite[k] = v.Clone()
+	n.lastWrite[k] = n.copyIn(v)
 	n.writeOrder = append(n.writeOrder, k)
 	return nil
 }
@@ -655,23 +764,29 @@ func (g *Graph) snapshotNodes(set map[*node]struct{}) []*node {
 	if len(set) == 0 {
 		return nil
 	}
-	var out []*node
-	if n := len(g.snapFree); n > 0 {
-		out = g.snapFree[n-1][:0]
-		g.snapFree = g.snapFree[:n-1]
-	} else {
-		out = make([]*node, 0, max(len(set), 8))
-	}
+	out := g.nodeBuf()
 	for n := range set {
 		out = append(out, n)
 	}
 	return out
 }
 
+// nodeBuf takes an empty node slice off the free-list (nil when it is
+// empty; append then makes one for putSnapshot to keep).
+func (g *Graph) nodeBuf() []*node {
+	n := len(g.snapFree)
+	if n == 0 {
+		return nil
+	}
+	out := g.snapFree[n-1]
+	g.snapFree = g.snapFree[:n-1]
+	return out
+}
+
 // putSnapshot returns a snapshot slice to the free-list once its
 // iteration is done (clearing the node references it pins).
 func (g *Graph) putSnapshot(s []*node) {
-	if s == nil {
+	if cap(s) == 0 {
 		return
 	}
 	clear(s)
@@ -749,17 +864,14 @@ func (g *Graph) abort(n *node) {
 	g.removeGen++ // structural removal: memoized reachability is stale
 
 	// Cascade first: everyone who read one of n's writes holds a value
-	// that will no longer exist.
-	for _, readers := range n.readersOf {
-		snap := g.snapshotNodes(readers)
-		for _, r := range snap {
-			g.abort(r)
-		}
-		g.putSnapshot(snap)
+	// that will no longer exist. Cascades never unlink from a reader
+	// list, so n's is walked in place.
+	for i := n.readersOf; i != noLink; i = g.links[i].next {
+		g.abort(g.links[i].n)
 	}
 	// Unlink edges first so chain splicing below sees the graph
 	// without n; successors may become commit-eligible.
-	var succs []*node
+	succs := g.nodeBuf()
 	for m := range n.out {
 		delete(m.in, n)
 		succs = append(succs, m)
@@ -772,7 +884,7 @@ func (g *Graph) abort(n *node) {
 	// Detach from version chains, splicing write order across the gap.
 	// Aborts discovered during reattachment are deferred until the
 	// splice completes so recursion never mutates a chain mid-walk.
-	var toAbort []*node
+	toAbort := g.nodeBuf()
 	for _, k := range n.writeOrder {
 		ks := g.keys[k]
 		for i, w := range ks.chain {
@@ -794,8 +906,9 @@ func (g *Graph) abort(n *node) {
 			if i < len(ks.chain) {
 				next = ks.chain[i]
 			}
-			for r := range n.prior[k] {
-				if r.aborted || r == next {
+			for i := n.prior; i != noLink; i = g.links[i].next {
+				r := g.links[i].n
+				if g.links[i].k != k || r.aborted || r == next {
 					continue
 				}
 				if next == nil {
@@ -810,7 +923,7 @@ func (g *Graph) abort(n *node) {
 					continue
 				}
 				addEdge(r, next)
-				next.priorSet(k)[r] = struct{}{}
+				g.push(&next.prior, k, r)
 			}
 			break
 		}
@@ -821,13 +934,10 @@ func (g *Graph) abort(n *node) {
 			delete(ks.readTips, n)
 		}
 	}
-	// Drop our reader registrations.
-	for k, r := range n.reads {
-		if r.src != nil {
-			delete(r.src.readersOf[k], n)
-		}
-	}
+	// n stays listed as a reader of the writers it read from: an
+	// aborted reader is skipped by every walk of those lists.
 	delete(g.nodes, n)
+	g.dead = append(g.dead, n)
 
 	if n.finished {
 		g.deliver(n, Outcome{Committed: false})
@@ -835,9 +945,11 @@ func (g *Graph) abort(n *node) {
 	for _, r := range toAbort {
 		g.abort(r)
 	}
+	g.putSnapshot(toAbort)
 	for _, m := range succs {
 		g.tryCommit(m)
 	}
+	g.putSnapshot(succs)
 }
 
 // tryCommit commits n if it is finished and all predecessors have
@@ -872,26 +984,86 @@ func (g *Graph) deliver(n *node, out Outcome) {
 	n.tx.done <- out
 }
 
-// ReadSet returns t's retained first-reads in access order. Valid
-// after commit. Values alias graph-retained copies, which are never
-// mutated in place (every handout to contract code is a clone), so
-// the records stay stable after the graph is reset or recycled.
+// ReadSet returns a copy of t's retained first-reads in access order.
+// Valid after commit; the copy stays stable after the graph is reset.
+// A batch copies many sets at once with a Slab.
 func (t *Tx) ReadSet() []types.RWRecord {
-	out := make([]types.RWRecord, 0, len(t.n.readOrder))
-	for _, k := range t.n.readOrder {
-		out = append(out, types.RWRecord{Key: k, Value: t.n.reads[k].v})
-	}
-	return out
+	var s Slab
+	s.Count(t)
+	return s.ReadSet(t)
 }
 
-// WriteSet returns t's retained last-writes in access order, under
-// the same aliasing rules as ReadSet. Valid after commit.
+// WriteSet returns a copy of t's retained last-writes in access order,
+// under the same rules as ReadSet.
 func (t *Tx) WriteSet() []types.RWRecord {
-	out := make([]types.RWRecord, 0, len(t.n.writeOrder))
-	for _, k := range t.n.writeOrder {
-		out = append(out, types.RWRecord{Key: k, Value: t.n.lastWrite[k]})
+	var s Slab
+	s.Count(t)
+	return s.WriteSet(t)
+}
+
+// Slab holds the read and write sets of a batch's committed attempts in
+// one record array and one value array, so copying a batch's sets out
+// of the graph costs two allocations whatever its size. Count every
+// attempt first; ReadSet and WriteSet then copy each one's sets in.
+// The copies alias nothing the graph recycles. The zero value is ready;
+// a Slab is filled once and belongs to one goroutine.
+type Slab struct {
+	recs       []types.RWRecord
+	vals       []byte
+	nrec, nval int
+}
+
+// Count adds t's sets to the size the slab allocates.
+func (s *Slab) Count(t *Tx) {
+	n := t.n
+	s.nrec += len(n.readOrder) + len(n.writeOrder)
+	for _, k := range n.readOrder {
+		s.nval += len(n.reads[k].v)
 	}
-	return out
+	for _, k := range n.writeOrder {
+		s.nval += len(n.lastWrite[k])
+	}
+}
+
+// ReadSet copies t's retained first-reads into the slab, in access
+// order. t must have ended (committed) and its graph not been reset.
+func (s *Slab) ReadSet(t *Tx) []types.RWRecord {
+	at := s.start()
+	for _, k := range t.n.readOrder {
+		s.recs = append(s.recs, types.RWRecord{Key: k, Value: s.value(t.n.reads[k].v)})
+	}
+	return s.recs[at:len(s.recs):len(s.recs)]
+}
+
+// WriteSet copies t's retained last-writes into the slab, in
+// first-write order, under the rules of ReadSet.
+func (s *Slab) WriteSet(t *Tx) []types.RWRecord {
+	at := s.start()
+	for _, k := range t.n.writeOrder {
+		s.recs = append(s.recs, types.RWRecord{Key: k, Value: s.value(t.n.lastWrite[k])})
+	}
+	return s.recs[at:len(s.recs):len(s.recs)]
+}
+
+// start allocates the counted arrays on the first copy and returns
+// where the next set begins. A set beyond the count still fits: append
+// moves on to a new array and the sets handed out keep the old one.
+func (s *Slab) start() int {
+	if s.recs == nil {
+		s.recs = make([]types.RWRecord, 0, s.nrec)
+		s.vals = make([]byte, 0, s.nval)
+	}
+	return len(s.recs)
+}
+
+// value copies v into the value array, capped like copyIn.
+func (s *Slab) value(v types.Value) types.Value {
+	if v == nil {
+		return nil
+	}
+	at := len(s.vals)
+	s.vals = append(s.vals, v...)
+	return s.vals[at:len(s.vals):len(s.vals)]
 }
 
 // ReadKeys returns the keys t read, in first-access order, without

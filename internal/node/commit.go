@@ -370,9 +370,8 @@ func (c *Config) runWave(w tusk.CommitWave, dedup *gateway.Scratch, base validat
 			ok := false
 			if !res.staleBlock(b, dedup) {
 				res.txs += len(b.SingleTxs)
-				if r, err := validate.ValidateBlock(c.Registry, res.writes.read, b, c.Validators); err == nil {
+				if err := validate.ValidateBlock(c.Registry, res.writes.read, b, c.Validators, res.fold); err == nil {
 					ok = true
-					res.writes.fold(r.Writes)
 					for _, tx := range b.SingleTxs {
 						dedup.Mark(tx)
 					}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strconv"
 	"sync"
@@ -440,7 +441,7 @@ func TestBaseCalledOnCallingGoroutineOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := &types.Block{SingleTxs: batch.Schedule, Results: batch.Results}
-	if _, err := ValidateBlock(reg, base, b, 16); err != nil {
+	if err := ValidateBlock(reg, base, b, 16, func([]types.RWRecord) {}); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() == 0 {
@@ -484,19 +485,21 @@ func TestValidateBlockReplaysOnce(t *testing.T) {
 	n := int64(len(batch.Schedule))
 
 	b := &types.Block{Kind: types.NormalBlock, SingleTxs: batch.Schedule, Results: cloneResults(batch.Results)}
-	first, err := ValidateBlock(reg, baseOf(st), b, 4)
-	if err != nil {
+	var first, second []types.RWRecord
+	if err := ValidateBlock(reg, baseOf(st), b, 4, func(w []types.RWRecord) { first = append(first, w...) }); err != nil {
 		t.Fatal(err)
 	}
-	second, err := ValidateBlock(reg, baseOf(st), b, 4)
-	if err != nil {
+	if err := ValidateBlock(reg, baseOf(st), b, 4, func(w []types.RWRecord) { second = append(second, w...) }); err != nil {
 		t.Fatal(err)
 	}
 	if execs.Load() != n {
 		t.Fatalf("two validations executed %d contracts for %d transactions", execs.Load(), n)
 	}
-	if len(first.Writes) != len(second.Writes) {
+	if len(first) != len(second) {
 		t.Fatal("second validation built another delta")
+	}
+	if want, err := ValidateBatch(plain, baseOf(st), batch.Schedule, batch.Results, 4); err != nil || !reflect.DeepEqual(first, want.Writes) {
+		t.Fatalf("the folded delta differs from ValidateBatch's (%v)", err)
 	}
 	// The same block on a moved base: rejected by the pass that runs.
 	stale := storage.New()
@@ -504,7 +507,7 @@ func TestValidateBlockReplaysOnce(t *testing.T) {
 		stale.Set(k, v)
 	}
 	stale.Set(batch.Results[0].ReadSet[0].Key, contract.EncodeInt64(-1))
-	if _, err := ValidateBlock(reg, baseOf(stale), b, 4); !errors.Is(err, ErrInvalidBlock) {
+	if err := ValidateBlock(reg, baseOf(stale), b, 4, mustNotFold(t)); !errors.Is(err, ErrInvalidBlock) {
 		t.Fatalf("stale base accepted: %v", err)
 	}
 
@@ -527,9 +530,9 @@ func TestValidateBlockReplaysOnce(t *testing.T) {
 	}
 	forged.Results[at].WriteSet[0].Value = contract.EncodeInt64(1 << 40)
 	execs.Store(0)
-	_, err1 := ValidateBlock(reg, baseOf(st), forged, 4)
+	err1 := ValidateBlock(reg, baseOf(st), forged, 4, mustNotFold(t))
 	ran := execs.Load()
-	_, err2 := ValidateBlock(reg, baseOf(st), forged, 4)
+	err2 := ValidateBlock(reg, baseOf(st), forged, 4, mustNotFold(t))
 	if !errors.Is(err1, ErrInvalidBlock) || !errors.Is(err2, ErrInvalidBlock) {
 		t.Fatalf("forged write accepted: %v, %v", err1, err2)
 	}
@@ -548,6 +551,11 @@ func TestValidateBlockReplaysOnce(t *testing.T) {
 	if _, known := b.ReplayVerdict(); known {
 		t.Fatal("decoded block kept a replay verdict")
 	}
+}
+
+// mustNotFold is the fold of a validation that must fail.
+func mustNotFold(t *testing.T) func([]types.RWRecord) {
+	return func([]types.RWRecord) { t.Error("a rejected block was folded") }
 }
 
 // TestWideFootprint: past scanMax records a footprint is found through

@@ -80,35 +80,43 @@ type Result struct {
 // <= 0 means one worker).
 func ValidateBatch(reg *contract.Registry, base BaseReader, txs []*types.Transaction,
 	results []types.TxResult, workers int) (*Result, error) {
-	out, err := consistent(base, txs, results)
-	if err == nil {
-		err = replay(reg, txs, results, workers)
-	}
+	d, err := consistent(base, txs, results)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	defer d.release()
+	if err := replay(reg, txs, results, workers); err != nil {
+		return nil, err
+	}
+	return &Result{Writes: append(make([]types.RWRecord, 0, len(d.recs)), d.recs...)}, nil
 }
 
-// ValidateBlock is ValidateBatch over b's single-shard batch. Replay is
-// a function of the block alone, so its verdict is kept on the block
-// and a block validated again — a prediction that missed, a verified
-// hit — executes nothing the second time; the consistency pass, which
-// depends on base, always runs.
-func ValidateBlock(reg *contract.Registry, base BaseReader, b *types.Block, workers int) (*Result, error) {
-	out, err := consistent(base, b.SingleTxs, b.Results)
+// ValidateBlock is ValidateBatch over b's single-shard batch, for a
+// caller that keeps the state delta itself: when b validates, fold
+// receives the delta — the last declared write per key, in schedule
+// order of first write — once, from the calling goroutine, and must
+// copy what it keeps before it returns. A block that fails is never
+// folded. Replay is a function of the block alone, so its verdict is
+// kept on the block and a block validated again — a prediction that
+// missed, a verified hit — executes nothing the second time; the
+// consistency pass, which depends on base, always runs.
+func ValidateBlock(reg *contract.Registry, base BaseReader, b *types.Block, workers int,
+	fold func(writes []types.RWRecord)) error {
+	d, err := consistent(base, b.SingleTxs, b.Results)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	defer d.release()
 	err, known := b.ReplayVerdict()
 	if !known {
 		err = replay(reg, b.SingleTxs, b.Results, workers)
 		b.SetReplayVerdict(err)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return out, nil
+	fold(d.recs)
+	return nil
 }
 
 // delta is the consistency pass's working state: the batch's declared
@@ -134,8 +142,9 @@ func (d *delta) release() {
 
 // consistent is half A: the results must pair up with txs in schedule
 // order, and every declared read must carry the value its schedule
-// position holds. It returns the batch's state delta.
-func consistent(base BaseReader, txs []*types.Transaction, results []types.TxResult) (*Result, error) {
+// position holds. It returns the batch's state delta, which the caller
+// releases.
+func consistent(base BaseReader, txs []*types.Transaction, results []types.TxResult) (*delta, error) {
 	if len(txs) != len(results) {
 		return nil, fmt.Errorf("%w: %d transactions but %d results", ErrInvalidBlock, len(txs), len(results))
 	}
@@ -148,7 +157,6 @@ func consistent(base BaseReader, txs []*types.Transaction, results []types.TxRes
 		}
 	}
 	d := deltaPool.Get().(*delta)
-	defer d.release()
 	for i := range results {
 		r := &results[i]
 		for j := range r.ReadSet {
@@ -160,6 +168,7 @@ func consistent(base BaseReader, txs []*types.Transaction, results []types.TxRes
 				held = base(rd.Key)
 			}
 			if !held.Equal(rd.Value) {
+				d.release()
 				return nil, fmt.Errorf("%w: tx %d declares read %s=%q, its schedule position holds %q",
 					ErrInvalidBlock, i, rd.Key, rd.Value, held)
 			}
@@ -173,7 +182,7 @@ func consistent(base BaseReader, txs []*types.Transaction, results []types.TxRes
 			d.recs = append(d.recs, w)
 		}
 	}
-	return &Result{Writes: append(make([]types.RWRecord, 0, len(d.recs)), d.recs...)}, nil
+	return d, nil
 }
 
 // batchReplay is half B's per-batch state. work is built once per
