@@ -56,7 +56,6 @@ func main() {
 		kFlag    = flag.Int("k", 0, "silent-proposer rounds before a Shift vote (0=off)")
 		kPrime   = flag.Int("kprime", 0, "periodic reconfiguration period in rounds (0=off)")
 		scheme   = flag.String("scheme", "ed25519", "signature scheme: ed25519 | insecure")
-		spec     = flag.Bool("spec", true, "speculative execution of certified blocks (-spec=false is the escape hatch)")
 		dataDir  = flag.String("data-dir", "", "TCP mode: durable WAL storage directory (empty = in-memory; a restart with the same directory recovers committed state from disk)")
 
 		client  = flag.Bool("client", false, "run a remote gateway client against -peers instead of a replica")
@@ -74,17 +73,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The -spec flag maps to node.Config.SpecExecDepth: 0 keeps the
-	// node default (speculation on), negative disables it.
-	specDepth := 0
-	if !*spec {
-		specDepth = -1
-	}
 	if *local > 0 {
-		runLocal(*local, m, *duration, *clients, *accounts, *batch, *kFlag, *kPrime, specDepth, *seed, *debugAddr)
+		runLocal(*local, m, *duration, *clients, *accounts, *batch, *kFlag, *kPrime, *seed, *debugAddr)
 		return
 	}
-	runTCP(*id, *peersArg, m, *accounts, *batch, *kFlag, *kPrime, specDepth, *seed, *scheme, *dataDir, *debugAddr)
+	runTCP(*id, *peersArg, m, *accounts, *batch, *kFlag, *kPrime, *seed, *scheme, *dataDir, *debugAddr)
 }
 
 // runClient streams sessioned transactions at a running TCP committee
@@ -175,10 +168,10 @@ func parseMode(s string) (thunderbolt.Mode, error) {
 	return 0, fmt.Errorf("unknown mode %q (want ce|occ|tusk)", s)
 }
 
-func runLocal(n int, m thunderbolt.Mode, duration time.Duration, clients, accounts, batch, k, kprime, specDepth int, seed int64, debugAddr string) {
+func runLocal(n int, m thunderbolt.Mode, duration time.Duration, clients, accounts, batch, k, kprime int, seed int64, debugAddr string) {
 	c, err := thunderbolt.NewCluster(thunderbolt.ClusterConfig{
 		N: n, Mode: m, Accounts: accounts, BatchSize: batch,
-		K: k, KPrime: kprime, SpecExecDepth: specDepth, Seed: seed,
+		K: k, KPrime: kprime, Seed: seed,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -200,7 +193,7 @@ func runLocal(n int, m thunderbolt.Mode, duration time.Duration, clients, accoun
 	fmt.Println(rep)
 }
 
-func runTCP(id int, peersArg string, m thunderbolt.Mode, accounts, batch, k, kprime, specDepth int, seed int64, schemeName, dataDir, debugAddr string) {
+func runTCP(id int, peersArg string, m thunderbolt.Mode, accounts, batch, k, kprime int, seed int64, schemeName, dataDir, debugAddr string) {
 	if id < 0 || peersArg == "" {
 		log.Fatal("TCP mode needs -id and -peers (or use -local N)")
 	}
@@ -253,7 +246,6 @@ func runTCP(id int, peersArg string, m thunderbolt.Mode, accounts, batch, k, kpr
 		Signer: signers[id], Verifier: verifier,
 		Registry: reg, Store: st,
 		Mode: m, BatchSize: batch, K: k, KPrime: kprime,
-		SpecExecDepth: specDepth,
 	})
 	if err != nil {
 		log.Fatal(err)

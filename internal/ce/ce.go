@@ -151,7 +151,7 @@ func (s *Session) begin(base depgraph.BaseReader) *depgraph.Graph {
 // Invalidate drops the carried committed-tip state; the next batch
 // reads every key through its BaseReader again. Call it when the
 // underlying state changed outside the session's own batch stream
-// (cross-shard commits, speculative-state rollbacks, epoch
+// (cross-shard commits, a discarded own block, epoch
 // transitions, snapshot installs).
 func (s *Session) Invalidate() { s.carry = false }
 

@@ -69,13 +69,6 @@ type Options struct {
 	// 1ms). GC scenarios raise it so an outage's missed-round count
 	// stays related to the configured horizon.
 	MinRoundInterval time.Duration
-	// SpecExecDepth bounds each node's speculative-execution pipeline
-	// (node.Config.SpecExecDepth): 0 = default (on), negative disables.
-	SpecExecDepth int
-	// SpecVerify re-derives every speculative hit cold at install time
-	// (node.Config.SpecVerify) — speculation scenarios turn it on so a
-	// hit is a proven equivalence, not an assumption.
-	SpecVerify bool
 	// GCHorizon sets each node's round-pull serving horizon in rounds
 	// (node.Config.GCHorizon: 0 = node default, negative disables GC).
 	GCHorizon int
@@ -158,7 +151,6 @@ func New(opt Options) (*Harness, error) {
 		Executors: 2, Validators: 2,
 		BatchSize: opt.BatchSize, K: opt.K, KPrime: opt.KPrime,
 		TickInterval: opt.TickInterval, MinRoundInterval: opt.MinRoundInterval,
-		SpecExecDepth: opt.SpecExecDepth, SpecVerify: opt.SpecVerify,
 		GCHorizon: opt.GCHorizon, Seed: opt.Seed,
 		SnapshotInterval: opt.SnapshotInterval,
 		CommitLogCap:     1 << 20,

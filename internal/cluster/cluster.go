@@ -63,12 +63,6 @@ type Config struct {
 	// MinRoundInterval throttles each node's round advancement
 	// (node.Config.MinRoundInterval); 0 = default 1ms.
 	MinRoundInterval time.Duration
-	// SpecExecDepth bounds each node's speculative-execution pipeline
-	// (node.Config.SpecExecDepth): 0 = default, negative disables.
-	SpecExecDepth int
-	// SpecVerify enables each node's runtime differential check on
-	// speculative hits (node.Config.SpecVerify).
-	SpecVerify bool
 	// Headless lists replica indices for which no node is constructed:
 	// their network endpoints stay free for a test harness to drive at
 	// the wire level (Byzantine drivers, protocol fuzzers). Node(i)
@@ -224,8 +218,6 @@ func New(cfg Config) (*Cluster, error) {
 			BatchSize: cfg.BatchSize, K: cfg.K, KPrime: cfg.KPrime,
 			TickInterval:     cfg.TickInterval,
 			MinRoundInterval: cfg.MinRoundInterval,
-			SpecExecDepth:    cfg.SpecExecDepth,
-			SpecVerify:       cfg.SpecVerify,
 			CommitLogCap:     cfg.CommitLogCap,
 			GCHorizon:        cfg.GCHorizon,
 			SnapshotInterval: cfg.SnapshotInterval,

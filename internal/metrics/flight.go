@@ -32,9 +32,6 @@ const (
 	EvSendErr
 	EvReconfig
 	EvFastForward
-	EvSpecStart
-	EvSpecConfirm
-	EvSpecRollback
 	EvAnchorSkip
 )
 
@@ -66,12 +63,6 @@ func (k EventKind) String() string {
 		return "reconfig"
 	case EvFastForward:
 		return "fast-forward"
-	case EvSpecStart:
-		return "spec-start"
-	case EvSpecConfirm:
-		return "spec-confirm"
-	case EvSpecRollback:
-		return "spec-rollback"
 	case EvAnchorSkip:
 		return "anchor-skip"
 	default:

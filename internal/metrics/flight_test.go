@@ -75,7 +75,7 @@ func TestEventKindStrings(t *testing.T) {
 	kinds := []EventKind{
 		EvPropose, EvVote, EvCert, EvCommit, EvSkip, EvShift, EvGC,
 		EvSnapCapture, EvSnapInstall, EvEpochJump, EvSendErr, EvReconfig, EvFastForward,
-		EvSpecStart, EvSpecConfirm, EvSpecRollback, EvAnchorSkip,
+		EvAnchorSkip,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {

@@ -165,16 +165,11 @@ func (s RegistrySnapshot) Dump() string {
 const (
 	StageProposeCertify = "stage_propose_certify_ns"
 	StageCertifyCommit  = "stage_certify_commit_ns"
-	// StageCertifySpecDone measures certification → speculative results
-	// ready: how much of the certify→commit wait the speculative
-	// executor reclaims (recorded only for blocks that were
-	// speculatively executed).
-	StageCertifySpecDone = "stage_certify_specdone_ns"
-	StageCommitExecute   = "stage_commit_execute_ns"
-	StageSubmitAck       = "stage_submit_ack_ns"
+	StageCommitExecute  = "stage_commit_execute_ns"
+	StageSubmitAck      = "stage_submit_ack_ns"
 )
 
 // StageNames lists the per-stage histograms in pipeline order.
 var StageNames = []string{
-	StageProposeCertify, StageCertifyCommit, StageCertifySpecDone, StageCommitExecute, StageSubmitAck,
+	StageProposeCertify, StageCertifyCommit, StageCommitExecute, StageSubmitAck,
 }

@@ -231,7 +231,7 @@ func TestCrashBetweenBatchesRecoversToBatchBoundary(t *testing.T) {
 		wb.wave(wb.block(2, 3, true, []*types.Transaction{depositTx(4, 2, 3, 7, 3)}, nil)),
 	}
 
-	wn := newWaveNode(t, committee, ModeCE, false)
+	wn := newWaveNode(t, committee, ModeCE)
 	n := wn.n
 	ids := map[types.Digest]session{}
 	for _, w := range append(append([]tusk.CommitWave(nil), first...), second...) {
@@ -345,80 +345,6 @@ func fileLen(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
-}
-
-// TestDiscardedPredictionBuffersNeverInstalled: a miss sends the queued
-// predictions' results back to the free list, and the commit-time runs
-// that follow take them up again. With SpecVerify on, every hit is
-// re-run and compared. Whatever a discarded result held must not leak
-// into what is installed: the replica ends bit-identical to one that
-// never speculated (store, dedup bytes, commit log, WAL notes), no result is on the free list twice, and none that
-// is installed or queued sits on it.
-func TestDiscardedPredictionBuffersNeverInstalled(t *testing.T) {
-	committee := dagtest.NewCommittee(4)
-	wb := newWaveBuilder(t, committee)
-	a := wb.block(1, 1, true, []*types.Transaction{depositTx(1, 1, 1, 1, 5)}, []*types.Transaction{payTx(3, 1, 3, 4, 10)})
-	b := wb.block(1, 2, true, []*types.Transaction{depositTx(2, 1, 2, 2, 7)}, []*types.Transaction{payTx(3, 2, 5, 6, 1)})
-	c := wb.block(1, 3, true, []*types.Transaction{depositTx(4, 1, 3, 7, 3)}, []*types.Transaction{failTx(5, 1, types.CrossShard, 1, 3)})
-	d := wb.block(2, 1, true, nil, []*types.Transaction{payTx(3, 3, 1, 2, 4)})
-	// The commit rule releases other waves than the predicted ones: the
-	// first prediction already misses, so all three are discarded.
-	predicted := []tusk.CommitWave{wb.wave(a), wb.wave(b), wb.wave(c)}
-	canonical := []tusk.CommitWave{wb.wave(b, a), wb.wave(c), wb.wave(d)}
-
-	cold := newWaveNode(t, committee, ModeCE, false)
-	queueWaves(cold.n, canonical...)
-	cold.n.drainExec()
-	want := cold.finish(t)
-
-	wn := newWaveNode(t, committee, ModeCE, true)
-	n := wn.n
-	for i, w := range predicted {
-		for _, v := range w.Vertices {
-			n.specVerts[v.Cert.Digest()] = true
-		}
-		n.specQ = append(n.specQ, ranWave{wave: w})
-		n.runPrediction(i)
-	}
-	discarded := map[*waveResult]bool{}
-	for _, sw := range n.specQ {
-		discarded[sw.res] = true
-	}
-	queueWaves(n, canonical...)
-	// Decide the pass's waves one by one, as drainExec does, to look at
-	// the batch before it is installed.
-	for _, it := range n.execQ {
-		n.batchWave(it)
-	}
-	n.execQ = n.execQ[:0]
-	reused := 0
-	onFree := map[*waveResult]bool{}
-	for _, r := range n.freeResults {
-		if onFree[r] {
-			t.Fatal("a result is on the free list twice")
-		}
-		onFree[r] = true
-	}
-	for _, rw := range n.execBatch {
-		if onFree[rw.res] {
-			t.Fatal("a result in the install batch is also on the free list")
-		}
-		if discarded[rw.res] {
-			reused++
-		}
-	}
-	if reused == 0 {
-		t.Fatal("no commit-time run reused a discarded prediction's result: the case is not exercised")
-	}
-	n.installBatch()
-	if st := n.Stats(); st.SpecMisses != 3 || st.SpecHits != 0 {
-		t.Fatalf("spec misses %d, hits %d; want 3 and 0", st.SpecMisses, st.SpecHits)
-	}
-	got := wn.finish(t)
-	if !reflect.DeepEqual(got.dump, want.dump) || !bytes.Equal(got.dedup, want.dedup) ||
-		!reflect.DeepEqual(got.clog, want.clog) || !reflect.DeepEqual(got.notes, want.notes) {
-		t.Fatal("installing on recycled results left another state than a replica that never speculated")
-	}
 }
 
 // TestSnapshotInstallDuringExecRunsNewEpochWaves: the inbox drain that

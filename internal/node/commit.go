@@ -53,13 +53,12 @@ func (n *Node) processCommits() {
 const maxBatchWaves = 16
 
 // drainExec runs and installs queued commit waves in order, paying once
-// per pass for what no peer observes. Every wave a pass finds ready is
-// decided on top of the ones before it (batchWave) — a confirmed
-// prediction's result, or a run on the stack of the batch's earlier
-// waves — and the batch lands as one store apply carrying one WAL note
-// (installBatch). GC, the outbox flush and the inbox re-drain then run
-// once: messages that arrived during a long execution are handled, and
-// may queue further waves, which form the next batch.
+// per pass for what no peer observes. Every wave a pass finds ready runs
+// on the stack of the batch's earlier waves (batchWave), and the batch
+// lands as one store apply carrying one WAL note (installBatch). GC, the
+// outbox flush and the inbox re-drain then run once: messages that
+// arrived during a long execution are handled, and may queue further
+// waves, which form the next batch.
 //
 // Batches end where a replica-independent position must hold exactly
 // the waves before it. Before the first wave of a later round when a
@@ -130,36 +129,34 @@ func carriesShift(w tusk.CommitWave) bool {
 	return false
 }
 
-// batchWave decides the wave the commit rule released on the stack of
-// the install batch's earlier waves, and appends it to both.
+// batchWave runs the wave the commit rule released on the stack of the
+// install batch's earlier waves — the only call of runWave — and
+// appends it to both.
 func (n *Node) batchWave(it execItem) {
 	if len(n.execBatch) == 0 {
 		n.stack.reset()
 	}
-	res, hit := n.waveResultFor(it.wave)
-	n.execBatch = append(n.execBatch, ranWave{wave: it.wave, res: res, committedAt: it.committedAt, hit: hit})
+	dedup, base := n.stack.view()
+	res := n.cfg.runWave(it.wave, dedup, base, n.newResult())
+	n.stack.push(res)
+	n.execBatch = append(n.execBatch, ranWave{wave: it.wave, res: res, committedAt: it.committedAt})
 }
 
-// ranWave is a commit wave and, once run, its result: a prediction in
-// the speculation queue, or a decided wave in the install batch, which
-// also keeps when the commit rule released it and whether its result is
-// a confirmed prediction's.
+// ranWave is a decided wave of the install batch: the commit wave, its
+// result, and when the commit rule released it.
 type ranWave struct {
 	wave        tusk.CommitWave
-	res         *waveResult // nil until run
+	res         *waveResult
 	committedAt time.Time
-	hit         bool
 }
 
-// waveStack is the state a wave runs on when results that are not
-// installed yet sit between it and committed state: their resolutions
+// waveStack is the state a wave runs on when the install batch's
+// earlier waves sit between it and committed state: their resolutions
 // marked on a scratch view of the dedup, their writes coalesced over
 // the store, the later over the earlier. One scratch view and one write
-// map serve every wave. A prediction runs on the predictions queued
-// ahead of it (runPrediction), a commit-time run on the waves ahead of
-// it in its install batch (waveResultFor). A stack holds only while the
-// committed dedup and store stay as they are, so each prediction and
-// each install batch starts from a reset one.
+// map serve every wave. A stack holds only while the committed dedup
+// and store stay as they are, so each install batch starts from a
+// reset one.
 type waveStack struct {
 	dedup  *gateway.Scratch
 	writes waveWrites // over committed state
@@ -176,12 +173,9 @@ func (s *waveStack) reset() {
 	s.writes.reset()
 }
 
-// push stacks a result. ranHere says it was run on this stack, so its
-// run marked the scratch dedup already.
-func (s *waveStack) push(r *waveResult, ranHere bool) {
-	if !ranHere {
-		r.eachResolved(func(tx *types.Transaction, _ bool) { s.dedup.Mark(tx) })
-	}
+// push stacks the writes of a result run on this stack; its run marked
+// the scratch dedup already.
+func (s *waveStack) push(r *waveResult) {
 	s.writes.fold(r.writes.recs)
 }
 
@@ -254,16 +248,12 @@ func (ws *waveWrites) fold(writes []types.RWRecord) {
 //
 // A result is recycled (newResult, releaseResult): the node takes one
 // from its free list for every run and returns it when the result is
-// installed or its prediction discarded, so steady-state waves run on
-// memory earlier waves grew. The fields after txs are that memory:
-// runWave's working lists, the ordered executor's buffers, and the
-// readers bound to the result once.
+// installed, so steady-state waves run on memory earlier waves grew.
+// The fields after writes are that memory: runWave's working lists, the
+// ordered executor's buffers, and the readers bound to the result once.
 type waveResult struct {
 	outcomes []waveOutcome
 	writes   waveWrites
-	// txs counts executed transactions — the unit of wasted work a
-	// discarded prediction reports.
-	txs int
 
 	cross    []orderedTx          // the wave's cross-shard transactions, in order
 	live     []orderedTx          // execOrdered's unresolved items
@@ -297,16 +287,14 @@ func (n *Node) newResult() *waveResult {
 	n.freeResults = n.freeResults[:k-1]
 	r.outcomes = r.outcomes[:0]
 	r.writes.reset()
-	r.txs = 0
 	return r
 }
 
-// releaseResult returns a result nobody holds any more — installed, or
-// a discarded prediction's — to the free list. Its contents are cleared
-// when it is taken again, so an installed result stays readable until
-// the next run.
+// releaseResult returns an installed result to the free list. Its
+// contents are cleared when it is taken again, so an installed result
+// stays readable until the next run.
 func (n *Node) releaseResult(r *waveResult) {
-	if r != nil && len(n.freeResults) < maxBatchWaves+n.specDepth {
+	if len(n.freeResults) < maxBatchWaves {
 		n.freeResults = append(n.freeResults, r)
 	}
 }
@@ -346,9 +334,6 @@ type waveOutcome struct {
 // encoding of those rules, and a pure function of the wave, the dedup
 // view and the base reader: it marks only the view, writes only res,
 // and reads nothing of the node beyond Registry, Validators and Mode.
-// Whether the wave runs at commit time against committed state or ahead
-// of its commit against predicted state is the caller's choice of dedup
-// and base.
 func (c *Config) runWave(w tusk.CommitWave, dedup *gateway.Scratch, base validate.BaseReader, res *waveResult) *waveResult {
 	res.writes.over(base)
 	res.cross = res.cross[:0]
@@ -369,7 +354,6 @@ func (c *Config) runWave(w tusk.CommitWave, dedup *gateway.Scratch, base validat
 		if len(b.SingleTxs) > 0 {
 			ok := false
 			if !res.staleBlock(b, dedup) {
-				res.txs += len(b.SingleTxs)
 				if err := validate.ValidateBlock(c.Registry, res.writes.read, b, c.Validators, res.fold); err == nil {
 					ok = true
 					for _, tx := range b.SingleTxs {
@@ -414,7 +398,6 @@ func (r *waveResult) execOrdered(reg *contract.Registry, dedup *gateway.Scratch,
 	if len(r.live) == 0 {
 		return
 	}
-	r.txs += len(r.live)
 	// The executor folds each of its waves into r.writes, which is how
 	// the next wave's reads (through r.writes.read) see it.
 	for i, out := range r.exec.Run(reg, r.writes.read, r.liveTxs, workers, r.fold) {
@@ -481,11 +464,6 @@ func (n *Node) installBatch() {
 	for i := range n.execBatch {
 		rw := &n.execBatch[i]
 		n.installWave(rw.wave, rw.res, rw.committedAt)
-		if rw.hit {
-			n.nm.specHits.Add(1)
-			// a = vertices installed, b = coalesced store writes.
-			n.trace(metrics.EvSpecConfirm, rw.wave.Leader.Round(), uint64(len(rw.wave.Vertices)), uint64(len(rw.res.writes.recs)))
-		}
 		n.releaseResult(rw.res)
 		*rw = ranWave{}
 	}
@@ -586,8 +564,8 @@ func (n *Node) installWave(w tusk.CommitWave, res *waveResult, committedAt time.
 		// preplay must re-read through the base.
 		n.preplayer.invalidate()
 	}
-	// The wave's commit→execute leg: queue wait plus run (or the
-	// confirmation of an earlier run) plus its batch's install.
+	// The wave's commit→execute leg: queue wait plus run plus its
+	// batch's install.
 	n.nm.stageCommitExecute.Observe(time.Since(committedAt))
 	if n.cfg.OnCommitWave != nil {
 		n.cfg.OnCommitWave(n.epoch, w.Leader.Round(), now)

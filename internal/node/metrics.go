@@ -45,17 +45,6 @@ const (
 	mSessionRepeats     = "session_repeats_dropped" // queued single-shard txs dropped for a session their batch already held
 	mBatchSize          = "batch_size"
 
-	// Speculative-execution counters: hits install a result computed
-	// ahead of the commit, misses discard the queued predictions and run
-	// the wave at commit time, wasted counts the speculatively executed
-	// transactions those discards threw away, and uncovered counts the
-	// waves that found no prediction that had run (an empty queue, or
-	// one whose oldest entry never ran) and ran at commit time.
-	mSpecHits      = "spec_hits"
-	mSpecMisses    = "spec_misses"
-	mSpecWastedTxs = "spec_wasted_txs"
-	mSpecUncovered = "spec_uncovered"
-
 	// Install batches (drainExec): waves per batch is (committed direct
 	// + indirect slots) / exec_batches.
 	mExecBatches = "exec_batches"
@@ -156,10 +145,6 @@ type nodeMetrics struct {
 	snapChunkRetries   *metrics.Counter
 	snapChunksEncoded  *metrics.Counter
 	snapChunksReused   *metrics.Counter
-	specHits           *metrics.Counter
-	specMisses         *metrics.Counter
-	specWastedTxs      *metrics.Counter
-	specUncovered      *metrics.Counter
 	execBatches        *metrics.Counter
 	sessionRepeats     *metrics.Counter
 	slotsDirect        *metrics.Counter
@@ -200,14 +185,13 @@ type nodeMetrics struct {
 	keyStatesDropped  *metrics.Gauge
 	ledger            storage.LedgerMetrics
 
-	stageProposeCertify  *metrics.Histogram
-	stageCertifyCommit   *metrics.Histogram
-	stageCertifySpecDone *metrics.Histogram
-	stageCommitExecute   *metrics.Histogram
-	stageSubmitAck       *metrics.Histogram
-	snapCapture          *metrics.Histogram
-	slotWaitNs           *metrics.Histogram
-	voteVerifyNs         *metrics.Histogram
+	stageProposeCertify *metrics.Histogram
+	stageCertifyCommit  *metrics.Histogram
+	stageCommitExecute  *metrics.Histogram
+	stageSubmitAck      *metrics.Histogram
+	snapCapture         *metrics.Histogram
+	slotWaitNs          *metrics.Histogram
+	voteVerifyNs        *metrics.Histogram
 }
 
 func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
@@ -240,10 +224,6 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 		snapChunkRetries:   reg.Counter(mSnapChunkRetries),
 		snapChunksEncoded:  reg.Counter(mSnapChunksEncoded),
 		snapChunksReused:   reg.Counter(mSnapChunksReused),
-		specHits:           reg.Counter(mSpecHits),
-		specMisses:         reg.Counter(mSpecMisses),
-		specWastedTxs:      reg.Counter(mSpecWastedTxs),
-		specUncovered:      reg.Counter(mSpecUncovered),
 		execBatches:        reg.Counter(mExecBatches),
 		sessionRepeats:     reg.Counter(mSessionRepeats),
 		slotsDirect:        reg.Counter(mSlotsCommittedDirect),
@@ -289,14 +269,13 @@ func newNodeMetrics(id types.ReplicaID) *nodeMetrics {
 			FoldNs:   reg.Histogram(mLedgerFoldNs),
 		},
 
-		stageProposeCertify:  reg.Histogram(metrics.StageProposeCertify),
-		stageCertifyCommit:   reg.Histogram(metrics.StageCertifyCommit),
-		stageCertifySpecDone: reg.Histogram(metrics.StageCertifySpecDone),
-		stageCommitExecute:   reg.Histogram(metrics.StageCommitExecute),
-		stageSubmitAck:       reg.Histogram(metrics.StageSubmitAck),
-		snapCapture:          reg.Histogram(mSnapCaptureNs),
-		slotWaitNs:           reg.Histogram(mSlotWaitNs),
-		voteVerifyNs:         reg.Histogram(mVoteVerifyNs),
+		stageProposeCertify: reg.Histogram(metrics.StageProposeCertify),
+		stageCertifyCommit:  reg.Histogram(metrics.StageCertifyCommit),
+		stageCommitExecute:  reg.Histogram(metrics.StageCommitExecute),
+		stageSubmitAck:      reg.Histogram(metrics.StageSubmitAck),
+		snapCapture:         reg.Histogram(mSnapCaptureNs),
+		slotWaitNs:          reg.Histogram(mSlotWaitNs),
+		voteVerifyNs:        reg.Histogram(mVoteVerifyNs),
 	}
 	for class := 0; class < numSendClasses; class++ {
 		m.sendErrors[class] = reg.Counter("send_errors_" + sendClassName[class])
@@ -349,9 +328,6 @@ func (n *Node) Stats() Stats {
 		SnapChunksFetched:  m.snapChunksFetched.Value(),
 		SnapChunksSkipped:  m.snapChunksSkipped.Value(),
 		SnapChunkRetries:   m.snapChunkRetries.Value(),
-		SpecHits:           m.specHits.Value(),
-		SpecMisses:         m.specMisses.Value(),
-		SpecWastedTxs:      m.specWastedTxs.Value(),
 		PendingCross:       uint64(m.pendingCross.Value()),
 		QueueLen:           uint64(m.queueLen.Value()),
 		BatchSize:          uint64(m.batchSize.Value()),

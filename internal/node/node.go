@@ -143,23 +143,6 @@ type Config struct {
 	// capture).
 	SnapshotInterval int
 
-	// SpecExecDepth bounds the speculative-execution pipeline: how
-	// many certified-but-uncommitted commit waves may be predicted
-	// in slot order and executed ahead of the Tusk commit
-	// (spec.go), filling the certify→commit wait with execution work
-	// that a matching commit installs in O(writes). 0 selects the
-	// default (2); negative disables speculation — every wave then runs
-	// at commit time, through the same code. Ignored in ModeSerial
-	// (serial blocks run only at commit).
-	SpecExecDepth int
-	// SpecVerify re-runs every speculative hit at commit time — same
-	// wave, committed store, committed dedup — and demotes the hit to a
-	// miss unless the outcomes are bit-identical. The runtime
-	// differential check behind the speculation contract; chaos
-	// scenarios enable it, production keeps it off (it spends the exact
-	// execution the hit saved).
-	SpecVerify bool
-
 	// TickInterval paces housekeeping (block re-requests, recovery
 	// retries); default 25ms. Twice this is the floor of the stall
 	// threshold — how long without progress before a replica
@@ -208,9 +191,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinRoundInterval <= 0 {
 		c.MinRoundInterval = time.Millisecond
-	}
-	if c.SpecExecDepth == 0 {
-		c.SpecExecDepth = defaultSpecExecDepth
 	}
 	switch {
 	case c.GCHorizon == 0:
@@ -271,14 +251,6 @@ const (
 	// traffic. Requests over budget are dropped; the requester times
 	// out and rotates to another server.
 	chunkServeBudget = 64
-	// defaultSpecExecDepth is the speculative-execution pipeline
-	// depth: up to this many predicted commit waves executed ahead of
-	// the Tusk commit. A wave is one slot, so two run about half of a
-	// round's waves ahead at n = 4; a depth of 2n (a round and more)
-	// measured no better on a LAN committee, whose waves are cheap to
-	// run at commit, and deeper pipelines predict across more unsettled
-	// slots, whose misses cost re-execution.
-	defaultSpecExecDepth = 2
 )
 
 // Stats is a point-in-time snapshot of a node's counters.
@@ -337,11 +309,11 @@ type Stats struct {
 	// BatchSize is the adaptive proposer batch size currently in
 	// effect (between Config.BatchSize and its cap).
 	BatchSize uint64
-	// Speculative execution (spec.go): SpecHits counts commit waves
-	// installed from precomputed results, SpecMisses counts predicted
-	// waves discarded on a slot-order misprediction, and
-	// SpecWastedTxs the speculatively executed transactions those
-	// rollbacks threw away.
+	// SpecHits, SpecMisses and SpecWastedTxs always read 0: every wave
+	// runs once, at commit, and nothing runs ahead of it. Their only
+	// reader is benchmark/cluster_run.go (the node.spec_hit_rate and
+	// node.spec_wasted_per_tx rows); the next change to the benchmark
+	// deletes them with those rows.
 	SpecHits      uint64
 	SpecMisses    uint64
 	SpecWastedTxs uint64
@@ -465,28 +437,14 @@ type Node struct {
 	execQ []execItem
 	// execBatch holds the waves a drainExec pass has decided and not yet
 	// installed (installBatch), in commit order. stack is what a wave
-	// runs on: the batch's earlier waves, or a prediction's predecessors
-	// (waveStack). Results nobody holds go back to freeResults
-	// (newResult).
+	// runs on: the batch's earlier waves (waveStack). Installed results
+	// go back to freeResults (newResult).
 	execBatch   []ranWave
 	stack       *waveStack
 	freeResults []*waveResult
 	// epochEntries counts resetEpochState calls: a drainExec pass that
 	// sees it move knows its queue was replaced.
 	epochEntries uint64
-
-	// Speculative execution (spec.go): specQ holds commit waves
-	// predicted in slot order, run
-	// ahead of the Tusk commit during the certify→commit wait — each
-	// entry's result doubles as the state layer later entries run on;
-	// specVerts claims their vertex digests (the committed filter
-	// stacked predictions linearize against). specDepth caps the queue
-	// (Config.SpecExecDepth; 0 = speculation off).
-	specDepth int
-	specQ     []ranWave
-	specVerts map[types.Digest]bool
-	// specClaimFn is bound once like baseReader.
-	specClaimFn func(types.Digest) bool
 
 	// baseReader is n.baseRead bound once: the commit path passes it to
 	// validation/execution for every wave, and a method-value conversion
@@ -621,10 +579,6 @@ func New(cfg Config) (*Node, error) {
 	n.slotTimer = time.NewTimer(time.Hour)
 	n.slotTimer.Stop()
 	n.baseReader = n.baseRead
-	n.specClaimFn = n.specVertClaimed
-	if cfg.SpecExecDepth > 0 && cfg.Mode != ModeSerial {
-		n.specDepth = cfg.SpecExecDepth
-	}
 	n.nm = newNodeMetrics(cfg.ID)
 	cfg.Store.Instrument(n.nm.ledger)
 	if cfg.GCHorizon > 0 {
@@ -696,7 +650,6 @@ func (n *Node) resetEpochState(epoch types.Epoch, base types.Round) {
 	n.archive.reset(n.dagStore.Floor())
 	n.execQ = nil // waves of a dying epoch never execute
 	n.epochEntries++
-	n.resetSpec() // predictions bind to the dying epoch's DAG
 	n.loadedRound = 0
 	n.snapFrom = make(map[types.ReplicaID]*types.Snapshot)
 	n.snapServed = make(map[types.ReplicaID]time.Time)
@@ -823,7 +776,6 @@ func (n *Node) Inspect(f func(*DebugView)) error {
 			ArchiveBytes:   n.archive.bytes,
 			DagVertices:    n.dagStore.Len(),
 			CommittedFlags: n.committer.CommittedLen(),
-			SpecUncovered:  n.nm.specUncovered.Value(),
 			SlotsFast:      n.nm.slotsFast.Value(),
 			Vertices: func(r types.Round) []VertexInfo {
 				var out []VertexInfo
@@ -878,10 +830,6 @@ type DebugView struct {
 	PendingBlocks  int
 	VotedSlots     int
 	CommittedFlags int
-	// SpecUncovered counts the waves installed with no prediction that
-	// had run: the speculation queue was empty, or its oldest entry had
-	// not run, so the wave ran at commit time.
-	SpecUncovered uint64
 	// SlotsFast counts the slots committed on every proposer's received,
 	// not yet certified, next-round block (slots_committed_fast, a subset
 	// of slots_committed_direct).
@@ -962,15 +910,10 @@ func (n *Node) run() {
 		// execute now, re-draining the inbox between waves so vote and
 		// certificate handling for newer rounds is never blocked behind
 		// execution of older ones, and flush what that produced, until
-		// neither leaves work for the other. Then spend the
-		// certify→commit wait: predict and run
-		// certified waves the commit rule has not released yet
-		// (drainSpec), so the next commit can install a result that
-		// already exists instead of running on the critical path.
+		// neither leaves work for the other.
 		for n.flushOutbox(); len(n.execQ) > 0; n.flushOutbox() {
 			n.drainExec()
 		}
-		n.drainSpec()
 	}
 }
 

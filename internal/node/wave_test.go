@@ -1,7 +1,6 @@
 package node
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"sync/atomic"
@@ -62,7 +61,7 @@ func openWaveStore(t *testing.T, dir string) *storage.Durable {
 	return st
 }
 
-func newWaveNode(t *testing.T, committee *dagtest.Committee, mode ExecutionMode, verify bool) *waveNode {
+func newWaveNode(t *testing.T, committee *dagtest.Committee, mode ExecutionMode) *waveNode {
 	t.Helper()
 	dir := t.TempDir()
 	st := openWaveStore(t, dir)
@@ -73,7 +72,7 @@ func newWaveNode(t *testing.T, committee *dagtest.Committee, mode ExecutionMode,
 		Signer:    committee.Signers[0], Verifier: committee.Ver,
 		Registry: waveRegistry(), Store: st,
 		Mode: mode, Validators: 2, NonceWindow: waveNonceWindow,
-		CommitLogCap: 1024, SpecVerify: verify,
+		CommitLogCap: 1024,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,15 +80,6 @@ func newWaveNode(t *testing.T, committee *dagtest.Committee, mode ExecutionMode,
 	wn := &waveNode{n: n, st: st, dir: dir, pre: &countingPreplayer{}}
 	n.preplayer = wn.pre
 	return wn
-}
-
-// waveState is everything a wave may leave behind that another replica
-// — or this one after a restart — must agree on.
-type waveState struct {
-	dump  []types.RWRecord
-	dedup []byte
-	clog  []CommitEntry
-	notes [][]byte // WAL note stream, read back from a reopened backend
 }
 
 // dumpOf returns a backend's state in ascending key order, values
@@ -103,24 +93,21 @@ func dumpOf(st storage.Backend) []types.RWRecord {
 	return out
 }
 
-func (wn *waveNode) finish(t *testing.T) waveState {
+// reopen closes the backend, reopens it from disk, requires it to
+// replay to the live state, and returns the WAL note stream it read
+// back.
+func (wn *waveNode) reopen(t *testing.T) [][]byte {
 	t.Helper()
-	var s waveState
-	s.dump = dumpOf(wn.st)
-	e := types.NewEncoder()
-	wn.n.dedup.EncodeState(e)
-	s.dedup = e.Sum()
-	_, s.clog = wn.n.CommitLog()
+	live := dumpOf(wn.st)
 	if err := wn.st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	re := openWaveStore(t, wn.dir)
 	defer re.Close()
-	s.notes = re.RecoveredNotes()
-	if !reflect.DeepEqual(dumpOf(re), s.dump) {
+	if !reflect.DeepEqual(dumpOf(re), live) {
 		t.Fatal("reopened backend does not replay to the live state")
 	}
-	return s
+	return re.RecoveredNotes()
 }
 
 // waveBuilder assembles hand-built waves: certified vertices over
@@ -194,11 +181,11 @@ func (wb *waveBuilder) wave(blocks ...*types.Block) tusk.CommitWave {
 // commitWave decides one released wave and installs it as a batch of
 // its own, as drainExec does for a pass that finds one wave ready. The
 // result stays readable until the next wave is decided.
-func commitWave(n *Node, w tusk.CommitWave) (*waveResult, bool) {
+func commitWave(n *Node, w tusk.CommitWave) *waveResult {
 	n.batchWave(execItem{wave: w, committedAt: time.Now()})
-	rw := n.execBatch[0]
+	res := n.execBatch[0].res
 	n.installBatch()
-	return rw.res, rw.hit
+	return res
 }
 
 func checking(t *testing.T, wn *waveNode, account int) int64 {
@@ -223,19 +210,15 @@ func commitEntries(wn *waveNode, id types.Digest) []CommitEntry {
 }
 
 // TestWaveRunOnceInstallOnce drives hand-built waves through the one
-// run function and the one install function three ways — at commit
-// time against committed state, ahead of commit on stacked predicted
-// state, and the latter with SpecVerify re-running every hit — and
-// requires the three to be indistinguishable: same outcomes, store,
-// dedup bytes, commit log, and WAL note stream after a reopen.
+// run function and the one install function at commit time, checks
+// each row's outcomes, store, dedup and commit log, and requires the
+// WAL note stream of every row that commits to replay to the live
+// store after a reopen.
 //
-// The first three rows are the regression for the fork this replaced:
-// the commit-time copy saw within-wave dedup through gateway.Dedup
-// (session identity, nonce floors) while the speculative copy saw it
-// through a digest set, so two distinct transactions carrying one
-// (client, nonce) — or a nonce swallowed by a forced floor eviction —
-// were discarded by a replica that missed and committed by one that
-// hit.
+// The session rows pin within-wave dedup to gateway.Dedup's session
+// identity and nonce floors: two distinct transactions carrying one
+// (client, nonce), or a nonce swallowed by a forced floor eviction,
+// leave the later block stale on every replica.
 func TestWaveRunOnceInstallOnce(t *testing.T) {
 	committee := dagtest.NewCommittee(4)
 	type row struct {
@@ -251,8 +234,7 @@ func TestWaveRunOnceInstallOnce(t *testing.T) {
 			name: "same client nonce in two blocks of one wave",
 			build: func(wb *waveBuilder) []tusk.CommitWave {
 				return []tusk.CommitWave{
-					// An unrelated earlier wave, so the speculative leg runs
-					// the interesting one on a stacked view.
+					// An unrelated earlier wave, installed first.
 					wb.wave(wb.block(1, 3, true, []*types.Transaction{depositTx(6, 1, 3, 3, 1)}, nil)),
 					wb.wave(
 						wb.block(3, 1, true, []*types.Transaction{depositTx(9, 1, 1, 1, 5)}, nil),
@@ -376,9 +358,6 @@ func TestWaveRunOnceInstallOnce(t *testing.T) {
 			check: func(t *testing.T, wn *waveNode, waves []tusk.CommitWave, results []*waveResult) {
 				if out := results[0].outcomes; len(out) != 1 || !out[0].ok || out[0].tx.Nonce != 1 {
 					t.Fatalf("want only the sessioned payment run, got %+v", out)
-				}
-				if results[0].txs != 1 {
-					t.Fatalf("executed %d transactions, want 1", results[0].txs)
 				}
 				if a, b := checking(t, wn, 1), checking(t, wn, 2); a != 100 || b != 100 {
 					t.Fatalf("nonce-less payment ran: accounts 1, 2 = %d, %d", a, b)
@@ -530,131 +509,59 @@ func TestWaveRunOnceInstallOnce(t *testing.T) {
 		},
 	}
 
-	legs := []struct {
-		name         string
-		ahead, check bool
-	}{
-		{"at commit time", false, false},
-		{"ahead of commit", true, false},
-		{"ahead of commit, verified", true, true},
-	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			waves := r.build(newWaveBuilder(t, committee))
-			var want waveState
-			for li, leg := range legs {
-				wn := newWaveNode(t, committee, r.mode, leg.check)
-				if r.prime != nil {
-					r.prime(wn, waves)
-				}
-				n := wn.n
-				if leg.ahead {
-					for i, w := range waves {
-						for _, v := range w.Vertices {
-							n.specVerts[v.Cert.Digest()] = true
-						}
-						n.specQ = append(n.specQ, ranWave{wave: w})
-						n.runPrediction(i)
-					}
-				}
-				var results []*waveResult
-				for _, w := range waves {
-					res, hit := commitWave(n, w)
-					if hit != leg.ahead {
-						t.Fatalf("%s: hit = %v", leg.name, hit)
-					}
-					results = append(results, res)
-				}
-				if len(n.specQ) != 0 || len(n.specVerts) != 0 {
-					t.Fatalf("%s: %d predictions, %d vertex claims left over", leg.name, len(n.specQ), len(n.specVerts))
-				}
-				r.check(t, wn, waves, results)
-				got := wn.finish(t)
-				if n.Stats().CommittedTxs > 0 && len(got.notes) == 0 {
-					t.Fatalf("%s: commits left no WAL notes", leg.name)
-				}
-				if li == 0 {
-					want = got
-					continue
-				}
-				if !reflect.DeepEqual(got.dump, want.dump) {
-					t.Errorf("%s: store differs from the commit-time leg", leg.name)
-				}
-				if !bytes.Equal(got.dedup, want.dedup) {
-					t.Errorf("%s: dedup state differs from the commit-time leg", leg.name)
-				}
-				if !reflect.DeepEqual(got.clog, want.clog) {
-					t.Errorf("%s: commit log differs from the commit-time leg:\n%v\n%v", leg.name, got.clog, want.clog)
-				}
-				if !reflect.DeepEqual(got.notes, want.notes) {
-					t.Errorf("%s: WAL note stream differs from the commit-time leg", leg.name)
-				}
+			wn := newWaveNode(t, committee, r.mode)
+			if r.prime != nil {
+				r.prime(wn, waves)
+			}
+			var results []*waveResult
+			for _, w := range waves {
+				results = append(results, commitWave(wn.n, w))
+			}
+			r.check(t, wn, waves, results)
+			committed := wn.n.Stats().CommittedTxs
+			if notes := wn.reopen(t); committed > 0 && len(notes) == 0 {
+				t.Fatal("commits left no WAL notes")
 			}
 		})
 	}
 }
 
-// TestWaveReplaysEachBlockOnce: replaying a block's transactions is a
-// function of the block, so however often its wave runs — predicted and
-// then missed, or predicted and then re-run by SpecVerify — every
-// contract executes once; the commit-time run only re-checks the
-// declared reads against committed state.
+// TestWaveReplaysEachBlockOnce: a committed wave replays each block's
+// transactions once — every contract executes once, and validation
+// only re-checks the declared reads against committed state.
 func TestWaveReplaysEachBlockOnce(t *testing.T) {
 	committee := dagtest.NewCommittee(4)
-	for _, leg := range []struct {
-		name   string
-		verify bool // SpecVerify: a hit is re-run and compared
-		miss   bool // the commit rule releases the blocks in another wave
-	}{
-		{"missed prediction", false, true},
-		{"verified hit", true, false},
-	} {
-		t.Run(leg.name, func(t *testing.T) {
-			wb := newWaveBuilder(t, committee)
-			a := wb.block(1, 1, true, []*types.Transaction{depositTx(1, 1, 1, 1, 5), depositTx(2, 1, 1, 5, 6)}, nil)
-			b := wb.block(1, 2, true, []*types.Transaction{depositTx(3, 1, 2, 2, 7)}, nil)
-			predicted := wb.wave(a, b)
-			committed := predicted
-			if leg.miss {
-				committed = wb.wave(b, a)
-			}
+	wb := newWaveBuilder(t, committee)
+	w := wb.wave(
+		wb.block(1, 1, true, []*types.Transaction{depositTx(1, 1, 1, 1, 5), depositTx(2, 1, 1, 5, 6)}, nil),
+		wb.block(1, 2, true, []*types.Transaction{depositTx(3, 1, 2, 2, 7)}, nil),
+	)
+	wn := newWaveNode(t, committee, ModeCE)
+	defer wn.st.Close()
+	n := wn.n
+	var execs atomic.Int64
+	counted := contract.NewRegistry()
+	for _, name := range n.cfg.Registry.Names() {
+		c, _ := n.cfg.Registry.Lookup(name)
+		counted.MustRegister(contract.Func{ContractName: name, Fn: func(st contract.State, args [][]byte) error {
+			execs.Add(1)
+			return c.Execute(st, args)
+		}})
+	}
+	n.cfg.Registry = counted
 
-			wn := newWaveNode(t, committee, ModeCE, leg.verify)
-			defer wn.st.Close()
-			n := wn.n
-			var execs atomic.Int64
-			counted := contract.NewRegistry()
-			for _, name := range n.cfg.Registry.Names() {
-				c, _ := n.cfg.Registry.Lookup(name)
-				counted.MustRegister(contract.Func{ContractName: name, Fn: func(st contract.State, args [][]byte) error {
-					execs.Add(1)
-					return c.Execute(st, args)
-				}})
-			}
-			n.cfg.Registry = counted
-
-			for _, v := range predicted.Vertices {
-				n.specVerts[v.Cert.Digest()] = true
-			}
-			n.specQ = append(n.specQ, ranWave{wave: predicted})
-			n.runPrediction(0)
-			if got := execs.Load(); got != 3 {
-				t.Fatalf("prediction executed %d contracts for 3 transactions", got)
-			}
-			_, hit := commitWave(n, committed)
-			if hit == leg.miss {
-				t.Fatalf("hit = %v", hit)
-			}
-			if got := execs.Load(); got != 3 {
-				t.Fatalf("running the wave again executed %d more contracts", got-3)
-			}
-			if st := n.Stats(); st.CommittedTxs != 3 || st.ValidationFailures != 0 {
-				t.Fatalf("committed %d, validation failures %d", st.CommittedTxs, st.ValidationFailures)
-			}
-			if x, y, z := checking(t, wn, 1), checking(t, wn, 5), checking(t, wn, 2); x != 105 || y != 106 || z != 107 {
-				t.Fatalf("accounts 1, 5, 2 = %d, %d, %d", x, y, z)
-			}
-		})
+	commitWave(n, w)
+	if got := execs.Load(); got != 3 {
+		t.Fatalf("the wave executed %d contracts for 3 transactions", got)
+	}
+	if st := n.Stats(); st.CommittedTxs != 3 || st.ValidationFailures != 0 {
+		t.Fatalf("committed %d, validation failures %d", st.CommittedTxs, st.ValidationFailures)
+	}
+	if x, y, z := checking(t, wn, 1), checking(t, wn, 5), checking(t, wn, 2); x != 105 || y != 106 || z != 107 {
+		t.Fatalf("accounts 1, 5, 2 = %d, %d, %d", x, y, z)
 	}
 }
 
@@ -667,7 +574,7 @@ func TestWaveReplaysEachBlockOnce(t *testing.T) {
 func TestProposerKeepsOneTransactionPerSession(t *testing.T) {
 	committee := dagtest.NewCommittee(4)
 	wb := newWaveBuilder(t, committee)
-	wn := newWaveNode(t, committee, ModeCE, false)
+	wn := newWaveNode(t, committee, ModeCE)
 	n := wn.n
 	n.preplayer = n.newPreplayer()
 	shard := n.myShard()

@@ -387,14 +387,11 @@ func (c *Committer) referencersIn(anchor, v *dag.Vertex) int {
 
 // PredictWave linearizes what a commit of slot vertex leader would
 // commit if it were the next wave, treating digests accepted by
-// claimed as already committed, without marking anything — the
-// speculative execution prediction. The caller supplies claimed to
-// cover waves it has predicted but not yet committed, so stacked
-// predictions compose exactly like consecutive commits. Linearize is
-// stable once a vertex is in the store (ancestors insert first), so the
-// prediction for a slot can only be wrong when a slot before it, or the
-// slot itself, is decided skip — the misprediction case the speculation
-// layer detects by comparing vertex lists at commit time.
+// claimed as already committed, without marking anything. Stacked
+// predictions compose exactly like consecutive commits
+// (TestPredictWaveMatchesCommit). No replica path calls it: its only
+// reader is benchmark/layers.go (the tusk.predict_us_per_wave row), and
+// the next change to the benchmark deletes it with that row.
 func (c *Committer) PredictWave(leader *dag.Vertex, claimed func(types.Digest) bool) CommitWave {
 	vs := c.store.Linearize(leader, func(d types.Digest) bool { return c.committed[d] || claimed(d) })
 	return CommitWave{Leader: leader, Vertices: vs}

@@ -392,8 +392,7 @@ func TestPredictWaveMatchesCommit(t *testing.T) {
 	claimed := map[types.Digest]bool{}
 	var preds []CommitWave
 	// predict stacks the waves of round r's slots, in slot order, on top
-	// of the claimed (but uncommitted) earlier predictions, as the
-	// node's queue does.
+	// of the claimed (but uncommitted) earlier predictions.
 	predict := func(r types.Round) {
 		for i := 0; i < 4; i++ {
 			v, ok := b.Store.Get(r, SlotProposer(0, r, 4, i))

@@ -67,14 +67,6 @@ type Block struct {
 	// replicas hold independent stamps for the same block.
 	Stamps BlockStamps
 
-	// replay caches the verdict of replaying SingleTxs against the reads
-	// Results declares (validate.ValidateBlock) — a function of the
-	// block and the contract registry alone, so one replica computes it
-	// once however often it validates the block. Local state like
-	// Stamps: outside the codec and the digest, reset on decode.
-	replay     error
-	replayDone bool
-
 	// wire holds the block's canonical encoding once known: the bytes
 	// it was decoded from, which its fields alias anyway, or the
 	// encoding Wire made for a block built locally. Local state like
@@ -101,15 +93,6 @@ type BlockStamps struct {
 	Seen      time.Time
 	Certified time.Time
 }
-
-// ReplayVerdict returns the replay verdict recorded on this copy of the
-// block (nil = every transaction reproduced its declaration); known is
-// false while none has been recorded.
-func (b *Block) ReplayVerdict() (verdict error, known bool) { return b.replay, b.replayDone }
-
-// SetReplayVerdict records the replay verdict. Like the digest cache it
-// is unsynchronized: a block is owned by one goroutine at a time.
-func (b *Block) SetReplayVerdict(verdict error) { b.replay, b.replayDone = verdict, true }
 
 // Digest returns the canonical content address of the block, computed
 // once and cached (the node re-derives a proposal's digest on every
@@ -215,7 +198,6 @@ func PeekBlockHeader(data []byte) (epoch Epoch, round Round, proposer ReplicaID,
 func (b *Block) unmarshalFrom(data []byte) error {
 	b.digOK = false
 	b.Stamps = BlockStamps{}
-	b.replay, b.replayDone = nil, false
 	b.wire = nil
 	d := NewSharedDecoder(data)
 	b.Epoch = Epoch(d.U64())

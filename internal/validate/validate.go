@@ -96,10 +96,7 @@ func ValidateBatch(reg *contract.Registry, base BaseReader, txs []*types.Transac
 // receives the delta — the last declared write per key, in schedule
 // order of first write — once, from the calling goroutine, and must
 // copy what it keeps before it returns. A block that fails is never
-// folded. Replay is a function of the block alone, so its verdict is
-// kept on the block and a block validated again — a prediction that
-// missed, a verified hit — executes nothing the second time; the
-// consistency pass, which depends on base, always runs.
+// folded.
 func ValidateBlock(reg *contract.Registry, base BaseReader, b *types.Block, workers int,
 	fold func(writes []types.RWRecord)) error {
 	d, err := consistent(base, b.SingleTxs, b.Results)
@@ -107,12 +104,7 @@ func ValidateBlock(reg *contract.Registry, base BaseReader, b *types.Block, work
 		return err
 	}
 	defer d.release()
-	err, known := b.ReplayVerdict()
-	if !known {
-		err = replay(reg, b.SingleTxs, b.Results, workers)
-		b.SetReplayVerdict(err)
-	}
-	if err != nil {
+	if err := replay(reg, b.SingleTxs, b.Results, workers); err != nil {
 		return err
 	}
 	fold(d.recs)
